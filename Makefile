@@ -20,8 +20,8 @@ lint:
 		|| { echo "ruff not installed; falling back to compileall"; \
 		     $(PY) -m compileall -q src tests benchmarks examples; }
 
-# Docs hygiene: dead file references and deprecated-API drift in
-# docs/ README.md examples/ (tools/lint_docs.py).
+# Docs hygiene: dead file references in docs/ README.md examples/
+# (tools/lint_docs.py).
 lint-docs:
 	$(PY) tools/lint_docs.py
 
@@ -34,8 +34,7 @@ docs-check:
 # gate the simulator fast path (engine microbench + fig5 + ext8 txn +
 # ext9 fabric incast + ext10 open-loop serving + the warm-pool campaign
 # scenario) against the committed perf baseline, run the invariant-check
-# suite, and keep the docs honest (dead links, deprecated APIs,
-# benchmark catalog).
+# suite, and keep the docs honest (dead links, benchmark catalog).
 smoke: perf-quick check docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
 
@@ -100,13 +99,6 @@ figures-full:
 
 scorecard:
 	$(PY) -m repro.bench scorecard
-
-# Snapshot / compare the figure suite (model-development regression aid).
-baseline:
-	$(PY) -m repro.bench.regress save .bench-baseline.json
-
-regress:
-	$(PY) -m repro.bench.regress diff .bench-baseline.json
 
 # Regenerate the paper-vs-measured record from scratch (full sweeps).
 experiments:

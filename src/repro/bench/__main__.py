@@ -18,8 +18,7 @@ figure module only recomputes that figure's points; with the pool, the
 cache is consulted *worker-side* so warm points never cross the pipe.
 ``--no-cache`` disables the cache.  ``--seed N`` selects an alternate
 deterministic campaign seed (0 = the paper default that the committed
-digests pin).  ``--vectorized`` routes targets that expose
-``run_points_vector`` through a same-process shared-model lane.
+digests pin).
 """
 
 from __future__ import annotations
@@ -66,15 +65,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed for all rig rngs (default 0 = "
                              "the paper runs; digests are pinned at 0)")
-    parser.add_argument("--vectorized", action="store_true",
-                        help="use the same-process shared-model lane for "
-                             "targets exposing run_points_vector "
-                             "(bypasses pool and cache for those targets)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile each target and print the top-20 "
                              "functions by cumulative time (profiles this "
-                             "process; combine with --jobs 1 or "
-                             "--vectorized to see model internals)")
+                             "process; combine with --jobs 1 to see "
+                             "model internals)")
     args = parser.parse_args(argv)
     if args.full and args.quick:
         parser.error("--full and --quick are mutually exclusive")
@@ -97,8 +92,7 @@ def main(argv=None) -> int:
                 with parallel.profiled(name, enable=args.profile):
                     result = parallel.run_campaign(
                         name, quick=quick, jobs=jobs, cache_dir=cache_dir,
-                        seed=args.seed, pool=pool, chunk=args.chunk,
-                        vectorized=args.vectorized)
+                        seed=args.seed, pool=pool, chunk=args.chunk)
                 for i, fig in enumerate(result.figures):
                     if i:
                         print()

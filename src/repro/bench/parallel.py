@@ -58,16 +58,10 @@ after editing one figure module or one hardware constant therefore only
 recomputes the invalidated points; everything else is a cache hit.
 Corrupted or truncated entries fall back to recompute and are rewritten.
 
-**Vectorized lane (opt-in).**  ``--vectorized`` routes targets that
-expose ``run_points_vector(points, quick)`` through a same-process lane
-that shares one model across all points (no fork, no IPC); values must
-be bit-identical to the per-point path, which the CLI cross-checks.
-
 CLI (used by ``make perf-quick`` as the merge-determinism smoke check)::
 
     python -m repro.bench.parallel <target> [--jobs N] [--full]
-        [--chunk N] [--seed N] [--vectorized]
-        [--cache-stats] [--cache-dir DIR]
+        [--chunk N] [--seed N] [--cache-stats] [--cache-dir DIR]
 
 runs the target's sweep serially and through the warm pool and fails
 loudly on any digest difference between the two merges.
@@ -85,7 +79,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Optional
 
@@ -115,7 +109,7 @@ def profiled(label: str, enable: bool = True, top: int = 20):
     """cProfile the enclosed block; print the top-``top`` functions by
     cumulative time.  Profiles the *calling* process only — with a
     worker pool, point evaluation happens in the workers, so profile
-    with ``--jobs 1`` (or ``--vectorized``) to see model internals."""
+    with ``--jobs 1`` to see model internals."""
     if not enable:
         yield
         return
@@ -166,7 +160,6 @@ class CampaignResult:
     n_computed: int
     n_cached: int
     wall_s: float = 0.0
-    notes: list[str] = field(default_factory=list)
     #: Point-cache accounting for this campaign (zero when cache is off).
     cache_hits: int = 0
     cache_misses: int = 0
@@ -802,17 +795,14 @@ def compute_points(module_name: str, points: list[dict], quick: bool = True,
 def run_campaign(target: str, quick: bool = True, jobs: int = 1,
                  cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
                  seed: int = 0, pool: Optional[WorkerPool] = None,
-                 chunk: Optional[int] = None,
-                 vectorized: bool = False) -> CampaignResult:
+                 chunk: Optional[int] = None) -> CampaignResult:
     """Run one bench target as a point campaign and assemble its figures.
 
     ``cache_dir=None`` disables the point cache.  ``jobs=1`` computes the
     misses inline (still through the exact same task wrapper the pool
     uses, so serial and parallel campaigns share one code path); pass a
     shared :class:`WorkerPool` via ``pool`` to keep workers warm across
-    several campaigns (``repro-bench all`` does).  ``vectorized=True``
-    routes targets exposing ``run_points_vector`` through the
-    same-process shared-model lane.
+    several campaigns (``repro-bench all`` does).
     """
     module_name = TARGETS[target]
     module = importlib.import_module(module_name)
@@ -824,30 +814,18 @@ def run_campaign(target: str, quick: bool = True, jobs: int = 1,
     t0 = time.perf_counter()
     points = module.points(quick)
     cache = PointCache(cache_dir) if cache_dir else None
-    notes: list[str] = []
     ipc0 = pool.ipc_bytes_sent + pool.ipc_bytes_received if pool else 0
     served0 = pool.points_served if pool else 0
-    if vectorized and hasattr(module, "run_points_vector"):
-        set_campaign_seed(seed)
-        values = [normalize(v) for v in module.run_points_vector(points,
-                                                                 quick)]
-        if len(values) != len(points):
-            raise CampaignError(
-                f"{module_name}.run_points_vector returned {len(values)} "
-                f"values for {len(points)} points")
-        n_computed, n_cached = len(points), 0
-        notes.append("vectorized same-process lane")
-    else:
-        values, n_computed, n_cached = compute_points(
-            module_name, points, quick=quick, jobs=jobs, seed=seed,
-            cache=cache, pool=pool, chunk=chunk)
+    values, n_computed, n_cached = compute_points(
+        module_name, points, quick=quick, jobs=jobs, seed=seed,
+        cache=cache, pool=pool, chunk=chunk)
     figures = module.assemble(values, quick)
     if isinstance(figures, FigureResult):
         figures = [figures]
     result = CampaignResult(target=target, figures=list(figures),
                             n_points=len(points), n_computed=n_computed,
                             n_cached=n_cached,
-                            wall_s=time.perf_counter() - t0, notes=notes)
+                            wall_s=time.perf_counter() - t0)
     if cache is not None:
         result.cache_hits = cache.hits
         result.cache_misses = cache.misses
@@ -877,7 +855,7 @@ def figures_digest(figures: list[FigureResult]) -> str:
 # ------------------------------------------------------------------- CLI
 def main(argv: Optional[list[str]] = None) -> int:
     """Merge-determinism self-check: serial vs warm-pool digest of a
-    target, with optional cache and vectorized-lane cross-checks."""
+    target, with an optional cache cross-check."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.parallel",
         description="run one bench target serially and through the warm "
@@ -899,11 +877,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--chunk", type=int, default=None, metavar="N",
                         help="pin the pool chunk size (default: adaptive "
                              "sizing from a measured per-point probe)")
-    parser.add_argument("--vectorized", action="store_true",
-                        help="additionally run targets exposing "
-                             "run_points_vector through the same-process "
-                             "shared-model lane and cross-check its "
-                             "tables against the serial run")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help="point-cache root for --cache-stats runs "
@@ -937,21 +910,6 @@ def main(argv: Optional[list[str]] = None) -> int:
               "from the serial run")
         return 1
     print("merge determinism ok: tables bit-identical")
-    if args.vectorized:
-        module = importlib.import_module(TARGETS[args.target])
-        if hasattr(module, "run_points_vector"):
-            vec = run_campaign(args.target, quick=quick, jobs=1,
-                               cache_dir=None, seed=args.seed,
-                               vectorized=True)
-            if figures_digest(vec.figures) != d_serial:
-                print("VECTORIZED-LANE FAILURE: same-process tables "
-                      "differ from the serial run")
-                return 1
-            print(f"vectorized lane ok ({vec.wall_s:.2f}s, tables "
-                  "bit-identical)")
-        else:
-            print(f"vectorized lane: {args.target} has no "
-                  "run_points_vector — skipped")
     if args.cache_stats:
         cached = run_campaign(args.target, quick=quick, jobs=args.jobs,
                               cache_dir=args.cache_dir, seed=args.seed,

@@ -1,12 +1,11 @@
-"""Performance-regression harness for the simulator fast path.
+"""Performance-regression harness: what the model computes and how fast.
 
-``repro.bench.regress`` guards *what* the model computes; this package
-guards *how fast* the engine computes it.  It times a fixed set of
-scenarios — a pure engine-dispatch microbenchmark, the quick modes of
-representative figure sweeps (fig 1, fig 5, ext 6–9), and
-``sweep_parallel`` (the fig 1 campaign run serially and through a warm
-4-worker pool; see :mod:`repro.bench.parallel`) — and records, per
-scenario:
+The repo's one baseline tool.  It times a fixed set of scenarios — a
+pure engine-dispatch microbenchmark, the quick modes of representative
+figure and table sweeps (figs 1, 4, 5, 8, 10, 18, tables 2–3, the
+latency breakdown, ext 6–10), and ``sweep_parallel`` (the fig 1
+campaign run serially and through a warm 4-worker pool; see
+:mod:`repro.bench.parallel`) — and records, per scenario:
 
 * ``wall_s`` — host wall-clock seconds,
 * ``events`` — simulator events dispatched (``Simulator.total_events``
@@ -18,6 +17,9 @@ scenario:
   machine-independent: any digest change means an engine or model change
   altered schedules, which the determinism contract
   (docs/PERFORMANCE.md) forbids for pure optimizations,
+* ``table_digest`` — a SHA-256 of the rendered table text, which may
+  never change; the cheap paper tables (``TABLE_ROWS``, full run only)
+  are gated on it, their event counts and schedule digests,
 * ``metrics`` (``sweep_parallel`` only) — wall-clock-derived campaign
   numbers, excluded from the digest: serial and 4-job points/sec,
   ``jobs4_speedup``, the pool's ``warm_start_ms``,

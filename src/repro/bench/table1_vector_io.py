@@ -8,15 +8,11 @@ scalability are DERIVED from fresh measurements: peak entry throughput at
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput
 from repro.core.advisor import VECTOR_IO_TABLE
-from repro.hw import HardwareParams
 
-__all__ = ["run", "main", "points", "run_point", "run_points_vector",
-           "assemble"]
+__all__ = ["run", "main", "points", "run_point", "assemble"]
 
 STRATEGIES = ["Doorbell", "SP", "SGL"]
 _KEY = {"Doorbell": "doorbell", "SP": "sp", "SGL": "sgl"}
@@ -44,40 +40,21 @@ def points(quick: bool = True) -> list:
             for s in STRATEGIES for probe in PROBES]
 
 
-def _probe(point: dict, quick: bool,
-           params: Optional[HardwareParams] = None) -> float:
+def run_point(point: dict, quick: bool = True) -> float:
     n = 120 if quick else 400
     k = _KEY[point["strategy"]]
     probe = point["probe"]
     if probe == "b1":
-        return batched_throughput(k, 1, 32, n_batches=n,
-                                  params=params)["mops"]
+        return batched_throughput(k, 1, 32, n_batches=n)["mops"]
     if probe == "b16":
-        return batched_throughput(k, 16, 32, n_batches=n,
-                                  params=params)["mops"]
+        return batched_throughput(k, 16, 32, n_batches=n)["mops"]
     if probe == "t1":
         return batched_throughput(k, 4, 32, n_batches=n, depth=1,
-                                  threads=1, params=params)["per_thread"]
+                                  threads=1)["per_thread"]
     if probe == "t8":
         return batched_throughput(k, 4, 32, n_batches=n, depth=1,
-                                  threads=8, params=params)["per_thread"]
-    return batched_throughput(k, 16, 1024, n_batches=n,
-                              params=params)["mops"]
-
-
-def run_point(point: dict, quick: bool = True) -> float:
-    return _probe(point, quick)
-
-
-def run_points_vector(pts: list, quick: bool = True) -> list:
-    """Same-process lane (``--vectorized``): every point still drives its
-    own fresh simulator (the sweeps are stateful), but one frozen
-    :class:`HardwareParams` instance serves the whole sweep instead of
-    being rebuilt 15 times.  Bit-identical to ``run_point`` by
-    construction — the shared instance is immutable and carries exactly
-    the default values each serial point would derive for itself."""
-    params = HardwareParams()
-    return [_probe(point, quick, params) for point in pts]
+                                  threads=8)["per_thread"]
+    return batched_throughput(k, 16, 1024, n_batches=n)["mops"]
 
 
 def assemble(values: list, quick: bool = True) -> FigureResult:

@@ -12,8 +12,7 @@ from repro.hw import HardwareParams
 from repro.hw.dram import DramModel
 from repro.hw.numa import NumaTopology
 
-__all__ = ["run", "main", "points", "run_point", "run_points_vector",
-           "assemble"]
+__all__ = ["run", "main", "points", "run_point", "assemble"]
 
 
 def points(quick: bool = True) -> list:
@@ -25,16 +24,6 @@ def run_point(point: dict, quick: bool = True) -> list:
     dram = DramModel(p, NumaTopology(p))
     lat, bw = dram.mlc_probe(0, point["mem_socket"])
     return [lat, bw]
-
-
-def run_points_vector(pts: list, quick: bool = True) -> list:
-    """Same-process lane (``--vectorized``): every point probes the same
-    pure cost tables, so one shared model serves the whole sweep.  Must
-    stay bit-identical to ``run_point`` — ``mlc_probe`` is a stateless
-    lookup, so sharing the model cannot change a value."""
-    p = HardwareParams()
-    dram = DramModel(p, NumaTopology(p))
-    return [list(dram.mlc_probe(0, point["mem_socket"])) for point in pts]
 
 
 def assemble(values: list, quick: bool = True) -> FigureResult:

@@ -13,25 +13,21 @@ socket alone costs only ~4-10% latency.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from repro import build
 from repro.bench.report import FigureResult
 from repro.bench.runner import PipelinedClient, drive_all, read_wr, write_wr
-from repro.hw import HardwareParams
 from repro.verbs import Worker
 
-__all__ = ["run", "main", "points", "run_point", "run_points_vector",
-           "assemble"]
+__all__ = ["run", "main", "points", "run_point", "assemble"]
 
 _PLACEMENTS = ["own", "alt"]
 
 
 def _measure(local_core: int, local_mem: int, remote_core: int,
-             remote_mem: int, op: str, quick: bool,
-             params: Optional[HardwareParams] = None) -> tuple[float, float]:
+             remote_mem: int, op: str, quick: bool) -> tuple[float, float]:
     """(latency_us, mops) for one placement cell."""
-    sim, cluster, ctx = build(machines=2, params=params)
+    sim, cluster, ctx = build(machines=2)
     lmr = ctx.register(0, 1 << 20, socket=local_mem)
     rmr = ctx.register(1, 1 << 20, socket=remote_mem)
     # The QP's local port anchors "own" == socket 0; the serving remote
@@ -73,19 +69,6 @@ def run_point(point: dict, quick: bool = True) -> list:
         0 if point["rc"] == "own" else 1, 0 if point["rm"] == "own" else 1,
         point["op"], quick)
     return [lat, thr]
-
-
-def run_points_vector(pts: list, quick: bool = True) -> list:
-    """Same-process lane (``--vectorized``): one frozen
-    :class:`HardwareParams` serves all 32 placement cells instead of
-    being rebuilt per cell; each cell still runs its own fresh simulator.
-    Bit-identical to ``run_point`` — the shared instance is immutable
-    and equals the per-cell default."""
-    params = HardwareParams()
-    return [list(_measure(
-        0 if p["lc"] == "own" else 1, 0 if p["lm"] == "own" else 1,
-        0 if p["rc"] == "own" else 1, 0 if p["rm"] == "own" else 1,
-        p["op"], quick, params)) for p in pts]
 
 
 def assemble(values: list, quick: bool = True) -> FigureResult:

@@ -10,7 +10,6 @@ Everything the paper's observations depend on is modeled explicitly:
 * :mod:`repro.hw.rnic` — ports, execution units, link serialization.
 * :mod:`repro.hw.fabric` — topologies (single / leaf-spine / Clos), link
   queues, ECN + DCQCN congestion control, ECMP routing.
-* :mod:`repro.hw.switch` — deprecated alias for the single-switch fabric.
 * :mod:`repro.hw.machine` / :mod:`repro.hw.cluster` — composition.
 """
 
@@ -22,7 +21,6 @@ from repro.hw.sram import MetadataCache
 from repro.hw.fabric import (ClosFabric, DcqcnLimiter, Fabric, LeafSpineFabric,
                              Link, Route, SingleSwitchFabric, build_fabric)
 from repro.hw.rnic import Rnic, RnicPort
-from repro.hw.switch import Switch
 from repro.hw.machine import Machine
 from repro.hw.cluster import Cluster
 from repro.hw.faults import FaultInjector
@@ -47,7 +45,6 @@ __all__ = [
     "Route",
     "ServiceConfig",
     "SingleSwitchFabric",
-    "Switch",
     "TenantSpec",
     "build_fabric",
 ]

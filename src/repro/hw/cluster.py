@@ -40,8 +40,6 @@ class Cluster:
         self.fabric = build_fabric(topology, sim, self.params, n)
         self.machines = [Machine(sim, self.params, self.fabric, i)
                          for i in range(n)]
-        #: Legacy alias from the single-switch era; prefer ``fabric``.
-        self.switch = self.fabric
 
     # -- rack-aware placement ------------------------------------------------
     @property

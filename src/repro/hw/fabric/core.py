@@ -1,8 +1,8 @@
 """Fabric core: links with bounded queues, routes, and the Fabric protocol.
 
 The paper's testbed is 8 machines on one InfiniScale-IV switch and
-``hw.switch.Switch`` models exactly that: a fixed-latency crossbar with
-bandwidth enforced at the sending RNIC port.  Scaling past one switch
+``SingleSwitchFabric`` models exactly that: a fixed-latency crossbar
+with bandwidth enforced at the sending RNIC port.  Scaling past one switch
 changes the physics — traffic shares *links*, links have finite buffers,
 and full buffers drop or mark packets.  This module is the vocabulary
 for that world:
@@ -33,12 +33,12 @@ for that world:
 Determinism contract: nothing here draws randomness (ECMP is an FNV-1a
 mix over integers; fault-injected loss uses an explicitly seeded rng
 owned by the fault layer), and plain routes schedule the exact event
-sequence the old ``Switch`` did.
+sequence of the single-switch model.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterator, Optional
+from typing import TYPE_CHECKING, Generator, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..params import HardwareParams
@@ -199,19 +199,6 @@ class Route:
             return self.plain_ns
         return sum(link.latency_ns for link in self.links)
 
-    def traverse_ns(self) -> Optional[float]:
-        """Closed-form traversal latency, or ``None`` when stateful.
-
-        A plain route (single-switch crossbar) is one fixed constant and
-        can be folded into an arithmetic timeline — the express lane
-        (:mod:`repro.verbs.express`) consumes this.  Queued routes return
-        ``None``: their delay depends on live queue state and drops, so
-        they must be stepped through :meth:`traverse`.
-        """
-        if not self.links:
-            return self.plain_ns
-        return None
-
     def traverse(self, nbytes: int, droppable: bool = True
                  ) -> Generator[float, None, tuple[bool, bool]]:
         """Pay the path: per-hop latency + queue wait + serialization.
@@ -267,15 +254,8 @@ class Fabric:
         self.sim = sim
         self.params = params
         self.seed = seed
-        self.packets = 0          # legacy Switch counters (record())
-        self.bytes = 0
         self.drops = 0
         self._route_cache: dict = {}
-
-    # -- legacy Switch accounting (called from the RNIC tx path) -------
-    def record(self, nbytes: int) -> None:
-        self.packets += 1
-        self.bytes += nbytes
 
     # -- routing --------------------------------------------------------
     def path(self, src_port: "RnicPort", dst_port: "RnicPort",

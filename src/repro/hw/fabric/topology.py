@@ -33,7 +33,7 @@ class SingleSwitchFabric(Fabric):
     Bandwidth is enforced at the sending RNIC port (as before), so routes
     here are *plain*: no links, no queues, one bare delay of
     ``2*wire + switch`` per direction.  This is the default topology and
-    is schedule-identical to the pre-fabric ``hw.switch.Switch``.
+    is schedule-identical to the pre-fabric single-switch model.
     """
 
     kind = "single"

@@ -56,9 +56,10 @@ class FaultInjector:
         self.sim = sim
         self.rng = rng
         # Constructing an injector declares intent to perturb: retire the
-        # express lane for this run.  Per-port eligibility would miss
-        # cross-port couplings (a degraded port's stepped WRs contending
-        # with express bookings on the peer), so the whole run steps.
+        # express lane for this run.  An express timeline sizes its holds
+        # when it books them, so a fault armed later (a mid-run slowdown
+        # or loss window) could never reach it, while the stepped
+        # reference pays the fault from the instant it is armed.
         if sim.express is not None:
             sim.express.poison("fault-injector")
         #: id(target) -> (target, set of active fault kinds).  Targets are
@@ -69,12 +70,6 @@ class FaultInjector:
 
     def _afflict(self, port: Union[RnicPort, Link], kind: str,
                  duration_ns: Optional[float]) -> None:
-        # Cost-model caches are invalidated on every injection (and heal,
-        # see _heal) — see Rnic.invalidate_cost_caches for why this is a
-        # contract rather than a correctness requirement today.  Fabric
-        # links sit between switches and have no RNIC to invalidate.
-        if isinstance(port, RnicPort):
-            port.rnic.invalidate_cost_caches()
         entry = self._afflicted.get(id(port))
         if entry is None:
             entry = (port, set())
@@ -200,8 +195,6 @@ class FaultInjector:
         entry = self._afflicted.get(id(port))
         if entry is None:
             return
-        if isinstance(port, RnicPort):
-            port.rnic.invalidate_cost_caches()
         for kind in (entry[1] & kinds) if kinds is not None else set(entry[1]):
             if kind == "slow":
                 port.slowdown = 1.0

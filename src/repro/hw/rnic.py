@@ -50,8 +50,9 @@ class RnicPort:
         #: Stepped-pipeline WRs currently in flight through this port.
         #: The express lane (repro.verbs.express) refuses to book a
         #: closed-form timeline while a stepped op holds (or may yet
-        #: acquire) any of this port's units — the two accounting schemes
-        #: must never overlap on one port.
+        #: acquire) any of this port's units.  Both lanes queue on the
+        #: same Resources, so this no longer prevents double-booking; it
+        #: is kept as a conservative fence around stepped pipelines.
         self._stepped = 0
         # Hot-path aliases: params are frozen and the wire-time cache is
         # shared device-wide (see Rnic.wire_time_ns).
@@ -144,7 +145,6 @@ class RnicPort:
         finally:
             self.tx_unit.release()
         self.tx_ops += 1
-        self.rnic.fabric.record(payload_bytes)
 
     # -- responder side -----------------------------------------------------
     def exec_rx(self, base_ns: float, extra_ns: float = 0.0,
@@ -233,11 +233,6 @@ class Rnic:
         #: tenancy layer's connection cap has something real to protect.
         self.live_qps = 0
 
-    @property
-    def switch(self) -> Fabric:
-        """Legacy alias from the single-switch era; prefer ``fabric``."""
-        return self.fabric
-
     # -- connection-state SRAM pressure -------------------------------------
     def qp_attached(self) -> None:
         """Account one more live QP; repartitions the metadata SRAM."""
@@ -278,26 +273,6 @@ class Rnic:
                 best, best_hops = port, h
         assert best is not None
         return best
-
-    def invalidate_cost_caches(self) -> None:
-        """Drop every memoized cost-model result on this device.
-
-        The caches (device-wide wire times, per-port PCIe transfer times,
-        topology DMA times) are keyed purely by frozen ``HardwareParams``
-        inputs, and fault perturbations (slowdown, jitter, loss) are
-        applied *downstream* of the cached base values — so entries can
-        never silently go stale.  Fault injection still calls this on
-        every inject/heal as a hard contract: any future fault kind that
-        reaches into the cost model itself (a degraded link clock, a
-        renegotiated PCIe width) repopulates from first principles instead
-        of serving pre-fault numbers.  Cache contents never affect
-        schedules, only lookup speed, so invalidation is always
-        schedule-safe.
-        """
-        self._wire_cache.clear()
-        for port in self.ports:
-            port.pcie._time_cache.clear()
-        self.topology._dma_cache.clear()
 
     def translate(self, keys: list) -> float:
         """Translation-table lookups for an op touching ``keys`` pages.

@@ -2,8 +2,10 @@
 
 :class:`Resource` models a fixed number of service slots (RNIC execution
 units, PCIe DMA engines, memory-controller banks): processes ``yield
-res.acquire()`` and must ``res.release()`` when done.  :class:`Store` is an
-unbounded-or-bounded FIFO of items (message queues, work queues).
+res.acquire()`` and must ``res.release()`` when done; callback-driven
+code holds the same FIFO without a process (``book``/``claim``).
+:class:`Store` is an unbounded-or-bounded FIFO of items (message queues,
+work queues).
 
 Both hand out grants in strict FIFO order, which keeps simulations
 deterministic and mirrors the in-order behaviour of the hardware queues they
@@ -13,7 +15,7 @@ stand in for.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -31,6 +33,20 @@ class Resource:
             yield sim.timeout(service_time)
         finally:
             resource.release()
+
+    Two process-free holds share the same FIFO, so callback-driven code
+    (the express verbs lane) and processes contend on one queue:
+
+    * ``book(dur, cb)`` — a timed hold: once granted, ``cb`` wakes at
+      grant time + ``dur`` (one :meth:`Simulator.call_at`); the callback
+      must ``release()``.
+    * ``claim(cb)`` — an untimed hold: returns True when granted on the
+      spot, else ``cb(resource)`` runs at the grant; the holder releases
+      whenever its own work ends.
+
+    ``release()`` hands the slot straight to the head waiter — an acquire
+    event, a booking or a claim — at the releaser's dispatch; the busy
+    span stays open across a handover.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -40,7 +56,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: FIFO of waiters: an acquire Event, a ``(dur, cb)`` booking, or
+        #: a ``(None, cb)`` claim.
+        self._waiters: deque = deque()
         # busy-time accounting for utilization reports
         self._busy_ns = 0.0
         self._busy_since: Optional[float] = None
@@ -68,21 +86,52 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
-    def _grant(self, ev: Event) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.sim.now
-        self._in_use += 1
-        ev.succeed(self)
+    def book(self, dur: float, cb: Callable) -> None:
+        """Timed hold without a process: ``cb`` wakes ``dur`` after the
+        grant — scheduled now when a slot is free, else by the release
+        that grants it."""
+        if self._in_use < self.capacity:
+            sim = self.sim
+            if self._in_use == 0:
+                self._busy_since = sim.now
+            self._in_use += 1
+            sim.call_at(sim.now + dur, cb)
+        else:
+            self._waiters.append((dur, cb))
+
+    def claim(self, cb: Callable) -> bool:
+        """Untimed hold: True when granted now; otherwise queue, and the
+        granting release runs ``cb(self)`` inline."""
+        if self._in_use < self.capacity:
+            if self._in_use == 0:
+                self._busy_since = self.sim.now
+            self._in_use += 1
+            return True
+        self._waiters.append((None, cb))
+        return False
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
+        waiters = self._waiters
+        if waiters:
+            # Waiters exist only while every slot is held: hand this one
+            # over without closing the busy span.
+            w = waiters.popleft()
+            if w.__class__ is tuple:
+                dur, cb = w
+                if dur is None:
+                    cb(self)
+                else:
+                    sim = self.sim
+                    sim.call_at(sim.now + dur, cb)
+            else:
+                w.succeed(self)
+            return
         self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
+        if self._in_use == 0:
             self._busy_ns += self.sim.now - self._busy_since
             self._busy_since = None
-        while self._waiters and self._in_use < self.capacity:
-            self._grant(self._waiters.popleft())
 
     def cancel(self, grant: Event) -> None:
         """Withdraw a not-yet-granted acquire request."""

@@ -215,20 +215,19 @@ class TenantSession:
         return comp
 
     # -- one-sided sugar -----------------------------------------------------
-    # Same two call forms as Worker.write/read: slice-based src=/dst=
-    # (preferred) or the deprecated five-positional legacy form.
-    def write(self, remote: int, *legacy, src=None, dst=None,
+    # Same slice-based src=/dst= form as Worker.write/read.
+    def write(self, remote: int, *, src=None, dst=None,
               move_data: bool = True, wr_id: int = 0) -> Generator:
-        loc, rem = self.worker._resolve_transfer("write", legacy, src, dst)
+        loc, rem = self.worker._resolve_transfer("write", src, dst)
         wr = WorkRequest(Opcode.WRITE, wr_id=wr_id,
                          sgl=[Sge(loc.mr, loc.offset, loc.length)],
                          remote_mr=rem.mr, remote_offset=rem.offset,
                          move_data=move_data)
         return (yield from self.execute(remote, wr))
 
-    def read(self, remote: int, *legacy, src=None, dst=None,
+    def read(self, remote: int, *, src=None, dst=None,
              move_data: bool = True, wr_id: int = 0) -> Generator:
-        loc, rem = self.worker._resolve_transfer("read", legacy, src, dst)
+        loc, rem = self.worker._resolve_transfer("read", src, dst)
         wr = WorkRequest(Opcode.READ, wr_id=wr_id,
                          sgl=[Sge(loc.mr, loc.offset, loc.length)],
                          remote_mr=rem.mr, remote_offset=rem.offset,

@@ -22,12 +22,14 @@ same-instant completion ties under contention, and the inversion
 propagates through shared LRU state (metadata SRAM) into different
 tables.  So the lane mirrors the grant structure literally:
 
-* Each contended resource gets a real-time FIFO mirror (``_Fifo``).  A
-  booking made while the unit is free schedules its end-wake
-  immediately (``now + dur``); a booking against a busy unit queues.
-* Every end-wake handler *first* grants the next queued booking —
-  allocating the successor's end-wake at this very dispatch, exactly
-  where the stepped ``Resource.release`` pushes its grant — then bumps
+* Every hold books the unit's own :class:`~repro.sim.Resource` — the
+  one FIFO the stepped lane acquires too — with ``Resource.book(dur,
+  cb)``: a free unit schedules the end-wake immediately (``now +
+  dur``); a busy one queues the booking behind whatever waits there,
+  stepped acquires included.
+* Every end-wake handler *first* calls ``release()``, which grants the
+  head waiter at this very dispatch (a queued booking's end-wake is
+  allocated here, exactly where a stepped grant is pushed), then bumps
   the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
@@ -38,7 +40,8 @@ tables.  So the lane mirrors the grant structure literally:
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) each get their own wake allocated at the same instant the
   stepped path allocates the corresponding sleep.
-* Atomic word locks are FIFO chains whose release runs the next
+* Atomic word locks are ``Resource.claim`` holds on the device's
+  ``atomic_word_lock`` Resource: a queued claim's handover runs the next
   owner's service bookings at the releaser's dispatch — the stepped
   grant instant.
 * RC in-order completion needs no arithmetic at all: an op whose
@@ -58,14 +61,18 @@ batched, so mid-run observers see identical state.
 
 Fallback rules (the lane is chosen per post, never mid-flight):
 
-* ineligible post -> stepped generator, unchanged schedules;
-* stepped WRs in flight on either port -> stepped (the two accounting
-  schemes never overlap on one port's units);
-* fault injector construction, SEND opcodes, or tracer attachment
-  *poison* the lane for the whole run — those features interleave
-  stepped Resource holds with FIFO bookings in ways the mirror cannot
-  see.  Express ops already in flight at poison time drain on their
-  booked timelines.
+* ineligible post (SEND opcode, traced QP, installed sanitizer, perturbed
+  or lossy port, queued route, unseen in-order predecessor) -> stepped
+  generator, unchanged schedules;
+* stepped WRs in flight on either port -> stepped, a conservative
+  fence.  Stepped WRs posted while express ops are in flight queue
+  behind the express bookings on the same Resources;
+* constructing a ``FaultInjector`` is the one *poison*: it retires the
+  lane for the whole run.  A timeline's holds are sized when they are
+  booked, so a fault armed later (a mid-run ``slow_port``, a loss
+  window) would never reach them, while the stepped reference pays it.
+  Express ops already in flight at poison time drain on their booked
+  timelines, so a fault armed before they finish misses them too.
 
 See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
 and the digest-gate implications.
@@ -74,7 +81,6 @@ and the digest-gate implications.
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
@@ -106,25 +112,8 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_TAIL,     # WRITE/atomic response wire elapsed
  P_T,        # CQE DMA end: completion instant
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
- P_DONE) = range(16)
-
-
-class _Fifo:
-    """Real-time FIFO mirror of one capacity-1 :class:`Resource`.
-
-    ``held`` says a booking is in service; ``queue`` holds bookings made
-    while busy — ``(dur, cb)`` pairs for timed holds, bare ops for
-    atomic word locks (their span ends when the owner's service does).
-    Busy-time accounting is written through to the mirrored Resource so
-    ``utilization()`` reports identically under either lane.
-    """
-
-    __slots__ = ("res", "held", "queue")
-
-    def __init__(self, res) -> None:
-        self.res = res
-        self.held = False
-        self.queue: deque = deque()
+ P_LOCK,     # queued on a word lock; the releaser's handover wakes it
+ P_DONE) = range(17)
 
 
 class ExpressOp:
@@ -143,7 +132,7 @@ class ExpressOp:
         "pending",
         # stashed hold durations (service hold, drain DMA)
         "h1", "h2",
-        # held word-lock FIFO (WRITE-to-hot-word / atomics), else None
+        # held word lock (WRITE-to-hot-word / atomics), else None
         "wl",
         "value",
         # wake callbacks: primary (phase-dispatched) and cut-through
@@ -179,7 +168,8 @@ class ExpressOp:
 
 
 class ExpressState:
-    """Per-simulator express-lane state: FIFO mirrors + kill switch."""
+    """Per-simulator express-lane state: the kill switch and the wake
+    handlers that advance each op's timeline."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -187,9 +177,6 @@ class ExpressState:
         #: every post.  Poisoning never touches in-flight express ops.
         self.on = True
         self.poisoned: Optional[str] = None
-        #: Resource -> _Fifo, keyed by object identity; only resources
-        #: the verbs hot path books appear here.
-        self._fifos: dict = {}
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -221,75 +208,6 @@ class ExpressState:
             self.on = False
             self.poisoned = reason
 
-    # ------------------------------------------------------- FIFO mirrors
-    def _fifo(self, res) -> _Fifo:
-        f = self._fifos.get(res)
-        if f is None:
-            f = self._fifos[res] = _Fifo(res)
-        return f
-
-    def _hold(self, fifo: _Fifo, dur: float, cb) -> None:
-        """Book a timed hold: grant now if free, else queue FIFO.
-
-        The end-wake is allocated at the grant dispatch — here when the
-        unit is free, at the releaser's dispatch when queued — which is
-        precisely where the stepped path allocates it (the hold sleep is
-        pushed when the process resumes from ``yield res.acquire()``).
-        """
-        if fifo.held:
-            fifo.queue.append((dur, cb))
-            return
-        fifo.held = True
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is None:
-            res._busy_since = self.sim.now
-        sim = self.sim
-        sim.call_at(sim.now + dur, cb)
-
-    def _release(self, fifo: _Fifo) -> None:
-        """End one hold: grant the next queued booking *at this dispatch*
-        (the stepped ``Resource.release`` pushes its grant here too), or
-        mark the unit idle and close out its busy-time span."""
-        q = fifo.queue
-        if q:
-            dur, cb = q.popleft()
-            sim = self.sim
-            sim.call_at(sim.now + dur, cb)
-            return
-        fifo.held = False
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is not None:
-            res._busy_ns += self.sim.now - res._busy_since
-            res._busy_since = None
-
-    def _acquire_lock(self, fifo: _Fifo, op: ExpressOp) -> bool:
-        """Atomic word lock: True when granted immediately, else queued."""
-        if fifo.held:
-            fifo.queue.append(op)
-            return False
-        fifo.held = True
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is None:
-            res._busy_since = self.sim.now
-        return True
-
-    def _unlock(self, fifo: _Fifo) -> None:
-        """Release a word lock; the next owner books its service stage
-        at this dispatch (the stepped grant instant)."""
-        q = fifo.queue
-        if q:
-            op = q.popleft()
-            if op.opcode is Opcode.WRITE:
-                self._write_granted(op)
-            else:
-                self._atomic_granted(op)
-            return
-        fifo.held = False
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is not None:
-            res._busy_ns += self.sim.now - res._busy_since
-            res._busy_since = None
-
     # ------------------------------------------------------------- posting
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
              prev: Optional["Event"]) -> ExpressOp:
@@ -297,9 +215,8 @@ class ExpressState:
         op = ExpressOp(self, qp, wr, done)
         op.prev = prev
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
-        lp = qp.local_port
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
+        pcie = qp.local_port.pcie
+        pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
         return op
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
@@ -318,9 +235,8 @@ class ExpressState:
             op.prev = prev
             prev = op.done
         lead.wqe_bytes = total
-        lp = qp.local_port
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(total, qp.sq_socket), lead.wcb)
+        pcie = qp.local_port.pcie
+        pcie._bus.book(pcie.dma_ns(total, qp.sq_socket), lead.wcb)
         return ops[-1]
 
     # ------------------------------------------------------------- wake-ups
@@ -360,6 +276,13 @@ class ExpressState:
             self._try_finish(op)
         elif phase == P_PARK:
             self._complete(op)
+        elif phase == P_LOCK:
+            # Queued word-lock claim, granted at the releaser's dispatch
+            # (the stepped grant instant): book the service stage now.
+            if op.opcode is Opcode.WRITE:
+                self._write_granted(op)
+            else:
+                self._atomic_granted(op)
 
     def _on_wake2(self, op: ExpressOp, _ev) -> None:
         """Secondary wake: the concurrent half of a cut-through pair."""
@@ -367,13 +290,13 @@ class ExpressState:
         if op.phase == P_EXEC:
             # Payload-fetch DMA end (streams beside the tx hold).
             pcie = qp.local_port.pcie
-            self._release(self._fifo(pcie._bus))
+            pcie._bus.release()
             pcie.dma_bytes += op.outbound
             pcie.dma_count += 1
             self._exec_join(op)
         else:  # P_SVC: WRITE drain DMA end
             pcie = qp.remote_port.pcie
-            self._release(self._fifo(pcie._bus))
+            pcie._bus.release()
             pcie.dma_bytes += op.total_len
             pcie.dma_count += 1
             self._svc_join(op)
@@ -382,7 +305,7 @@ class ExpressState:
     def _wqe_end(self, op: ExpressOp) -> None:
         qp = op.qp
         pcie = qp.local_port.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.wqe_bytes
         pcie.dma_count += 1
         mates = op.mates
@@ -416,19 +339,16 @@ class ExpressState:
             op.pending = 2
             op.wcb2 = partial(self._on_wake2, op)
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
-            self._hold(self._fifo(lp.pcie._bus),
-                       lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge),
-                       op.wcb2)
-        self._hold(self._fifo(lp.tx_unit),
-                   lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge,
-                                      extra), op.wcb)
+            lp.pcie._bus.book(
+                lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge), op.wcb2)
+        lp.tx_unit.book(
+            lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge, extra),
+            op.wcb)
 
     def _tx_end(self, op: ExpressOp) -> None:
-        qp = op.qp
-        lp = qp.local_port
-        self._release(self._fifo(lp.tx_unit))
+        lp = op.qp.local_port
+        lp.tx_unit.release()
         lp.tx_ops += 1
-        qp.local_machine.rnic.fabric.record(op.wire_payload)
         if op.pending:
             self._exec_join(op)
         else:
@@ -464,8 +384,7 @@ class ExpressState:
             r_extra += rrnic.translate(
                 rmr.page_keys(wr.remote_offset, total_len))
             op.phase = P_RX
-            self._hold(self._fifo(rp.rx_unit), p.responder_ns + r_extra,
-                       op.wcb)
+            rp.rx_unit.book(p.responder_ns + r_extra, op.wcb)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -492,10 +411,10 @@ class ExpressState:
                 lock = rrnic._atomic_locks.get(
                     (rmr.mr_id, wr.remote_offset))
             if lock is not None:
-                f = self._fifo(lock)
-                op.wl = f
-                if not self._acquire_lock(f, op):
-                    return  # _unlock runs _write_granted at the handover
+                op.wl = lock
+                op.phase = P_LOCK
+                if not lock.claim(op.wcb):
+                    return  # the handover wakes op at P_LOCK
             self._write_granted(op)
             return
         # CAS / FAA
@@ -503,9 +422,10 @@ class ExpressState:
         r_extra += qp.remote_machine.topology.cross_penalty(
             rp.socket, rmr.socket)
         op.h1 = p.exec_atomic_ns + r_extra
-        f = self._fifo(rrnic.atomic_word_lock((rmr.mr_id, wr.remote_offset)))
-        op.wl = f
-        if self._acquire_lock(f, op):
+        lock = rrnic.atomic_word_lock((rmr.mr_id, wr.remote_offset))
+        op.wl = lock
+        op.phase = P_LOCK
+        if lock.claim(op.wcb):
             self._atomic_granted(op)
 
     def _write_granted(self, op: ExpressOp) -> None:
@@ -516,17 +436,17 @@ class ExpressState:
         op.pending = 2
         if op.wcb2 is None:
             op.wcb2 = partial(self._on_wake2, op)
-        self._hold(self._fifo(rp.rx_unit), op.h1, op.wcb)
-        self._hold(self._fifo(rp.pcie._bus), op.h2, op.wcb2)
+        rp.rx_unit.book(op.h1, op.wcb)
+        rp.pcie._bus.book(op.h2, op.wcb2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         op.phase = P_SVC
-        self._hold(self._fifo(op.qp.remote_port.atomic_unit), op.h1, op.wcb)
+        op.qp.remote_port.atomic_unit.book(op.h1, op.wcb)
 
     def _write_rx_end(self, op: ExpressOp) -> None:
         rp = op.qp.remote_port
-        self._release(self._fifo(rp.rx_unit))
+        rp.rx_unit.release()
         rp.rx_ops += 1
         self._svc_join(op)
 
@@ -542,7 +462,7 @@ class ExpressState:
         wl = op.wl
         if wl is not None:
             op.wl = None
-            self._unlock(wl)
+            wl.release()
         if op.move_data:
             op.qp._apply_write(op.wr)
         self._tail_start(op)
@@ -550,12 +470,12 @@ class ExpressState:
     def _atomic_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.atomic_unit))
+        rp.atomic_unit.release()
         rp.rx_ops += 1
         op.value = qp._apply_atomic(op.wr)
         wl = op.wl
         op.wl = None
-        self._unlock(wl)
+        wl.release()
         self._tail_start(op)
 
     def _tail_start(self, op: ExpressOp) -> None:
@@ -568,7 +488,7 @@ class ExpressState:
     def _read_rx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.rx_unit))
+        rp.rx_unit.release()
         rp.rx_ops += 1
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
@@ -577,33 +497,29 @@ class ExpressState:
         sim.call_at(sim.now + qp._params.read_turnaround_ns, op.wcb)
 
     def _turnaround_end(self, op: ExpressOp) -> None:
-        qp = op.qp
-        rp = qp.remote_port
+        pcie = op.qp.remote_port.pcie
         op.phase = P_RDMA
-        self._hold(self._fifo(rp.pcie._bus),
-                   rp.pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
-                   op.wcb)
+        pcie._bus.book(pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
+                       op.wcb)
 
     def _read_dma_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
         pcie = rp.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
         op.phase = P_RTX
-        self._hold(self._fifo(rp.tx_unit),
-                   rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len),
-                   op.wcb)
+        rp.tx_unit.book(
+            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len), op.wcb)
 
     def _read_tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.tx_unit))
+        rp.tx_unit.release()
         rp.tx_ops += 1
-        qp.remote_machine.rnic.fabric.record(op.total_len)
         op.phase = P_BWD
         sim = self.sim
         sim.call_at(sim.now + qp._bwd_ns, op.wcb)
@@ -612,16 +528,15 @@ class ExpressState:
         """Response landed: DMA the data into the local buffers."""
         qp = op.qp
         wr = op.wr
-        lp = qp.local_port
+        pcie = qp.local_port.pcie
         op.phase = P_DLV
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
-                                  wr.n_sge), op.wcb)
+        pcie._bus.book(pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
+                                   wr.n_sge), op.wcb)
 
     def _deliver_end(self, op: ExpressOp) -> None:
         qp = op.qp
         pcie = qp.local_port.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         if op.move_data:

@@ -267,6 +267,9 @@ class QueuePair:
         timeline cannot reproduce: stepped WRs sharing this op's units,
         queued routes, tracing/dispatch hooks, perturbed or lossy ports,
         DCQCN pacing, or an in-order predecessor the lane cannot see.
+        The callers add the per-WR half: SEND (channel semantics ride
+        the recv Store) always steps, as does every post while a
+        sanitizer is installed.
         """
         lp = self.local_port
         rp = self.remote_port
@@ -299,15 +302,10 @@ class QueuePair:
         if check is not None:
             check.on_posted(self, wr)
         exp = self.sim.express
-        if exp is not None and exp.on and check is None:
-            if wr.opcode is Opcode.SEND:
-                # Channel semantics ride the shared recv Store and mix
-                # stepped Resource holds under express bookings; one SEND
-                # retires the lane for the run.
-                exp.poison("send-opcode")
-            elif self._express_ok(prev):
-                self._last_express_op = exp.post(self, wr, done, prev)
-                return done
+        if (exp is not None and exp.on and check is None
+                and wr.opcode is not Opcode.SEND and self._express_ok(prev)):
+            self._last_express_op = exp.post(self, wr, done, prev)
+            return done
         self._last_express_op = None
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
@@ -335,18 +333,11 @@ class QueuePair:
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
         exp = sim.express
-        if exp is not None and exp.on and check is None:
-            has_send = False
-            for wr in wrs:
-                if wr.opcode is Opcode.SEND:
-                    has_send = True
-                    break
-            if has_send:
-                exp.poison("send-opcode")
-            elif self._express_ok(prev):
-                self._last_express_op = exp.post_batch(self, wrs, events,
-                                                       prev)
-                return events
+        if (exp is not None and exp.on and check is None
+                and all(wr.opcode is not Opcode.SEND for wr in wrs)
+                and self._express_ok(prev)):
+            self._last_express_op = exp.post_batch(self, wrs, events, prev)
+            return events
         self._last_express_op = None
         n = len(wrs)
         self.local_port._stepped += n
@@ -459,7 +450,6 @@ class QueuePair:
                 finally:
                     lport.tx_unit.release()
                 lport.tx_ops += 1
-                lrnic.fabric.record(wire_payload)
             if (lport.link_up and rport.link_up
                     and lport.loss_prob == 0.0 and rport.loss_prob == 0.0):
                 # Sunny path: neither port can drop, so skip the per-attempt

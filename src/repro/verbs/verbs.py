@@ -10,7 +10,6 @@ and hardware-heavy ones (SGL) trade off exactly as in Section III-A.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Generator, Optional, Union
 
 from repro.hw.cluster import Cluster
@@ -63,15 +62,11 @@ class RdmaContext:
 
     def attach_tracer(self, tracer) -> None:
         """Enable per-op stage tracing (repro.verbs.trace.OpTracer) on all
-        current and future QPs of this context."""
+        current and future QPs of this context.  Traced QPs post on the
+        stepped lane, which fills the per-stage records."""
         self.tracer = tracer
         for qp in self.qps:
             qp.tracer = tracer
-        express = self.sim.express
-        if express is not None:
-            # Traced QPs step; untraced QPs sharing their atomic word
-            # locks must step too, or lock handover order diverges.
-            express.poison("tracer-attached")
 
     # -- memory -------------------------------------------------------------
     def register(self, machine: int, size: int, socket: int = 0) -> MemoryRegion:
@@ -293,33 +288,11 @@ class Worker:
             )
 
     # -- one-sided convenience wrappers ---------------------------------------
-    def _resolve_transfer(self, opname: str, legacy: tuple,
-                          src: Optional[Sliceable], dst: Optional[Sliceable]
+    def _resolve_transfer(self, opname: str, src: Optional[Sliceable],
+                          dst: Optional[Sliceable]
                           ) -> tuple[MrSlice, MrSlice]:
-        """Normalize the two call forms to ``(local, remote)`` slices.
-
-        Slice form: ``src=``/``dst=`` name the two byte ranges by role
-        (data flows src → dst).  Legacy form: five positionals
-        ``(local_mr, local_offset, remote_mr, remote_offset, length)`` —
-        still honoured, but warns.
-        """
-        if legacy:
-            if src is not None or dst is not None:
-                raise TypeError(
-                    f"Worker.{opname}: mixing positional mr/offset/length "
-                    "arguments with src=/dst= is not allowed")
-            if len(legacy) != 5:
-                raise TypeError(
-                    f"Worker.{opname} legacy form takes exactly (local_mr, "
-                    f"local_offset, remote_mr, remote_offset, length); got "
-                    f"{len(legacy)} positional arguments")
-            warnings.warn(
-                f"positional Worker.{opname}(qp, mr, offset, mr, offset, "
-                f"length) is deprecated; use {opname}(qp, src=mr[a:b], "
-                "dst=mr[c:d])", DeprecationWarning, stacklevel=3)
-            local_mr, local_off, remote_mr, remote_off, length = legacy
-            return (MrSlice(local_mr, local_off, length),
-                    MrSlice(remote_mr, remote_off, length))
+        """Normalize ``src=``/``dst=`` to ``(local, remote)`` slices: they
+        name the two byte ranges by role (data flows src → dst)."""
         if src is None or dst is None:
             raise TypeError(f"Worker.{opname} requires both src= and dst=")
         s = _as_slice(src, "src")
@@ -331,13 +304,13 @@ class Worker:
         # WRITE pushes local → remote; READ pulls remote → local.
         return (s, d) if opname == "write" else (d, s)
 
-    def write(self, qp: QueuePair, *legacy,
+    def write(self, qp: QueuePair, *,
               src: Optional[Sliceable] = None,
               dst: Optional[Sliceable] = None,
               move_data: bool = True, signaled: bool = True,
               wr_id: int = 0, raise_on_error: bool = False) -> Generator:
         """RDMA WRITE: ``src`` (local slice) → ``dst`` (remote slice)."""
-        local, remote = self._resolve_transfer("write", legacy, src, dst)
+        local, remote = self._resolve_transfer("write", src, dst)
         wr = WorkRequest(
             Opcode.WRITE, wr_id=wr_id,
             sgl=[Sge(local.mr, local.offset, local.length)],
@@ -346,13 +319,13 @@ class Worker:
         return (yield from self.execute(qp, wr,
                                         raise_on_error=raise_on_error))
 
-    def read(self, qp: QueuePair, *legacy,
+    def read(self, qp: QueuePair, *,
              src: Optional[Sliceable] = None,
              dst: Optional[Sliceable] = None,
              move_data: bool = True, signaled: bool = True,
              wr_id: int = 0, raise_on_error: bool = False) -> Generator:
         """RDMA READ: ``src`` (remote slice) → ``dst`` (local slice)."""
-        local, remote = self._resolve_transfer("read", legacy, src, dst)
+        local, remote = self._resolve_transfer("read", src, dst)
         wr = WorkRequest(
             Opcode.READ, wr_id=wr_id,
             sgl=[Sge(local.mr, local.offset, local.length)],
@@ -395,15 +368,6 @@ class Worker:
         wr = WorkRequest(Opcode.SEND, wr_id=wr_id, payload=payload,
                          payload_bytes=payload_bytes, signaled=False)
         return (yield from self.post(qp, wr))
-
-    def send_async(self, qp: QueuePair, payload: Any, payload_bytes: int,
-                   wr_id: int = 0) -> Generator:
-        """Deprecated alias for :meth:`send` with ``wait=False``."""
-        warnings.warn(
-            "Worker.send_async is deprecated; use Worker.send(..., "
-            "wait=False)", DeprecationWarning, stacklevel=2)
-        return (yield from self.send(qp, payload, payload_bytes,
-                                     wr_id=wr_id, wait=False))
 
     def recv(self, qp: QueuePair) -> Generator:
         """Block until an inbound SEND arrives; pays the poll cost."""

@@ -229,19 +229,6 @@ def test_pool_close_is_idempotent_and_kills_workers():
     assert all(not p.is_alive() for p in procs)
 
 
-def test_vectorized_lane_matches_serial():
-    for target in ("table2", "table3"):
-        serial = run_campaign(target, quick=True, jobs=1, cache_dir=None)
-        vec = run_campaign(target, quick=True, jobs=1, cache_dir=None,
-                           vectorized=True)
-        assert vec.notes == ["vectorized same-process lane"]
-        assert figures_digest(vec.figures) == figures_digest(serial.figures)
-    # Targets without run_points_vector fall back to the normal lane.
-    fallback = run_campaign("fig18", quick=True, jobs=1, cache_dir=None,
-                            vectorized=True)
-    assert fallback.notes == []
-
-
 # --------------------------------------------------- the speedup floor
 def _metrics_row(speedup, cores):
     return {"scenarios": {"sweep_parallel": {

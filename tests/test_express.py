@@ -3,11 +3,12 @@
 The closed-form WR timeline must be *bit-identical* to the stepped
 generator: same completion timestamps, same returned values, same
 payload bytes in both memory regions, same final clock — while
-dispatching strictly fewer events.  And poisoning the lane mid-run
-(fault injector, sanitizer, tracer) must flip every subsequent post back
-to the stepped path with everything still completing correctly.
+dispatching strictly fewer events.  And flipping lanes mid-run (fault
+injector, tracer, sanitizer, a SEND) must stay bit-identical to the
+all-stepped reference: both lanes queue on the same hardware Resources.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -69,8 +70,10 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
     def client():
         inflight = []
         i = 0
+        fired = poison is None
         while i < n_ops:
-            if poison is not None and i == n_ops // 2:
+            if not fired and i >= n_ops // 2:
+                fired = True
                 poison(sim, ctx)
             qp = qps[rng.randrange(2)]
             if batch and rng.random() < 0.5:
@@ -124,94 +127,125 @@ def test_express_equals_stepped_batched_mix(seed):
     assert ev_express < ev_stepped
 
 
-# ----------------------------------------------------- mid-run poisoning
-def _check_poisoned_run(poison, reason):
-    """Common body: poison mid-run, assert the flip and the outcome."""
-    taken = {"posts": []}
+# ------------------------------------------------------ mid-run lane flips
+#: (seed, doorbell batch) pairs every flip trigger is checked over.
+FLIP_RUNS = [(seed, batch) for seed in range(10) for batch in (0, 3)]
 
-    def wrapped_poison(sim, ctx):
-        taken["at"] = len(taken["posts"])
-        poison(sim, ctx)
-        assert sim.express.poisoned == reason
-        assert not sim.express.on
 
-    def counting(seed=3):
-        # Count express posts by wrapping the state's entry points.
-        outcome, _, exp = _run_mix(seed, express=True, poison=wrapped_poison)
-        return outcome, exp
+def _inject_later(sim, ctx):
+    """Build an injector now; slow the responder port 20 us later, once
+    the express ops in flight at construction have drained."""
+    injector = FaultInjector(sim)
+    port = ctx.qps[0].remote_port
+    sim.call_at(sim.now + 20_000.0,
+                lambda _ev: injector.slow_port(port, 2.0))
 
+
+def _send_one(sim, ctx):
+    """Post one SEND on the mix's first QP (it steps; the peer's recv
+    Store absorbs it)."""
+    ctx.qps[0].post_send(WorkRequest(
+        opcode=Opcode.SEND, wr_id=10_000, payload="mid-run",
+        payload_bytes=64, signaled=False))
+
+
+@contextlib.contextmanager
+def _counted_posts():
+    """Yield a list that gains one entry per express-lane post."""
     from repro.verbs.express import ExpressState
+
+    posts = []
     orig_post, orig_batch = ExpressState.post, ExpressState.post_batch
-
-    def post(self, *a, **k):
-        taken["posts"].append(1)
-        return orig_post(self, *a, **k)
-
-    def post_batch(self, *a, **k):
-        taken["posts"].append(1)
-        return orig_batch(self, *a, **k)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "post", post)
-        mp.setattr(ExpressState, "post_batch", post_batch)
-        outcome, exp = counting()
-    # The lane ran before the poison and never after it.
-    assert 0 < taken["at"] == len(taken["posts"]) < 120
-    assert exp.poisoned == reason
-    # Every op — express in flight at poison time and stepped after —
-    # completed successfully, in posting order per the reap loop.
-    log = outcome["log"]
-    assert len(log) == 120
-    assert sorted(r[0] for r in log) == list(range(120))
-    assert {r[5] for r in log} == {CompletionStatus.SUCCESS.value}
-    for wr_id, opcode, ts, value, blen, status in log:
-        if opcode in (Opcode.CAS.value, Opcode.FAA.value):
-            assert blen == 8 and value is not None
-        else:
-            assert value is None
-    return outcome
+        mp.setattr(ExpressState, "post", lambda self, *a, **k: (
+            posts.append(1), orig_post(self, *a, **k))[1])
+        mp.setattr(ExpressState, "post_batch", lambda self, *a, **k: (
+            posts.append(1), orig_batch(self, *a, **k))[1])
+        yield posts
+
+
+def _check_flip(trigger, poisoned=None, steps_after=True):
+    """Fire ``trigger`` at op 60 on both lanes over FLIP_RUNS.
+
+    Every run must match the all-stepped reference run with the same
+    trigger: completion log, both memories and the final clock.  Express
+    ops in flight at the flip drain on their booked timelines while the
+    stepped WRs posted after it queue behind them on the same units.
+    """
+    diverged = []
+    resumed = 0
+    with _counted_posts() as posts:
+        for seed, batch in FLIP_RUNS:
+            at = {}
+
+            def fire(sim, ctx):
+                at["n"] = len(posts)
+                trigger(sim, ctx)
+
+            reference, _, _ = _run_mix(seed, express=False, batch=batch,
+                                       poison=trigger)
+            del posts[:]
+            outcome, _, exp = _run_mix(seed, express=True, batch=batch,
+                                       poison=fire)
+            assert 0 < at["n"], "the lane never ran before the flip"
+            if steps_after:
+                assert len(posts) == at["n"], "express post after the flip"
+            else:
+                resumed += len(posts) > at["n"]
+            assert exp.poisoned == poisoned
+            assert exp.on == (poisoned is None)
+            log = outcome["log"]
+            assert sorted(r[0] for r in log) == list(range(len(log)))
+            assert len(log) >= 120
+            assert {r[5] for r in log} == {CompletionStatus.SUCCESS.value}
+            if outcome != reference:
+                diverged.append((seed, batch))
+    assert not diverged, (
+        f"{len(diverged)} of {len(FLIP_RUNS)} runs diverged from the "
+        f"all-stepped reference: {diverged}")
+    return resumed
 
 
 def test_fault_injector_mid_run_flips_to_stepped():
-    _check_poisoned_run(
-        lambda sim, ctx: FaultInjector(sim), "fault-injector")
+    """The injector is the one run-wide poison: no express post after it,
+    so a fault armed later finds only stepped WRs (without the poison,
+    7 of 10 seeds diverge)."""
+    _check_flip(_inject_later, poisoned="fault-injector")
 
 
 def test_tracer_mid_run_flips_to_stepped():
-    outcome = _check_poisoned_run(
-        lambda sim, ctx: ctx.attach_tracer(OpTracer()), "tracer-attached")
-    assert outcome is not None
+    """Attaching a tracer poisons nothing: every QP is traced, so every
+    later post fails the per-post predicate and steps."""
+    _check_flip(lambda sim, ctx: ctx.attach_tracer(OpTracer()))
 
 
 def test_sanitizer_blocks_express_posts():
     """sim.check is consulted per post: installing a sanitizer mid-run
     moves new posts to the stepped path (where checker hooks fire) even
     though the lane itself is merely bypassed, not poisoned."""
-    installed = {}
+    sanitizers = []
+    _check_flip(lambda sim, ctx: sanitizers.append(Sanitizer(sim)))
+    # Installed mid-run, the checkers see completions of WRs posted
+    # before them; both lanes must report exactly the same findings.
+    reports = [[(v.checker, v.message) for v in san.finalize().violations]
+               for san in sanitizers]
+    assert reports[0::2] == reports[1::2]
 
-    def poison(sim, ctx):
-        installed["san"] = Sanitizer(sim)
 
-    from repro.verbs.express import ExpressState
-    posts = []
-    orig_post, orig_batch = ExpressState.post, ExpressState.post_batch
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "post",
-                   lambda self, *a, **k: (posts.append(1),
-                                          orig_post(self, *a, **k))[1])
-        mp.setattr(ExpressState, "post_batch",
-                   lambda self, *a, **k: (posts.append(1),
-                                          orig_batch(self, *a, **k))[1])
-        n_before = {}
+def test_send_mid_run_steps_alone():
+    """A SEND steps but poisons nothing: once the stepped WRs behind it
+    drain, one-sided posts ride the lane again, mixed with stepped ones."""
+    assert _check_flip(_send_one, steps_after=False) > 0
+    sim, cluster, ctx = build(machines=2)
+    lmr = ctx.register(0, 4096)
+    rmr = ctx.register(1, 4096)
+    qp = ctx.create_qp(0, 1)
+    w = Worker(ctx, 0)
 
-        def spy(sim, ctx):
-            n_before["n"] = len(posts)
-            poison(sim, ctx)
+    def client():
+        yield from w.send(qp, "hello", 64)
+        yield from w.write(qp, src=lmr[0:64], dst=rmr[0:64])
 
-        outcome, _, exp = _run_mix(5, express=True, poison=spy)
-    assert exp.on  # bypassed per-post, not poisoned
-    assert 0 < n_before["n"] == len(posts) < 120
-    assert len(outcome["log"]) == 120
-    assert {r[5] for r in outcome["log"]} == {
-        CompletionStatus.SUCCESS.value}
-    installed["san"].finalize()
+    with _counted_posts() as posts:
+        sim.run(until=sim.process(client()))
+    assert sim.express.on and len(posts) == 1 and qp.completed == 2

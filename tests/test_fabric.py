@@ -9,16 +9,14 @@ Five layers:
 * DCQCN units — MD coalescing window, capped AI credit, pacing math;
 * end-to-end — incast queue growth stays bounded, DCQCN beats the
   uncontrolled run, traffic routes around a killed spine link;
-* plumbing — construction API, rack addressing, params validation, the
-  fabric checker, and the deprecated ``Switch`` shim.
+* plumbing — construction API, rack addressing, params validation and
+  the fabric checker.
 """
 
 import hashlib
-import warnings
 
 import pytest
 
-import repro.hw.switch as switch_mod
 from repro import build
 from repro.bench import ext9_fabric_scale as ext9
 from repro.bench.runner import write_wr
@@ -27,7 +25,6 @@ from repro.hw import FaultInjector, HardwareParams
 from repro.hw.fabric import (
     ClosFabric,
     DcqcnLimiter,
-    Fabric,
     LeafSpineFabric,
     Link,
     Route,
@@ -35,7 +32,6 @@ from repro.hw.fabric import (
     build_fabric,
     ecmp_mix,
 )
-from repro.hw.switch import Switch
 from repro.sim import Simulator
 from repro.verbs import Opcode, Sge, Worker, WorkRequest
 
@@ -489,24 +485,6 @@ def test_fabric_checker_clean_and_corrupted():
     report2 = san2.finalize()
     assert not report2.ok
     assert report2.counts["fabric"] > 0
-
-
-def test_switch_shim_is_constructor_compatible():
-    sim = Simulator()
-    params = HardwareParams()
-    sw = Switch(sim, params)
-    assert isinstance(sw, SingleSwitchFabric)
-    assert isinstance(sw, Fabric)
-    with pytest.raises(ValueError):
-        Switch(sim, params, ports=1)
-    # traverse_ns still answers (the old scalar) but warns — once.
-    switch_mod._warned = False
-    with pytest.warns(DeprecationWarning):
-        ns = sw.traverse_ns()
-    assert ns == 2 * params.wire_latency_ns + params.switch_latency_ns
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert sw.traverse_ns() == ns       # second call: silent
 
 
 def test_route_repr_and_describe():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw import Cluster, HardwareParams, NumaTopology, PcieLink, Switch
+from repro.hw import (Cluster, HardwareParams, NumaTopology, PcieLink,
+                      SingleSwitchFabric)
 from repro.sim import Simulator
 
 
@@ -162,18 +163,9 @@ def test_pcie_dma_negative_size():
         sim.run(until=p)
 
 
-def test_switch_latency_and_accounting():
-    sim = Simulator()
-    params = HardwareParams()
-    sw = Switch(sim, params)
-    assert sw.traverse_ns() == 2 * params.wire_latency_ns + params.switch_latency_ns
-    sw.record(100)
-    assert sw.packets == 1 and sw.bytes == 100
-
-
 def test_switch_needs_two_ports():
     with pytest.raises(ValueError):
-        Switch(Simulator(), HardwareParams(), ports=1)
+        SingleSwitchFabric(Simulator(), HardwareParams(), ports=1)
 
 
 def test_cluster_validation():

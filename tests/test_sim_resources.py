@@ -173,3 +173,45 @@ def test_store_handoff_to_waiting_getter():
     sim.run()
     assert got == ["direct"]
     assert len(store) == 0
+
+
+def test_bookings_and_acquires_share_one_fifo():
+    """A timed booking and a process acquire queue on the same FIFO: each
+    waits for the holder ahead of it, and the busy span stays open."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    order = []
+
+    def ended(tag):
+        def cb(_ev):
+            order.append((tag, sim.now))
+            res.release()
+        return cb
+
+    def stepped():
+        yield res.acquire()
+        order.append(("proc", sim.now))
+        yield 5.0
+        res.release()
+
+    res.book(10.0, ended("a"))             # granted now, ends at 10
+    sim.process(stepped())                 # queues behind "a"
+    sim.call_at(1.0, lambda _e: res.book(3.0, ended("b")))  # behind proc
+    sim.run()
+    assert order == [("a", 10.0), ("proc", 10.0), ("b", 18.0)]
+    assert res.in_use == 0 and res.queue_len == 0
+    assert res.busy_time() == 18.0
+
+
+def test_claim_runs_its_callback_at_the_handover():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+    assert res.claim(lambda r: granted.append("first"))
+    assert not res.claim(lambda r: granted.append((r is res, sim.now)))
+    assert granted == []                   # an immediate grant runs no cb
+    sim.call_at(7.0, lambda _e: res.release())
+    sim.run()
+    assert granted == [(True, 7.0)] and res.in_use == 1
+    res.release()
+    assert res.in_use == 0 and res.busy_time() == 7.0

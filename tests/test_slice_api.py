@@ -1,9 +1,6 @@
 """Tests for the slice-based verbs API: ``MrSlice`` views, the
-``src=``/``dst=`` transfer form, its equivalence with the deprecated
-positional signature, the unified ``send(wait=)`` entry point, and
-``raise_on_error`` semantics."""
-
-import warnings
+``src=``/``dst=`` transfer form, the unified ``send(wait=)`` entry
+point, and ``raise_on_error`` semantics."""
 
 import pytest
 
@@ -101,57 +98,10 @@ def test_mismatched_lengths_and_mixed_forms_are_rejected():
         next(w.write(qp, src=lmr[0:64], dst=rmr[0:32]))
     with pytest.raises(TypeError, match="requires both"):
         next(w.write(qp, src=lmr[0:64]))
-    with pytest.raises(TypeError, match="mixing"):
-        next(w.write(qp, lmr, 0, rmr, 0, 64, src=lmr[0:64]))
-    with pytest.raises(TypeError, match="exactly"):
-        next(w.write(qp, lmr, 0, rmr))
+    with pytest.raises(TypeError, match="positional"):
+        next(w.write(qp, lmr, 0, rmr, 0, 64))
     with pytest.raises(TypeError, match="src must be"):
         next(w.write(qp, src=b"raw", dst=rmr[0:3]))
-
-
-# -------------------------------------------------------- legacy equivalence
-def test_legacy_positional_form_warns():
-    sim, ctx, qp, w, lmr, rmr = _rig()
-
-    def client():
-        # The warning fires when the generator first advances (the verbs
-        # wrappers are generator functions), so the whole await sits
-        # inside the catcher.
-        with pytest.warns(DeprecationWarning, match="src=mr"):
-            yield from w.write(qp, lmr, 0, rmr, 0, 64, move_data=False)
-
-    sim.run(until=sim.process(client()))
-
-
-def test_legacy_and_slice_forms_produce_identical_timelines():
-    """The deprecated 6-positional signature is pure sugar: both forms
-    must schedule exactly the same events, tick for tick."""
-
-    def timeline(use_slices):
-        sim, ctx, qp, w, lmr, rmr = _rig()
-        stamps = []
-
-        def client():
-            for k in range(12):
-                if use_slices:
-                    comp = yield from w.write(
-                        qp, src=lmr[64:128], dst=rmr[64 * k:64 * (k + 1)])
-                    stamps.append(comp.timestamp_ns)
-                    comp = yield from w.read(
-                        qp, src=rmr[0:32], dst=lmr[0:32])
-                    stamps.append(comp.timestamp_ns)
-                else:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        comp = yield from w.write(qp, lmr, 64, rmr, 64 * k, 64)
-                        stamps.append(comp.timestamp_ns)
-                        comp = yield from w.read(qp, lmr, 0, rmr, 0, 32)
-                        stamps.append(comp.timestamp_ns)
-
-        sim.run(until=sim.process(client()))
-        return stamps
-
-    assert timeline(True) == timeline(False)
 
 
 # ------------------------------------------------------------ send(wait=...)
@@ -186,17 +136,6 @@ def test_send_nowait_returns_event_and_posts_unsignaled():
     assert got["comp"].ok
     # Unsignaled: the payload completion never hit the CQ.
     assert len(qp.cq) == 0
-
-
-def test_send_async_is_a_deprecated_alias():
-    sim, ctx, qp, w, lmr, rmr = _rig()
-
-    def client():
-        with pytest.warns(DeprecationWarning, match="send_async"):
-            ev = yield from w.send_async(qp, "old-style", 32)
-        yield from w.wait(ev)
-
-    sim.run(until=sim.process(client()))
 
 
 # ------------------------------------------------------------ raise_on_error

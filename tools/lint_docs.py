@@ -1,20 +1,11 @@
 #!/usr/bin/env python
-"""Docs linter: dead file references and deprecated-API drift.
+"""Docs linter: dead file references.
 
-Scans ``docs/``, ``README.md``, and ``examples/`` for the two ways the
-prose has historically rotted:
-
-* **Dead links** — markdown links ``[text](path)`` whose relative target
-  does not exist, and backtick-style file references (``docs/FOO.md``,
-  ``tests/test_x.py``, ``examples/x.py``, ``src/repro/...py``) that no
-  longer resolve against the repo root.
-
-* **Deprecated APIs** — call sites of the legacy 6-positional
-  ``sess.write(qp, lmr, loff, rmr, roff, nbytes)`` read/write form
-  (replaced by the slice form ``write(qp, src=lmr[a:b], dst=rmr[a:b])``)
-  and of ``Switch.traverse_ns()`` (replaced by the Fabric API).  Lines
-  that *talk about* the deprecation ("deprecated", "warns", "legacy",
-  "replaced") are allowed; lines that *teach* the old form are not.
+Scans ``docs/``, ``README.md``, and ``examples/`` for markdown links
+``[text](path)`` whose relative target does not exist, and for
+backtick-style file references (``docs/FOO.md``, ``tests/test_x.py``,
+``examples/x.py``, ``src/repro/...py``) that no longer resolve against
+the repo root.
 
 ``--catalog`` additionally cross-checks docs/BENCHMARKS.md against
 ``repro.bench.TARGETS``: exactly one table row per target, no ghosts.
@@ -42,14 +33,6 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_REF = re.compile(
     r"\b((?:docs|tests|examples|tools|src/repro(?:/[\w.]+)*)"
     r"/[\w.\-/]+\.(?:md|py))\b")
-# Legacy 6-positional session read/write: .write(a, b, c, d, e, f) with
-# no keyword args — the pre-slice form the verbs API deprecated.
-LEGACY_RW = re.compile(
-    r"\.(?:write|read)\(\s*[^(),=]+(?:\s*,\s*[^(),=]+){5}\s*\)")
-TRAVERSE = re.compile(r"\.traverse_ns\(")
-# A line may *mention* a deprecated API while documenting its demise.
-DEPRECATION_PROSE = re.compile(
-    r"deprecat|warns|legacy|replaced|removed|instead", re.IGNORECASE)
 
 
 def _files() -> list[Path]:
@@ -78,21 +61,6 @@ def check_references(path: Path, problems: list[str]) -> None:
                 problems.append(
                     f"{rel}:{lineno}: dangling file reference "
                     f"({m.group(1)})")
-
-
-def check_deprecated(path: Path, problems: list[str]) -> None:
-    rel = path.relative_to(REPO)
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if DEPRECATION_PROSE.search(line):
-            continue
-        if LEGACY_RW.search(line):
-            problems.append(
-                f"{rel}:{lineno}: legacy positional read/write form — "
-                "use the slice form: write(qp, src=lmr[a:b], dst=rmr[a:b])")
-        if TRAVERSE.search(line):
-            problems.append(
-                f"{rel}:{lineno}: Switch.traverse_ns() is deprecated — "
-                "route through a Fabric (docs/FABRIC.md)")
 
 
 def check_catalog(problems: list[str]) -> None:
@@ -129,7 +97,6 @@ def main(argv=None) -> int:
     files = _files()
     for path in files:
         check_references(path, problems)
-        check_deprecated(path, problems)
     if args.catalog:
         check_catalog(problems)
     for p in problems:
