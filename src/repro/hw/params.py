@@ -339,7 +339,7 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         # Per-field validation at construction: specs built directly (not
-        # via ServiceConfig.validate()) otherwise reach the dispatcher and
+        # via ServiceConfig.validate()) otherwise reach the scheduler and
         # crash later, e.g. rate_mops=0.0 -> ZeroDivisionError in
         # _TokenBucket.eligible_at.  Cross-tenant checks stay in
         # ServiceConfig.validate().

@@ -29,7 +29,7 @@ from typing import Generator, NamedTuple, Optional
 from repro.apps.hashtable.backend import HashTableBackend
 from repro.apps.hashtable.layout import ENTRY_BYTES, pack_entry, unpack_entry
 from repro.load.cache import InvalidationDirectory, LeaseCache
-from repro.sim import Event
+from repro.sim import Resource
 from repro.tenancy.plane import ServicePlane
 from repro.verbs import (
     CompletionStatus,
@@ -72,29 +72,6 @@ class KvResult(NamedTuple):
         return self.outcome in ("hit", "ok")
 
 
-class _WriteGate:
-    """FIFO mutex serializing one front door's writes (mint order ==
-    wire order; see module docstring)."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self._held = False
-        self._waiters: list[Event] = []
-
-    def acquire(self) -> Generator:
-        if self._held:
-            ev = Event(self.sim)
-            self._waiters.append(ev)
-            yield ev
-        self._held = True
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed(None)
-        else:
-            self._held = False
-
-
 class KvFrontDoor:
     """One client machine's KV entry point through the tenancy plane."""
 
@@ -115,7 +92,8 @@ class KvFrontDoor:
         self.directory = directory
         if cache is not None and directory is not None:
             directory.register(cache)
-        self._gate = _WriteGate(plane.sim)
+        #: Owner-serializes writes (see module docstring).
+        self._gate = Resource(plane.sim, 1, name=f"{self.name}.write_gate")
         #: Free staging slots as (mr, offset); grown in chunks so a burst
         #: of concurrent requests never fails for want of a buffer.
         self._free: list[tuple[MemoryRegion, int]] = []
@@ -183,7 +161,9 @@ class KvFrontDoor:
         mr, off = self._slot()
         qp = None
         try:
-            yield from self._gate.acquire()
+            granted = self.plane.sim.event()
+            if not self._gate.claim(granted.succeed):
+                yield granted
             try:
                 if self.directory is not None:
                     version = self.directory.next_version(key)

@@ -97,7 +97,7 @@ class ServicePlane:
         # An op granted a slot while its pooled QP is mid-reconnect
         # (RESET): posting would be a verbs usage error, so the plane
         # fails it the way an ERR-state QP would have — the tenant sees
-        # a transport error, not a crashed dispatcher.
+        # a transport error, not a crashed dispatch round.
         return Completion(wr_id=wr.wr_id, opcode=wr.opcode,
                           status=CompletionStatus.WR_FLUSH_ERR,
                           timestamp_ns=self.sim.now, byte_len=0)
@@ -112,9 +112,24 @@ class ServicePlane:
             self.metrics.record_reject(tenant, reason)
             return self._rejected_event(wr)
         done = Event(self.sim)
-        self.sim.process(
-            self._run_op(tenant, qp, wr, done, self.sim.now),
-            name=f"tenancy.{tenant}.{wr.opcode.value}")
+        t0 = self.sim.now
+
+        def completed(ev: Event) -> None:
+            self.qos.done(tenant)
+            self._finish_op(tenant, wr, t0, ev.value, done)
+
+        def grant(granted: bool) -> None:
+            if not granted:
+                self._shed(tenant, [wr], [done])
+            elif qp.state is QPState.RESET:
+                self.qos.done(tenant)
+                self._finish_op(tenant, wr, t0, self._flushed_completion(wr),
+                                done)
+            else:
+                qp.post_send(wr).add_callback(completed)
+
+        self.qos.submit(tenant, self._cost(wr),
+                        self.admission.deadline_for(tenant), grant)
         return done
 
     def submit_batch(self, qp: QueuePair,
@@ -131,10 +146,36 @@ class ServicePlane:
                 self.metrics.record_reject(tenant, reason)
             return [self._rejected_event(w) for w in wrs]
         dones = [Event(self.sim) for _ in wrs]
-        self.sim.process(
-            self._run_batch(tenant, qp, wrs, dones, self.sim.now),
-            name=f"tenancy.{tenant}.doorbell[{len(wrs)}]")
+        t0 = self.sim.now
+
+        def grant(granted: bool) -> None:
+            if not granted:
+                self._shed(tenant, wrs, dones)
+                return
+            if qp.state is QPState.RESET:
+                for w, d in zip(wrs, dones):
+                    self._finish_op(tenant, w, t0, self._flushed_completion(w), d)
+                self.qos.done(tenant)
+                return
+            events = qp.post_send_batch(wrs)
+            for w, ev, d in zip(wrs, events, dones):
+                ev.add_callback(lambda e, w=w, d=d: self._finish_op(
+                    tenant, w, t0, e.value, d))
+            # The slot returns after the last WR's own completion.
+            events[-1].add_callback(lambda e: self.qos.done(tenant))
+
+        self.qos.submit(tenant, sum(self._cost(w) for w in wrs),
+                        self.admission.deadline_for(tenant), grant)
         return dones
+
+    def _shed(self, tenant: str, wrs: list[WorkRequest],
+              dones: list[Event]) -> None:
+        """Deadline-shed ops: release their admission slots and complete
+        them REJECTED."""
+        self.admission.release(tenant, len(wrs))
+        for w, d in zip(wrs, dones):
+            self.metrics.record_reject(tenant, REJECT_DEADLINE)
+            d.succeed(self._rejected_completion(w))
 
     def _finish_op(self, tenant: str, wr: WorkRequest, t0: float,
                    comp: Completion, done: Event) -> None:
@@ -143,47 +184,6 @@ class ServicePlane:
                                wr.opcode.value, status=comp.status.value,
                                retries=comp.retries)
         done.succeed(comp)
-
-    def _run_op(self, tenant: str, qp: QueuePair, wr: WorkRequest,
-                done: Event, t0: float) -> Generator:
-        granted = yield self.qos.submit(
-            tenant, self._cost(wr), self.admission.deadline_for(tenant))
-        if not granted:
-            self.admission.release(tenant)
-            self.metrics.record_reject(tenant, REJECT_DEADLINE)
-            done.succeed(self._rejected_completion(wr))
-            return
-        if qp.state is QPState.RESET:
-            self.qos.done(tenant)
-            self._finish_op(tenant, wr, t0, self._flushed_completion(wr),
-                            done)
-            return
-        comp = yield qp.post_send(wr)
-        self.qos.done(tenant)
-        self._finish_op(tenant, wr, t0, comp, done)
-
-    def _run_batch(self, tenant: str, qp: QueuePair, wrs: list[WorkRequest],
-                   dones: list[Event], t0: float) -> Generator:
-        cost = sum(self._cost(w) for w in wrs)
-        granted = yield self.qos.submit(
-            tenant, cost, self.admission.deadline_for(tenant))
-        if not granted:
-            self.admission.release(tenant, len(wrs))
-            for w, d in zip(wrs, dones):
-                self.metrics.record_reject(tenant, REJECT_DEADLINE)
-                d.succeed(self._rejected_completion(w))
-            return
-        if qp.state is QPState.RESET:
-            for w, d in zip(wrs, dones):
-                self._finish_op(tenant, w, t0, self._flushed_completion(w), d)
-            self.qos.done(tenant)
-            return
-        events = qp.post_send_batch(wrs)
-        for w, ev, d in zip(wrs, events, dones):
-            ev.add_callback(
-                lambda e, w=w, d=d: self._finish_op(tenant, w, t0, e.value, d))
-        yield events[-1]
-        self.qos.done(tenant)
 
 
 class TenantSession:

@@ -4,8 +4,8 @@ Two cooperating mechanisms:
 
 * **Weighted fair queuing** (start-time fair queuing): each op is stamped
   at arrival with a frozen virtual start tag ``S = max(V, F_tenant)``,
-  advancing the tenant's finish tag by ``cost/weight``; the dispatcher
-  grants the smallest tag and sets ``V`` to it.  Backlogged tenants thus
+  advancing the tenant's finish tag by ``cost/weight``; each grant goes
+  to the smallest tag and sets ``V`` to it.  Backlogged tenants thus
   share service in proportion to their weights regardless of how hard
   each one pushes, and a light tenant's tag can never be undercut
   forever.  ``policy="fifo"`` degrades to global arrival order — the
@@ -20,6 +20,14 @@ The scheduler paces a bounded window of ``scheduler_slots`` ops between
 authority — without it every op would be released to the hardware
 immediately and arrival order would decide everything.
 
+Grants are made by a **dispatch round**: one callback scheduled with
+``Simulator.call_at`` at the current instant whenever a submit (or a
+completion with work still queued) may allow one.  The round grants
+until the slots are full or no queue head is eligible, so it sees every
+arrival and completion already scheduled at that instant.  A
+rate-limited head arms a single eligibility timer for the soonest token;
+no process ever runs.
+
 Costs are measured in 64-byte service units (``max(1, bytes/64)``), so
 WFQ apportions *bandwidth*, not just op count; token buckets meter whole
 ops, matching how rate SLAs are usually written.
@@ -28,7 +36,7 @@ ops, matching how rate SLAs are usually written.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.hw.params import ServiceConfig
 from repro.sim import Event, Simulator
@@ -68,12 +76,11 @@ class _TokenBucket:
 
 
 class _Request:
-    __slots__ = ("event", "cost", "deadline", "seq", "tag")
+    __slots__ = ("grant", "deadline", "seq", "tag")
 
-    def __init__(self, event: Event, cost: float,
+    def __init__(self, grant: Callable[[bool], None],
                  deadline: Optional[float], seq: int, tag: float):
-        self.event = event
-        self.cost = cost
+        self.grant = grant
         self.deadline = deadline
         self.seq = seq
         self.tag = tag          # virtual start tag, stamped at arrival
@@ -82,11 +89,16 @@ class _Request:
 class QoSScheduler:
     """Grants pending ops in WFQ (or FIFO) order, rate-capped per tenant.
 
-    ``submit`` returns an event that fires with ``True`` when the op may
-    proceed to the hardware, or ``False`` if it was shed at dispatch time
-    because its deadline had already passed while queued.  The winner of
-    each grant must call :meth:`done` when its op completes to return the
-    service slot.
+    ``submit`` queues an op with a ``grant(bool)`` callback.  A dispatch
+    round later calls it with ``True`` when the op may proceed to the
+    hardware, or ``False`` if it was shed because its deadline had
+    already passed while queued.  The winner of each grant must call
+    :meth:`done` when its op completes to return the service slot.
+
+    At most one round is pending at a time; it runs at the instant it
+    was scheduled, after every event already scheduled there.  A queue
+    head held back by its token bucket arms one eligibility timer for
+    the soonest token, re-armed only when a sooner time appears.
     """
 
     def __init__(self, sim: Simulator, config: ServiceConfig):
@@ -104,8 +116,11 @@ class QoSScheduler:
         self._vtime = 0.0
         self._seq = 0
         self.in_service = 0
-        self._proc = None
-        self._wake: Optional[Event] = None
+        #: True from scheduling a dispatch round until it has run.
+        self._round_pending = False
+        #: The armed eligibility timer and its time, or None.
+        self._timer: Optional[Event] = None
+        self._timer_at = 0.0
         # observability
         self.grants = {t.name: 0 for t in config.tenants}
         self.sheds = {t.name: 0 for t in config.tenants}
@@ -114,10 +129,11 @@ class QoSScheduler:
     def queue_depth(self, tenant: str) -> int:
         return len(self._queues[tenant])
 
-    def submit(self, tenant: str, cost: float = 1.0,
-               deadline: Optional[float] = None) -> Event:
-        """Enqueue one op; the returned event fires True (granted) or
-        False (deadline-shed while queued)."""
+    def submit(self, tenant: str, cost: float, deadline: Optional[float],
+               grant: Callable[[bool], None]) -> None:
+        """Enqueue one op; a dispatch round calls ``grant(True)`` when it
+        is granted or ``grant(False)`` when it is deadline-shed while
+        queued."""
         if tenant not in self._queues:
             raise KeyError(f"unknown tenant {tenant!r} "
                            f"(configured: {sorted(self._queues)})")
@@ -136,24 +152,24 @@ class QoSScheduler:
             tag = max(self._vtime, self._finish[tenant])
             self._finish[tenant] = tag \
                 + cost / self._specs[tenant].weight
-        req = _Request(Event(self.sim), cost, deadline, self._seq, tag)
-        self._queues[tenant].append(req)
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.sim.process(self._dispatch(), name="qos.dispatch")
-        self._kick()
-        return req.event
+        self._queues[tenant].append(_Request(grant, deadline, self._seq, tag))
+        if self.in_service < self.slots:
+            self._kick()
 
     def done(self, tenant: str) -> None:
         """Return the service slot of a granted op (call on completion)."""
         if self.in_service <= 0:
             raise RuntimeError("done() without a granted op in service")
         self.in_service -= 1
-        self._kick()
+        if any(self._queues.values()):
+            self._kick()
 
-    # -- dispatcher ---------------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        """Schedule a dispatch round at this instant unless one is pending."""
+        if not self._round_pending:
+            self._round_pending = True
+            self.sim.call_at(self.sim.now, self._round)
 
     def _pick(self, now: float):
         """(tenant, key) of the best eligible queue head, plus the
@@ -176,37 +192,23 @@ class QoSScheduler:
                 best, best_key = name, key
         return best, soonest
 
-    def _dispatch(self):
+    def _round(self, _ev: Event) -> None:
         sim = self.sim
-        while True:
-            if self.in_service >= self.slots:
-                self._wake = Event(sim)
-                yield self._wake
-                self._wake = None
-                continue
-            tenant, soonest = self._pick(sim.now)
+        now = sim.now
+        while self.in_service < self.slots:
+            tenant, soonest = self._pick(now)
             if tenant is None:
-                if soonest is None and not any(self._queues.values()):
-                    # Fully idle: park until the next submit (or exit the
-                    # simulation quietly if none ever comes).
-                    self._wake = Event(sim)
-                    yield self._wake
-                    self._wake = None
-                    continue
-                # Everything pending is rate-limited: sleep until the
-                # earliest token (or a new submit/completion).
-                self._wake = Event(sim)
-                yield sim.any_of([sim.timeout(soonest - sim.now), self._wake])
-                self._wake = None
-                continue
+                if soonest is not None:
+                    self._arm(soonest)
+                break
             req = self._queues[tenant].popleft()
-            if req.deadline is not None and sim.now > req.deadline:
+            if req.deadline is not None and now > req.deadline:
                 self.sheds[tenant] += 1
-                req.event.succeed(False)
+                req.grant(False)
                 continue
             bucket = self._buckets[tenant]
             if bucket is not None:
-                bucket.consume(sim.now)
+                bucket.consume(now)
                 check = sim.check
                 if check is not None:
                     check.on_bucket_consume(tenant, bucket)
@@ -215,7 +217,20 @@ class QoSScheduler:
                 self._vtime = max(self._vtime, req.tag)
             self.in_service += 1
             self.grants[tenant] += 1
-            req.event.succeed(True)
-            # Yield the engine once per grant so completions interleave
-            # deterministically with dispatch.
-            yield 0.0
+            req.grant(True)
+        # Cleared last: a done() from inside a grant callback needs no
+        # second round — this loop already sees the freed slot.
+        self._round_pending = False
+
+    def _arm(self, at: float) -> None:
+        """Wake a round at ``at`` unless a timer already fires sooner."""
+        if self._timer is not None:
+            if self._timer_at <= at:
+                return
+            self._timer.cancel()
+        self._timer = self.sim.call_at(at, self._eligible)
+        self._timer_at = at
+
+    def _eligible(self, _ev: Event) -> None:
+        self._timer = None
+        self._kick()

@@ -5,15 +5,17 @@ import pytest
 
 from repro import build
 from repro.hw.params import DEFAULT, ServiceConfig, TenantSpec
+from repro.sim import Simulator
 from repro.sim.stats import percentile, percentiles
 from repro.tenancy import (
     REJECT_DEADLINE,
     REJECT_INFLIGHT,
     REJECT_QUEUE,
+    QoSScheduler,
     ServicePlane,
 )
 from repro.tenancy.metrics import SLOMetrics
-from repro.verbs import CompletionStatus, Opcode, Sge, Worker, WorkRequest
+from repro.verbs import CompletionStatus, Opcode, QPState, Sge, Worker, WorkRequest
 
 
 def make_plane(machines=3, params=None, **cfg):
@@ -333,7 +335,88 @@ def test_wfq_isolation_beats_fifo():
 def test_scheduler_unknown_tenant():
     sim, cluster, ctx, plane = make_plane()
     with pytest.raises(KeyError):
-        plane.qos.submit("ghost")
+        plane.qos.submit("ghost", 1.0, None, lambda granted: None)
+
+
+def pending_eligibility_timers(sim, qos):
+    """Live heap entries that would wake ``qos``'s eligibility timer."""
+    return sum(1 for *_, ev in sim._heap
+               if not ev.cancelled and ev.callbacks
+               and any(getattr(cb, "__func__", None)
+                       is QoSScheduler._eligible for cb in ev.callbacks))
+
+
+def test_token_bucket_timer_rearms_for_a_sooner_tenant():
+    # slow: one token per 10 us; fast: one per 1 us.  slow's second op
+    # arms the eligibility timer for 10 us; fast's second op, queued
+    # later, must move it to ~1.1 us instead of waiting behind it.
+    sim = Simulator()
+    qos = QoSScheduler(sim, ServiceConfig(
+        tenants=(TenantSpec("slow", rate_mops=0.1, burst_ops=1),
+                 TenantSpec("fast", rate_mops=1.0, burst_ops=1)),
+        scheduler_slots=8))
+    granted = {}
+
+    def submit(tenant, i):
+        qos.submit(tenant, 1.0, None,
+                   lambda ok: granted.setdefault((tenant, i), sim.now))
+
+    submit("slow", 0)
+    submit("slow", 1)
+    sim.run(until=100.0)
+    assert granted == {("slow", 0): 0.0}
+    assert pending_eligibility_timers(sim, qos) == 1
+    submit("fast", 0)
+    submit("fast", 1)
+    sim.run(until=200.0)
+    assert granted[("fast", 0)] == 100.0
+    assert pending_eligibility_timers(sim, qos) == 1   # re-armed, not added
+    sim.run(until=5_000.0)
+    assert granted[("fast", 1)] == pytest.approx(1_100.0)
+    assert pending_eligibility_timers(sim, qos) == 1   # slow's, at 10 us
+    sim.run()
+    assert granted[("slow", 1)] == pytest.approx(10_000.0)
+    assert pending_eligibility_timers(sim, qos) == 0
+
+
+def run_writes(tenanted, n=3):
+    """(events dispatched, Simulator.process calls) for ``n`` sequential
+    64 B WRITEs from one Worker, through the plane or around it."""
+    sim, cluster, ctx, plane = make_plane(machines=2)
+    lmr = ctx.register(1, 4096)
+    rmr = ctx.register(0, 4096)
+    qp = ctx.create_qp(1, 0)
+    if tenanted:
+        plane.adopt(qp, "a")
+    w = Worker(ctx, 1, 0)
+    calls = [0]
+    real = Simulator.process
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    def client():
+        for _ in range(n):
+            comp = yield from w.write(qp, src=lmr[0:64], dst=rmr[0:64],
+                                      move_data=False)
+            assert comp.ok
+
+    Simulator.process = counting
+    try:
+        sim.run(until=sim.process(client()))
+    finally:
+        Simulator.process = real
+    return sim.events_processed, calls[0]
+
+
+def test_plane_event_cost_per_op():
+    # A granted op costs one dispatch round plus its plane completion
+    # event over the bare verbs op; the plane spawns no process.
+    base_events, base_procs = run_writes(tenanted=False)
+    events, procs = run_writes(tenanted=True)
+    assert (events - base_events) / 3 <= 3
+    assert procs == base_procs == 1          # the client process only
 
 
 # --------------------------------------------------------- admission control
@@ -437,6 +520,32 @@ def test_deadline_shed_batch_releases_every_slot():
     assert slo.rejects == {REJECT_DEADLINE: 12}   # never inflight_window
     assert slo.ops == 3                           # the blockers
     assert plane.admission.inflight["t"] == 0     # no slot leaked
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "doorbell"])
+def test_op_granted_onto_a_reset_qp_flushes_and_frees_its_slot(batch):
+    # A pooled QP sits in RESET while it reconnects.  An op granted onto
+    # it must flush (posting would be a verbs usage error) and return its
+    # slot from inside the dispatch round, so the op queued behind it on
+    # the one scheduler slot is still granted.
+    sim, plane, qp, lmr, rmr = admission_rig(TenantSpec("t"),
+                                             scheduler_slots=1)
+    qp._enter_error()
+    qp.reset()
+    healthy = plane.ctx.create_qp(1, 0)
+    plane.adopt(healthy, "t")
+    if batch:
+        flushed = plane.submit_batch(
+            qp, [write_wr(lmr, rmr, wr_id=i) for i in range(2)])
+    else:
+        flushed = [plane.submit(qp, write_wr(lmr, rmr))]
+    behind = plane.submit(healthy, write_wr(lmr, rmr, wr_id=9))
+    assert sim.run(until=behind).ok
+    assert all(ev.value.status is CompletionStatus.WR_FLUSH_ERR
+               for ev in flushed)
+    assert qp.state is QPState.RESET and qp.posted == 0
+    assert plane.admission.inflight["t"] == 0
+    assert plane.qos.in_service == 0
 
 
 # ----------------------------------------------------------------- metrics
