@@ -32,7 +32,7 @@ docs-check:
 
 # Fast end-to-end sanity: build the model, run the quickstart example,
 # gate the simulator fast path (engine microbench + fig5 + ext8 txn +
-# ext9 fabric incast + ext10 open-loop serving + the warm-pool campaign
+# ext9 fabric incast + ext10 open-loop serving + the worker-pool campaign
 # scenario) against the committed perf baseline, run the invariant-check
 # suite, and keep the docs honest (dead links, benchmark catalog).
 smoke: perf-quick check docs-check
@@ -58,9 +58,9 @@ perf:
 perf-gate: perf
 
 # --quick gates the starred scenarios — including sweep_parallel, which
-# prints the warm-pool metrics block (jobs4_speedup, warm_start_ms,
-# ipc_bytes_per_point, cores) and fails if jobs4_speedup lands below
-# the 1.5x floor on a >=4-core machine.  The following lines
+# prints the worker-pool metrics block (serial and 4-job points/sec,
+# jobs4_speedup, cores) and fails if jobs4_speedup lands below the
+# 1.5x floor on a >=4-core machine.  The following lines
 # additionally prove the campaign runner merges deterministically
 # (serial vs --jobs N figure digests must match; exits non-zero
 # otherwise) — fig5 for the paper path, ext9 for the fabric path,

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.bench <target> [--full] [--jobs N]``.
+"""CLI: ``python -m repro.bench <target> [--full] [--jobs N|auto]``.
 
 Targets regenerate the paper's tables and figures; ``all`` runs every one
 of them, ``summary`` reports the headline application speedups.  The
@@ -6,19 +6,17 @@ full catalog — what each target measures, its point counts, and the
 right incantation — is docs/BENCHMARKS.md.
 
 Sweep targets run as *point campaigns* (see :mod:`repro.bench.parallel`):
-``--jobs N`` fans the sweep points out over a **warm worker pool** —
-forked once per invocation (one pool serves every target of an ``all``
-run) and fed point indices over lightweight pipes — and ``--jobs auto``
-uses every core; the merged tables are bit-identical to a serial run.
-``--chunk N`` pins the pool's chunk size (default: adaptive, sized from
-a measured per-point cost probe).  Point results are cached under
-``--cache DIR`` (default ``.bench-cache``) keyed by point config +
-hardware params + package version, so re-running after touching one
-figure module only recomputes that figure's points; with the pool, the
-cache is consulted *worker-side* so warm points never cross the pipe.
-``--no-cache`` disables the cache.  ``--seed N`` selects an alternate
-deterministic campaign seed (0 = the paper default that the committed
-digests pin).
+``--jobs N`` runs the sweep points on a **worker pool** forked once per
+invocation (one pool serves every target of an ``all`` run) and fed one
+point per message over pipes; ``--jobs auto`` uses every core.  The
+merged tables are bit-identical to a serial run.  Point results are
+cached under ``--cache DIR`` (default ``.bench-cache``) keyed by point
+config + hardware params + package version, so re-running after
+touching one figure module only recomputes that figure's points; the
+cache is probed in this process, so a warm point never reaches a
+worker.  ``--no-cache`` disables the cache.  ``--seed N`` selects an
+alternate deterministic campaign seed (0 = the paper default that the
+committed digests pin).
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ import time
 from repro.bench import TARGETS
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.bench`` argument parser."""
     from repro.bench import parallel
-    from repro.bench.runner import set_campaign_seed
 
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -50,12 +48,10 @@ def main(argv=None) -> int:
                              "flag for scripts)")
     parser.add_argument("--plot", action="store_true",
                         help="also draw the figure as a terminal plot")
-    parser.add_argument("--jobs", default="1", metavar="N",
+    parser.add_argument("--jobs", type=parallel.jobs_arg, default="1",
+                        metavar="N",
                         help="worker processes for sweep points "
-                             "(a number, or 'auto' for all cores)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="pin the warm pool's points-per-chunk "
-                             "(default: adaptive probe-based sizing)")
+                             "(an integer >= 1, or 'auto' for all cores)")
     parser.add_argument("--cache", default=parallel.DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help="point-cache directory (default: "
@@ -70,20 +66,25 @@ def main(argv=None) -> int:
                              "functions by cumulative time (profiles this "
                              "process; combine with --jobs 1 to see "
                              "model internals)")
+    return parser
+
+
+def main(argv=None) -> int:
+    from repro.bench import parallel
+    from repro.bench.runner import set_campaign_seed
+
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.full and args.quick:
         parser.error("--full and --quick are mutually exclusive")
-    jobs = (parallel.default_jobs() if args.jobs == "auto"
-            else max(1, int(args.jobs)))
     cache_dir = None if args.no_cache else args.cache
     quick = not args.full
     set_campaign_seed(args.seed)
 
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
-    # One warm pool serves every campaign of this invocation: workers
-    # fork once, import each target module once, then stream points.
-    pool = (parallel.WorkerPool(jobs, cache_dir=cache_dir, chunk=args.chunk)
-            if jobs > 1 else None)
+    # One pool serves every campaign of this invocation: workers fork
+    # once, import each target module once, then stream points.
+    pool = parallel.WorkerPool(args.jobs) if args.jobs > 1 else None
     try:
         for name in targets:
             module = importlib.import_module(TARGETS[name])
@@ -91,8 +92,8 @@ def main(argv=None) -> int:
             if parallel.point_capable(module):
                 with parallel.profiled(name, enable=args.profile):
                     result = parallel.run_campaign(
-                        name, quick=quick, jobs=jobs, cache_dir=cache_dir,
-                        seed=args.seed, pool=pool, chunk=args.chunk)
+                        name, quick=quick, jobs=args.jobs,
+                        cache_dir=cache_dir, seed=args.seed, pool=pool)
                 for i, fig in enumerate(result.figures):
                     if i:
                         print()

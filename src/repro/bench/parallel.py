@@ -1,14 +1,14 @@
-"""Parallel sweep campaigns: a persistent warm worker pool + point cache.
+"""Parallel sweep campaigns: a persistent worker pool + point cache.
 
 Every bench target builds a **fresh rig per sweep point** (see
 :mod:`repro.bench.runner`), which makes points embarrassingly parallel:
 the unit of parallelism is the *configuration*, exactly as in the paper's
 per-configuration measurement protocol.  This module decomposes a
-target's sweep into independent point tasks, fans them out over a
-:class:`WorkerPool`, and merges results back in **canonical sweep
-order**, so the assembled :class:`~repro.bench.report.FigureResult`
-tables — and the perf harness's SHA-256 schedule digests — are
-bit-identical to a serial run.
+target's sweep into independent point tasks, runs the ones the cache
+cannot answer, and merges results back in **canonical sweep order**, so
+the assembled :class:`~repro.bench.report.FigureResult` tables — and the
+perf harness's SHA-256 schedule digests — are bit-identical to a serial
+run.
 
 Target-module contract (duck-typed; every ``fig*``/``ext*``/``table*``
 module implements it):
@@ -16,9 +16,7 @@ module implements it):
 ``points(quick) -> list[dict]``
     The sweep decomposed into JSON-serializable point descriptors in
     canonical order.  A point is self-contained: together with ``quick``
-    and the campaign seed it fully determines one measurement.  It must
-    also be **process-deterministic** — workers rebuild the list from
-    ``(module, quick)`` and cross-check its digest against the parent's.
+    and the campaign seed it fully determines one measurement.
 
 ``run_point(point, quick) -> value``
     Runs one point on a fresh rig and returns a JSON-native value
@@ -34,21 +32,13 @@ The serial path (``module.run(...)``) iterates the same
 *where* each point executes, never what it computes — that is the whole
 determinism contract (docs/PERFORMANCE.md, "Parallel campaigns").
 
-**The warm pool.**  Workers are forked **once per invocation** (one pool
-serves every campaign of a ``repro-bench all`` run), import ``repro``
-and build each target module exactly once, then serve many points over
-lightweight pipes.  The wire protocol is compact JSON, not pickled
-objects: the parent sends ``(module, quick, seed, point-indices,
-points-digest)`` down and workers send packed result rows back.  Points
-are batched into chunks sized from a **measured per-point cost probe**
-(the first round runs chunk=1 and times it; cheap targets then get
-large chunks, expensive ones stay at chunk=1 for load balance).  When a
-cache directory is configured the content-addressed store is consulted
-**worker-side**, so warm points never cross the pipe at all — the
-worker returns only the 64-hex cache key and the parent loads the value
-locally.  A crashed worker is detected (never hung on) and fails the
-campaign with a :class:`CampaignError` naming its in-flight points;
-KeyboardInterrupt tears the whole pool down without orphan processes.
+**One campaign path.**  :func:`compute_points` probes the point cache in
+the parent and runs only the misses, inline or on a :class:`WorkerPool`
+forked **once per invocation** (one pool serves every campaign of a
+``repro-bench all`` run) that takes one point per message.  A worker
+that dies fails the campaign with a :class:`CampaignError` naming its
+point and exitcode; any error, KeyboardInterrupt included, terminates
+every worker so no orphan process survives.
 
 **Point cache.**  Results are content-addressed: the key digests the
 point descriptor, quick mode, campaign seed, the default
@@ -60,17 +50,18 @@ Corrupted or truncated entries fall back to recompute and are rewritten.
 
 CLI (used by ``make perf-quick`` as the merge-determinism smoke check)::
 
-    python -m repro.bench.parallel <target> [--jobs N] [--full]
-        [--chunk N] [--seed N] [--cache-stats] [--cache-dir DIR]
+    python -m repro.bench.parallel <target> [--jobs N|auto] [--full]
+        [--seed N] [--cache-stats] [--cache-dir DIR] [--profile]
 
-runs the target's sweep serially and through the warm pool and fails
-loudly on any digest difference between the two merges.
+runs the target's sweep serially and through the pool and fails loudly
+on any digest difference between the two merges.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import json
@@ -93,9 +84,11 @@ __all__ = [
     "CampaignResult",
     "PointCache",
     "WorkerPool",
+    "build_parser",
     "compute_points",
     "default_jobs",
     "figures_digest",
+    "jobs_arg",
     "normalize",
     "point_capable",
     "point_key",
@@ -132,15 +125,6 @@ def profiled(label: str, enable: bool = True, top: int = 20):
 #: Default on-disk cache location (repo root when invoked via Makefile).
 DEFAULT_CACHE_DIR = ".bench-cache"
 
-#: Chunk-sizing target: batch cheap points until a chunk costs roughly
-#: this much wall time.  Expensive points (>= the target on their own)
-#: stay at chunk=1, preserving load balance across workers.
-CHUNK_TARGET_S = 0.25
-
-#: Upper bound on the adaptive chunk size (keeps the crash blast radius
-#: and the per-chunk result payload bounded).
-MAX_CHUNK = 64
-
 
 class CampaignError(RuntimeError):
     """A sweep point failed: the whole campaign fails, loudly.
@@ -165,9 +149,6 @@ class CampaignResult:
     cache_misses: int = 0
     cache_bytes_read: int = 0
     cache_bytes_written: int = 0
-    #: Warm-pool accounting (zero on the inline/serial path).
-    warm_start_ms: float = 0.0
-    ipc_bytes_per_point: float = 0.0
 
     @property
     def stats_line(self) -> str:
@@ -201,23 +182,15 @@ def _hw_fingerprint() -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_MODULE_SRC_DIGESTS: dict[str, str] = {}
-
-
+@functools.cache
 def _module_src_digest(module_name: str) -> str:
     """Digest of the target module's source file — editing one figure
     module invalidates exactly that figure's cached points."""
-    cached = _MODULE_SRC_DIGESTS.get(module_name)
-    if cached is not None:
-        return cached
     spec = importlib.util.find_spec(module_name)
     if spec is None or not spec.origin or not os.path.isfile(spec.origin):
-        digest = "no-source"
-    else:
-        with open(spec.origin, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-    _MODULE_SRC_DIGESTS[module_name] = digest
-    return digest
+        return "no-source"
+    with open(spec.origin, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def point_key(module_name: str, point: dict, quick: bool, seed: int) -> str:
@@ -234,13 +207,6 @@ def point_key(module_name: str, point: dict, quick: bool, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _points_digest(points: list) -> str:
-    """Digest of the canonical point list — the worker-side guard that
-    ``points(quick)`` builds the same sweep in every process."""
-    blob = json.dumps(points, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # ----------------------------------------------------------------- cache
 class PointCache:
     """Content-addressed store of point results under one directory.
@@ -249,12 +215,8 @@ class PointCache:
     human-readable provenance block, and the value.  Writes go through a
     temp file + ``os.replace`` so a crashed campaign never leaves a
     half-written entry; reads treat *anything* unexpected (bad JSON,
-    foreign key, missing field) as a miss and recompute.
-
-    Both the campaign parent and the warm-pool workers open the same
-    root: workers probe (and repair) it so warm values never ride the
-    result pipe; the parent then loads hit values with :meth:`load`,
-    which bypasses the hit/miss counters — the probe already counted.
+    foreign key, missing field) as a miss and recompute.  Only the
+    campaign parent opens it; workers never touch the store.
     """
 
     def __init__(self, root: str):
@@ -267,7 +229,8 @@ class PointCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def _read(self, key: str) -> tuple[bool, Any, int]:
+    def get(self, key: str) -> tuple[bool, Any]:
+        """(hit, value); corrupted entries are misses, never errors."""
         try:
             with open(self._path(key)) as fh:
                 blob = fh.read()
@@ -275,24 +238,12 @@ class PointCache:
             if not isinstance(data, dict) or data.get("key") != key \
                     or "value" not in data:
                 raise ValueError("foreign or truncated cache entry")
-            return True, data["value"], len(blob)
         except (OSError, ValueError):
-            return False, None, 0
-
-    def get(self, key: str) -> tuple[bool, Any]:
-        """(hit, value); corrupted entries are misses, never errors."""
-        ok, value, nbytes = self._read(key)
-        if ok:
-            self.hits += 1
-            self.bytes_read += nbytes
-        else:
             self.misses += 1
-        return ok, value
-
-    def load(self, key: str) -> tuple[bool, Any]:
-        """Counter-free read: fetch a value a *worker* already probed."""
-        ok, value, _ = self._read(key)
-        return ok, value
+            return False, None
+        self.hits += 1
+        self.bytes_read += len(blob)
+        return True, data["value"]
 
     def put(self, key: str, value: Any, meta: Optional[dict] = None) -> None:
         path = self._path(key)
@@ -320,11 +271,23 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _run_point_task(task: tuple) -> tuple:
-    """Inline lane: run one point; never let an exception escape unpaired.
+def jobs_arg(text: str) -> int:
+    """argparse ``type=`` for ``--jobs``: ``auto`` or an integer >= 1."""
+    if text == "auto":
+        return default_jobs()
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 1, got {text!r}")
+    return int(text)
 
-    Returns ("ok", value) or ("err", description) so the caller can name
-    the exact failing point instead of surfacing a bare traceback.
+
+def _run_point_task(task: tuple) -> tuple:
+    """Run one point; never let an exception escape unpaired.
+
+    ``task`` is ``(module_name, point, quick, seed)``.  Returns
+    ("ok", value) or ("err", description) so the caller can name the
+    exact failing point instead of surfacing a bare traceback.  Both
+    lanes — inline and pool worker — run every point through here.
     """
     module_name, point, quick, seed = task
     set_campaign_seed(seed)
@@ -335,163 +298,47 @@ def _run_point_task(task: tuple) -> tuple:
         return "err", f"{type(exc).__name__}: {exc}"
 
 
-# ------------------------------------------------------- the warm pool
-def _send_json(conn, msg: dict) -> int:
-    raw = json.dumps(msg).encode()
-    conn.send_bytes(raw)
-    return len(raw)
-
-
-def _recv_json(conn) -> tuple[dict, int]:
-    raw = conn.recv_bytes()
-    return json.loads(raw.decode()), len(raw)
-
-
-def _serve_chunk(msg: dict, cache: Optional[PointCache],
-                 memo: dict) -> dict:
-    """Worker-side chunk execution (runs inside the forked child)."""
-    module_name = msg["module"]
-    quick, seed = msg["quick"], msg["seed"]
-    try:
-        set_campaign_seed(seed)
-        module = importlib.import_module(module_name)
-        mkey = (module_name, quick, seed)
-        if mkey not in memo:
-            pts = module.points(quick)
-            memo[mkey] = (pts, _points_digest(pts))
-        pts, digest = memo[mkey]
-        if digest != msg["points_digest"]:
-            return {"op": "fatal", "detail": (
-                f"{module_name}.points(quick={quick}) is not deterministic "
-                f"across processes: worker digest {digest[:12]} != parent "
-                f"{msg['points_digest'][:12]}")}
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
-        return {"op": "fatal", "detail": f"{type(exc).__name__}: {exc}"}
-
-    hits0 = cache.hits if cache else 0
-    read0 = cache.bytes_read if cache else 0
-    written0 = cache.bytes_written if cache else 0
-    results: list[list] = []
-    for i in msg["indices"]:
-        point = pts[i]
-        key = None
-        if cache is not None:
-            key = point_key(module_name, point, quick, seed)
-            hit, _value = cache.get(key)
-            if hit:
-                # Warm point: only the 64-hex key crosses the pipe; the
-                # parent loads the value from the shared cache root.
-                results.append([i, "k", key])
-                continue
-        try:
-            value = normalize(module.run_point(point, quick))
-        except Exception as exc:  # noqa: BLE001 - named per point
-            results.append([i, "e", f"{type(exc).__name__}: {exc}"])
-            continue
-        if cache is not None:
-            cache.put(key, value,
-                      meta={"module": module_name, "point": point,
-                            "quick": quick, "seed": seed,
-                            "version": __version__})
-        results.append([i, "v", value])
-    reply = {"op": "done", "results": results}
-    if cache is not None:
-        reply["cache"] = {
-            "hits": cache.hits - hits0,
-            "misses": len(msg["indices"]) - (cache.hits - hits0),
-            "bytes_read": cache.bytes_read - read0,
-            "bytes_written": cache.bytes_written - written0,
-        }
-    return reply
-
-
-def _worker_main(conn, cache_dir: Optional[str]) -> None:
-    """Warm-worker entry point: serve chunks until told to exit.
+# -------------------------------------------------------------- the pool
+def _worker_main(conn) -> None:
+    """Pool worker: run one task per message until told to exit (None).
 
     The child inherits the parent's imported modules (fork start
     method), so each target module's import cost is paid at most once
-    per worker per invocation — not once per point as with a
-    fork-per-campaign pool.
+    per worker per invocation.
     """
-    cache = PointCache(cache_dir) if cache_dir else None
-    memo: dict = {}
-    while True:
-        try:
-            raw = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        msg = json.loads(raw.decode())
-        op = msg.get("op")
-        if op == "exit":
-            break
-        if op == "ping":
-            reply: dict = {"op": "pong", "pid": os.getpid()}
-        else:
-            reply = _serve_chunk(msg, cache, memo)
-        try:
-            conn.send_bytes(json.dumps(reply).encode())
-        except (BrokenPipeError, OSError):  # parent went away
-            break
+    try:
+        while (task := conn.recv()) is not None:
+            conn.send(_run_point_task(task))
+    except (EOFError, OSError):  # parent went away
+        pass
     conn.close()
 
 
-class _PoolWorker:
-    __slots__ = ("wid", "proc", "conn")
-
-    def __init__(self, wid, proc, conn):
-        self.wid, self.proc, self.conn = wid, proc, conn
-
-
 class WorkerPool:
-    """Persistent warm worker pool for point campaigns.
+    """Persistent worker pool for point campaigns.
 
-    Workers are forked once (at construction) and reused for every
-    chunk of every campaign dispatched through :meth:`map_points` — the
-    pool is meant to be created once per CLI invocation and shared
-    across targets (``repro-bench all`` does exactly that).  Use as a
-    context manager, or call :meth:`close` explicitly; a crashed worker
-    or a KeyboardInterrupt tears the pool down with ``terminate`` so no
-    orphan processes survive the campaign.
-
-    ``cache_dir`` routes each worker's cache probes at the shared
-    content-addressed store; ``chunk`` pins the chunk size (``None`` =
-    adaptive sizing from the measured per-point cost).
+    ``jobs`` workers are forked at construction and reused for every
+    :meth:`map`, so one pool can serve every campaign of a CLI run.  Use
+    as a context manager, or call :meth:`close`; a crashed worker or a
+    KeyboardInterrupt tears the pool down with :meth:`terminate`.
     """
 
-    def __init__(self, jobs: int, cache_dir: Optional[str] = None,
-                 chunk: Optional[int] = None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.chunk_override = chunk
-        self.ipc_bytes_sent = 0
-        self.ipc_bytes_received = 0
-        self.points_served = 0
-        self.chunks_served = 0
-        self.last_chunk_size = 1
         self._closed = False
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
-        t0 = time.perf_counter()
-        self._workers: list[_PoolWorker] = []
-        for wid in range(jobs):
+        #: (process, parent end of its pipe) per worker.
+        self._workers: list[tuple] = []
+        for _ in range(jobs):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, cache_dir), daemon=True)
+            proc = ctx.Process(target=_worker_main, args=(child_conn,),
+                               daemon=True)
             proc.start()
             child_conn.close()
-            self._workers.append(_PoolWorker(wid, proc, parent_conn))
-        # Handshake: the pool counts as warm only once every worker
-        # answers, so warm_start_ms covers fork + import readiness.
-        for w in self._workers:
-            _send_json(w.conn, {"op": "ping"})
-        for w in self._workers:
-            msg, _ = _recv_json(w.conn)
-            if msg.get("op") != "pong":  # pragma: no cover - paranoia
-                raise CampaignError(f"worker {w.wid} failed its handshake")
-        self.warm_start_ms = (time.perf_counter() - t0) * 1000.0
+            self._workers.append((proc, parent_conn))
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "WorkerPool":
@@ -503,306 +350,147 @@ class WorkerPool:
         else:  # error/interrupt path: no graceful goodbyes
             self.terminate()
 
-    @property
-    def alive(self) -> bool:
-        return (not self._closed
-                and all(w.proc.is_alive() for w in self._workers))
-
-    @property
-    def ipc_bytes_per_point(self) -> float:
-        if not self.points_served:
-            return 0.0
-        return ((self.ipc_bytes_sent + self.ipc_bytes_received)
-                / self.points_served)
-
     def close(self) -> None:
         """Graceful shutdown: exit messages, bounded join, then force."""
         if self._closed:
             return
         self._closed = True
-        for w in self._workers:
-            try:
-                _send_json(w.conn, {"op": "exit"})
-            except (BrokenPipeError, OSError):
-                pass
-        for w in self._workers:
-            w.proc.join(timeout=2.0)
-        self._force_kill()
+        for _proc, conn in self._workers:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+        for proc, _conn in self._workers:
+            proc.join(timeout=2.0)
+        self.terminate()
 
     def terminate(self) -> None:
         """Immediate shutdown (crash / KeyboardInterrupt path)."""
         self._closed = True
-        self._force_kill()
-
-    def _force_kill(self) -> None:
-        for w in self._workers:
-            if w.proc.is_alive():
-                w.proc.terminate()
-                w.proc.join(timeout=2.0)
-            if w.proc.is_alive():  # pragma: no cover - stuck in syscall
-                w.proc.kill()
-                w.proc.join(timeout=2.0)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        for proc, conn in self._workers:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=2.0)
+            if proc.is_alive():  # pragma: no cover - stuck in syscall
+                proc.kill()
+                proc.join(timeout=2.0)
+            conn.close()
 
     # -- dispatch ------------------------------------------------------
-    def _next_chunk_size(self, probe_samples: list[float],
-                         remaining: int) -> int:
-        """Adaptive chunk sizing from the probe round's measured cost.
+    def map(self, tasks: list[tuple]) -> list[tuple]:
+        """Run every ``(module, point, quick, seed)`` task on the workers.
 
-        Cheap points are batched until a chunk costs ~``CHUNK_TARGET_S``;
-        points at or above the target stay chunk=1 so one slow point
-        never serializes a whole batch behind it.  The size is also
-        capped so every worker still sees several chunks (load balance)
-        and by :data:`MAX_CHUNK` (bounded crash blast radius).
-        """
-        if self.chunk_override is not None:
-            return max(1, self.chunk_override)
-        if not probe_samples:
-            return 1
-        ordered = sorted(probe_samples)
-        per_point = ordered[len(ordered) // 2]  # median
-        if per_point <= 0:
-            return MAX_CHUNK
-        size = int(CHUNK_TARGET_S / per_point)
-        fair_share = max(1, remaining // (2 * self.jobs))
-        return max(1, min(size, fair_share, MAX_CHUNK))
-
-    def map_points(self, module_name: str, points: list, indices: list[int],
-                   quick: bool, seed: int) -> tuple[dict, dict]:
-        """Fan the indexed points out over the warm workers.
-
-        Returns ``(outcomes, cache_stats)`` where ``outcomes`` maps point
-        index -> ("v", value) | ("k", key) | ("e", detail).  Raises
-        :class:`CampaignError` if a worker process dies mid-chunk (the
-        error names the in-flight points) and tears the pool down on any
-        error so no orphan processes are left behind.
+        Returns the :func:`_run_point_task` outcomes aligned with
+        ``tasks``.  Raises :class:`CampaignError` if a worker process
+        dies (the error names its point and exitcode), and terminates
+        every worker on any error so no orphan processes are left.
         """
         if self._closed:
             raise CampaignError("worker pool is closed")
+        outcomes: list[Any] = [None] * len(tasks)
+        pending = deque(range(len(tasks)))
+        idle = list(self._workers)
+        busy: dict = {}  # conn -> (proc, task index)
         try:
-            return self._dispatch(module_name, points, indices, quick, seed)
+            while pending or busy:
+                while pending and idle:
+                    proc, conn = idle.pop()
+                    i = pending.popleft()
+                    try:
+                        conn.send(tasks[i])
+                    except OSError:
+                        raise _crash_error(proc, tasks[i])
+                    busy[conn] = (proc, i)
+                ready = mp_connection.wait(list(busy), timeout=0.25)
+                if not ready:  # liveness tick
+                    for proc, i in busy.values():
+                        if not proc.is_alive():
+                            raise _crash_error(proc, tasks[i])
+                    continue
+                for conn in ready:
+                    proc, i = busy.pop(conn)
+                    try:
+                        outcomes[i] = conn.recv()
+                    except (EOFError, OSError):
+                        raise _crash_error(proc, tasks[i])
+                    idle.append((proc, conn))
         except BaseException:
-            # Covers worker crashes (CampaignError), KeyboardInterrupt,
-            # and anything unexpected: never leave orphans behind.
+            # Worker crashes (CampaignError), KeyboardInterrupt, and
+            # anything unexpected: never leave orphans behind.
             self.terminate()
             raise
-
-    def _dispatch(self, module_name: str, points: list, indices: list[int],
-                  quick: bool, seed: int) -> tuple[dict, dict]:
-        pts_digest = _points_digest(points)
-        pending = deque(indices)
-        outcomes: dict[int, tuple] = {}
-        cache_stats = {"hits": 0, "misses": 0,
-                       "bytes_read": 0, "bytes_written": 0}
-        busy: dict[int, tuple[list[int], float]] = {}
-        idle: list[_PoolWorker] = list(self._workers)
-        by_conn = {w.conn: w for w in self._workers}
-        probe_samples: list[float] = []
-        # Probe round: the first |jobs| chunks run at chunk=1 and time
-        # the per-point cost; later rounds batch accordingly.
-        chunk_size = self.chunk_override or 1
-        probing = self.chunk_override is None
-
-        while pending or busy:
-            while pending and idle:
-                w = idle.pop()
-                take = [pending.popleft()
-                        for _ in range(min(chunk_size, len(pending)))]
-                self.ipc_bytes_sent += _send_json(w.conn, {
-                    "op": "task", "module": module_name, "quick": quick,
-                    "seed": seed, "indices": take,
-                    "points_digest": pts_digest})
-                busy[w.wid] = (take, time.perf_counter())
-                self.last_chunk_size = len(take)
-            ready = mp_connection.wait(
-                [w.conn for w in self._workers if w.wid in busy],
-                timeout=0.25)
-            if not ready:
-                self._check_liveness(points, busy)
-                continue
-            for conn in ready:
-                w = by_conn[conn]
-                take, t_sent = busy[w.wid]
-                try:
-                    msg, nbytes = _recv_json(conn)
-                except (EOFError, OSError):
-                    raise self._crash_error(w, points, take)
-                self.ipc_bytes_received += nbytes
-                if msg.get("op") == "fatal":
-                    raise CampaignError(
-                        f"{module_name}: worker {w.wid} failed a chunk — "
-                        f"no tables emitted:\n  {msg['detail']}")
-                for i, kind, payload in msg["results"]:
-                    outcomes[i] = (kind, payload)
-                for field_ in cache_stats:
-                    cache_stats[field_] += msg.get("cache", {}).get(field_, 0)
-                self.points_served += len(take)
-                self.chunks_served += 1
-                if probing:
-                    elapsed = time.perf_counter() - t_sent
-                    probe_samples.append(elapsed / max(1, len(take)))
-                del busy[w.wid]
-                idle.append(w)
-            if probing and len(probe_samples) >= min(self.jobs,
-                                                     len(indices)):
-                chunk_size = self._next_chunk_size(probe_samples,
-                                                   len(pending))
-                probing = False
-        return outcomes, cache_stats
-
-    def _check_liveness(self, points: list, busy: dict) -> None:
-        by_wid = {w.wid: w for w in self._workers}
-        for wid, (take, _t) in busy.items():
-            w = by_wid[wid]
-            if not w.proc.is_alive():
-                raise self._crash_error(w, points, take)
-
-    def _crash_error(self, w: _PoolWorker, points: list,
-                     take: list[int]) -> CampaignError:
-        named = "\n".join(f"  point {json.dumps(points[i])}" for i in take)
-        w.proc.join(timeout=1.0)  # reap, so exitcode is populated
-        code = w.proc.exitcode
-        return CampaignError(
-            f"worker {w.wid} (pid {w.proc.pid}) died mid-chunk "
-            f"(exitcode {code}) — no tables emitted; in-flight points:\n"
-            f"{named}")
+        return outcomes
 
 
-def _compute_points_pooled(module_name: str, points: list, quick: bool,
-                           seed: int, cache: Optional[PointCache],
-                           pool: WorkerPool) -> tuple[list, int, int]:
-    """Warm-pool lane of :func:`compute_points`.
-
-    All cache traffic is worker-side; the parent only resolves "k"
-    (warm) outcomes into values via counter-free :meth:`PointCache.load`
-    reads.  A hit that vanished between the worker's probe and the
-    parent's load (cache wiped mid-run) is recomputed inline — results
-    are never allowed to silently go missing.
-    """
-    n = len(points)
-    indices = list(range(n))
-    outcomes, cache_stats = pool.map_points(module_name, points, indices,
-                                            quick, seed)
-    values: list[Any] = [None] * n
-    failures = []
-    n_cached = 0
-    for i in indices:
-        kind, payload = outcomes[i]
-        if kind == "v":
-            values[i] = payload
-        elif kind == "k":
-            ok, value = cache.load(payload) if cache else (False, None)
-            if ok:
-                values[i] = value
-                n_cached += 1
-            else:  # cache entry vanished since the worker probe
-                status, value = _run_point_task(
-                    (module_name, points[i], quick, seed))
-                if status != "ok":
-                    failures.append((points[i], value))
-                    continue
-                values[i] = value
-        else:
-            failures.append((points[i], payload))
-    if failures:
-        lines = "\n".join(f"  point {json.dumps(p)}: {d}"
-                          for p, d in failures)
-        raise CampaignError(
-            f"{module_name}: {len(failures)}/{n} points failed — no "
-            f"tables emitted:\n{lines}")
-    if cache is not None:
-        cache.hits += cache_stats["hits"]
-        cache.misses += cache_stats["misses"]
-        cache.bytes_read += cache_stats["bytes_read"]
-        cache.bytes_written += cache_stats["bytes_written"]
-    return values, n - n_cached, n_cached
+def _crash_error(proc, task: tuple) -> CampaignError:
+    proc.join(timeout=1.0)  # reap, so exitcode is populated
+    return CampaignError(
+        f"{task[0]}: worker pid {proc.pid} died (exitcode {proc.exitcode}) "
+        f"— no tables emitted; in-flight point {json.dumps(task[1])}")
 
 
 def compute_points(module_name: str, points: list[dict], quick: bool = True,
                    jobs: int = 1, seed: int = 0,
                    cache: Optional[PointCache] = None,
                    pool: Optional[WorkerPool] = None,
-                   chunk: Optional[int] = None,
                    ) -> tuple[list[Any], int, int]:
     """Compute every point's value, in canonical order.
 
-    Returns ``(values, n_computed, n_cached)``.  With ``jobs > 1`` the
-    points run on a :class:`WorkerPool` — the one passed in (shared,
-    already warm) or an ephemeral pool forked for this call — with
-    worker-side cache probes.  With ``jobs == 1`` points run inline with
-    parent-side cache probes.  Either way results are merged back by
-    point *index*, so the output order never depends on scheduling, and
-    any failed point raises :class:`CampaignError` — no partial tables.
+    Returns ``(values, n_computed, n_cached)``.  The cache is probed
+    here, in the calling process; only the misses run — on ``pool`` when
+    given, on an ephemeral pool when ``jobs > 1`` and more than one
+    point missed, else inline.  Results merge back by point *index*, so
+    the output order never depends on scheduling, and any failed point
+    raises :class:`CampaignError` naming every failure — no partial
+    tables.
     """
     n = len(points)
-    if pool is not None or (jobs > 1 and n > 1):
-        if pool is not None:
-            # Workers bound their cache root at fork time; a campaign
-            # disagreeing with it would silently split the cache.
-            want = cache.root if cache else None
-            if pool.cache_dir != want:
-                raise CampaignError(
-                    f"pool cache_dir {pool.cache_dir!r} does not match "
-                    f"campaign cache root {want!r} — create the pool "
-                    "with the campaign's cache directory")
-            return _compute_points_pooled(module_name, points, quick, seed,
-                                          cache, pool)
-        with WorkerPool(jobs, cache_dir=cache.root if cache else None,
-                        chunk=chunk) as ephemeral:
-            return _compute_points_pooled(module_name, points, quick, seed,
-                                          cache, ephemeral)
-
-    # Inline lane (jobs=1): parent-side cache probes, same task wrapper.
     values: list[Any] = [None] * n
     keys: list[Optional[str]] = [None] * n
     misses: list[int] = []
-    if cache is not None:
-        for i, point in enumerate(points):
+    for i, point in enumerate(points):
+        if cache is not None:
             keys[i] = point_key(module_name, point, quick, seed)
-            hit, value = cache.get(keys[i])
+            hit, values[i] = cache.get(keys[i])
             if hit:
-                values[i] = value
-            else:
-                misses.append(i)
-    else:
-        misses = list(range(n))
+                continue
+        misses.append(i)
 
-    if misses:
-        tasks = [(module_name, points[i], quick, seed) for i in misses]
+    tasks = [(module_name, points[i], quick, seed) for i in misses]
+    if pool is not None:
+        outcomes = pool.map(tasks)
+    elif jobs > 1 and len(tasks) > 1:
+        with WorkerPool(min(jobs, len(tasks))) as ephemeral:
+            outcomes = ephemeral.map(tasks)
+    else:
         outcomes = [_run_point_task(t) for t in tasks]
-        failures = [(points[i], detail)
-                    for i, (status, detail) in zip(misses, outcomes)
-                    if status != "ok"]
-        if failures:
-            lines = "\n".join(f"  point {json.dumps(p)}: {d}"
-                              for p, d in failures)
-            raise CampaignError(
-                f"{module_name}: {len(failures)}/{len(misses)} points "
-                f"failed — no tables emitted:\n{lines}")
-        for i, (_status, value) in zip(misses, outcomes):
-            values[i] = value
-            if cache is not None:
-                cache.put(keys[i], value,
-                          meta={"module": module_name, "point": points[i],
-                                "quick": quick, "seed": seed,
-                                "version": __version__})
+
+    failures = [(points[i], detail)
+                for i, (status, detail) in zip(misses, outcomes)
+                if status != "ok"]
+    if failures:
+        lines = "\n".join(f"  point {json.dumps(p)}: {d}"
+                          for p, d in failures)
+        raise CampaignError(
+            f"{module_name}: {len(failures)}/{len(misses)} points "
+            f"failed — no tables emitted:\n{lines}")
+    for i, (_status, value) in zip(misses, outcomes):
+        values[i] = value
+        if cache is not None:
+            cache.put(keys[i], value,
+                      meta={"module": module_name, "point": points[i],
+                            "quick": quick, "seed": seed,
+                            "version": __version__})
     return values, len(misses), n - len(misses)
 
 
 def run_campaign(target: str, quick: bool = True, jobs: int = 1,
                  cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
                  seed: int = 0, pool: Optional[WorkerPool] = None,
-                 chunk: Optional[int] = None) -> CampaignResult:
+                 ) -> CampaignResult:
     """Run one bench target as a point campaign and assemble its figures.
 
-    ``cache_dir=None`` disables the point cache.  ``jobs=1`` computes the
-    misses inline (still through the exact same task wrapper the pool
-    uses, so serial and parallel campaigns share one code path); pass a
-    shared :class:`WorkerPool` via ``pool`` to keep workers warm across
-    several campaigns (``repro-bench all`` does).
+    ``cache_dir=None`` disables the point cache.  ``jobs`` and ``pool``
+    are as in :func:`compute_points`; pass a shared :class:`WorkerPool`
+    to keep workers warm across campaigns (``repro-bench all`` does).
     """
     module_name = TARGETS[target]
     module = importlib.import_module(module_name)
@@ -814,11 +502,9 @@ def run_campaign(target: str, quick: bool = True, jobs: int = 1,
     t0 = time.perf_counter()
     points = module.points(quick)
     cache = PointCache(cache_dir) if cache_dir else None
-    ipc0 = pool.ipc_bytes_sent + pool.ipc_bytes_received if pool else 0
-    served0 = pool.points_served if pool else 0
     values, n_computed, n_cached = compute_points(
         module_name, points, quick=quick, jobs=jobs, seed=seed,
-        cache=cache, pool=pool, chunk=chunk)
+        cache=cache, pool=pool)
     figures = module.assemble(values, quick)
     if isinstance(figures, FigureResult):
         figures = [figures]
@@ -831,12 +517,6 @@ def run_campaign(target: str, quick: bool = True, jobs: int = 1,
         result.cache_misses = cache.misses
         result.cache_bytes_read = cache.bytes_read
         result.cache_bytes_written = cache.bytes_written
-    if pool is not None:
-        result.warm_start_ms = pool.warm_start_ms
-        served = pool.points_served - served0
-        if served:
-            ipc = (pool.ipc_bytes_sent + pool.ipc_bytes_received) - ipc0
-            result.ipc_bytes_per_point = ipc / served
     return result
 
 
@@ -853,58 +533,52 @@ def figures_digest(figures: list[FigureResult]) -> str:
 
 
 # ------------------------------------------------------------------- CLI
-def main(argv: Optional[list[str]] = None) -> int:
-    """Merge-determinism self-check: serial vs warm-pool digest of a
-    target, with an optional cache cross-check."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.bench.parallel`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.parallel",
-        description="run one bench target serially and through the warm "
+        description="run one bench target serially and through the "
                     "worker pool; fail on any digest difference between "
                     "the merged tables (the campaign determinism "
                     "contract, docs/PERFORMANCE.md)")
     parser.add_argument("target", choices=sorted(TARGETS),
-                        help="bench target to cross-check (any sweep "
-                             "module exposing points/run_point/assemble)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes for the pooled run "
-                             "(default 2)")
+                        help="point-capable bench target to cross-check")
+    parser.add_argument("--jobs", type=jobs_arg, default=2, metavar="N",
+                        help="worker processes for the pooled run: an "
+                             "integer >= 1 or 'auto' (default 2)")
     parser.add_argument("--full", action="store_true",
-                        help="use the paper's full sweep ranges instead "
-                             "of the trimmed quick mode")
+                        help="use the paper's full sweep ranges")
     parser.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (0 = the paper default that "
-                             "pins the committed digests)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="pin the pool chunk size (default: adaptive "
-                             "sizing from a measured per-point probe)")
+                        help="campaign seed (0 pins the committed digests)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help="point-cache root for --cache-stats runs "
                              f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--cache-stats", action="store_true",
                         help="additionally run the campaign through the "
-                             "worker-side point cache and report "
-                             "hits/misses/bytes")
+                             "point cache and report hits/misses/bytes")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the serial campaign and print the "
                              "top-20 functions by cumulative time")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Merge-determinism self-check: serial vs pooled digest of a
+    target, with an optional cache cross-check."""
+    args = build_parser().parse_args(argv)
     quick = not args.full
     with profiled(f"{args.target} (serial)", enable=args.profile):
         serial = run_campaign(args.target, quick=quick, jobs=1,
                               cache_dir=None, seed=args.seed)
     d_serial = figures_digest(serial.figures)
-    with WorkerPool(args.jobs, chunk=args.chunk) as pool:
+    with WorkerPool(args.jobs) as pool:
         pooled = run_campaign(args.target, quick=quick, jobs=args.jobs,
                               cache_dir=None, seed=args.seed, pool=pool)
-        pool_line = (f"warm_start {pool.warm_start_ms:.0f} ms, "
-                     f"ipc {pool.ipc_bytes_per_point:.0f} B/point, "
-                     f"last chunk {pool.last_chunk_size}")
     d_pooled = figures_digest(pooled.figures)
     print(f"{args.target}: {serial.n_points} points; serial {d_serial[:12]} "
           f"({serial.wall_s:.1f}s) vs --jobs {args.jobs} {d_pooled[:12]} "
           f"({pooled.wall_s:.1f}s)")
-    print(f"pool: {pool_line}")
     if d_serial != d_pooled:
         print("MERGE-DETERMINISM FAILURE: parallel campaign tables differ "
               "from the serial run")
@@ -912,8 +586,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print("merge determinism ok: tables bit-identical")
     if args.cache_stats:
         cached = run_campaign(args.target, quick=quick, jobs=args.jobs,
-                              cache_dir=args.cache_dir, seed=args.seed,
-                              chunk=args.chunk)
+                              cache_dir=args.cache_dir, seed=args.seed)
         if figures_digest(cached.figures) != d_serial:
             print("CACHE FAILURE: cached campaign tables differ from the "
                   "serial run")

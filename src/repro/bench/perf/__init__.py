@@ -4,7 +4,7 @@ The repo's one baseline tool.  It times a fixed set of scenarios — a
 pure engine-dispatch microbenchmark, the quick modes of representative
 figure and table sweeps (figs 1, 4, 5, 8, 10, 18, tables 2–3, the
 latency breakdown, ext 6–10), and ``sweep_parallel`` (the fig 1
-campaign run serially and through a warm 4-worker pool; see
+campaign run serially and through a 4-worker pool; see
 :mod:`repro.bench.parallel`) — and records, per scenario:
 
 * ``wall_s`` — host wall-clock seconds,
@@ -22,8 +22,7 @@ campaign run serially and through a warm 4-worker pool; see
   are gated on it, their event counts and schedule digests,
 * ``metrics`` (``sweep_parallel`` only) — wall-clock-derived campaign
   numbers, excluded from the digest: serial and 4-job points/sec,
-  ``jobs4_speedup``, the pool's ``warm_start_ms``,
-  ``ipc_bytes_per_point``, and the usable ``cores``.
+  ``jobs4_speedup``, and the usable ``cores``.
 
 Workflow::
 

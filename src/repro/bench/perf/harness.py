@@ -82,8 +82,7 @@ def _sweep_parallel() -> dict:
     since the scenario digest covers the figure digest).  The wall-clock
     comparison lands in ``_metrics``, which is excluded from the digest:
     speedup depends on core count, determinism does not.  The metrics
-    block also records the pool's warm-start latency, the IPC bytes per
-    point, and the usable core count — ``check`` enforces the
+    block also records the usable core count — ``check`` enforces the
     ``SPEEDUP_FLOOR`` only when ``cores >= SPEEDUP_CORES``.
     """
     from repro.bench import parallel
@@ -93,8 +92,6 @@ def _sweep_parallel() -> dict:
     with parallel.WorkerPool(4) as pool:
         pooled = parallel.run_campaign("fig1", quick=True, jobs=4,
                                        cache_dir=None, pool=pool)
-        warm_start_ms = pool.warm_start_ms
-        ipc_bytes = pool.ipc_bytes_per_point
     d_serial = parallel.figures_digest(serial.figures)
     d_pooled = parallel.figures_digest(pooled.figures)
     if d_serial != d_pooled:
@@ -112,8 +109,6 @@ def _sweep_parallel() -> dict:
             "jobs4_points_per_sec": round(pooled_rate, 2),
             "jobs4_speedup": round(pooled_rate / serial_rate, 2)
             if serial_rate else 0.0,
-            "warm_start_ms": round(warm_start_ms, 1),
-            "ipc_bytes_per_point": round(ipc_bytes, 1),
             "cores": parallel.default_jobs(),
         },
     }

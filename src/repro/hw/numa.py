@@ -57,9 +57,6 @@ class NumaTopology:
                   else params.dram_remote_bw_Bns for h in row)
             for row in self._hops
         )
-        #: Memoized dma_time results keyed (device, mem, nbytes, segments);
-        #: bounded so adversarial size sweeps cannot grow it unchecked.
-        self._dma_cache: dict = {}
 
     def hops(self, socket_a: int, socket_b: int) -> int:
         """QPI hops between two sockets (ring distance)."""
@@ -104,21 +101,14 @@ class NumaTopology:
         Crossing sockets adds the hop latency *and* throttles the stream
         (``cross_dma_bw_factor``) — large cross-socket DMAs run at roughly
         half rate, which is what the NUMA-aware designs of Section IV avoid.
+        Uncached: :class:`~repro.hw.pcie.PcieLink` memoizes per link.
         """
-        key = (device_socket, mem_socket, nbytes, segments)
-        cached = self._dma_cache.get(key)
-        if cached is not None:
-            return cached
         if self.hops(device_socket, mem_socket) == 0:
-            t = self.params.pcie_time(nbytes, segments)
-        else:
-            base = self.params.pcie_time(nbytes, segments)
-            stream = nbytes / self.params.pcie_bandwidth_Bns
-            slowdown = stream * (1.0 / self.params.cross_dma_bw_factor - 1.0)
-            t = base + slowdown + self.cross_penalty(device_socket, mem_socket)
-        if len(self._dma_cache) < 8192:
-            self._dma_cache[key] = t
-        return t
+            return self.params.pcie_time(nbytes, segments)
+        base = self.params.pcie_time(nbytes, segments)
+        stream = nbytes / self.params.pcie_bandwidth_Bns
+        slowdown = stream * (1.0 / self.params.cross_dma_bw_factor - 1.0)
+        return base + slowdown + self.cross_penalty(device_socket, mem_socket)
 
     def mmio_time(self, core_socket: int, device_socket: int) -> float:
         """Doorbell MMIO from a core to a device, ns."""

@@ -35,15 +35,12 @@ class PcieLink:
         self._bus = Resource(sim, capacity=1, name=self.name)
         self.dma_bytes = 0
         self.dma_count = 0
-        # Per-link memoized transfer times keyed (mem_socket, nbytes,
-        # segments) — one dict probe on the per-WR hot path instead of two
-        # method calls into the topology.  Params/topology are immutable,
-        # so entries never go stale; bounded like the topology's own cache.
+        # The one memo of DMA transfer times, keyed (mem_socket, nbytes,
+        # segments) — one dict probe on the per-WR hot path instead of a
+        # call into the topology.  Params/topology are immutable, so
+        # entries never go stale; bounded so adversarial size sweeps
+        # cannot grow it unchecked.
         self._time_cache: dict = {}
-
-    def dma_time(self, nbytes: int, mem_socket: int, segments: int = 1) -> float:
-        """Pure transfer time of one DMA, without queueing."""
-        return self.topology.dma_time(self.socket, mem_socket, nbytes, segments)
 
     def dma_ns(self, nbytes: int, mem_socket: int, segments: int = 1) -> float:
         """Memoized transfer duration — the closed-form twin of :meth:`dma`.
@@ -69,13 +66,7 @@ class PcieLink:
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
-        key = (mem_socket, nbytes, segments)
-        duration = self._time_cache.get(key)
-        if duration is None:
-            duration = self.topology.dma_time(
-                self.socket, mem_socket, nbytes, segments)
-            if len(self._time_cache) < 8192:
-                self._time_cache[key] = duration
+        duration = self.dma_ns(nbytes, mem_socket, segments)
         yield self._bus.acquire()
         try:
             yield duration

@@ -208,6 +208,21 @@ def test_cli_flags_roundtrip(capsys, tmp_path):
     assert "0 computed, 2 cached" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cli", ["repro.bench.__main__",
+                                 "repro.bench.parallel"])
+@pytest.mark.parametrize("jobs", ["two", "0", "-3"])
+def test_bad_jobs_is_a_usage_error(cli, jobs, capsys):
+    """--jobs takes 'auto' or an integer >= 1; anything else exits 2
+    with a usage error instead of a traceback or a silent serial run."""
+    main = importlib.import_module(cli).main
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+    assert parallel.jobs_arg("auto") == parallel.default_jobs()
+    assert parallel.jobs_arg("3") == 3
+
+
 def test_cache_stats_cli_warm_rerun_recomputes_nothing(capsys, tmp_path):
     """--cache-stats: cold run reports misses/writes; a warm rerun must
     report every point as a hit and 0 recomputed."""

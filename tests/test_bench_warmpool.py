@@ -1,12 +1,11 @@
-"""The warm worker pool: crash containment, interrupt teardown, chunking
-determinism, worker-side cache reads, IPC accounting, and the perf
-gate's speedup floor.
+"""The worker pool: crash containment, interrupt teardown, parent-side
+cache probes, pool reuse, and the perf gate's speedup floor.
 
 Contract under test (docs/PERFORMANCE.md, "Parallel campaigns"): the
-pool is a pure wall-clock optimization — chunk size, worker count, and
-cache state may never change a merged table — and it fails *loudly*:
-a dead worker names its in-flight points instead of hanging, and a
-KeyboardInterrupt leaves no orphan processes behind.
+pool is a pure wall-clock optimization — worker count and cache state
+may never change a merged table — and it fails *loudly*: a dead worker
+names its in-flight point instead of hanging, and a KeyboardInterrupt
+leaves no orphan processes behind.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 
 from repro.bench import parallel
 from repro.bench.perf import harness
-from repro.bench.parallel import (CampaignError, PointCache, WorkerPool,
+from repro.bench.parallel import (CampaignError, WorkerPool,
                                   compute_points, figures_digest,
                                   run_campaign)
 from repro.bench.runner import set_campaign_seed
@@ -43,6 +42,10 @@ def _install_module(name: str, n_points: int, run_point):
     return mod
 
 
+def _tasks(mod) -> list[tuple]:
+    return [(mod.__name__, point, True, 0) for point in mod.points()]
+
+
 # ------------------------------------------------------- crash handling
 def test_worker_crash_mid_chunk_names_the_point_and_does_not_hang():
     """A worker dying outright (os._exit, the un-catchable kind) must
@@ -59,7 +62,7 @@ def test_worker_crash_mid_chunk_names_the_point_and_does_not_hang():
         with pytest.raises(CampaignError) as err:
             compute_points(name, mod.points(), quick=True, jobs=2)
         msg = str(err.value)
-        assert "died mid-chunk" in msg
+        assert "died" in msg
         assert '"i": 1' in msg          # the in-flight point is named
         assert "exitcode 13" in msg
     finally:
@@ -77,12 +80,12 @@ def test_crash_tears_the_pool_down_no_orphans():
     mod = _install_module(name, 3, run_point)
     try:
         pool = WorkerPool(2)
-        procs = [w.proc for w in pool._workers]
+        procs = [proc for proc, _conn in pool._workers]
         with pytest.raises(CampaignError):
-            pool.map_points(name, mod.points(), [0, 1, 2], True, 0)
+            pool.map(_tasks(mod))
         assert all(not p.is_alive() for p in procs)
         with pytest.raises(CampaignError, match="closed"):
-            pool.map_points(name, mod.points(), [0], True, 0)
+            pool.map(_tasks(mod)[:1])
     finally:
         del sys.modules[name]
 
@@ -92,7 +95,7 @@ def test_keyboard_interrupt_leaves_no_orphan_processes(monkeypatch):
     mod = _install_module(name, 4, lambda point, quick=True: point["i"])
     try:
         pool = WorkerPool(2)
-        procs = [w.proc for w in pool._workers]
+        procs = [proc for proc, _conn in pool._workers]
         assert all(p.is_alive() for p in procs)
 
         # One-shot, like a real Ctrl-C: proc.join() also routes through
@@ -108,68 +111,13 @@ def test_keyboard_interrupt_leaves_no_orphan_processes(monkeypatch):
 
         monkeypatch.setattr(parallel.mp_connection, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            pool.map_points(name, mod.points(), [0, 1, 2, 3], True, 0)
+            pool.map(_tasks(mod))
         assert all(not p.is_alive() for p in procs)
     finally:
         del sys.modules[name]
 
 
-def test_nondeterministic_points_are_rejected():
-    """Workers rebuild points(quick) and cross-check the parent digest —
-    a module whose sweep differs across processes must fail loudly."""
-    name = "tests._pid_points"
-    mod = _install_module(name, 2, lambda point, quick=True: 0)
-    mod.points = lambda quick=True: [{"pid": os.getpid(), "i": i}
-                                     for i in range(2)]
-    try:
-        with pytest.raises(CampaignError, match="not deterministic"):
-            compute_points(name, mod.points(), quick=True, jobs=2)
-    finally:
-        del sys.modules[name]
-
-
-# -------------------------------------------------- chunking determinism
-def test_chunked_and_chunk1_values_are_identical():
-    name = "tests._chunky_points"
-    mod = _install_module(name, 12,
-                          lambda point, quick=True: point["i"] * 1.5)
-    try:
-        by_chunk = {}
-        for chunk in (1, 4, None):  # None = adaptive probe sizing
-            values, n_computed, n_cached = compute_points(
-                mod.__name__, mod.points(), quick=True, jobs=2, chunk=chunk)
-            assert (n_computed, n_cached) == (12, 0)
-            by_chunk[chunk] = values
-        assert by_chunk[1] == by_chunk[4] == by_chunk[None] \
-            == [i * 1.5 for i in range(12)]
-    finally:
-        del sys.modules[name]
-
-
-def test_chunked_real_target_tables_byte_identical():
-    serial = run_campaign("table2", quick=True, jobs=1, cache_dir=None)
-    chunked = run_campaign("table2", quick=True, jobs=2, cache_dir=None,
-                           chunk=2)
-    assert figures_digest(serial.figures) == figures_digest(chunked.figures)
-    assert serial.figures[0].to_text() == chunked.figures[0].to_text()
-
-
-def test_adaptive_chunk_sizing_heuristic():
-    pool = WorkerPool.__new__(WorkerPool)  # sizing logic only, no fork
-    pool.jobs = 4
-    pool.chunk_override = None
-    # Cheap points batch up, capped by fair share and MAX_CHUNK.
-    assert pool._next_chunk_size([0.001], remaining=1000) == \
-        min(parallel.MAX_CHUNK, 250, 125)
-    # A point at/above the target stays chunk=1 for load balance.
-    assert pool._next_chunk_size([parallel.CHUNK_TARGET_S * 2],
-                                 remaining=100) == 1
-    # Explicit override wins.
-    pool.chunk_override = 7
-    assert pool._next_chunk_size([0.001], remaining=1000) == 7
-
-
-# -------------------------------------------------- worker-side caching
+# ------------------------------------------------- parent-side caching
 def test_warm_pool_rerun_recomputes_zero_points(tmp_path):
     cold = run_campaign("table2", quick=True, jobs=2,
                         cache_dir=str(tmp_path))
@@ -183,47 +131,48 @@ def test_warm_pool_rerun_recomputes_zero_points(tmp_path):
     assert figures_digest(warm.figures) == figures_digest(cold.figures)
 
 
-def test_pool_campaign_cache_root_mismatch_is_rejected(tmp_path):
-    with WorkerPool(2, cache_dir=None) as pool:
-        with pytest.raises(CampaignError, match="cache"):
-            run_campaign("table2", quick=True, jobs=2,
-                         cache_dir=str(tmp_path), pool=pool)
+def test_warm_pooled_rerun_hands_no_task_to_a_worker(tmp_path, monkeypatch):
+    """The cache is probed in the parent, so warm points never reach the
+    pool: a warm rerun maps zero tasks."""
+    sent: list = []
+    real_map = WorkerPool.map
 
+    def counting_map(self, tasks):
+        sent.extend(tasks)
+        return real_map(self, tasks)
 
-def test_vanished_cache_entry_is_recomputed_inline(tmp_path, monkeypatch):
-    """A hit at worker-probe time that is gone by parent-load time is
-    recomputed, never silently dropped."""
-    run_campaign("table2", quick=True, jobs=2, cache_dir=str(tmp_path))
-    monkeypatch.setattr(PointCache, "load",
-                        lambda self, key: (False, None))
-    warm = run_campaign("table2", quick=True, jobs=2,
-                        cache_dir=str(tmp_path))
-    assert warm.n_computed == warm.n_points  # inline recompute path
-    serial = run_campaign("table2", quick=True, jobs=1, cache_dir=None)
-    assert figures_digest(warm.figures) == figures_digest(serial.figures)
+    monkeypatch.setattr(WorkerPool, "map", counting_map)
+    with WorkerPool(2) as pool:
+        cold = run_campaign("table2", quick=True, jobs=2,
+                            cache_dir=str(tmp_path), pool=pool)
+        assert len(sent) == cold.n_points
+        sent.clear()
+        warm = run_campaign("table2", quick=True, jobs=2,
+                            cache_dir=str(tmp_path), pool=pool)
+    assert sent == []
+    assert warm.n_cached == warm.n_points
+    assert figures_digest(warm.figures) == figures_digest(cold.figures)
 
 
 # ------------------------------------------------------- pool lifecycle
-def test_pool_reuse_across_campaigns_and_ipc_accounting():
+def test_pool_reuse_across_campaigns():
+    serial = run_campaign("table2", quick=True, jobs=1, cache_dir=None)
     with WorkerPool(2) as pool:
+        procs = [proc for proc, _conn in pool._workers]
         r1 = run_campaign("table2", quick=True, jobs=2, cache_dir=None,
                           pool=pool)
         r2 = run_campaign("table3", quick=True, jobs=2, cache_dir=None,
                           pool=pool)
-        assert pool.points_served == r1.n_points + r2.n_points
-        assert pool.ipc_bytes_sent > 0 and pool.ipc_bytes_received > 0
-        assert pool.ipc_bytes_per_point > 0
-        assert r1.warm_start_ms == r2.warm_start_ms == pool.warm_start_ms
-        assert r1.ipc_bytes_per_point > 0
-        # Compact protocol: point indices + packed rows, not pickled rigs.
-        assert pool.ipc_bytes_per_point < 2048
-    assert not pool.alive
+        assert r1.n_computed == r1.n_points and r2.n_computed == r2.n_points
+        assert all(p.is_alive() for p in procs)  # same workers, both runs
+    assert all(not p.is_alive() for p in procs)
+    assert figures_digest(r1.figures) == figures_digest(serial.figures)
 
 
 def test_pool_close_is_idempotent_and_kills_workers():
     pool = WorkerPool(2)
-    procs = [w.proc for w in pool._workers]
-    assert pool.alive and pool.warm_start_ms > 0
+    procs = [proc for proc, _conn in pool._workers]
+    assert all(p.is_alive() for p in procs)
     pool.close()
     pool.close()
     assert all(not p.is_alive() for p in procs)
@@ -255,7 +204,7 @@ def test_speedup_floor_skipped_below_core_threshold():
 
 @pytest.mark.skipif(CORES < 2, reason=f"needs >= 2 cores, have {CORES}")
 def test_two_core_speedup_smoke():
-    """CI-safe floor: with 2 real cores the warm pool must beat serial
+    """CI-safe floor: with 2 real cores the pool must beat serial
     by >= 1.1x on CPU-bound points (low floor so CI noise cannot flake)."""
     import time
     name = "tests._busy_points"
@@ -274,11 +223,10 @@ def test_two_core_speedup_smoke():
         t_serial = time.perf_counter() - t0
         with WorkerPool(2) as pool:
             t0 = time.perf_counter()
-            outcomes, _ = pool.map_points(name, mod.points(),
-                                          list(range(8)), True, 0)
+            outcomes = pool.map(_tasks(mod))
             t_pooled = time.perf_counter() - t0
-        assert [outcomes[i][1] for i in range(8)] == serial
+        assert [value for _status, value in outcomes] == serial
         assert t_serial / t_pooled >= 1.1, \
-            f"warm pool {t_serial / t_pooled:.2f}x on {CORES} cores"
+            f"pool {t_serial / t_pooled:.2f}x on {CORES} cores"
     finally:
         del sys.modules[name]

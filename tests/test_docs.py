@@ -47,6 +47,26 @@ def test_docs_exist_and_are_substantial():
         assert len(path.read_text()) > 2000
 
 
+def test_lint_docs_flags_a_stale_cli_example():
+    """`make docs-check` parses every bench CLI example in the docs with
+    the live parser; a removed flag must be reported exactly once."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "lint_docs", DOCS.parent / "tools" / "lint_docs.py")
+    lint_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint_docs)
+    problems: list[str] = []
+    lint_docs.check_cli_examples("docs/X.md", [
+        "python -m repro.bench fig6 --jobs 4 --chunk 8 # pin the chunk",
+        "python -m repro.bench fig6 --jobs auto        # every core",
+        "see `python -m repro.bench.parallel fig5 --jobs 2` and",
+        "`python -m repro.bench",
+    ], problems)
+    assert problems == [
+        "docs/X.md:1: stale CLI example "
+        "(python -m repro.bench fig6 --jobs 4 --chunk 8 # pin the chunk)"]
+
+
 def test_paper_map_references_resolve():
     """Every test/bench path named in the paper map must exist."""
     import re

@@ -8,7 +8,11 @@ backtick-style file references (``docs/FOO.md``, ``tests/test_x.py``,
 the repo root.
 
 ``--catalog`` additionally cross-checks docs/BENCHMARKS.md against
-``repro.bench.TARGETS``: exactly one table row per target, no ghosts.
+``repro.bench.TARGETS`` (exactly one table row per target, no ghosts)
+and parses every ``python -m repro.bench …`` /
+``python -m repro.bench.parallel …`` example in README.md and
+``docs/*.md`` with the live argument parser, so a removed flag or
+target cannot linger in the docs.
 
 Run via ``make lint-docs`` (or ``make docs-check`` for the catalog
 check too); both are part of ``make smoke``.  Exits non-zero with one
@@ -18,7 +22,10 @@ check too); both are part of ``make smoke``.  Exits non-zero with one
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -33,6 +40,9 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_REF = re.compile(
     r"\b((?:docs|tests|examples|tools|src/repro(?:/[\w.]+)*)"
     r"/[\w.\-/]+\.(?:md|py))\b")
+# A bench CLI invocation, up to a closing backtick or the end of the line.
+CLI_EXAMPLE = re.compile(r"python -m (repro\.bench(?:\.parallel)?)(?![\w.])"
+                         r"([^`]*)")
 
 
 def _files() -> list[Path]:
@@ -86,11 +96,33 @@ def check_catalog(problems: list[str]) -> None:
             "repro.bench.TARGETS")
 
 
+def check_cli_examples(rel: str, lines: list[str],
+                       problems: list[str]) -> None:
+    """Parse each bench CLI example in ``lines`` with the live parser."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from repro.bench import __main__ as bench_cli, parallel
+    parsers = {"repro.bench": bench_cli.build_parser(),
+               "repro.bench.parallel": parallel.build_parser()}
+    for lineno, line in enumerate(lines, 1):
+        for m in CLI_EXAMPLE.finditer(line):
+            try:
+                argv = shlex.split(m.group(2), comments=True)
+                if not argv:  # the CLI named in prose, not an example
+                    continue
+                with contextlib.redirect_stderr(io.StringIO()):
+                    parsers[m.group(1)].parse_args(argv)
+            except (SystemExit, ValueError):
+                problems.append(f"{rel}:{lineno}: stale CLI example "
+                                f"({m.group(0).strip()})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--catalog", action="store_true",
                         help="also cross-check docs/BENCHMARKS.md rows "
-                             "against repro.bench.TARGETS")
+                             "against repro.bench.TARGETS and parse every "
+                             "bench CLI example with the live parser")
     args = parser.parse_args(argv)
 
     problems: list[str] = []
@@ -99,6 +131,9 @@ def main(argv=None) -> int:
         check_references(path, problems)
     if args.catalog:
         check_catalog(problems)
+        for path in [REPO / "README.md", *sorted(REPO.glob("docs/*.md"))]:
+            check_cli_examples(str(path.relative_to(REPO)),
+                               path.read_text().splitlines(), problems)
     for p in problems:
         print(p)
     scope = f"{len(files)} files" + (" + catalog" if args.catalog else "")
