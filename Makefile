@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update
+	perf perf-gate perf-quick perf-update e2e
 
 install:
 	pip install -e .
@@ -34,9 +34,17 @@ docs-check:
 # gate the simulator fast path (engine microbench + fig5 + ext8 txn +
 # ext9 fabric incast + ext10 open-loop serving + the worker-pool campaign
 # scenario) against the committed perf baseline, run the invariant-check
-# suite, and keep the docs honest (dead links, benchmark catalog).
-smoke: perf-quick check docs-check
+# suite, hold the end-to-end workloads to their seed-0 output pins, and
+# keep the docs honest (dead links, benchmark catalog).
+smoke: perf-quick check e2e docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
+
+# End-to-end benchmark self-tests (benchmarks/e2e, ~20 s): the four
+# workloads at scale 0.02 must reproduce their seed-0 digests in
+# benchmarks/e2e/pins.json — the output-neutrality oracle for any
+# simulator change — plus the traced-equals-untraced ledger checks.
+e2e:
+	PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
 
 # Invariant sanitizer suite (docs/CHECKING.md): the four applications, an
 # ext7-style fault-injection scenario, and a contended OCC transaction

@@ -2,12 +2,18 @@
 completion clock.
 
 An :class:`OpenLoopGenerator` walks a precomputed arrival timeline
-(:mod:`repro.workloads.arrivals`) and spawns one fire-and-forget process
-per request — offered load is independent of service progress, so when
-the plane saturates, queues grow, deadlines lapse, and the shed rate
-(not the injection rate) gives.  That is the behaviour closed-loop
-clients structurally cannot show: they self-throttle to the service
-rate and the knee never appears.
+(:mod:`repro.workloads.arrivals`) as one chain of ``sim.call_at``
+wake-ups and steps each due request's generator inline — offered load is
+independent of service progress, so when the plane saturates, queues
+grow, deadlines lapse, and the shed rate (not the injection rate) gives.
+That is the behaviour closed-loop clients structurally cannot show: they
+self-throttle to the service rate and the knee never appears.
+
+No request gets a :class:`~repro.sim.Process`: a process costs a boot
+event and a finish event that nobody here waits on.  The driver resumes
+a request from the callbacks of whatever it yields, under the same rules
+and in the same dispatch order as a process, so every simulated number
+is what a process per request would produce.
 
 Requests report one of four outcomes (:class:`~repro.load.frontdoor.
 KvResult` semantics): "hit" / "ok" count as delivered and contribute a
@@ -18,20 +24,22 @@ is included.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
-from repro.sim import Simulator
+from repro.sim import Event, SimulationError, Simulator
 from repro.sim.stats import percentiles
 
 __all__ = ["OpenLoopGenerator", "drain_open_loop", "find_knee"]
 
 
 class OpenLoopGenerator:
-    """Injects ``request_fn(i)`` processes at absolute ``times_ns``.
+    """Starts ``request_fn(i)`` at absolute time ``times_ns[i]``.
 
-    ``request_fn(i) -> Generator`` must return an object with an
-    ``outcome`` attribute ("hit" | "ok" | "shed" | "error") or a bare
-    outcome string.
+    ``times_ns`` must be non-decreasing and must not begin before the
+    current simulated time.  ``request_fn(i) -> Generator`` yields what a
+    process may yield (events, non-negative float delays) and returns an object
+    with an ``outcome`` attribute ("hit" | "ok" | "shed" | "error") or a
+    bare outcome string.
     """
 
     def __init__(self, sim: Simulator, request_fn: Callable[[int], Generator],
@@ -46,30 +54,88 @@ class OpenLoopGenerator:
         self.sheds = 0
         self.errors = 0
         self.latencies: list[float] = []
-        self._requests: list = []
-        self._injector = None
+        #: Index of the next request not yet started.
+        self._next = 0
+        #: Requests not yet finished, started or not.
+        self._pending = 0
+        #: Succeeds once every request has finished; None until start().
+        self._idle: Optional[Event] = None
 
     # -- injection ------------------------------------------------------------
     def start(self) -> None:
         """Begin injecting (call before ``sim.run``)."""
-        if self._injector is not None:
+        if self._idle is not None:
             raise RuntimeError(f"{self.name}: already started")
-        self._injector = self.sim.process(
-            self._inject(), name=f"{self.name}.inject")
-
-    def _inject(self) -> Generator:
         sim = self.sim
+        prev = sim.now
         for i, t in enumerate(self.times_ns):
-            delay = float(t) - sim.now
-            if delay > 0:
-                yield delay
-            self.offered += 1
-            self._requests.append(
-                sim.process(self._request(i), name=f"{self.name}.r{i}"))
+            t = float(t)
+            if not t >= prev:  # also rejects NaN
+                what = f"arrival {i - 1}" if i else "sim.now"
+                raise ValueError(
+                    f"{self.name}: arrival {i} at {t} ns precedes {what} "
+                    f"({prev} ns); times_ns must be non-decreasing from "
+                    "sim.now")
+            prev = t
+        self._idle = sim.event()
+        self._pending = len(self.times_ns)
+        if not self._pending:
+            self._idle.succeed()
+            return
+        now = sim.now
+        sim.call_at(now + (float(self.times_ns[0]) - now), self._arrive)
 
-    def _request(self, i: int) -> Generator:
-        t0 = self.sim.now
-        result = yield from self.request_fn(i)
+    def _arrive(self, _ev: Event) -> None:
+        # Book the next distinct instant first, then start everything due
+        # now in index order: the injector process this replaces pushed
+        # its next sleep before the spawned requests' boots ran.
+        sim = self.sim
+        now = sim.now
+        times = self.times_ns
+        first = self._next
+        last = first + 1
+        while last < len(times):
+            delay = float(times[last]) - now
+            if delay > 0:
+                sim.call_at(now + delay, self._arrive)
+                break
+            last += 1
+        self._next = last
+        self.offered += last - first
+        for i in range(first, last):
+            self._step(i, self.request_fn(i), now)
+
+    def _step(self, i: int, gen: Generator, t0: float,
+              value: Any = None, ok: bool = True) -> None:
+        """Advance request ``i`` until it parks on a wake-up or finishes,
+        accepting the yields ``Process._resume`` accepts."""
+        sim = self.sim
+        while True:
+            try:
+                target = gen.send(value) if ok else gen.throw(value)
+            except StopIteration as stop:
+                self._finish(i, t0, stop.value)
+                return
+            except Exception as exc:
+                raise SimulationError(
+                    f"unhandled error in request {self.name}.r{i}") from exc
+            # call_at clamps a past instant, so a negative delay must not
+            # reach it: a process fails loudly on one.
+            if type(target) is float and target >= 0:
+                sim.call_at(sim.now + target,
+                            lambda _ev: self._step(i, gen, t0))
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"request {self.name}.r{i} yielded {target!r}; requests "
+                    "must yield Event instances or non-negative float delays")
+            if not target._processed:  # a cancelled event drops the resume
+                target.add_callback(
+                    lambda ev: self._step(i, gen, t0, ev._value, ev._ok))
+                return
+            value, ok = target._value, target._ok
+
+    def _finish(self, i: int, t0: float, result: Any) -> None:
         outcome = getattr(result, "outcome", result)
         if outcome in ("hit", "ok"):
             self.delivered += 1
@@ -84,17 +150,17 @@ class OpenLoopGenerator:
             raise ValueError(
                 f"{self.name}: request {i} returned unknown outcome "
                 f"{outcome!r}")
+        self._pending -= 1
+        if not self._pending:
+            self._idle.succeed()
 
     # -- draining -------------------------------------------------------------
     def drain(self) -> None:
         """Run the simulation until the timeline is fully injected and
-        every spawned request has finished."""
-        if self._injector is None:
+        every started request has finished."""
+        if self._idle is None:
             raise RuntimeError(f"{self.name}: start() before drain()")
-        self.sim.run(until=self._injector)
-        # New requests cannot appear past this point; settle the stragglers.
-        for proc in self._requests:
-            self.sim.run(until=proc)
+        self.sim.run(until=self._idle)
 
     # -- results --------------------------------------------------------------
     @property
@@ -108,8 +174,8 @@ class OpenLoopGenerator:
 
 
 def drain_open_loop(gens: Sequence[OpenLoopGenerator]) -> None:
-    """Drain several generators sharing one simulator (inject phases ran
-    concurrently; stragglers settle in generator order)."""
+    """Drain several generators sharing one simulator (their timelines
+    ran concurrently; the run ends when the last one goes idle)."""
     for g in gens:
         g.drain()
 

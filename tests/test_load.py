@@ -4,6 +4,9 @@ invalidation directory, sticky write routing, the KV front door through
 the tenancy plane, the open-loop generator, and the cache-coherence
 checker."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.load import (
     preload_table,
     sticky_owner_key,
 )
+from repro.sim import Process, SimulationError, Simulator
 from repro.sim.rng import make_rng
 from repro.tenancy import ServicePlane
 from repro.workloads import (
@@ -284,6 +288,159 @@ def test_open_loop_generator_rejects_unknown_outcomes():
     gen.start()
     with pytest.raises(Exception, match="unknown outcome"):
         gen.drain()
+
+
+def test_open_loop_generator_rejects_late_or_unsorted_arrivals():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="arrival 2"):
+        OpenLoopGenerator(sim, lambda i: iter(()), [1.0, 5.0, 3.0]).start()
+    sim.run(until=100.0)
+    with pytest.raises(ValueError, match="sim.now"):
+        OpenLoopGenerator(sim, lambda i: iter(()), [50.0, 150.0]).start()
+    assert sim.peek() == float("inf")             # nothing was booked
+
+
+def test_open_loop_costs_two_events_per_request_and_no_processes(
+        monkeypatch):
+    sim = Simulator()
+    spawned = []
+    process = Simulator.process
+
+    def counting(self, generator, name=""):
+        spawned.append(name)
+        return process(self, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", counting)
+
+    def request_fn(i):
+        yield 10.0
+        return "ok"
+
+    n = 50
+    gen = OpenLoopGenerator(sim, request_fn, [3.0 * (k + 1) for k in range(n)])
+    gen.start()
+    gen.drain()
+    # One arrival wake-up and one sleep per request, plus the idle event.
+    assert sim.events_processed == 2 * n + 1
+    assert spawned == []
+    assert gen.delivered == n and gen.latencies == [10.0] * n
+    assert sim.now == 3.0 * n + 10.0
+
+
+def test_open_loop_retains_no_request_generators():
+    sim = Simulator()
+    refs = []
+
+    def request_fn(i):
+        def body():
+            yield 1.0
+            yield sim.timeout(2.0)
+            return "ok"
+        g = body()
+        refs.append(weakref.ref(g))
+        return g
+
+    gen = OpenLoopGenerator(sim, request_fn, [1.0, 1.0, 4.0, 9.0])
+    gen.start()
+    gen.drain()
+    assert len(refs) == 4
+    # Freed by refcount alone: run() pauses the cyclic collector, so a
+    # driver cycle per request would pile up for the whole run.
+    assert all(r() is None for r in refs)
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, Process) and o.sim is sim]
+
+
+def test_open_loop_request_crash_names_the_request():
+    sim = Simulator()
+
+    def request_fn(i):
+        yield 5.0
+        if i == 1:
+            raise KeyError("boom")
+        return "ok"
+
+    gen = OpenLoopGenerator(sim, request_fn, [1.0, 2.0], name="loud")
+    gen.start()
+    with pytest.raises(SimulationError, match=r"loud\.r1") as info:
+        gen.drain()
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("bad", [5, -1.0])       # int; delay into the past
+def test_open_loop_rejects_non_event_yields(bad):
+    sim = Simulator()
+
+    def request_fn(i):
+        yield bad
+        return "ok"
+
+    gen = OpenLoopGenerator(sim, request_fn, [1.0], name="bad")
+    gen.start()
+    with pytest.raises(SimulationError, match=rf"bad\.r0 yielded {bad}"):
+        gen.drain()
+
+
+def test_open_loop_equal_arrivals_start_in_index_order():
+    sim = Simulator()
+    started = []
+
+    def request_fn(i):
+        started.append((i, sim.now))
+        yield 1.0
+        return "ok"
+
+    gen = OpenLoopGenerator(sim, request_fn, [5.0, 5.0, 5.0])
+    gen.start()
+    gen.drain()
+    assert started == [(0, 5.0), (1, 5.0), (2, 5.0)]
+    assert gen.offered == 3 and gen.delivered == 3
+
+
+def test_open_loop_books_the_next_arrival_before_running_due_requests():
+    # r0 wakes at exactly r1's arrival instant.  The next arrival was
+    # booked before r0 ran, so it holds the earlier sequence number and
+    # r1 starts first — the order a process per request produced.
+    sim = Simulator()
+    log = []
+
+    def request_fn(i):
+        log.append(("start", i))
+        yield 5.0
+        log.append(("wake", i))
+        return "ok"
+
+    gen = OpenLoopGenerator(sim, request_fn, [1.0, 6.0])
+    gen.start()
+    gen.drain()
+    assert log == [("start", 0), ("start", 1), ("wake", 0), ("wake", 1)]
+
+
+def test_open_loop_processed_event_continues_inline():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed("v")
+    failed = sim.event()
+    failed.fail(KeyError("k"))
+    sim.run()
+    seen = []
+
+    def request_fn(i):
+        t = sim.now
+        got = yield done
+        try:
+            yield failed
+        except KeyError:
+            seen.append((got, sim.now - t))
+        return "ok"
+
+    before = sim.events_processed
+    gen = OpenLoopGenerator(sim, request_fn, [3.0])
+    gen.start()
+    gen.drain()
+    assert seen == [("v", 0.0)]
+    assert sim.events_processed - before == 2     # arrival + idle only
 
 
 def test_find_knee():
