@@ -20,8 +20,11 @@ campaign run serially and through a 4-worker pool; see
 * ``table_digest`` — a SHA-256 of the rendered table text, which may
   never change; the cheap paper tables (``TABLE_ROWS``, full run only)
   are gated on it, their event counts and schedule digests,
-* ``metrics`` (``sweep_parallel`` only) — wall-clock-derived campaign
-  numbers, excluded from the digest: serial and 4-job points/sec,
+* ``metrics`` — numbers excluded from the digest.  Every scenario that
+  completes verbs ops records ``events_per_op`` and ``cycles_per_op``
+  (objects one collection finds in cycles at the scenario's end, per
+  completed op), both gated against a rise; ``sweep_parallel`` adds
+  wall-clock-derived campaign numbers: serial and 4-job points/sec,
   ``jobs4_speedup``, and the usable ``cores``.
 
 Workflow::
@@ -32,7 +35,7 @@ Workflow::
 
 The gate fails when a scenario's events/sec drops more than
 ``DEFAULT_TOLERANCE`` (20%) below the committed baseline, when any
-digest differs, or when ``jobs4_speedup`` lands below ``SPEEDUP_FLOOR``
+digest differs, when events or cycles per op rise, or when ``jobs4_speedup`` lands below ``SPEEDUP_FLOOR``
 (1.5×) on a machine with at least ``SPEEDUP_CORES`` (4) usable cores —
 parallel campaigns must actually pay, not merely merge
 deterministically.  Wall-clock numbers are machine-dependent — refresh

@@ -33,11 +33,20 @@ __all__ = [
 #: Gate threshold: fail when events/sec drops by more than this fraction.
 DEFAULT_TOLERANCE = 0.20
 
-#: Gate threshold for events per completed op.  The metric is fully
-#: deterministic (both counters are simulated), so any real increase is
-#: a hot-path regression; the 1% slack only absorbs the 2-decimal
-#: rounding in the baseline file.
+#: Gate threshold for the per-op counts in ``_PER_OP_GATES``.  Both
+#: are deterministic (events per op from simulated counters, cycles per
+#: op from one collection at the scenario's end), so any real increase
+#: is a regression; the 1% slack absorbs the 2-decimal rounding in the
+#: baseline file.
 EVENTS_PER_OP_TOLERANCE = 0.01
+
+#: Per-op metrics gated against a rise, with what a rise means.
+_PER_OP_GATES = (
+    ("events_per_op",
+     "the hot path dispatches more events per completed op"),
+    ("cycles_per_op",
+     "a per-op object is cyclic again and lives until run() returns"),
+)
 
 #: Parallel-campaign gate: the warm worker pool must deliver at least
 #: this speedup over serial with 4 jobs.  Enforced only when the run
@@ -189,9 +198,22 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
         gc.collect()  # start each scenario from a clean allocator state
         events_before = Simulator.total_events
         ops_before = QueuePair.total_completions
-        t0 = time.perf_counter()
-        outcome = fn()
-        wall = time.perf_counter() - t0
+        # The collector stays off for the whole scenario, so one final
+        # collection finds every object the scenario left in a cycle.
+        # With it on, a pass over a live tuple of atomic values untracks
+        # the tuple, and the count would hang on collection timing,
+        # which hangs on what ran before: sweep_parallel read 0.23
+        # cycles/op after the --quick list and 0.22 in the full one.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            outcome = fn()
+            wall = time.perf_counter() - t0
+            freed = gc.collect()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         events = Simulator.total_events - events_before
         ops = QueuePair.total_completions - ops_before
         # ``_metrics`` carries wall-clock-derived numbers (e.g. parallel
@@ -206,6 +228,12 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
             # part of the simulated outcome) but is gated, unlike the
             # wall-clock numbers around it.
             metrics["events_per_op"] = round(events / ops, 2)
+            # Objects only the cyclic collector could free, per op.
+            # ``Simulator.run`` pauses that collector, so per-op objects
+            # must die by refcount: a rise means some per-op object
+            # became cyclic again and now lives until the run ends.
+            # What is left is each rig's own cycles.
+            metrics["cycles_per_op"] = round(freed / ops, 2)
         row = {
             "wall_s": round(wall, 4),
             "events": events,
@@ -250,6 +278,9 @@ def check(baseline: dict, current: dict,
     * an ``events_per_op`` increase beyond
       :data:`EVENTS_PER_OP_TOLERANCE` — the hot path is dispatching
       more events per completed verbs op;
+    * a ``cycles_per_op`` increase beyond the same slack — more objects
+      per completed op are left for the cyclic collector, which
+      ``Simulator.run`` pauses, so they stay alive until it returns;
     * a scenario missing from either side;
     * a ``jobs4_speedup`` below :data:`SPEEDUP_FLOOR` when the current
       run had at least :data:`SPEEDUP_CORES` usable cores — parallel
@@ -295,13 +326,14 @@ def check(baseline: dict, current: dict,
                     f"({b['digest'][:12]} -> {c['digest'][:12]}) at the "
                     "same event count — simulated outputs moved; "
                     "optimizations must be schedule-preserving")
-        b_epo = b.get("metrics", {}).get("events_per_op")
-        c_epo = c.get("metrics", {}).get("events_per_op")
-        if b_epo and c_epo and c_epo > b_epo * (
-                1.0 + EVENTS_PER_OP_TOLERANCE):
-            failures.append(
-                f"{name}: events/op rose {b_epo} -> {c_epo} — the hot "
-                "path dispatches more events per completed op")
+        b_m, c_m = b.get("metrics", {}), c.get("metrics", {})
+        for key, why in _PER_OP_GATES:
+            b_v, c_v = b_m.get(key), c_m.get(key)
+            if (b_v is not None and c_v is not None
+                    and c_v > b_v * (1.0 + EVENTS_PER_OP_TOLERANCE)):
+                failures.append(
+                    f"{name}: {key.replace('_per_', '/')} rose {b_v} -> "
+                    f"{c_v} — {why}")
         floor = b["events_per_sec"] * (1.0 - tolerance)
         if name not in TABLE_ROWS and c["events_per_sec"] < floor:
             drop = 1.0 - c["events_per_sec"] / b["events_per_sec"]
@@ -327,8 +359,8 @@ def _print_table(data: dict, baseline: Optional[dict] = None) -> None:
 
 def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
     """Tracked metrics: wall-clock-derived numbers like the
-    parallel-sweep speedup, excluded from digests.  Most are
-    informational; ``jobs4_speedup`` is gated against
+    parallel-sweep speedup, excluded from digests.  The per-op counts
+    are gated against a rise; ``jobs4_speedup`` is gated against
     :data:`SPEEDUP_FLOOR` whenever the run had >= :data:`SPEEDUP_CORES`
     cores.  Falls back to the committed baseline for scenarios the
     current (e.g. --quick) run skipped."""
@@ -345,9 +377,9 @@ def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
             body = " ".join(f"{k}={v}" for k, v in row.items())
             lines.append(f"  {name}: {body}{src}")
     if lines:
-        print(f"tracked metrics (jobs4_speedup gated at "
-              f">={SPEEDUP_FLOOR}x on >={SPEEDUP_CORES} cores; "
-              "the rest informational):")
+        print(f"tracked metrics (events_per_op and cycles_per_op gated "
+              f"against a rise; jobs4_speedup gated at >={SPEEDUP_FLOOR}x "
+              f"on >={SPEEDUP_CORES} cores; the rest informational):")
         for line in lines:
             print(line)
 

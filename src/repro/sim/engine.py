@@ -340,6 +340,10 @@ class Process(Event):
         # gets this same object appended, instead of materializing a fresh
         # bound method per resumption.
         self._bound_resume = self._resume
+        # Both self-references (this one and the marker's ``proc``) are
+        # dropped on every path that ends the process: ``run()`` pauses
+        # the cyclic collector, so a finished process must be acyclic to
+        # be freed by refcount rather than live until ``run()`` returns.
 
     @property
     def is_alive(self) -> bool:
@@ -390,6 +394,7 @@ class Process(Event):
             # throwing at its first line.
             self._generator.close()
             self._waiting_on = None
+            self._sleep = self._bound_resume = None
             self.succeed(None)
             return
         self._step(trigger, throw=True)
@@ -409,9 +414,11 @@ class Process(Event):
             else:
                 target = self._generator.throw(trigger._value)
         except StopIteration as stop:
+            self._sleep = self._bound_resume = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._sleep = self._bound_resume = None
             if not self.callbacks:
                 # Nobody is waiting: surface the crash from Simulator.run().
                 self.sim._crash(exc, self)
@@ -419,7 +426,9 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 return
-            self.fail(exc)
+            # Drop this frame from the traceback the waiter sees: it holds
+            # ``self``, which holds the exception as its value — a cycle.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         if type(target) is float:
             # Bare-delay fast lane (see _Sleep): schedule-identical to
@@ -459,16 +468,18 @@ class Process(Event):
             else:
                 target = self._generator.send(trigger._value)
         except StopIteration as stop:
+            self._sleep = self._bound_resume = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._sleep = self._bound_resume = None
             if not self.callbacks:
                 self.sim._crash(exc, self)
                 self._triggered = True
                 self._ok = False
                 self._value = exc
                 return
-            self.fail(exc)
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         if type(target) is float:
             s = self._sleep
@@ -755,11 +766,15 @@ class Simulator:
         chk = self.check
         dispatched = 0
         # Pause the cyclic collector for the duration of the dispatch loop:
-        # event churn allocates heavily but almost everything dies by
-        # refcount (pools + acyclic events), so generational scans are pure
+        # event churn allocates heavily, so generational scans are pure
         # overhead mid-run.  Collection timing never influences schedules,
         # so this is trivially determinism-safe; the previous gc state is
         # restored on exit and any cycles are reaped at the next threshold.
+        # The rule that makes this safe for memory: every per-op object
+        # (a ``Process``, an ``ExpressOp``, their events) must be acyclic
+        # by the time its op ends, so refcounting frees it mid-run.  A
+        # cycle left behind lives until this loop returns; the perf gate
+        # counts them as ``cycles_per_op`` (docs/PERFORMANCE.md).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -798,15 +813,18 @@ class Simulator:
                         try:
                             target = p._send(None)
                         except StopIteration as fin:
+                            p._sleep = p._bound_resume = None
                             p.succeed(fin.value)
                         except BaseException as exc:
+                            p._sleep = p._bound_resume = None
                             if not p.callbacks:
                                 self._crash(exc, p)
                                 p._triggered = True
                                 p._ok = False
                                 p._value = exc
                             else:
-                                p.fail(exc)
+                                p.fail(exc.with_traceback(
+                                    exc.__traceback__.tb_next))
                         else:
                             if type(target) is float:
                                 p._waiting_on = event
@@ -893,15 +911,18 @@ class Simulator:
                         try:
                             target = p._send(None)
                         except StopIteration as fin:
+                            p._sleep = p._bound_resume = None
                             p.succeed(fin.value)
                         except BaseException as exc:
+                            p._sleep = p._bound_resume = None
                             if not p.callbacks:
                                 self._crash(exc, p)
                                 p._triggered = True
                                 p._ok = False
                                 p._value = exc
                             else:
-                                p.fail(exc)
+                                p.fail(exc.with_traceback(
+                                    exc.__traceback__.tb_next))
                         else:
                             if type(target) is float:
                                 p._waiting_on = event

@@ -576,6 +576,11 @@ class ExpressState:
         """Completion instant: deliver the Completion, unlink the chain."""
         op.phase = P_DONE
         op.prev = None
+        # The wake partials point back at ``op``; no wake is pending at
+        # P_DONE (a parked op is woken from a callback list the dispatch
+        # loop has already detached), so dropping them leaves the op
+        # acyclic and refcount frees it while run() pauses the collector.
+        op.wcb = op.wcb2 = None
         qp = op.qp
         wr = op.wr
         if qp._last_express_op is op:

@@ -117,12 +117,39 @@ def test_gate_trips_on_events_per_op_rise():
         "fig5": _row(metrics={"events_per_op": 8.0})}}) == []
 
 
+def test_gate_trips_on_cycles_per_op_rise():
+    baseline = {"format": 1, "scenarios": {"fig5": _row(
+        metrics={"events_per_op": 10.0, "cycles_per_op": 0.11})}}
+    worse = {"format": 1, "scenarios": {"fig5": _row(
+        metrics={"events_per_op": 10.0, "cycles_per_op": 12.0})}}
+    failures = harness.check(baseline, worse)
+    assert any("cycles/op rose 0.11 -> 12.0" in f for f in failures)
+    assert harness.check(baseline, {"format": 1, "scenarios": {
+        "fig5": _row(metrics={"events_per_op": 10.0,
+                              "cycles_per_op": 0.0})}}) == []
+    # A zero baseline is gated too: any cycle per op is a rise.
+    zero = {"format": 1, "scenarios": {"fig5": _row(
+        metrics={"events_per_op": 10.0, "cycles_per_op": 0.0})}}
+    assert any("cycles/op rose" in f for f in harness.check(zero, worse))
+
+
 def test_figure_scenario_carries_table_digest_and_events_per_op():
     data = harness.run_scenarios(["fig5"])
     row = data["scenarios"]["fig5"]
     assert len(row["table_digest"]) == 64
     assert row["table_digest"] != row["digest"]
     assert row["metrics"]["events_per_op"] > 1.0
+
+
+def test_cycles_per_op_is_small_and_repeats():
+    """fig5 is the lane's closed-loop sweep: its finished ops must die
+    by refcount, leaving only each rig's own cycles (0.11 cycles/op;
+    15.71 when ``Process`` and ``ExpressOp`` were self-cycles).  The
+    count repeats exactly from run to run."""
+    first = harness.run_scenarios(["fig5"])["scenarios"]["fig5"]
+    assert 0 < first["metrics"]["cycles_per_op"] < 1.0
+    again = harness.run_scenarios(["fig5"])["scenarios"]["fig5"]
+    assert again["metrics"] == first["metrics"]
 
 
 def test_gate_passes_on_identical_runs():

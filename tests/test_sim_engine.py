@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
+from tests.gc_census import cyclic_garbage
 
 
 def test_timeout_advances_clock():
@@ -307,3 +308,98 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(25)
     assert sim.peek() == 25
+
+
+# ------------------------------------------- finished processes are acyclic
+def _returns(sim):
+    yield 1.0
+    yield sim.timeout(1.0)
+    return 7
+
+
+def _raises(sim, bare):
+    yield 1.0 if bare else sim.timeout(1.0)
+    raise ValueError("boom")
+
+
+def _sleeps():
+    yield 100.0
+
+
+def _interrupts_after(delay, target):
+    yield delay
+    target.interrupt()
+
+
+def _catches(spawn):
+    # The child is yielded straight from ``spawn()``: a local naming it
+    # would make this frame, held by the caught exception's traceback,
+    # a cycle of the test's own making.
+    try:
+        yield spawn()
+    except (ValueError, Interrupt):
+        pass
+
+
+def _interrupted(sim, generator):
+    child = sim.process(generator)
+    sim.process(_interrupts_after(5.0, child))
+    return child
+
+
+def _interrupted_unstarted(sim):
+    p = sim.process(_returns(sim))
+    p.interrupt()
+    return p
+
+
+def _sleeps_through_interrupt():
+    try:
+        yield 100.0
+    except Interrupt:
+        pass
+    yield 1.0
+
+
+def _returns_on_interrupt():
+    try:
+        yield 100.0
+    except Interrupt:
+        return
+
+
+#: Every way a process ends.  Each builder returns the process whose end
+#: ``run(until=...)`` waits for.
+_TERMINATIONS = {
+    "return": lambda sim: sim.process(_returns(sim)),
+    "raise_after_bare_delay_caught_by_waiter": lambda sim: sim.process(
+        _catches(lambda: sim.process(_raises(sim, bare=True)))),
+    "raise_after_event_caught_by_waiter": lambda sim: sim.process(
+        _catches(lambda: sim.process(_raises(sim, bare=False)))),
+    "interrupt_thrown_out_to_waiter": lambda sim: sim.process(
+        _catches(lambda: _interrupted(sim, _sleeps()))),
+    "interrupt_before_start": _interrupted_unstarted,
+    "interrupt_during_bare_delay_then_finish": lambda sim: _interrupted(
+        sim, _sleeps_through_interrupt()),
+    "interrupt_caught_then_return": lambda sim: _interrupted(
+        sim, _returns_on_interrupt()),
+}
+
+
+@pytest.mark.parametrize("until", [False, True], ids=["drain", "until"])
+@pytest.mark.parametrize("path", sorted(_TERMINATIONS))
+def test_finished_process_is_freed_by_refcount(path, until):
+    """``run()`` pauses the cyclic collector, so a process must drop its
+    self-references (``_bound_resume``, its ``_Sleep`` marker, the engine
+    frame in a failure's traceback) when it ends; otherwise every
+    finished process lives until ``run()`` returns.  Both copies of the
+    fused dispatch loop are exercised (drain and run-until modes)."""
+    def scenario():
+        sim = Simulator()
+        last = _TERMINATIONS[path](sim)
+        sim.run(until=last if until else None)
+        assert not last.is_alive
+        return sim
+
+    garbage = cyclic_garbage(scenario)
+    assert garbage["Process"] == 0 and garbage["_Sleep"] == 0, garbage
