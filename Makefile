@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update e2e
+	perf perf-gate perf-quick perf-update e2e express-ab
 
 install:
 	pip install -e .
@@ -34,10 +34,17 @@ docs-check:
 # gate the simulator fast path (engine microbench + fig5 + ext8 txn +
 # ext9 fabric incast + ext10 open-loop serving + the worker-pool campaign
 # scenario) against the committed perf baseline, run the invariant-check
-# suite, hold the end-to-end workloads to their seed-0 output pins, and
-# keep the docs honest (dead links, benchmark catalog).
-smoke: perf-quick check e2e docs-check
+# suite, hold the end-to-end workloads to their seed-0 output pins, check
+# the express lane against the stepped lane, and keep the docs honest
+# (dead links, benchmark catalog).
+smoke: perf-quick check e2e express-ab docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
+
+# Express-lane A/B (~4 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
+# reconnects) and fig5 must render byte-identical tables with the lane on
+# and off (tools/express_ab.py; no arguments runs the full catalog).
+express-ab:
+	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5
 
 # End-to-end benchmark self-tests (benchmarks/e2e, ~20 s): the four
 # workloads at scale 0.02 must reproduce their seed-0 digests in

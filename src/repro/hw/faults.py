@@ -8,7 +8,8 @@ the tail behaviour of the applications (shuffle stragglers, lock
 fairness under asymmetry) can be studied and tested.
 
 Beyond performance faults, the injector models *loss* faults, which the
-RC transport layer (:mod:`repro.verbs.qp`) turns into retransmissions,
+RC transport (both lanes: :mod:`repro.verbs.qp` and
+:mod:`repro.verbs.express`) turns into retransmissions,
 ``RETRY_EXC_ERR`` completions, and QP error flushes:
 
 * :meth:`FaultInjector.drop_port` — i.i.d. packet loss at a probability;
@@ -55,13 +56,6 @@ class FaultInjector:
                  rng: Optional[np.random.Generator] = None):
         self.sim = sim
         self.rng = rng
-        # Constructing an injector declares intent to perturb: retire the
-        # express lane for this run.  An express timeline sizes its holds
-        # when it books them, so a fault armed later (a mid-run slowdown
-        # or loss window) could never reach it, while the stepped
-        # reference pays the fault from the instant it is armed.
-        if sim.express is not None:
-            sim.express.poison("fault-injector")
         #: id(target) -> (target, set of active fault kinds).  Targets are
         #: RnicPorts (kinds "slow" / "jitter" / "drop" / "blackhole" /
         #: "down") or fabric Links (kinds "link_drop" / "link_degrade" /

@@ -6,9 +6,10 @@ sleep per contended unit (WQE DMA, payload fetch, tx unit, responder
 rx/atomic, response and delivery DMAs), constant sleeps (forward wire,
 read turnaround, response wire, CQE DMA), two process-completion events
 and an ``all_of`` barrier for the cut-through pairs, and the final
-``done`` event.  On the *sunny* path — QP in RTS, plain single-switch
-routes, no faults, no DCQCN, no tracer/sanitizer — every hold duration
-is pure arithmetic, known the moment the unit is granted.
+``done`` event.  On plain single-switch routes without DCQCN, tracer or
+sanitizer, every hold duration is pure arithmetic, known the moment the
+unit is booked — port faults included, because the stepped path sizes
+its holds at the same instant.
 
 This module replays that timeline with one fused wake-up
 (:meth:`Simulator.call_at`) per *hold* and per *constant sleep*, roughly
@@ -59,20 +60,29 @@ wake handlers at the same instants — and therefore the same LRU order —
 as the stepped path; unit counters are incremented at hold ends, not
 batched, so mid-run observers see identical state.
 
+Port faults (:mod:`repro.hw.faults`) are sampled at the dispatches where
+the stepped path samples them, so a fault armed at any instant reaches
+express and stepped ops alike:
+
+* slowdown and jitter scale the requester tx, responder rx, atomic and
+  READ response holds when they are booked (``RnicPort._perturb``);
+* after the tx hold (and the cut-through join) each attempt samples
+  loss on both ports; a lost attempt books its transport timer
+  (``P_RETX``), which retransmits, fails the WR with ``RETRY_EXC_ERR``
+  (moving the QP to ERR) or flushes it when the QP died meanwhile.  A
+  failed WR skips the responder but pays the CQE DMA and in-order
+  parking like any other.
+
 Fallback rules (the lane is chosen per post, never mid-flight):
 
-* ineligible post (SEND opcode, traced QP, installed sanitizer, perturbed
-  or lossy port, queued route, unseen in-order predecessor) -> stepped
-  generator, unchanged schedules;
-* stepped WRs in flight on either port -> stepped, a conservative
-  fence.  Stepped WRs posted while express ops are in flight queue
-  behind the express bookings on the same Resources;
-* constructing a ``FaultInjector`` is the one *poison*: it retires the
-  lane for the whole run.  A timeline's holds are sized when they are
-  booked, so a fault armed later (a mid-run ``slow_port``, a loss
-  window) would never reach them, while the stepped reference pays it.
-  Express ops already in flight at poison time drain on their booked
-  timelines, so a fault armed before they finish misses them too.
+* ineligible post (SEND opcode, traced QP, installed sanitizer, queued
+  route, unseen in-order predecessor) -> stepped generator, unchanged
+  schedules;
+* stepped WRs in flight on either port -> stepped, a fence: without it
+  a stepped and an express WRITE reaching a shared responder port in
+  the same instant can swap FIFO order there.  Stepped WRs posted while
+  express ops are in flight queue behind the express bookings on the
+  same Resources.
 
 See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
 and the digest-gate implications.
@@ -100,6 +110,7 @@ __all__ = ["ExpressState", "ExpressOp"]
 (P_WQE,      # WQE DMA end: requester evals, exec bookings
  P_EXEC,     # tx-unit hold end (wcb2: payload-fetch DMA end)
  P_EXEC_R,   # cut-through join resume (mirrors the all_of wake)
+ P_RETX,     # transport timer of a lost attempt: retransmit or fail
  P_Y,        # forward wire: request arrives at the responder
  P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end)
  P_SVC_R,    # WRITE service join resume
@@ -113,7 +124,7 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_T,        # CQE DMA end: completion instant
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
- P_DONE) = range(17)
+ P_DONE) = range(18)
 
 
 class ExpressOp:
@@ -130,8 +141,12 @@ class ExpressOp:
         "mates",
         # cut-through join countdown (payload∥tx, rx∥drain)
         "pending",
-        # stashed hold durations (service hold, drain DMA)
+        # stashed hold durations (unperturbed tx hold while transmitting,
+        # then service hold and drain DMA)
         "h1", "h2",
+        # RC transport: consecutive lost attempts, retransmissions done,
+        # and the CompletionStatus the op will report
+        "losses", "retries", "status",
         # held word lock (WRITE-to-hot-word / atomics), else None
         "wl",
         "value",
@@ -161,6 +176,9 @@ class ExpressOp:
         self.pending = 0
         self.h1 = 0.0
         self.h2 = 0.0
+        self.losses = 0
+        self.retries = 0
+        self.status = CompletionStatus.SUCCESS
         self.wl = None
         self.value = None
         self.wcb = partial(state._on_wake, self)
@@ -168,15 +186,11 @@ class ExpressOp:
 
 
 class ExpressState:
-    """Per-simulator express-lane state: the kill switch and the wake
-    handlers that advance each op's timeline."""
+    """Per-simulator express-lane state: the wake handlers that advance
+    each op's timeline."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        #: False once poisoned; checked (with the per-post predicate) on
-        #: every post.  Poisoning never touches in-flight express ops.
-        self.on = True
-        self.poisoned: Optional[str] = None
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -201,12 +215,6 @@ class ExpressState:
         state = cls(sim)
         sim.express = state
         return state
-
-    def poison(self, reason: str) -> None:
-        """Permanently disable the lane for this run (new posts step)."""
-        if self.on:
-            self.on = False
-            self.poisoned = reason
 
     # ------------------------------------------------------------- posting
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
@@ -283,6 +291,8 @@ class ExpressState:
                 self._write_granted(op)
             else:
                 self._atomic_granted(op)
+        elif phase == P_RETX:
+            self._retrans_end(op)
 
     def _on_wake2(self, op: ExpressOp, _ev) -> None:
         """Secondary wake: the concurrent half of a cut-through pair."""
@@ -331,19 +341,34 @@ class ExpressState:
         translate = lrnic.translate
         for sge in wr.sgl:
             extra += translate(sge.mr.page_keys(sge.offset, sge.length))
-        exec_ns = qp._exec_ns[op.opcode]
+        op.h1 = lp.tx_occupancy_ns(qp._exec_ns[op.opcode], op.wire_payload,
+                                   wr.n_sge, extra)
+        self._attempt(op)
+
+    def _attempt(self, op: ExpressOp) -> None:
+        """One transmission attempt, mirroring the stepped retry-loop top:
+        a WR whose QP left RTS flushes before it touches hardware;
+        otherwise book the payload (re-)fetch and the tx hold, sized now
+        as stepped sizes it (a port fault armed later misses it on both
+        lanes)."""
+        qp = op.qp
+        if qp.state is not QPState.RTS:
+            op.status = CompletionStatus.WR_FLUSH_ERR
+            self._cqe(op)
+            return
+        lp = qp.local_port
         op.phase = P_EXEC
         if op.outbound and not op.inline:
             # Cut-through payload fetch rides the PCIe bus concurrently
             # with the tx hold; stepped spawns the fetch first.
             op.pending = 2
-            op.wcb2 = partial(self._on_wake2, op)
+            if op.wcb2 is None:
+                op.wcb2 = partial(self._on_wake2, op)
+            wr = op.wr
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
             lp.pcie._bus.book(
                 lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge), op.wcb2)
-        lp.tx_unit.book(
-            lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge, extra),
-            op.wcb)
+        lp.tx_unit.book(lp._perturb(op.h1), op.wcb)
 
     def _tx_end(self, op: ExpressOp) -> None:
         lp = op.qp.local_port
@@ -363,10 +388,41 @@ class ExpressState:
             sim.call_at(sim.now, op.wcb)
 
     def _exec_done(self, op: ExpressOp) -> None:
-        """Exec stage complete: the request takes the forward wire."""
-        op.phase = P_Y
+        """Exec stage complete: sample loss where stepped does; a
+        delivered request takes the forward wire, a lost one waits out
+        the transport timer."""
+        qp = op.qp
+        lp = qp.local_port
+        rp = qp.remote_port
         sim = self.sim
-        sim.call_at(sim.now + op.qp._fwd_ns, op.wcb)
+        # Clean ports skip sampling; otherwise the short-circuit order
+        # matters, as each packet_lost() call may draw the rng.
+        if not (lp.link_up and rp.link_up
+                and lp.loss_prob == 0.0 and rp.loss_prob == 0.0) and (
+                    lp.packet_lost() or rp.packet_lost()):
+            op.losses += 1
+            op.phase = P_RETX
+            sim.call_at(sim.now + qp._retrans_wait_ns(op.losses), op.wcb)
+            return
+        op.phase = P_Y
+        sim.call_at(sim.now + qp._fwd_ns, op.wcb)
+
+    def _retrans_end(self, op: ExpressOp) -> None:
+        """Transport timer fired: flush if the QP died meanwhile, fail at
+        the retry budget, else retransmit."""
+        qp = op.qp
+        if qp.state is not QPState.RTS:
+            op.status = CompletionStatus.WR_FLUSH_ERR
+        elif op.losses > qp._params.retry_cnt:
+            op.status = CompletionStatus.RETRY_EXC_ERR
+            qp._enter_error()
+        else:
+            op.retries += 1
+            qp.retransmissions += 1
+            self._attempt(op)
+            return
+        # A failed WR skips the responder but still pays the CQE DMA.
+        self._cqe(op)
 
     # -- responder side ----------------------------------------------------
     def _arrive(self, op: ExpressOp) -> None:
@@ -384,7 +440,7 @@ class ExpressState:
             r_extra += rrnic.translate(
                 rmr.page_keys(wr.remote_offset, total_len))
             op.phase = P_RX
-            rp.rx_unit.book(p.responder_ns + r_extra, op.wcb)
+            rp.rx_unit.book(rp._perturb(p.responder_ns + r_extra), op.wcb)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -436,13 +492,14 @@ class ExpressState:
         op.pending = 2
         if op.wcb2 is None:
             op.wcb2 = partial(self._on_wake2, op)
-        rp.rx_unit.book(op.h1, op.wcb)
+        rp.rx_unit.book(rp._perturb(op.h1), op.wcb)
         rp.pcie._bus.book(op.h2, op.wcb2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         op.phase = P_SVC
-        op.qp.remote_port.atomic_unit.book(op.h1, op.wcb)
+        rp = op.qp.remote_port
+        rp.atomic_unit.book(rp._perturb(op.h1), op.wcb)
 
     def _write_rx_end(self, op: ExpressOp) -> None:
         rp = op.qp.remote_port
@@ -512,8 +569,8 @@ class ExpressState:
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
         op.phase = P_RTX
-        rp.tx_unit.book(
-            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len), op.wcb)
+        rp.tx_unit.book(rp._perturb(
+            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)), op.wcb)
 
     def _read_tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -588,23 +645,25 @@ class ExpressState:
         qp.completed += 1
         QueuePair.total_completions += 1
         opcode = op.opcode
-        if qp.state is QPState.ERR:
+        status = op.status
+        if status is CompletionStatus.SUCCESS and qp.state is QPState.ERR:
             # The QP died while this (already executed) WR awaited
             # in-order delivery: RC reports it flushed — its data may
             # have landed, the same ambiguity the stepped path carries.
-            qp.flushed_wrs += 1
             status = CompletionStatus.WR_FLUSH_ERR
-            value = None
-            byte_len = 0
-        else:
-            status = CompletionStatus.SUCCESS
+        if status is CompletionStatus.SUCCESS:
             value = op.value
             byte_len = 8 if opcode.is_atomic else op.total_len
+        else:
+            if status is CompletionStatus.WR_FLUSH_ERR:
+                qp.flushed_wrs += 1
+            value = None
+            byte_len = 0
         sim = self.sim
         completion = Completion(
             wr_id=wr.wr_id, opcode=opcode, status=status,
             timestamp_ns=sim.now, value=value, byte_len=byte_len,
-            retries=0)
+            retries=op.retries)
         check = sim.check  # fresh read: a sanitizer may attach mid-run
         if check is not None:
             check.on_completed(qp, wr, completion)

@@ -265,8 +265,9 @@ class QueuePair:
 
         Everything here guards a stepped-path behavior the closed-form
         timeline cannot reproduce: stepped WRs sharing this op's units,
-        queued routes, tracing/dispatch hooks, perturbed or lossy ports,
-        DCQCN pacing, or an in-order predecessor the lane cannot see.
+        queued routes, tracing/dispatch hooks, DCQCN pacing, or an
+        in-order predecessor the lane cannot see.  Port faults (loss,
+        slowdown, jitter) are modelled on the lane itself.
         The callers add the per-WR half: SEND (channel semantics ride
         the recv Store) always steps, as does every post while a
         sanitizer is installed.
@@ -276,11 +277,7 @@ class QueuePair:
         if (lp._stepped or rp._stepped or self._queued
                 or self.tracer is not None
                 or self.sim.trace_dispatch is not None
-                or lp.dcqcn is not None
-                or lp.slowdown != 1.0 or rp.slowdown != 1.0
-                or lp.jitter_rng is not None or rp.jitter_rng is not None
-                or not lp.link_up or not rp.link_up
-                or lp.loss_prob != 0.0 or rp.loss_prob != 0.0):
+                or lp.dcqcn is not None):
             return False
         if prev is not None and not prev._triggered:
             last = self._last_express_op
@@ -302,7 +299,7 @@ class QueuePair:
         if check is not None:
             check.on_posted(self, wr)
         exp = self.sim.express
-        if (exp is not None and exp.on and check is None
+        if (exp is not None and check is None
                 and wr.opcode is not Opcode.SEND and self._express_ok(prev)):
             self._last_express_op = exp.post(self, wr, done, prev)
             return done
@@ -333,7 +330,7 @@ class QueuePair:
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
         exp = sim.express
-        if (exp is not None and exp.on and check is None
+        if (exp is not None and check is None
                 and all(wr.opcode is not Opcode.SEND for wr in wrs)
                 and self._express_ok(prev)):
             self._last_express_op = exp.post_batch(self, wrs, events, prev)
