@@ -46,4 +46,7 @@ class RegionAllocator:
         """Return a buffer's accounting (bump allocator: space not reused)."""
         if buffer.machine_id != self.machine_id:
             raise ValueError("buffer belongs to a different machine")
+        if buffer.freed:
+            raise ValueError("buffer already freed")
+        buffer.freed = True
         self._used[buffer.socket] -= buffer.size

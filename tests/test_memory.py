@@ -1,5 +1,9 @@
 """Unit tests for buffers, the allocator, and page math."""
 
+import os
+import random
+
+import numpy as np
 import pytest
 
 from repro.hw import HardwareParams
@@ -62,6 +66,54 @@ def test_buffer_bounds_checked():
         buf.read(-1, 4)
 
 
+def test_buffer_write_sizes_arrays_in_bytes():
+    buf = RdmaBuffer(64, 0, 0)
+    buf.write(0, np.array([1, 2], dtype=np.uint64))
+    assert (buf.read_u64(0), buf.read_u64(8)) == (1, 2)
+    with pytest.raises(IndexError):
+        buf.write(56, np.array([1, 2], dtype=np.uint64))  # 16 bytes at 56
+
+
+def _smaps_kb(lo: int, hi: int) -> dict[str, int]:
+    """``Rss`` and ``AnonHugePages`` (kB) of the mappings in [lo, hi)."""
+    totals = {"Rss:": 0, "AnonHugePages:": 0}
+    inside = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            field = line.split(maxsplit=2)
+            if not field[0].endswith(":"):  # a mapping's address-range header
+                start, end = (int(a, 16) for a in field[0].split("-"))
+                inside = start < hi and end > lo
+            elif inside and field[0] in totals:
+                totals[field[0]] += int(field[1])
+    return totals
+
+
+def _thp_never() -> bool:
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            return "[never]" in f.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps") or _thp_never(),
+                    reason="needs /proc/self/smaps and transparent huge pages")
+def test_buffer_commits_only_written_pages():
+    size, writes = 64 << 20, 512
+    buf = RdmaBuffer(size, 0, 0)
+    lo = buf.data.ctypes.data
+    # The kernel may merge the mapping with a live neighbour that has the
+    # same flags (another buffer), so count what the writes add.
+    before = _smaps_kb(lo, lo + size)
+    rng = random.Random(0)
+    for _ in range(writes):
+        buf.write_u64(rng.randrange(size // 8) * 8, 1)
+    kb = _smaps_kb(lo, lo + size)
+    assert kb["AnonHugePages:"] == 0
+    assert kb["Rss:"] - before["Rss:"] <= writes * 4 + 64
+
+
 def test_buffer_u64_roundtrip():
     buf = RdmaBuffer(64, 0, 0)
     buf.write_u64(8, 0xDEADBEEF12345678)
@@ -110,6 +162,19 @@ def test_allocator_free_returns_accounting():
     buf = alloc.allocate(4096, 1)
     alloc.free(buf)
     assert alloc.used(1) == 0
+
+
+def test_allocator_rejects_double_free():
+    params = HardwareParams().derive(dram_per_socket=4096)
+    alloc = RegionAllocator(params, 0)
+    buf = alloc.allocate(4096, 0)
+    alloc.free(buf)
+    with pytest.raises(ValueError):
+        alloc.free(buf)
+    assert alloc.used(0) == 0
+    alloc.allocate(4096, 0)
+    with pytest.raises(MemoryError):
+        alloc.allocate(4096, 0)
 
 
 def test_allocator_rejects_foreign_buffer():
