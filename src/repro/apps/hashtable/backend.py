@@ -49,11 +49,6 @@ class HashTableBackend:
         return self.lock_mrs[s], self.layout.lock_offset(block)
 
     # -- test/verification helpers (backend-local inspection) -------------------
-    def peek_cold(self, key: int) -> bytes:
-        mr, off = self.cold_location(key)
-        from repro.apps.hashtable.layout import ENTRY_BYTES
-        return mr.read(off, ENTRY_BYTES)
-
     def peek_hot(self, key: int) -> bytes:
         from repro.apps.hashtable.layout import ENTRY_BYTES
         block = self.layout.hot_block(key)

@@ -32,6 +32,7 @@ Workflow::
     make perf            # run all scenarios, gate against BENCH_perf.json
     make perf-quick      # the smoke subset (includes sweep_parallel)
     make perf-update     # refresh the committed baseline on this machine
+    python -m repro.bench.perf census fig5 ext7  # events/op by layer
 
 The gate fails when a scenario's events/sec drops more than
 ``DEFAULT_TOLERANCE`` (20%) below the committed baseline, when any
@@ -41,6 +42,10 @@ parallel campaigns must actually pay, not merely merge
 deterministically.  Wall-clock numbers are machine-dependent — refresh
 the baseline (``make perf-update``) when moving to different hardware;
 the digests must survive the move unchanged.
+
+The census (:mod:`repro.bench.perf.census`) splits a scenario's events
+per op by the layer of the code that scheduled them; it is
+informational, not gated.
 """
 
 from repro.bench.perf.harness import (

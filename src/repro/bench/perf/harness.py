@@ -402,7 +402,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run scenarios and print the table "
                                        "without gating")
     p_run.add_argument("--quick", action="store_true")
+    p_census = sub.add_parser(
+        "census", help="print events per completed op by the layer that "
+                       "scheduled them (informational, not gated)")
+    p_census.add_argument("scenarios", nargs="+", choices=list(SCENARIOS),
+                          metavar="scenario")
     args = parser.parse_args(argv)
+
+    if args.cmd == "census":
+        from repro.bench.perf import census
+        return census.main(args.scenarios)
 
     if args.cmd == "update":
         data = run_scenarios()

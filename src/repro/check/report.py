@@ -81,9 +81,6 @@ class CheckReport:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def by_checker(self, name: str) -> list[Violation]:
-        return [v for v in self.violations if v.checker == name]
-
     def raise_if_violations(self) -> None:
         if not self.ok:
             raise CheckViolationError(self)

@@ -144,11 +144,6 @@ class DramModel:
         )
 
     @staticmethod
-    def _check_size(nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative size: {nbytes}")
-
-    @staticmethod
     def _check_sizes(sizes: list[int]) -> None:
         if not sizes:
             raise ValueError("empty size list")

@@ -38,7 +38,7 @@ sequence of the single-switch model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterator
+from typing import TYPE_CHECKING, Generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..params import HardwareParams
@@ -294,9 +294,6 @@ class Fabric:
     # -- introspection ----------------------------------------------------
     def all_links(self) -> list[Link]:
         return []
-
-    def iter_links(self) -> Iterator[Link]:
-        return iter(self.all_links())
 
     def describe(self) -> str:
         return f"{self.kind} fabric"

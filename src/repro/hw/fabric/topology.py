@@ -221,9 +221,6 @@ class ClosFabric(Fabric):
     def _edge_of(self, machine: int) -> int:
         return machine // self.hosts_per_edge
 
-    def _pod_of(self, machine: int) -> int:
-        return self._edge_of(machine) // self.edges_per_pod
-
     def _select(self, src: int, dst: int, flow: int) -> tuple:
         se, de = self._edge_of(src), self._edge_of(dst)
         if se == de:

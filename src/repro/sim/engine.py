@@ -662,11 +662,25 @@ class Simulator:
         heappush(self._heap, (when, NORMAL, seq, ev))
         return ev
 
+    def _fire_now(self, event: Event, value: Any) -> None:
+        """``event.succeed(value)`` dispatched in place, without the heap.
+
+        Only for a caller that has proven the push would be the very next
+        dispatch: it runs as the sole callback of the event being
+        dispatched, this is its last scheduling act, and no heap entry
+        lies at or before ``now``.  The skipped push and pop then leave
+        every other entry in its relative ``(time, priority, seq)``
+        order, so schedules are unchanged; one dispatch fewer is counted.
+        """
+        if event._triggered or event._cancelled:
+            raise SimulationError(f"{event!r} already triggered")
+        event._triggered = True
+        event._ok = True
+        event._value = value
+        event._run_callbacks()
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

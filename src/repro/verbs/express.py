@@ -35,9 +35,12 @@ tables.  So the lane mirrors the grant structure literally:
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
-  DMA) join with one extra same-instant wake mirroring the stepped
-  ``all_of`` resume; single holds continue inline in their end-wake,
-  like a ``yield from`` subgenerator resuming its caller.
+  DMA) join where their second half ends.  The stepped ``all_of``
+  resumes one same-instant dispatch later; the lane pushes that wake
+  only when another entry already sits at the instant, and otherwise
+  resumes in place ("Tail wakes" below).  Single holds continue inline
+  in their end-wake, like a ``yield from`` subgenerator resuming its
+  caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) each get their own wake allocated at the same instant the
   stepped path allocates the corresponding sleep.
@@ -54,6 +57,25 @@ tables.  So the lane mirrors the grant structure literally:
 Because no booking ever lands at a *future* arrival, the timeline never
 shifts once scheduled: there is no displacement, no repair pass, and
 every scheduled wake is final.
+
+Tail wakes.  Two handlers end by pushing a wake at ``sim.now``: a
+cut-through join resuming its op, and the CQE-DMA-end wake (``P_T``)
+firing the op's ``done``.  Each runs as the only callback of the event
+being dispatched, and that push is its last scheduling act.  The heap
+orders by ``(time, priority, seq)`` and the push takes the largest
+``seq`` yet, so when no entry lies at or before ``now``
+(:func:`_next_dispatch`) the engine must pop it next.  Running it in
+place then moves nothing: every remaining entry keeps its relative
+order, and whatever the resumed code schedules still follows whatever
+the current dispatch scheduled.  Outcomes are identical by
+construction, not by tie luck; only the dispatch count falls.  The
+completion tests idleness *before* ``cq.push`` and also needs no
+``cq.wait()`` getter pending, whose grant would dispatch ahead of
+``done``; the push's own put-ack is a no-op event, so ``done`` may run
+before it.  Everything else keeps its wake: a parked completion (one
+callback among others on its predecessor's ``done``), completions
+reached mid-handler (batch-mate flushes, unsignaled ops), and any wake
+whose instant is already taken.
 
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
@@ -125,6 +147,15 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
  P_DONE) = range(18)
+
+
+def _next_dispatch(sim: "Simulator") -> bool:
+    """True when a wake pushed at ``sim.now`` would pop next: no heap
+    entry lies at or before this instant.  A handler that is its event's
+    only callback, and for which that push is its last scheduling act,
+    may then run the wake in place (module docstring, "Tail wakes")."""
+    heap = sim._heap
+    return not heap or heap[0][0] > sim.now
 
 
 class ExpressOp:
@@ -281,7 +312,7 @@ class ExpressState:
         elif phase == P_TAIL:
             self._tail_end(op)
         elif phase == P_T:
-            self._try_finish(op)
+            self._try_finish(op, True)
         elif phase == P_PARK:
             self._complete(op)
         elif phase == P_LOCK:
@@ -382,9 +413,12 @@ class ExpressState:
     def _exec_join(self, op: ExpressOp) -> None:
         op.pending -= 1
         if op.pending == 0:
+            sim = self.sim
+            if _next_dispatch(sim):
+                self._exec_done(op)
+                return
             # Same-instant resume wake, mirroring the stepped all_of.
             op.phase = P_EXEC_R
-            sim = self.sim
             sim.call_at(sim.now, op.wcb)
 
     def _exec_done(self, op: ExpressOp) -> None:
@@ -510,8 +544,11 @@ class ExpressState:
     def _svc_join(self, op: ExpressOp) -> None:
         op.pending -= 1
         if op.pending == 0:
-            op.phase = P_SVC_R
             sim = self.sim
+            if _next_dispatch(sim):
+                self._svc_resume(op)
+                return
+            op.phase = P_SVC_R
             sim.call_at(sim.now, op.wcb)
 
     def _svc_resume(self, op: ExpressOp) -> None:
@@ -613,24 +650,31 @@ class ExpressState:
         else:
             self._try_finish(op)
 
-    def _try_finish(self, op: ExpressOp) -> None:
+    def _try_finish(self, op: ExpressOp, tail: bool = False) -> None:
         """RC in-order completion: never overtake an earlier WR.
 
         The stepped path parks with ``yield prev`` — a callback on the
         predecessor's done event, resuming at that event's dispatch
         after application waiters that subscribed earlier.  Attaching
         ``wcb`` to the same event reproduces that dispatch, order, and
-        completion timestamp exactly.
+        completion timestamp exactly.  ``tail`` marks the CQE-DMA-end
+        wake (``P_T``), the one caller whose ``done`` may fire in place.
         """
         prev = op.prev
         if prev is not None and not prev._processed:
             op.phase = P_PARK
             prev.add_callback(op.wcb)
             return
-        self._complete(op)
+        self._complete(op, tail)
 
-    def _complete(self, op: ExpressOp) -> None:
-        """Completion instant: deliver the Completion, unlink the chain."""
+    def _complete(self, op: ExpressOp, tail: bool = False) -> None:
+        """Completion instant: deliver the Completion, unlink the chain.
+
+        From the ``P_T`` wake (``tail``), ``done`` fires in place when its
+        dispatch is provably next: the instant is idle before ``cq.push``
+        and no ``cq.wait()`` getter is pending, whose grant would run
+        first.  The push's put-ack is a no-op event, so ``done`` may run
+        ahead of it."""
         op.phase = P_DONE
         op.prev = None
         # The wake partials point back at ``op``; no wake is pending at
@@ -668,5 +712,10 @@ class ExpressState:
         if check is not None:
             check.on_completed(qp, wr, completion)
         if op.signaled:
-            qp.cq.push(completion)
+            cq = qp.cq
+            in_place = tail and not cq._store._getters and _next_dispatch(sim)
+            cq.push(completion)
+            if in_place:
+                sim._fire_now(op.done, completion)
+                return
         op.done.succeed(completion)

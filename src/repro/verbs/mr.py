@@ -52,10 +52,6 @@ class MemoryRegion:
     def socket(self) -> int:
         return self.buffer.socket
 
-    @property
-    def n_pages(self) -> int:
-        return -(-self.size // self.page_size)
-
     # -- slicing ------------------------------------------------------------
     def slice(self, offset: int, length: int) -> "MrSlice":
         """A lightweight ``(mr, offset, length)`` view (bounds-checked)."""

@@ -61,9 +61,6 @@ class QPState(enum.Enum):
 _qp_ids = itertools.count(1)
 
 
-def _noop_stamp(_stage: str) -> None:
-    """Stage-stamp used when no tracer is attached: zero per-op closures."""
-
 #: Size of one work-queue entry in host memory (ConnectX-3 uses 64 B
 #: squashed WQEs for short SGLs; each extra SGE adds a 16 B segment).
 WQE_BYTES = 64

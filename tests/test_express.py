@@ -12,6 +12,7 @@ all-stepped reference: both lanes queue on the same hardware Resources.
 
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -127,17 +128,62 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
     return outcome, sim.events_processed, sim.express
 
 
+@contextlib.contextmanager
+def _counted_branches():
+    """Yield a Counter of how each tail wake ran: ``(site, branch)`` with
+    site ``join`` (a cut-through join reaching zero) or ``completion``
+    (a CQE-DMA-end wake completing its op), and branch ``inline`` (run in
+    place) or ``wake`` (the same-instant wake was pushed)."""
+    from repro.verbs import express
+    from repro.verbs.express import ExpressState
+
+    seen = Counter()
+    resume = {"_exec_join": express.P_EXEC_R, "_svc_join": express.P_SVC_R}
+    orig_complete = ExpressState._complete
+
+    def join(name):
+        orig = getattr(ExpressState, name)
+
+        def recording(self, op):
+            orig(self, op)
+            if op.pending == 0:
+                seen["join", "wake" if op.phase == resume[name]
+                     else "inline"] += 1
+        return recording
+
+    def complete(self, op, *args):
+        tail = op.phase == express.P_T
+        orig_complete(self, op, *args)
+        if tail:
+            seen["completion", "inline" if op.done.processed
+                 else "wake"] += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in resume:
+            mp.setattr(ExpressState, name, join(name))
+        mp.setattr(ExpressState, "_complete", complete)
+        yield seen
+
+
+#: Every (site, branch) pair of ``_counted_branches``, and the in-place
+#: half that every random mix takes.
+BRANCHES = {(site, branch) for site in ("join", "completion")
+            for branch in ("inline", "wake")}
+INLINE = {b for b in BRANCHES if b[1] == "inline"}
+
+
 # ------------------------------------------------------ the property test
 @pytest.mark.parametrize("seed", range(6))
 def test_express_equals_stepped_random_mix(seed):
     stepped, ev_stepped, exp = _run_mix(seed, express=False)
     assert exp is None  # REPRO_EXPRESS=0 never attaches the lane
-    with _counted_posts() as posts:
+    with _counted_posts() as posts, _counted_branches() as branches:
         express, ev_express, exp = _run_mix(seed, express=True)
     assert exp is not None
     assert len(posts) == express["posts"]  # every post rode the lane
     assert express == stepped
     assert ev_express < ev_stepped  # fewer events is the lane's point
+    assert INLINE <= branches.keys(), branches
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -145,11 +191,67 @@ def test_express_equals_stepped_batched_mix(seed):
     """Doorbell-batched posts ride the lane too (shared WQE fetch, mates
     chained off the lead) and must stay bit-identical."""
     stepped, ev_stepped, _ = _run_mix(seed, express=False, batch=4)
-    with _counted_posts() as posts:
+    with _counted_posts() as posts, _counted_branches() as branches:
         express, ev_express, exp = _run_mix(seed, express=True, batch=4)
     assert len(posts) == express["posts"]
     assert express == stepped
     assert ev_express < ev_stepped
+    assert INLINE <= branches.keys(), branches
+
+
+def test_random_mixes_take_every_tail_branch():
+    """Across the random mixes above, each tail-wake site runs both in
+    place and through its wake.  A fallback needs another entry at the
+    instant, which a one-client mix hits a few times per run at most, so
+    coverage is asserted over all their seeds; every run must still
+    equal its stepped twin."""
+    seen = Counter()
+    for seed, batch in [(s, 0) for s in range(6)] + [(s, 4) for s in range(3)]:
+        stepped, _, _ = _run_mix(seed, express=False, batch=batch)
+        with _counted_branches() as branches:
+            express, _, _ = _run_mix(seed, express=True, batch=batch)
+        assert express == stepped, (seed, batch)
+        seen.update(branches)
+    assert set(seen) == BRANCHES, seen
+
+
+def test_idle_rig_runs_tail_wakes_in_place():
+    """On an idle rig every tail wake is provably the next dispatch, so it
+    runs in place.  One cut-through 4 KB WRITE (payload∥tx and rx∥drain
+    joins) and one 64 B READ dispatch 30 events when each join and each
+    completion takes its own same-instant wake; in place, those four
+    wakes are gone, and the completion log and memories still equal the
+    stepped lane's."""
+    def run(express: bool):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_EXPRESS", "1" if express else "0")
+            sim, cluster, ctx = build(machines=2)
+        lmr = ctx.register(0, 8192)
+        rmr = ctx.register(1, 8192)
+        lmr.write(0, bytes(range(256)) * 32)
+        rmr.write(4096, bytes(range(255, -1, -1)) * 16)
+        qp = ctx.create_qp(0, 1)
+        w = Worker(ctx, 0)
+        log = []
+
+        def client():
+            log.append(_row((yield from w.write(
+                qp, src=lmr[0:4096], dst=rmr[0:4096], wr_id=1))))
+            log.append(_row((yield from w.read(
+                qp, src=rmr[4096:4160], dst=lmr[4096:4160], wr_id=2))))
+
+        sim.run(until=sim.process(client()))
+        outcome = {"log": log, "lmem": lmr.read(0, lmr.size),
+                   "rmem": rmr.read(0, rmr.size), "now": sim.now}
+        return outcome, sim.events_processed
+
+    stepped, _ = run(express=False)
+    with _counted_branches() as branches:
+        express, events = run(express=True)
+    assert express == stepped
+    assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
+    assert branches == {("join", "inline"): 2, ("completion", "inline"): 2}
+    assert events == 30 - 4
 
 
 # ------------------------------------------------------ mid-run lane flips
@@ -468,14 +570,16 @@ def _faa(rmr):
                        add=1)
 
 
-#: Op shape -> (posts, the (opcode, phase) wake it must reach, lossy).
-#: The phase proves the shape took its intended branch of the lane.
+#: Op shape -> (posts, the (opcode, wake phase or join) it must reach,
+#: lossy).  The witness proves the shape took its intended branch of the
+#: lane.  A join is witnessed where it reaches zero: on an idle rig its
+#: resume wake runs in place and never shows as a phase.
 _SHAPES = {
     "read": (lambda lm, rm: [(0, _read(lm, rm, 64))], "READ", "P_DLV", False),
     "inline_write": (lambda lm, rm: [(0, _write(lm, rm, 64))],
-                     "WRITE", "P_SVC_R", False),
+                     "WRITE", "svc_join", False),
     "cut_through_write": (lambda lm, rm: [(0, _write(lm, rm, 4096))],
-                          "WRITE", "P_EXEC_R", False),
+                          "WRITE", "exec_join", False),
     "doorbell_batch": (lambda lm, rm: [(0, [
         _write(lm, rm, 64), _read(lm, rm, 64), _write(lm, rm, 1024),
         _faa(rm)])], "FAA", "P_SVC", False),
@@ -512,6 +616,15 @@ def test_completed_op_is_freed_by_refcount(shape):
         wakes.add((op.opcode.name, names[op.phase]))
         orig_wake(self, op, ev)
 
+    def recording_join(name):
+        orig = getattr(ExpressState, name)
+
+        def join(self, op):
+            orig(self, op)
+            if op.pending == 0:
+                wakes.add((op.opcode.name, name.lstrip("_")))
+        return join
+
     def scenario():
         sim, cluster, ctx = build(machines=2)
         if lossy:
@@ -528,6 +641,8 @@ def test_completed_op_is_freed_by_refcount(shape):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpressState, "_on_wake", recording_wake)
+        for name in ("_exec_join", "_svc_join"):
+            mp.setattr(ExpressState, name, recording_join(name))
         garbage = cyclic_garbage(scenario)
     assert (opcode, phase) in wakes, sorted(wakes)
     assert (dropped[0] > 0) == lossy

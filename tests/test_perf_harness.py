@@ -152,6 +152,26 @@ def test_cycles_per_op_is_small_and_repeats():
     assert again["metrics"] == first["metrics"]
 
 
+@pytest.mark.parametrize("name", ["fig5", "ext7"])
+def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
+    """The event census charges each dispatch to the layer that scheduled
+    it: its layers sum to the scenario's ``events``, and its run
+    reproduces the plain run's schedule digest with the express lane on
+    (``trace_dispatch`` would have turned the lane off)."""
+    import heapq
+
+    from repro.bench.perf import census
+    from repro.sim import engine
+
+    plain = harness.run_scenarios([name])["scenarios"][name]
+    row = census.census([name])[name]
+    assert sum(row["by_layer"].values()) == row["events"] == plain["events"]
+    assert row["digest"] == plain["digest"]
+    assert row["by_layer"]["verbs.express"] > 0
+    assert (engine.heappush, engine.heappop) == (heapq.heappush,
+                                                 heapq.heappop)
+
+
 def test_gate_passes_on_identical_runs():
     current = harness.run_scenarios(["engine_dispatch"])
     baseline = json.loads(json.dumps(current))
