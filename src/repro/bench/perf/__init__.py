@@ -10,7 +10,8 @@ campaign run serially and through a 4-worker pool; see
 * ``wall_s`` — host wall-clock seconds,
 * ``events`` — simulator events dispatched (``Simulator.total_events``
   delta across the scenario, summed over every short-lived simulator the
-  sweep builds),
+  sweep builds; tail wakes the engine runs in place are not dispatched
+  and not counted),
 * ``events_per_sec`` — the headline fast-path throughput number,
 * ``digest`` — a SHA-256 over the scenario's simulated *outputs* (figure
   series, final clock).  The simulator is deterministic, so the digest is
@@ -21,7 +22,8 @@ campaign run serially and through a 4-worker pool; see
   never change; the cheap paper tables (``TABLE_ROWS``, full run only)
   are gated on it, their event counts and schedule digests,
 * ``metrics`` — numbers excluded from the digest.  Every scenario that
-  completes verbs ops records ``events_per_op`` and ``cycles_per_op``
+  completes verbs ops (``repro.verbs.qp.tally``) records
+  ``events_per_op`` and ``cycles_per_op``
   (objects one collection finds in cycles at the scenario's end, per
   completed op), both gated against a rise; ``sweep_parallel`` adds
   wall-clock-derived campaign numbers: serial and 4-job points/sec,
@@ -44,8 +46,8 @@ the baseline (``make perf-update``) when moving to different hardware;
 the digests must survive the move unchanged.
 
 The census (:mod:`repro.bench.perf.census`) splits a scenario's events
-per op by the layer of the code that scheduled them; it is
-informational, not gated.
+per op, and the tail wakes run in place, by the layer of the code that
+scheduled them; it is informational, not gated.
 """
 
 from repro.bench.perf.harness import (

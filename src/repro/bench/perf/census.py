@@ -8,10 +8,18 @@ to the scenario's ``events``, and since the wrappers only count, the run
 reproduces the scenario's schedule digest.  It does not use
 ``Simulator.trace_dispatch``, which would turn the express lane off.
 
+Tail wakes (``Simulator.call_tail``) are charged to the layer that called
+``call_tail``, whether the engine pushes them at once, pushes them when
+the dispatch ends, or runs them in place.  In-place runs — and the express
+lane's in-place completions (``Simulator._fire_now``) — are not
+dispatched events; they are counted in a second table, ``in place``, by
+the same layers.
+
 Who scheduled an event:
 
 * a process's bare delay or boot (a ``_Sleep`` entry): the code of the
   innermost generator the process is running;
+* a tail wake: the caller of ``call_tail``, found as below;
 * any other entry: the innermost frame on the stack outside
   :mod:`repro.sim`, looking no further out than the dispatch loop — an
   entry the engine pushes on its own (a process finishing, an ``all_of``
@@ -62,16 +70,9 @@ def layer_of(path: str) -> str:
     return _PACKAGES.get(rel.split("/", 1)[0], "other")
 
 
-def _scheduler(entry: tuple) -> str:
-    """The layer that is pushing heap ``entry`` (called from the push)."""
-    target = entry[3]
-    if type(target) is _Sleep:
-        gen = target.proc._generator
-        inner = getattr(gen, "gi_yieldfrom", None)
-        while inner is not None and hasattr(inner, "gi_code"):
-            gen, inner = inner, inner.gi_yieldfrom
-        return layer_of(gen.gi_code.co_filename)
-    frame = sys._getframe(2)  # skip the push wrapper and this function
+def _frame_layer(frame) -> str:
+    """The layer of the innermost frame from ``frame`` outward that lies
+    outside :mod:`repro.sim`, stopping at the dispatch loop (``sim``)."""
     while frame is not None:
         code = frame.f_code
         if code in _DISPATCH:
@@ -83,15 +84,33 @@ def _scheduler(entry: tuple) -> str:
     return "sim"
 
 
+def _scheduler(entry: tuple) -> str:
+    """The layer that is pushing heap ``entry`` (called from the push)."""
+    target = entry[3]
+    if type(target) is _Sleep:
+        gen = target.proc._generator
+        inner = getattr(gen, "gi_yieldfrom", None)
+        while inner is not None and hasattr(inner, "gi_code"):
+            gen, inner = inner, inner.gi_yieldfrom
+        return layer_of(gen.gi_code.co_filename)
+    return _frame_layer(sys._getframe(2))  # skip the push wrapper and us
+
+
 @contextlib.contextmanager
-def _counting() -> Iterator[Counter]:
-    """Wrap the engine's heap push and pop; yield dispatches by layer."""
+def _counting() -> Iterator[tuple[Counter, Counter]]:
+    """Wrap the engine's heap push and pop and its two in-place paths;
+    yield (dispatches by layer, in-place runs by layer)."""
     counts: Counter = Counter()
+    in_place: Counter = Counter()
     charged: dict[int, str] = {}  # id(heap entry) -> layer, while queued
+    # (id(heap), reserved seq) -> layer, for a tail not yet pushed or run
+    reserved: dict[tuple[int, int], str] = {}
     push, pop = engine.heappush, engine.heappop
+    call_tail, fire_now = Simulator.call_tail, Simulator._fire_now
 
     def counting_push(heap: list, entry: tuple) -> None:
-        charged[id(entry)] = _scheduler(entry)
+        layer = reserved.pop((id(heap), entry[2]), None)
+        charged[id(entry)] = layer or _scheduler(entry)
         push(heap, entry)
 
     def counting_pop(heap: list) -> tuple:
@@ -107,32 +126,53 @@ def _counting() -> Iterator[Counter]:
             counts[layer] += 1
         return entry
 
+    def counting_tail(sim: Simulator, when: float, fn) -> None:
+        key = (id(sim._heap), sim._seq + 1)  # the seq call_tail reserves
+        layer = reserved[key] = _frame_layer(sys._getframe(1))
+
+        def counted(ev) -> None:
+            # Still reserved when it runs: it was never pushed.
+            if reserved.pop(key, None) is not None:
+                in_place[layer] += 1
+            fn(ev)
+
+        call_tail(sim, when, counted)
+
+    def counting_fire_now(sim: Simulator, event, value) -> None:
+        in_place[_frame_layer(sys._getframe(1))] += 1
+        fire_now(sim, event, value)
+
     engine.heappush, engine.heappop = counting_push, counting_pop
+    setattr(Simulator, "call_tail", counting_tail)
+    setattr(Simulator, "_fire_now", counting_fire_now)
     try:
-        yield counts
+        yield counts, in_place
     finally:
         engine.heappush, engine.heappop = push, pop
+        setattr(Simulator, "call_tail", call_tail)
+        setattr(Simulator, "_fire_now", fire_now)
 
 
 def census(names: list[str]) -> dict:
     """Run each named perf scenario under the census.
 
-    Returns ``{name: {"by_layer", "events", "ops", "digest"}}``, where
-    ``events`` and ``digest`` are the scenario's own numbers from
-    :func:`~repro.bench.perf.harness.run_scenarios`.
+    Returns ``{name: {"by_layer", "in_place", "events", "ops",
+    "digest"}}``, where ``events`` and ``digest`` are the scenario's own
+    numbers from :func:`~repro.bench.perf.harness.run_scenarios`.
     """
     from repro.bench.perf.harness import run_scenarios
-    from repro.verbs.qp import QueuePair
+    from repro.verbs.qp import tally
 
     out = {}
     for name in names:
-        ops_before = QueuePair.total_completions
-        with _counting() as counts:
+        ops_before = tally.completions
+        with _counting() as (counts, in_place):
             row = run_scenarios([name])["scenarios"][name]
         out[name] = {
             "by_layer": {layer: counts[layer] for layer in LAYERS},
+            "in_place": {layer: in_place[layer] for layer in LAYERS},
             "events": row["events"],
-            "ops": QueuePair.total_completions - ops_before,
+            "ops": tally.completions - ops_before,
             "digest": row["digest"],
         }
     return out
@@ -159,6 +199,13 @@ def main(names: list[str]) -> int:
     line("events", [rows[n]["events"] for n in names])
     line("ops", [rows[n]["ops"] for n in names])
     line("digest", [rows[n]["digest"][:10] for n in names])
+    print()
+    print("in place: tail wakes and completions run without a heap round "
+          "trip, per completed op, by the layer that scheduled them")
+    for layer in LAYERS:
+        line(layer, [per_op(n, rows[n]["in_place"][layer]) for n in names])
+    line("total", [per_op(n, sum(rows[n]["in_place"].values()))
+                   for n in names])
     bad = [n for n in names if totals[n] != rows[n]["events"]]
     for n in bad:
         print(f"{n}: census counted {totals[n]:,} dispatches, the "

@@ -190,14 +190,14 @@ def _digest(outcome: dict) -> str:
 
 def run_scenarios(names: Optional[list[str]] = None) -> dict:
     """Time the named scenarios (default: all); returns a baseline dict."""
-    from repro.verbs.qp import QueuePair
+    from repro.verbs.qp import tally
 
     out: dict = {"format": 1, "scenarios": {}}
     for name in names or list(SCENARIOS):
         fn = SCENARIOS[name]
         gc.collect()  # start each scenario from a clean allocator state
         events_before = Simulator.total_events
-        ops_before = QueuePair.total_completions
+        ops_before = tally.completions
         # The collector stays off for the whole scenario, so one final
         # collection finds every object the scenario left in a cycle.
         # With it on, a pass over a live tuple of atomic values untracks
@@ -215,7 +215,7 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
             if gc_was_enabled:
                 gc.enable()
         events = Simulator.total_events - events_before
-        ops = QueuePair.total_completions - ops_before
+        ops = tally.completions - ops_before
         # ``_metrics`` carries wall-clock-derived numbers (e.g. parallel
         # speedup) that vary across machines; keep them out of the digest.
         # ``_table`` is the rendered bench table, digested on its own so

@@ -2,7 +2,7 @@
 completion clock.
 
 An :class:`OpenLoopGenerator` walks a precomputed arrival timeline
-(:mod:`repro.workloads.arrivals`) as one chain of ``sim.call_at``
+(:mod:`repro.workloads.arrivals`) as one chain of ``sim.call_tail``
 wake-ups and steps each due request's generator inline — offered load is
 independent of service progress, so when the plane saturates, queues
 grow, deadlines lapse, and the shed rate (not the injection rate) gives.
@@ -83,7 +83,7 @@ class OpenLoopGenerator:
             self._idle.succeed()
             return
         now = sim.now
-        sim.call_at(now + (float(self.times_ns[0]) - now), self._arrive)
+        sim.call_tail(now + (float(self.times_ns[0]) - now), self._arrive)
 
     def _arrive(self, _ev: Event) -> None:
         # Book the next distinct instant first, then start everything due
@@ -97,7 +97,7 @@ class OpenLoopGenerator:
         while last < len(times):
             delay = float(times[last]) - now
             if delay > 0:
-                sim.call_at(now + delay, self._arrive)
+                sim.call_tail(now + delay, self._arrive)
                 break
             last += 1
         self._next = last
@@ -119,10 +119,10 @@ class OpenLoopGenerator:
             except Exception as exc:
                 raise SimulationError(
                     f"unhandled error in request {self.name}.r{i}") from exc
-            # call_at clamps a past instant, so a negative delay must not
+            # call_tail clamps a past instant, so a negative delay must not
             # reach it: a process fails loudly on one.
             if type(target) is float and target >= 0:
-                sim.call_at(sim.now + target,
+                sim.call_tail(sim.now + target,
                             lambda _ev: self._step(i, gen, t0))
                 return
             if not isinstance(target, Event):

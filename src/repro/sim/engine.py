@@ -46,6 +46,20 @@ event is dispatched, never which event fires next.
   dispatch loop, skipping Event construction, callback lists and pool
   probes entirely.  Sequence numbers are allocated at the same moments,
   so the two spellings produce bit-identical schedules.
+* **Tail wakes** — :meth:`Simulator.call_tail` is ``call_at`` for callers
+  that drop the handle.  It reserves the wake's ``seq`` where ``call_at``
+  would allocate it, and parks ``(when, NORMAL, seq, fn)`` in a one-slot
+  tail unless a heap entry already lies at or before ``when``.  When the
+  current dispatch ends, the loop compares the tail's full key with
+  ``heap[0]``: a smaller key is the entry the loop would pop next, so it
+  sets ``now`` and calls ``fn`` in place — no Event, no push, no pop.
+  Otherwise (and whenever a second tail arrives, or ``run()`` exits) the
+  tail is pushed under its reserved ``seq``.  The heap therefore holds the
+  same keys as with ``call_at`` and pops in the same order: outcomes are
+  identical by construction.  An in-place run is traced and checked like
+  a dispatch (``trace_dispatch(when, NORMAL, seq)``,
+  ``check.on_dispatch(when)``), so tracing never changes which code runs;
+  it is counted in ``events_in_place``, not in ``events_processed``.
 
 The enqueue order — one global ``_seq`` incremented per scheduled event,
 keys ``(now + delay, priority, seq)`` — is untouched by all of the above,
@@ -101,6 +115,10 @@ class Interrupt(Exception):
 # events scheduled at the same timestamp, mirroring SimPy semantics.
 URGENT = 0
 NORMAL = 1
+
+#: ``Simulator._tail`` while ``run()`` dispatches and no tail is parked.
+#: Outside ``run()`` the slot is ``None`` and ``call_tail`` always pushes.
+_OPEN = ()
 
 
 class _Sleep:
@@ -561,15 +579,20 @@ class Simulator:
     """Owns simulated time and the pending-event heap.
 
     ``events_processed`` / ``events_cancelled`` count dispatched and
-    tombstoned events over the simulator's lifetime; the perf harness
-    (:mod:`repro.bench.perf`) aggregates the class-wide
-    ``Simulator.total_events`` to compute events/sec across the many
-    short-lived simulators a bench sweep builds.
+    tombstoned events over the simulator's lifetime, and
+    ``events_in_place`` the tail wakes that ran without a heap round trip
+    (:meth:`call_tail`).  The perf harness (:mod:`repro.bench.perf`)
+    aggregates the class-wide ``Simulator.total_events`` to compute
+    events/sec across the many short-lived simulators a bench sweep
+    builds; it is written once per ``run()``/``step()`` call, never per
+    event (a class-attribute write deoptimizes attribute access on every
+    instance of the class).
     """
 
     __slots__ = ("now", "_heap", "_seq", "_crashed", "events_processed",
-                 "events_cancelled", "_timeout_pool", "_event_pool",
-                 "trace_dispatch", "check", "express")
+                 "events_cancelled", "events_in_place", "_tail",
+                 "_timeout_pool", "_event_pool", "trace_dispatch", "check",
+                 "express")
 
     #: Class-wide dispatched-event counter (monotonic across instances).
     total_events: int = 0
@@ -581,6 +604,10 @@ class Simulator:
         self._crashed: Optional[tuple[BaseException, Optional[Process]]] = None
         self.events_processed = 0
         self.events_cancelled = 0
+        self.events_in_place = 0
+        #: The parked tail wake ``(when, NORMAL, seq, fn)``, ``_OPEN`` when
+        #: ``run()`` is dispatching without one, ``None`` outside ``run()``.
+        self._tail: Optional[tuple] = None
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         #: Optional hook ``f(time, priority, seq)`` invoked per dispatched
@@ -642,33 +669,94 @@ class Simulator:
     def call_at(self, when: float, fn: Callable[["Event"], None]) -> Event:
         """Fused wake-up: run ``fn(event)`` once at absolute time ``when``.
 
-        The express lane's one-event primitive: a pooled Event is pre-marked
-        triggered and pushed directly at ``when`` (absolute, not ``now +
-        delay`` — closed-form timelines are computed as absolute instants
-        and must not pick up float error from a round trip through a
-        delta).  The dispatch loop handles it through the ordinary
-        non-Sleep branch; ``event.cancel()`` tombstones it in O(1), so a
-        recomputed timeline can reschedule cheaply.  Keys are allocated
-        from the same global ``_seq`` as every other event, preserving
-        deterministic tie order.
+        A pooled Event is pre-marked triggered and pushed directly at
+        ``when`` (absolute, not ``now + delay`` — closed-form timelines are
+        computed as absolute instants and must not pick up float error
+        from a round trip through a delta).  The dispatch loop handles it
+        through the ordinary non-Sleep branch; ``event.cancel()``
+        tombstones it in O(1), so a timer can be re-armed cheaply.  Keys
+        are allocated from the same global ``_seq`` as every other event,
+        preserving deterministic tie order.  A caller that drops the
+        handle uses :meth:`call_tail` instead.
         """
+        if when < self.now:  # float dust from long arithmetic chains
+            when = self.now
+        self._seq = seq = self._seq + 1
+        return self._push_tail((when, NORMAL, seq, fn))
+
+    def call_tail(self, when: float, fn: Callable[[Optional[Event]], None]
+                  ) -> None:
+        """``call_at(when, fn)`` without a handle; ``fn`` may run in place.
+
+        The ``seq`` is reserved here, exactly where ``call_at`` allocates
+        it.  Outside ``run()``, or when a heap entry already lies at or
+        before ``when``, the wake is pushed at once.  Otherwise it parks
+        in the one-slot tail; when the current dispatch ends, ``run()``
+        calls ``fn(None)`` in place if the tail's key ``(when, NORMAL,
+        seq)`` is smaller than ``heap[0]``'s — the entry it would pop
+        next — and pushes the tail under its reserved ``seq`` if not.  A
+        second ``call_tail`` pushes a parked first one the same way.  The
+        heap thus holds ``call_at``'s keys and pops in ``call_at``'s
+        order.  ``fn`` receives the wake Event when it was pushed and
+        ``None`` when it ran in place; callers must not use either.
+        """
+        if when < self.now:  # float dust, as in call_at
+            when = self.now
+        self._seq = seq = self._seq + 1
+        tail = self._tail
+        if tail:  # a parked tail yields the slot, keeping its seq
+            self._push_tail(tail)
+            self._tail = tail = _OPEN
+        heap = self._heap
+        # Park unless outside run() or an entry already lies at or
+        # before ``when``: then push now — _push_tail inlined, as this
+        # is the path most wakes take.
+        if tail is not None and (not heap or heap[0][0] > when):
+            self._tail = (when, NORMAL, seq, fn)
+            return
+        pool = self._event_pool
+        if pool:
+            ev = pool.pop()
+            ev._ok = True
+            ev._processed = False
+            ev._cancelled = False
+        else:
+            ev = Event(self)
+        ev._triggered = True
+        ev._value = None
+        ev.callbacks.append(fn)
+        heappush(heap, (when, NORMAL, seq, ev))
+
+    def _push_tail(self, tail: tuple) -> Event:
+        """Push a wake ``(when, NORMAL, seq, fn)`` under its own seq."""
+        when, prio, seq, fn = tail
         ev = self.event()
         ev._triggered = True
         ev._value = None
         ev.callbacks.append(fn)
-        if when < self.now:  # float dust from long arithmetic chains
-            when = self.now
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (when, NORMAL, seq, ev))
+        heappush(self._heap, (when, prio, seq, ev))
         return ev
+
+    def _next_is_now(self) -> bool:
+        """True when an entry pushed now at ``(now, NORMAL, next seq)``
+        would be ``run()``'s next dispatch: no heap entry and no parked
+        tail lies at or before ``now``.  Always False outside ``run()``."""
+        tail = self._tail
+        if tail is None:
+            return False
+        now = self.now
+        if tail and tail[0] <= now:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > now
 
     def _fire_now(self, event: Event, value: Any) -> None:
         """``event.succeed(value)`` dispatched in place, without the heap.
 
         Only for a caller that has proven the push would be the very next
         dispatch: it runs as the sole callback of the event being
-        dispatched, this is its last scheduling act, and no heap entry
-        lies at or before ``now``.  The skipped push and pop then leave
+        dispatched, this is its last scheduling act, and
+        :meth:`_next_is_now` holds.  The skipped push and pop then leave
         every other entry in its relative ``(time, priority, seq)``
         order, so schedules are unchanged; one dispatch fewer is counted.
         """
@@ -677,6 +765,7 @@ class Simulator:
         event._triggered = True
         event._ok = True
         event._value = value
+        self.events_in_place += 1
         event._run_callbacks()
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -704,7 +793,9 @@ class Simulator:
     def step(self) -> None:
         """Process the next event on the heap (single-step debugging aid).
 
-        Cancelled events are skipped in O(1) without advancing time.
+        Cancelled events are skipped in O(1) without advancing time.  No
+        tail wake runs in place here: outside ``run()``, ``call_tail``
+        pushes.
         """
         heap = self._heap
         while True:
@@ -779,6 +870,13 @@ class Simulator:
         trace = self.trace_dispatch
         chk = self.check
         dispatched = 0
+        in_place = 0
+        # Open the tail slot (call_tail pushes while it is None).  A tail
+        # parked by an enclosing run() goes to the heap first.
+        outer = self._tail
+        if outer:
+            self._push_tail(outer)
+        self._tail = _OPEN
         # Pause the cyclic collector for the duration of the dispatch loop:
         # event churn allocates heavily, so generational scans are pure
         # overhead mid-run.  Collection timing never influences schedules,
@@ -797,11 +895,33 @@ class Simulator:
             # mode moves its termination test AFTER dispatch (the awaited
             # event can only trigger as a consequence of a dispatch) and
             # the drain/horizon mode drops the stop checks entirely —
-            # two fewer branches per event than one merged loop.
+            # two fewer branches per event than one merged loop.  Each
+            # iteration first settles the tail the previous dispatch
+            # parked: in place when its key beats heap[0] (and, with a
+            # horizon, it is not past it), else onto the heap.
             if stop is not None and stop._processed:
                 pass  # already delivered before run() was entered
             elif stop is not None:
                 while True:
+                    tail = self._tail
+                    if tail:
+                        self._tail = _OPEN
+                        if heap and heap[0] < tail:
+                            self._push_tail(tail)
+                        else:
+                            when, _prio, _seq, fn = tail
+                            self.now = when
+                            if trace is not None:
+                                trace(when, _prio, _seq)
+                            if chk is not None:
+                                chk.on_dispatch(when)
+                            in_place += 1
+                            fn(None)
+                            if self._crashed is not None:
+                                self._raise_crash()
+                            if stop._processed:
+                                break
+                            continue
                     if not heap:
                         raise SimulationError(
                             "simulation ran out of events before the awaited "
@@ -904,7 +1024,27 @@ class Simulator:
                     if stop._processed:
                         break
             else:
-                while heap:
+                while True:
+                    tail = self._tail
+                    if tail:
+                        self._tail = _OPEN
+                        if ((heap and heap[0] < tail) or (
+                                horizon is not None and tail[0] > horizon)):
+                            self._push_tail(tail)
+                        else:
+                            when, _prio, _seq, fn = tail
+                            self.now = when
+                            if trace is not None:
+                                trace(when, _prio, _seq)
+                            if chk is not None:
+                                chk.on_dispatch(when)
+                            in_place += 1
+                            fn(None)
+                            if self._crashed is not None:
+                                self._raise_crash()
+                            continue
+                    if not heap:
+                        break
                     if horizon is not None and heap[0][0] > horizon:
                         break
                     when, _prio, _seq, event = pop(heap)
@@ -996,9 +1136,16 @@ class Simulator:
                                 event.callbacks = []
                             epool.append(event)
         finally:
+            # A tail left parked (the loop stopped, or a dispatch raised)
+            # goes to the heap under its reserved seq.
+            tail = self._tail
+            self._tail = None if outer is None else _OPEN
+            if tail:
+                self._push_tail(tail)
             if gc_was_enabled:
                 gc.enable()
             self.events_processed += dispatched
+            self.events_in_place += in_place
             Simulator.total_events += dispatched
 
         if stop is not None:
@@ -1012,8 +1159,13 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        Lazily drops cancelled tombstones sitting on top of the heap.
+        Lazily drops cancelled tombstones sitting on top of the heap.  A
+        tail wake parked by the running dispatch counts as scheduled.
         """
+        tail = self._tail
+        if tail:
+            self._tail = _OPEN
+            self._push_tail(tail)
         heap = self._heap
         while heap and heap[0][3]._cancelled:
             self._recycle(heappop(heap)[3])

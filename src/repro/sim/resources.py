@@ -38,7 +38,8 @@ class Resource:
     (the express verbs lane) and processes contend on one queue:
 
     * ``book(dur, cb)`` — a timed hold: once granted, ``cb`` wakes at
-      grant time + ``dur`` (one :meth:`Simulator.call_at`); the callback
+      grant time + ``dur`` (one :meth:`Simulator.call_tail`, which runs
+      it in place when it is provably the next dispatch); the callback
       must ``release()``.
     * ``claim(cb)`` — an untimed hold: returns True when granted on the
       spot, else ``cb(resource)`` runs at the grant; the holder releases
@@ -95,7 +96,7 @@ class Resource:
             if self._in_use == 0:
                 self._busy_since = sim.now
             self._in_use += 1
-            sim.call_at(sim.now + dur, cb)
+            sim.call_tail(sim.now + dur, cb)
         else:
             self._waiters.append((dur, cb))
 
@@ -124,7 +125,7 @@ class Resource:
                     cb(self)
                 else:
                     sim = self.sim
-                    sim.call_at(sim.now + dur, cb)
+                    sim.call_tail(sim.now + dur, cb)
             else:
                 w.succeed(self)
             return

@@ -21,8 +21,9 @@ authority — without it every op would be released to the hardware
 immediately and arrival order would decide everything.
 
 Grants are made by a **dispatch round**: one callback scheduled with
-``Simulator.call_at`` at the current instant whenever a submit (or a
-completion with work still queued) may allow one.  The round grants
+``Simulator.call_tail`` at the current instant whenever a submit (or a
+completion with work still queued) may allow one; the engine runs it in
+place when it is provably the next dispatch.  The round grants
 until the slots are full or no queue head is eligible, so it sees every
 arrival and completion already scheduled at that instant.  A
 rate-limited head arms a single eligibility timer for the soonest token;
@@ -169,7 +170,7 @@ class QoSScheduler:
         """Schedule a dispatch round at this instant unless one is pending."""
         if not self._round_pending:
             self._round_pending = True
-            self.sim.call_at(self.sim.now, self._round)
+            self.sim.call_tail(self.sim.now, self._round)
 
     def _pick(self, now: float):
         """(tenant, key) of the best eligible queue head, plus the

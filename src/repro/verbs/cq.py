@@ -29,6 +29,21 @@ class CompletionQueue:
         self.produced += 1
         self._store.put(completion)
 
+    def deposit(self, completion: Completion) -> None:
+        """Express-lane deposit: ``push`` without the store's put-ack.
+
+        The ack is a no-op event nothing can wait on (the store is
+        unbounded, so a put never blocks); the lane skips it and hands the
+        CQE straight to the oldest pending ``wait()`` or appends it.  The
+        stepped pipeline keeps ``push`` and its ack, so its schedules (and
+        the traced pins recorded from them) do not move."""
+        self.produced += 1
+        store = self._store
+        if store._getters:
+            store._getters.popleft().succeed(completion)
+        else:
+            store._items.append(completion)
+
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll, as ``ibv_poll_cq`` (returns None if empty)."""
         cqe = self._store.try_get()

@@ -12,8 +12,9 @@ unit is booked — port faults included, because the stepped path sizes
 its holds at the same instant.
 
 This module replays that timeline with one fused wake-up
-(:meth:`Simulator.call_at`) per *hold* and per *constant sleep*, roughly
-halving the events per WR while keeping schedules bit-identical.  The
+(:meth:`Simulator.call_tail`) per *hold* and per *constant sleep*,
+roughly halving the events per WR while keeping schedules
+bit-identical.  The
 load-bearing invariant is tie order: the engine breaks ties at an
 instant by event *allocation order* (the global ``seq``), and the
 stepped path allocates each hold's end event at its **grant** dispatch —
@@ -35,12 +36,10 @@ tables.  So the lane mirrors the grant structure literally:
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
-  DMA) join where their second half ends.  The stepped ``all_of``
-  resumes one same-instant dispatch later; the lane pushes that wake
-  only when another entry already sits at the instant, and otherwise
-  resumes in place ("Tail wakes" below).  Single holds continue inline
-  in their end-wake, like a ``yield from`` subgenerator resuming its
-  caller.
+  DMA) join where their second half ends, with a same-instant resume
+  wake where the stepped ``all_of`` resumes one dispatch later.  Single
+  holds continue inline in their end-wake, like a ``yield from``
+  subgenerator resuming its caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) each get their own wake allocated at the same instant the
   stepped path allocates the corresponding sleep.
@@ -58,24 +57,23 @@ Because no booking ever lands at a *future* arrival, the timeline never
 shifts once scheduled: there is no displacement, no repair pass, and
 every scheduled wake is final.
 
-Tail wakes.  Two handlers end by pushing a wake at ``sim.now``: a
-cut-through join resuming its op, and the CQE-DMA-end wake (``P_T``)
-firing the op's ``done``.  Each runs as the only callback of the event
-being dispatched, and that push is its last scheduling act.  The heap
-orders by ``(time, priority, seq)`` and the push takes the largest
-``seq`` yet, so when no entry lies at or before ``now``
-(:func:`_next_dispatch`) the engine must pop it next.  Running it in
-place then moves nothing: every remaining entry keeps its relative
-order, and whatever the resumed code schedules still follows whatever
-the current dispatch scheduled.  Outcomes are identical by
-construction, not by tie luck; only the dispatch count falls.  The
-completion tests idleness *before* ``cq.push`` and also needs no
-``cq.wait()`` getter pending, whose grant would dispatch ahead of
-``done``; the push's own put-ack is a no-op event, so ``done`` may run
-before it.  Everything else keeps its wake: a parked completion (one
-callback among others on its predecessor's ``done``), completions
-reached mid-handler (batch-mate flushes, unsignaled ops), and any wake
-whose instant is already taken.
+Tail wakes.  Every wake here — hold ends booked through
+``Resource.book``, constant wires, join resumes and the CQE-DMA end
+(``P_T``) — is a :meth:`Simulator.call_tail`: the engine reserves its
+``seq`` where ``call_at`` would allocate it and runs it in place when,
+at the end of the current dispatch, its ``(time, NORMAL, seq)`` key
+beats every heap entry.  The lane never decides whether a wake runs in
+place, and the heap pops in ``call_at``'s order either way.  The
+completion keeps one decision of its own.  Its CQE is deposited
+without ``Store.put``'s no-op put-ack (:meth:`CompletionQueue.deposit`),
+and from the ``P_T`` wake ``done`` fires in place
+(``Simulator._fire_now``) when the engine's ``_next_is_now`` shows that
+nothing — no heap entry, no parked tail, no ``cq.wait()`` grant the
+deposit just pushed — lies at this instant.
+Everything else pushes ``done``: a parked completion (one callback
+among others on its predecessor's ``done``), completions reached
+mid-handler (batch-mate flushes, unsignaled ops), and any instant
+already taken.  The completion instant and its waiter order never move.
 
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
@@ -117,11 +115,12 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.verbs.types import Completion, CompletionStatus, Opcode
-from repro.verbs.qp import QPState, QueuePair
+from repro.verbs.qp import QPState, tally
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.cluster import Cluster
     from repro.sim import Event, Simulator
+    from repro.verbs.qp import QueuePair
     from repro.verbs.types import WorkRequest
 
 __all__ = ["ExpressState", "ExpressOp"]
@@ -147,15 +146,6 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
  P_DONE) = range(18)
-
-
-def _next_dispatch(sim: "Simulator") -> bool:
-    """True when a wake pushed at ``sim.now`` would pop next: no heap
-    entry lies at or before this instant.  A handler that is its event's
-    only callback, and for which that push is its last scheduling act,
-    may then run the wake in place (module docstring, "Tail wakes")."""
-    heap = sim._heap
-    return not heap or heap[0][0] > sim.now
 
 
 class ExpressOp:
@@ -413,13 +403,10 @@ class ExpressState:
     def _exec_join(self, op: ExpressOp) -> None:
         op.pending -= 1
         if op.pending == 0:
-            sim = self.sim
-            if _next_dispatch(sim):
-                self._exec_done(op)
-                return
             # Same-instant resume wake, mirroring the stepped all_of.
             op.phase = P_EXEC_R
-            sim.call_at(sim.now, op.wcb)
+            sim = self.sim
+            sim.call_tail(sim.now, op.wcb)
 
     def _exec_done(self, op: ExpressOp) -> None:
         """Exec stage complete: sample loss where stepped does; a
@@ -436,10 +423,10 @@ class ExpressState:
                     lp.packet_lost() or rp.packet_lost()):
             op.losses += 1
             op.phase = P_RETX
-            sim.call_at(sim.now + qp._retrans_wait_ns(op.losses), op.wcb)
+            sim.call_tail(sim.now + qp._retrans_wait_ns(op.losses), op.wcb)
             return
         op.phase = P_Y
-        sim.call_at(sim.now + qp._fwd_ns, op.wcb)
+        sim.call_tail(sim.now + qp._fwd_ns, op.wcb)
 
     def _retrans_end(self, op: ExpressOp) -> None:
         """Transport timer fired: flush if the QP died meanwhile, fail at
@@ -544,12 +531,9 @@ class ExpressState:
     def _svc_join(self, op: ExpressOp) -> None:
         op.pending -= 1
         if op.pending == 0:
-            sim = self.sim
-            if _next_dispatch(sim):
-                self._svc_resume(op)
-                return
             op.phase = P_SVC_R
-            sim.call_at(sim.now, op.wcb)
+            sim = self.sim
+            sim.call_tail(sim.now, op.wcb)
 
     def _svc_resume(self, op: ExpressOp) -> None:
         """WRITE service done: release the lock, land the data, respond."""
@@ -576,7 +560,7 @@ class ExpressState:
         """WRITE/atomic response: the ACK takes the reverse wire."""
         op.phase = P_TAIL
         sim = self.sim
-        sim.call_at(sim.now + op.qp._bwd_ns, op.wcb)
+        sim.call_tail(sim.now + op.qp._bwd_ns, op.wcb)
 
     # -- READ response path -------------------------------------------------
     def _read_rx_end(self, op: ExpressOp) -> None:
@@ -588,7 +572,7 @@ class ExpressState:
         # hardware, so it does not occupy the responder unit.
         op.phase = P_TURN
         sim = self.sim
-        sim.call_at(sim.now + qp._params.read_turnaround_ns, op.wcb)
+        sim.call_tail(sim.now + qp._params.read_turnaround_ns, op.wcb)
 
     def _turnaround_end(self, op: ExpressOp) -> None:
         pcie = op.qp.remote_port.pcie
@@ -616,7 +600,7 @@ class ExpressState:
         rp.tx_ops += 1
         op.phase = P_BWD
         sim = self.sim
-        sim.call_at(sim.now + qp._bwd_ns, op.wcb)
+        sim.call_tail(sim.now + qp._bwd_ns, op.wcb)
 
     def _read_back(self, op: ExpressOp) -> None:
         """Response landed: DMA the data into the local buffers."""
@@ -646,7 +630,7 @@ class ExpressState:
         if op.signaled:
             op.phase = P_T
             sim = self.sim
-            sim.call_at(sim.now + op.qp._params.cqe_dma_ns, op.wcb)
+            sim.call_tail(sim.now + op.qp._params.cqe_dma_ns, op.wcb)
         else:
             self._try_finish(op)
 
@@ -670,11 +654,12 @@ class ExpressState:
     def _complete(self, op: ExpressOp, tail: bool = False) -> None:
         """Completion instant: deliver the Completion, unlink the chain.
 
-        From the ``P_T`` wake (``tail``), ``done`` fires in place when its
-        dispatch is provably next: the instant is idle before ``cq.push``
-        and no ``cq.wait()`` getter is pending, whose grant would run
-        first.  The push's put-ack is a no-op event, so ``done`` may run
-        ahead of it."""
+        The CQE is deposited without a put-ack (``CompletionQueue.
+        deposit``).  From the ``P_T`` wake (``tail``), ``done`` then fires
+        in place when the engine shows its dispatch is provably next
+        (``Simulator._next_is_now``): a pending ``cq.wait()`` getter the
+        deposit granted sits at this instant and keeps ``done`` on the
+        heap behind it."""
         op.phase = P_DONE
         op.prev = None
         # The wake partials point back at ``op``; no wake is pending at
@@ -687,7 +672,7 @@ class ExpressState:
         if qp._last_express_op is op:
             qp._last_express_op = None
         qp.completed += 1
-        QueuePair.total_completions += 1
+        tally.completions += 1
         opcode = op.opcode
         status = op.status
         if status is CompletionStatus.SUCCESS and qp.state is QPState.ERR:
@@ -712,10 +697,8 @@ class ExpressState:
         if check is not None:
             check.on_completed(qp, wr, completion)
         if op.signaled:
-            cq = qp.cq
-            in_place = tail and not cq._store._getters and _next_dispatch(sim)
-            cq.push(completion)
-            if in_place:
+            qp.cq.deposit(completion)
+            if tail and sim._next_is_now():
                 sim._fire_now(op.done, completion)
                 return
         op.done.succeed(completion)

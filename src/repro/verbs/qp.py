@@ -43,7 +43,7 @@ from repro.sim import Event, Simulator, Store
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.types import Completion, CompletionStatus, Opcode, WorkRequest
 
-__all__ = ["QPState", "QueuePair"]
+__all__ = ["QPState", "QueuePair", "tally"]
 
 
 class QPState(enum.Enum):
@@ -67,17 +67,29 @@ WQE_BYTES = 64
 SGE_SEG_BYTES = 16
 
 
+class _Tally:
+    """Process-wide counters, held on an instance rather than a class: a
+    write to a class attribute invalidates the class's type version and
+    deoptimizes every specialized attribute access on its instances."""
+
+    __slots__ = ("completions",)
+
+    def __init__(self) -> None:
+        self.completions = 0
+
+
+#: Completed WRs across every QP and simulator, both lanes (monotonic).
+#: The perf harness divides dispatched events by this to track events/op
+#: — the fusion factor the express lane is gated on.
+tally = _Tally()
+
+
 class QueuePair:
     """An RC connection between a local port and a remote port."""
 
     #: Default send-queue depth (outstanding WRs before posting fails with
     #: the verbs-equivalent of ENOMEM), a typical RC QP configuration.
     DEFAULT_MAX_SEND_WR = 256
-
-    #: Class-wide completed-WR counter (monotonic across instances, both
-    #: lanes).  The perf harness divides dispatched events by this to
-    #: track events/op — the fusion factor the express lane is gated on.
-    total_completions: int = 0
 
     def __init__(self, sim: Simulator, local_machine: Machine,
                  remote_machine: Machine, local_port: RnicPort,
@@ -217,7 +229,7 @@ class QueuePair:
         if check is not None:
             check.on_posted(self, wr)
         self.completed += 1
-        QueuePair.total_completions += 1
+        tally.completions += 1
         comp = self._flush_completion(wr)
         if check is not None:
             check.on_completed(self, wr, comp)
@@ -520,7 +532,7 @@ class QueuePair:
         if record is not None:
             tracer.commit(record, sim.now)
         self.completed += 1
-        QueuePair.total_completions += 1
+        tally.completions += 1
         # Stepped-inflight accounting (incremented at post): once zero on
         # both ports, new posts may take the express lane again.
         lport._stepped -= 1

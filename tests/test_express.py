@@ -131,25 +131,28 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
 @contextlib.contextmanager
 def _counted_branches():
     """Yield a Counter of how each tail wake ran: ``(site, branch)`` with
-    site ``join`` (a cut-through join reaching zero) or ``completion``
-    (a CQE-DMA-end wake completing its op), and branch ``inline`` (run in
-    place) or ``wake`` (the same-instant wake was pushed)."""
+    site ``join`` (a cut-through join's resume wake, ``P_EXEC_R`` or
+    ``P_SVC_R``), ``cqe`` (the CQE-DMA-end wake, ``P_T``) or
+    ``completion`` (that wake completing its op), and branch ``inline``
+    or ``wake``.  The two wakes are ``Simulator.call_tail`` wakes: the
+    engine calls one with ``None`` when it runs it in place and with its
+    heap Event when it was pushed.  A completion is ``inline`` when its
+    ``done`` fired in place (``Simulator._fire_now``) and ``wake`` when
+    ``done`` went to the heap."""
     from repro.verbs import express
     from repro.verbs.express import ExpressState
 
     seen = Counter()
-    resume = {"_exec_join": express.P_EXEC_R, "_svc_join": express.P_SVC_R}
+    sites = {express.P_EXEC_R: "join", express.P_SVC_R: "join",
+             express.P_T: "cqe"}
+    orig_wake = ExpressState._on_wake
     orig_complete = ExpressState._complete
 
-    def join(name):
-        orig = getattr(ExpressState, name)
-
-        def recording(self, op):
-            orig(self, op)
-            if op.pending == 0:
-                seen["join", "wake" if op.phase == resume[name]
-                     else "inline"] += 1
-        return recording
+    def wake(self, op, ev):
+        site = sites.get(op.phase)
+        if site is not None:
+            seen[site, "inline" if ev is None else "wake"] += 1
+        orig_wake(self, op, ev)
 
     def complete(self, op, *args):
         tail = op.phase == express.P_T
@@ -159,15 +162,14 @@ def _counted_branches():
                  else "wake"] += 1
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in resume:
-            mp.setattr(ExpressState, name, join(name))
+        mp.setattr(ExpressState, "_on_wake", wake)
         mp.setattr(ExpressState, "_complete", complete)
         yield seen
 
 
 #: Every (site, branch) pair of ``_counted_branches``, and the in-place
 #: half that every random mix takes.
-BRANCHES = {(site, branch) for site in ("join", "completion")
+BRANCHES = {(site, branch) for site in ("join", "cqe", "completion")
             for branch in ("inline", "wake")}
 INLINE = {b for b in BRANCHES if b[1] == "inline"}
 
@@ -216,12 +218,14 @@ def test_random_mixes_take_every_tail_branch():
 
 
 def test_idle_rig_runs_tail_wakes_in_place():
-    """On an idle rig every tail wake is provably the next dispatch, so it
-    runs in place.  One cut-through 4 KB WRITE (payload∥tx and rx∥drain
-    joins) and one 64 B READ dispatch 30 events when each join and each
-    completion takes its own same-instant wake; in place, those four
-    wakes are gone, and the completion log and memories still equal the
-    stepped lane's."""
+    """On an idle rig every lane wake is provably the next dispatch, so
+    the engine runs it in place.  One cut-through 4 KB WRITE (payload∥tx
+    and rx∥drain joins) and one 64 B READ dispatch 30 events when every
+    wake takes a heap round trip and no CQ put-ack is skipped; with tail
+    wakes, 9 remain: the client process's six (its boot, four CPU-cost
+    sleeps and its end) and three lane wakes that wait behind the other
+    half of a cut-through pair.  The completion log and memories still
+    equal the stepped lane's (``REPRO_EXPRESS=0``)."""
     def run(express: bool):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_EXPRESS", "1" if express else "0")
@@ -250,8 +254,108 @@ def test_idle_rig_runs_tail_wakes_in_place():
         express, events = run(express=True)
     assert express == stepped
     assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
-    assert branches == {("join", "inline"): 2, ("completion", "inline"): 2}
-    assert events == 30 - 4
+    assert branches == {("join", "inline"): 2, ("cqe", "inline"): 2,
+                        ("completion", "inline"): 2}
+    assert events == 9
+
+
+# ------------------------------------------- tail wakes across layers
+def _serve(tail: bool) -> tuple[dict, object]:
+    """Open-loop KV serving on the lane: two tenants (one rate-limited
+    with a deadline) through the tenancy plane, lease caches and front
+    doors, bursty arrivals and bare think-time delays, every dispatch
+    traced.  ``tail=False`` spells ``Simulator.call_tail`` as plain
+    ``call_at``.  The lane steps traced simulators (so the stepped
+    timeline pins hold); here its predicate does not see the recorder,
+    which only appends to a list."""
+    from repro.apps.hashtable.backend import HashTableBackend
+    from repro.apps.hashtable.layout import TableLayout
+    from repro.hw.params import ServiceConfig, TenantSpec
+    from repro.load import (InvalidationDirectory, KvFrontDoor, LeaseCache,
+                            OpenLoopGenerator, preload_table)
+    from repro.sim import Simulator
+    from repro.tenancy import ServicePlane
+    from repro.verbs.qp import QueuePair
+
+    orig_ok = QueuePair._express_ok
+
+    def untraced_ok(qp, prev):
+        sim = qp.sim
+        hook, sim.trace_dispatch = sim.trace_dispatch, None
+        try:
+            return orig_ok(qp, prev)
+        finally:
+            sim.trace_dispatch = hook
+
+    with pytest.MonkeyPatch.context() as mp, _counted_posts() as posts:
+        mp.setenv("REPRO_EXPRESS", "1")
+        mp.setattr(QueuePair, "_express_ok", untraced_ok)
+        if not tail:
+            mp.setattr(Simulator, "call_tail", Simulator.call_at)
+        sim, cluster, ctx = build(machines=3)
+        timeline = []
+        sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
+        plane = ServicePlane(ctx, ServiceConfig(tenants=(
+            TenantSpec("web"),
+            TenantSpec("batch", weight=2.0, rate_mops=0.5, burst_ops=2,
+                       deadline_ns=3_000.0)), scheduler_slots=4))
+        layout = TableLayout(n_keys=64, hot_keys=0,
+                             sockets=ctx.params.sockets_per_machine)
+        backend = HashTableBackend(ctx, 0, layout)
+        directory = InvalidationDirectory(sim)
+        preload_table(backend, directory)
+        doors = [KvFrontDoor(plane, backend, tenant, machine=m,
+                             cache=LeaseCache(sim, capacity=16,
+                                              lease_ns=1e6),
+                             directory=directory)
+                 for tenant, m in (("web", 1), ("batch", 2))]
+        rng = random.Random(5)
+
+        def request(i):
+            door = doors[i % 2]
+            key = rng.randrange(24)
+            if rng.random() < 0.3:
+                yield rng.random() * 500.0  # think time: a bare delay
+            if i % 5 == 0:
+                return (yield from door.put(key, b"v%d" % i))
+            return (yield from door.get(key))
+
+        # Bursts of up to six same-instant arrivals, 0-3 us apart.
+        times, t = [], 0.0
+        for _ in range(60):
+            t += rng.choice((0.0, 250.0, 1000.0, 3000.0))
+            times.extend([t] * rng.randint(1, 6))
+        gen = OpenLoopGenerator(sim, request, times)
+        gen.start()
+        gen.drain()
+    outcome = {
+        "timeline": timeline,
+        "latencies": gen.latencies,
+        "tally": (gen.offered, gen.delivered, gen.hits, gen.sheds,
+                  gen.errors),
+        "now": sim.now,
+        "posts": len(posts),
+    }
+    return outcome, sim
+
+
+def test_tail_wakes_keep_the_serving_timeline():
+    """Tail wakes from every layer (open-loop arrivals and think times,
+    tenancy rounds, lane holds and wires) dispatch the exact traced
+    ``(time, priority, seq)`` timeline and outcomes of plain
+    ``call_at``, while a share of them runs in place."""
+    ref, ref_sim = _serve(tail=False)
+    got, sim = _serve(tail=True)
+    assert got == ref
+    offered, delivered, hits, sheds, _ = got["tally"]
+    assert got["posts"] > 0 and delivered and hits and sheds
+    assert delivered + sheds == offered
+    assert ref_sim.events_in_place < sim.events_in_place
+    assert (sim.events_processed + sim.events_in_place
+            == ref_sim.events_processed + ref_sim.events_in_place)
+    assert len(got["timeline"]) == (sim.events_processed
+                                    + sim.events_in_place
+                                    - ref_sim.events_in_place)
 
 
 # ------------------------------------------------------ mid-run lane flips
@@ -570,16 +674,16 @@ def _faa(rmr):
                        add=1)
 
 
-#: Op shape -> (posts, the (opcode, wake phase or join) it must reach,
+#: Op shape -> (posts, the (opcode, wake phase) it must reach,
 #: lossy).  The witness proves the shape took its intended branch of the
-#: lane.  A join is witnessed where it reaches zero: on an idle rig its
-#: resume wake runs in place and never shows as a phase.
+#: lane.  A wake the engine runs in place still goes through the wake
+#: handler, so every phase shows.
 _SHAPES = {
     "read": (lambda lm, rm: [(0, _read(lm, rm, 64))], "READ", "P_DLV", False),
     "inline_write": (lambda lm, rm: [(0, _write(lm, rm, 64))],
-                     "WRITE", "svc_join", False),
+                     "WRITE", "P_SVC_R", False),
     "cut_through_write": (lambda lm, rm: [(0, _write(lm, rm, 4096))],
-                          "WRITE", "exec_join", False),
+                          "WRITE", "P_EXEC_R", False),
     "doorbell_batch": (lambda lm, rm: [(0, [
         _write(lm, rm, 64), _read(lm, rm, 64), _write(lm, rm, 1024),
         _faa(rm)])], "FAA", "P_SVC", False),
@@ -616,15 +720,6 @@ def test_completed_op_is_freed_by_refcount(shape):
         wakes.add((op.opcode.name, names[op.phase]))
         orig_wake(self, op, ev)
 
-    def recording_join(name):
-        orig = getattr(ExpressState, name)
-
-        def join(self, op):
-            orig(self, op)
-            if op.pending == 0:
-                wakes.add((op.opcode.name, name.lstrip("_")))
-        return join
-
     def scenario():
         sim, cluster, ctx = build(machines=2)
         if lossy:
@@ -641,8 +736,6 @@ def test_completed_op_is_freed_by_refcount(shape):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpressState, "_on_wake", recording_wake)
-        for name in ("_exec_join", "_svc_join"):
-            mp.setattr(ExpressState, name, recording_join(name))
         garbage = cyclic_garbage(scenario)
     assert (opcode, phase) in wakes, sorted(wakes)
     assert (dropped[0] > 0) == lossy

@@ -403,3 +403,219 @@ def test_finished_process_is_freed_by_refcount(path, until):
 
     garbage = cyclic_garbage(scenario)
     assert garbage["Process"] == 0 and garbage["_Sleep"] == 0, garbage
+
+
+# ------------------------------------------------------------ tail wakes
+class _Recorder:
+    """A simulator with a traced timeline, sanitizer-style dispatch hook
+    and a log.  ``tail=False`` spells every ``call_tail`` as ``call_at``:
+    the reference each tail-wake test compares against."""
+
+    def __init__(self, tail: bool = True):
+        self.sim = sim = Simulator()
+        self.timeline = []
+        self.checked = []
+        self.log = []
+        sim.trace_dispatch = lambda w, p, s: self.timeline.append((w, p, s))
+        sim.check = self
+        self.tail = sim.call_tail if tail else sim.call_at
+
+    def on_dispatch(self, when):  # the sanitizer hook's signature
+        self.checked.append(when)
+
+    def mark(self, name):
+        """A wake callback appending ``(name, now)`` to the log."""
+        return lambda _ev: self.log.append((name, self.sim.now))
+
+
+def _both(scenario, **run):
+    """Run ``scenario(rec)`` with tail wakes and with plain ``call_at``;
+    both must record the same timeline, hook calls, log and clock.
+    Returns ``(in-place runs, dispatched events)`` of the tail run."""
+    out = []
+    for tail in (True, False):
+        rec = _Recorder(tail)
+        scenario(rec)
+        rec.sim.run(**run)
+        out.append(rec)
+    tail, ref = out
+    assert tail.timeline == ref.timeline
+    assert tail.checked == ref.checked == [w for w, _, _ in ref.timeline]
+    assert (tail.log, tail.sim.now) == (ref.log, ref.sim.now)
+    assert ref.sim.events_in_place == 0
+    assert (tail.sim.events_in_place + tail.sim.events_processed
+            == ref.sim.events_processed)
+    return tail.sim.events_in_place, tail.sim.events_processed
+
+
+def test_call_tail_runs_in_place_only_when_its_key_beats_the_heap():
+    def alone(rec):  # nothing else pending: the tail is next
+        rec.sim.call_at(1.0, lambda _e: rec.tail(5.0, rec.mark("t")))
+
+    def later_entry(rec):  # an entry after the tail does not block it
+        def first(_e):
+            rec.tail(5.0, rec.mark("t"))
+            rec.sim.call_at(9.0, rec.mark("later"))
+        rec.sim.call_at(1.0, first)
+
+    def earlier_at_call(rec):  # an entry at or before `when`: push now
+        rec.sim.call_at(3.0, rec.mark("early"))
+        rec.sim.call_at(1.0, lambda _e: rec.tail(5.0, rec.mark("t")))
+
+    def earlier_after_call(rec):  # pushed after the tail, pops before it
+        def first(_e):
+            rec.tail(5.0, rec.mark("t"))
+            rec.sim.call_at(4.0, rec.mark("early"))
+        rec.sim.call_at(1.0, first)
+
+    assert _both(alone) == (1, 1)
+    assert _both(later_entry) == (1, 2)
+    assert _both(earlier_at_call) == (0, 3)
+    assert _both(earlier_after_call) == (0, 3)
+
+
+def test_call_tail_keeps_same_instant_and_urgent_order():
+    """A same-instant NORMAL push after the tail takes a larger seq and
+    follows it; an URGENT entry at the tail's instant precedes it."""
+    def same_instant(rec):
+        def first(_e):
+            rec.tail(rec.sim.now, rec.mark("t"))
+            rec.sim.call_at(rec.sim.now, rec.mark("after"))
+        rec.sim.call_at(1.0, first)
+
+    def urgent(rec):
+        sim = rec.sim
+
+        def boot():
+            rec.log.append(("urgent", sim.now))
+            yield 0.0
+
+        def first(_e):
+            rec.tail(sim.now, rec.mark("t"))
+            sim.process(boot())  # boots at (now, URGENT)
+        sim.call_at(1.0, first)
+
+    assert _both(same_instant) == (1, 2)
+    assert _both(urgent) == (0, 5)
+    rec = _Recorder()
+    urgent(rec)
+    rec.sim.run()
+    assert [name for name, _ in rec.log] == ["urgent", "t"]
+
+
+def test_second_call_tail_pushes_the_first_with_its_reserved_seq():
+    def two(rec):
+        def first(_e):
+            rec.tail(8.0, rec.mark("a"))  # pushed by the second, seq kept
+            rec.tail(5.0, rec.mark("b"))  # earlier: still runs in place
+        rec.sim.call_at(1.0, first)
+
+    def two_same_instant(rec):
+        def first(_e):
+            rec.tail(5.0, rec.mark("a"))
+            rec.tail(5.0, rec.mark("b"))  # queued behind a's seq
+        rec.sim.call_at(1.0, first)
+
+    assert _both(two) == (1, 2)
+    assert _both(two_same_instant) == (0, 3)
+    rec = _Recorder()
+    two(rec)
+    rec.sim.run()
+    # b ran first but carries the later seq: a's was reserved before it.
+    (_, _, s_first), (_, _, s_b), (_, _, s_a) = rec.timeline
+    assert rec.log == [("b", 5.0), ("a", 8.0)] and s_a < s_b
+
+
+def test_run_until_never_runs_a_tail_past_the_horizon():
+    sim = Simulator()
+    seen = []
+    sim.call_at(1.0, lambda _e: sim.call_tail(
+        100.0, lambda _e: seen.append(sim.now)))
+    sim.run(until=50.0)
+    assert seen == [] and sim.now == 50.0
+    assert sim.peek() == 100.0  # the tail went to the heap
+    sim.run()
+    assert seen == [100.0] and sim.events_processed == 2
+    assert _both(lambda rec: rec.sim.call_at(1.0, lambda _e: rec.tail(
+        100.0, rec.mark("t"))), until=50.0) == (0, 1)
+
+
+def test_stop_event_processed_in_place_ends_run():
+    """An in-place run that processes the awaited event ends ``run()``
+    there; the tail it parked lands in the heap."""
+    sim = Simulator()
+    stop = sim.event()
+    after = []
+
+    def tail(_e):
+        sim._fire_now(stop, "v")  # as the lane completes an op in place
+        sim.call_tail(sim.now + 1.0, lambda _e: after.append(sim.now))
+
+    sim.call_at(1.0, lambda _e: sim.call_tail(2.0, tail))
+    assert sim.run(until=stop) == "v"
+    assert sim.now == 2.0 and after == []
+    assert sim.events_in_place == 2  # the tail and the stop event
+    assert sim.peek() == 3.0
+    sim.run()
+    assert after == [3.0]
+
+
+def test_exception_in_an_in_place_run_propagates_like_a_dispatch():
+    def scenario(sim, spelling):
+        seen = []
+
+        def boom(_e):
+            sim.call_tail(sim.now + 5.0, lambda _e: seen.append(sim.now))
+            raise RuntimeError("boom")
+
+        sim.call_at(1.0, lambda _e: getattr(sim, spelling)(2.0, boom))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert sim.now == 2.0
+        assert sim.peek() == 7.0  # the leftover tail is in the heap
+        sim.run()
+        assert seen == [7.0]
+        return sim
+
+    assert scenario(Simulator(), "call_tail").events_in_place == 1
+    assert scenario(Simulator(), "call_at").events_in_place == 0
+
+
+def test_step_never_runs_a_tail_in_place():
+    sim = Simulator()
+    seen = []
+    sim.call_at(1.0, lambda _e: sim.call_tail(
+        2.0, lambda _e: seen.append(sim.now)))
+    sim.call_tail(0.5, lambda _e: seen.append(sim.now))  # outside run()
+    assert sim.peek() == 0.5
+    sim.step()
+    sim.step()
+    assert seen == [0.5] and sim.peek() == 2.0
+    sim.step()
+    assert seen == [0.5, 2.0]
+    assert (sim.events_processed, sim.events_in_place) == (3, 0)
+
+
+def test_next_is_now_sees_the_heap_and_the_parked_tail():
+    """The lane's in-place completion asks whether an entry pushed now
+    would dispatch next: not with an entry or a parked tail at ``now``,
+    and never outside ``run()``."""
+    sim = Simulator()
+    seen = []
+
+    def first(_e):
+        seen.append(sim._next_is_now())  # nothing else is pending
+        sim.call_tail(sim.now + 5.0, lambda _e: None)
+        seen.append(sim._next_is_now())  # a later tail does not block
+        sim.call_tail(sim.now, lambda _e: None)
+        seen.append(sim._next_is_now())  # a tail at this instant does
+
+    def second(_e):
+        sim.call_at(sim.now, lambda _e: None)
+        seen.append(sim._next_is_now())  # so does a heap entry
+
+    sim.call_at(1.0, first)
+    sim.call_at(10.0, second)
+    assert not sim._next_is_now()
+    sim.run()
+    assert seen == [True, True, False, False]
