@@ -10,8 +10,8 @@ campaign run serially and through a 4-worker pool; see
 * ``wall_s`` — host wall-clock seconds,
 * ``events`` — simulator events dispatched (``Simulator.total_events``
   delta across the scenario, summed over every short-lived simulator the
-  sweep builds; tail wakes the engine runs in place are not dispatched
-  and not counted),
+  sweep builds; entries the engine runs in place from its tail slot are
+  not dispatched and not counted),
 * ``events_per_sec`` — the headline fast-path throughput number,
 * ``digest`` — a SHA-256 over the scenario's simulated *outputs* (figure
   series, final clock).  The simulator is deterministic, so the digest is
@@ -25,7 +25,8 @@ campaign run serially and through a 4-worker pool; see
   completes verbs ops (``repro.verbs.qp.tally``) records
   ``events_per_op`` and ``cycles_per_op``
   (objects one collection finds in cycles at the scenario's end, per
-  completed op), both gated against a rise; ``sweep_parallel`` adds
+  completed op), both gated against a rise, and ``in_place_per_op``,
+  recorded but not gated; ``sweep_parallel`` adds
   wall-clock-derived campaign numbers: serial and 4-job points/sec,
   ``jobs4_speedup``, and the usable ``cores``.
 
@@ -46,8 +47,8 @@ the baseline (``make perf-update``) when moving to different hardware;
 the digests must survive the move unchanged.
 
 The census (:mod:`repro.bench.perf.census`) splits a scenario's events
-per op, and the tail wakes run in place, by the layer of the code that
-scheduled them; it is informational, not gated.
+per op, and its in-place runs, by the layer of the code that scheduled
+them; it is informational, not gated.
 """
 
 from repro.bench.perf.harness import (

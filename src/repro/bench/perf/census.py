@@ -1,29 +1,28 @@
 """Event census: dispatched events per completed op, by scheduling layer.
 
 ``python -m repro.bench.perf census <scenario...>`` runs perf scenarios
-with the engine's heap push and pop wrapped.  Each push is charged to the
+with the engine's one scheduling point (``Simulator._park``) and its heap
+pops (``heappop``, ``heappushpop``) wrapped.  Each entry is charged to the
 layer of the code that scheduled it; each pop that the engine dispatches
 (not a tombstone) counts that charge.  The per-layer counts therefore sum
 to the scenario's ``events``, and since the wrappers only count, the run
 reproduces the scenario's schedule digest.  It does not use
 ``Simulator.trace_dispatch``, which would turn the express lane off.
 
-Tail wakes (``Simulator.call_tail``) are charged to the layer that called
-``call_tail``, whether the engine pushes them at once, pushes them when
-the dispatch ends, or runs them in place.  In-place runs — and the express
-lane's in-place completions (``Simulator._fire_now``) — are not
-dispatched events; they are counted in a second table, ``in place``, by
-the same layers.
+An entry ``heappushpop`` hands back as the tail it was given ran in
+place: it is not a dispatched event, and is counted in a second table,
+``in place``, by the same layers.
 
 Who scheduled an event:
 
 * a process's bare delay or boot (a ``_Sleep`` entry): the code of the
-  innermost generator the process is running;
-* a tail wake: the caller of ``call_tail``, found as below;
+  innermost generator the process is running, read when the entry is
+  popped (the generator has not moved since it yielded; the loop's own
+  sleeper re-push never calls ``_park``);
 * any other entry: the innermost frame on the stack outside
   :mod:`repro.sim`, looking no further out than the dispatch loop — an
-  entry the engine pushes on its own (a process finishing, an ``all_of``
-  firing) is charged to ``sim``.
+  entry the engine schedules on its own (a process finishing, an
+  ``all_of`` firing) is charged to ``sim``.
 
 Layers are source packages of ``repro``; ``verbs-stepped`` is all of
 ``repro.verbs`` except the express lane (the stepped pipeline plus the
@@ -43,7 +42,7 @@ from typing import Iterator
 
 import repro
 from repro.sim import engine
-from repro.sim.engine import Simulator, _Sleep
+from repro.sim.engine import Simulator, _Sleep, _dead
 
 __all__ = ["LAYERS", "census", "layer_of", "main"]
 
@@ -84,81 +83,85 @@ def _frame_layer(frame) -> str:
     return "sim"
 
 
-def _scheduler(entry: tuple) -> str:
-    """The layer that is pushing heap ``entry`` (called from the push)."""
-    target = entry[3]
-    if type(target) is _Sleep:
-        gen = target.proc._generator
-        inner = getattr(gen, "gi_yieldfrom", None)
-        while inner is not None and hasattr(inner, "gi_code"):
-            gen, inner = inner, inner.gi_yieldfrom
-        return layer_of(gen.gi_code.co_filename)
-    return _frame_layer(sys._getframe(2))  # skip the push wrapper and us
+def _sleeper_layer(marker: _Sleep) -> str:
+    """The layer of the generator a sleeping process is suspended in."""
+    gen = marker.proc._generator
+    inner = getattr(gen, "gi_yieldfrom", None)
+    while inner is not None and hasattr(inner, "gi_code"):
+        gen, inner = inner, inner.gi_yieldfrom
+    return layer_of(gen.gi_code.co_filename)
 
 
 @contextlib.contextmanager
 def _counting() -> Iterator[tuple[Counter, Counter]]:
-    """Wrap the engine's heap push and pop and its two in-place paths;
-    yield (dispatches by layer, in-place runs by layer)."""
+    """Wrap ``Simulator._park`` and the engine's heap push, pop and
+    pushpop; yield (dispatches by layer, in-place runs by layer)."""
     counts: Counter = Counter()
     in_place: Counter = Counter()
-    charged: dict[int, str] = {}  # id(heap entry) -> layer, while queued
-    # (id(heap), reserved seq) -> layer, for a tail not yet pushed or run
-    reserved: dict[tuple[int, int], str] = {}
-    push, pop = engine.heappush, engine.heappop
-    call_tail, fire_now = Simulator.call_tail, Simulator._fire_now
+    charged: dict[int, str] = {}  # id(entry) -> layer, while scheduled
+    # The last dispatch counted: (heap, seq, layer, tally it went to).
+    last: list = [None, 0, "", counts]
+    park = Simulator._park
+    push, pop, pushpop = engine.heappush, engine.heappop, engine.heappushpop
 
-    def counting_push(heap: list, entry: tuple) -> None:
-        layer = reserved.pop((id(heap), entry[2]), None)
-        charged[id(entry)] = layer or _scheduler(entry)
-        push(heap, entry)
+    def counting_park(sim: Simulator, entry: tuple) -> None:
+        if type(entry[3]) is not _Sleep:
+            charged[id(entry)] = _frame_layer(sys._getframe(1))
+        park(sim, entry)
 
-    def counting_pop(heap: list) -> tuple:
-        entry = pop(heap)
-        layer = charged.pop(id(entry), "other")
+    def count(heap: list, entry: tuple, tally: Counter) -> None:
         target = entry[3]
         if type(target) is _Sleep:
             proc = target.proc
-            live = proc is not None and proc._waiting_on is target
+            if proc is None or proc._waiting_on is not target:
+                return  # the same tombstone test the dispatch loop applies
+            layer = _sleeper_layer(target)
         else:
-            live = not target._cancelled
-        if live:  # the same test the dispatch loop applies next
-            counts[layer] += 1
+            layer = charged.pop(id(entry), "other")
+            if _dead(target):
+                return
+        tally[layer] += 1
+        last[:] = heap, entry[2], layer, tally
+
+    def counting_pop(heap: list) -> tuple:
+        entry = pop(heap)
+        count(heap, entry, counts)
         return entry
 
-    def counting_tail(sim: Simulator, when: float, fn) -> None:
-        key = (id(sim._heap), sim._seq + 1)  # the seq call_tail reserves
-        layer = reserved[key] = _frame_layer(sys._getframe(1))
+    def counting_pushpop(heap: list, item: tuple) -> tuple:
+        entry = pushpop(heap, item)
+        count(heap, entry, in_place if entry is item else counts)
+        return entry
 
-        def counted(ev) -> None:
-            # Still reserved when it runs: it was never pushed.
-            if reserved.pop(key, None) is not None:
-                in_place[layer] += 1
-            fn(ev)
-
-        call_tail(sim, when, counted)
-
-    def counting_fire_now(sim: Simulator, event, value) -> None:
-        in_place[_frame_layer(sys._getframe(1))] += 1
-        fire_now(sim, event, value)
+    def counting_push(heap: list, entry: tuple) -> None:
+        # ``run(until=T)`` pops the first entry past T and pushes it back
+        # undispatched: take back its count (seqs are unique per heap).
+        if heap is last[0] and entry[2] == last[1]:
+            last[0] = None
+            last[3][last[2]] -= 1
+            if type(entry[3]) is not _Sleep:
+                charged[id(entry)] = last[2]
+        push(heap, entry)
 
     engine.heappush, engine.heappop = counting_push, counting_pop
-    setattr(Simulator, "call_tail", counting_tail)
-    setattr(Simulator, "_fire_now", counting_fire_now)
+    engine.heappushpop = counting_pushpop
+    setattr(Simulator, "_park", counting_park)
     try:
         yield counts, in_place
     finally:
         engine.heappush, engine.heappop = push, pop
-        setattr(Simulator, "call_tail", call_tail)
-        setattr(Simulator, "_fire_now", fire_now)
+        engine.heappushpop = pushpop
+        setattr(Simulator, "_park", park)
 
 
 def census(names: list[str]) -> dict:
     """Run each named perf scenario under the census.
 
-    Returns ``{name: {"by_layer", "in_place", "events", "ops",
-    "digest"}}``, where ``events`` and ``digest`` are the scenario's own
-    numbers from :func:`~repro.bench.perf.harness.run_scenarios`.
+    Returns ``{name: {"by_layer", "in_place", "events", "in_place_events",
+    "ops", "digest"}}``, where ``events`` and ``digest`` are the
+    scenario's own numbers from
+    :func:`~repro.bench.perf.harness.run_scenarios` and
+    ``in_place_events`` is the engine's own in-place count.
     """
     from repro.bench.perf.harness import run_scenarios
     from repro.verbs.qp import tally
@@ -166,12 +169,14 @@ def census(names: list[str]) -> dict:
     out = {}
     for name in names:
         ops_before = tally.completions
+        in_place_before = engine.tally.in_place
         with _counting() as (counts, in_place):
             row = run_scenarios([name])["scenarios"][name]
         out[name] = {
             "by_layer": {layer: counts[layer] for layer in LAYERS},
             "in_place": {layer: in_place[layer] for layer in LAYERS},
             "events": row["events"],
+            "in_place_events": engine.tally.in_place - in_place_before,
             "ops": tally.completions - ops_before,
             "digest": row["digest"],
         }
@@ -200,14 +205,19 @@ def main(names: list[str]) -> int:
     line("ops", [rows[n]["ops"] for n in names])
     line("digest", [rows[n]["digest"][:10] for n in names])
     print()
-    print("in place: tail wakes and completions run without a heap round "
-          "trip, per completed op, by the layer that scheduled them")
+    print("in place: dispatches run from the tail slot without a heap "
+          "round trip, per completed op, by the layer that scheduled them")
     for layer in LAYERS:
         line(layer, [per_op(n, rows[n]["in_place"][layer]) for n in names])
-    line("total", [per_op(n, sum(rows[n]["in_place"].values()))
-                   for n in names])
-    bad = [n for n in names if totals[n] != rows[n]["events"]]
-    for n in bad:
-        print(f"{n}: census counted {totals[n]:,} dispatches, the "
-              f"scenario {rows[n]['events']:,}")
+    in_place = {n: sum(rows[n]["in_place"].values()) for n in names}
+    line("total", [per_op(n, in_place[n]) for n in names])
+    bad = 0
+    for n in names:
+        for what, got, want in (
+                ("dispatches", totals[n], rows[n]["events"]),
+                ("in-place runs", in_place[n], rows[n]["in_place_events"])):
+            if got != want:
+                bad += 1
+                print(f"{n}: census counted {got:,} {what}, the scenario "
+                      f"{want:,}")
     return 1 if bad else 0

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from repro.bench import TARGETS
 from repro.sim import Simulator
+from repro.sim.engine import tally as engine_tally
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -197,6 +198,7 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
         fn = SCENARIOS[name]
         gc.collect()  # start each scenario from a clean allocator state
         events_before = Simulator.total_events
+        in_place_before = engine_tally.in_place
         ops_before = tally.completions
         # The collector stays off for the whole scenario, so one final
         # collection finds every object the scenario left in a cycle.
@@ -215,6 +217,7 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
             if gc_was_enabled:
                 gc.enable()
         events = Simulator.total_events - events_before
+        in_place = engine_tally.in_place - in_place_before
         ops = tally.completions - ops_before
         # ``_metrics`` carries wall-clock-derived numbers (e.g. parallel
         # speedup) that vary across machines; keep them out of the digest.
@@ -228,6 +231,9 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
             # part of the simulated outcome) but is gated, unlike the
             # wall-clock numbers around it.
             metrics["events_per_op"] = round(events / ops, 2)
+            # Dispatches that ran from the engine's tail slot without a
+            # heap round trip (not in ``events``); recorded, not gated.
+            metrics["in_place_per_op"] = round(in_place / ops, 2)
             # Objects only the cyclic collector could free, per op.
             # ``Simulator.run`` pauses that collector, so per-op objects
             # must die by refcount: a rise means some per-op object
@@ -379,7 +385,8 @@ def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
     if lines:
         print(f"tracked metrics (events_per_op and cycles_per_op gated "
               f"against a rise; jobs4_speedup gated at >={SPEEDUP_FLOOR}x "
-              f"on >={SPEEDUP_CORES} cores; the rest informational):")
+              f"on >={SPEEDUP_CORES} cores; the rest, in_place_per_op "
+              "included, informational):")
         for line in lines:
             print(line)
 

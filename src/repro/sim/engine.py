@@ -27,7 +27,8 @@ event is dispatched, never which event fires next.
 
 * **Fused dispatch** — :meth:`Simulator.run` pops and dispatches events in
   one inlined loop (no per-event ``step()`` call, no ``_run_callbacks``
-  call); :meth:`step` remains for single-stepping.
+  call), the same loop for draining, ``until=T`` and ``until=event``;
+  :meth:`step` remains for single-stepping.
 * **Object pooling** — ``Timeout`` and plain ``Event`` instances are
   recycled through per-simulator free lists.  Recycling is gated on
   ``sys.getrefcount``: an event is only pooled when the dispatch loop holds
@@ -46,20 +47,22 @@ event is dispatched, never which event fires next.
   dispatch loop, skipping Event construction, callback lists and pool
   probes entirely.  Sequence numbers are allocated at the same moments,
   so the two spellings produce bit-identical schedules.
-* **Tail wakes** — :meth:`Simulator.call_tail` is ``call_at`` for callers
-  that drop the handle.  It reserves the wake's ``seq`` where ``call_at``
-  would allocate it, and parks ``(when, NORMAL, seq, fn)`` in a one-slot
-  tail unless a heap entry already lies at or before ``when``.  When the
-  current dispatch ends, the loop compares the tail's full key with
-  ``heap[0]``: a smaller key is the entry the loop would pop next, so it
-  sets ``now`` and calls ``fn`` in place — no Event, no push, no pop.
-  Otherwise (and whenever a second tail arrives, or ``run()`` exits) the
-  tail is pushed under its reserved ``seq``.  The heap therefore holds the
-  same keys as with ``call_at`` and pops in the same order: outcomes are
-  identical by construction.  An in-place run is traced and checked like
-  a dispatch (``trace_dispatch(when, NORMAL, seq)``,
-  ``check.on_dispatch(when)``), so tracing never changes which code runs;
-  it is counted in ``events_in_place``, not in ``events_processed``.
+* **In-place dispatch** — every trigger (``Event.succeed``/``fail``,
+  timeouts, ``call_at``, ``call_tail``, interrupts, process boots and
+  bare-delay sleeps) schedules its ``(when, priority, seq, target)``
+  entry through one method, :meth:`Simulator._park`.  Outside ``run()``
+  it pushes.  Inside, a one-slot tail keeps the smallest entry the
+  current dispatch has scheduled; an entry it displaces (or that loses
+  to it) is pushed under its own seq.  Each loop iteration then takes
+  ``heappushpop(heap, tail)``, which returns the tail itself exactly
+  when its key beats ``heap[0]`` — that is, exactly when ``heappop``
+  would have returned it after a push.  So an entry runs in place only
+  when it is the next dispatch anyway; the heap holds the same keys and
+  pops in the same order, and outcomes are identical by construction.
+  An in-place dispatch is traced and checked like any other
+  (``trace_dispatch``, ``check.on_dispatch``), so tracing never changes
+  which code runs; it counts in ``events_in_place``, not in
+  ``events_processed``.
 
 The enqueue order — one global ``_seq`` incremented per scheduled event,
 keys ``(now + delay, priority, seq)`` — is untouched by all of the above,
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Generator, Iterable, Optional
 
 try:  # CPython: exact refcounts gate object recycling.
@@ -116,19 +119,25 @@ class Interrupt(Exception):
 URGENT = 0
 NORMAL = 1
 
-#: ``Simulator._tail`` while ``run()`` dispatches and no tail is parked.
-#: Outside ``run()`` the slot is ``None`` and ``call_tail`` always pushes.
+#: ``Simulator._tail`` while ``run()`` dispatches and no entry is parked.
+#: Outside ``run()`` the slot is ``None`` and ``_park`` always pushes.
 _OPEN = ()
+
+
+def _bad_yield(proc: "Process", target: Any) -> "SimulationError":
+    return SimulationError(
+        f"process {proc.name!r} yielded {target!r}; processes must yield "
+        "Event instances or bare non-negative float delays")
 
 
 class _Sleep:
     """Heap marker for a process suspended on a bare ``yield <delay>``.
 
     The bare-delay fast lane: a generator may yield a plain non-negative
-    float (or int) instead of ``sim.timeout(delay)`` when it only wants to
-    pause — no carried value, no shared waiters, no cancellation handle.
-    The engine then skips the whole Event life cycle: one reusable marker
-    per process is pushed straight onto the heap and the dispatch loop
+    float instead of ``sim.timeout(delay)`` when it only wants to pause —
+    no carried value, no shared waiters, no cancellation handle.  The
+    engine then skips the whole Event life cycle: one reusable marker per
+    process is scheduled as the heap entry itself and the dispatch loop
     resumes the generator directly — no callback list, no pooling probe,
     no ``_processed`` bookkeeping.  The scheduling key is allocated exactly
     like a ``Timeout``'s ``(now + delay, NORMAL, next seq)`` at the same
@@ -212,12 +221,14 @@ class Event:
         """Mark the event successful and schedule its callbacks."""
         if self._triggered or self._cancelled:
             raise SimulationError(f"{self!r} already triggered")
+        if not delay >= 0:
+            raise ValueError(f"invalid succeed() delay: {delay}")
         self._triggered = True
         self._ok = True
         self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
+        sim._park((sim.now + delay, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -226,12 +237,14 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if not delay >= 0:
+            raise ValueError(f"invalid fail() delay: {delay}")
         self._triggered = True
         self._ok = False
         self._value = exception
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
+        sim._park((sim.now + delay, NORMAL, seq, self))
         return self
 
     # -- cancellation -------------------------------------------------------
@@ -309,15 +322,15 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN fails too
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True
         self._ok = True
         self._value = value
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
+        sim._park((sim.now + delay, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -325,7 +338,8 @@ class Process(Event):
 
     Yield targets inside the generator must be :class:`Event` instances
     (timeouts, resource grants, other processes, ``AllOf``/``AnyOf``...)
-    or a bare non-negative float — a pure delay equivalent to
+    or a bare non-negative float (a negative or NaN one fails the run like
+    any bad yield) — a pure delay equivalent to
     ``sim.timeout(delay)`` but dispatched through the cheap
     :class:`_Sleep` lane (same schedule, no Event object).
     """
@@ -353,7 +367,7 @@ class Process(Event):
         s = self._sleep = _Sleep(self)
         self._waiting_on: Any = s
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now, URGENT, seq, s))
+        sim._park((sim.now, URGENT, seq, s))
         # One bound method for the process's whole life: every yield target
         # gets this same object appended, instead of materializing a fresh
         # bound method per resumption.
@@ -394,8 +408,9 @@ class Process(Event):
         elif waited is not None and waited.callbacks is not None:
             waited.discard_callback(self._resume)
             # A solitary engine-owned timer (sole refs: here, the refcount
-            # probe, and its heap entry) can never be observed again —
-            # tombstone it so the dispatch loop skips it in O(1).
+            # probe, and its heap or tail-slot entry) can never be
+            # observed again — tombstone it so the dispatch loop skips it
+            # in O(1).
             if (not waited.callbacks and type(waited) is Timeout
                     and _refs(waited) <= 3):
                 waited.cancel()
@@ -448,7 +463,7 @@ class Process(Event):
             # ``self``, which holds the exception as its value — a cycle.
             self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
-        if type(target) is float:
+        if type(target) is float and target >= 0.0:
             # Bare-delay fast lane (see _Sleep): schedule-identical to
             # ``yield sim.timeout(target)`` at a fraction of the cost.
             s = self._sleep
@@ -457,7 +472,7 @@ class Process(Event):
             self._waiting_on = s
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + target, NORMAL, seq, s))
+            sim._park((sim.now + target, NORMAL, seq, s))
             return
         if isinstance(target, Event):
             self._waiting_on = target
@@ -471,11 +486,7 @@ class Process(Event):
             else:
                 target.add_callback(self._bound_resume)
             return
-        err = SimulationError(
-            f"process {self.name!r} yielded {target!r}; processes must "
-            "yield Event instances or bare float delays"
-        )
-        self.sim._crash(err, self)
+        self.sim._crash(_bad_yield(self, target), self)
 
     def _step(self, trigger: Event, throw: bool) -> None:
         # Cold path kept for interrupt delivery (throw regardless of _ok).
@@ -499,21 +510,17 @@ class Process(Event):
                 return
             self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
-        if type(target) is float:
+        if type(target) is float and target >= 0.0:
             s = self._sleep
             if s is None:
                 s = self._sleep = _Sleep(self)
             self._waiting_on = s
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + target, NORMAL, seq, s))
+            sim._park((sim.now + target, NORMAL, seq, s))
             return
         if not isinstance(target, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances or bare float delays"
-            )
-            self.sim._crash(err, self)
+            self.sim._crash(_bad_yield(self, target), self)
             return
         self._waiting_on = target
         target.add_callback(self._resume)
@@ -580,13 +587,14 @@ class Simulator:
 
     ``events_processed`` / ``events_cancelled`` count dispatched and
     tombstoned events over the simulator's lifetime, and
-    ``events_in_place`` the tail wakes that ran without a heap round trip
-    (:meth:`call_tail`).  The perf harness (:mod:`repro.bench.perf`)
-    aggregates the class-wide ``Simulator.total_events`` to compute
+    ``events_in_place`` the dispatches that came from the tail slot
+    without a heap round trip (:meth:`_park`).  The perf harness
+    (:mod:`repro.bench.perf`) aggregates the class-wide
+    ``Simulator.total_events`` (and ``tally.in_place``) to compute
     events/sec across the many short-lived simulators a bench sweep
-    builds; it is written once per ``run()``/``step()`` call, never per
-    event (a class-attribute write deoptimizes attribute access on every
-    instance of the class).
+    builds; both are written once per ``run()``/``step()`` call, never
+    per event (a class-attribute write deoptimizes attribute access on
+    every instance of the class).
     """
 
     __slots__ = ("now", "_heap", "_seq", "_crashed", "events_processed",
@@ -599,21 +607,24 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Pending entries ``(when, priority, seq, target)``; ``target``
+        #: is an :class:`Event`, a :class:`_Sleep` marker or a bare
+        #: :meth:`call_tail` function.
+        self._heap: list[tuple] = []
         self._seq = 0
         self._crashed: Optional[tuple[BaseException, Optional[Process]]] = None
         self.events_processed = 0
         self.events_cancelled = 0
         self.events_in_place = 0
-        #: The parked tail wake ``(when, NORMAL, seq, fn)``, ``_OPEN`` when
-        #: ``run()`` is dispatching without one, ``None`` outside ``run()``.
+        #: The smallest entry the running dispatch has scheduled, ``_OPEN``
+        #: when ``run()`` is dispatching without one, ``None`` outside
+        #: ``run()``.
         self._tail: Optional[tuple] = None
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         #: Optional hook ``f(time, priority, seq)`` invoked per dispatched
         #: event — the schedule-identity tests record timelines through it.
-        #: Dispatch takes a slower loop while set; leave ``None`` in
-        #: production runs.
+        #: Leave ``None`` in production runs.
         self.trace_dispatch: Optional[Callable[[float, int, int], None]] = None
         #: Invariant sanitizer slot (see :mod:`repro.check`).  ``None`` by
         #: default: every instrumented layer reads this attribute and the
@@ -641,8 +652,8 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` ns from now (pooled fast path)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN fails too
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         pool = self._timeout_pool
         if pool:
             ev = pool.pop()
@@ -663,110 +674,50 @@ class Simulator:
             ev._cancelled = False
             ev.delay = delay
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self.now + delay, NORMAL, seq, ev))
+        self._park((self.now + delay, NORMAL, seq, ev))
         return ev
+
+    def _clamp(self, when: float) -> float:
+        """A ``when`` that is not at or after ``now``: a finite past
+        instant (float dust from long arithmetic chains) becomes ``now``;
+        NaN is refused."""
+        if when != when:
+            raise ValueError("cannot schedule a wake at NaN")
+        return self.now
 
     def call_at(self, when: float, fn: Callable[["Event"], None]) -> Event:
         """Fused wake-up: run ``fn(event)`` once at absolute time ``when``.
 
-        A pooled Event is pre-marked triggered and pushed directly at
+        A pooled Event is pre-marked triggered and scheduled directly at
         ``when`` (absolute, not ``now + delay`` — closed-form timelines are
         computed as absolute instants and must not pick up float error
         from a round trip through a delta).  The dispatch loop handles it
-        through the ordinary non-Sleep branch; ``event.cancel()``
-        tombstones it in O(1), so a timer can be re-armed cheaply.  Keys
-        are allocated from the same global ``_seq`` as every other event,
-        preserving deterministic tie order.  A caller that drops the
-        handle uses :meth:`call_tail` instead.
+        as an ordinary Event; ``event.cancel()`` tombstones it in O(1), so
+        a timer can be re-armed cheaply.  Keys are allocated from the same
+        global ``_seq`` as every other event, preserving deterministic tie
+        order.  A caller that drops the handle uses :meth:`call_tail`.
         """
-        if when < self.now:  # float dust from long arithmetic chains
-            when = self.now
+        if not when >= self.now:
+            when = self._clamp(when)
         self._seq = seq = self._seq + 1
-        return self._push_tail((when, NORMAL, seq, fn))
-
-    def call_tail(self, when: float, fn: Callable[[Optional[Event]], None]
-                  ) -> None:
-        """``call_at(when, fn)`` without a handle; ``fn`` may run in place.
-
-        The ``seq`` is reserved here, exactly where ``call_at`` allocates
-        it.  Outside ``run()``, or when a heap entry already lies at or
-        before ``when``, the wake is pushed at once.  Otherwise it parks
-        in the one-slot tail; when the current dispatch ends, ``run()``
-        calls ``fn(None)`` in place if the tail's key ``(when, NORMAL,
-        seq)`` is smaller than ``heap[0]``'s — the entry it would pop
-        next — and pushes the tail under its reserved ``seq`` if not.  A
-        second ``call_tail`` pushes a parked first one the same way.  The
-        heap thus holds ``call_at``'s keys and pops in ``call_at``'s
-        order.  ``fn`` receives the wake Event when it was pushed and
-        ``None`` when it ran in place; callers must not use either.
-        """
-        if when < self.now:  # float dust, as in call_at
-            when = self.now
-        self._seq = seq = self._seq + 1
-        tail = self._tail
-        if tail:  # a parked tail yields the slot, keeping its seq
-            self._push_tail(tail)
-            self._tail = tail = _OPEN
-        heap = self._heap
-        # Park unless outside run() or an entry already lies at or
-        # before ``when``: then push now — _push_tail inlined, as this
-        # is the path most wakes take.
-        if tail is not None and (not heap or heap[0][0] > when):
-            self._tail = (when, NORMAL, seq, fn)
-            return
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._ok = True
-            ev._processed = False
-            ev._cancelled = False
-        else:
-            ev = Event(self)
-        ev._triggered = True
-        ev._value = None
-        ev.callbacks.append(fn)
-        heappush(heap, (when, NORMAL, seq, ev))
-
-    def _push_tail(self, tail: tuple) -> Event:
-        """Push a wake ``(when, NORMAL, seq, fn)`` under its own seq."""
-        when, prio, seq, fn = tail
         ev = self.event()
         ev._triggered = True
         ev._value = None
         ev.callbacks.append(fn)
-        heappush(self._heap, (when, prio, seq, ev))
+        self._park((when, NORMAL, seq, ev))
         return ev
 
-    def _next_is_now(self) -> bool:
-        """True when an entry pushed now at ``(now, NORMAL, next seq)``
-        would be ``run()``'s next dispatch: no heap entry and no parked
-        tail lies at or before ``now``.  Always False outside ``run()``."""
-        tail = self._tail
-        if tail is None:
-            return False
-        now = self.now
-        if tail and tail[0] <= now:
-            return False
-        heap = self._heap
-        return not heap or heap[0][0] > now
+    def call_tail(self, when: float, fn: Callable[[None], None]) -> None:
+        """``call_at(when, fn)`` without building an Event.
 
-    def _fire_now(self, event: Event, value: Any) -> None:
-        """``event.succeed(value)`` dispatched in place, without the heap.
-
-        Only for a caller that has proven the push would be the very next
-        dispatch: it runs as the sole callback of the event being
-        dispatched, this is its last scheduling act, and
-        :meth:`_next_is_now` holds.  The skipped push and pop then leave
-        every other entry in its relative ``(time, priority, seq)``
-        order, so schedules are unchanged; one dispatch fewer is counted.
+        ``fn`` itself is the scheduled target, with ``call_at``'s key
+        ``(when, NORMAL, seq)``; the loop calls ``fn(None)``.  Nothing can
+        cancel it.
         """
-        if event._triggered or event._cancelled:
-            raise SimulationError(f"{event!r} already triggered")
-        event._triggered = True
-        event._ok = True
-        event._value = value
-        self.events_in_place += 1
-        event._run_callbacks()
+        if not when >= self.now:
+            when = self._clamp(when)
+        self._seq = seq = self._seq + 1
+        self._park((when, NORMAL, seq, fn))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -775,9 +726,35 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
+    def _park(self, entry: tuple) -> None:
+        """Schedule ``entry``: the one path every trigger takes.
+
+        Outside ``run()`` it is pushed.  Inside, the tail slot keeps the
+        smallest entry the current dispatch has scheduled and the other
+        one of the two is pushed under its own seq; ``run()`` then lets
+        ``heappushpop`` decide whether the tail is the next dispatch.
+        """
+        tail = self._tail
+        if tail:
+            if entry < tail:
+                self._tail = entry
+                entry = tail
+            heappush(self._heap, entry)
+        elif tail is None:
+            heappush(self._heap, entry)
+        else:
+            self._tail = entry
+
+    def _unpark(self) -> None:
+        """Push a parked tail, so the heap alone holds what is pending."""
+        tail = self._tail
+        if tail:
+            self._tail = _OPEN
+            heappush(self._heap, tail)
+
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self.now + delay, priority, seq, event))
+        self._park((self.now + delay, priority, seq, event))
 
     def _crash(self, exc: BaseException, proc: Optional[Process]) -> None:
         if self._crashed is None:
@@ -793,16 +770,17 @@ class Simulator:
     def step(self) -> None:
         """Process the next event on the heap (single-step debugging aid).
 
-        Cancelled events are skipped in O(1) without advancing time.  No
-        tail wake runs in place here: outside ``run()``, ``call_tail``
-        pushes.
+        Cancelled events are skipped in O(1) without advancing time.
+        Nothing runs in place here: outside ``run()`` every trigger
+        pushes, and a tail parked by a running dispatch is pushed first.
         """
+        self._unpark()
         heap = self._heap
         while True:
-            when, _prio, _seq, event = heappop(heap)
-            if not event._cancelled:
+            when, _prio, _seq, target = heappop(heap)
+            if not _dead(target):
                 break
-            self._recycle(event)
+            self._recycle(target)
             if not heap:
                 return
         if when < self.now:
@@ -810,23 +788,26 @@ class Simulator:
         self.now = when
         if self.check is not None:
             self.check.on_dispatch(when)
-        if type(event) is _Sleep:
-            event.proc._step(event, throw=False)
+        if type(target) is _Sleep:
+            target.proc._step(target, throw=False)
+        elif isinstance(target, Event):
+            target._run_callbacks()
         else:
-            event._run_callbacks()
+            target(None)
         self.events_processed += 1
         Simulator.total_events += 1
-        self._recycle(event)
+        self._recycle(target)
         if self._crashed is not None:
             self._raise_crash()
 
-    def _recycle(self, event: Event) -> None:
+    def _recycle(self, event: Any) -> None:
         """Return a dead engine-owned event to its free list.
 
         Safe only when the caller's reference is the last one: with the
-        heap entry already popped, ``_refs(event) == 2`` means exactly
-        (this argument binding, the caller's local) — nobody outside the
-        engine can ever observe the object again.
+        heap entry already popped, ``_refs(event) == 3`` means exactly
+        (this argument binding, the caller's local, the probe's own
+        argument) — nobody outside the engine can ever observe the object
+        again.
         """
         t = type(event)
         if t is Timeout:
@@ -845,8 +826,8 @@ class Simulator:
 
         Returns the event's value when ``until`` is an :class:`Event`.
         """
-        stop: Optional[Event] = None
-        horizon: Optional[float] = None
+        stop: Any = _NEVER
+        horizon = float("inf")
         if isinstance(until, Event):
             stop = until
             # Mark the event as awaited so a failing process routes its
@@ -854,8 +835,9 @@ class Simulator:
             stop.add_callback(_awaited)
         elif until is not None:
             horizon = float(until)
-            if horizon < self.now:
-                raise ValueError(f"until={horizon} is in the past (now={self.now})")
+            if not horizon >= self.now:
+                raise ValueError(
+                    f"until={horizon} is in the past (now={self.now})")
 
         # Fused dispatch loop: everything per-event is inlined (pop,
         # dispatch, recycle) with hot globals/attributes bound to locals.
@@ -864,6 +846,7 @@ class Simulator:
         heap = self._heap
         pop = heappop
         push = heappush
+        pushpop = heappushpop
         refs = _refs
         tpool = self._timeout_pool
         epool = self._event_pool
@@ -871,11 +854,10 @@ class Simulator:
         chk = self.check
         dispatched = 0
         in_place = 0
-        # Open the tail slot (call_tail pushes while it is None).  A tail
+        # Open the tail slot (_park pushes while it is None).  A tail
         # parked by an enclosing run() goes to the heap first.
         outer = self._tail
-        if outer:
-            self._push_tail(outer)
+        self._unpark()
         self._tail = _OPEN
         # Pause the cyclic collector for the duration of the dispatch loop:
         # event churn allocates heavily, so generational scans are pure
@@ -891,179 +873,56 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            # Two specialized copies of the dispatch body: the stop-event
-            # mode moves its termination test AFTER dispatch (the awaited
-            # event can only trigger as a consequence of a dispatch) and
-            # the drain/horizon mode drops the stop checks entirely —
-            # two fewer branches per event than one merged loop.  Each
-            # iteration first settles the tail the previous dispatch
-            # parked: in place when its key beats heap[0] (and, with a
-            # horizon, it is not past it), else onto the heap.
-            if stop is not None and stop._processed:
+            # One loop for every mode: the horizon is +inf when there is
+            # none and ``stop`` never processes when there is no stop
+            # event, so both exits cost one test each per dispatch (at
+            # the bottom: CPython 3.11 ran this loop ~2x slower with the
+            # stop test in the ``while`` header).  Each iteration takes
+            # the tail the previous dispatch parked through heappushpop:
+            # it comes back exactly when its key beats heap[0], and runs
+            # in place.
+            if stop._processed:
                 pass  # already delivered before run() was entered
-            elif stop is not None:
-                while True:
-                    tail = self._tail
-                    if tail:
-                        self._tail = _OPEN
-                        if heap and heap[0] < tail:
-                            self._push_tail(tail)
-                        else:
-                            when, _prio, _seq, fn = tail
-                            self.now = when
-                            if trace is not None:
-                                trace(when, _prio, _seq)
-                            if chk is not None:
-                                chk.on_dispatch(when)
-                            in_place += 1
-                            fn(None)
-                            if self._crashed is not None:
-                                self._raise_crash()
-                            if stop._processed:
-                                break
-                            continue
-                    if not heap:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited "
-                            "event fired (deadlock?)"
-                        )
-                    when, _prio, _seq, event = pop(heap)
-                    if type(event) is _Sleep:
-                        # Bare-delay fast lane: resume the sleeper in
-                        # place — no callbacks, no pooling probes.
-                        p = event.proc
-                        if p is None or p._waiting_on is not event:
-                            continue  # interrupted sleeper: tombstone
-                        if when < self.now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self.now = when
-                        if trace is not None:
-                            trace(when, _prio, _seq)
-                        if chk is not None:
-                            chk.on_dispatch(when)
-                        dispatched += 1
-                        p._waiting_on = None
-                        try:
-                            target = p._send(None)
-                        except StopIteration as fin:
-                            p._sleep = p._bound_resume = None
-                            p.succeed(fin.value)
-                        except BaseException as exc:
-                            p._sleep = p._bound_resume = None
-                            if not p.callbacks:
-                                self._crash(exc, p)
-                                p._triggered = True
-                                p._ok = False
-                                p._value = exc
-                            else:
-                                p.fail(exc.with_traceback(
-                                    exc.__traceback__.tb_next))
-                        else:
-                            if type(target) is float:
-                                p._waiting_on = event
-                                self._seq = seq2 = self._seq + 1
-                                push(heap, (when + target, NORMAL, seq2,
-                                            event))
-                            elif isinstance(target, Event):
-                                p._waiting_on = target
-                                cbs = target.callbacks
-                                if cbs is not None:
-                                    cbs.append(p._bound_resume)
-                                else:
-                                    target.add_callback(p._bound_resume)
-                            else:
-                                self._crash(SimulationError(
-                                    f"process {p.name!r} yielded "
-                                    f"{target!r}; processes must yield "
-                                    "Event instances or bare float delays"
-                                ), p)
-                        if self._crashed is not None:
-                            self._raise_crash()
-                        if stop._processed:
-                            break
-                        continue
-                    if event._cancelled:
-                        self._recycle(event)
-                        continue
-                    if when < self.now:
-                        raise SimulationError("event scheduled in the past")
-                    self.now = when
-                    if trace is not None:
-                        trace(when, _prio, _seq)
-                    if chk is not None:
-                        chk.on_dispatch(when)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    dispatched += 1
-                    if self._crashed is not None:
-                        self._raise_crash()
-                    # Inline recycle: pool Timeouts/Events nobody else
-                    # holds.  refs == 2: the loop local + the probe arg.
-                    t = type(event)
-                    if t is Timeout:
-                        if refs(event) == 2 and len(tpool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            tpool.append(event)
-                    elif t is Event:
-                        if refs(event) == 2 and len(epool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            epool.append(event)
-                    if stop._processed:
-                        break
             else:
                 while True:
                     tail = self._tail
                     if tail:
                         self._tail = _OPEN
-                        if ((heap and heap[0] < tail) or (
-                                horizon is not None and tail[0] > horizon)):
-                            self._push_tail(tail)
-                        else:
-                            when, _prio, _seq, fn = tail
-                            self.now = when
-                            if trace is not None:
-                                trace(when, _prio, _seq)
-                            if chk is not None:
-                                chk.on_dispatch(when)
-                            in_place += 1
-                            fn(None)
-                            if self._crashed is not None:
-                                self._raise_crash()
-                            continue
-                    if not heap:
+                        entry = pushpop(heap, tail)
+                    elif heap:
+                        entry = pop(heap)
+                    elif stop is _NEVER:
                         break
-                    if horizon is not None and heap[0][0] > horizon:
+                    else:
+                        raise SimulationError(
+                            "simulation ran out of events before the awaited "
+                            "event fired (deadlock?)"
+                        )
+                    when, _prio, _seq, target = entry
+                    if when > horizon:
+                        push(heap, entry)
                         break
-                    when, _prio, _seq, event = pop(heap)
-                    if type(event) is _Sleep:
-                        p = event.proc
-                        if p is None or p._waiting_on is not event:
+                    # No "scheduled in the past" test: _park's callers
+                    # refuse NaN and negative delays and clamp past
+                    # instants, so every entry lies at or after ``now``.
+                    if type(target) is _Sleep:
+                        # Bare-delay fast lane: resume the sleeper in place —
+                        # no callbacks, no pooling probes.
+                        p = target.proc
+                        if p is None or p._waiting_on is not target:
                             continue  # interrupted sleeper: tombstone
-                        if when < self.now:
-                            raise SimulationError(
-                                "event scheduled in the past")
                         self.now = when
                         if trace is not None:
                             trace(when, _prio, _seq)
                         if chk is not None:
                             chk.on_dispatch(when)
-                        dispatched += 1
+                        if entry is tail:
+                            in_place += 1
+                        else:
+                            dispatched += 1
                         p._waiting_on = None
                         try:
-                            target = p._send(None)
+                            nxt = p._send(None)
                         except StopIteration as fin:
                             p._sleep = p._bound_resume = None
                             p.succeed(fin.value)
@@ -1078,98 +937,142 @@ class Simulator:
                                 p.fail(exc.with_traceback(
                                     exc.__traceback__.tb_next))
                         else:
-                            if type(target) is float:
-                                p._waiting_on = event
-                                self._seq = seq2 = self._seq + 1
-                                push(heap, (when + target, NORMAL, seq2,
-                                            event))
-                            elif isinstance(target, Event):
+                            if type(nxt) is float and nxt >= 0.0:
+                                # _park inlined: the sleeper's own re-push is
+                                # the hottest scheduling site there is.
                                 p._waiting_on = target
-                                cbs = target.callbacks
+                                self._seq = seq = self._seq + 1
+                                entry = (when + nxt, NORMAL, seq, target)
+                                tail = self._tail
+                                if not tail:
+                                    self._tail = entry
+                                elif entry < tail:
+                                    self._tail = entry
+                                    push(heap, tail)
+                                else:
+                                    push(heap, entry)
+                            elif isinstance(nxt, Event):
+                                p._waiting_on = nxt
+                                cbs = nxt.callbacks
                                 if cbs is not None:
                                     cbs.append(p._bound_resume)
                                 else:
-                                    target.add_callback(p._bound_resume)
+                                    nxt.add_callback(p._bound_resume)
                             else:
-                                self._crash(SimulationError(
-                                    f"process {p.name!r} yielded "
-                                    f"{target!r}; processes must yield "
-                                    "Event instances or bare float delays"
-                                ), p)
-                        if self._crashed is not None:
-                            self._raise_crash()
-                        continue
-                    if event._cancelled:
-                        self._recycle(event)
-                        continue
-                    if when < self.now:
-                        raise SimulationError("event scheduled in the past")
-                    self.now = when
-                    if trace is not None:
-                        trace(when, _prio, _seq)
-                    if chk is not None:
-                        chk.on_dispatch(when)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    dispatched += 1
+                                self._crash(_bad_yield(p, nxt), p)
+                    elif isinstance(target, Event):
+                        if target._cancelled:
+                            entry = tail = None  # the probe sees our ref only
+                            self._recycle(target)
+                            continue
+                        self.now = when
+                        if trace is not None:
+                            trace(when, _prio, _seq)
+                        if chk is not None:
+                            chk.on_dispatch(when)
+                        if entry is tail:
+                            in_place += 1
+                        else:
+                            dispatched += 1
+                        callbacks = target.callbacks
+                        target.callbacks = None
+                        target._processed = True
+                        if callbacks:
+                            for cb in callbacks:
+                                cb(target)
+                        # Inline recycle: pool Timeouts/Events nobody else
+                        # holds.  With the entry tuple dropped, refs == 2 is
+                        # the loop local + the probe arg.
+                        entry = tail = None
+                        t = type(target)
+                        if t is Timeout:
+                            if refs(target) == 2 and len(tpool) < _POOL_CAP:
+                                if callbacks is not None:
+                                    callbacks.clear()
+                                    target.callbacks = callbacks
+                                else:
+                                    target.callbacks = []
+                                tpool.append(target)
+                        elif t is Event:
+                            if refs(target) == 2 and len(epool) < _POOL_CAP:
+                                if callbacks is not None:
+                                    callbacks.clear()
+                                    target.callbacks = callbacks
+                                else:
+                                    target.callbacks = []
+                                epool.append(target)
+                    else:  # a bare call_tail function
+                        self.now = when
+                        if trace is not None:
+                            trace(when, _prio, _seq)
+                        if chk is not None:
+                            chk.on_dispatch(when)
+                        if entry is tail:
+                            in_place += 1
+                        else:
+                            dispatched += 1
+                        target(None)
                     if self._crashed is not None:
                         self._raise_crash()
-                    t = type(event)
-                    if t is Timeout:
-                        if refs(event) == 2 and len(tpool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            tpool.append(event)
-                    elif t is Event:
-                        if refs(event) == 2 and len(epool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            epool.append(event)
+                    if stop._processed:
+                        break
         finally:
             # A tail left parked (the loop stopped, or a dispatch raised)
-            # goes to the heap under its reserved seq.
-            tail = self._tail
+            # goes to the heap under its own seq.
+            self._unpark()
             self._tail = None if outer is None else _OPEN
-            if tail:
-                self._push_tail(tail)
             if gc_was_enabled:
                 gc.enable()
             self.events_processed += dispatched
             self.events_in_place += in_place
             Simulator.total_events += dispatched
+            tally.in_place += in_place
 
-        if stop is not None:
+        if stop is not _NEVER:
             if not stop._ok:
                 raise stop._value
             return stop._value
-        if horizon is not None:
+        if until is not None:
             self.now = horizon
         return None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        Lazily drops cancelled tombstones sitting on top of the heap.  A
-        tail wake parked by the running dispatch counts as scheduled.
+        Lazily drops cancelled tombstones sitting on top of the heap.  An
+        entry parked by the running dispatch is pushed first, so it
+        counts as scheduled.
         """
-        tail = self._tail
-        if tail:
-            self._tail = _OPEN
-            self._push_tail(tail)
+        self._unpark()
         heap = self._heap
-        while heap and heap[0][3]._cancelled:
+        while heap and _dead(heap[0][3]):
             self._recycle(heappop(heap)[3])
         return heap[0][0] if heap else float("inf")
+
+
+#: ``run()``'s stop event when it has none: never processed.  A plain
+#: Event, so the loop's ``stop._processed`` stays a specialized slot read.
+_NEVER = Event.__new__(Event)
+_NEVER._processed = False
+
+
+def _dead(target: Any) -> bool:
+    """A tombstone: a cancelled Event or a detached sleeper (a bare
+    :meth:`Simulator.call_tail` function is never one)."""
+    return getattr(target, "_cancelled", False)
+
+
+class _Tally:
+    """Process-wide counters, on an instance (see ``total_events``)."""
+
+    __slots__ = ("in_place",)
+
+    def __init__(self) -> None:
+        self.in_place = 0
+
+
+#: ``tally.in_place`` sums ``events_in_place`` over every simulator.
+tally = _Tally()
 
 
 def _awaited(_event: Event) -> None:

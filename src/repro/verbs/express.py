@@ -57,23 +57,14 @@ Because no booking ever lands at a *future* arrival, the timeline never
 shifts once scheduled: there is no displacement, no repair pass, and
 every scheduled wake is final.
 
-Tail wakes.  Every wake here — hold ends booked through
-``Resource.book``, constant wires, join resumes and the CQE-DMA end
-(``P_T``) — is a :meth:`Simulator.call_tail`: the engine reserves its
-``seq`` where ``call_at`` would allocate it and runs it in place when,
-at the end of the current dispatch, its ``(time, NORMAL, seq)`` key
-beats every heap entry.  The lane never decides whether a wake runs in
-place, and the heap pops in ``call_at``'s order either way.  The
-completion keeps one decision of its own.  Its CQE is deposited
-without ``Store.put``'s no-op put-ack (:meth:`CompletionQueue.deposit`),
-and from the ``P_T`` wake ``done`` fires in place
-(``Simulator._fire_now``) when the engine's ``_next_is_now`` shows that
-nothing — no heap entry, no parked tail, no ``cq.wait()`` grant the
-deposit just pushed — lies at this instant.
-Everything else pushes ``done``: a parked completion (one callback
-among others on its predecessor's ``done``), completions reached
-mid-handler (batch-mate flushes, unsignaled ops), and any instant
-already taken.  The completion instant and its waiter order never move.
+Every wake here — hold ends booked through ``Resource.book``, constant
+wires, join resumes and the CQE-DMA end (``P_T``) — is a
+:meth:`Simulator.call_tail`, and the completion is a plain
+``done.succeed``; the CQE is deposited without ``Store.put``'s no-op
+put-ack (:meth:`CompletionQueue.deposit`).  Whether any of them runs
+without a heap round trip is the engine's decision alone (its in-place
+rule, :meth:`Simulator._park`), and it pops them in ``call_at``'s order
+either way: the completion instant and its waiter order never move.
 
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
@@ -302,7 +293,7 @@ class ExpressState:
         elif phase == P_TAIL:
             self._tail_end(op)
         elif phase == P_T:
-            self._try_finish(op, True)
+            self._try_finish(op)
         elif phase == P_PARK:
             self._complete(op)
         elif phase == P_LOCK:
@@ -634,32 +625,27 @@ class ExpressState:
         else:
             self._try_finish(op)
 
-    def _try_finish(self, op: ExpressOp, tail: bool = False) -> None:
+    def _try_finish(self, op: ExpressOp) -> None:
         """RC in-order completion: never overtake an earlier WR.
 
         The stepped path parks with ``yield prev`` — a callback on the
         predecessor's done event, resuming at that event's dispatch
         after application waiters that subscribed earlier.  Attaching
         ``wcb`` to the same event reproduces that dispatch, order, and
-        completion timestamp exactly.  ``tail`` marks the CQE-DMA-end
-        wake (``P_T``), the one caller whose ``done`` may fire in place.
+        completion timestamp exactly.
         """
         prev = op.prev
         if prev is not None and not prev._processed:
             op.phase = P_PARK
             prev.add_callback(op.wcb)
             return
-        self._complete(op, tail)
+        self._complete(op)
 
-    def _complete(self, op: ExpressOp, tail: bool = False) -> None:
+    def _complete(self, op: ExpressOp) -> None:
         """Completion instant: deliver the Completion, unlink the chain.
 
         The CQE is deposited without a put-ack (``CompletionQueue.
-        deposit``).  From the ``P_T`` wake (``tail``), ``done`` then fires
-        in place when the engine shows its dispatch is provably next
-        (``Simulator._next_is_now``): a pending ``cq.wait()`` getter the
-        deposit granted sits at this instant and keeps ``done`` on the
-        heap behind it."""
+        deposit``), then ``done`` succeeds like any event."""
         op.phase = P_DONE
         op.prev = None
         # The wake partials point back at ``op``; no wake is pending at
@@ -698,7 +684,4 @@ class ExpressState:
             check.on_completed(qp, wr, completion)
         if op.signaled:
             qp.cq.deposit(completion)
-            if tail and sim._next_is_now():
-                sim._fire_now(op.done, completion)
-                return
         op.done.succeed(completion)

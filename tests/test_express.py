@@ -24,6 +24,7 @@ from repro.verbs import Worker
 from repro.verbs.trace import OpTracer
 from repro.verbs.qp import QPState
 from repro.verbs.types import CompletionStatus, Opcode, Sge, WorkRequest
+from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
 
 #: Transfer sizes straddling max_inline_bytes=220 so the mix exercises
@@ -130,15 +131,14 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
 
 @contextlib.contextmanager
 def _counted_branches():
-    """Yield a Counter of how each tail wake ran: ``(site, branch)`` with
-    site ``join`` (a cut-through join's resume wake, ``P_EXEC_R`` or
-    ``P_SVC_R``), ``cqe`` (the CQE-DMA-end wake, ``P_T``) or
-    ``completion`` (that wake completing its op), and branch ``inline``
-    or ``wake``.  The two wakes are ``Simulator.call_tail`` wakes: the
-    engine calls one with ``None`` when it runs it in place and with its
-    heap Event when it was pushed.  A completion is ``inline`` when its
-    ``done`` fired in place (``Simulator._fire_now``) and ``wake`` when
-    ``done`` went to the heap."""
+    """Yield a Counter of how the lane's tail dispatches ran: ``(site,
+    branch)`` with site ``join`` (a cut-through join's resume wake,
+    ``P_EXEC_R`` or ``P_SVC_R``), ``cqe`` (the CQE-DMA-end wake, ``P_T``)
+    or ``completion`` (the ``done`` that wake succeeds), and branch
+    ``inline`` when the engine dispatched it in place from its tail slot
+    (``heappushpop`` handed the tail back) or ``wake`` when it popped it
+    from the heap."""
+    from repro.sim import engine
     from repro.verbs import express
     from repro.verbs.express import ExpressState
 
@@ -147,23 +147,40 @@ def _counted_branches():
              express.P_T: "cqe"}
     orig_wake = ExpressState._on_wake
     orig_complete = ExpressState._complete
+    orig_pop, orig_pushpop = engine.heappop, engine.heappushpop
+    slot = [False]  # did the running dispatch come from the tail slot?
+
+    def pop(heap):
+        slot[0] = False
+        return orig_pop(heap)
+
+    def pushpop(heap, item):
+        entry = orig_pushpop(heap, item)
+        slot[0] = entry is item
+        return entry
+
+    def branch():
+        return "inline" if slot[0] else "wake"
 
     def wake(self, op, ev):
         site = sites.get(op.phase)
         if site is not None:
-            seen[site, "inline" if ev is None else "wake"] += 1
+            seen[site, branch()] += 1
         orig_wake(self, op, ev)
 
-    def complete(self, op, *args):
+    def complete(self, op):
+        done = op.done
         tail = op.phase == express.P_T
-        orig_complete(self, op, *args)
-        if tail:
-            seen["completion", "inline" if op.done.processed
-                 else "wake"] += 1
+        orig_complete(self, op)
+        if tail:  # witnessed where ``done`` dispatches
+            done.add_callback(lambda _ev: seen.update(
+                [("completion", branch())]))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpressState, "_on_wake", wake)
         mp.setattr(ExpressState, "_complete", complete)
+        mp.setattr(engine, "heappop", pop)
+        mp.setattr(engine, "heappushpop", pushpop)
         yield seen
 
 
@@ -218,14 +235,16 @@ def test_random_mixes_take_every_tail_branch():
 
 
 def test_idle_rig_runs_tail_wakes_in_place():
-    """On an idle rig every lane wake is provably the next dispatch, so
-    the engine runs it in place.  One cut-through 4 KB WRITE (payload∥tx
-    and rx∥drain joins) and one 64 B READ dispatch 30 events when every
-    wake takes a heap round trip and no CQ put-ack is skipped; with tail
-    wakes, 9 remain: the client process's six (its boot, four CPU-cost
-    sleeps and its end) and three lane wakes that wait behind the other
-    half of a cut-through pair.  The completion log and memories still
-    equal the stepped lane's (``REPRO_EXPRESS=0``)."""
+    """On an idle rig almost every dispatch is provably the next one when
+    it is scheduled, so the engine runs it in place.  One cut-through
+    4 KB WRITE (payload∥tx and rx∥drain joins) and one 64 B READ
+    dispatch 28 entries in all (30 before the lane's CQE deposit dropped
+    its put-ack); 3 take the heap, the lane wakes that wait behind the
+    other half of a cut-through pair, and 25 run in place — the client
+    process's boot, CPU-cost sleeps and end among them (before every
+    trigger shared the tail slot, only lane wakes could: 9 and 19).  The
+    completion log and memories still equal the stepped lane's
+    (``REPRO_EXPRESS=0``)."""
     def run(express: bool):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_EXPRESS", "1" if express else "0")
@@ -247,16 +266,17 @@ def test_idle_rig_runs_tail_wakes_in_place():
         sim.run(until=sim.process(client()))
         outcome = {"log": log, "lmem": lmr.read(0, lmr.size),
                    "rmem": rmr.read(0, rmr.size), "now": sim.now}
-        return outcome, sim.events_processed
+        return outcome, (sim.events_processed, sim.events_in_place)
 
     stepped, _ = run(express=False)
     with _counted_branches() as branches:
-        express, events = run(express=True)
+        express, (events, in_place) = run(express=True)
     assert express == stepped
     assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
     assert branches == {("join", "inline"): 2, ("cqe", "inline"): 2,
                         ("completion", "inline"): 2}
-    assert events == 9
+    assert (events, in_place) == (3, 25)
+    assert events + in_place == 28
 
 
 # ------------------------------------------- tail wakes across layers
@@ -264,16 +284,15 @@ def _serve(tail: bool) -> tuple[dict, object]:
     """Open-loop KV serving on the lane: two tenants (one rate-limited
     with a deadline) through the tenancy plane, lease caches and front
     doors, bursty arrivals and bare think-time delays, every dispatch
-    traced.  ``tail=False`` spells ``Simulator.call_tail`` as plain
-    ``call_at``.  The lane steps traced simulators (so the stepped
-    timeline pins hold); here its predicate does not see the recorder,
-    which only appends to a list."""
+    traced.  ``tail=False`` runs it under ``always_push()``, where every
+    entry takes a heap round trip.  The lane steps traced simulators (so
+    the stepped timeline pins hold); here its predicate does not see the
+    recorder, which only appends to a list."""
     from repro.apps.hashtable.backend import HashTableBackend
     from repro.apps.hashtable.layout import TableLayout
     from repro.hw.params import ServiceConfig, TenantSpec
     from repro.load import (InvalidationDirectory, KvFrontDoor, LeaseCache,
                             OpenLoopGenerator, preload_table)
-    from repro.sim import Simulator
     from repro.tenancy import ServicePlane
     from repro.verbs.qp import QueuePair
 
@@ -287,11 +306,10 @@ def _serve(tail: bool) -> tuple[dict, object]:
         finally:
             sim.trace_dispatch = hook
 
-    with pytest.MonkeyPatch.context() as mp, _counted_posts() as posts:
+    with pytest.MonkeyPatch.context() as mp, _counted_posts() as posts, (
+            contextlib.nullcontext() if tail else always_push()):
         mp.setenv("REPRO_EXPRESS", "1")
         mp.setattr(QueuePair, "_express_ok", untraced_ok)
-        if not tail:
-            mp.setattr(Simulator, "call_tail", Simulator.call_at)
         sim, cluster, ctx = build(machines=3)
         timeline = []
         sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
@@ -340,22 +358,20 @@ def _serve(tail: bool) -> tuple[dict, object]:
 
 
 def test_tail_wakes_keep_the_serving_timeline():
-    """Tail wakes from every layer (open-loop arrivals and think times,
-    tenancy rounds, lane holds and wires) dispatch the exact traced
-    ``(time, priority, seq)`` timeline and outcomes of plain
-    ``call_at``, while a share of them runs in place."""
+    """In-place dispatch from every layer (open-loop arrivals and think
+    times, tenancy rounds and relays, lane holds, wires and completions)
+    keeps the exact traced ``(time, priority, seq)`` timeline and
+    outcomes of a run where every entry takes a heap round trip, while a
+    share of the dispatches runs in place."""
     ref, ref_sim = _serve(tail=False)
     got, sim = _serve(tail=True)
     assert got == ref
     offered, delivered, hits, sheds, _ = got["tally"]
     assert got["posts"] > 0 and delivered and hits and sheds
     assert delivered + sheds == offered
-    assert ref_sim.events_in_place < sim.events_in_place
+    assert ref_sim.events_in_place == 0 < sim.events_in_place
     assert (sim.events_processed + sim.events_in_place
-            == ref_sim.events_processed + ref_sim.events_in_place)
-    assert len(got["timeline"]) == (sim.events_processed
-                                    + sim.events_in_place
-                                    - ref_sim.events_in_place)
+            == ref_sim.events_processed == len(got["timeline"]))
 
 
 # ------------------------------------------------------ mid-run lane flips

@@ -320,8 +320,12 @@ def test_open_loop_costs_two_events_per_request_and_no_processes(
     gen = OpenLoopGenerator(sim, request_fn, [3.0 * (k + 1) for k in range(n)])
     gen.start()
     gen.drain()
-    # One arrival wake-up and one sleep per request, plus the idle event.
-    assert sim.events_processed == 2 * n + 1
+    # One arrival wake-up and one sleep per request, plus the idle event;
+    # four are the next dispatch when scheduled and run in place: the
+    # arrivals at 6, 9 and 12 (before the first sleep ends at 13) and the
+    # idle event.
+    assert (sim.events_processed, sim.events_in_place) == (2 * n - 3, 4)
+    assert sim.events_processed + sim.events_in_place == 2 * n + 1
     assert spawned == []
     assert gen.delivered == n and gen.latencies == [10.0] * n
     assert sim.now == 3.0 * n + 10.0
@@ -440,7 +444,8 @@ def test_open_loop_processed_event_continues_inline():
     gen.start()
     gen.drain()
     assert seen == [("v", 0.0)]
-    assert sim.events_processed - before == 2     # arrival + idle only
+    # arrival + idle only: the arrival pops, the idle event runs in place
+    assert (sim.events_processed - before, sim.events_in_place) == (1, 1)
 
 
 def test_find_knee():

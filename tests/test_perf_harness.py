@@ -152,32 +152,41 @@ def test_cycles_per_op_is_small_and_repeats():
     assert again["metrics"] == first["metrics"]
 
 
-@pytest.mark.parametrize("name", ["fig5", "ext7", "ext10"])
+@pytest.mark.parametrize("name", ["fig5", "ext7", "ext9", "ext10"])
 def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     """The event census charges each dispatch to the layer that scheduled
     it: its layers sum to the scenario's ``events``, and its run
     reproduces the plain run's schedule digest with the express lane on
-    (``trace_dispatch`` would have turned the lane off).  Tail wakes the
-    engine ran in place are charged to the layer that called
-    ``call_tail``; ext10 has them in tenancy, load and the lane."""
+    (``trace_dispatch`` would have turned the lane off).  Entries the
+    engine ran in place are counted by layer too, and sum to the
+    engine's own in-place count; ext9 (stepped: queued fabric) has them in
+    the engine, hw and stepped verbs, ext10 in tenancy, load and the
+    lane."""
     import heapq
 
     from repro.bench.perf import census
     from repro.sim import Simulator, engine
 
-    methods = (Simulator.call_tail, Simulator._fire_now)
+    park = Simulator._park
     plain = harness.run_scenarios([name])["scenarios"][name]
     row = census.census([name])[name]
     assert sum(row["by_layer"].values()) == row["events"] == plain["events"]
+    assert sum(row["in_place"].values()) == row["in_place_events"]
+    assert (round(row["in_place_events"] / row["ops"], 2)
+            == plain["metrics"]["in_place_per_op"])
     assert row["digest"] == plain["digest"]
-    assert row["by_layer"]["verbs.express"] > 0
     in_place = {layer for layer, n in row["in_place"].items() if n}
-    assert "verbs.express" in in_place
+    if name == "ext9":
+        assert row["by_layer"]["verbs.express"] == 0
+        assert {"sim", "hw", "verbs-stepped"} <= in_place
+    else:
+        assert row["by_layer"]["verbs.express"] > 0
+        assert "verbs.express" in in_place
     if name == "ext10":
         assert {"tenancy", "load"} <= in_place
-    assert (engine.heappush, engine.heappop) == (heapq.heappush,
-                                                 heapq.heappop)
-    assert (Simulator.call_tail, Simulator._fire_now) == methods
+    assert (engine.heappush, engine.heappop, engine.heappushpop) == (
+        heapq.heappush, heapq.heappop, heapq.heappushpop)
+    assert Simulator._park is park
 
 
 def test_gate_passes_on_identical_runs():

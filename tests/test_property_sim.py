@@ -5,8 +5,10 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import (AllOf, AnyOf, Interrupt, Resource, Simulator,
+                       Store)
 from repro.sim.stats import StatAccumulator
+from tests.engine_ref import always_push
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False),
@@ -142,3 +144,148 @@ def test_busy_time_never_exceeds_elapsed(holds):
     sim.run()
     assert 0 < res.busy_time() <= sim.now + 1e-9
     assert 0 < res.utilization() <= 1.0 + 1e-12
+
+
+# ------------------------------------------------ in-place dispatch
+_DELAY = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5])
+_EV = st.integers(min_value=0, max_value=3)
+_STEP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("timeout"), _DELAY),
+    st.tuples(st.sampled_from(["succeed", "fail"]), _DELAY, _EV),
+    st.tuples(st.just("wait"), _EV),
+    st.tuples(st.just("call_at"), _DELAY, st.booleans()),
+    st.tuples(st.just("call_tail"), _DELAY),
+    st.tuples(st.sampled_from(["acquire", "book", "claim"]), _DELAY),
+    st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("get")),
+    st.tuples(st.sampled_from(["all_of", "any_of"]), _EV, _EV),
+    st.tuples(st.sampled_from(["interrupt", "spawn"]),
+              st.integers(min_value=0, max_value=5)),
+)
+_PROGRAM = st.lists(st.lists(_STEP, max_size=8), min_size=1, max_size=5)
+_RUN = st.one_of(
+    st.just(("drain",)),
+    st.tuples(st.just("until"), st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0])),
+    st.tuples(st.just("event"), st.integers(min_value=0, max_value=4)),
+)
+#: Processes one program may start, spawned ones included.
+_MAX_PROCS = 12
+
+
+def _execute(program, run):
+    """Run ``program`` — one step list per process — and return what it
+    did: the traced ``(time, priority, seq)`` timeline, a log of every
+    observation, each ``run()`` call's result or error, the clock, and
+    the simulator (for its counters)."""
+    sim = Simulator()
+    timeline, log, results = [], [], []
+    sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
+    shared = [sim.event() for _ in range(4)]
+    res = Resource(sim, capacity=1)
+    store = Store(sim)
+    procs = []
+
+    def note(*what):
+        log.append((sim.now, *what))
+
+    def later(i, k, what):
+        return lambda _ev: note(i, k, what)
+
+    def start(steps):
+        i = len(procs)
+        procs.append(sim.process(actor(i, steps), name=f"p{i}"))
+
+    def actor(i, steps):
+        for k, step in enumerate(steps):
+            kind = step[0]
+            try:
+                if kind == "sleep":
+                    yield step[1]
+                elif kind == "timeout":
+                    note(i, k, (yield sim.timeout(step[1], value=k)))
+                elif kind in ("succeed", "fail"):
+                    ev = shared[step[2]]
+                    if not ev.triggered:
+                        if kind == "succeed":
+                            ev.succeed(i, delay=step[1])
+                        else:
+                            ev.fail(KeyError(i), delay=step[1])
+                elif kind == "wait":
+                    note(i, k, (yield shared[step[1]]))
+                elif kind == "call_at":
+                    handle = sim.call_at(sim.now + step[1], later(i, k, "at"))
+                    if step[2]:
+                        handle.cancel()
+                elif kind == "call_tail":
+                    sim.call_tail(sim.now + step[1], later(i, k, "tail"))
+                elif kind == "acquire":
+                    yield res.acquire()
+                    try:
+                        yield step[1]
+                    finally:
+                        res.release()
+                elif kind == "book":
+                    res.book(step[1], lambda _ev, i=i, k=k: (
+                        note(i, k, "booked"), res.release()))
+                elif kind == "claim":
+                    def granted(_res, i=i, k=k, hold=step[1]):
+                        note(i, k, "claimed")
+                        sim.call_tail(sim.now + hold,
+                                      lambda _ev: res.release())
+                    if res.claim(granted):
+                        granted(res)
+                elif kind == "put":
+                    yield store.put(step[1])
+                elif kind == "get":
+                    note(i, k, (yield store.get()))
+                elif kind in ("all_of", "any_of"):
+                    both = [shared[step[1]], shared[step[2]]]
+                    cond = AllOf(sim, both) if kind == "all_of" else AnyOf(
+                        sim, both)
+                    note(i, k, sorted((yield cond).values()))
+                elif kind == "interrupt":
+                    if step[1] < len(procs):
+                        procs[step[1]].interrupt(k)
+                elif len(procs) < _MAX_PROCS:  # spawn
+                    start(program[step[1] % len(program)])
+            except Interrupt as why:
+                note(i, k, "interrupted", why.cause)
+            except KeyError as err:
+                note(i, k, "failed", err.args)
+        note(i, "end")
+        return i
+
+    for steps in program:
+        start(steps)
+    calls = [dict(until=run[1])] if run[0] == "until" else []
+    if run[0] == "event":
+        calls.append(dict(until=(shared + procs)[run[1]]))
+    calls.append({})  # then drain what is left
+    for kwargs in calls:
+        try:
+            results.append(("ok", repr(sim.run(**kwargs))))
+        except Exception as exc:  # compared across engines, not judged
+            results.append(("raised", type(exc).__name__, str(exc)))
+    return {"timeline": timeline, "log": log, "results": results,
+            "now": sim.now, "cancelled": sim.events_cancelled}, sim
+
+
+@given(_PROGRAM, _RUN)
+@settings(max_examples=400, deadline=None)
+def test_in_place_dispatch_matches_an_engine_that_always_pushes(program,
+                                                                run):
+    """Every trigger kind — sleeps (0.0 included), timeouts, delayed
+    succeed/fail, ``call_at`` with cancels, ``call_tail``, Resource
+    acquire/book/claim, Store put/get, ``AllOf``/``AnyOf``, interrupts,
+    spawns inside a dispatch — under each way to call ``run()``: the
+    engine dispatches the timeline, outcomes and clock of a reference
+    in which every entry takes a heap round trip, and its dispatched
+    plus in-place count equals the reference's dispatches."""
+    got, sim = _execute(program, run)
+    with always_push():
+        ref, ref_sim = _execute(program, run)
+    assert got == ref
+    assert ref_sim.events_in_place == 0
+    assert (sim.events_processed + sim.events_in_place
+            == ref_sim.events_processed == len(ref["timeline"]))

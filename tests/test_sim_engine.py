@@ -1,8 +1,12 @@
 """Unit tests for the DES engine: events, processes, combinators, errors."""
 
+import contextlib
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
+from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator,
+                       Timeout)
+from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
 
 
@@ -405,23 +409,27 @@ def test_finished_process_is_freed_by_refcount(path, until):
     assert garbage["Process"] == 0 and garbage["_Sleep"] == 0, garbage
 
 
-# ------------------------------------------------------------ tail wakes
+# ----------------------------------------------------- in-place dispatch
 class _Recorder:
     """A simulator with a traced timeline, sanitizer-style dispatch hook
-    and a log.  ``tail=False`` spells every ``call_tail`` as ``call_at``:
-    the reference each tail-wake test compares against."""
+    and a log.  ``rec.tail`` is ``call_tail``; the in-place tests run each
+    scenario once as is and once under ``always_push()``, the reference
+    in which every entry takes a heap round trip."""
 
-    def __init__(self, tail: bool = True):
+    def __init__(self):
         self.sim = sim = Simulator()
         self.timeline = []
         self.checked = []
         self.log = []
         sim.trace_dispatch = lambda w, p, s: self.timeline.append((w, p, s))
         sim.check = self
-        self.tail = sim.call_tail if tail else sim.call_at
+        self.tail = sim.call_tail
 
     def on_dispatch(self, when):  # the sanitizer hook's signature
         self.checked.append(when)
+
+    def on_cancel(self, event):  # the sanitizer hook's signature
+        pass
 
     def mark(self, name):
         """A wake callback appending ``(name, now)`` to the log."""
@@ -429,23 +437,26 @@ class _Recorder:
 
 
 def _both(scenario, **run):
-    """Run ``scenario(rec)`` with tail wakes and with plain ``call_at``;
-    both must record the same timeline, hook calls, log and clock.
-    Returns ``(in-place runs, dispatched events)`` of the tail run."""
+    """Run ``scenario(rec)`` in place and under ``always_push()``; both
+    must record the same timeline, hook calls, log, clock and tombstone
+    count, and dispatch as many entries in all.  Returns ``(in-place
+    runs, dispatched events)`` of the in-place run."""
     out = []
-    for tail in (True, False):
-        rec = _Recorder(tail)
-        scenario(rec)
-        rec.sim.run(**run)
+    for reference in (False, True):
+        with always_push() if reference else contextlib.nullcontext():
+            rec = _Recorder()
+            scenario(rec)
+            rec.sim.run(**run)
         out.append(rec)
-    tail, ref = out
-    assert tail.timeline == ref.timeline
-    assert tail.checked == ref.checked == [w for w, _, _ in ref.timeline]
-    assert (tail.log, tail.sim.now) == (ref.log, ref.sim.now)
+    got, ref = out
+    assert got.timeline == ref.timeline
+    assert got.checked == ref.checked == [w for w, _, _ in ref.timeline]
+    assert (got.log, got.sim.now) == (ref.log, ref.sim.now)
+    assert got.sim.events_cancelled == ref.sim.events_cancelled
     assert ref.sim.events_in_place == 0
-    assert (tail.sim.events_in_place + tail.sim.events_processed
+    assert (got.sim.events_in_place + got.sim.events_processed
             == ref.sim.events_processed)
-    return tail.sim.events_in_place, tail.sim.events_processed
+    return got.sim.events_in_place, got.sim.events_processed
 
 
 def test_call_tail_runs_in_place_only_when_its_key_beats_the_heap():
@@ -458,25 +469,29 @@ def test_call_tail_runs_in_place_only_when_its_key_beats_the_heap():
             rec.sim.call_at(9.0, rec.mark("later"))
         rec.sim.call_at(1.0, first)
 
-    def earlier_at_call(rec):  # an entry at or before `when`: push now
+    def earlier_at_call(rec):  # an earlier heap entry pops first
         rec.sim.call_at(3.0, rec.mark("early"))
         rec.sim.call_at(1.0, lambda _e: rec.tail(5.0, rec.mark("t")))
 
-    def earlier_after_call(rec):  # pushed after the tail, pops before it
-        def first(_e):
-            rec.tail(5.0, rec.mark("t"))
-            rec.sim.call_at(4.0, rec.mark("early"))
-        rec.sim.call_at(1.0, first)
+    def timeout_alone(rec):  # any trigger: a timeout a process waits on
+        sim = rec.sim
+
+        def proc():
+            yield sim.timeout(4.0)
+            rec.log.append(("woke", sim.now))
+        sim.call_at(1.0, lambda _e: sim.process(proc()))
 
     assert _both(alone) == (1, 1)
     assert _both(later_entry) == (1, 2)
     assert _both(earlier_at_call) == (0, 3)
-    assert _both(earlier_after_call) == (0, 3)
+    # call_at, then boot, timeout and the process's end all run in place
+    assert _both(timeout_alone) == (3, 1)
 
 
 def test_call_tail_keeps_same_instant_and_urgent_order():
-    """A same-instant NORMAL push after the tail takes a larger seq and
-    follows it; an URGENT entry at the tail's instant precedes it."""
+    """A same-instant NORMAL entry scheduled after the tail takes a larger
+    seq and follows it; an URGENT entry at the tail's instant precedes
+    it."""
     def same_instant(rec):
         def first(_e):
             rec.tail(rec.sim.now, rec.mark("t"))
@@ -496,32 +511,58 @@ def test_call_tail_keeps_same_instant_and_urgent_order():
         sim.call_at(1.0, first)
 
     assert _both(same_instant) == (1, 2)
-    assert _both(urgent) == (0, 5)
+    # the boot and the process's end run in place; t and the sleep pop
+    assert _both(urgent) == (2, 3)
     rec = _Recorder()
     urgent(rec)
     rec.sim.run()
     assert [name for name, _ in rec.log] == ["urgent", "t"]
 
 
-def test_second_call_tail_pushes_the_first_with_its_reserved_seq():
-    def two(rec):
+def test_the_slot_keeps_the_smallest_entry_and_pushes_the_other():
+    """Of two entries one dispatch schedules, the smaller keeps the slot
+    and the other is pushed under the seq it was given."""
+    def smaller_second(rec):
         def first(_e):
-            rec.tail(8.0, rec.mark("a"))  # pushed by the second, seq kept
-            rec.tail(5.0, rec.mark("b"))  # earlier: still runs in place
+            rec.tail(8.0, rec.mark("a"))  # displaced, seq kept
+            rec.tail(5.0, rec.mark("b"))  # earlier: runs in place
         rec.sim.call_at(1.0, first)
 
-    def two_same_instant(rec):
+    def same_instant(rec):
         def first(_e):
-            rec.tail(5.0, rec.mark("a"))
+            rec.tail(5.0, rec.mark("a"))  # keeps the slot
             rec.tail(5.0, rec.mark("b"))  # queued behind a's seq
         rec.sim.call_at(1.0, first)
 
-    assert _both(two) == (1, 2)
-    assert _both(two_same_instant) == (0, 3)
+    def mixed(rec):  # a timeout, an event and a wake compete
+        sim = rec.sim
+
+        def first(_e):
+            sim.timeout(6.0).callbacks.append(rec.mark("timeout"))
+            ev = sim.event()
+            ev.callbacks.append(rec.mark("event"))
+            ev.succeed(delay=3.0)
+            rec.tail(4.0, rec.mark("wake"))
+        sim.call_at(1.0, first)
+
+    def sleeper(rec):  # the loop's inlined sleeper re-push competes too
+        sim = rec.sim
+
+        def proc():
+            yield 1.0
+            rec.tail(sim.now + 5.0, rec.mark("wake"))  # parked first
+            yield 2.0  # earlier: displaces the wake to the heap
+            rec.log.append(("slept", sim.now))
+        sim.process(proc())
+
+    assert _both(smaller_second) == (1, 2)
+    assert _both(same_instant) == (1, 2)
+    assert _both(mixed) == (1, 3)
+    assert _both(sleeper) == (3, 2)
     rec = _Recorder()
-    two(rec)
+    smaller_second(rec)
     rec.sim.run()
-    # b ran first but carries the later seq: a's was reserved before it.
+    # b ran first but carries the later seq: a's was allocated before it.
     (_, _, s_first), (_, _, s_b), (_, _, s_a) = rec.timeline
     assert rec.log == [("b", 5.0), ("a", 8.0)] and s_a < s_b
 
@@ -541,14 +582,14 @@ def test_run_until_never_runs_a_tail_past_the_horizon():
 
 
 def test_stop_event_processed_in_place_ends_run():
-    """An in-place run that processes the awaited event ends ``run()``
-    there; the tail it parked lands in the heap."""
+    """An in-place dispatch that processes the awaited event ends
+    ``run()`` there; the entry it displaced lands in the heap."""
     sim = Simulator()
     stop = sim.event()
     after = []
 
     def tail(_e):
-        sim._fire_now(stop, "v")  # as the lane completes an op in place
+        stop.succeed("v")  # as the lane completes an op
         sim.call_tail(sim.now + 1.0, lambda _e: after.append(sim.now))
 
     sim.call_at(1.0, lambda _e: sim.call_tail(2.0, tail))
@@ -561,24 +602,25 @@ def test_stop_event_processed_in_place_ends_run():
 
 
 def test_exception_in_an_in_place_run_propagates_like_a_dispatch():
-    def scenario(sim, spelling):
+    def scenario(sim):
         seen = []
 
         def boom(_e):
             sim.call_tail(sim.now + 5.0, lambda _e: seen.append(sim.now))
             raise RuntimeError("boom")
 
-        sim.call_at(1.0, lambda _e: getattr(sim, spelling)(2.0, boom))
+        sim.call_at(1.0, lambda _e: sim.call_at(2.0, boom))
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
         assert sim.now == 2.0
         assert sim.peek() == 7.0  # the leftover tail is in the heap
         sim.run()
         assert seen == [7.0]
-        return sim
+        return sim.events_in_place, sim.events_processed
 
-    assert scenario(Simulator(), "call_tail").events_in_place == 1
-    assert scenario(Simulator(), "call_at").events_in_place == 0
+    assert scenario(Simulator()) == (1, 2)
+    with always_push():
+        assert scenario(Simulator()) == (0, 3)
 
 
 def test_step_never_runs_a_tail_in_place():
@@ -596,26 +638,149 @@ def test_step_never_runs_a_tail_in_place():
     assert (sim.events_processed, sim.events_in_place) == (3, 0)
 
 
-def test_next_is_now_sees_the_heap_and_the_parked_tail():
-    """The lane's in-place completion asks whether an entry pushed now
-    would dispatch next: not with an entry or a parked tail at ``now``,
-    and never outside ``run()``."""
-    sim = Simulator()
+def test_peek_mid_dispatch_pushes_the_parked_entry():
+    """``peek()`` sees an entry the running dispatch parked: it pushes
+    it, so it then takes the heap round trip."""
     seen = []
 
-    def first(_e):
-        seen.append(sim._next_is_now())  # nothing else is pending
-        sim.call_tail(sim.now + 5.0, lambda _e: None)
-        seen.append(sim._next_is_now())  # a later tail does not block
-        sim.call_tail(sim.now, lambda _e: None)
-        seen.append(sim._next_is_now())  # a tail at this instant does
+    def scenario(rec):
+        sim = rec.sim
 
-    def second(_e):
-        sim.call_at(sim.now, lambda _e: None)
-        seen.append(sim._next_is_now())  # so does a heap entry
+        def first(_e):
+            rec.tail(sim.now + 5.0, rec.mark("t"))
+            seen.append(sim.peek())
+        sim.call_at(1.0, first)
 
-    sim.call_at(1.0, first)
-    sim.call_at(10.0, second)
-    assert not sim._next_is_now()
+    assert _both(scenario) == (0, 2)
+    assert seen == [6.0, 6.0]
+
+
+def test_cancel_while_parked_leaves_a_tombstone():
+    """A timer cancelled by the dispatch that scheduled it is skipped
+    and recycled from the slot as from the heap: not dispatched, not
+    run in place."""
+    def scenario(rec):
+        sim = rec.sim
+
+        def first(_e):
+            t = sim.timeout(3.0)
+            t.callbacks.append(rec.mark("never"))
+            t.cancel()
+        sim.call_at(1.0, first)
+        sim.call_at(9.0, rec.mark("later"))
+
+    assert _both(scenario) == (0, 2)
+    sim = Simulator()
+    sim.call_at(1.0, lambda _e: sim.timeout(3.0).cancel())
     sim.run()
-    assert seen == [True, True, False, False]
+    assert (sim.events_processed, sim.events_in_place,
+            sim.events_cancelled) == (1, 0, 1)
+    assert sim._timeout_pool  # the tombstone was recycled
+
+
+def test_interrupt_while_parked_tombstones_the_timer():
+    """A process whose fresh timer still sits in the slot is
+    interrupted by a later callback of the same dispatch: the solitary
+    timer is tombstoned (``_refs(waited) <= 3`` holds for the slot as
+    for the heap) and the interrupt runs in place."""
+    def scenario(rec):
+        sim = rec.sim
+        gate = sim.event()
+
+        def proc():
+            yield gate
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt as why:
+                rec.log.append(("interrupted", sim.now, why.cause))
+            yield 1.0
+            rec.log.append(("done", sim.now))
+
+        p = sim.process(proc())
+        sim.call_at(1.0, lambda _e: (
+            gate.succeed(),
+            gate.callbacks.append(lambda _g: p.interrupt("stop"))))
+
+    in_place, dispatched = _both(scenario)
+    assert in_place > 0
+    rec = _Recorder()
+    scenario(rec)
+    rec.sim.run()
+    assert rec.log == [("interrupted", 1.0, "stop"), ("done", 2.0)]
+    assert rec.sim.events_cancelled == 1
+
+
+def test_process_booted_inside_a_dispatch_runs_in_place():
+    def scenario(rec):
+        sim = rec.sim
+
+        def child(name):
+            rec.log.append((name, sim.now))
+            yield 0.0
+            rec.log.append((name + "'", sim.now))
+
+        def first(_e):
+            sim.process(child("a"))
+            sim.process(child("b"))  # boots after a: it is pushed
+        sim.call_at(1.0, first)
+
+    in_place, dispatched = _both(scenario)
+    assert in_place >= 1
+    rec = _Recorder()
+    scenario(rec)
+    rec.sim.run()
+    assert rec.log == [("a", 1.0), ("b", 1.0), ("a'", 1.0), ("b'", 1.0)]
+
+
+# ------------------------------------------------------ invalid delays
+@pytest.mark.parametrize("delay", [float("nan"), -1.0])
+def test_bad_bare_delay_fails_its_process_by_name(delay):
+    sim = Simulator()
+
+    def sleeper():
+        yield 1.0
+        yield delay
+
+    sim.process(sleeper(), name="napper")
+    with pytest.raises(SimulationError, match="napper") as info:
+        sim.run()
+    assert "non-negative" in str(info.value.__cause__)
+    assert sim.now == 1.0
+
+
+def test_timeout_refuses_nan_delay():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        Timeout(sim, float("nan"))
+    assert sim.peek() == float("inf")
+
+
+def test_call_at_and_call_tail_refuse_nan_but_clamp_float_dust():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.call_at(float("nan"), lambda _e: None)
+    with pytest.raises(ValueError):
+        sim.call_tail(float("nan"), lambda _e: None)
+    seen = []
+
+    def first(_e):  # a finite past instant is float dust: now
+        sim.call_at(sim.now - 1e-9, lambda _e: seen.append(sim.now))
+        sim.call_tail(sim.now - 1e-9, lambda _e: seen.append(sim.now))
+    sim.call_at(5.0, first)
+    sim.run()
+    assert seen == [5.0, 5.0]
+
+
+def test_succeed_and_fail_validate_their_delay():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.event().succeed(delay=-1.0)
+    with pytest.raises(ValueError):
+        sim.event().fail(KeyError("k"), delay=float("nan"))
+    ev = sim.event()
+    with pytest.raises(ValueError):
+        ev.succeed(delay=float("nan"))
+    assert not ev.triggered  # refused before any state change
+    assert sim.peek() == float("inf")
