@@ -45,7 +45,7 @@ def main() -> None:
 
     print("\n== crash: local region zeroed; migrate back from replica 1 ==")
     fingerprint = local.read(4096 * 7, 7)
-    local.buffer.data[:] = 0
+    local.write(0, bytes(local.size))
 
     def recover():
         t0 = sim.now

@@ -35,7 +35,7 @@ Workflow::
     make perf            # run all scenarios, gate against BENCH_perf.json
     make perf-quick      # the smoke subset (includes sweep_parallel)
     make perf-update     # refresh the committed baseline on this machine
-    python -m repro.bench.perf census fig5 ext7  # events/op by layer
+    python -m repro.bench.perf census fig5 ext7  # events, calls/op by layer
 
 The gate fails when a scenario's events/sec drops more than
 ``DEFAULT_TOLERANCE`` (20%) below the committed baseline, when any
@@ -48,7 +48,8 @@ the digests must survive the move unchanged.
 
 The census (:mod:`repro.bench.perf.census`) splits a scenario's events
 per op, and its in-place runs, by the layer of the code that scheduled
-them; it is informational, not gated.
+them, and counts Python calls per op by layer in a separate ``cProfile``
+run; it is informational, not gated.
 """
 
 from repro.bench.perf.harness import (

@@ -27,15 +27,27 @@ Who scheduled an event:
 Layers are source packages of ``repro``; ``verbs-stepped`` is all of
 ``repro.verbs`` except the express lane (the stepped pipeline plus the
 QP and Worker code both lanes share), and ``other`` is everything else
-(``repro.core``, ``repro.memory``, code outside ``repro``).  The census
-is informational: it is not gated and not written to ``BENCH_perf.json``.
+(``repro.core``, code outside ``repro``).
+
+A third table, ``calls``, counts Python calls per completed op by the
+same layers, from a second run of each scenario under ``cProfile`` (the
+counting run above doubles as its warm-up, so lazy imports and cost-cache
+fills do not land in the count).  A Python function's calls (generator
+resumptions included) go to the layer of its source file; a builtin's go
+to the layer of each caller.  Unlike wall time, the count repeats
+exactly, and it sees work done inside one event, which the event tables
+cannot.  The census is informational: it is not gated and not written
+to ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
 
+import cProfile
 import contextlib
 import functools
+import gc
 import os
+import pstats
 import sys
 from collections import Counter
 from typing import Iterator
@@ -47,11 +59,12 @@ from repro.sim.engine import Simulator, _Sleep, _dead
 __all__ = ["LAYERS", "census", "layer_of", "main"]
 
 #: Report order.
-LAYERS = ("sim", "hw", "verbs-stepped", "verbs.express", "tenancy", "load",
-          "apps", "bench", "other")
+LAYERS = ("sim", "hw", "memory", "verbs-stepped", "verbs.express", "tenancy",
+          "load", "apps", "bench", "other")
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-_PACKAGES = {"sim": "sim", "hw": "hw", "verbs": "verbs-stepped",
+_PACKAGES = {"sim": "sim", "hw": "hw", "memory": "memory",
+             "verbs": "verbs-stepped",
              "tenancy": "tenancy", "load": "load", "apps": "apps",
              "bench": "bench"}
 _DISPATCH = frozenset({Simulator.run.__code__, Simulator.step.__code__})
@@ -154,14 +167,47 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
         setattr(Simulator, "_park", park)
 
 
+def calls_by_layer(name: str) -> tuple[Counter, int]:
+    """Python calls by layer in one run of perf scenario ``name`` under
+    ``cProfile``, and the ops the run completed.  Builtins are charged
+    to the layer of the code that called them."""
+    from repro.bench.perf.harness import SCENARIOS
+    from repro.verbs.qp import tally
+
+    prof = cProfile.Profile()
+    ops_before = tally.completions
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # as in the timed run
+    try:
+        prof.runcall(SCENARIOS[name])
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ops = tally.completions - ops_before
+    calls: Counter = Counter()
+    for (path, _line, _func), (_cc, n, _tt, _ct, callers) in \
+            pstats.Stats(prof).stats.items():
+        if path != "~":
+            calls[layer_of(path)] += n
+            continue
+        for (caller, _cl, _cf), (_ccc, by_caller, _ctt, _cct) in \
+                callers.items():
+            calls["other" if caller == "~" else layer_of(caller)] += by_caller
+            n -= by_caller
+        calls["other"] += n  # called from outside any profiled frame
+    return calls, ops
+
+
 def census(names: list[str]) -> dict:
     """Run each named perf scenario under the census.
 
     Returns ``{name: {"by_layer", "in_place", "events", "in_place_events",
-    "ops", "digest"}}``, where ``events`` and ``digest`` are the
-    scenario's own numbers from
-    :func:`~repro.bench.perf.harness.run_scenarios` and
-    ``in_place_events`` is the engine's own in-place count.
+    "ops", "digest", "calls", "calls_ops"}}``, where ``events`` and
+    ``digest`` are the scenario's own numbers from
+    :func:`~repro.bench.perf.harness.run_scenarios`,
+    ``in_place_events`` is the engine's own in-place count, and
+    ``calls``/``calls_ops`` come from a second run under
+    :func:`calls_by_layer`.
     """
     from repro.bench.perf.harness import run_scenarios
     from repro.verbs.qp import tally
@@ -180,6 +226,9 @@ def census(names: list[str]) -> dict:
             "ops": tally.completions - ops_before,
             "digest": row["digest"],
         }
+        calls, calls_ops = calls_by_layer(name)
+        out[name]["calls"] = {layer: calls[layer] for layer in LAYERS}
+        out[name]["calls_ops"] = calls_ops
     return out
 
 
@@ -211,11 +260,26 @@ def main(names: list[str]) -> int:
         line(layer, [per_op(n, rows[n]["in_place"][layer]) for n in names])
     in_place = {n: sum(rows[n]["in_place"].values()) for n in names}
     line("total", [per_op(n, in_place[n]) for n in names])
+    print()
+    print("calls: Python calls per completed op, by layer (a separate "
+          "cProfile run; builtins charged to their caller's layer)")
+
+    def calls_per_op(name: str, n: int) -> str:
+        ops = rows[name]["calls_ops"]
+        return f"{n / ops:.1f}" if ops else str(n)
+
+    for layer in LAYERS:
+        line(layer, [calls_per_op(n, rows[n]["calls"][layer]) for n in names])
+    calls = {n: sum(rows[n]["calls"].values()) for n in names}
+    line("total", [calls_per_op(n, calls[n]) for n in names])
+    line("calls", [calls[n] for n in names])
     bad = 0
     for n in names:
         for what, got, want in (
                 ("dispatches", totals[n], rows[n]["events"]),
-                ("in-place runs", in_place[n], rows[n]["in_place_events"])):
+                ("in-place runs", in_place[n], rows[n]["in_place_events"]),
+                ("completed ops under cProfile", rows[n]["calls_ops"],
+                 rows[n]["ops"])):
             if got != want:
                 bad += 1
                 print(f"{n}: census counted {got:,} {what}, the scenario "

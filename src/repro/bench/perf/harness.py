@@ -411,7 +411,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--quick", action="store_true")
     p_census = sub.add_parser(
         "census", help="print events per completed op by the layer that "
-                       "scheduled them (informational, not gated)")
+                       "scheduled them, and Python calls per op by layer "
+                       "(informational, not gated)")
     p_census.add_argument("scenarios", nargs="+", choices=list(SCENARIOS),
                           metavar="scenario")
     args = parser.parse_args(argv)

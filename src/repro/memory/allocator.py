@@ -43,10 +43,11 @@ class RegionAllocator:
         return self._used[socket]
 
     def free(self, buffer: RdmaBuffer) -> None:
-        """Return a buffer's accounting (bump allocator: space not reused)."""
+        """Return a buffer's accounting (bump allocator: space not reused)
+        and release its store: any later access to it raises."""
         if buffer.machine_id != self.machine_id:
             raise ValueError("buffer belongs to a different machine")
         if buffer.freed:
             raise ValueError("buffer already freed")
-        buffer.freed = True
+        buffer.release()
         self._used[buffer.socket] -= buffer.size

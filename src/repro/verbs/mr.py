@@ -1,6 +1,6 @@
 """Memory regions: registered, rkey-protected windows of host memory.
 
-:class:`MrSlice` is a zero-cost view ``(mr, offset, length)`` — the
+:class:`MrSlice` is a bounds-checked view ``(mr, offset, length)`` — the
 currency of the slice-based verbs API: ``mr[64:128]`` (or
 ``mr.slice(64, 64)``) names a byte range without the offset/length
 positional sprawl, and ``Worker.read/write`` accept them as ``src=`` /
@@ -34,10 +34,14 @@ class MemoryRegion:
         self.mr_id = next(_mr_ids)
         self.rkey = 0xBEEF0000 | (self.mr_id & 0xFFFF)
         self.lkey = 0xFEED0000 | (self.mr_id & 0xFFFF)
-        # Memoized page_keys results: benches hammer a handful of
-        # (offset, length) shapes per MR, and the key lists are immutable
-        # by convention (consumers only iterate them).  Bounded so access
-        # sweeps over huge regions cannot grow it without limit.
+        if page_size <= 0:
+            raise ValueError(f"page size must be positive: {page_size}")
+        # Memoized page_keys results, keyed by the (first, last) page an
+        # access spans: the key list depends on nothing else, so every
+        # offset and length within one span shares one entry.  The lists
+        # are immutable by convention (consumers only iterate them).
+        # Bounded so access sweeps over huge regions cannot grow it
+        # without limit.
         self._page_key_cache: dict = {}
 
     @property
@@ -76,12 +80,17 @@ class MemoryRegion:
 
         The returned list is cached and shared — treat it as read-only.
         """
+        if offset < 0 or length < 0:
+            raise ValueError(f"negative offset or length: {offset}, {length}")
+        page_size = self.page_size
+        span = (offset // page_size,
+                (offset + (length or 1) - 1) // page_size)
         cache = self._page_key_cache
-        keys = cache.get((offset, length))
+        keys = cache.get(span)
         if keys is None:
-            keys = pages_of(self.mr_id, offset, length, self.page_size)
+            keys = pages_of(self.mr_id, offset, length, page_size)
             if len(cache) < 8192:
-                cache[(offset, length)] = keys
+                cache[span] = keys
         return keys
 
     # -- data plane ---------------------------------------------------------
@@ -108,9 +117,11 @@ class MemoryRegion:
 class MrSlice:
     """A byte range ``[offset, offset + length)`` of a registered region.
 
-    Purely descriptive — holds no data and costs nothing to create; the
-    verbs layer unpacks it back into ``(mr, offset, length)`` when
-    building SGEs.
+    Purely descriptive — it holds no data, and the verbs layer unpacks it
+    back into ``(mr, offset, length)`` when building SGEs.  It is not
+    free to create: the frozen dataclass's ``__init__`` plus the bounds
+    check in ``__post_init__`` cost about as much as building a
+    :class:`~repro.verbs.types.Completion`.
     """
 
     mr: MemoryRegion

@@ -1,7 +1,7 @@
 """Unit tests for buffers, the allocator, and page math."""
 
-import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from repro.hw import HardwareParams
 from repro.memory import RdmaBuffer, RegionAllocator
 from repro.memory.address import align_down, align_up, page_span, pages_of
+from repro.memory.buffer import DENSE_LINES, LINE, PAGE
 
 
 def test_page_span_single_page():
@@ -74,44 +75,50 @@ def test_buffer_write_sizes_arrays_in_bytes():
         buf.write(56, np.array([1, 2], dtype=np.uint64))  # 16 bytes at 56
 
 
-def _smaps_kb(lo: int, hi: int) -> dict[str, int]:
-    """``Rss`` and ``AnonHugePages`` (kB) of the mappings in [lo, hi)."""
-    totals = {"Rss:": 0, "AnonHugePages:": 0}
-    inside = False
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            field = line.split(maxsplit=2)
-            if not field[0].endswith(":"):  # a mapping's address-range header
-                start, end = (int(a, 16) for a in field[0].split("-"))
-                inside = start < hi and end > lo
-            elif inside and field[0] in totals:
-                totals[field[0]] += int(field[1])
-    return totals
-
-
-def _thp_never() -> bool:
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
-            return "[never]" in f.read()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/smaps") or _thp_never(),
-                    reason="needs /proc/self/smaps and transparent huge pages")
-def test_buffer_commits_only_written_pages():
+def test_scattered_u64_writes_allocate_a_line_each():
+    """Scattered 8-byte words in a 64 MB buffer each cost one held 64-byte
+    line (~200 B with its dict entry), not a 4 KB page; reading unwritten
+    bytes allocates nothing."""
     size, writes = 64 << 20, 512
     buf = RdmaBuffer(size, 0, 0)
-    lo = buf.data.ctypes.data
-    # The kernel may merge the mapping with a live neighbour that has the
-    # same flags (another buffer), so count what the writes add.
-    before = _smaps_kb(lo, lo + size)
     rng = random.Random(0)
-    for _ in range(writes):
-        buf.write_u64(rng.randrange(size // 8) * 8, 1)
-    kb = _smaps_kb(lo, lo + size)
-    assert kb["AnonHugePages:"] == 0
-    assert kb["Rss:"] - before["Rss:"] <= writes * 4 + 64
+    offsets = [rng.randrange(size // 8) * 8 for _ in range(writes)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for off in offsets:  # unwritten bytes: nothing to hold
+            buf.read(off, 64)
+            buf.read_u64(off)
+            buf.read(off & ~(PAGE - 1), PAGE)
+        read = tracemalloc.get_traced_memory()[0] - before
+        for off in offsets:
+            buf.write_u64(off, off)
+        written = tracemalloc.get_traced_memory()[0] - before - read
+    finally:
+        tracemalloc.stop()
+    assert read < writes  # under a byte per read: nothing held
+    assert written <= writes * 256
+    assert [buf.read_u64(off) for off in offsets] == offsets
+
+
+def test_page_goes_dense_past_the_line_threshold():
+    buf = RdmaBuffer(2 * PAGE, 0, 0)
+    for i in range(DENSE_LINES):
+        buf.write_u64(i * LINE, i + 1)
+    assert len(buf._lines) == DENSE_LINES  # still held as lines
+    buf.write(DENSE_LINES * LINE + 3, b"x")  # one line too many
+    assert not buf._lines
+    buf.write(PAGE + 100, b"y" * 8)
+    assert len(buf._lines) == 1
+    assert buf.read(PAGE, PAGE)[100:108] == b"y" * 8  # bulk: page 1 dense
+    assert not buf._lines
+    buf.write(PAGE + 100, b"z" * 8)
+    buf.write(PAGE - 8, bytes(PAGE))  # a bulk write makes both pages dense
+    assert buf._state == bytearray([0xFF, 0xFF])
+    assert [buf.read_u64(i * LINE) for i in range(DENSE_LINES)] == [
+        i + 1 for i in range(DENSE_LINES)]
+    assert buf.read(DENSE_LINES * LINE + 3, 1) == b"x"
+    assert buf.read(PAGE + 100, 8) == bytes(8)
 
 
 def test_buffer_u64_roundtrip():
@@ -164,6 +171,18 @@ def test_allocator_free_returns_accounting():
     assert alloc.used(1) == 0
 
 
+def test_freed_buffer_refuses_every_access():
+    alloc = RegionAllocator(HardwareParams(), 0)
+    buf = alloc.allocate(4096, 0)
+    buf.write_u64(0, 7)
+    alloc.free(buf)
+    for access in (lambda: buf.read(0, 8), lambda: buf.read(0, 0),
+                   lambda: buf.write(0, b"x"), lambda: buf.read_u64(0),
+                   lambda: buf.write_u64(0, 1)):
+        with pytest.raises(ValueError, match="freed"):
+            access()
+
+
 def test_allocator_rejects_double_free():
     params = HardwareParams().derive(dram_per_socket=4096)
     alloc = RegionAllocator(params, 0)
@@ -192,3 +211,25 @@ def test_allocator_socket_validation():
         alloc.allocate(64, socket=5)
     with pytest.raises(ValueError):
         alloc.allocate(0, socket=0)
+
+
+def test_page_keys_memo_is_keyed_by_page_span():
+    """Every offset and length within one page span shares one memo entry
+    and gets exactly ``pages_of``'s keys; bad ranges still raise."""
+    from repro import build
+
+    _sim, _cluster, ctx = build(machines=1)
+    mr = ctx.register(0, 1 << 20)
+    rng = random.Random(0)
+    for _ in range(2000):
+        offset = rng.randrange(1 << 20)
+        length = rng.choice([0, 1, 8, 64, 4096, 9000])
+        assert mr.page_keys(offset, length) == pages_of(
+            mr.mr_id, offset, length, mr.page_size)
+    # 256 one-page spans plus the two- and three-page ones, not one entry
+    # per distinct (offset, length).
+    assert len(mr._page_key_cache) <= 3 * 256
+    assert mr.page_keys(10, 0) is mr.page_keys(4000, 96)
+    for bad in ((-1, 8), (0, -1)):
+        with pytest.raises(ValueError):
+            mr.page_keys(*bad)

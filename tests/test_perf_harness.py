@@ -175,6 +175,8 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     assert (round(row["in_place_events"] / row["ops"], 2)
             == plain["metrics"]["in_place_per_op"])
     assert row["digest"] == plain["digest"]
+    assert row["calls_ops"] == row["ops"]
+    assert row["calls"]["sim"] > 0 and row["calls"]["verbs.express"] > 0
     in_place = {layer for layer, n in row["in_place"].items() if n}
     if name == "ext9":
         assert row["by_layer"]["verbs.express"] == 0
@@ -187,6 +189,18 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     assert (engine.heappush, engine.heappop, engine.heappushpop) == (
         heapq.heappush, heapq.heappop, heapq.heappushpop)
     assert Simulator._park is park
+
+
+def test_census_calls_by_layer_repeat_exactly():
+    """The census's cProfile pass counts the same Python calls, layer by
+    layer, every time the scenario runs after its warm-up."""
+    from repro.bench.perf import census
+
+    row = census.census(["fig5"])["fig5"]
+    again, ops = census.calls_by_layer("fig5")
+    assert {layer: again[layer] for layer in census.LAYERS} == row["calls"]
+    assert ops == row["calls_ops"] == row["ops"]
+    assert set(again) <= set(census.LAYERS)
 
 
 def test_gate_passes_on_identical_runs():

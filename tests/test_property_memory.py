@@ -1,0 +1,127 @@
+"""Property-based differential test: the sparse ``RdmaBuffer`` against a
+flat ``bytearray`` that stores every byte."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.memory import RdmaBuffer
+from repro.memory.buffer import DENSE_LINES, LINE, PAGE
+
+# Three pages and a partial fourth whose last line is cut short, so the
+# copy of a held line onto the mapping has to stop at the buffer's end.
+SIZE = 3 * PAGE + LINE + 40
+
+
+class _Flat:
+    """Reference: every byte in one array, the same checks."""
+
+    def __init__(self, size: int):
+        self.b = bytearray(size)
+
+    def _check(self, offset: int, length: int) -> None:
+        if offset < 0 or length < 0 or offset + length > len(self.b):
+            raise IndexError(offset, length)
+
+    def read(self, offset: int, length: int) -> bytes:
+        self._check(offset, length)
+        return bytes(self.b[offset:offset + length])
+
+    def write(self, offset: int, payload: bytes) -> None:
+        self._check(offset, len(payload))
+        self.b[offset:offset + len(payload)] = payload
+
+    def read_u64(self, offset: int) -> int:
+        self._check(offset, 8)
+        if offset % 8:
+            raise ValueError(offset)
+        return int.from_bytes(self.b[offset:offset + 8], "little")
+
+    def write_u64(self, offset: int, value: int) -> None:
+        self._check(offset, 8)
+        if offset % 8:
+            raise ValueError(offset)
+        self.b[offset:offset + 8] = (value % 2**64).to_bytes(8, "little")
+
+
+# Offsets cluster around line and page boundaries (either side of them)
+# and stray a little past both ends of the buffer.
+_boundary = st.builds(
+    lambda line, delta: line * LINE + delta,
+    st.integers(0, SIZE // LINE + 1), st.integers(-9, 9))
+_offset = st.one_of(_boundary, st.integers(-4, SIZE + 4))
+_length = st.one_of(
+    st.sampled_from([0, 1, 7, 8, 9, LINE - 1, LINE, LINE + 1, 2 * LINE,
+                     PAGE - 1, PAGE, PAGE + 1, 2 * PAGE]),
+    st.integers(0, SIZE + 8))
+_u64 = st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**65, 2**65))
+
+# Short reads that start just before a page boundary.
+_page_edge = st.builds(lambda page, back: page * PAGE - back,
+                       st.integers(1, SIZE // PAGE), st.integers(1, LINE))
+
+_op = st.one_of(
+    st.tuples(st.just("read"), _offset, _length),
+    st.tuples(st.just("read"), _page_edge, st.integers(1, 2 * LINE)),
+    st.tuples(st.just("write"), _offset, _length, st.integers(1, 255)),
+    st.tuples(st.just("read_u64"), _offset),
+    st.tuples(st.just("write_u64"), _offset, _u64),
+    # A write of the buffer's last ``n`` bytes: bulk ones reach the cut line.
+    st.tuples(st.just("tail"), st.integers(1, 2 * PAGE), st.integers(1, 255)),
+    # Fill ``k`` distinct lines of one page: around the dense threshold.
+    st.tuples(st.just("lines"), st.integers(0, SIZE // PAGE),
+              st.integers(DENSE_LINES - 2, DENSE_LINES + 2),
+              st.integers(0, LINE // 8 - 1)),
+)
+
+
+def _apply(target, op) -> object:
+    """Run one op; its result, or the type of the exception it raised."""
+    try:
+        kind = op[0]
+        if kind == "read":
+            return target.read(op[1], op[2])
+        if kind == "write":
+            _, offset, length, seed = op
+            return target.write(offset, bytes((seed + i) % 256
+                                              for i in range(length)))
+        if kind == "tail":
+            return _apply(target, ("write", SIZE - op[1], op[1], op[2]))
+        if kind == "read_u64":
+            return target.read_u64(op[1])
+        if kind == "write_u64":
+            return target.write_u64(op[1], op[2])
+        _, page, k, word = op
+        for i in range(k):
+            offset = page * PAGE + i * LINE + word * 8
+            if offset + 8 <= SIZE:
+                target.write_u64(offset, page << 32 | i)
+        return None
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+def _check_books(buf: RdmaBuffer) -> None:
+    """A dense page holds no lines; any other page's state byte counts
+    its held lines, at most DENSE_LINES."""
+    held: dict[int, int] = {}
+    for line_no in buf._lines:
+        held[line_no * LINE // PAGE] = held.get(line_no * LINE // PAGE, 0) + 1
+    for page, state in enumerate(buf._state):
+        if state == 0xFF:
+            assert page not in held
+        else:
+            assert state == held.get(page, 0) <= DENSE_LINES
+    assert buf._holding == sum(1 for s in buf._state if s not in (0, 0xFF))
+
+
+@given(st.lists(_op, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_sparse_buffer_matches_a_flat_bytearray(ops):
+    buf, ref = RdmaBuffer(SIZE, 0, 0), _Flat(SIZE)
+    for op in ops:
+        assert _apply(buf, op) == _apply(ref, op), op
+        _check_books(buf)
+    for offset in range(0, SIZE - 7, 8):
+        assert buf.read_u64(offset) == ref.read_u64(offset)
+    assert buf.read(0, SIZE) == bytes(ref.b)  # bulk: ends all dense
+    _check_books(buf)
