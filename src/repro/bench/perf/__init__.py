@@ -25,8 +25,11 @@ campaign run serially and through a 4-worker pool; see
   completes verbs ops (``repro.verbs.qp.tally``) records
   ``events_per_op`` and ``cycles_per_op``
   (objects one collection finds in cycles at the scenario's end, per
-  completed op), both gated against a rise, and ``in_place_per_op``,
-  recorded but not gated; ``sweep_parallel`` adds
+  completed op), both gated against a rise, ``express_frac`` (the share
+  of completed ops the express lane booked), gated against a fall, and
+  ``in_place_per_op``, recorded but not gated.  ``make perf`` runs each
+  scenario once more, untimed, and records its tracemalloc peak as
+  ``traced_peak_kb``, gated against a rise; ``sweep_parallel`` adds
   wall-clock-derived campaign numbers: serial and 4-job points/sec,
   ``jobs4_speedup``, and the usable ``cores``.
 
@@ -39,7 +42,9 @@ Workflow::
 
 The gate fails when a scenario's events/sec drops more than
 ``DEFAULT_TOLERANCE`` (20%) below the committed baseline, when any
-digest differs, when events or cycles per op rise, or when ``jobs4_speedup`` lands below ``SPEEDUP_FLOOR``
+digest differs, when events or cycles per op or the traced peak rise,
+when ``express_frac`` falls, or when ``jobs4_speedup`` lands below
+``SPEEDUP_FLOOR``
 (1.5×) on a machine with at least ``SPEEDUP_CORES`` (4) usable cores —
 parallel campaigns must actually pay, not merely merge
 deterministically.  Wall-clock numbers are machine-dependent — refresh
@@ -48,8 +53,9 @@ the digests must survive the move unchanged.
 
 The census (:mod:`repro.bench.perf.census`) splits a scenario's events
 per op, and its in-place runs, by the layer of the code that scheduled
-them, and counts Python calls per op by layer in a separate ``cProfile``
-run; it is informational, not gated.
+them, counts Python calls per op by layer in a separate ``cProfile``
+run, and prints lane coverage by stepped reason and the traced peak; it
+is informational, not gated.
 """
 
 from repro.bench.perf.harness import (

@@ -36,8 +36,17 @@ fills do not land in the count).  A Python function's calls (generator
 resumptions included) go to the layer of its source file; a builtin's go
 to the layer of each caller.  Unlike wall time, the count repeats
 exactly, and it sees work done inside one event, which the event tables
-cannot.  The census is informational: it is not gated and not written
-to ``BENCH_perf.json``.
+cannot.
+
+Two more lines close the report.  ``lane coverage`` gives the share of
+completed ops the express lane booked and the stepped WRs by the first
+lane term that failed (:data:`~repro.verbs.qp.STEP_REASONS`, counted by
+the stepped path only), from the counting run.  ``traced peak KB`` is
+the tracemalloc peak of a third, untimed run
+(:func:`~repro.bench.perf.harness.traced_peak_kb`).  The census is
+informational: it is not gated and not written to ``BENCH_perf.json``;
+each ``make perf`` row records and gates its own ``express_frac`` and
+``traced_peak_kb``.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from typing import Iterator
 import repro
 from repro.sim import engine
 from repro.sim.engine import Simulator, _Sleep, _dead
+from repro.verbs.qp import STEP_REASONS
 
 __all__ = ["LAYERS", "census", "layer_of", "main"]
 
@@ -202,19 +212,23 @@ def census(names: list[str]) -> dict:
     """Run each named perf scenario under the census.
 
     Returns ``{name: {"by_layer", "in_place", "events", "in_place_events",
-    "ops", "digest", "calls", "calls_ops"}}``, where ``events`` and
-    ``digest`` are the scenario's own numbers from
+    "ops", "stepped", "digest", "calls", "calls_ops", "traced_peak_kb"}}``,
+    where ``events`` and ``digest`` are the scenario's own numbers from
     :func:`~repro.bench.perf.harness.run_scenarios`,
-    ``in_place_events`` is the engine's own in-place count, and
-    ``calls``/``calls_ops`` come from a second run under
-    :func:`calls_by_layer`.
+    ``in_place_events`` is the engine's own in-place count, ``stepped``
+    counts the WRs that stepped by :data:`~repro.verbs.qp.STEP_REASONS`
+    entry, ``calls``/``calls_ops`` come from a second run under
+    :func:`calls_by_layer`, and ``traced_peak_kb`` from a third under
+    :func:`~repro.bench.perf.harness.traced_peak_kb`.
     """
-    from repro.bench.perf.harness import run_scenarios
+    from repro.bench.perf.harness import (SCENARIOS, run_scenarios,
+                                          traced_peak_kb)
     from repro.verbs.qp import tally
 
     out = {}
     for name in names:
         ops_before = tally.completions
+        stepped_before = dict(tally.stepped)
         in_place_before = engine.tally.in_place
         with _counting() as (counts, in_place):
             row = run_scenarios([name])["scenarios"][name]
@@ -224,11 +238,14 @@ def census(names: list[str]) -> dict:
             "events": row["events"],
             "in_place_events": engine.tally.in_place - in_place_before,
             "ops": tally.completions - ops_before,
+            "stepped": {reason: n - stepped_before[reason]
+                        for reason, n in tally.stepped.items()},
             "digest": row["digest"],
         }
         calls, calls_ops = calls_by_layer(name)
         out[name]["calls"] = {layer: calls[layer] for layer in LAYERS}
         out[name]["calls_ops"] = calls_ops
+        out[name]["traced_peak_kb"] = traced_peak_kb(SCENARIOS[name])
     return out
 
 
@@ -273,6 +290,22 @@ def main(names: list[str]) -> int:
     calls = {n: sum(rows[n]["calls"].values()) for n in names}
     line("total", [calls_per_op(n, calls[n]) for n in names])
     line("calls", [calls[n] for n in names])
+    print()
+    print("lane coverage: share of completed ops the express lane booked, "
+          "and stepped WRs by the first lane term that failed")
+
+    def express(name: str) -> str:
+        ops = rows[name]["ops"]
+        stepped = sum(rows[name]["stepped"].values())
+        return f"{100.0 * (1.0 - stepped / ops):.1f}%" if ops else "-"
+
+    line("express", [express(n) for n in names])
+    line("stepped", [sum(rows[n]["stepped"].values()) for n in names])
+    for reason in STEP_REASONS:
+        if any(rows[n]["stepped"][reason] for n in names):
+            line(f"  {reason}", [rows[n]["stepped"][reason] for n in names])
+    print()
+    line("traced peak KB", [rows[n]["traced_peak_kb"] for n in names])
     bad = 0
     for n in names:
         for what, got, want in (

@@ -13,6 +13,7 @@ import importlib
 import json
 import sys
 import time
+import tracemalloc
 from typing import Callable, Optional
 
 from repro.bench import TARGETS
@@ -25,10 +26,13 @@ __all__ = [
     "SCENARIOS",
     "SPEEDUP_CORES",
     "SPEEDUP_FLOOR",
+    "TRACED_PEAK_FLOOR_KB",
+    "TRACED_PEAK_TOLERANCE",
     "check",
     "load_baseline",
     "main",
     "run_scenarios",
+    "traced_peak_kb",
 ]
 
 #: Gate threshold: fail when events/sec drops by more than this fraction.
@@ -48,6 +52,15 @@ _PER_OP_GATES = (
     ("cycles_per_op",
      "a per-op object is cyclic again and lives until run() returns"),
 )
+
+#: Gate threshold for ``traced_peak_kb``: the tracemalloc peak of a
+#: scenario's untimed run may rise by this fraction plus
+#: ``TRACED_PEAK_FLOOR_KB`` before the gate fails.  Full runs under
+#: ``PYTHONHASHSEED`` 0, 1 and 2 and a ``--quick`` run differed by at
+#: most 1 KB on any row (docs/PERFORMANCE.md, "Per-row memory"); 8 B
+#: more per op would raise fig5 by 116 KB.
+TRACED_PEAK_TOLERANCE = 0.01
+TRACED_PEAK_FLOOR_KB = 16
 
 #: Parallel-campaign gate: the warm worker pool must deliver at least
 #: this speedup over serial with 4 jobs.  Enforced only when the run
@@ -189,8 +202,30 @@ def _digest(outcome: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def run_scenarios(names: Optional[list[str]] = None) -> dict:
-    """Time the named scenarios (default: all); returns a baseline dict."""
+def traced_peak_kb(fn: Callable[[], dict]) -> int:
+    """The tracemalloc peak, in KB, of one untimed run of scenario
+    ``fn`` with the collector paused as in the timed run: the most
+    Python memory the scenario held at once, counted from its start."""
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    return round(peak / 1024)
+
+
+def run_scenarios(names: Optional[list[str]] = None,
+                  traced: bool = False) -> dict:
+    """Time the named scenarios (default: all); returns a baseline dict.
+
+    With ``traced``, each scenario runs once more, untimed, to record
+    ``traced_peak_kb`` (:func:`traced_peak_kb`)."""
     from repro.verbs.qp import tally
 
     out: dict = {"format": 1, "scenarios": {}}
@@ -200,6 +235,7 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
         events_before = Simulator.total_events
         in_place_before = engine_tally.in_place
         ops_before = tally.completions
+        stepped_before = sum(tally.stepped.values())
         # The collector stays off for the whole scenario, so one final
         # collection finds every object the scenario left in a cycle.
         # With it on, a pass over a live tuple of atomic values untracks
@@ -219,6 +255,7 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
         events = Simulator.total_events - events_before
         in_place = engine_tally.in_place - in_place_before
         ops = tally.completions - ops_before
+        stepped = sum(tally.stepped.values()) - stepped_before
         # ``_metrics`` carries wall-clock-derived numbers (e.g. parallel
         # speedup) that vary across machines; keep them out of the digest.
         # ``_table`` is the rendered bench table, digested on its own so
@@ -240,6 +277,10 @@ def run_scenarios(names: Optional[list[str]] = None) -> dict:
             # became cyclic again and now lives until the run ends.
             # What is left is each rig's own cycles.
             metrics["cycles_per_op"] = round(freed / ops, 2)
+            # Share of completed WRs the express lane booked.
+            metrics["express_frac"] = round(1.0 - stepped / ops, 4)
+        if traced:
+            metrics["traced_peak_kb"] = traced_peak_kb(fn)
         row = {
             "wall_s": round(wall, 4),
             "events": events,
@@ -287,6 +328,12 @@ def check(baseline: dict, current: dict,
     * a ``cycles_per_op`` increase beyond the same slack — more objects
       per completed op are left for the cyclic collector, which
       ``Simulator.run`` pauses, so they stay alive until it returns;
+    * any ``express_frac`` fall — more WRs step instead of taking the
+      express lane;
+    * a ``traced_peak_kb`` rise beyond :data:`TRACED_PEAK_TOLERANCE`
+      plus :data:`TRACED_PEAK_FLOOR_KB` — the scenario's untimed run
+      held more Python memory at its peak (only when both sides
+      recorded it);
     * a scenario missing from either side;
     * a ``jobs4_speedup`` below :data:`SPEEDUP_FLOOR` when the current
       run had at least :data:`SPEEDUP_CORES` usable cores — parallel
@@ -340,6 +387,18 @@ def check(baseline: dict, current: dict,
                 failures.append(
                     f"{name}: {key.replace('_per_', '/')} rose {b_v} -> "
                     f"{c_v} — {why}")
+        b_v, c_v = b_m.get("express_frac"), c_m.get("express_frac")
+        if b_v is not None and c_v is not None and c_v < b_v:
+            failures.append(
+                f"{name}: express_frac fell {b_v} -> {c_v} — more WRs "
+                "step instead of taking the express lane")
+        b_v, c_v = b_m.get("traced_peak_kb"), c_m.get("traced_peak_kb")
+        if (b_v is not None and c_v is not None and c_v > b_v
+                * (1.0 + TRACED_PEAK_TOLERANCE) + TRACED_PEAK_FLOOR_KB):
+            failures.append(
+                f"{name}: traced_peak_kb rose {b_v} -> {c_v} — the "
+                "scenario holds more Python memory at its peak (a per-op "
+                "object that outlives its op?)")
         floor = b["events_per_sec"] * (1.0 - tolerance)
         if name not in TABLE_ROWS and c["events_per_sec"] < floor:
             drop = 1.0 - c["events_per_sec"] / b["events_per_sec"]
@@ -366,7 +425,8 @@ def _print_table(data: dict, baseline: Optional[dict] = None) -> None:
 def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
     """Tracked metrics: wall-clock-derived numbers like the
     parallel-sweep speedup, excluded from digests.  The per-op counts
-    are gated against a rise; ``jobs4_speedup`` is gated against
+    and ``traced_peak_kb`` are gated against a rise, ``express_frac``
+    against a fall; ``jobs4_speedup`` is gated against
     :data:`SPEEDUP_FLOOR` whenever the run had >= :data:`SPEEDUP_CORES`
     cores.  Falls back to the committed baseline for scenarios the
     current (e.g. --quick) run skipped."""
@@ -383,9 +443,10 @@ def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
             body = " ".join(f"{k}={v}" for k, v in row.items())
             lines.append(f"  {name}: {body}{src}")
     if lines:
-        print(f"tracked metrics (events_per_op and cycles_per_op gated "
-              f"against a rise; jobs4_speedup gated at >={SPEEDUP_FLOOR}x "
-              f"on >={SPEEDUP_CORES} cores; the rest, in_place_per_op "
+        print(f"tracked metrics (events_per_op, cycles_per_op and "
+              f"traced_peak_kb gated against a rise, express_frac against "
+              f"a fall; jobs4_speedup gated at >={SPEEDUP_FLOOR}x on "
+              f">={SPEEDUP_CORES} cores; the rest, in_place_per_op "
               "included, informational):")
         for line in lines:
             print(line)
@@ -422,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return census.main(args.scenarios)
 
     if args.cmd == "update":
-        data = run_scenarios()
+        data = run_scenarios(traced=True)
         with open(args.baseline, "w") as fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
@@ -432,7 +493,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     names = list(QUICK_SCENARIOS) if args.quick else None
-    data = run_scenarios(names)
+    data = run_scenarios(names, traced=True)
     if args.cmd == "run":
         _print_table(data)
         _print_tracked(data)

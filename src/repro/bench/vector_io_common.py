@@ -9,6 +9,7 @@ from repro.core.batching import BatchEntry, make_batcher
 from repro.hw import HardwareParams
 from repro.sim.stats import mops
 from repro.verbs import Worker
+from repro.verbs.cq import reap
 
 __all__ = ["batched_throughput", "local_vector_mops"]
 
@@ -46,14 +47,15 @@ def batched_throughput(strategy: str, batch_size: int, payload: int,
         inflight = []
         completed = 0
         # Measurement-loop fast path: Worker.wait is inlined (same events,
-        # same CPU accounting) so the reap loop costs no extra generator
-        # frame per completion.
+        # same CPU accounting, same CQE reap) so the reap loop costs no
+        # extra generator frame per completion.
         poll = w._poll_ns
+        cqes = w._cqes
         for b in range(n_batches + warmup):
             if len(inflight) >= depth:
                 events = inflight.pop(0)
                 for ev in events:
-                    yield ev
+                    reap(cqes, (yield ev))
                     w.cpu_busy_ns += poll
                     yield poll
                     w.ops += 1
@@ -68,7 +70,7 @@ def batched_throughput(strategy: str, batch_size: int, payload: int,
             inflight.append(events)
         for events in inflight:
             for ev in events:
-                yield ev
+                reap(cqes, (yield ev))
                 w.cpu_busy_ns += poll
                 yield poll
                 w.ops += 1

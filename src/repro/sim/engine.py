@@ -29,23 +29,17 @@ event is dispatched, never which event fires next.
   one inlined loop (no per-event ``step()`` call, no ``_run_callbacks``
   call), the same loop for draining, ``until=T`` and ``until=event``;
   :meth:`step` remains for single-stepping.
-* **Object pooling** — ``Timeout`` and plain ``Event`` instances are
-  recycled through per-simulator free lists.  Recycling is gated on
-  ``sys.getrefcount``: an event is only pooled when the dispatch loop holds
-  the *sole* remaining reference, so a caller that kept a handle (condition
-  events, completion events stashed in an in-flight list...) can never
-  observe a reset object.
 * **Cancellation tombstones** — :meth:`Event.cancel` marks an event dead in
   O(1) and frees its callback list immediately; the heap entry stays put
-  and is skipped (and recycled) when it surfaces.  No heap rebuilds, no
+  and is skipped when it surfaces.  No heap rebuilds, no
   callbacks holding dead closures alive across long sweeps.
 * **Slotted everything** — every class here (including the Simulator)
   declares ``__slots__``; event churn never allocates ``__dict__``s.
 * **Bare-delay lane** — a process may ``yield 12.5`` instead of
   ``yield sim.timeout(12.5)``: the engine parks it on a reusable per-
   process ``_Sleep`` marker and resumes the generator straight from the
-  dispatch loop, skipping Event construction, callback lists and pool
-  probes entirely.  Sequence numbers are allocated at the same moments,
+  dispatch loop, skipping Event construction and callback lists
+  entirely.  Sequence numbers are allocated at the same moments,
   so the two spellings produce bit-identical schedules.
 * **In-place dispatch** — every trigger (``Event.succeed``/``fail``,
   timeouts, ``call_at``, ``call_tail``, interrupts, process boots and
@@ -77,11 +71,11 @@ import heapq
 from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Generator, Iterable, Optional
 
-try:  # CPython: exact refcounts gate object recycling.
+try:  # CPython: exact refcounts show a timer nobody else holds.
     from sys import getrefcount as _refs
 except ImportError:  # pragma: no cover - non-refcounted runtimes
     def _refs(_obj: Any) -> int:
-        return 1 << 30  # pooling disabled: nothing ever looks unreferenced
+        return 1 << 30  # nothing ever looks unreferenced
 
 __all__ = [
     "AllOf",
@@ -93,10 +87,6 @@ __all__ = [
     "Simulator",
     "Timeout",
 ]
-
-#: Free-list bound per pool: enough to absorb the steady-state churn of a
-#: deep pipeline, small enough to be invisible in memory profiles.
-_POOL_CAP = 512
 
 
 class SimulationError(RuntimeError):
@@ -138,8 +128,8 @@ class _Sleep:
     no carried value, no shared waiters, no cancellation handle.  The
     engine then skips the whole Event life cycle: one reusable marker per
     process is scheduled as the heap entry itself and the dispatch loop
-    resumes the generator directly — no callback list, no pooling probe,
-    no ``_processed`` bookkeeping.  The scheduling key is allocated exactly
+    resumes the generator directly — no callback list, no
+    ``_processed`` bookkeeping.  The scheduling key is allocated exactly
     like a ``Timeout``'s ``(now + delay, NORMAL, next seq)`` at the same
     moment, so schedules are bit-identical to the Timeout spelling — the
     event is just dispatched much more cheaply.
@@ -252,7 +242,7 @@ class Event:
         """Withdraw the event: it will never fire and never run callbacks.
 
         O(1) tombstone scheme: any heap entry stays where it is and is
-        skipped (then recycled) when it reaches the top — no heap rebuild.
+        skipped when it reaches the top — no heap rebuild.
         The callback list is freed *immediately*, so closures (and the
         processes/buffers they capture) are reclaimable right away instead
         of living until the dead entry would have fired — the difference
@@ -315,8 +305,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation.
 
-    Prefer :meth:`Simulator.timeout`, which recycles Timeout objects
-    through a free list (identical semantics, ~no allocation).
+    Prefer :meth:`Simulator.timeout`, which builds one without the
+    constructor call chain (identical semantics).
     """
 
     __slots__ = ("delay",)
@@ -599,8 +589,8 @@ class Simulator:
 
     __slots__ = ("now", "_heap", "_seq", "_crashed", "events_processed",
                  "events_cancelled", "events_in_place", "_tail",
-                 "_timeout_pool", "_event_pool", "trace_dispatch", "check",
-                 "express")
+                 "trace_dispatch", "check",
+                 "express", "cqes")
 
     #: Class-wide dispatched-event counter (monotonic across instances).
     total_events: int = 0
@@ -620,8 +610,6 @@ class Simulator:
         #: when ``run()`` is dispatching without one, ``None`` outside
         #: ``run()``.
         self._tail: Optional[tuple] = None
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
         #: Optional hook ``f(time, priority, seq)`` invoked per dispatched
         #: event — the schedule-identity tests record timelines through it.
         #: Leave ``None`` in production runs.
@@ -635,44 +623,29 @@ class Simulator:
         #: attached by Cluster on eligible topologies.  ``None`` = every op
         #: steps through the generator pipeline.
         self.express = None
+        #: Identity index of the CQEs queued in this simulator's
+        #: completion queues, ``id(cqe) ->`` a weak reference to the
+        #: queue; owned by :mod:`repro.verbs.cq`, which reaps through it.
+        self.cqes: dict = {}
 
     # -- event construction ------------------------------------------------
     def event(self) -> Event:
-        """A fresh (possibly recycled) untriggered event."""
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = Event._PENDING
-            ev._ok = True
-            ev._triggered = False
-            ev._processed = False
-            ev._cancelled = False
-            return ev
+        """A fresh untriggered event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` ns from now (pooled fast path)."""
+        """An event firing ``delay`` ns from now (fast path)."""
         if not delay >= 0:  # NaN fails too
             raise ValueError(f"negative or NaN timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = value
-            ev._ok = True
-            ev._triggered = True
-            ev._processed = False
-            ev._cancelled = False
-            ev.delay = delay
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._triggered = True
-            ev._processed = False
-            ev._cancelled = False
-            ev.delay = delay
+        ev = Timeout.__new__(Timeout)
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev._cancelled = False
+        ev.delay = delay
         self._seq = seq = self._seq + 1
         self._park((self.now + delay, NORMAL, seq, ev))
         return ev
@@ -688,7 +661,7 @@ class Simulator:
     def call_at(self, when: float, fn: Callable[["Event"], None]) -> Event:
         """Fused wake-up: run ``fn(event)`` once at absolute time ``when``.
 
-        A pooled Event is pre-marked triggered and scheduled directly at
+        An Event is pre-marked triggered and scheduled directly at
         ``when`` (absolute, not ``now + delay`` — closed-form timelines are
         computed as absolute instants and must not pick up float error
         from a round trip through a delta).  The dispatch loop handles it
@@ -780,7 +753,6 @@ class Simulator:
             when, _prio, _seq, target = heappop(heap)
             if not _dead(target):
                 break
-            self._recycle(target)
             if not heap:
                 return
         if when < self.now:
@@ -796,30 +768,8 @@ class Simulator:
             target(None)
         self.events_processed += 1
         Simulator.total_events += 1
-        self._recycle(target)
         if self._crashed is not None:
             self._raise_crash()
-
-    def _recycle(self, event: Any) -> None:
-        """Return a dead engine-owned event to its free list.
-
-        Safe only when the caller's reference is the last one: with the
-        heap entry already popped, ``_refs(event) == 3`` means exactly
-        (this argument binding, the caller's local, the probe's own
-        argument) — nobody outside the engine can ever observe the object
-        again.
-        """
-        t = type(event)
-        if t is Timeout:
-            if _refs(event) == 3 and len(self._timeout_pool) < _POOL_CAP:
-                if event.callbacks is None:
-                    event.callbacks = []
-                self._timeout_pool.append(event)
-        elif t is Event:
-            if _refs(event) == 3 and len(self._event_pool) < _POOL_CAP:
-                if event.callbacks is None:
-                    event.callbacks = []
-                self._event_pool.append(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the heap drains, time ``until`` passes, or event fires.
@@ -840,16 +790,13 @@ class Simulator:
                     f"until={horizon} is in the past (now={self.now})")
 
         # Fused dispatch loop: everything per-event is inlined (pop,
-        # dispatch, recycle) with hot globals/attributes bound to locals.
+        # dispatch) with hot globals/attributes bound to locals.
         # This is THE hot loop of the repository; see docs/PERFORMANCE.md
         # before touching it.
         heap = self._heap
         pop = heappop
         push = heappush
         pushpop = heappushpop
-        refs = _refs
-        tpool = self._timeout_pool
-        epool = self._event_pool
         trace = self.trace_dispatch
         chk = self.check
         dispatched = 0
@@ -907,7 +854,7 @@ class Simulator:
                     # instants, so every entry lies at or after ``now``.
                     if type(target) is _Sleep:
                         # Bare-delay fast lane: resume the sleeper in place —
-                        # no callbacks, no pooling probes.
+                        # no callbacks.
                         p = target.proc
                         if p is None or p._waiting_on is not target:
                             continue  # interrupted sleeper: tombstone
@@ -962,8 +909,6 @@ class Simulator:
                                 self._crash(_bad_yield(p, nxt), p)
                     elif isinstance(target, Event):
                         if target._cancelled:
-                            entry = tail = None  # the probe sees our ref only
-                            self._recycle(target)
                             continue
                         self.now = when
                         if trace is not None:
@@ -980,27 +925,6 @@ class Simulator:
                         if callbacks:
                             for cb in callbacks:
                                 cb(target)
-                        # Inline recycle: pool Timeouts/Events nobody else
-                        # holds.  With the entry tuple dropped, refs == 2 is
-                        # the loop local + the probe arg.
-                        entry = tail = None
-                        t = type(target)
-                        if t is Timeout:
-                            if refs(target) == 2 and len(tpool) < _POOL_CAP:
-                                if callbacks is not None:
-                                    callbacks.clear()
-                                    target.callbacks = callbacks
-                                else:
-                                    target.callbacks = []
-                                tpool.append(target)
-                        elif t is Event:
-                            if refs(target) == 2 and len(epool) < _POOL_CAP:
-                                if callbacks is not None:
-                                    callbacks.clear()
-                                    target.callbacks = callbacks
-                                else:
-                                    target.callbacks = []
-                                epool.append(target)
                     else:  # a bare call_tail function
                         self.now = when
                         if trace is not None:
@@ -1046,7 +970,7 @@ class Simulator:
         self._unpark()
         heap = self._heap
         while heap and _dead(heap[0][3]):
-            self._recycle(heappop(heap)[3])
+            heappop(heap)
         return heap[0][0] if heap else float("inf")
 
 

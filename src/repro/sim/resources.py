@@ -48,7 +48,14 @@ class Resource:
     ``release()`` hands the slot straight to the head waiter — an acquire
     event, a booking or a claim — at the releaser's dispatch; the busy
     span stays open across a handover.
+
+    The waiter FIFO is created at the first contention, so an idle
+    resource (e.g. one of the RNIC's per-word atomic locks, kept for the
+    whole run) holds no queue.
     """
+
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
+                 "_busy_ns", "_busy_since")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -58,8 +65,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         #: FIFO of waiters: an acquire Event, a ``(dur, cb)`` booking, or
-        #: a ``(None, cb)`` claim.
-        self._waiters: deque = deque()
+        #: a ``(None, cb)`` claim; ``None`` until the first one queues.
+        self._waiters: Optional[deque] = None
         # busy-time accounting for utilization reports
         self._busy_ns = 0.0
         self._busy_since: Optional[float] = None
@@ -70,13 +77,13 @@ class Resource:
 
     @property
     def queue_len(self) -> int:
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        # Grants come from the simulator's event pool (hot path: one
-        # acquire per pipeline stage per op) with the uncontended grant
-        # inlined; FIFO order and schedules are unchanged.
+        # Hot path (one acquire per pipeline stage per op): the
+        # uncontended grant is inlined; FIFO order and schedules are
+        # unchanged.
         ev = self.sim.event()
         if self._in_use < self.capacity:
             if self._in_use == 0:
@@ -84,8 +91,15 @@ class Resource:
             self._in_use += 1
             ev.succeed(self)
         else:
-            self._waiters.append(ev)
+            self._queue().append(ev)
         return ev
+
+    def _queue(self) -> deque:
+        """The waiter FIFO, created at the first contention."""
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
+        return waiters
 
     def book(self, dur: float, cb: Callable) -> None:
         """Timed hold without a process: ``cb`` wakes ``dur`` after the
@@ -98,7 +112,7 @@ class Resource:
             self._in_use += 1
             sim.call_tail(sim.now + dur, cb)
         else:
-            self._waiters.append((dur, cb))
+            self._queue().append((dur, cb))
 
     def claim(self, cb: Callable) -> bool:
         """Untimed hold: True when granted now; otherwise queue, and the
@@ -108,7 +122,7 @@ class Resource:
                 self._busy_since = self.sim.now
             self._in_use += 1
             return True
-        self._waiters.append((None, cb))
+        self._queue().append((None, cb))
         return False
 
     def release(self) -> None:
@@ -136,8 +150,11 @@ class Resource:
 
     def cancel(self, grant: Event) -> None:
         """Withdraw a not-yet-granted acquire request."""
+        waiters = self._waiters
+        if waiters is None:
+            return
         try:
-            self._waiters.remove(grant)
+            waiters.remove(grant)
         except ValueError:
             return
         # Tombstone the abandoned grant so its waiter closures are freed

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
+import weakref
+from collections import OrderedDict, deque
+from typing import Any, Optional
 
-from repro.sim import Simulator, Store
+from repro.sim import Event, Simulator
 from repro.verbs.types import Completion
 
-__all__ = ["CompletionQueue"]
+__all__ = ["CompletionQueue", "reap"]
 
 
 class CompletionQueue:
@@ -15,50 +17,110 @@ class CompletionQueue:
 
     SQ and RQ may share a CQ or use distinct ones (Section II-A); the
     context creates one per QP by default.
+
+    Each CQE is reaped exactly once, as ``ibv_poll_cq`` reports it once,
+    by whichever comes first of:
+
+    * :meth:`poll` (the oldest CQE);
+    * a :meth:`wait` getter (the oldest CQE, or the next one pushed);
+    * the :meth:`Worker.wait <repro.verbs.Worker.wait>` that pays
+      ``cpu_poll_ns`` for it (that very CQE, wherever it sits; see
+      :func:`reap`).
+
+    A reaped CQE leaves the queue and counts in ``consumed``; the rest
+    stay in FIFO order.  A bare ``yield done`` outside a Worker reaps
+    nothing, so that CQE stays pollable.
+
+    Queued CQEs sit in an identity-keyed ordered dict, mirrored in the
+    simulator-wide index ``sim.cqes`` (``id(cqe) ->`` a weak reference
+    to the queue), so a reap by identity costs one removal from each.
+    Every path that takes a CQE out removes both entries, and a queue
+    freed with CQEs still queued removes theirs, so the index holds
+    exactly the queued CQEs and an id cannot be reused while it is
+    indexed.  Neither a CQE nor the index holds the queue strongly:
+    either would tie the queue and its CQEs into a cycle (the simulator
+    is in one), and ``run()`` pauses the collector.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self._store = Store(sim, name=name)
+        self._index: dict[int, weakref.ref[CompletionQueue]] = sim.cqes
+        self._ref = weakref.ref(self)
+        self._items: OrderedDict[int, Completion] = OrderedDict()
+        self._getters: deque[Event] = deque()
         self.produced = 0
         self.consumed = 0
 
+    def __del__(self) -> None:
+        index = self._index
+        for key in self._items:
+            del index[key]
+
+    def _enqueue(self, completion: Completion) -> None:
+        if self._getters:
+            self._getters.popleft().succeed(completion)
+        else:
+            key = id(completion)
+            self._items[key] = completion
+            self._index[key] = self._ref
+
+    def _take(self) -> Completion:
+        key, cqe = self._items.popitem(last=False)
+        del self._index[key]
+        return cqe
+
     def push(self, completion: Completion) -> None:
-        """Hardware-side: deposit a CQE."""
+        """Hardware-side: deposit a CQE.  The stepped pipeline's deposit
+        also succeeds a no-op put-ack event, as a store put does, so its
+        schedules (and the traced pins recorded from them) do not move."""
         self.produced += 1
-        self._store.put(completion)
+        ack = self.sim.event()
+        self._enqueue(completion)
+        ack.succeed(None)
 
     def deposit(self, completion: Completion) -> None:
-        """Express-lane deposit: ``push`` without the store's put-ack.
+        """Express-lane deposit: ``push`` without the put-ack.
 
-        The ack is a no-op event nothing can wait on (the store is
-        unbounded, so a put never blocks); the lane skips it and hands the
-        CQE straight to the oldest pending ``wait()`` or appends it.  The
-        stepped pipeline keeps ``push`` and its ack, so its schedules (and
-        the traced pins recorded from them) do not move."""
+        The ack is a no-op event nothing can wait on; the lane skips it
+        and hands the CQE straight to the oldest pending ``wait()`` or
+        queues it."""
         self.produced += 1
-        store = self._store
-        if store._getters:
-            store._getters.popleft().succeed(completion)
-        else:
-            store._items.append(completion)
+        self._enqueue(completion)
 
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll, as ``ibv_poll_cq`` (returns None if empty)."""
-        cqe = self._store.try_get()
-        if cqe is not None:
-            self.consumed += 1
-        return cqe
+        if not self._items:
+            return None
+        self.consumed += 1
+        return self._take()
 
-    def wait(self):
-        """Event whose value is the next CQE (blocking reap)."""
-        ev = self._store.get()
-        ev.add_callback(lambda _e: self._count())
+    def wait(self) -> Event:
+        """Event whose value is the next CQE (blocking reap); it counts
+        in ``consumed`` when the event is dispatched."""
+        ev = self.sim.event()
+        if self._items:
+            ev.succeed(self._take())
+        else:
+            self._getters.append(ev)
+        ev.add_callback(self._count)
         return ev
 
-    def _count(self) -> None:
+    def _count(self, _ev: Event) -> None:
         self.consumed += 1
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._items)
+
+
+def reap(index: dict[int, weakref.ref[CompletionQueue]], cqe: Any) -> None:
+    """Take ``cqe`` out of whichever queue of ``index`` still holds it.
+
+    A no-op when none does: an unsignaled WR, a ``REJECTED`` completion
+    (never deposited), or a CQE a poll or getter already reaped."""
+    key = id(cqe)
+    ref = index.pop(key, None)
+    if ref is not None:
+        cq = ref()
+        del cq._items[key]
+        cq.consumed += 1

@@ -43,7 +43,7 @@ from repro.sim import Event, Simulator, Store
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.types import Completion, CompletionStatus, Opcode, WorkRequest
 
-__all__ = ["QPState", "QueuePair", "tally"]
+__all__ = ["QPState", "QueuePair", "STEP_REASONS", "tally"]
 
 
 class QPState(enum.Enum):
@@ -67,15 +67,28 @@ WQE_BYTES = 64
 SGE_SEG_BYTES = 16
 
 
+#: Why a post stepped instead of taking the express lane: the first
+#: term of the lane predicate that failed, in the order ``post_send*``
+#: and :meth:`QueuePair._express_ok` test them.  ``lane_off``: the
+#: simulator has no lane (``REPRO_EXPRESS=0``, or a fabric that is
+#: neither queued nor paced but still not single-switch).
+STEP_REASONS = ("lane_off", "sanitizer", "send", "stepped_fence",
+                "queued_route", "tracer", "trace_dispatch", "dcqcn",
+                "unseen_prev")
+
+
 class _Tally:
     """Process-wide counters, held on an instance rather than a class: a
     write to a class attribute invalidates the class's type version and
     deoptimizes every specialized attribute access on its instances."""
 
-    __slots__ = ("completions",)
+    __slots__ = ("completions", "stepped")
 
     def __init__(self) -> None:
         self.completions = 0
+        #: Stepped WRs by :data:`STEP_REASONS` entry (monotonic); the
+        #: lane itself counts nothing.
+        self.stepped = dict.fromkeys(STEP_REASONS, 0)
 
 
 #: Completed WRs across every QP and simulator, both lanes (monotonic).
@@ -294,6 +307,32 @@ class QueuePair:
                 return False
         return True
 
+    def _step_reason(self, wrs, prev: Optional[Event]) -> str:
+        """The :data:`STEP_REASONS` entry for a post that steps: the
+        first lane term that failed.  Called on the stepped path only,
+        before the post raises the ports' stepped counts."""
+        sim = self.sim
+        lp = self.local_port
+        if sim.express is None:
+            if self._queued:
+                return "queued_route"
+            return "dcqcn" if lp.dcqcn is not None else "lane_off"
+        if sim.check is not None:
+            return "sanitizer"
+        if any(wr.opcode is Opcode.SEND for wr in wrs):
+            return "send"
+        if lp._stepped or self.remote_port._stepped:
+            return "stepped_fence"
+        if self._queued:
+            return "queued_route"
+        if self.tracer is not None:
+            return "tracer"
+        if sim.trace_dispatch is not None:
+            return "trace_dispatch"
+        if lp.dcqcn is not None:
+            return "dcqcn"
+        return "unseen_prev"
+
     def post_send(self, wr: WorkRequest) -> Event:
         """Hand one WR to the hardware; returns its completion event."""
         wr.validate()
@@ -313,6 +352,7 @@ class QueuePair:
             self._last_express_op = exp.post(self, wr, done, prev)
             return done
         self._last_express_op = None
+        tally.stepped[self._step_reason((wr,), prev)] += 1
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
         self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev),
@@ -346,6 +386,7 @@ class QueuePair:
             return events
         self._last_express_op = None
         n = len(wrs)
+        tally.stepped[self._step_reason(wrs, prev)] += n
         self.local_port._stepped += n
         self.remote_port._stepped += n
         self.sim.process(self._execute_batch(wrs, events, prev),

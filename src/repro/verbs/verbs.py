@@ -16,7 +16,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.dram import AccessPattern
 from repro.memory.allocator import RegionAllocator
 from repro.sim import Event, Simulator
-from repro.verbs.cq import CompletionQueue
+from repro.verbs.cq import CompletionQueue, reap
 from repro.verbs.express import ExpressState
 from repro.verbs.mr import MemoryRegion, MrSlice
 from repro.verbs.qp import QueuePair
@@ -179,6 +179,7 @@ class Worker:
         self._mmio_row = self.machine.topology._mmio[socket]
         self._prep_ns = self.params.cpu_wqe_prep_ns
         self._poll_ns = self.params.cpu_poll_ns
+        self._cqes = self.sim.cqes
 
     # -- CPU accounting -------------------------------------------------------
     def compute(self, ns: float) -> Generator:
@@ -260,12 +261,20 @@ class Worker:
              raise_on_error: bool = False) -> Generator:
         """Block on a completion, then pay the CQE poll cost.
 
+        The poll reaps the CQE: if it still sits in a completion queue
+        (the WR was signaled and no ``poll``/``wait()`` took it first) it
+        leaves that queue and counts in its ``consumed``, so each CQE is
+        reported once.  This holds on both lanes, for flushed WRs, and
+        for a tenanted op whose completion arrives through the service
+        plane's relay event (the same object).
+
         With ``raise_on_error`` an unsuccessful completion (retry
         exhaustion, flush, rejection) raises :class:`CompletionError`
         instead of returning — for callers with no retry logic of their
         own, so transport failures are never silently ignored.
         """
         completion: Completion = yield completion_event
+        reap(self._cqes, completion)
         poll = self._poll_ns
         self.cpu_busy_ns += poll
         yield poll

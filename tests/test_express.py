@@ -760,11 +760,12 @@ def test_completed_op_is_freed_by_refcount(shape):
 
 def test_closed_loop_retained_bytes_flat_in_run_length():
     """Peak memory must not grow with run length.  A closed loop on the
-    lane that polls its CQ and reuses one FAA word holds no per-op state,
-    so after 4N ops it retains what it retained after N.  Measured:
-    +32 B between N=500 and 4N (+934 KB, ~1.9 KB per op, while finished
-    ops were self-cycles kept until run() returned).  The bound is that
-    figure with room for allocator noise."""
+    lane that reuses one FAA word holds no per-op state (each
+    ``Worker.wait`` reaps its CQE, with no poll of its own), so after 4N
+    ops it retains what it retained after N.  Measured: +32 B between
+    N=500 and 4N (+934 KB, ~1.9 KB per op, while finished ops were
+    self-cycles kept until run() returned).  The bound is that figure
+    with room for allocator noise."""
     import tracemalloc
 
     n = 500
@@ -776,8 +777,7 @@ def test_closed_loop_retained_bytes_flat_in_run_length():
 
     def client(k):
         for i in range(k):
-            comp = yield from w.faa(qp, rmr, 0, 1, wr_id=i)
-            assert qp.cq.poll() is comp
+            yield from w.faa(qp, rmr, 0, 1, wr_id=i)
 
     with _counted_posts() as posts:  # warm pools, caches, locks
         sim.run(until=sim.process(client(64)))
@@ -791,4 +791,81 @@ def test_closed_loop_retained_bytes_flat_in_run_length():
     finally:
         tracemalloc.stop()
     assert qp.completed == 64 + 4 * n
+    assert len(qp.cq) == 0 and qp.cq.consumed == qp.cq.produced
     assert after_4n - after_n <= bound, (after_n, after_4n)
+
+
+def _step_reason_rig(reason: str, monkeypatch):
+    """A rig whose next WRITE steps for ``reason``; returns (sim, ctx,
+    qp, worker, lmr, rmr).  ``stepped_fence`` and ``unseen_prev`` set up
+    their predecessor in the test body."""
+    from repro.hw import HardwareParams
+
+    if reason == "lane_off":
+        monkeypatch.setenv("REPRO_EXPRESS", "0")
+    params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
+    topology = "leaf-spine" if reason == "queued_route" else "single"
+    sim, cluster, ctx = build(machines=2, params=params, topology=topology)
+    if reason == "sanitizer":
+        Sanitizer(sim)
+    elif reason == "tracer":
+        ctx.attach_tracer(OpTracer())
+    elif reason == "trace_dispatch":
+        sim.trace_dispatch = lambda *_key: None
+    lmr = ctx.register(0, 4096)
+    rmr = ctx.register(1, 4096)
+    return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
+
+
+@pytest.mark.parametrize("reason", [
+    "lane_off", "sanitizer", "send", "stepped_fence", "queued_route",
+    "tracer", "trace_dispatch", "dcqcn", "unseen_prev"])
+def test_each_stepped_post_counts_the_first_term_that_failed(
+        reason, monkeypatch):
+    """One scenario per ``STEP_REASONS`` entry: the post that steps adds
+    one to its reason and nothing else; the lane adds to none."""
+    from repro.verbs.qp import STEP_REASONS, tally
+
+    sim, ctx, qp, w, lmr, rmr = _step_reason_rig(reason, monkeypatch)
+    write = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
+                        remote_offset=0, move_data=False)
+    assert set(tally.stepped) == set(STEP_REASONS)
+
+    def client():
+        if reason == "stepped_fence":
+            # A SEND in flight holds both ports on the stepped path.
+            yield from w.send(qp, "msg", 8, wait=False)
+        elif reason == "unseen_prev":
+            # The lane lost sight of its in-flight predecessor (no public
+            # path does this today; the predicate term guards it).
+            yield from w.post(qp, write)
+            qp._last_express_op = None
+        before = dict(tally.stepped)
+        if reason == "send":
+            yield from w.send(qp, "msg", 8)
+        else:
+            yield from w.execute(qp, write)
+        counted.update({k: tally.stepped[k] - before[k] for k in before})
+
+    counted = {}
+    sim.run(until=sim.process(client()))
+    assert counted == {k: int(k == reason) for k in STEP_REASONS}
+
+
+def test_lane_posts_count_no_step_reason():
+    from repro.verbs.qp import tally
+
+    sim, cluster, ctx = build(machines=2)
+    lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
+    qp, w = ctx.create_qp(0, 1), Worker(ctx, 0)
+    before = dict(tally.stepped)
+
+    def client():
+        for i in range(8):
+            yield from w.write(qp, src=lmr[0:8], dst=rmr[0:8],
+                               move_data=False, wr_id=i)
+
+    with _counted_posts() as posts:
+        sim.run(until=sim.process(client()))
+    assert len(posts) == 8
+    assert tally.stepped == before

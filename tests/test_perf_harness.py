@@ -133,6 +133,51 @@ def test_gate_trips_on_cycles_per_op_rise():
     assert any("cycles/op rose" in f for f in harness.check(zero, worse))
 
 
+def test_gate_trips_on_express_frac_fall():
+    baseline = {"format": 1, "scenarios": {"fig10": _row(
+        metrics={"events_per_op": 10.0, "express_frac": 0.5606})}}
+    worse = {"format": 1, "scenarios": {"fig10": _row(
+        metrics={"events_per_op": 10.0, "express_frac": 0.5605})}}
+    failures = harness.check(baseline, worse)
+    assert any("express_frac fell 0.5606 -> 0.5605" in f for f in failures)
+    assert harness.check(baseline, {"format": 1, "scenarios": {
+        "fig10": _row(metrics={"events_per_op": 10.0,
+                               "express_frac": 1.0})}}) == []
+
+
+def test_gate_trips_on_traced_peak_rise():
+    base_kb = 1000
+    baseline = {"format": 1, "scenarios": {"fig5": _row(
+        metrics={"events_per_op": 10.0, "traced_peak_kb": base_kb})}}
+    slack = (base_kb * (1 + harness.TRACED_PEAK_TOLERANCE)
+             + harness.TRACED_PEAK_FLOOR_KB)
+
+    def gate(kb):
+        return harness.check(baseline, {"format": 1, "scenarios": {
+            "fig5": _row(metrics={"events_per_op": 10.0,
+                                  "traced_peak_kb": kb})}})
+
+    assert any("traced_peak_kb rose" in f for f in gate(int(slack) + 1))
+    assert gate(int(slack)) == []
+    assert gate(base_kb // 2) == []
+    # An untraced run (plain run_scenarios) is not gated on it.
+    assert harness.check(baseline, {"format": 1, "scenarios": {
+        "fig5": _row(metrics={"events_per_op": 10.0})}}) == []
+
+
+def test_traced_run_records_the_peak_and_keeps_the_rest():
+    """``traced=True`` adds the untimed tracemalloc run's peak and
+    changes no other field of the row."""
+    plain = harness.run_scenarios(["fig5"])["scenarios"]["fig5"]
+    traced = harness.run_scenarios(["fig5"], traced=True)["scenarios"]["fig5"]
+    peak = traced["metrics"].pop("traced_peak_kb")
+    assert 100 < peak < 100_000
+    assert traced["metrics"] == plain["metrics"]
+    assert plain["metrics"]["express_frac"] == 1.0
+    for key in ("events", "digest", "table_digest"):
+        assert traced[key] == plain[key]
+
+
 def test_figure_scenario_carries_table_digest_and_events_per_op():
     data = harness.run_scenarios(["fig5"])
     row = data["scenarios"]["fig5"]
@@ -178,12 +223,18 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     assert row["calls_ops"] == row["ops"]
     assert row["calls"]["sim"] > 0 and row["calls"]["verbs.express"] > 0
     in_place = {layer for layer, n in row["in_place"].items() if n}
+    stepped = sum(row["stepped"].values())
     if name == "ext9":
         assert row["by_layer"]["verbs.express"] == 0
         assert {"sim", "hw", "verbs-stepped"} <= in_place
+        # Queued fabric: the lane never attaches, and every WR says why.
+        assert stepped == row["stepped"]["queued_route"] == row["ops"]
     else:
         assert row["by_layer"]["verbs.express"] > 0
         assert "verbs.express" in in_place
+        assert stepped == 0
+        assert plain["metrics"]["express_frac"] == 1.0
+    assert row["traced_peak_kb"] > 0
     if name == "ext10":
         assert {"tenancy", "load"} <= in_place
     assert (engine.heappush, engine.heappop, engine.heappushpop) == (

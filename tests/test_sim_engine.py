@@ -1,11 +1,12 @@
 """Unit tests for the DES engine: events, processes, combinators, errors."""
 
 import contextlib
+import gc
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator,
-                       Timeout)
+from repro.sim import (AllOf, AnyOf, Interrupt, Resource, SimulationError,
+                       Simulator, Timeout)
 from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
 
@@ -409,6 +410,48 @@ def test_finished_process_is_freed_by_refcount(path, until):
     assert garbage["Process"] == 0 and garbage["_Sleep"] == 0, garbage
 
 
+def test_census_ignores_garbage_left_by_earlier_code():
+    """The census counts what its scenario dropped, not older garbage.
+    A simulator dropped with a process suspended in ``try/finally``
+    around a ``Resource`` another process waits on is freed in two
+    collections: closing the generator runs ``release()``, whose grant
+    pushes a new heap entry that keeps the old rig alive through the
+    first.  Unflushed, it landed in the next census (how
+    ``test_finished_process_is_freed_by_refcount`` flaked after the
+    property tests)."""
+    def dropped_rig():
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+
+        def holder():
+            yield res.acquire()
+            try:
+                yield 100.0
+            finally:
+                res.release()
+
+        def waiter():
+            yield res.acquire()
+
+        sim.process(holder())
+        sim.process(waiter())
+        sim.run(until=10.0)
+
+    def scenario():
+        sim = Simulator()
+        sim.run(until=_interrupted_unstarted(sim))
+        return sim
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dropped_rig()
+    finally:
+        if enabled:
+            gc.enable()
+    assert not cyclic_garbage(scenario)
+
+
 # ----------------------------------------------------- in-place dispatch
 class _Recorder:
     """A simulator with a traced timeline, sanitizer-style dispatch hook
@@ -657,8 +700,7 @@ def test_peek_mid_dispatch_pushes_the_parked_entry():
 
 def test_cancel_while_parked_leaves_a_tombstone():
     """A timer cancelled by the dispatch that scheduled it is skipped
-    and recycled from the slot as from the heap: not dispatched, not
-    run in place."""
+    from the slot as from the heap: not dispatched, not run in place."""
     def scenario(rec):
         sim = rec.sim
 
@@ -675,7 +717,6 @@ def test_cancel_while_parked_leaves_a_tombstone():
     sim.run()
     assert (sim.events_processed, sim.events_in_place,
             sim.events_cancelled) == (1, 0, 1)
-    assert sim._timeout_pool  # the tombstone was recycled
 
 
 def test_interrupt_while_parked_tombstones_the_timer():
