@@ -57,8 +57,9 @@ e2e:
 
 # Invariant sanitizer suite (docs/CHECKING.md): the four applications, an
 # ext7-style fault-injection scenario, and a contended OCC transaction
-# soak under loss chaos, with every repro.check checker enabled; fails on
-# any reported violation.
+# soak under loss chaos, with every repro.check checker enabled, each run
+# on the stepped pipeline and on the express lane; fails on any reported
+# violation or when the lanes differ in violations or completion digest.
 check:
 	PYTHONPATH=src $(PY) -m repro.check
 

@@ -6,8 +6,9 @@ pops (``heappop``, ``heappushpop``) wrapped.  Each entry is charged to the
 layer of the code that scheduled it; each pop that the engine dispatches
 (not a tombstone) counts that charge.  The per-layer counts therefore sum
 to the scenario's ``events``, and since the wrappers only count, the run
-reproduces the scenario's schedule digest.  It does not use
-``Simulator.trace_dispatch``, which would turn the express lane off.
+reproduces the scenario's schedule digest.  ``Simulator.trace_dispatch``
+would not do: it sees each dispatch's key, not the code that scheduled
+it.
 
 An entry ``heappushpop`` hands back as the tail it was given ran in
 place: it is not a dispatched event, and is counted in a second table,

@@ -18,8 +18,8 @@ Quick use::
     report = san.finalize()       # after the sim drains
     report.raise_if_violations()
 
-``python -m repro.check`` runs the ``make check`` suite: the four
-applications plus an ext7-style chaos scenario, every checker enabled.
+``python -m repro.check`` runs the ``make check`` suite: the apps and
+chaos scenarios, every checker enabled, on both verbs lanes.
 See docs/CHECKING.md for the checker catalog and the overhead contract.
 """
 

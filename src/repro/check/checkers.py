@@ -11,12 +11,14 @@ simulation has drained).
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.verbs.qp import QPState
 from repro.verbs.types import CompletionStatus, Opcode
 
-__all__ = ["CacheChecker", "ConservationChecker", "ConsolidationChecker",
-           "FabricChecker", "OverlapChecker", "QpStateChecker",
-           "TenancyChecker"]
+__all__ = ["CacheChecker", "CompletionsChecker", "ConservationChecker",
+           "ConsolidationChecker", "FabricChecker", "OverlapChecker",
+           "QpStateChecker", "TenancyChecker"]
 
 
 class _QpBook:
@@ -120,6 +122,33 @@ class ConservationChecker:
                     self.name, f"qp{qp.qp_id}", "finalize",
                     f"flush accounting mismatch: {actual} WRs flushed by "
                     f"the QP, {book.flushes_seen} flush completions seen")
+
+
+class CompletionsChecker:
+    """Folds every completion (QP index in first-completion order,
+    ``wr_id``, opcode, status, ``repr(timestamp_ns)``, value,
+    ``byte_len``, retries) into one SHA-256: two runs agree on
+    :attr:`digest` exactly when they agree on every completion.  Raises
+    no violations."""
+
+    name = "completions"
+
+    def __init__(self, san):
+        self.count = 0
+        self._qps: dict[int, int] = {}     # qp_id -> first-seen index
+        self._sha = hashlib.sha256()
+
+    @property
+    def digest(self) -> str:
+        return self._sha.hexdigest()
+
+    def on_completed(self, qp, wr, comp) -> None:
+        index = self._qps.setdefault(qp.qp_id, len(self._qps))
+        self._sha.update(repr((
+            index, comp.wr_id, comp.opcode.value, comp.status.value,
+            comp.timestamp_ns, comp.value, comp.byte_len, comp.retries,
+        )).encode())
+        self.count += 1
 
 
 #: The modeled subset of the ibverbs RC state machine (fresh QPs are born

@@ -1,8 +1,10 @@
 """The ``make check`` suite: every checker over the four apps + chaos.
 
-Five scenarios, each built fresh with a :class:`~repro.check.Sanitizer`
+Eight scenarios, each built fresh with a :class:`~repro.check.Sanitizer`
 installed *before* the workload is constructed (so constructors can
-register claims), run to completion, drained, and finalized:
+register claims), run to completion, drained, and finalized, on each
+lane (``REPRO_EXPRESS=0``, then ``=1``).  A difference in violations or
+completion digests between the two runs is a ``lanes`` violation.
 
 * ``hashtable`` — the disaggregated hashtable's Zipf write storm
   (remote spinlocks on hot blocks, consolidated flushes).  Strict
@@ -29,19 +31,24 @@ register claims), run to completion, drained, and finalized:
   hit, and invalidation while front doors shed, error, and reconnect.
   Strict overlap stays off — KV entries are last-writer-wins.
 
-Exit status 0 iff every scenario reports zero violations (the CI
-contract: ``make check``).
+Exit status 0 iff every scenario reports zero violations on both lanes
+and the lanes agree (the CI contract: ``make check``).
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import sys
+from unittest import mock
 
 from repro import build
-from repro.check.report import CheckReport
+from repro.check.report import CheckReport, Violation
 from repro.check.sanitizer import Sanitizer
+from repro.verbs import mr as mr_module
+from repro.verbs import qp as qp_module
 
-__all__ = ["SCENARIOS", "main", "run_all", "run_scenario"]
+__all__ = ["SCENARIOS", "main", "run_all", "run_lane", "run_scenario"]
 
 
 # ----------------------------------------------------------------- scenarios
@@ -115,10 +122,9 @@ def _scenario_dlog() -> Sanitizer:
 def _scenario_chaos() -> Sanitizer:
     """Ext7-style fault soak: locks + sequencers under loss windows."""
     from repro.core import RemoteSequencer, RemoteSpinLock
-    from repro.hw import FaultInjector
+    from repro.hw import FaultInjector, HardwareParams
     from repro.sim import make_rng
-
-    from repro.hw import HardwareParams
+    from repro.verbs import Worker
 
     n_clients = 3
     # A small retry budget makes loss windows actually exhaust retries
@@ -129,9 +135,6 @@ def _scenario_chaos() -> Sanitizer:
     lock_mr = ctx.register(0, 4096)
     counter_mr = ctx.register(0, 4096)
     injector = FaultInjector(sim, rng=make_rng(1234))
-
-    from repro.verbs import Worker
-
     in_cs, max_in_cs = [0], [0]
     seqs, locks = [], []
 
@@ -440,22 +443,53 @@ SCENARIOS = {
 
 
 # ----------------------------------------------------------------- driver
-def run_scenario(name: str) -> CheckReport:
-    """Run one scenario start-to-finish; returns its finalized report."""
-    san = SCENARIOS[name]()
-    return san.finalize()
+def run_lane(scenario, express: bool) -> dict:
+    """Run ``scenario`` (it returns the Sanitizer of the workload it ran)
+    on one lane: its finalized ``report``, completion ``digest``, and the
+    WRs that ``stepped`` or not (``express``, flush posts included)."""
+    tally = qp_module.tally
+    # QP and MR ids seed ECMP hashes and name violations: number each
+    # run's from 1, so both lanes (and a scenario run alone) see the same.
+    qp_module._qp_ids = itertools.count(1)
+    mr_module._mr_ids = itertools.count(1)
+    wrs, stepped = tally.completions, sum(tally.stepped.values())
+    with mock.patch.dict(os.environ, REPRO_EXPRESS="1" if express else "0"):
+        san = scenario()
+    stepped = sum(tally.stepped.values()) - stepped
+    return {"report": san.finalize(), "digest": san.completions.digest,
+            "stepped": stepped, "express": tally.completions - wrs - stepped}
+
+
+def run_scenario(name: str, out=None) -> CheckReport:
+    """Run one scenario on both lanes.  Returns the stepped run's report,
+    plus a ``lanes`` violation for each way the express run differs (its
+    violations merged in when they do).  With ``out``, prints the
+    verdict, the lane run's express and stepped WRs, and its digest."""
+    stepped = run_lane(SCENARIOS[name], express=False)
+    express = run_lane(SCENARIOS[name], express=True)
+    report, other = stepped["report"], express["report"]
+    if (other.counts, other.violations) != (report.counts, report.violations):
+        report.merge(other)
+        report.add(Violation("lanes", 0.0, name, "differential",
+                             "the lanes report different violations"))
+    if express["digest"] != stepped["digest"]:
+        report.add(Violation("lanes", 0.0, name, "differential",
+                             "the lanes' completion digests differ"))
+    if out is not None:
+        verdict = "ok" if report.ok else f"{report.total} violation(s)"
+        print(f"  check:{name:<10} {verdict:<14} lane on: "
+              f"{express['express']:>5,} express {express['stepped']:>5,} "
+              f"stepped WRs  digest {express['digest'][:12]}", file=out)
+        if not report.ok:
+            print(report.render(), file=out)
+    return report
 
 
 def run_all(names=None, out=sys.stdout) -> CheckReport:
     """Run the suite; prints one line per scenario, returns merged report."""
     merged = CheckReport()
     for name in (names or SCENARIOS):
-        report = run_scenario(name)
-        verdict = "ok" if report.ok else f"{report.total} violation(s)"
-        print(f"  check:{name:<10} {verdict}", file=out)
-        if not report.ok:
-            print(report.render(), file=out)
-        merged.merge(report)
+        merged.merge(run_scenario(name, out))
     merged.finalized = True
     return merged
 
@@ -469,8 +503,8 @@ def main(argv=None) -> int:
         return 2
     report = run_all(names)
     if report.ok:
-        print(f"check suite clean: {len(names or SCENARIOS)} scenario(s), "
-              "0 violations")
+        print(f"check suite clean: {len(names or SCENARIOS)} scenario(s) "
+              "on both lanes, 0 violations")
         return 0
     print(f"CHECK SUITE FAILED: {report.total} violation(s) "
           f"({dict(report.counts)})")

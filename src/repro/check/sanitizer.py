@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 
 from repro.check.checkers import (
     CacheChecker,
+    CompletionsChecker,
     ConservationChecker,
     ConsolidationChecker,
     FabricChecker,
@@ -42,7 +43,7 @@ __all__ = ["CHECKER_NAMES", "Sanitizer"]
 #: Every pluggable checker, in report order.
 CHECKER_NAMES = ("conservation", "qp_state", "overlap", "locks",
                  "sequencer", "consolidation", "tenancy", "txn", "fabric",
-                 "cache")
+                 "cache", "completions")
 
 
 class Sanitizer:
@@ -89,10 +90,10 @@ class Sanitizer:
         self.txn = TxnOracle(self) if "txn" in names else None
         self.fabric = FabricChecker(self) if "fabric" in names else None
         self.cache = CacheChecker(self) if "cache" in names else None
+        self.completions = (CompletionsChecker(self)
+                            if "completions" in names else None)
         self.sweep_every = sweep_every
         self._tick = 0
-        self.events_seen = 0
-        self.cancels_seen = 0
         if sim.check is not None:
             raise RuntimeError(
                 "simulator already has a sanitizer installed; finalize() "
@@ -127,7 +128,6 @@ class Sanitizer:
 
     # -- engine hooks --------------------------------------------------------
     def on_dispatch(self, when: float) -> None:
-        self.events_seen += 1
         self._tick += 1
         if self._tick >= self.sweep_every:
             self._tick = 0
@@ -135,7 +135,7 @@ class Sanitizer:
                 self.consolidation.sweep()
 
     def on_cancel(self, event) -> None:
-        self.cancels_seen += 1
+        """No checker audits cancels; the engine hook stays."""
 
     # -- verbs hooks ---------------------------------------------------------
     def on_posted(self, qp, wr) -> None:
@@ -153,6 +153,8 @@ class Sanitizer:
             self.overlap.on_completed(qp, wr, comp)
         if self.locks is not None:
             self.locks.on_completed(qp, wr, comp)
+        if self.completions is not None:
+            self.completions.on_completed(qp, wr, comp)
 
     def on_qp_created(self, qp) -> None:
         if self.conservation is not None:

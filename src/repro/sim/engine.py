@@ -145,7 +145,8 @@ class _Sleep:
 
     __slots__ = ("proc",)
 
-    #: Read by ``Process._step`` when single-stepping resumes a sleeper.
+    #: Read by ``Process._resume`` when ``step()`` resumes a sleeper.
+    _ok = True
     _value: Any = None
 
     def __init__(self, proc: "Process"):
@@ -420,14 +421,15 @@ class Process(Event):
             self._sleep = self._bound_resume = None
             self.succeed(None)
             return
-        self._step(trigger, throw=True)
+        self._waiting_on = trigger
+        self._resume(trigger)
 
     def _resume(self, trigger: Event) -> None:
-        # Hot path: one merged frame per generator resumption (the split
-        # _resume -> _step pair costs a measurable extra call per event).
-        # The single identity test also covers a finished process (its
-        # _waiting_on is always None once triggered) and wakeups from
-        # events abandoned after an interrupt.
+        # Every resumption outside run()'s inline sleeper branch: event
+        # callbacks, step()'s sleepers and interrupt delivery (a failed
+        # trigger throws).  The single identity test also covers a
+        # finished process (its _waiting_on is always None once
+        # triggered) and wakeups from events abandoned after an interrupt.
         if self._waiting_on is not trigger:
             return
         self._waiting_on = None
@@ -477,43 +479,6 @@ class Process(Event):
                 target.add_callback(self._bound_resume)
             return
         self.sim._crash(_bad_yield(self, target), self)
-
-    def _step(self, trigger: Event, throw: bool) -> None:
-        # Cold path kept for interrupt delivery (throw regardless of _ok).
-        self._waiting_on = None
-        try:
-            if throw:
-                target = self._generator.throw(trigger._value)
-            else:
-                target = self._generator.send(trigger._value)
-        except StopIteration as stop:
-            self._sleep = self._bound_resume = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self._sleep = self._bound_resume = None
-            if not self.callbacks:
-                self.sim._crash(exc, self)
-                self._triggered = True
-                self._ok = False
-                self._value = exc
-                return
-            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
-            return
-        if type(target) is float and target >= 0.0:
-            s = self._sleep
-            if s is None:
-                s = self._sleep = _Sleep(self)
-            self._waiting_on = s
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._park((sim.now + target, NORMAL, seq, s))
-            return
-        if not isinstance(target, Event):
-            self.sim._crash(_bad_yield(self, target), self)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
 
 
 class AnyOf(Event):
@@ -761,7 +726,7 @@ class Simulator:
         if self.check is not None:
             self.check.on_dispatch(when)
         if type(target) is _Sleep:
-            target.proc._step(target, throw=False)
+            target.proc._resume(target)
         elif isinstance(target, Event):
             target._run_callbacks()
         else:

@@ -6,8 +6,8 @@ sleep per contended unit (WQE DMA, payload fetch, tx unit, responder
 rx/atomic, response and delivery DMAs), constant sleeps (forward wire,
 read turnaround, response wire, CQE DMA), two process-completion events
 and an ``all_of`` barrier for the cut-through pairs, and the final
-``done`` event.  On plain single-switch routes without DCQCN, tracer or
-sanitizer, every hold duration is pure arithmetic, known the moment the
+``done`` event.  On plain single-switch routes without DCQCN or a
+tracer, every hold duration is pure arithmetic, known the moment the
 unit is booked — port faults included, because the stepped path sizes
 its holds at the same instant.
 
@@ -84,16 +84,22 @@ express and stepped ops alike:
   failed WR skips the responder but pays the CQE DMA and in-order
   parking like any other.
 
-Fallback rules (the lane is chosen per post, never mid-flight):
+Fallback rules (the lane is chosen per post, never mid-flight, by
+``QueuePair._step_reason``):
 
-* ineligible post (SEND opcode, traced QP, installed sanitizer, queued
-  route, unseen in-order predecessor) -> stepped generator, unchanged
-  schedules;
+* ineligible post (SEND opcode, traced QP, unseen in-order predecessor)
+  -> stepped generator, unchanged schedules;
 * stepped WRs in flight on either port -> stepped, a fence: without it
   a stepped and an express WRITE reaching a shared responder port in
   the same instant can swap FIFO order there.  Stepped WRs posted while
   express ops are in flight queue behind the express bookings on the
   same Resources.
+
+An installed sanitizer and a dispatch trace are not fallback rules: the
+lane fires ``on_posted`` (in ``post_send*``, before the lane decision),
+``on_completed`` (in :meth:`ExpressState._complete`) and ``on_qp_state``
+(through ``QueuePair._enter_error``) where the stepped path fires them,
+and the engine traces and checks its wakes like any other dispatch.
 
 See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
 and the digest-gate implications.

@@ -68,13 +68,12 @@ SGE_SEG_BYTES = 16
 
 
 #: Why a post stepped instead of taking the express lane: the first
-#: term of the lane predicate that failed, in the order ``post_send*``
-#: and :meth:`QueuePair._express_ok` test them.  ``lane_off``: the
-#: simulator has no lane (``REPRO_EXPRESS=0``, or a fabric that is
-#: neither queued nor paced but still not single-switch).
-STEP_REASONS = ("lane_off", "sanitizer", "send", "stepped_fence",
-                "queued_route", "tracer", "trace_dispatch", "dcqcn",
-                "unseen_prev")
+#: term of the lane predicate (:meth:`QueuePair._step_reason`) that
+#: failed.  ``lane_off``: the simulator has no lane (``REPRO_EXPRESS=0``,
+#: or a fabric that is neither queued nor paced but still not
+#: single-switch).
+STEP_REASONS = ("lane_off", "send", "stepped_fence", "queued_route",
+                "tracer", "dcqcn", "unseen_prev")
 
 
 class _Tally:
@@ -207,10 +206,6 @@ class QueuePair:
                 f"outstanding + {n} > max_send_wr {self.max_send_wr} "
                 "(reap completions before posting more)")
 
-    @property
-    def params(self):
-        return self._params
-
     # ------------------------------------------------------- state machine
     def _require_postable(self) -> None:
         if self.state is QPState.RESET:
@@ -228,12 +223,6 @@ class QueuePair:
             if check is not None:
                 check.on_qp_state(self, QPState.RTS, QPState.ERR)
 
-    def _flush_completion(self, wr: WorkRequest) -> Completion:
-        self.flushed_wrs += 1
-        return Completion(wr_id=wr.wr_id, opcode=wr.opcode,
-                          status=CompletionStatus.WR_FLUSH_ERR,
-                          timestamp_ns=self.sim.now, byte_len=0)
-
     def _flush_post(self, wr: WorkRequest) -> Event:
         """ibverbs semantics: a WR posted to an ERR-state QP never reaches
         the hardware — it completes immediately with WR_FLUSH_ERR."""
@@ -243,7 +232,10 @@ class QueuePair:
             check.on_posted(self, wr)
         self.completed += 1
         tally.completions += 1
-        comp = self._flush_completion(wr)
+        self.flushed_wrs += 1
+        comp = Completion(wr_id=wr.wr_id, opcode=wr.opcode,
+                          status=CompletionStatus.WR_FLUSH_ERR,
+                          timestamp_ns=self.sim.now, byte_len=0)
         if check is not None:
             check.on_completed(self, wr, comp)
         if wr.signaled:
@@ -282,56 +274,30 @@ class QueuePair:
             check.on_qp_state(self, QPState.RESET, QPState.RTS)
 
     # ------------------------------------------------------------------ API
-    def _express_ok(self, prev: Optional[Event]) -> bool:
-        """Per-post sunny-path predicate for the express lane.
-
-        Everything here guards a stepped-path behavior the closed-form
-        timeline cannot reproduce: stepped WRs sharing this op's units,
-        queued routes, tracing/dispatch hooks, DCQCN pacing, or an
-        in-order predecessor the lane cannot see.  Port faults (loss,
-        slowdown, jitter) are modelled on the lane itself.
-        The callers add the per-WR half: SEND (channel semantics ride
-        the recv Store) always steps, as does every post while a
-        sanitizer is installed.
-        """
-        lp = self.local_port
-        rp = self.remote_port
-        if (lp._stepped or rp._stepped or self._queued
-                or self.tracer is not None
-                or self.sim.trace_dispatch is not None
-                or lp.dcqcn is not None):
-            return False
+    def _step_reason(self, wrs, prev: Optional[Event]) -> Optional[str]:
+        """The lane predicate: ``None`` when the express lane books this
+        post, else the first :data:`STEP_REASONS` term that failed.  The
+        lane cannot reproduce SEND (the recv Store), stepped WRs on this
+        post's ports, a traced QP, or an in-order predecessor it cannot
+        see.  ``ExpressState.attach`` refuses queued routes and DCQCN, so
+        they only name why the lane is off.  Port faults, checkers and
+        dispatch traces ride the lane, which fires the same hooks."""
+        if self.sim.express is None:
+            if self._queued:
+                return "queued_route"
+            return "dcqcn" if self.local_port.dcqcn is not None else "lane_off"
+        for wr in wrs:
+            if wr.opcode is Opcode.SEND:
+                return "send"
+        if self.local_port._stepped or self.remote_port._stepped:
+            return "stepped_fence"
+        if self.tracer is not None:
+            return "tracer"
         if prev is not None and not prev._triggered:
             last = self._last_express_op
             if last is None or last.done is not prev:
-                return False
-        return True
-
-    def _step_reason(self, wrs, prev: Optional[Event]) -> str:
-        """The :data:`STEP_REASONS` entry for a post that steps: the
-        first lane term that failed.  Called on the stepped path only,
-        before the post raises the ports' stepped counts."""
-        sim = self.sim
-        lp = self.local_port
-        if sim.express is None:
-            if self._queued:
-                return "queued_route"
-            return "dcqcn" if lp.dcqcn is not None else "lane_off"
-        if sim.check is not None:
-            return "sanitizer"
-        if any(wr.opcode is Opcode.SEND for wr in wrs):
-            return "send"
-        if lp._stepped or self.remote_port._stepped:
-            return "stepped_fence"
-        if self._queued:
-            return "queued_route"
-        if self.tracer is not None:
-            return "tracer"
-        if sim.trace_dispatch is not None:
-            return "trace_dispatch"
-        if lp.dcqcn is not None:
-            return "dcqcn"
-        return "unseen_prev"
+                return "unseen_prev"
+        return None
 
     def post_send(self, wr: WorkRequest) -> Event:
         """Hand one WR to the hardware; returns its completion event."""
@@ -346,13 +312,12 @@ class QueuePair:
         check = self.sim.check
         if check is not None:
             check.on_posted(self, wr)
-        exp = self.sim.express
-        if (exp is not None and check is None
-                and wr.opcode is not Opcode.SEND and self._express_ok(prev)):
-            self._last_express_op = exp.post(self, wr, done, prev)
+        reason = self._step_reason((wr,), prev)
+        if reason is None:
+            self._last_express_op = self.sim.express.post(self, wr, done, prev)
             return done
         self._last_express_op = None
-        tally.stepped[self._step_reason((wr,), prev)] += 1
+        tally.stepped[reason] += 1
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
         self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev),
@@ -378,15 +343,14 @@ class QueuePair:
                 check.on_posted(self, wr)
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
-        exp = sim.express
-        if (exp is not None and check is None
-                and all(wr.opcode is not Opcode.SEND for wr in wrs)
-                and self._express_ok(prev)):
-            self._last_express_op = exp.post_batch(self, wrs, events, prev)
+        reason = self._step_reason(wrs, prev)
+        if reason is None:
+            self._last_express_op = sim.express.post_batch(self, wrs, events,
+                                                           prev)
             return events
         self._last_express_op = None
         n = len(wrs)
-        tally.stepped[self._step_reason(wrs, prev)] += n
+        tally.stepped[reason] += n
         self.local_port._stepped += n
         self.remote_port._stepped += n
         self.sim.process(self._execute_batch(wrs, events, prev),

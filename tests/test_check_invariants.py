@@ -477,8 +477,11 @@ def test_report_render_and_cap():
 
 # --------------------------------------------------------------- neutrality
 
-def test_sanitizer_is_schedule_neutral():
-    """The exact dispatch timeline is bit-identical with checkers on."""
+@pytest.mark.parametrize("lane", ["0", "1"], ids=["stepped", "express"])
+def test_sanitizer_is_schedule_neutral(lane, monkeypatch):
+    """The exact dispatch timeline is bit-identical with checkers on, on
+    the stepped pipeline (``REPRO_EXPRESS=0``) and on the express lane."""
+    monkeypatch.setenv("REPRO_EXPRESS", lane)
 
     def timeline(with_sanitizer):
         sim, cluster, ctx = build(machines=4,
@@ -497,4 +500,92 @@ def test_sanitizer_is_schedule_neutral():
     san_events, san_values = timeline(True)
     assert base_values == san_values
     assert base_events == san_events
-    assert len(base_events) > 1000       # the comparison has teeth
+    # The comparison has teeth: the lane fuses several stepped events
+    # into one wake (897 dispatches against the stepped lane's > 1000).
+    assert len(base_events) > (1000 if lane == "0" else 800)
+
+
+# ------------------------------------------------------ lane differential
+
+def test_completions_digest_counts_every_completion_and_ignores_qp_ids():
+    """The digest folds each completion under its QP's first-seen index,
+    so two runs that number their QPs differently agree."""
+
+    def digest(qp_ids):
+        sim, cluster, ctx = build(machines=2)
+        san = Sanitizer(sim, checkers=("completions",))
+
+        class Qp:
+            def __init__(self, qp_id):
+                self.qp_id = qp_id
+
+        for k, qp_id in enumerate(qp_ids):
+            comp = Completion(wr_id=k, opcode=Opcode.WRITE,
+                              status=CompletionStatus.SUCCESS,
+                              timestamp_ns=100.0 * k, byte_len=8)
+            san.on_completed(Qp(qp_id), None, comp)
+        report = san.finalize()
+        assert report.ok
+        return san.completions.digest, san.completions.count
+
+    assert digest([7, 9, 7]) == digest([1, 2, 1])
+    assert digest([7, 9, 7])[1] == 3
+    assert digest([7, 9, 7]) != digest([7, 9, 9])
+
+
+def _overlap_defect() -> Sanitizer:
+    """Two QPs WRITE one remote range at the same instant: a race that
+    strict overlap reports."""
+    sim, cluster, ctx = build(machines=3)
+    san = Sanitizer(sim, strict_overlap=True)
+    dst = ctx.register(0, 4096)
+
+    def writer(m):
+        w = Worker(ctx, m)
+        qp = ctx.create_qp(m, 0)
+        src = ctx.register(m, 4096)
+        yield from w.write(qp, src=src[0:64], dst=dst[0:64])
+
+    for m in (1, 2):
+        sim.process(writer(m))
+    sim.run()
+    return san
+
+
+def test_overlap_defect_is_reported_identically_on_both_lanes():
+    from repro.check.runner import run_lane
+
+    stepped = run_lane(_overlap_defect, express=False)
+    express = run_lane(_overlap_defect, express=True)
+    assert (stepped["stepped"], express["express"]) == (2, 2)
+    assert stepped["report"].counts == {"overlap": 1}
+    assert express["report"].violations == stepped["report"].violations
+    assert express["digest"] == stepped["digest"]
+
+
+def test_a_lane_defect_no_checker_sees_fails_the_differential(monkeypatch):
+    """Seeded mutation: the lane reports every completion with
+    ``retries=0``.  Each lane is clean under every checker; only the
+    completion digests differ."""
+    from repro.check.runner import run_scenario
+    from repro.verbs import express
+
+    monkeypatch.setattr(express, "Completion",
+                        lambda **kw: Completion(**{**kw, "retries": 0}))
+    report = run_scenario("chaos")
+    assert [v.checker for v in report.violations] == ["lanes"]
+    assert "completion digests differ" in report.violations[0].message
+
+
+@pytest.mark.parametrize("name", ["hashtable", "shuffle", "join", "dlog",
+                                  "chaos", "txn", "serving"])
+def test_check_scenarios_run_on_the_lane(name):
+    """Every single-switch ``make check`` scenario books its WRs on the
+    express lane: none posts a SEND or traces a QP, so a WR that steps
+    means a new lane term turned the lane off under the checkers."""
+    from repro.check.runner import SCENARIOS, run_lane
+
+    run = run_lane(SCENARIOS[name], express=True)
+    assert run["report"].ok, run["report"].render()
+    assert run["express"] > 0
+    assert run["stepped"] == 0

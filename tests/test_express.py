@@ -5,9 +5,10 @@ generator: same completion timestamps, statuses, retry counts and
 returned values, same payload bytes in both memory regions, same final
 clock — while dispatching strictly fewer events.  Port faults (loss,
 retransmission, RETRY_EXC, flushes, slow and jittery ports) are modelled
-on the lane, so arming one mid-run keeps posts on it; flipping lanes
-mid-run (tracer, sanitizer, a SEND) must stay bit-identical to the
-all-stepped reference: both lanes queue on the same hardware Resources.
+on the lane, so arming one mid-run keeps posts on it, as does attaching
+a sanitizer; flipping lanes mid-run (tracer, a SEND) must stay
+bit-identical to the all-stepped reference: both lanes queue on the same
+hardware Resources.
 """
 
 import contextlib
@@ -285,31 +286,17 @@ def _serve(tail: bool) -> tuple[dict, object]:
     with a deadline) through the tenancy plane, lease caches and front
     doors, bursty arrivals and bare think-time delays, every dispatch
     traced.  ``tail=False`` runs it under ``always_push()``, where every
-    entry takes a heap round trip.  The lane steps traced simulators (so
-    the stepped timeline pins hold); here its predicate does not see the
-    recorder, which only appends to a list."""
+    entry takes a heap round trip."""
     from repro.apps.hashtable.backend import HashTableBackend
     from repro.apps.hashtable.layout import TableLayout
     from repro.hw.params import ServiceConfig, TenantSpec
     from repro.load import (InvalidationDirectory, KvFrontDoor, LeaseCache,
                             OpenLoopGenerator, preload_table)
     from repro.tenancy import ServicePlane
-    from repro.verbs.qp import QueuePair
-
-    orig_ok = QueuePair._express_ok
-
-    def untraced_ok(qp, prev):
-        sim = qp.sim
-        hook, sim.trace_dispatch = sim.trace_dispatch, None
-        try:
-            return orig_ok(qp, prev)
-        finally:
-            sim.trace_dispatch = hook
 
     with pytest.MonkeyPatch.context() as mp, _counted_posts() as posts, (
             contextlib.nullcontext() if tail else always_push()):
         mp.setenv("REPRO_EXPRESS", "1")
-        mp.setattr(QueuePair, "_express_ok", untraced_ok)
         sim, cluster, ctx = build(machines=3)
         timeline = []
         sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
@@ -500,12 +487,15 @@ def test_tracer_mid_run_flips_to_stepped():
     _check_flip(lambda sim, ctx: ctx.attach_tracer(OpTracer()))
 
 
-def test_sanitizer_blocks_express_posts():
-    """sim.check is consulted per post: installing a sanitizer mid-run
-    moves new posts to the stepped path (where checker hooks fire) even
-    though the lane itself is merely bypassed, not poisoned."""
+def test_sanitizer_attached_mid_run_keeps_the_lane():
+    """An installed sanitizer is not a lane term: attached mid-run, it
+    sees lane and stepped posts alike, and the lane keeps booking posts
+    in every run."""
     sanitizers = []
-    _check_flip(lambda sim, ctx: sanitizers.append(Sanitizer(sim)))
+    resumed, _ = _check_flip(
+        lambda sim, ctx: sanitizers.append(Sanitizer(sim)),
+        steps_after=False)
+    assert resumed == len(FLIP_RUNS)
     # Installed mid-run, the checkers see completions of WRs posted
     # before them; both lanes must report exactly the same findings.
     reports = [[(v.checker, v.message) for v in san.finalize().violations]
@@ -806,20 +796,16 @@ def _step_reason_rig(reason: str, monkeypatch):
     params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
     topology = "leaf-spine" if reason == "queued_route" else "single"
     sim, cluster, ctx = build(machines=2, params=params, topology=topology)
-    if reason == "sanitizer":
-        Sanitizer(sim)
-    elif reason == "tracer":
+    if reason == "tracer":
         ctx.attach_tracer(OpTracer())
-    elif reason == "trace_dispatch":
-        sim.trace_dispatch = lambda *_key: None
     lmr = ctx.register(0, 4096)
     rmr = ctx.register(1, 4096)
     return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
 
 
 @pytest.mark.parametrize("reason", [
-    "lane_off", "sanitizer", "send", "stepped_fence", "queued_route",
-    "tracer", "trace_dispatch", "dcqcn", "unseen_prev"])
+    "lane_off", "send", "stepped_fence", "queued_route", "tracer", "dcqcn",
+    "unseen_prev"])
 def test_each_stepped_post_counts_the_first_term_that_failed(
         reason, monkeypatch):
     """One scenario per ``STEP_REASONS`` entry: the post that steps adds

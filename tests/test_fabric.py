@@ -59,7 +59,9 @@ def _drain(gen):
 
 # ------------------------------------------------------ schedule identity
 
-def test_single_switch_schedule_identical_to_pre_fabric():
+def test_single_switch_schedule_identical_to_pre_fabric(monkeypatch):
+    # The pins are the stepped pipeline's pre-fabric timeline.
+    monkeypatch.setenv("REPRO_EXPRESS", "0")
     sim, cluster, ctx = build(machines=3)
     timeline = []
     sim.trace_dispatch = lambda t, p, s: timeline.append((t, p, s))

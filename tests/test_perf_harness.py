@@ -201,12 +201,11 @@ def test_cycles_per_op_is_small_and_repeats():
 def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     """The event census charges each dispatch to the layer that scheduled
     it: its layers sum to the scenario's ``events``, and its run
-    reproduces the plain run's schedule digest with the express lane on
-    (``trace_dispatch`` would have turned the lane off).  Entries the
-    engine ran in place are counted by layer too, and sum to the
-    engine's own in-place count; ext9 (stepped: queued fabric) has them in
-    the engine, hw and stepped verbs, ext10 in tenancy, load and the
-    lane."""
+    reproduces the plain run's schedule digest with the express lane on.
+    Entries the engine ran in place are counted by layer too, and sum to
+    the engine's own in-place count; ext9 (stepped: queued fabric) has
+    them in the engine, hw and stepped verbs, ext10 in tenancy, load and
+    the lane."""
     import heapq
 
     from repro.bench.perf import census
