@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update e2e express-ab
+	perf perf-gate perf-quick perf-update e2e express-ab rss-ab
 
 install:
 	pip install -e .
@@ -47,6 +47,13 @@ smoke: perf-quick check e2e express-ab docs-check
 # the full catalog).
 express-ab:
 	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1
+
+# Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
+# verbs_mix at scale 0.25, HEAD against the working tree, from two clean
+# git-archive copies; fails if a pair's digest or event count differs
+# (tools/rss_ab.py --help for other revisions, workloads and scales).
+rss-ab:
+	$(PY) tools/rss_ab.py
 
 # End-to-end benchmark self-tests (benchmarks/e2e, ~20 s): the four
 # workloads at scale 0.02 must reproduce their seed-0 digests in

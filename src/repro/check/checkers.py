@@ -274,7 +274,7 @@ class OverlapChecker:
         if not self.strict:
             return
         if (end - start == 8
-                and (mr.mr_id, start) in qp.remote_machine.rnic._atomic_locks):
+                and mr.key_base | start in qp.remote_machine.rnic._atomic_locks):
             return  # responder word lock serializes this word: ordered
         flights = self._inflight.setdefault(mr.mr_id, {})
         for f_start, f_end, f_qp, _wr in flights.values():

@@ -246,7 +246,7 @@ class HardwareParams:
         per-packet header overhead and MTU segmentation."""
         if payload_bytes < 0:
             raise ValueError(f"negative payload: {payload_bytes}")
-        packets = max(1, -(-payload_bytes // self.mtu_bytes))
+        packets = -(-payload_bytes // self.mtu_bytes) or 1
         total = payload_bytes + packets * self.packet_overhead_bytes
         return total / self.link_bandwidth_Bns
 

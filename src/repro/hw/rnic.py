@@ -54,10 +54,8 @@ class RnicPort:
         #: same Resources, so this no longer prevents double-booking; it
         #: is kept as a conservative fence around stepped pipelines.
         self._stepped = 0
-        # Hot-path aliases: params are frozen and the wire-time cache is
-        # shared device-wide (see Rnic.wire_time_ns).
+        # Hot-path alias: params are frozen.
         self._params = rnic.params
-        self._wire_cache = rnic._wire_cache
         # Fault-injection hooks (see repro.hw.faults): multiplicative
         # slowdown and additive jitter applied to every occupancy.
         self.slowdown = 1.0
@@ -129,10 +127,7 @@ class RnicPort:
                 raise ValueError(
                     f"n_sge {n_sge} exceeds hardware max {p.max_sge}")
             processing = exec_ns + (n_sge - 1) * p.sge_overhead_ns + extra_ns
-        wire = self._wire_cache.get(payload_bytes)
-        if wire is None:
-            wire = self._wire_cache[payload_bytes] = p.wire_time(payload_bytes)
-        return max(processing, wire)
+        return max(processing, p.wire_time(payload_bytes))
 
     def exec_tx(self, exec_ns: float, payload_bytes: int, n_sge: int = 1,
                 extra_ns: float = 0.0) -> Generator:
@@ -156,11 +151,8 @@ class RnicPort:
         (the receiver-side bottleneck of the distributed log, Fig 19).
         """
         if payload_bytes:
-            wire = self._wire_cache.get(payload_bytes)
-            if wire is None:
-                wire = self._wire_cache[payload_bytes] = \
-                    self._params.wire_time(payload_bytes)
-            hold = self._perturb(max(base_ns + extra_ns, wire))
+            hold = self._perturb(max(base_ns + extra_ns,
+                                     self._params.wire_time(payload_bytes)))
         else:
             hold = self._perturb(base_ns + extra_ns)
         yield self.rx_unit.acquire()
@@ -202,10 +194,6 @@ class Rnic:
         #: port belongs to (``port.rnic.machine_id``).
         self.machine_id = machine_id
         self.name = name or "rnic"
-        #: Device-wide memoized ``params.wire_time`` results keyed by
-        #: payload size (params are frozen, so entries can never go stale;
-        #: benches reuse a handful of payload sizes millions of times).
-        self._wire_cache: dict = {}
         self.translation_cache = MetadataCache(
             params.translation_cache_entries,
             params.sram_miss_penalty_ns,
@@ -224,7 +212,11 @@ class Rnic:
         # device (the RNIC's internal read-modify-write lock), even when
         # they arrive on different ports — this is why a single remote
         # sequencer word plateaus at ~2.4 MOPS no matter how it is reached.
-        self._atomic_locks: dict = {}
+        # Keyed by ``mr.key_base | offset``; a lock stays for the whole
+        # run, since an 8-byte WRITE serializes only on a word some atomic
+        # has targeted.  All of them share one name string.
+        self._atomic_locks: dict[int, Resource] = {}
+        self._atomic_lock_name = f"{self.name}.atomic"
         #: QPs currently attached to this device (either endpoint).  QP
         #: contexts and translation entries share the metadata SRAM, so
         #: beyond ``qp_cache_entries`` every extra live QP displaces
@@ -255,12 +247,13 @@ class Rnic:
         if effective != self.translation_cache.capacity:
             self.translation_cache.set_capacity(effective)
 
-    def atomic_word_lock(self, key) -> Resource:
-        """Per-target-word serialization point for CAS/FAA."""
+    def atomic_word_lock(self, key: int) -> Resource:
+        """Per-target-word serialization point for CAS/FAA
+        (``key = mr.key_base | offset``)."""
         lock = self._atomic_locks.get(key)
         if lock is None:
             lock = self._atomic_locks[key] = Resource(
-                self.sim, capacity=1, name=f"{self.name}.atomic{key}")
+                self.sim, capacity=1, name=self._atomic_lock_name)
         return lock
 
     def port_for_socket(self, socket: int) -> RnicPort:
@@ -274,7 +267,7 @@ class Rnic:
         assert best is not None
         return best
 
-    def translate(self, keys: list) -> float:
+    def translate(self, keys: range) -> float:
         """Translation-table lookups for an op touching ``keys`` pages.
 
         Returns the accumulated SRAM-miss penalty in ns (Section II-B2).

@@ -6,7 +6,8 @@ is "the root cause of poor scalability": translation misses fetch entries
 from host DRAM over PCIe, and QP thrash sets in with many connections.
 
 We model each cache as an LRU set of keys with a per-miss penalty.  The
-translation cache is keyed by ``(mr_id, page_index)``; the QP cache by
+translation cache is keyed by the int ``mr.key_base + page_index``
+(:meth:`~repro.verbs.mr.MemoryRegion.page_keys`); the QP cache by
 ``qp_id``.  The 1024-entry x 4 KB default covers 4 MB of registered memory,
 which is exactly where Fig 6(d) shows the sequential/random gap opening.
 """
@@ -14,7 +15,7 @@ which is exactly where Fig 6(d) shows the sequential/random gap opening.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Iterable
 
 __all__ = ["MetadataCache"]
 
@@ -59,7 +60,7 @@ class MetadataCache:
             self.evictions += 1
         return self.miss_penalty_ns
 
-    def lookup_many(self, keys: list[Hashable]) -> float:
+    def lookup_many(self, keys: Iterable[Hashable]) -> float:
         """Accumulated penalty of touching several keys (multi-page ops).
 
         Semantically ``sum(lookup(k) for k in keys)``; runs as one tight

@@ -24,6 +24,7 @@ is included.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.sim import Event, SimulationError, Simulator
@@ -53,7 +54,7 @@ class OpenLoopGenerator:
         self.hits = 0
         self.sheds = 0
         self.errors = 0
-        self.latencies: list[float] = []
+        self.latencies: array = array("d")
         #: Index of the next request not yet started.
         self._next = 0
         #: Requests not yet finished, started or not.

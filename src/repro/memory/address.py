@@ -6,7 +6,7 @@ page boundary touches every page in its range.
 
 from __future__ import annotations
 
-__all__ = ["page_span", "pages_of", "align_down", "align_up"]
+__all__ = ["page_span", "align_down", "align_up"]
 
 
 def page_span(offset: int, length: int, page_size: int) -> range:
@@ -24,11 +24,6 @@ def page_span(offset: int, length: int, page_size: int) -> range:
     first = offset // page_size
     last = (offset + max(length, 1) - 1) // page_size
     return range(first, last + 1)
-
-
-def pages_of(mr_id: int, offset: int, length: int, page_size: int) -> list:
-    """Translation-cache keys for an access into MR ``mr_id``."""
-    return [(mr_id, p) for p in page_span(offset, length, page_size)]
 
 
 def align_down(value: int, alignment: int) -> int:

@@ -9,6 +9,7 @@ seed, so are the tails.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 
 from repro.sim import Simulator
@@ -28,7 +29,7 @@ class TenantSLO:
     def __init__(self):
         self.ops = 0
         self.bytes = 0
-        self.latencies: list[float] = []
+        self.latencies: array = array("d")
         self.rejects: Counter = Counter()
         self.by_opcode: Counter = Counter()
         self.first_ns = 0.0
@@ -38,7 +39,7 @@ class TenantSLO:
         #: work the tenant paid for), and per-commit end-to-end latency.
         self.txn_commits = 0
         self.txn_aborts = 0
-        self.commit_latencies: list[float] = []
+        self.commit_latencies: array = array("d")
         #: Transport retransmissions absorbed by this tenant's ops (ops
         #: that recovered still count as successes — this is the hidden
         #: cost of a lossy path).

@@ -469,10 +469,7 @@ class ExpressState:
                         * qp.remote_machine.topology.cross_penalty(
                             rp.socket, rmr.socket))
             if total_len:
-                wire = rp._wire_cache.get(total_len)
-                if wire is None:
-                    wire = rp._wire_cache[total_len] = \
-                        p.wire_time(total_len)
+                wire = p.wire_time(total_len)
                 base = p.responder_ns + r_extra
                 op.h1 = base if base > wire else wire
             else:
@@ -483,7 +480,7 @@ class ExpressState:
                 # An 8-byte write to a word atomics are hammering (a
                 # lock release) serializes on the device RMW lock.
                 lock = rrnic._atomic_locks.get(
-                    (rmr.mr_id, wr.remote_offset))
+                    rmr.key_base | wr.remote_offset)
             if lock is not None:
                 op.wl = lock
                 op.phase = P_LOCK
@@ -496,7 +493,7 @@ class ExpressState:
         r_extra += qp.remote_machine.topology.cross_penalty(
             rp.socket, rmr.socket)
         op.h1 = p.exec_atomic_ns + r_extra
-        lock = rrnic.atomic_word_lock((rmr.mr_id, wr.remote_offset))
+        lock = rrnic.atomic_word_lock(rmr.key_base | wr.remote_offset)
         op.wl = lock
         op.phase = P_LOCK
         if lock.claim(op.wcb):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.memory.address import pages_of
 from repro.memory.buffer import RdmaBuffer
 
 __all__ = ["MemoryRegion", "MrSlice"]
@@ -36,13 +35,13 @@ class MemoryRegion:
         self.lkey = 0xFEED0000 | (self.mr_id & 0xFFFF)
         if page_size <= 0:
             raise ValueError(f"page size must be positive: {page_size}")
-        # Memoized page_keys results, keyed by the (first, last) page an
-        # access spans: the key list depends on nothing else, so every
-        # offset and length within one span shares one entry.  The lists
-        # are immutable by convention (consumers only iterate them).
-        # Bounded so access sweeps over huge regions cannot grow it
-        # without limit.
-        self._page_key_cache: dict = {}
+        if buffer.size > 1 << 32:
+            raise ValueError(f"regions are at most 4 GiB: {buffer.size}")
+        #: Device-wide int keys for this region: page ``p``'s translation
+        #: entry is ``key_base + p`` and the word at byte ``o`` locks on
+        #: ``key_base | o``.  The low 32 bits hold the page or offset, so
+        #: two regions never share a key.
+        self.key_base = self.mr_id << 32
 
     @property
     def size(self) -> int:
@@ -75,23 +74,16 @@ class MemoryRegion:
                 f"negative indices are not supported: [{key.start}:{key.stop}]")
         return MrSlice(self, start, stop - start)
 
-    def page_keys(self, offset: int, length: int) -> list:
-        """Translation-cache keys for an access into this region.
-
-        The returned list is cached and shared — treat it as read-only.
-        """
+    def page_keys(self, offset: int, length: int) -> range:
+        """Translation-cache keys for an access into this region: the
+        pages of :func:`~repro.memory.address.page_span`, offset by
+        ``key_base``."""
         if offset < 0 or length < 0:
             raise ValueError(f"negative offset or length: {offset}, {length}")
         page_size = self.page_size
-        span = (offset // page_size,
-                (offset + (length or 1) - 1) // page_size)
-        cache = self._page_key_cache
-        keys = cache.get(span)
-        if keys is None:
-            keys = pages_of(self.mr_id, offset, length, page_size)
-            if len(cache) < 8192:
-                cache[span] = keys
-        return keys
+        base = self.key_base
+        return range(base + offset // page_size,
+                     base + (offset + (length or 1) - 1) // page_size + 1)
 
     # -- data plane ---------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:

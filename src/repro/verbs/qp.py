@@ -600,7 +600,7 @@ class QueuePair:
             # Same-word atomics serialize device-wide, then occupy the
             # port's atomic unit for the RMW itself.
             word_lock = rrnic.atomic_word_lock(
-                (rmr.mr_id, wr.remote_offset))
+                rmr.key_base | wr.remote_offset)
             yield word_lock.acquire()
             try:
                 yield from rport.exec_atomic(extra_ns=r_extra)
@@ -623,7 +623,7 @@ class QueuePair:
             word_lock = None
             if total_len == 8:
                 word_lock = rrnic._atomic_locks.get(
-                    (rmr.mr_id, wr.remote_offset))
+                    rmr.key_base | wr.remote_offset)
             if word_lock is not None:
                 yield word_lock.acquire()
             try:

@@ -327,7 +327,7 @@ def test_open_loop_costs_two_events_per_request_and_no_processes(
     assert (sim.events_processed, sim.events_in_place) == (2 * n - 3, 4)
     assert sim.events_processed + sim.events_in_place == 2 * n + 1
     assert spawned == []
-    assert gen.delivered == n and gen.latencies == [10.0] * n
+    assert gen.delivered == n and list(gen.latencies) == [10.0] * n
     assert sim.now == 3.0 * n + 10.0
 
 

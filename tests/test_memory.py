@@ -2,14 +2,16 @@
 
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from repro.hw import HardwareParams
 from repro.memory import RdmaBuffer, RegionAllocator
-from repro.memory.address import align_down, align_up, page_span, pages_of
+from repro.memory.address import align_down, align_up, page_span
 from repro.memory.buffer import DENSE_LINES, LINE, PAGE
+from repro.verbs.mr import MemoryRegion
 
 
 def test_page_span_single_page():
@@ -36,10 +38,6 @@ def test_page_span_validation():
         page_span(0, -1, 4096)
     with pytest.raises(ValueError):
         page_span(0, 1, 0)
-
-
-def test_pages_of_keys():
-    assert pages_of(7, 4090, 64, 4096) == [(7, 0), (7, 1)]
 
 
 def test_alignment_helpers():
@@ -213,23 +211,35 @@ def test_allocator_socket_validation():
         alloc.allocate(0, socket=0)
 
 
-def test_page_keys_memo_is_keyed_by_page_span():
-    """Every offset and length within one page span shares one memo entry
-    and gets exactly ``pages_of``'s keys; bad ranges still raise."""
+def test_page_keys_are_page_span_offset_by_the_key_base():
+    """``page_keys`` yields exactly ``page_span``'s pages, offset by the
+    region's key base; two regions' keys never collide; bad ranges still
+    raise."""
     from repro import build
 
     _sim, _cluster, ctx = build(machines=1)
-    mr = ctx.register(0, 1 << 20)
+    a = ctx.register(0, 1 << 20)
+    b = ctx.register(0, 1 << 20)
+    assert a.key_base == a.mr_id << 32 and b.key_base == b.mr_id << 32
     rng = random.Random(0)
+    seen = {a.mr_id: set(), b.mr_id: set()}
     for _ in range(2000):
+        mr = rng.choice((a, b))
         offset = rng.randrange(1 << 20)
         length = rng.choice([0, 1, 8, 64, 4096, 9000])
-        assert mr.page_keys(offset, length) == pages_of(
-            mr.mr_id, offset, length, mr.page_size)
-    # 256 one-page spans plus the two- and three-page ones, not one entry
-    # per distinct (offset, length).
-    assert len(mr._page_key_cache) <= 3 * 256
-    assert mr.page_keys(10, 0) is mr.page_keys(4000, 96)
-    for bad in ((-1, 8), (0, -1)):
-        with pytest.raises(ValueError):
-            mr.page_keys(*bad)
+        keys = mr.page_keys(offset, length)
+        assert list(keys) == [mr.key_base + p for p in
+                              page_span(offset, length, mr.page_size)]
+        seen[mr.mr_id].update(keys)
+    assert seen[a.mr_id] and seen[b.mr_id]
+    assert not seen[a.mr_id] & seen[b.mr_id]
+    # The last page of one region and the first of the next stay apart.
+    last = a.page_keys((1 << 20) - 1, 1)
+    assert not set(last) & set(b.page_keys(0, 0))
+    for mr in (a, b):
+        for bad in ((-1, 8), (0, -1)):
+            with pytest.raises(ValueError):
+                mr.page_keys(*bad)
+    # A word offset must fit the key's low 32 bits.
+    with pytest.raises(ValueError, match="4 GiB"):
+        MemoryRegion(types.SimpleNamespace(size=(1 << 32) + 8), 4096)

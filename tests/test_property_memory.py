@@ -1,10 +1,15 @@
-"""Property-based differential test: the sparse ``RdmaBuffer`` against a
-flat ``bytearray`` that stores every byte."""
+"""Property-based differential tests: the sparse ``RdmaBuffer`` against a
+flat ``bytearray`` that stores every byte, and the translation SRAM's int
+page keys against an LRU keyed by ``(mr_id, page)`` tuples."""
+
+from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import RdmaBuffer
+from repro import build
+from repro.hw import HardwareParams
+from repro.memory import RdmaBuffer, page_span
 from repro.memory.buffer import DENSE_LINES, LINE, PAGE
 
 # Three pages and a partial fourth whose last line is cut short, so the
@@ -125,3 +130,78 @@ def test_sparse_buffer_matches_a_flat_bytearray(ops):
         assert buf.read_u64(offset) == ref.read_u64(offset)
     assert buf.read(0, SIZE) == bytes(ref.b)  # bulk: ends all dense
     _check_books(buf)
+
+
+# -- translation keys ---------------------------------------------------------
+
+XLT_ENTRIES = 12
+MR_SIZES = (3 * PAGE + 100, 8 * PAGE, PAGE)
+
+
+class _TupleLru:
+    """Reference translation SRAM: an LRU of ``(mr_id, page)`` tuples."""
+
+    def __init__(self, capacity: int, penalty: float):
+        self.capacity, self.penalty = capacity, penalty
+        self.entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def _trim(self) -> None:
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def translate(self, mr, offset: int, length: int) -> float:
+        misses = 0
+        for page in page_span(offset, length, mr.page_size):
+            key = (mr.mr_id, page)
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                self.hits += 1
+            else:
+                misses += 1
+                self.entries[key] = None
+                self._trim()
+        self.misses += misses
+        return misses * self.penalty
+
+
+# Offsets cluster either side of page boundaries; lengths cover zero,
+# sub-page, page-straddling and multi-page accesses.
+_xlt_access = st.tuples(
+    st.integers(0, len(MR_SIZES) - 1),
+    st.one_of(st.builds(lambda page, delta: max(0, page * PAGE + delta),
+                        st.integers(0, 8), st.integers(-70, 70)),
+              st.integers(0, 8 * PAGE)),
+    st.one_of(st.sampled_from([0, 1, 8, 64, PAGE - 1, PAGE, PAGE + 1,
+                               3 * PAGE]),
+              st.integers(0, 5 * PAGE)))
+
+
+@given(st.lists(_xlt_access, min_size=1, max_size=60),
+       st.integers(0, 60), st.integers(1, XLT_ENTRIES))
+@settings(max_examples=200, deadline=None)
+def test_int_page_keys_translate_like_tuple_keys(accesses, shrink_at,
+                                                 shrunk):
+    """``Rnic.translate(mr.page_keys(...))`` pays the same penalty per
+    access, and counts the same hits, misses and evictions, as an LRU
+    keyed by ``(mr_id, page)``, across regions and a mid-run shrink."""
+    params = HardwareParams().derive(translation_cache_entries=XLT_ENTRIES,
+                                     translation_cache_min_entries=1)
+    _sim, cluster, ctx = build(machines=1, params=params)
+    rnic = cluster[0].rnic
+    xlt = rnic.translation_cache
+    ref = _TupleLru(XLT_ENTRIES, xlt.miss_penalty_ns)
+    mrs = [ctx.register(0, size) for size in MR_SIZES]
+    assert mrs[0].page_size == PAGE
+    for i, (which, offset, length) in enumerate(accesses):
+        if i == shrink_at:
+            xlt.set_capacity(shrunk)
+            ref.capacity = shrunk
+            ref._trim()
+        mr = mrs[which]
+        assert rnic.translate(mr.page_keys(offset, length)) \
+            == ref.translate(mr, offset, length), (i, which, offset, length)
+        assert (xlt.hits, xlt.misses, xlt.evictions) \
+            == (ref.hits, ref.misses, ref.evictions)
+    assert len(xlt) == len(ref.entries)
