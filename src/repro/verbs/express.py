@@ -6,10 +6,10 @@ sleep per contended unit (WQE DMA, payload fetch, tx unit, responder
 rx/atomic, response and delivery DMAs), constant sleeps (forward wire,
 read turnaround, response wire, CQE DMA), two process-completion events
 and an ``all_of`` barrier for the cut-through pairs, and the final
-``done`` event.  On plain single-switch routes without DCQCN or a
-tracer, every hold duration is pure arithmetic, known the moment the
-unit is booked — port faults included, because the stepped path sizes
-its holds at the same instant.
+``done`` event.  On plain single-switch routes without DCQCN, every
+hold duration is pure arithmetic, known the moment the unit is booked —
+port faults included, because the stepped path sizes its holds at the
+same instant.
 
 This module replays that timeline with one fused wake-up
 (:meth:`Simulator.call_tail`) per *hold* and per *constant sleep*,
@@ -87,19 +87,29 @@ express and stepped ops alike:
 Fallback rules (the lane is chosen per post, never mid-flight, by
 ``QueuePair._step_reason``):
 
-* ineligible post (SEND opcode, traced QP, unseen in-order predecessor)
-  -> stepped generator, unchanged schedules;
+* ineligible post (SEND opcode, unseen in-order predecessor) -> stepped
+  generator, unchanged schedules;
 * stepped WRs in flight on either port -> stepped, a fence: without it
   a stepped and an express WRITE reaching a shared responder port in
   the same instant can swap FIFO order there.  Stepped WRs posted while
   express ops are in flight queue behind the express bookings on the
   same Resources.
 
-An installed sanitizer and a dispatch trace are not fallback rules: the
-lane fires ``on_posted`` (in ``post_send*``, before the lane decision),
-``on_completed`` (in :meth:`ExpressState._complete`) and ``on_qp_state``
-(through ``QueuePair._enter_error``) where the stepped path fires them,
-and the engine traces and checks its wakes like any other dispatch.
+An installed sanitizer, a dispatch trace and an ``OpTracer`` are not
+fallback rules: the lane fires ``on_posted`` (in ``post_send*``, before
+the lane decision), ``on_completed`` (in :meth:`ExpressState._complete`)
+and ``on_qp_state`` (through ``QueuePair._enter_error``) where the
+stepped path fires them, and the engine traces and checks its wakes like
+any other dispatch.  A traced op carries its
+:class:`~repro.verbs.trace.OpRecord` and stamps each stage at the
+dispatch where the stepped ``_execute`` stamps it: ``wqe_fetch`` at the
+WQE DMA end, ``exec`` once a delivered attempt clears the tx unit,
+``retrans`` at each transport timer, ``network`` at arrival,
+``responder`` when the service (WRITE drain, atomic, READ response
+serialization) ends, ``response_net`` when the ACK or response lands,
+and ``delivery`` at the completion instant, where the record commits.
+A doorbell batch begins its records after the chained fetch, as the
+stepped batch boots its WRs there.
 
 See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
 and the digest-gate implications.
@@ -118,6 +128,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.cluster import Cluster
     from repro.sim import Event, Simulator
     from repro.verbs.qp import QueuePair
+    from repro.verbs.trace import OpRecord
     from repro.verbs.types import WorkRequest
 
 __all__ = ["ExpressState", "ExpressOp"]
@@ -170,6 +181,9 @@ class ExpressOp:
         "value",
         # wake callbacks: primary (phase-dispatched) and cut-through
         "wcb", "wcb2",
+        # the op's OpRecord (None: untraced) and, once set, the OpTracer
+        # it commits to
+        "record", "tracer",
     )
 
     def __init__(self, state: "ExpressState", qp: "QueuePair",
@@ -201,6 +215,7 @@ class ExpressOp:
         self.value = None
         self.wcb = partial(state._on_wake, self)
         self.wcb2 = None
+        self.record = None
 
 
 class ExpressState:
@@ -240,6 +255,9 @@ class ExpressState:
         """Book one WR's WQE fetch; the timeline unrolls wake by wake."""
         op = ExpressOp(self, qp, wr, done)
         op.prev = prev
+        tracer = qp.tracer
+        if tracer is not None:
+            self._begin(op, tracer)
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
         pcie = qp.local_port.pcie
         pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
@@ -264,6 +282,15 @@ class ExpressState:
         pcie = qp.local_port.pcie
         pcie._bus.book(pcie.dma_ns(total, qp.sq_socket), lead.wcb)
         return ops[-1]
+
+    def _begin(self, op: ExpressOp, tracer) -> "OpRecord":
+        """Start ``op``'s trace record now, as the stepped ``_execute``
+        does when it boots."""
+        op.tracer = tracer
+        record = op.record = tracer.begin(
+            op.opcode.value, op.total_len, self.sim.now,
+            tags=op.qp.trace_tags)
+        return record
 
     # ------------------------------------------------------------- wake-ups
     def _on_wake(self, op: ExpressOp, _ev) -> None:
@@ -338,9 +365,19 @@ class ExpressState:
         pcie.dma_count += 1
         mates = op.mates
         if mates is None:
+            record = op.record
+            if record is not None:
+                record.stamp("wqe_fetch", self.sim.now)
             self._eval_req(op)
         else:
             op.mates = None
+            # The stepped batch boots its WRs after the chained fetch:
+            # their records begin here, with a zero wqe_fetch stage.
+            tracer = qp.tracer
+            if tracer is not None:
+                now = self.sim.now
+                for m in mates:
+                    self._begin(m, tracer).stamp("wqe_fetch", now)
             for m in mates:  # WR order == stepped spawn order
                 self._eval_req(m)
 
@@ -422,6 +459,9 @@ class ExpressState:
             op.phase = P_RETX
             sim.call_tail(sim.now + qp._retrans_wait_ns(op.losses), op.wcb)
             return
+        record = op.record
+        if record is not None:
+            record.stamp("exec", sim.now)
         op.phase = P_Y
         sim.call_tail(sim.now + qp._fwd_ns, op.wcb)
 
@@ -429,6 +469,9 @@ class ExpressState:
         """Transport timer fired: flush if the QP died meanwhile, fail at
         the retry budget, else retransmit."""
         qp = op.qp
+        record = op.record
+        if record is not None:
+            record.stamp("retrans", self.sim.now)
         if qp.state is not QPState.RTS:
             op.status = CompletionStatus.WR_FLUSH_ERR
         elif op.losses > qp._params.retry_cnt:
@@ -447,6 +490,9 @@ class ExpressState:
         """Request arrival: responder evals + service-stage bookings."""
         qp = op.qp
         wr = op.wr
+        record = op.record
+        if record is not None:
+            record.stamp("network", self.sim.now)
         p = qp._params
         rp = qp.remote_port
         rrnic = qp.remote_machine.rnic
@@ -537,6 +583,9 @@ class ExpressState:
             wl.release()
         if op.move_data:
             op.qp._apply_write(op.wr)
+        record = op.record
+        if record is not None:
+            record.stamp("responder", self.sim.now)
         self._tail_start(op)
 
     def _atomic_end(self, op: ExpressOp) -> None:
@@ -548,6 +597,9 @@ class ExpressState:
         wl = op.wl
         op.wl = None
         wl.release()
+        record = op.record
+        if record is not None:
+            record.stamp("responder", self.sim.now)
         self._tail_start(op)
 
     def _tail_start(self, op: ExpressOp) -> None:
@@ -594,12 +646,18 @@ class ExpressState:
         rp.tx_ops += 1
         op.phase = P_BWD
         sim = self.sim
+        record = op.record
+        if record is not None:
+            record.stamp("responder", sim.now)
         sim.call_tail(sim.now + qp._bwd_ns, op.wcb)
 
     def _read_back(self, op: ExpressOp) -> None:
         """Response landed: DMA the data into the local buffers."""
         qp = op.qp
         wr = op.wr
+        record = op.record
+        if record is not None:
+            record.stamp("response_net", self.sim.now)
         pcie = qp.local_port.pcie
         op.phase = P_DLV
         pcie._bus.book(pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
@@ -617,6 +675,9 @@ class ExpressState:
 
     # -- completion ---------------------------------------------------------
     def _tail_end(self, op: ExpressOp) -> None:
+        record = op.record
+        if record is not None:
+            record.stamp("response_net", self.sim.now)
         self._cqe(op)
 
     def _cqe(self, op: ExpressOp) -> None:
@@ -656,6 +717,12 @@ class ExpressState:
         # loop has already detached), so dropping them leaves the op
         # acyclic and refcount frees it while run() pauses the collector.
         op.wcb = op.wcb2 = None
+        sim = self.sim
+        record = op.record
+        if record is not None:
+            record.retries = op.retries
+            record.stamp("delivery", sim.now)
+            op.tracer.commit(record, sim.now)
         qp = op.qp
         wr = op.wr
         if qp._last_express_op is op:
@@ -677,7 +744,6 @@ class ExpressState:
                 qp.flushed_wrs += 1
             value = None
             byte_len = 0
-        sim = self.sim
         completion = Completion(
             wr_id=wr.wr_id, opcode=opcode, status=status,
             timestamp_ns=sim.now, value=value, byte_len=byte_len,

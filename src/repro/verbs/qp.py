@@ -73,7 +73,7 @@ SGE_SEG_BYTES = 16
 #: or a fabric that is neither queued nor paced but still not
 #: single-switch).
 STEP_REASONS = ("lane_off", "send", "stepped_fence", "queued_route",
-                "tracer", "dcqcn", "unseen_prev")
+                "dcqcn", "unseen_prev")
 
 
 class _Tally:
@@ -138,7 +138,9 @@ class QueuePair:
         #: post took the stepped lane.
         self._last_express_op = None
         #: Optional OpTracer (see repro.verbs.trace); set by
-        #: RdmaContext.attach_tracer or directly.  None = no overhead.
+        #: RdmaContext.attach_tracer or directly.  A WR is traced when
+        #: this is set at its post (for a doorbell batch, at the end of
+        #: its chained WQE fetch), on either lane.  None = no overhead.
         self.tracer = None
         #: Service-plane tenant owning this connection (set by
         #: repro.tenancy); None = untenanted, bypasses the plane.
@@ -278,10 +280,11 @@ class QueuePair:
         """The lane predicate: ``None`` when the express lane books this
         post, else the first :data:`STEP_REASONS` term that failed.  The
         lane cannot reproduce SEND (the recv Store), stepped WRs on this
-        post's ports, a traced QP, or an in-order predecessor it cannot
-        see.  ``ExpressState.attach`` refuses queued routes and DCQCN, so
-        they only name why the lane is off.  Port faults, checkers and
-        dispatch traces ride the lane, which fires the same hooks."""
+        post's ports, or an in-order predecessor it cannot see.
+        ``ExpressState.attach`` refuses queued routes and DCQCN, so they
+        only name why the lane is off.  Port faults, checkers, dispatch
+        traces and tracers ride the lane, which fires the same hooks and
+        stamps the same stages."""
         if self.sim.express is None:
             if self._queued:
                 return "queued_route"
@@ -291,8 +294,6 @@ class QueuePair:
                 return "send"
         if self.local_port._stepped or self.remote_port._stepped:
             return "stepped_fence"
-        if self.tracer is not None:
-            return "tracer"
         if prev is not None and not prev._triggered:
             last = self._last_express_op
             if last is None or last.done is not prev:
@@ -320,7 +321,8 @@ class QueuePair:
         tally.stepped[reason] += 1
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
-        self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev),
+        self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev,
+                                       tracer=self.tracer),
                          name=self._proc_names[wr.opcode])
         return done
 
@@ -370,44 +372,34 @@ class QueuePair:
         # One chained DMA fetch for the whole WQE list (the doorbell win).
         total_wqe = sum(self._wqe_bytes(w) for w in wrs)
         yield from self.local_port.pcie.dma(total_wqe, self.sq_socket)
+        tracer = self.tracer
         for wr, ev in zip(wrs, events):
             # WQEs of one doorbell run back-to-back through the pipeline;
             # each chains on its predecessor for in-order completion.
             self.sim.process(self._execute(wr, ev, fetch_wqe=False,
-                                           prev=prev),
+                                           prev=prev, tracer=tracer),
                              name=self._proc_names[wr.opcode])
             prev = ev
             yield 0.0
 
     def _execute(self, wr: WorkRequest, done: Event, fetch_wqe: bool,
-                 prev: Optional[Event] = None) -> Generator:
+                 prev: Optional[Event] = None, tracer=None) -> Generator:
+        """One WR's stepped pipeline; ``tracer`` is the QP's tracer as the
+        poster read it (None: untraced)."""
         p = self._params
         sim = self.sim
         lport, rport = self.local_port, self.remote_port
         lrnic = self.local_machine.rnic
         opcode = wr.opcode
         total_len = wr.total_length
-        tracer = self.tracer
-        if tracer is None:
-            record = None
-            stamp = None
-        else:
-            record = tracer.begin(opcode.value, total_len, sim.now,
-                                  tags=self.trace_tags)
-            _mark = sim.now
-
-            def stamp(stage: str) -> None:
-                nonlocal _mark
-                now = sim.now
-                record.stages[stage] = record.stages.get(stage, 0.0) \
-                    + (now - _mark)
-                _mark = now
+        record = None if tracer is None else tracer.begin(
+            opcode.value, total_len, sim.now, tags=self.trace_tags)
 
         # 1. WQE fetch (skipped when a doorbell batch prefetched it).
         if fetch_wqe:
             yield from lport.pcie.dma(self._wqe_bytes(wr), self.sq_socket)
-        if stamp is not None:
-            stamp("wqe_fetch")
+        if record is not None:
+            record.stamp("wqe_fetch", sim.now)
 
         # 2+3. Requester execution with cut-through payload fetch: the PCIe
         # DMA of the payload streams concurrently with WQE processing and
@@ -471,16 +463,16 @@ class QueuePair:
                 # Cut-through folds the payload fetch into this window.
                 delivered = not (lport.packet_lost() or rport.packet_lost())
             if delivered and not queued:
-                if stamp is not None:
-                    stamp("exec")
+                if record is not None:
+                    record.stamp("exec", sim.now)
                 break
             if delivered:
                 # Queued fabric: the request pays its path here, inside the
                 # retry loop, because any hop may tail-drop it (the plain
                 # single-switch hop is paid in _responder_phase instead —
                 # same yield sequence, so default schedules are identical).
-                if stamp is not None:
-                    stamp("exec")
+                if record is not None:
+                    record.stamp("exec", sim.now)
                 delivered, marked = yield from route.traverse(wire_payload)
                 if delivered:
                     if dcqcn is not None:
@@ -488,16 +480,16 @@ class QueuePair:
                             dcqcn.on_ecn(sim.now)
                         else:
                             dcqcn.on_delivered(sim.now)
-                    if stamp is not None:
-                        stamp("network")
+                    if record is not None:
+                        record.stamp("network", sim.now)
                     break
             # Lost attempt: the requester only learns from silence — hold
             # for the (exponentially backed-off) transport ACK timeout,
             # then either retransmit or declare the retry budget spent.
             losses += 1
             yield self._retrans_wait_ns(losses)
-            if stamp is not None:
-                stamp("retrans")
+            if record is not None:
+                record.stamp("retrans", sim.now)
             if self.state is not QPState.RTS:
                 # An earlier WR declared the QP dead while this one sat on
                 # its transport timer: it flushes rather than burning (and
@@ -518,7 +510,7 @@ class QueuePair:
                                           flow=self.qp_id + 131 * losses)
 
         if status is CompletionStatus.SUCCESS:
-            value = yield from self._responder_phase(wr, stamp, total_len)
+            value = yield from self._responder_phase(wr, record, total_len)
         if record is not None:
             record.retries = retries_done
 
@@ -532,9 +524,8 @@ class QueuePair:
             # delivery: RC reports it flushed — its data may have landed,
             # the same ambiguity a real flushed completion carries.
             status = CompletionStatus.WR_FLUSH_ERR
-        if stamp is not None:
-            stamp("delivery")
         if record is not None:
+            record.stamp("delivery", sim.now)
             tracer.commit(record, sim.now)
         self.completed += 1
         tally.completions += 1
@@ -567,12 +558,13 @@ class QueuePair:
         return min(p.retrans_timeout_ns * p.retrans_backoff ** (losses - 1),
                    p.retrans_timeout_cap_ns)
 
-    def _responder_phase(self, wr: WorkRequest, stamp,
+    def _responder_phase(self, wr: WorkRequest, record,
                          total_len: int) -> Generator:
         """Stages 4-7 of a delivered request: fabric, responder execution,
         ACK/response, and local delivery.  Runs once, after the (possibly
         retransmitted) request finally got through; returns the atomic
-        result value (None for non-atomics).  ``total_len`` is the caller's
+        result value (None for non-atomics).  ``record`` is the WR's
+        OpRecord (None: untraced); ``total_len`` is the caller's
         already-computed ``wr.total_length``."""
         p = self._params
         sim = self.sim
@@ -584,8 +576,8 @@ class QueuePair:
         # routes pay the fixed crossbar constant here.
         if not self._queued:
             yield self._fwd_ns
-            if stamp is not None:
-                stamp("network")
+            if record is not None:
+                record.stamp("network", sim.now)
 
         # 5. Responder.
         value = None
@@ -658,9 +650,8 @@ class QueuePair:
                                      payload_bytes=wr.payload_bytes)
             yield from rport.pcie.dma(max(wr.payload_bytes, 1), rport.socket)
 
-        if stamp is not None:
-
-            stamp("responder")
+        if record is not None:
+            record.stamp("responder", sim.now)
 
         # 6. ACK / response returns.  On queued fabrics the reverse path
         # pays queue delay (a READ response is full payload on the wire)
@@ -677,8 +668,8 @@ class QueuePair:
                 lport.dcqcn.on_ecn(sim.now)
         else:
             yield self._bwd_ns
-        if stamp is not None:
-            stamp("response_net")
+        if record is not None:
+            record.stamp("response_net", sim.now)
 
         # 7. Local delivery: READ data scattered into local buffers.
         if wr.opcode is Opcode.READ:

@@ -8,7 +8,10 @@ be read off instead of inferred.
 
 Attach with ``ctx.attach_tracer(OpTracer())`` — subsequent QPs inherit
 it; existing QPs are updated too.  Tracing is off by default and costs
-nothing when off.
+nothing when off.  A traced WR runs on the lane it would run on
+untraced: the stepped pipeline (``QueuePair._execute``) and the express
+lane (:mod:`repro.verbs.express`) stamp the same stages at the same
+instants through :meth:`OpRecord.stamp`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,20 @@ class OpRecord:
     #: Retransmissions this WR needed (0 on the sunny path); the time they
     #: cost is the "retrans" stage.
     retries: int = 0
+    #: Instant the last stamped stage ended (``start_ns`` before any).
+    mark: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.mark = self.start_ns
+
+    def stamp(self, stage: str, now: float) -> None:
+        """Charge the time since the last stamp to ``stage``.
+
+        A stage stamped twice accumulates; a zero-length stamp still
+        enters ``stages``, so it adds a sample to the stage's mean."""
+        stages = self.stages
+        stages[stage] = stages.get(stage, 0.0) + (now - self.mark)
+        self.mark = now
 
     @property
     def latency_ns(self) -> float:

@@ -62,8 +62,10 @@ class RdmaContext:
 
     def attach_tracer(self, tracer) -> None:
         """Enable per-op stage tracing (repro.verbs.trace.OpTracer) on all
-        current and future QPs of this context.  Traced QPs post on the
-        stepped lane, which fills the per-stage records."""
+        current and future QPs of this context.  Tracing does not change
+        which lane a post takes: the express lane and the stepped
+        pipeline stamp the same per-stage records.  WRs posted before the
+        attach stay untraced."""
         self.tracer = tracer
         for qp in self.qps:
             qp.tracer = tracer

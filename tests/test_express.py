@@ -6,9 +6,9 @@ returned values, same payload bytes in both memory regions, same final
 clock — while dispatching strictly fewer events.  Port faults (loss,
 retransmission, RETRY_EXC, flushes, slow and jittery ports) are modelled
 on the lane, so arming one mid-run keeps posts on it, as does attaching
-a sanitizer; flipping lanes mid-run (tracer, a SEND) must stay
-bit-identical to the all-stepped reference: both lanes queue on the same
-hardware Resources.
+a sanitizer or a tracer (the lane stamps the same per-stage trace
+records); flipping lanes mid-run (a SEND) must stay bit-identical to the
+all-stepped reference: both lanes queue on the same hardware Resources.
 """
 
 import contextlib
@@ -481,10 +481,21 @@ def test_port_fault_armed_mid_run_stays_on_lane(fault):
     assert (retransmissions > 0) == lossy
 
 
-def test_tracer_mid_run_flips_to_stepped():
-    """Attaching a tracer poisons nothing: every QP is traced, so every
-    later post fails the per-post predicate and steps."""
-    _check_flip(lambda sim, ctx: ctx.attach_tracer(OpTracer()))
+def test_tracer_attached_mid_run_keeps_the_lane():
+    """A tracer is not a lane term: attached mid-run, it traces every
+    later post, the lane keeps booking them in every run, and both lanes
+    commit the same records."""
+    tracers = []
+
+    def attach(sim, ctx):
+        tracers.append(OpTracer())
+        ctx.attach_tracer(tracers[-1])
+
+    resumed, _ = _check_flip(attach, steps_after=False)
+    assert resumed == len(FLIP_RUNS)
+    records = [_records(tracer) for tracer in tracers]
+    assert all(records)
+    assert records[0::2] == records[1::2]
 
 
 def test_sanitizer_attached_mid_run_keeps_the_lane():
@@ -524,18 +535,18 @@ def test_send_mid_run_steps_alone():
 
 def test_stepped_fence_orders_a_shared_responder_port():
     """The per-port ``_stepped`` fence keeps a post off the lane while
-    stepped WRs are in flight on either of its ports.  A traced QP (it
-    steps) and an untraced one on two client machines write to one
-    responder port: without the fence, two same-instant WRITEs swap FIFO
-    order at the shared rx unit and the logs split at the 1st
-    completion."""
+    stepped WRs are in flight on either of its ports.  Two client
+    machines post two-WR doorbells to one responder port: a WRITE and a
+    SEND (the batch steps), and a WRITE and an 8 B WRITE (it may ride the
+    lane), so both WRITEs keep equal requester timelines.  Without the
+    fence, the two same-instant WRITEs swap FIFO order at the shared rx
+    unit and the logs split at the 1st completion."""
     def run(express: bool):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REPRO_EXPRESS", "1" if express else "0")
             sim, cluster, ctx = build(machines=3)
         rmr = ctx.register(2, 1 << 14)
-        traced = ctx.create_qp(0, 2)
-        traced.tracer = OpTracer()
+        sending = ctx.create_qp(0, 2)
         plain = ctx.create_qp(1, 2)
         log = []
 
@@ -543,15 +554,24 @@ def test_stepped_fence_orders_a_shared_responder_port():
             w = Worker(ctx, machine)
             lmr = ctx.register(machine, 4096)
             for i in range(40):
-                comp = yield from w.execute(qp, WorkRequest(
+                if qp is sending:
+                    second = WorkRequest(Opcode.SEND, wr_id=base + 100 + i,
+                                         payload=i, payload_bytes=8)
+                else:
+                    second = WorkRequest(
+                        Opcode.WRITE, wr_id=base + 100 + i,
+                        sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
+                        remote_offset=8192 + 8 * (i % 16))
+                events = yield from w.post_batch(qp, [WorkRequest(
                     opcode=Opcode.WRITE, wr_id=base + i,
                     sgl=[Sge(lmr, 0, 512)], remote_mr=rmr,
-                    remote_offset=512 * (i % 16)))
-                log.append(_row(comp))
+                    remote_offset=512 * (i % 16)), second])
+                for ev in events:
+                    log.append(_row((yield from w.wait(ev))))
                 yield gap
 
         sim.run(until=sim.all_of([
-            sim.process(client(traced, 0, 700.0, 0)),
+            sim.process(client(sending, 0, 700.0, 0)),
             sim.process(client(plain, 1, 1_100.0, 1_000))]))
         return log, rmr.read(0, rmr.size), sim.now
 
@@ -563,12 +583,16 @@ def test_stepped_fence_orders_a_shared_responder_port():
 
 
 # ------------------------------------------------- faults on the lane
-def _run_lossy(express: bool, seed: int) -> tuple[dict, int]:
-    """A seeded mix on two QPs (inline and cut-through WRITEs, READs,
-    atomics, doorbell batches) over a 10% lossy requester port, with a
-    3 ms responder blackhole past the retry budget: WRs fail with
-    RETRY_EXC, the WRs behind them flush, and each client drains its
-    errored QP and reconnects it.  Returns (outcome, events)."""
+def _run_lossy(express: bool, seed: int, batch: int = 3,
+               make_wr=_random_wr, trace_from=None) -> tuple[dict, int]:
+    """A seeded mix of ``make_wr`` WRs on two QPs (inline and cut-through
+    WRITEs, READs, atomics, doorbell batches of ``batch``) over a 10%
+    lossy requester port, with a 3 ms responder blackhole past the retry
+    budget: WRs fail with RETRY_EXC, the WRs behind them flush, and each
+    client drains its errored QP and reconnects it.  With ``trace_from``
+    (ns), an OpTracer attaches to the context at that instant (0: before
+    the first post) and the outcome carries its records; the second QP
+    tags its records.  Returns (outcome, events)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_EXPRESS", "1" if express else "0")
         sim, cluster, ctx = build(machines=2)
@@ -576,25 +600,34 @@ def _run_lossy(express: bool, seed: int) -> tuple[dict, int]:
     rmr = ctx.register(1, 1 << 15)
     lmr.write(0, bytes(range(256)) * (lmr.size // 256))
     qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    qps[1].trace_tags = {"client": 1}
+    tracer = OpTracer()
+    if trace_from == 0:
+        ctx.attach_tracer(tracer)
+    elif trace_from is not None:
+        sim.call_at(trace_from, lambda _ev: ctx.attach_tracer(tracer))
     injector = FaultInjector(sim, rng=make_rng(seed))
     injector.drop_port(qps[0].local_port, 0.1)
     sim.call_at(200_000.0, lambda _ev: injector.blackhole_port(
         qps[0].remote_port, duration_ns=3e6))
     rng = random.Random(seed)
     log: list[tuple] = []
+    posts = []
 
     def client(qp, base):
         w = Worker(ctx, 0)
         i = base
         while i < base + 150:
             if rng.random() < 0.3:
-                wrs = [_random_wr(rng, lmr, rmr, i + k) for k in range(3)]
+                wrs = [make_wr(rng, lmr, rmr, i + k) for k in range(batch)]
                 events = yield from w.post_batch(qp, wrs)
+                posts.append(i)
             else:
-                wrs = [_random_wr(rng, lmr, rmr, i + k) for k in range(2)]
+                wrs = [make_wr(rng, lmr, rmr, i + k) for k in range(2)]
                 events = []
                 for wr in wrs:
                     events.append((yield from w.post(qp, wr)))
+                    posts.append(wr.wr_id)
             i += len(wrs)
             failed = False
             for ev in events:
@@ -612,8 +645,18 @@ def _run_lossy(express: bool, seed: int) -> tuple[dict, int]:
         "lmem": lmr.read(0, lmr.size),
         "now": sim.now,
         "transport": _transport(ctx),
+        "posts": len(posts),
+        "records": _records(tracer),
     }
     return outcome, sim.events_processed
+
+
+def _records(tracer) -> list[tuple]:
+    """``tracer``'s committed OpRecords in commit order, as tuples of
+    their fields (the whole ``stages`` dict, zero-length stages
+    included)."""
+    return [(r.opcode, r.nbytes, r.start_ns, r.end_ns, r.stages, r.retries,
+             r.tags) for r in tracer.records]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -635,7 +678,7 @@ def test_lossy_lane_equals_stepped(seed):
             steps.append(1), orig_exec(self, *a, **k))[1])
         express, ev_express = _run_lossy(True, seed)
     assert express == stepped
-    assert posts and not steps  # no WR left the lane
+    assert len(posts) == express["posts"] and not steps  # all on the lane
     assert timers  # the lane booked P_RETX transport timers
     statuses = {r[5] for r in express["log"]}
     assert {CompletionStatus.RETRY_EXC_ERR.value,
@@ -646,6 +689,110 @@ def test_lossy_lane_equals_stepped(seed):
     assert transport["retransmissions"] > 0
     assert any(r[6] for r in express["log"])  # retries reported
     assert ev_express < ev_stepped
+
+
+def _traced_wr(rng: random.Random, lmr, rmr, i: int) -> WorkRequest:
+    """``_random_wr``, or (one in five) an 8 B WRITE to one of the words
+    its atomics hammer: once an atomic has claimed the word, the WRITE
+    serializes on the word's lock (a lock-release handover)."""
+    if rng.random() < 0.2:
+        return WorkRequest(
+            opcode=Opcode.WRITE, wr_id=i,
+            sgl=[Sge(lmr, 8 * rng.randrange(64), 8)], remote_mr=rmr,
+            remote_offset=8 * rng.randrange(8), signaled=rng.random() < 0.8)
+    return _random_wr(rng, lmr, rmr, i)
+
+
+#: (seed, tracer attach instant in ns): from the first post, and mid-run
+#: with WRs in flight, before the blackhole.
+TRACED_RUNS = [(seed, at) for seed in range(3) for at in (0, 150_000.0)]
+
+
+def test_traced_lane_commits_the_stepped_records():
+    """With an OpTracer attached, every post still takes the lane, and the
+    lane commits the records the stepped pipeline commits: per WR, in
+    commit order, equal opcode, size, start and end, the whole stages
+    dict with its zero-length entries, retries and tags.  Across the runs
+    the mixes take every stamping branch: READ, WRITE, 4-WR doorbell
+    batches (their WRs begin after the chained fetch), CAS and FAA, 8 B
+    WRITEs queued on a hammered word's lock, in-order parking,
+    retransmissions, RETRY_EXC and flushes."""
+    from repro.verbs import express
+    from repro.verbs.express import ExpressState
+
+    names = {v: k for k, v in vars(express).items() if k.startswith("P_")}
+    wakes = set()
+    orig_wake = ExpressState._on_wake
+
+    def recording_wake(self, op, ev):
+        wakes.add((op.opcode.name, names[op.phase]))
+        orig_wake(self, op, ev)
+
+    records, statuses = [], set()
+    for seed, at in TRACED_RUNS:
+        stepped, _ = _run_lossy(False, seed, batch=4, make_wr=_traced_wr,
+                                trace_from=at)
+        with _counted_posts() as posts, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExpressState, "_on_wake", recording_wake)
+            lane, _ = _run_lossy(True, seed, batch=4, make_wr=_traced_wr,
+                                 trace_from=at)
+        assert len(posts) == lane["posts"], (seed, at)
+        assert lane == stepped, (seed, at)
+        got = lane["records"]
+        if at:  # mid-run: only WRs posted after the attach are traced
+            assert 0 < len(got) < len(lane["log"]), (seed, at)
+            assert min(r[2] for r in got) >= at, (seed, at)
+        else:
+            assert len(got) == len(lane["log"]), (seed, at)
+        records.extend(got)
+        statuses.update(r[5] for r in lane["log"])
+    assert {("WRITE", "P_LOCK"), ("WRITE", "P_RETX")} <= wakes
+    assert any(phase == "P_PARK" for _, phase in wakes)
+    assert {r[0] for r in records} == {
+        "write", "read", "compare_and_swap", "fetch_and_add"}
+    assert {CompletionStatus.RETRY_EXC_ERR.value,
+            CompletionStatus.WR_FLUSH_ERR.value} <= statuses
+    assert any(r[5] for r in records) and any(
+        r[4].get("retrans") for r in records)
+    wqe = [r[4]["wqe_fetch"] for r in records]
+    assert 0.0 in wqe and max(wqe) > 0.0  # batch WRs and single posts
+    assert {None, (("client", 1),)} == {
+        r[6] and tuple(r[6].items()) for r in records}
+
+
+def test_a_wr_is_traced_from_its_post():
+    """Both lanes decide tracing at the same dispatch: a single WR when it
+    is posted, a doorbell batch when its chained WQE fetch ends (where
+    the stepped batch boots its WRs).  A tracer attached right after both
+    posts, in the same dispatch, misses the single WRITE and traces the
+    batch, whose records start after the fetch with a zero wqe_fetch."""
+    def run(express: bool) -> list[tuple]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_EXPRESS", "1" if express else "0")
+            sim, cluster, ctx = build(machines=2)
+        lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
+        qp = ctx.create_qp(0, 1)
+        tracer = OpTracer()
+
+        def write(wr_id):
+            return WorkRequest(Opcode.WRITE, wr_id=wr_id, sgl=[Sge(lmr, 0, 8)],
+                               remote_mr=rmr, remote_offset=8 * wr_id,
+                               move_data=False)
+
+        def client():
+            qp.post_send(write(1))
+            done = qp.post_send_batch([write(2), write(3)])
+            ctx.attach_tracer(tracer)
+            yield done[-1]
+
+        sim.run(until=sim.process(client()))
+        return _records(tracer)
+
+    stepped = run(express=False)
+    assert run(express=True) == stepped
+    assert [r[4]["wqe_fetch"] for r in stepped] == [0.0, 0.0]
+    assert stepped[0][2] == stepped[1][2] > 0.0
+
 
 # ------------------------------------------- completed ops are acyclic
 def _post_all(w, qps, posts):
@@ -796,15 +943,13 @@ def _step_reason_rig(reason: str, monkeypatch):
     params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
     topology = "leaf-spine" if reason == "queued_route" else "single"
     sim, cluster, ctx = build(machines=2, params=params, topology=topology)
-    if reason == "tracer":
-        ctx.attach_tracer(OpTracer())
     lmr = ctx.register(0, 4096)
     rmr = ctx.register(1, 4096)
     return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
 
 
 @pytest.mark.parametrize("reason", [
-    "lane_off", "send", "stepped_fence", "queued_route", "tracer", "dcqcn",
+    "lane_off", "send", "stepped_fence", "queued_route", "dcqcn",
     "unseen_prev"])
 def test_each_stepped_post_counts_the_first_term_that_failed(
         reason, monkeypatch):

@@ -110,14 +110,19 @@ def test_single_loss_retries_and_succeeds():
     assert qp.state is QPState.RTS
 
 
-def test_backoff_sequence_is_truncated_exponential():
-    """The retrans trace stage accumulates exactly t, 2t, ... capped."""
+def test_backoff_sequence_is_truncated_exponential(monkeypatch):
+    """The retrans trace stage accumulates exactly t, 2t, ... capped, as
+    the express lane stamps it (a traced WR keeps the lane)."""
+    from repro.verbs.qp import tally
+
+    monkeypatch.setenv("REPRO_EXPRESS", "1")
     params = HardwareParams(retrans_timeout_ns=1_000.0, retrans_backoff=2.0,
                             retrans_timeout_cap_ns=3_000.0, retry_cnt=2)
     sim, ctx, qp, w, lmr, rmr = _rig(params)
-    tracer = OpTracer(sim)
+    tracer = OpTracer()
     qp.tracer = tracer
     FaultInjector(sim).port_down(qp.local_port)
+    stepped = dict(tally.stepped)
 
     # The timer sequence itself: t, 2t, then capped at 3t forever.
     assert [qp._retrans_wait_ns(n) for n in range(1, 6)] == \
@@ -133,6 +138,7 @@ def test_backoff_sequence_is_truncated_exponential():
     # per attempt at 64 B.
     assert 6_000 < rec.stages["retrans"] < 6_000 + 3 * 1_000
     assert rec.retries == params.retry_cnt
+    assert tally.stepped == stepped  # the WR rode the lane
 
 
 def test_lossy_timeline_is_deterministic_under_seed():
