@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update e2e express-ab rss-ab
+	perf perf-gate perf-quick perf-update e2e express-ab rss-ab host-ab
 
 install:
 	pip install -e .
@@ -55,6 +55,12 @@ express-ab:
 # (tools/rss_ab.py --help for other revisions, workloads and scales).
 rss-ab:
 	$(PY) tools/rss_ab.py
+
+# Host-throughput A/B (~10 min): the same tool on serve_bursty at scale
+# 0.25, ten pairs; prints each metric's wins and a verdict line (a gain
+# needs >= 9/10 wins and a median gap beyond the base's IQR).
+host-ab:
+	$(PY) tools/rss_ab.py --workload serve_bursty --pairs 10
 
 # End-to-end benchmark self-tests (benchmarks/e2e, ~20 s): the four
 # workloads at scale 0.02 must reproduce their seed-0 digests in

@@ -40,7 +40,8 @@ from repro.apps.hashtable.layout import (ENTRY_BYTES, VALUE_BYTES, VALUE_OFF,
                                          unpack_entry)
 from repro.apps.txn.store import TxnStore, is_locked, locked_word
 from repro.core.locks import BackoffPolicy
-from repro.verbs import QPState, QueuePair, RdmaContext, Worker
+from repro.verbs import (Opcode, QPState, QueuePair, RdmaContext, Sge, Worker,
+                         WorkRequest)
 
 __all__ = ["Transaction", "TxnAborted", "TxnClient", "TxnConfig",
            "TxnResult"]
@@ -179,9 +180,10 @@ class TxnClient:
         """READ into scratch, replaying across transport faults (reads
         are idempotent; loss windows are finite)."""
         while True:
-            comp = yield from self.worker.read(
-                qp, src=mr[off:off + nbytes],
-                dst=self.scratch[dst_off:dst_off + nbytes])
+            wr = WorkRequest(Opcode.READ,
+                             sgl=[Sge(self.scratch, dst_off, nbytes)],
+                             remote_mr=mr, remote_offset=off)
+            comp = yield from self.worker.execute(qp, wr)
             if comp.ok:
                 return
             self.transport_errors += 1
@@ -192,9 +194,10 @@ class TxnClient:
         """WRITE from scratch, replaying across transport faults (the
         payload is constant for the op, so replay is idempotent)."""
         while True:
-            comp = yield from self.worker.write(
-                qp, src=self.scratch[src_off:src_off + nbytes],
-                dst=mr[off:off + nbytes])
+            wr = WorkRequest(Opcode.WRITE,
+                             sgl=[Sge(self.scratch, src_off, nbytes)],
+                             remote_mr=mr, remote_offset=off)
+            comp = yield from self.worker.execute(qp, wr)
             if comp.ok:
                 return
             self.transport_errors += 1

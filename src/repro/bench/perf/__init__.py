@@ -29,7 +29,9 @@ campaign run serially and through a 4-worker pool; see
   of completed ops the express lane booked), gated against a fall, and
   ``in_place_per_op``, recorded but not gated.  ``make perf`` runs each
   scenario once more, untimed, and records its tracemalloc peak as
-  ``traced_peak_kb``, gated against a rise; ``sweep_parallel`` adds
+  ``traced_peak_kb``, gated against a rise, and twice more under the
+  census to record ``events_by_layer`` and ``calls_by_layer``, each
+  layer gated against a rise; ``sweep_parallel`` adds
   wall-clock-derived campaign numbers: serial and 4-job points/sec,
   ``jobs4_speedup``, and the usable ``cores``.
 
@@ -42,8 +44,8 @@ Workflow::
 
 The gate fails when a scenario's events/sec drops more than
 ``DEFAULT_TOLERANCE`` (20%) below the committed baseline, when any
-digest differs, when events or cycles per op or the traced peak rise,
-when ``express_frac`` falls, or when ``jobs4_speedup`` lands below
+digest differs, when events or cycles per op, the traced peak, or any
+layer's events or calls per op rise, when ``express_frac`` falls, or when ``jobs4_speedup`` lands below
 ``SPEEDUP_FLOOR``
 (1.5×) on a machine with at least ``SPEEDUP_CORES`` (4) usable cores —
 parallel campaigns must actually pay, not merely merge
@@ -54,8 +56,9 @@ the digests must survive the move unchanged.
 The census (:mod:`repro.bench.perf.census`) splits a scenario's events
 per op, and its in-place runs, by the layer of the code that scheduled
 them, counts Python calls per op by layer in a separate ``cProfile``
-run, and prints lane coverage by stepped reason and the traced peak; it
-is informational, not gated.
+run, and prints lane coverage by stepped reason and the traced peak.
+The printout is informational; the per-layer rows ``make perf`` gates
+come from the same counters (``census.layer_rows``).
 """
 
 from repro.bench.perf.harness import (

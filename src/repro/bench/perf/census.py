@@ -44,10 +44,10 @@ completed ops the express lane booked and the stepped WRs by the first
 lane term that failed (:data:`~repro.verbs.qp.STEP_REASONS`, counted by
 the stepped path only), from the counting run.  ``traced peak KB`` is
 the tracemalloc peak of a third, untimed run
-(:func:`~repro.bench.perf.harness.traced_peak_kb`).  The census is
-informational: it is not gated and not written to ``BENCH_perf.json``;
-each ``make perf`` row records and gates its own ``express_frac`` and
-``traced_peak_kb``.
+(:func:`~repro.bench.perf.harness.traced_peak_kb`).  The printed census
+is informational, but each ``make perf`` row records the per-op events
+and calls by layer (:func:`layer_rows`) and gates them against a rise,
+next to its own ``express_frac`` and ``traced_peak_kb``.
 """
 
 from __future__ import annotations
@@ -57,17 +57,17 @@ import contextlib
 import functools
 import gc
 import os
-import pstats
 import sys
 from collections import Counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 import repro
 from repro.sim import engine
 from repro.sim.engine import Simulator, _Sleep, _dead
 from repro.verbs.qp import STEP_REASONS
 
-__all__ = ["LAYERS", "census", "layer_of", "main"]
+__all__ = ["LAYERS", "calls_by_layer", "census", "events_by_layer",
+           "layer_of", "layer_rows", "main"]
 
 #: Report order.
 LAYERS = ("sim", "hw", "memory", "verbs-stepped", "verbs.express", "tenancy",
@@ -178,34 +178,75 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
         setattr(Simulator, "_park", park)
 
 
+def _ops_of(run: Callable[[], object]) -> int:
+    """Call ``run`` with the collector paused, as in the timed run;
+    returns the ops it completed."""
+    from repro.verbs.qp import tally
+
+    ops_before = tally.completions
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return tally.completions - ops_before
+
+
+def events_by_layer(name: str) -> tuple[Counter, int]:
+    """Dispatched events by layer in one run of perf scenario ``name``
+    under the counting wrappers, and the ops the run completed."""
+    from repro.bench.perf.harness import SCENARIOS
+
+    with _counting() as (counts, _in_place):
+        ops = _ops_of(SCENARIOS[name])
+    return counts, ops
+
+
+def layer_rows(name: str) -> dict:
+    """The gated per-layer rows of a ``make perf`` scenario:
+    ``events_by_layer`` and ``calls_by_layer``, per completed op, from
+    one untimed run under :func:`events_by_layer` and one under
+    :func:`calls_by_layer`.  Layers with no count are left out."""
+    events, ops = events_by_layer(name)
+    calls, calls_ops = calls_by_layer(name)
+    if not ops or calls_ops != ops:
+        raise RuntimeError(f"{name}: the census runs completed {ops} and "
+                           f"{calls_ops} ops")
+    return {"events_by_layer": {layer: round(events[layer] / ops, 2)
+                                for layer in LAYERS if events[layer]},
+            "calls_by_layer": {layer: round(calls[layer] / ops, 1)
+                               for layer in LAYERS if calls[layer]}}
+
+
 def calls_by_layer(name: str) -> tuple[Counter, int]:
     """Python calls by layer in one run of perf scenario ``name`` under
     ``cProfile``, and the ops the run completed.  Builtins are charged
     to the layer of the code that called them."""
     from repro.bench.perf.harness import SCENARIOS
-    from repro.verbs.qp import tally
 
     prof = cProfile.Profile()
-    ops_before = tally.completions
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # as in the timed run
-    try:
-        prof.runcall(SCENARIOS[name])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ops = tally.completions - ops_before
+    ops = _ops_of(functools.partial(prof.runcall, SCENARIOS[name]))
+    # The profiler's raw entries, not ``pstats``: pstats keys functions
+    # by (file, line, name), so synthesized functions that share a label
+    # (every dataclass ``__init__`` is ("<string>", 2, "__init__"), every
+    # named tuple's ``__new__`` ("<string>", 1, "<lambda>")) overwrite
+    # one another and all but one go uncounted.
     calls: Counter = Counter()
-    for (path, _line, _func), (_cc, n, _tt, _ct, callers) in \
-            pstats.Stats(prof).stats.items():
-        if path != "~":
-            calls[layer_of(path)] += n
+    builtin_calls = 0
+    for entry in prof.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a builtin, charged to its callers
+            builtin_calls += entry.callcount
             continue
-        for (caller, _cl, _cf), (_ccc, by_caller, _ctt, _cct) in \
-                callers.items():
-            calls["other" if caller == "~" else layer_of(caller)] += by_caller
-            n -= by_caller
-        calls["other"] += n  # called from outside any profiled frame
+        layer = layer_of(code.co_filename)
+        calls[layer] += entry.callcount
+        for sub in entry.calls or ():
+            if isinstance(sub.code, str):
+                calls[layer] += sub.callcount
+                builtin_calls -= sub.callcount
+    calls["other"] += builtin_calls  # called from builtins or unprofiled
     return calls, ops
 
 

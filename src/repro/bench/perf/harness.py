@@ -53,6 +53,14 @@ _PER_OP_GATES = (
      "a per-op object is cyclic again and lives until run() returns"),
 )
 
+#: Per-layer rows (:func:`repro.bench.perf.census.layer_rows`) gated
+#: layer by layer against a rise, with the same slack and what a rise
+#: means.  A layer missing from a row counts as 0.
+_LAYER_GATES = (
+    ("events_by_layer", "the layer schedules more events per op"),
+    ("calls_by_layer", "the layer makes more Python calls per op"),
+)
+
 #: Gate threshold for ``traced_peak_kb``: the tracemalloc peak of a
 #: scenario's untimed run may rise by this fraction plus
 #: ``TRACED_PEAK_FLOOR_KB`` before the gate fails.  Full runs under
@@ -221,11 +229,15 @@ def traced_peak_kb(fn: Callable[[], dict]) -> int:
 
 
 def run_scenarios(names: Optional[list[str]] = None,
-                  traced: bool = False) -> dict:
+                  traced: bool = False, layers: bool = False) -> dict:
     """Time the named scenarios (default: all); returns a baseline dict.
 
     With ``traced``, each scenario runs once more, untimed, to record
-    ``traced_peak_kb`` (:func:`traced_peak_kb`)."""
+    ``traced_peak_kb`` (:func:`traced_peak_kb`).  With ``layers``, each
+    scenario that completes ops runs twice more, untimed, under the
+    census to record ``events_by_layer`` and ``calls_by_layer``
+    (:func:`repro.bench.perf.census.layer_rows`)."""
+    from repro.bench.perf import census
     from repro.verbs.qp import tally
 
     out: dict = {"format": 1, "scenarios": {}}
@@ -281,6 +293,8 @@ def run_scenarios(names: Optional[list[str]] = None,
             metrics["express_frac"] = round(1.0 - stepped / ops, 4)
         if traced:
             metrics["traced_peak_kb"] = traced_peak_kb(fn)
+        if layers and ops:
+            metrics.update(census.layer_rows(name))
         row = {
             "wall_s": round(wall, 4),
             "events": events,
@@ -334,6 +348,10 @@ def check(baseline: dict, current: dict,
       plus :data:`TRACED_PEAK_FLOOR_KB` — the scenario's untimed run
       held more Python memory at its peak (only when both sides
       recorded it);
+    * a rise beyond :data:`EVENTS_PER_OP_TOLERANCE` in any layer of
+      ``events_by_layer`` or ``calls_by_layer`` — some layer does more
+      work per op, even if another layer's fall hides it in the total
+      (only when both sides recorded the row);
     * a scenario missing from either side;
     * a ``jobs4_speedup`` below :data:`SPEEDUP_FLOOR` when the current
       run had at least :data:`SPEEDUP_CORES` usable cores — parallel
@@ -387,6 +405,15 @@ def check(baseline: dict, current: dict,
                 failures.append(
                     f"{name}: {key.replace('_per_', '/')} rose {b_v} -> "
                     f"{c_v} — {why}")
+        for key, why in _LAYER_GATES:
+            b_v, c_v = b_m.get(key), c_m.get(key)
+            if b_v is None or c_v is None:
+                continue
+            for layer, n in c_v.items():
+                was = b_v.get(layer, 0.0)
+                if n > was * (1.0 + EVENTS_PER_OP_TOLERANCE):
+                    failures.append(
+                        f"{name}: {key} {layer} rose {was} -> {n} — {why}")
         b_v, c_v = b_m.get("express_frac"), c_m.get("express_frac")
         if b_v is not None and c_v is not None and c_v < b_v:
             failures.append(
@@ -440,10 +467,17 @@ def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
         elif "metrics" in base.get(name, {}):
             row, src = base[name]["metrics"], " [baseline]"
         if row:
-            body = " ".join(f"{k}={v}" for k, v in row.items())
+            body = " ".join(f"{k}={v}" for k, v in row.items()
+                            if not isinstance(v, dict))
             lines.append(f"  {name}: {body}{src}")
+            for key, _why in _LAYER_GATES:
+                if key in row:
+                    body = " ".join(f"{layer}={n}"
+                                    for layer, n in row[key].items())
+                    lines.append(f"    {key}: {body}")
     if lines:
-        print(f"tracked metrics (events_per_op, cycles_per_op and "
+        print(f"tracked metrics (events_per_op, cycles_per_op, each layer "
+              f"of events_by_layer and calls_by_layer, and "
               f"traced_peak_kb gated against a rise, express_frac against "
               f"a fall; jobs4_speedup gated at >={SPEEDUP_FLOOR}x on "
               f">={SPEEDUP_CORES} cores; the rest, in_place_per_op "
@@ -483,7 +517,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return census.main(args.scenarios)
 
     if args.cmd == "update":
-        data = run_scenarios(traced=True)
+        data = run_scenarios(traced=True, layers=True)
         with open(args.baseline, "w") as fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
@@ -493,7 +527,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     names = list(QUICK_SCENARIOS) if args.quick else None
-    data = run_scenarios(names, traced=True)
+    data = run_scenarios(names, traced=True, layers=True)
     if args.cmd == "run":
         _print_table(data)
         _print_tracked(data)

@@ -129,10 +129,14 @@ class KvFrontDoor:
         rmr, roff = self.backend.cold_location(key)
         qp = self.plane.connections.lease(
             self.tenant, self.machine_id, self.backend.machine)
+        worker = self.worker
         try:
-            comp = yield from self.worker.read(
-                qp, src=rmr[roff:roff + ENTRY_BYTES],
-                dst=mr[off:off + ENTRY_BYTES])
+            wr = WorkRequest(Opcode.READ, sgl=[Sge(mr, off, ENTRY_BYTES)],
+                             remote_mr=rmr, remote_offset=roff)
+            yield worker.charge_post(qp, wr)
+            comp = yield self.plane.submit(qp, wr)
+            yield worker.charge_poll(comp)
+            worker.ops += 1
             if comp.status is CompletionStatus.REJECTED:
                 return KvResult("shed")
             if not comp.ok:
@@ -153,16 +157,21 @@ class KvFrontDoor:
         WRITE through the plane, invalidate caches on ack.
 
         The write gate is held from version mint until the WR is
-        *enqueued* (``Worker.post`` hands it to the plane synchronously
-        after the CPU cost), which pins mint order to wire order without
+        *enqueued* (handed to the plane synchronously after the posting
+        CPU cost), which pins mint order to wire order without
         serializing completion latencies — concurrent PUTs overlap in
         the plane and on the wire like any other ops."""
         yield from self.worker.compute(SERVE_CPU_NS)
         mr, off = self._slot()
         qp = None
+        worker = self.worker
         try:
-            granted = self.plane.sim.event()
-            if not self._gate.claim(granted.succeed):
+            gate = self._gate
+            if gate.in_use < gate.capacity:
+                gate.claim(None)  # free: granted now, no wake to wait for
+            else:
+                granted = self.plane.sim.event()
+                gate.claim(granted.succeed)
                 yield granted
             try:
                 if self.directory is not None:
@@ -175,14 +184,15 @@ class KvFrontDoor:
                 rmr, roff = self.backend.cold_location(key)
                 qp = self.plane.connections.lease(
                     self.tenant, self.machine_id, self.backend.machine)
-                wr = WorkRequest(
-                    Opcode.WRITE,
-                    sgl=[Sge(mr, off, ENTRY_BYTES)],
-                    remote_mr=rmr, remote_offset=roff, move_data=True)
-                ev = yield from self.worker.post(qp, wr)
+                wr = WorkRequest(Opcode.WRITE, sgl=[Sge(mr, off, ENTRY_BYTES)],
+                                 remote_mr=rmr, remote_offset=roff)
+                yield worker.charge_post(qp, wr)
+                ev = self.plane.submit(qp, wr)
             finally:
-                self._gate.release()
-            comp = yield from self.worker.wait(ev)
+                gate.release()
+            comp = yield ev
+            yield worker.charge_poll(comp)
+            worker.ops += 1
             if comp.status is CompletionStatus.REJECTED:
                 return KvResult("shed")
             if not comp.ok:

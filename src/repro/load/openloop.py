@@ -103,38 +103,9 @@ class OpenLoopGenerator:
             last += 1
         self._next = last
         self.offered += last - first
+        request_fn = self.request_fn
         for i in range(first, last):
-            self._step(i, self.request_fn(i), now)
-
-    def _step(self, i: int, gen: Generator, t0: float,
-              value: Any = None, ok: bool = True) -> None:
-        """Advance request ``i`` until it parks on a wake-up or finishes,
-        accepting the yields ``Process._resume`` accepts."""
-        sim = self.sim
-        while True:
-            try:
-                target = gen.send(value) if ok else gen.throw(value)
-            except StopIteration as stop:
-                self._finish(i, t0, stop.value)
-                return
-            except Exception as exc:
-                raise SimulationError(
-                    f"unhandled error in request {self.name}.r{i}") from exc
-            # call_tail clamps a past instant, so a negative delay must not
-            # reach it: a process fails loudly on one.
-            if type(target) is float and target >= 0:
-                sim.call_tail(sim.now + target,
-                            lambda _ev: self._step(i, gen, t0))
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"request {self.name}.r{i} yielded {target!r}; requests "
-                    "must yield Event instances or non-negative float delays")
-            if not target._processed:  # a cancelled event drops the resume
-                target.add_callback(
-                    lambda ev: self._step(i, gen, t0, ev._value, ev._ok))
-                return
-            value, ok = target._value, target._ok
+            _Request(self, i, request_fn(i), now)(None)
 
     def _finish(self, i: int, t0: float, result: Any) -> None:
         outcome = getattr(result, "outcome", result)
@@ -172,6 +143,57 @@ class OpenLoopGenerator:
         xs = sorted(self.latencies)
         p50, p99, p999 = percentiles(xs, [50, 99, 99.9])
         return {"p50": p50, "p99": p99, "p999": p999}
+
+
+class _Request:
+    """One in-flight request: drives its generator until it parks on a
+    wake-up or finishes, accepting the yields ``Process._resume``
+    accepts.  The object itself is the ``call_tail`` target of a bare
+    delay and the callback of an awaited event, so a wake builds no
+    closure."""
+
+    __slots__ = ("owner", "i", "gen", "t0")
+
+    def __init__(self, owner: OpenLoopGenerator, i: int, gen: Generator,
+                 t0: float):
+        self.owner = owner
+        self.i = i
+        self.gen = gen
+        self.t0 = t0
+
+    def __call__(self, ev: Optional[Event]) -> None:
+        """Resume: ``ev`` is None after a bare delay, else the awaited
+        event, whose value (or exception) goes into the generator."""
+        if ev is None:
+            value, ok = None, True
+        else:
+            value, ok = ev._value, ev._ok
+        gen = self.gen
+        sim = self.owner.sim
+        while True:
+            try:
+                target = gen.send(value) if ok else gen.throw(value)
+            except StopIteration as stop:
+                self.owner._finish(self.i, self.t0, stop.value)
+                return
+            except Exception as exc:
+                raise SimulationError(
+                    f"unhandled error in request {self.owner.name}.r"
+                    f"{self.i}") from exc
+            # call_tail clamps a past instant, so a negative delay must not
+            # reach it: a process fails loudly on one.
+            if type(target) is float and target >= 0:
+                sim.call_tail(sim.now + target, self)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"request {self.owner.name}.r{self.i} yielded "
+                    f"{target!r}; requests must yield Event instances or "
+                    "non-negative float delays")
+            if not target._processed:  # a cancelled event drops the resume
+                target.add_callback(self)
+                return
+            value, ok = target._value, target._ok
 
 
 def drain_open_loop(gens: Sequence[OpenLoopGenerator]) -> None:

@@ -16,8 +16,8 @@ boundedly, by many clients.  This package is that sharing layer:
   ``CompletionStatus.REJECTED``, never silently.
 * :class:`SLOMetrics` — per-tenant ops, goodput, p50/p99/p999 latency
   and reject rates; tenant tags flow into Chrome-trace exports.
-* :class:`ServicePlane` / :class:`TenantSession` — the glue and the
-  tenant-facing API.
+* :class:`ServicePlane` / :class:`TenantSession` — the glue, and a
+  tenant's client thread (``execute`` and ``write`` over pooled QPs).
 
 Quick start::
 

@@ -46,6 +46,9 @@ class ConnectionManager:
         self._config = config
         self._pool: dict[tuple, _PoolEntry] = {}
         self._by_qp: dict[int, _PoolEntry] = {}
+        #: ``ctx.qps_destroyed`` when the pool last pruned: no QP can
+        #: have died behind the pool's back while it still matches.
+        self._pruned_at = ctx.qps_destroyed
         names = [t.name for t in config.tenants]
         self.created = {n: 0 for n in names}
         self.reused = {n: 0 for n in names}
@@ -60,6 +63,7 @@ class ConnectionManager:
         """Forget QPs destroyed behind the pool's back (``ctx.destroy_qp``
         on a pooled QP).  They hold no on-NIC state, so they must not count
         against the cap, be picked as LRU victims, or tally as evictions."""
+        self._pruned_at = self.ctx.qps_destroyed
         dead = [e for e in self._pool.values() if e.qp.destroyed]
         for e in dead:
             del self._pool[e.key]
@@ -71,9 +75,12 @@ class ConnectionManager:
         """A connected QP for this (tenant, machine pair); creates one —
         evicting the tenant's LRU idle QP if at the cap — or reuses the
         pooled one.  Balance every lease with :meth:`release`."""
-        self._config.tenant(tenant)   # raises KeyError if unknown
-        self._prune_destroyed()
-        key = (tenant, local, remote, tuple(sorted(create_kwargs.items())))
+        if tenant not in self.created:
+            self._config.tenant(tenant)   # raises KeyError: unknown
+        if self.ctx.qps_destroyed != self._pruned_at:
+            self._prune_destroyed()  # only a destroy can leave a dead entry
+        key = (tenant, local, remote,
+               tuple(sorted(create_kwargs.items())) if create_kwargs else ())
         entry = self._pool.get(key)
         if entry is not None:
             entry.leases += 1

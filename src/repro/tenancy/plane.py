@@ -78,7 +78,7 @@ class ServicePlane:
                 name: str = "") -> "TenantSession":
         return TenantSession(self, tenant, machine, socket, name=name)
 
-    # -- submission path (called by Worker.post/post_batch) ------------------
+    # -- submission path (Worker.post/post_batch/execute, KvFrontDoor) --------
     @staticmethod
     def _cost(wr: WorkRequest) -> float:
         return max(1.0, wr.total_length / SERVICE_UNIT_BYTES)
@@ -198,10 +198,6 @@ class TenantSession:
         self.worker = Worker(plane.ctx, machine, socket,
                              name=name or f"{tenant}.m{machine}.s{socket}")
 
-    @property
-    def metrics(self):
-        return self.plane.metrics[self.tenant]
-
     def execute(self, remote: int, wr: WorkRequest,
                 **lease_kwargs: Any) -> Generator:
         """Lease a pooled QP to ``remote``, run ``wr`` through the plane,
@@ -215,7 +211,7 @@ class TenantSession:
         return comp
 
     # -- one-sided sugar -----------------------------------------------------
-    # Same slice-based src=/dst= form as Worker.write/read.
+    # Same slice-based src=/dst= form as Worker.write.
     def write(self, remote: int, *, src=None, dst=None,
               move_data: bool = True, wr_id: int = 0) -> Generator:
         loc, rem = self.worker._resolve_transfer("write", src, dst)
@@ -223,26 +219,4 @@ class TenantSession:
                          sgl=[Sge(loc.mr, loc.offset, loc.length)],
                          remote_mr=rem.mr, remote_offset=rem.offset,
                          move_data=move_data)
-        return (yield from self.execute(remote, wr))
-
-    def read(self, remote: int, *, src=None, dst=None,
-             move_data: bool = True, wr_id: int = 0) -> Generator:
-        loc, rem = self.worker._resolve_transfer("read", src, dst)
-        wr = WorkRequest(Opcode.READ, wr_id=wr_id,
-                         sgl=[Sge(loc.mr, loc.offset, loc.length)],
-                         remote_mr=rem.mr, remote_offset=rem.offset,
-                         move_data=move_data)
-        return (yield from self.execute(remote, wr))
-
-    def cas(self, remote: int, remote_mr, remote_offset: int, compare: int,
-            swap: int, wr_id: int = 0) -> Generator:
-        wr = WorkRequest(Opcode.CAS, wr_id=wr_id, remote_mr=remote_mr,
-                         remote_offset=remote_offset, compare=compare,
-                         swap=swap)
-        return (yield from self.execute(remote, wr))
-
-    def faa(self, remote: int, remote_mr, remote_offset: int, add: int,
-            wr_id: int = 0) -> Generator:
-        wr = WorkRequest(Opcode.FAA, wr_id=wr_id, remote_mr=remote_mr,
-                         remote_offset=remote_offset, add=add)
         return (yield from self.execute(remote, wr))

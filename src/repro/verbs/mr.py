@@ -10,7 +10,7 @@ positional sprawl, and ``Worker.read/write`` accept them as ``src=`` /
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.memory.buffer import RdmaBuffer
 
@@ -42,18 +42,11 @@ class MemoryRegion:
         #: ``key_base | o``.  The low 32 bits hold the page or offset, so
         #: two regions never share a key.
         self.key_base = self.mr_id << 32
-
-    @property
-    def size(self) -> int:
-        return self.buffer.size
-
-    @property
-    def machine_id(self) -> int:
-        return self.buffer.machine_id
-
-    @property
-    def socket(self) -> int:
-        return self.buffer.socket
+        # Fixed at allocation: plain attributes, read on every WR (a
+        # property read costs several times an attribute read).
+        self.size = buffer.size
+        self.machine_id = buffer.machine_id
+        self.socket = buffer.socket
 
     # -- slicing ------------------------------------------------------------
     def slice(self, offset: int, length: int) -> "MrSlice":
@@ -105,28 +98,27 @@ class MemoryRegion:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MrSlice:
+class MrSlice(namedtuple("MrSlice", ("mr", "offset", "length"))):
     """A byte range ``[offset, offset + length)`` of a registered region.
 
     Purely descriptive — it holds no data, and the verbs layer unpacks it
-    back into ``(mr, offset, length)`` when building SGEs.  It is not
-    free to create: the frozen dataclass's ``__init__`` plus the bounds
-    check in ``__post_init__`` cost about as much as building a
-    :class:`~repro.verbs.types.Completion`.
+    back into ``(mr, offset, length)`` when building SGEs.  An immutable
+    tuple whose constructor checks the bounds; hot paths that already
+    hold ``(mr, offset, length)`` build their :class:`~repro.verbs.types.
+    Sge` directly instead of going through a slice.
     """
 
-    mr: MemoryRegion
-    offset: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative slice length: {self.length}")
-        if self.offset < 0 or self.offset + self.length > self.mr.size:
+    def __new__(cls, mr: MemoryRegion, offset: int,
+                length: int) -> "MrSlice":
+        if length < 0:
+            raise ValueError(f"negative slice length: {length}")
+        if offset < 0 or offset + length > mr.size:
             raise ValueError(
-                f"slice [{self.offset}:{self.offset + self.length}) out of "
-                f"bounds for {self.mr.size}-byte region {self.mr.mr_id}")
+                f"slice [{offset}:{offset + length}) out of bounds for "
+                f"{mr.size}-byte region {mr.mr_id}")
+        return tuple.__new__(cls, (mr, offset, length))
 
     def slice(self, offset: int, length: int) -> "MrSlice":
         """A sub-slice, with ``offset`` relative to this slice's start."""

@@ -50,6 +50,9 @@ class RdmaContext:
                            for m in cluster]
         self.regions: list[MemoryRegion] = []
         self.qps: list[QueuePair] = []
+        #: QPs torn down by :meth:`destroy_qp` so far (lets a QP pool
+        #: skip its scan for dead entries while nothing died).
+        self.qps_destroyed = 0
         self.tracer = None
         #: Multi-tenant service plane (repro.tenancy.ServicePlane); when
         #: attached, Workers route ops on tenant-tagged QPs through its
@@ -115,6 +118,7 @@ class RdmaContext:
                 f"cannot destroy QP {qp.qp_id}: {qp.outstanding} WRs "
                 "outstanding")
         qp.destroyed = True
+        self.qps_destroyed += 1
         self.qps.remove(qp)
         for rnic in (qp.local_machine.rnic, qp.remote_machine.rnic):
             rnic.qp_detached()
@@ -216,6 +220,43 @@ class Worker:
         yield from self.compute(cost)
 
     # -- posting ---------------------------------------------------------------
+    def charge_post(self, qp: QueuePair, wr) -> float:
+        """Charge this thread for posting ``wr`` (one WorkRequest, or a
+        list of them rung with one doorbell); returns the cost to yield.
+
+        CPU cost: WQE prep (+ a small per-extra-SGE build cost) per WR,
+        plus one doorbell MMIO, with a QPI penalty if the QP's port hangs
+        off another socket.  The only copy of the posting charge:
+        :meth:`post`, :meth:`post_batch`, :meth:`execute` and callers
+        that build their own WRs all pay through it.
+        """
+        if qp.local_machine is not self.machine:
+            self._check_affinity(qp)
+        prep_ns = self._prep_ns
+        if isinstance(wr, WorkRequest):
+            prep = prep_ns * (1 + 0.2 * (wr.n_sge - 1))
+        else:
+            prep = sum(prep_ns * (1 + 0.2 * (w.n_sge - 1)) for w in wr)
+        cost = prep + self._mmio_row[qp.local_port.socket]
+        self.cpu_busy_ns += cost
+        return cost
+
+    def charge_poll(self, completion: Completion) -> float:
+        """Reap ``completion`` and charge this thread the CQE poll;
+        returns the poll cost to yield.
+
+        If the CQE still sits in a completion queue (the WR was signaled
+        and no ``poll``/``wait()`` took it first) it leaves that queue
+        and counts in its ``consumed``, so each CQE is reported once.
+        This holds on both lanes, for flushed WRs, and for a tenanted op
+        whose completion arrives through the service plane's relay event
+        (the same object).
+        """
+        reap(self._cqes, completion)
+        poll = self._poll_ns
+        self.cpu_busy_ns += poll
+        return poll
+
     def _plane_for(self, qp: QueuePair):
         """The service plane mediating this QP, or None (untenanted path)."""
         plane = self.ctx.service_plane
@@ -224,22 +265,15 @@ class Worker:
         return None
 
     def post(self, qp: QueuePair, wr: WorkRequest) -> Generator:
-        """Prep one WQE, ring the doorbell; returns the completion event.
-
-        CPU cost: WQE prep (+ a small per-extra-SGE build cost) + MMIO,
-        with a QPI penalty if the QP's port hangs off another socket.
+        """Prep one WQE, ring the doorbell (:meth:`charge_post`); returns
+        the completion event.
 
         On a tenant-tagged QP with a service plane attached, the op is
         handed to the plane instead of going straight to the hardware: it
         may queue behind the tenant's QoS share, or complete immediately
         with ``CompletionStatus.REJECTED`` if admission control sheds it.
         """
-        if qp.local_machine is not self.machine:
-            self._check_affinity(qp)
-        prep = self._prep_ns * (1 + 0.2 * (wr.n_sge - 1))
-        cost = prep + self._mmio_row[qp.local_port.socket]
-        self.cpu_busy_ns += cost
-        yield cost
+        yield self.charge_post(qp, wr)
         plane = self._plane_for(qp)
         if plane is not None:
             return plane.submit(qp, wr)
@@ -247,13 +281,7 @@ class Worker:
 
     def post_batch(self, qp: QueuePair, wrs: list[WorkRequest]) -> Generator:
         """Doorbell batching: k WQE preps but a single MMIO (Section III-A)."""
-        if qp.local_machine is not self.machine:
-            self._check_affinity(qp)
-        prep_ns = self._prep_ns
-        prep = sum(prep_ns * (1 + 0.2 * (w.n_sge - 1)) for w in wrs)
-        cost = prep + self._mmio_row[qp.local_port.socket]
-        self.cpu_busy_ns += cost
-        yield cost
+        yield self.charge_post(qp, wrs)
         plane = self._plane_for(qp)
         if plane is not None:
             return plane.submit_batch(qp, wrs)
@@ -261,14 +289,8 @@ class Worker:
 
     def wait(self, completion_event: Event,
              raise_on_error: bool = False) -> Generator:
-        """Block on a completion, then pay the CQE poll cost.
-
-        The poll reaps the CQE: if it still sits in a completion queue
-        (the WR was signaled and no ``poll``/``wait()`` took it first) it
-        leaves that queue and counts in its ``consumed``, so each CQE is
-        reported once.  This holds on both lanes, for flushed WRs, and
-        for a tenanted op whose completion arrives through the service
-        plane's relay event (the same object).
+        """Block on a completion, then reap it and pay the CQE poll cost
+        (:meth:`charge_poll`).
 
         With ``raise_on_error`` an unsuccessful completion (retry
         exhaustion, flush, rejection) raises :class:`CompletionError`
@@ -276,10 +298,7 @@ class Worker:
         own, so transport failures are never silently ignored.
         """
         completion: Completion = yield completion_event
-        reap(self._cqes, completion)
-        poll = self._poll_ns
-        self.cpu_busy_ns += poll
-        yield poll
+        yield self.charge_poll(completion)
         self.ops += 1
         if raise_on_error and not completion.ok:
             raise CompletionError(completion)
@@ -287,9 +306,19 @@ class Worker:
 
     def execute(self, qp: QueuePair, wr: WorkRequest,
                 raise_on_error: bool = False) -> Generator:
-        """Synchronous post + wait."""
-        ev = yield from self.post(qp, wr)
-        return (yield from self.wait(ev, raise_on_error=raise_on_error))
+        """Synchronous post + wait in one generator frame: the yields of
+        :meth:`post` then :meth:`wait`, without nesting either."""
+        yield self.charge_post(qp, wr)
+        plane = self._plane_for(qp)
+        if plane is not None:
+            completion: Completion = yield plane.submit(qp, wr)
+        else:
+            completion = yield qp.post_send(wr)
+        yield self.charge_poll(completion)
+        self.ops += 1
+        if raise_on_error and not completion.ok:
+            raise CompletionError(completion)
+        return completion
 
     def _check_affinity(self, qp: QueuePair) -> None:
         if qp.local_machine is not self.machine:

@@ -454,3 +454,48 @@ def test_find_knee():
     assert find_knee([], []) is None
     with pytest.raises(ValueError):
         find_knee([1, 2], [1])
+
+
+def test_served_ops_post_through_the_class_entry_points(monkeypatch):
+    """The e2e ledger counts ops by wrapping ``ServicePlane.submit`` and
+    ``QueuePair.post_send`` on the class with ``setattr``: each front-door
+    GET and PUT, and a tenanted ``Worker.execute``, must reach both once,
+    looked up at call time (wrapped here after the rig is built)."""
+    from repro.verbs import Opcode, QueuePair, Sge, Worker, WorkRequest
+
+    sim, san, plane, door = serving_rig(cache_on=False)
+    calls = {"submit": 0, "post_send": 0}
+
+    def counting(cls, name):
+        orig = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(ServicePlane, "submit")
+    counting(QueuePair, "post_send")
+    seen = []
+
+    def client():
+        for op in (lambda: door.get(5), lambda: door.put(5, b"x")):
+            before = dict(calls)
+            result = yield from op()
+            assert result.outcome == "ok"
+            seen.append({k: calls[k] - before[k] for k in calls})
+        worker = Worker(plane.ctx, 2)
+        qp = plane.connections.lease("web", 2, 0)
+        lmr = plane.ctx.register(2, 64)
+        rmr, roff = door.backend.cold_location(9)
+        before = dict(calls)
+        wr = WorkRequest(Opcode.READ, sgl=[Sge(lmr, 0, 64)], remote_mr=rmr,
+                         remote_offset=roff)
+        comp = yield from worker.execute(qp, wr)
+        plane.connections.release(qp)
+        assert comp.ok and worker.ops == 1
+        seen.append({k: calls[k] - before[k] for k in calls})
+
+    sim.run(until=sim.process(client()))
+    assert seen == [{"submit": 1, "post_send": 1}] * 3
+    assert san.finalize().ok

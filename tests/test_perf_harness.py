@@ -165,6 +165,53 @@ def test_gate_trips_on_traced_peak_rise():
         "fig5": _row(metrics={"events_per_op": 10.0})}}) == []
 
 
+@pytest.mark.parametrize("key", ["events_by_layer", "calls_by_layer"])
+def test_gate_trips_on_a_layer_rise(key):
+    """Each layer of the per-layer rows is gated on its own: a layer's
+    rise fails even when another layer's fall keeps the total flat, and
+    a layer missing from the baseline counts as 0."""
+    base = {"sim": 50.0, "load": 20.0}
+
+    def gate(layers):
+        return harness.check(
+            {"format": 1, "scenarios": {"ext10": _row(
+                metrics={"events_per_op": 10.0, key: base})}},
+            {"format": 1, "scenarios": {"ext10": _row(
+                metrics={"events_per_op": 10.0, key: layers})}})
+
+    failures = gate({"sim": 40.0, "load": 30.0})
+    assert len(failures) == 1 and f"{key} load rose 20.0 -> 30.0" in \
+        failures[0]
+    assert any(f"{key} apps rose 0.0 -> 0.1" in f
+               for f in gate({**base, "apps": 0.1}))
+    # Within the 1% slack, a fall, or a layer dropping out: no failure.
+    assert gate({"sim": 50.5, "load": 20.2}) == []
+    assert gate({"sim": 10.0}) == []
+    # A row without the census (plain run_scenarios) is not gated on it.
+    assert harness.check(
+        {"format": 1, "scenarios": {"ext10": _row(
+            metrics={"events_per_op": 10.0, key: base})}},
+        {"format": 1, "scenarios": {"ext10": _row(
+            metrics={"events_per_op": 10.0})}}) == []
+
+
+def test_layer_rows_sum_to_the_scenario_counts():
+    """``layers=True`` adds the census's per-layer rows, whose events
+    sum to the row's ``events_per_op`` (to rounding), and changes no
+    other field of the row."""
+    from repro.bench.perf import census
+
+    plain = harness.run_scenarios(["fig5"])["scenarios"]["fig5"]
+    row = harness.run_scenarios(["fig5"], layers=True)["scenarios"]["fig5"]
+    events = row["metrics"].pop("events_by_layer")
+    calls = row["metrics"].pop("calls_by_layer")
+    assert row["metrics"] == plain["metrics"]
+    assert set(events) | set(calls) <= set(census.LAYERS)
+    assert abs(sum(events.values())
+               - plain["metrics"]["events_per_op"]) < 0.05
+    assert calls["verbs.express"] > 0 and calls["sim"] > 0
+
+
 def test_traced_run_records_the_peak_and_keeps_the_rest():
     """``traced=True`` adds the untimed tracemalloc run's peak and
     changes no other field of the row."""
@@ -251,6 +298,32 @@ def test_census_calls_by_layer_repeat_exactly():
     assert {layer: again[layer] for layer in census.LAYERS} == row["calls"]
     assert ops == row["calls_ops"] == row["ops"]
     assert set(again) <= set(census.LAYERS)
+
+
+def test_census_calls_count_synthesized_functions(monkeypatch):
+    """Synthesized functions that share a (file, line, name) label —
+    every dataclass ``__init__``, every named tuple's ``__new__`` — are
+    each counted, not collapsed into one of them."""
+    import dataclasses
+    from collections import namedtuple
+
+    from repro.bench.perf import census
+
+    A = dataclasses.make_dataclass("A", ["x"])
+    B = dataclasses.make_dataclass("B", ["y"])
+    P = namedtuple("P", "x")
+    Q = namedtuple("Q", "y")
+
+    def synth() -> dict:
+        for i in range(100):
+            A(i), B(i), P(i), Q(i)
+        return {}
+
+    monkeypatch.setitem(harness.SCENARIOS, "synth", synth)
+    calls, _ops = census.calls_by_layer("synth")
+    # 400 synthesized calls plus the 200 ``tuple.__new__`` the named
+    # tuples make, all outside repro.
+    assert calls["other"] >= 600
 
 
 def test_gate_passes_on_identical_runs():

@@ -5,13 +5,17 @@ Exports the base revision and the working tree (tracked files and
 untracked ones that are not ignored) to two clean directories with
 ``git archive``, then runs ``benchmarks/e2e/rep.py`` from each in
 alternating pairs: the base first on odd pairs, the change first on even
-ones.  Prints each pair's ``peak_rss_mb``, each side's median and
-interquartile range, and the pairs in which the change was lower, then
-the same summary of the host metrics ``host_ops_per_s`` and ``setup_s``
-from the same reps.  Exits
-non-zero if any pair's output digest or event count differs between the
-two sides, if a rep reports an invariant violation or fails, or if a
-seed-0 digest misses the base's ``benchmarks/e2e/pins.json`` entry.
+ones.  Prints each pair's ``peak_rss_mb`` and ``host_ops_per_s``, then, for
+``peak_rss_mb``, ``host_ops_per_s`` and ``setup_s``, each side's median
+and interquartile range, the pairs the change won in that metric's
+better direction (ties count for neither side), and a verdict line: a
+gain only when the change won at least nine tenths of the pairs and the
+medians differ, in the better direction, by more than the base's
+interquartile range.  Exits non-zero if any pair's output digest or
+event count differs between the two sides, if a rep reports an
+invariant violation or fails, or if a seed-0 digest misses the base's
+``benchmarks/e2e/pins.json`` entry; a verdict of no gain is not a
+failure.
 
 Usage::
 
@@ -36,6 +40,10 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
 E2E = Path("benchmarks") / "e2e"
+
+#: The metrics summarised: (name, lower is better, format).
+METRICS = (("peak_rss_mb", True, ".2f"), ("host_ops_per_s", False, ".0f"),
+           ("setup_s", True, ".3f"))
 
 
 def _git(*args: str, env: dict | None = None) -> bytes:
@@ -85,6 +93,24 @@ def _spread(xs: list[float], fmt: str = ".2f") -> str:
             f"[{format(q1, fmt)}, {format(q3, fmt)}]")
 
 
+def _iqr(xs: list[float]) -> float:
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = quantiles(xs, n=4)
+    return q3 - q1
+
+
+def verdict(base: list[float], change: list[float],
+            lower_is_better: bool) -> tuple[int, bool]:
+    """The pairs the change won, and whether it is a gain: it won at
+    least nine tenths of the pairs, and the medians differ in the better
+    direction by more than the base's interquartile range."""
+    sign = -1.0 if lower_is_better else 1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    gap = sign * (median(change) - median(base))
+    return wins, 10 * wins >= 9 * len(base) and gap > _iqr(base)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="verbs_mix")
@@ -108,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.workload} scale {args.scale} seed {args.seed}: "
               f"base {base_rev} vs the working tree, {args.pairs} pairs")
         print(f"{'pair':>4} {'first':<6} {'base MB':>9} {'change MB':>9} "
-              f"{'delta':>7}")
+              f"{'delta':>7} {'base ops/s':>10} {'change ops/s':>12}")
         recs_by_side: dict[str, list[dict]] = {"base": [], "change": []}
         mismatches = []
         for i in range(1, args.pairs + 1):
@@ -130,21 +156,24 @@ def main(argv: list[str] | None = None) -> int:
                                       f"{rec['digest']} misses the pin {pin}")
             print(f"{i:>4} {order[0]:<6} {b['peak_rss_mb']:>9.2f} "
                   f"{c['peak_rss_mb']:>9.2f} "
-                  f"{c['peak_rss_mb'] - b['peak_rss_mb']:>+7.2f}", flush=True)
+                  f"{c['peak_rss_mb'] - b['peak_rss_mb']:>+7.2f} "
+                  f"{b['host_ops_per_s']:>10.0f} "
+                  f"{c['host_ops_per_s']:>12.0f}", flush=True)
 
-    def column(side: str, metric: str) -> list[float]:
-        return [rec[metric] for rec in recs_by_side[side]]
-
-    base, change = column("base", "peak_rss_mb"), column("change",
-                                                         "peak_rss_mb")
-    wins = sum(c < b for b, c in zip(base, change))
-    print(f"peak_rss_mb median [IQR]: base {_spread(base)}, "
-          f"change {_spread(change)}; change lower in {wins}/{args.pairs} "
-          "pairs")
-    for metric, fmt in (("host_ops_per_s", ".0f"), ("setup_s", ".3f")):
-        print(f"{metric} median [IQR]: base "
-              f"{_spread(column('base', metric), fmt)}, change "
-              f"{_spread(column('change', metric), fmt)}")
+    for metric, lower, fmt in METRICS:
+        base = [rec[metric] for rec in recs_by_side["base"]]
+        change = [rec[metric] for rec in recs_by_side["change"]]
+        wins, gain = verdict(base, change, lower)
+        better = "lower" if lower else "higher"
+        gap = median(change) - median(base)
+        print(f"{metric} median [IQR]: base {_spread(base, fmt)}, "
+              f"change {_spread(change, fmt)}; change {better} in "
+              f"{wins}/{args.pairs} pairs")
+        print(f"  verdict {metric}: "
+              + ("GAIN" if gain else "no gain")
+              + f" (wins {wins}/{args.pairs}, need >= 9/10; median gap "
+              f"{format(gap, '+' + fmt)} vs base IQR "
+              f"{format(_iqr(base), fmt)})")
     for line in mismatches:
         print(f"FAIL {line}")
     if mismatches:
