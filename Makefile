@@ -12,13 +12,13 @@ test:
 	$(PY) -m pytest tests/
 
 # Static checks (configured in pyproject.toml) over src AND tests /
-# benchmarks / examples.  Without ruff, fall back to byte-compiling the
-# same trees so lint never silently becomes a no-op.
+# benchmarks / examples / tools.  Without ruff, fall back to
+# byte-compiling the same trees so lint never silently becomes a no-op.
 lint:
 	@command -v ruff >/dev/null 2>&1 \
-		&& ruff check src tests benchmarks examples \
+		&& ruff check src tests benchmarks examples tools \
 		|| { echo "ruff not installed; falling back to compileall"; \
-		     $(PY) -m compileall -q src tests benchmarks examples; }
+		     $(PY) -m compileall -q src tests benchmarks examples tools; }
 
 # Docs hygiene: dead file references in docs/ README.md examples/
 # (tools/lint_docs.py).
@@ -44,8 +44,9 @@ smoke: perf-quick check e2e express-ab docs-check
 # reconnects), fig5, fig1 (the catalog target where the most tail wakes
 # find their instant taken and keep their wake) and breakdown (traced
 # QPs) must render byte-identical tables, and equal completion digests
-# for every simulator, with the lane on and off (tools/express_ab.py; no
-# arguments runs the full catalog).
+# for every simulator, with the lane on and off (tools/express_ab.py
+# through repro.check.differential, which names the first differing
+# completion on a digest mismatch; no arguments runs the full catalog).
 express-ab:
 	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown
 

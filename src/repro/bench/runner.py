@@ -12,8 +12,8 @@ Measurement conventions, so every figure is comparable:
   WRs in flight on one QP and measures steady-state MOPS only after
   ``warmup`` completions, so ramp-up (cold caches, empty pipelines)
   never contaminates a quoted rate.
-* **Aggregate then report.**  :func:`measure_clients` drives all
-  clients in one simulation and sums their per-client MOPS — clients
+* **Aggregate then report.**  Targets drive all clients in one
+  simulation (:func:`drive_all`) and sum their per-client MOPS — clients
   contend for real shared resources (execution units, PCIe, wire), so
   the sum is a contended aggregate, not n× a solo run.
 * **Timing-only WRs by default.**  :func:`write_wr` / :func:`read_wr`
@@ -41,10 +41,10 @@ from repro import build
 from repro.hw import HardwareParams
 from repro.sim import Event, Simulator
 from repro.sim.stats import mops
-from repro.verbs import Opcode, QueuePair, RdmaContext, Sge, Worker, WorkRequest
+from repro.verbs import Opcode, QueuePair, Sge, Worker, WorkRequest
 
 __all__ = ["PipelinedClient", "bench_seed", "campaign_seed", "drive_all",
-           "fresh_rig", "measure_clients", "set_campaign_seed"]
+           "fresh_rig", "set_campaign_seed"]
 
 
 #: Campaign-wide seed offset (see ``bench_seed``).  0 is the published
@@ -149,13 +149,6 @@ class PipelinedClient:
         if self.t_start is None or self.t_end is None:
             return 0.0
         return mops(self.measured_ops, self.t_end - self.t_start)
-
-
-def measure_clients(sim: Simulator, clients: list[PipelinedClient],
-                    n_ops: int, warmup: int = 200) -> float:
-    """Drive several clients concurrently; returns their aggregate MOPS."""
-    drive_all(sim, [c.run(n_ops, warmup) for c in clients])
-    return sum(c.mops for c in clients)
 
 
 def write_wr(lmr, rmr, size: int, offset: int = 0) -> WorkRequest:

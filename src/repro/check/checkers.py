@@ -125,11 +125,9 @@ class ConservationChecker:
 
 
 class CompletionsChecker:
-    """Folds every completion (QP index in first-completion order,
-    ``wr_id``, opcode, status, ``repr(timestamp_ns)``, value,
-    ``byte_len``, retries) into one SHA-256: two runs agree on
-    :attr:`digest` exactly when they agree on every completion.  Raises
-    no violations."""
+    """Folds every completion's :meth:`row` into one SHA-256: two runs
+    agree on :attr:`digest` exactly when they agree on every completion.
+    Raises no violations."""
 
     name = "completions"
 
@@ -143,12 +141,16 @@ class CompletionsChecker:
         return self._sha.hexdigest()
 
     def on_completed(self, qp, wr, comp) -> None:
-        index = self._qps.setdefault(qp.qp_id, len(self._qps))
-        self._sha.update(repr((
-            index, comp.wr_id, comp.opcode.value, comp.status.value,
-            comp.timestamp_ns, comp.value, comp.byte_len, comp.retries,
-        )).encode())
+        self._sha.update(repr(self.row(qp, comp)).encode())
         self.count += 1
+
+    def row(self, qp, comp) -> tuple:
+        """``comp`` as the digest folds it: QP index in first-completion
+        order, ``wr_id``, opcode, status, ``repr(timestamp_ns)``, value,
+        ``byte_len``, retries (the lane differential logs these)."""
+        return (self._qps.setdefault(qp.qp_id, len(self._qps)), comp.wr_id,
+                comp.opcode.value, comp.status.value, comp.timestamp_ns,
+                comp.value, comp.byte_len, comp.retries)
 
 
 #: The modeled subset of the ibverbs RC state machine (fresh QPs are born

@@ -1,57 +1,48 @@
 """The ``make check`` suite: every checker over the four apps + chaos.
 
-Eight scenarios, each built fresh with a :class:`~repro.check.Sanitizer`
+Eight scenarios (catalogued in docs/CHECKING.md, "The make check
+suite"), each built fresh with a :class:`~repro.check.Sanitizer`
 installed *before* the workload is constructed (so constructors can
 register claims), run to completion, drained, and finalized, on each
-lane (``REPRO_EXPRESS=0``, then ``=1``).  A difference in violations or
-completion digests between the two runs is a ``lanes`` violation.
-
-* ``hashtable`` — the disaggregated hashtable's Zipf write storm
-  (remote spinlocks on hot blocks, consolidated flushes).  Strict
-  overlap stays off: the cold path is deliberately last-writer-wins.
-* ``shuffle`` — the distributed shuffle (disjoint inbound partitions:
-  strict overlap on).
-* ``join`` — the distributed hash join, strict overlap on.
-* ``dlog`` — the distributed log: FAA space reservation feeds the
-  sequencer oracle; reserved extents are disjoint, strict overlap on.
-* ``chaos`` — ext7-style fault injection: remote spinlock and remote
-  sequencer clients hammered by seeded i.i.d. loss windows and a
-  blackhole, exercising QP error/flush/reconnect under every checker.
-* ``txn`` — the one-sided OCC dataplane at high contention (Zipf
-  theta=0.99) under seeded loss windows with a small retry budget: the
-  serializability oracle judges every commit while transport recovery
-  replays interrupted lock CASes.  Strict overlap stays off — commit
-  write-back intentionally overwrites the previous version's value.
-* ``fabric`` — cross-rack traffic on a leaf-spine fabric while a spine
-  link dies and another degrades: ECMP re-salting + retransmission
-  route around the faults under the per-link conservation checker.
-* ``serving`` — the open-loop serving tier (bursty arrivals, lease
-  front caches, sticky-routed writes) under seeded loss windows with a
-  small retry budget: the ``cache`` coherence oracle judges every fill,
-  hit, and invalidation while front doors shed, error, and reconnect.
-  Strict overlap stays off — KV entries are last-writer-wins.
-
-Exit status 0 iff every scenario reports zero violations on both lanes
-and the lanes agree (the CI contract: ``make check``).
+lane through :mod:`repro.check.differential`.  A difference in
+violations or completion digests between the two runs is a ``lanes``
+violation.  Exit status 0 iff every scenario reports zero violations on
+both lanes and the lanes agree (the CI contract: ``make check``).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import sys
-from unittest import mock
 
 from repro import build
+from repro.check import differential
 from repro.check.report import CheckReport, Violation
 from repro.check.sanitizer import Sanitizer
-from repro.verbs import mr as mr_module
-from repro.verbs import qp as qp_module
 
-__all__ = ["SCENARIOS", "main", "run_all", "run_lane", "run_scenario"]
+__all__ = ["SCENARIOS", "main", "run_scenario"]
 
 
 # ----------------------------------------------------------------- scenarios
+def _drain(sim, procs) -> None:
+    """Run each process to its end, then drain fire-and-forget work."""
+    for p in procs:
+        sim.run(until=p)
+    sim.run()
+
+
+def _loss_windows(sim, cluster, injector, n_clients: int, windows: int,
+                  start: float, client_gap: float, window_gap: float):
+    """The chaos idiom: 120 us windows of 90% loss on every client port
+    (machines 1..n_clients); client i's window k opens at ``start +
+    client_gap * i + window_gap * k``."""
+    for i in range(n_clients):
+        port = cluster[i + 1].port(0)
+        for k in range(windows):
+            sim.timeout(start + client_gap * i + window_gap * k).add_callback(
+                lambda _e, p=port: injector.drop_port(
+                    p, prob=0.9, duration_ns=120_000.0))
+
+
 def _scenario_hashtable() -> Sanitizer:
     from repro.apps.hashtable import DisaggregatedHashTable, FrontEndConfig
 
@@ -111,11 +102,8 @@ def _scenario_dlog() -> Sanitizer:
         for _ in range(8):
             yield from eng.append_batch()
 
-    procs = [sim.process(drive(e), name=f"check.dlog{e.engine_id}")
-             for e in engines]
-    for p in procs:
-        sim.run(until=p)
-    sim.run()
+    _drain(sim, [sim.process(drive(e), name=f"check.dlog{e.engine_id}")
+                 for e in engines])
     return san
 
 
@@ -159,24 +147,13 @@ def _scenario_chaos() -> Sanitizer:
             yield from sq.next(n=reserve[k % len(reserve)])
 
     # Staggered loss windows on every client port + one blackhole burst.
-    def schedule_faults():
-        for i in range(n_clients):
-            port = cluster[i + 1].port(0)
-            for k in range(4):
-                at = 20_000.0 + 150_000.0 * i + 450_000.0 * k
-                sim.timeout(at).add_callback(
-                    lambda _e, p=port: injector.drop_port(
-                        p, prob=0.9, duration_ns=120_000.0))
-        sim.timeout(1_000_000.0).add_callback(
-            lambda _e: injector.blackhole_port(cluster[1].port(0),
-                                              duration_ns=200_000.0))
-
-    schedule_faults()
-    procs = [sim.process(client(i), name=f"check.chaos{i}")
-             for i in range(n_clients)]
-    for p in procs:
-        sim.run(until=p)
-    sim.run()
+    _loss_windows(sim, cluster, injector, n_clients, 4,
+                  20_000.0, 150_000.0, 450_000.0)
+    sim.timeout(1_000_000.0).add_callback(
+        lambda _e: injector.blackhole_port(cluster[1].port(0),
+                                          duration_ns=200_000.0))
+    _drain(sim, [sim.process(client(i), name=f"check.chaos{i}")
+                 for i in range(n_clients)])
 
     if max_in_cs[0] != 1:
         raise AssertionError(f"workload-level mutual exclusion broken: "
@@ -227,20 +204,11 @@ def _scenario_txn() -> Sanitizer:
 
             yield from c.execute(body)
 
-    # Staggered loss windows on every client port (the chaos idiom).
-    for i in range(n_clients):
-        port = cluster[i + 1].port(0)
-        for k in range(3):
-            at = 30_000.0 + 170_000.0 * i + 500_000.0 * k
-            sim.timeout(at).add_callback(
-                lambda _e, p=port: injector.drop_port(
-                    p, prob=0.9, duration_ns=120_000.0))
+    _loss_windows(sim, cluster, injector, n_clients, 3,
+                  30_000.0, 170_000.0, 500_000.0)
 
-    procs = [sim.process(drive(c, rng), name=f"check.txn{c.client_id}")
-             for c, rng in zip(clients, rngs)]
-    for p in procs:
-        sim.run(until=p)
-    sim.run()
+    _drain(sim, [sim.process(drive(c, rng), name=f"check.txn{c.client_id}")
+                 for c, rng in zip(clients, rngs)])
 
     if not any(c.transport_errors for c in clients):
         raise AssertionError("txn chaos scenario injected no transport "
@@ -306,11 +274,8 @@ def _scenario_fabric() -> Sanitizer:
         lambda _e: injector.degrade_link(fabric.spine_down[1][1], 0.5,
                                          duration_ns=150_000.0))
 
-    procs = [sim.process(client(s, d), name=f"check.fabric{s}")
-             for s, d in pairs]
-    for p in procs:
-        sim.run(until=p)
-    sim.run()
+    _drain(sim, [sim.process(client(s, d), name=f"check.fabric{s}")
+                 for s, d in pairs])
 
     if len(done) != len(pairs):
         raise AssertionError("a fabric client never finished its ops")
@@ -400,14 +365,8 @@ def _scenario_serving() -> Sanitizer:
         gens.append(OpenLoopGenerator(sim, request_fn, times,
                                       name=f"check.serve{i}"))
 
-    # Staggered loss windows on every client port (the chaos idiom).
-    for i in range(n_clients):
-        port = cluster[i + 1].port(0)
-        for k in range(3):
-            at = 30_000.0 + 150_000.0 * i + 180_000.0 * k
-            sim.timeout(at).add_callback(
-                lambda _e, p=port: injector.drop_port(
-                    p, prob=0.9, duration_ns=120_000.0))
+    _loss_windows(sim, cluster, injector, n_clients, 3,
+                  30_000.0, 150_000.0, 180_000.0)
 
     for g in gens:
         g.start()
@@ -443,73 +402,49 @@ SCENARIOS = {
 
 
 # ----------------------------------------------------------------- driver
-def run_lane(scenario, express: bool) -> dict:
-    """Run ``scenario`` (it returns the Sanitizer of the workload it ran)
-    on one lane: its finalized ``report``, completion ``digest``, and the
-    WRs that ``stepped`` or not (``express``, flush posts included)."""
-    tally = qp_module.tally
-    # QP and MR ids seed ECMP hashes and name violations: number each
-    # run's from 1, so both lanes (and a scenario run alone) see the same.
-    qp_module._qp_ids = itertools.count(1)
-    mr_module._mr_ids = itertools.count(1)
-    wrs, stepped = tally.completions, sum(tally.stepped.values())
-    with mock.patch.dict(os.environ, REPRO_EXPRESS="1" if express else "0"):
-        san = scenario()
-    stepped = sum(tally.stepped.values()) - stepped
-    return {"report": san.finalize(), "digest": san.completions.digest,
-            "stepped": stepped, "express": tally.completions - wrs - stepped}
-
-
 def run_scenario(name: str, out=None) -> CheckReport:
     """Run one scenario on both lanes.  Returns the stepped run's report,
     plus a ``lanes`` violation for each way the express run differs (its
-    violations merged in when they do).  With ``out``, prints the
-    verdict, the lane run's express and stepped WRs, and its digest."""
-    stepped = run_lane(SCENARIOS[name], express=False)
-    express = run_lane(SCENARIOS[name], express=True)
-    report, other = stepped["report"], express["report"]
+    violations merged in when they do; a digest difference names the
+    first differing completion).  With ``out``, prints the verdict, the
+    lane run's express and stepped WRs, and its digest."""
+    scenario = SCENARIOS[name]
+    stepped = differential.run(scenario, express=False)
+    express = differential.run(scenario, express=True)
+    report, other = stepped.value.finalize(), express.value.finalize()
     if (other.counts, other.violations) != (report.counts, report.violations):
         report.merge(other)
         report.add(Violation("lanes", 0.0, name, "differential",
                              "the lanes report different violations"))
-    if express["digest"] != stepped["digest"]:
+    divergence = differential.compare(scenario, stepped, express)
+    if divergence is not None:
         report.add(Violation("lanes", 0.0, name, "differential",
-                             "the lanes' completion digests differ"))
+                             "the lanes' completion digests differ; "
+                             + divergence))
     if out is not None:
         verdict = "ok" if report.ok else f"{report.total} violation(s)"
         print(f"  check:{name:<10} {verdict:<14} lane on: "
-              f"{express['express']:>5,} express {express['stepped']:>5,} "
-              f"stepped WRs  digest {express['digest'][:12]}", file=out)
+              f"{express.express:>5,} express {express.stepped:>5,} "
+              f"stepped WRs  digest {express.digests[0][:12]}", file=out)
         if not report.ok:
             print(report.render(), file=out)
     return report
 
 
-def run_all(names=None, out=sys.stdout) -> CheckReport:
-    """Run the suite; prints one line per scenario, returns merged report."""
-    merged = CheckReport()
-    for name in (names or SCENARIOS):
-        merged.merge(run_scenario(name, out))
-    merged.finalized = True
-    return merged
-
-
 def main(argv=None) -> int:
-    names = argv if argv else None
-    unknown = set(names or ()) - set(SCENARIOS)
+    names = argv or list(SCENARIOS)
+    unknown = set(names) - set(SCENARIOS)
     if unknown:
         print(f"unknown scenario(s): {sorted(unknown)}; "
               f"available: {list(SCENARIOS)}", file=sys.stderr)
         return 2
-    report = run_all(names)
+    report = CheckReport()
+    for name in names:
+        report.merge(run_scenario(name, sys.stdout))
     if report.ok:
-        print(f"check suite clean: {len(names or SCENARIOS)} scenario(s) "
+        print(f"check suite clean: {len(names)} scenario(s) "
               "on both lanes, 0 violations")
         return 0
     print(f"CHECK SUITE FAILED: {report.total} violation(s) "
           f"({dict(report.counts)})")
     return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main(sys.argv[1:]))

@@ -1,6 +1,6 @@
 """The Sanitizer: hook dispatcher wired into a Simulator's ``check`` slot.
 
-Instrumented layers (engine dispatch/cancel, QP post/complete/state,
+Instrumented layers (engine dispatch, QP post/complete/state,
 context QP lifecycle, lock/sequencer/consolidator/tenancy call sites) all
 read ``sim.check`` — ``None`` by default, in which case the only cost is
 one predictable branch per hook site.  Installing a :class:`Sanitizer`
@@ -133,9 +133,6 @@ class Sanitizer:
             self._tick = 0
             if self.consolidation is not None:
                 self.consolidation.sweep()
-
-    def on_cancel(self, event) -> None:
-        """No checker audits cancels; the engine hook stays."""
 
     # -- verbs hooks ---------------------------------------------------------
     def on_posted(self, qp, wr) -> None:

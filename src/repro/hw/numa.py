@@ -109,9 +109,3 @@ class NumaTopology:
         stream = nbytes / self.params.pcie_bandwidth_Bns
         slowdown = stream * (1.0 / self.params.cross_dma_bw_factor - 1.0)
         return base + slowdown + self.cross_penalty(device_socket, mem_socket)
-
-    def mmio_time(self, core_socket: int, device_socket: int) -> float:
-        """Doorbell MMIO from a core to a device, ns."""
-        self._check(core_socket)
-        self._check(device_socket)
-        return self._mmio[core_socket][device_socket]

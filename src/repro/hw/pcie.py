@@ -74,10 +74,3 @@ class PcieLink:
             self._bus.release()
         self.dma_bytes += nbytes
         self.dma_count += 1
-
-    def mmio_time(self, core_socket: int) -> float:
-        """CPU-side cost of ringing this device's doorbell from a core."""
-        return self.topology.mmio_time(core_socket, self.socket)
-
-    def utilization(self) -> float:
-        return self._bus.utilization()

@@ -258,10 +258,7 @@ class Event:
             return False
         self._cancelled = True
         self.callbacks = None  # free waiter closures NOW, not at fire time
-        sim = self.sim
-        sim.events_cancelled += 1
-        if sim.check is not None:
-            sim.check.on_cancel(self)
+        self.sim.events_cancelled += 1
         return True
 
     # -- internal ---------------------------------------------------------

@@ -232,8 +232,8 @@ class ExpressState:
 
         Topology-level eligibility is decided once, here: only the plain
         single-switch fabric has closed-form routes, and DCQCN pacing is
-        inherently stateful.  ``REPRO_EXPRESS=0`` disables the lane for
-        A/B equivalence runs.
+        inherently stateful.  ``REPRO_EXPRESS=0`` disables the lane (the
+        lane differential, :mod:`repro.check.differential`, sets it).
         """
         sim = cluster.sim
         state = sim.express

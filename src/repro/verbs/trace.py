@@ -73,9 +73,6 @@ class OpRecord:
     def latency_ns(self) -> float:
         return self.end_ns - self.start_ns
 
-    def stage(self, name: str) -> float:
-        return self.stages.get(name, 0.0)
-
 
 class OpTracer:
     """Collects OpRecords and aggregates per-stage statistics."""

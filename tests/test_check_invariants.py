@@ -11,6 +11,10 @@ Three layers:
   enabling a sanitizer is schedule-neutral (bit-identical dispatch).
 """
 
+import io
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from repro import build
@@ -18,6 +22,7 @@ from repro.check import (
     CHECKER_NAMES,
     CheckViolationError,
     Sanitizer,
+    differential,
     with_checkers,
 )
 from repro.core import IoConsolidator, RemoteSequencer, RemoteSpinLock, RpcSpinLock
@@ -477,15 +482,13 @@ def test_report_render_and_cap():
 
 # --------------------------------------------------------------- neutrality
 
-@pytest.mark.parametrize("lane", ["0", "1"], ids=["stepped", "express"])
-def test_sanitizer_is_schedule_neutral(lane, monkeypatch):
+@pytest.mark.parametrize("express", [False, True], ids=["stepped", "express"])
+def test_sanitizer_is_schedule_neutral(express):
     """The exact dispatch timeline is bit-identical with checkers on, on
-    the stepped pipeline (``REPRO_EXPRESS=0``) and on the express lane."""
-    monkeypatch.setenv("REPRO_EXPRESS", lane)
-
+    the stepped pipeline and on the express lane."""
     def timeline(with_sanitizer):
-        sim, cluster, ctx = build(machines=4,
-                                  params=HardwareParams(retry_cnt=2))
+        sim, cluster, ctx = differential.run(lambda: build(
+            machines=4, params=HardwareParams(retry_cnt=2)), express).value
         events = []
         sim.trace_dispatch = lambda when, prio, seq: \
             events.append((when, prio, seq))
@@ -502,7 +505,7 @@ def test_sanitizer_is_schedule_neutral(lane, monkeypatch):
     assert base_events == san_events
     # The comparison has teeth: the lane fuses several stepped events
     # into one wake (897 dispatches against the stepped lane's > 1000).
-    assert len(base_events) > (1000 if lane == "0" else 800)
+    assert len(base_events) > (800 if express else 1000)
 
 
 # ------------------------------------------------------ lane differential
@@ -514,16 +517,11 @@ def test_completions_digest_counts_every_completion_and_ignores_qp_ids():
     def digest(qp_ids):
         sim, cluster, ctx = build(machines=2)
         san = Sanitizer(sim, checkers=("completions",))
-
-        class Qp:
-            def __init__(self, qp_id):
-                self.qp_id = qp_id
-
         for k, qp_id in enumerate(qp_ids):
             comp = Completion(wr_id=k, opcode=Opcode.WRITE,
                               status=CompletionStatus.SUCCESS,
                               timestamp_ns=100.0 * k, byte_len=8)
-            san.on_completed(Qp(qp_id), None, comp)
+            san.on_completed(SimpleNamespace(qp_id=qp_id), None, comp)
         report = san.finalize()
         assert report.ok
         return san.completions.digest, san.completions.count
@@ -553,28 +551,57 @@ def _overlap_defect() -> Sanitizer:
 
 
 def test_overlap_defect_is_reported_identically_on_both_lanes():
-    from repro.check.runner import run_lane
-
-    stepped = run_lane(_overlap_defect, express=False)
-    express = run_lane(_overlap_defect, express=True)
-    assert (stepped["stepped"], express["express"]) == (2, 2)
-    assert stepped["report"].counts == {"overlap": 1}
-    assert express["report"].violations == stepped["report"].violations
-    assert express["digest"] == stepped["digest"]
+    stepped = differential.run(_overlap_defect, express=False)
+    express = differential.run(_overlap_defect, express=True)
+    assert (stepped.stepped, express.express) == (2, 2)
+    report = stepped.value.finalize()
+    assert report.counts == {"overlap": 1}
+    assert express.value.finalize().violations == report.violations
+    assert differential.compare(_overlap_defect, stepped, express) is None
 
 
 def test_a_lane_defect_no_checker_sees_fails_the_differential(monkeypatch):
     """Seeded mutation: the lane reports every completion with
     ``retries=0``.  Each lane is clean under every checker; only the
-    completion digests differ."""
+    completion digests differ, and the printed first divergence is a
+    completion whose rows differ in ``retries`` alone."""
     from repro.check.runner import run_scenario
     from repro.verbs import express
 
     monkeypatch.setattr(express, "Completion",
                         lambda **kw: Completion(**{**kw, "retries": 0}))
-    report = run_scenario("chaos")
+    out = io.StringIO()
+    report = run_scenario("chaos", out=out)
     assert [v.checker for v in report.violations] == ["lanes"]
     assert "completion digests differ" in report.violations[0].message
+    assert "first divergence: simulator 0, completion #" in out.getvalue()
+    stepped, lane = (dict(f.split("=", 1) for f in row.split()) for row in
+                     re.findall(r"(?:stepped|express): (qp=.*)", out.getvalue()))
+    assert {k for k in stepped if stepped[k] != lane[k]} == {"retries"}
+    assert lane["retries"] == "0" != stepped["retries"]
+
+
+def test_express_ab_passes_breakdown_through_the_differential(
+        capsys, monkeypatch):
+    """``tools/express_ab.py breakdown`` runs the target once per lane
+    through the lane differential and finds equal tables and equal
+    completion digests for both of its simulators."""
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "express_ab", Path(__file__).parents[1] / "tools" / "express_ab.py")
+    express_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(express_ab)
+    lanes = []
+    run = differential.run
+    monkeypatch.setattr(differential, "run", lambda fn, express: (
+        lanes.append(express), run(fn, express))[1])
+    assert express_ab.main(["breakdown"]) == 0
+    assert lanes == [False, True]
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.split()[:2] == ["breakdown", "OK"]
+    assert line.endswith("sims 2")
 
 
 @pytest.mark.parametrize("name", ["hashtable", "shuffle", "join", "dlog",
@@ -583,9 +610,10 @@ def test_check_scenarios_run_on_the_lane(name):
     """Every single-switch ``make check`` scenario books its WRs on the
     express lane: none posts a SEND or traces a QP, so a WR that steps
     means a new lane term turned the lane off under the checkers."""
-    from repro.check.runner import SCENARIOS, run_lane
+    from repro.check.runner import SCENARIOS
 
-    run = run_lane(SCENARIOS[name], express=True)
-    assert run["report"].ok, run["report"].render()
-    assert run["express"] > 0
-    assert run["stepped"] == 0
+    run = differential.run(SCENARIOS[name], express=True)
+    report = run.value.finalize()
+    assert report.ok, report.render()
+    assert run.express > 0
+    assert run.stepped == 0

@@ -9,6 +9,7 @@ others stay, in FIFO order.  A bare ``yield done`` reaps nothing.
 import pytest
 
 from repro import build
+from repro.check import differential
 from repro.hw.params import ServiceConfig, TenantSpec
 from repro.tenancy import ServicePlane
 from repro.verbs import CompletionQueue, Opcode, Sge, Worker, WorkRequest
@@ -194,10 +195,10 @@ def test_tenanted_op_is_reaped_and_a_rejected_one_never_queues():
     assert not sim.cqes
 
 
-def _lane_mix(monkeypatch, express: str) -> tuple:
-    monkeypatch.setenv("REPRO_EXPRESS", express)
-    sim, cluster, ctx = build(machines=2)
-    assert (sim.express is not None) == (express == "1")
+def _lane_mix(express: bool) -> tuple:
+    sim, cluster, ctx = differential.run(
+        lambda: build(machines=2), express).value
+    assert (sim.express is not None) == express
     lmr = ctx.register(0, 1 << 16)
     rmr = ctx.register(1, 1 << 16)
     qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1, local_port=1)]
@@ -226,8 +227,8 @@ def _lane_mix(monkeypatch, express: str) -> tuple:
                  ) + (tuple(got), sim.now)
 
 
-def test_lanes_agree_on_cq_counts(monkeypatch):
-    stepped = _lane_mix(monkeypatch, "0")
-    express = _lane_mix(monkeypatch, "1")
+def test_lanes_agree_on_cq_counts():
+    stepped = _lane_mix(express=False)
+    express = _lane_mix(express=True)
     assert stepped == express
     assert stepped[0][2] > 0  # bare-yield CQEs stayed queued

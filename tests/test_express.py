@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro import build
-from repro.check import Sanitizer
+from repro.check import Sanitizer, differential
 from repro.hw.faults import FaultInjector
 from repro.sim import make_rng
 from repro.verbs import Worker
@@ -60,30 +60,42 @@ def _row(comp) -> tuple:
             comp.byte_len, comp.status.value, comp.retries)
 
 
-def _transport(ctx) -> dict:
-    """RC transport counters summed over every QP and port of a run."""
+def _mix_rig(express: bool) -> tuple:
+    """(sim, ctx, lmr, rmr, qps): two machines on one lane, a filled 32 KB
+    local region, a 32 KB remote one and two QPs from machine 0 to 1."""
+    sim, cluster, ctx = differential.run(
+        lambda: build(machines=2), express).value
+    lmr = ctx.register(0, 1 << 15)
+    rmr = ctx.register(1, 1 << 15)
+    lmr.write(0, bytes(range(256)) * (lmr.size // 256))
+    return sim, ctx, lmr, rmr, [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+
+
+def _outcome(sim, ctx, lmr, rmr, log, posts) -> dict:
+    """A mix's completion log, both memories, the clock, RC transport
+    counters over every QP and port, and its post calls."""
     ports = [p for m in ctx.cluster for p in m.ports]
     return {
-        "retransmissions": sum(q.retransmissions for q in ctx.qps),
-        "flushed_wrs": sum(q.flushed_wrs for q in ctx.qps),
-        "fatal_errors": sum(q.fatal_errors for q in ctx.qps),
-        "reconnects": sum(q.reconnects for q in ctx.qps),
-        "packets_dropped": sum(p.packets_dropped for p in ports),
+        "log": log,
+        "rmem": rmr.read(0, rmr.size),
+        "lmem": lmr.read(0, lmr.size),
+        "now": sim.now,
+        "transport": {
+            "retransmissions": sum(q.retransmissions for q in ctx.qps),
+            "flushed_wrs": sum(q.flushed_wrs for q in ctx.qps),
+            "fatal_errors": sum(q.fatal_errors for q in ctx.qps),
+            "reconnects": sum(q.reconnects for q in ctx.qps),
+            "packets_dropped": sum(p.packets_dropped for p in ports),
+        },
+        "posts": len(posts),
     }
 
 
 def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
              batch: int = 0, trigger=None) -> tuple[dict, int, object]:
     """Drive a seeded random op mix; returns (comparable outcome,
-    events dispatched, the sim's express state or None).  The outcome's
-    ``posts`` counts the client's post calls."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_EXPRESS", "1" if express else "0")
-        sim, cluster, ctx = build(machines=2)
-    lmr = ctx.register(0, 1 << 15)
-    rmr = ctx.register(1, 1 << 15)
-    lmr.write(0, bytes(range(256)) * (lmr.size // 256))
-    qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    events dispatched, the sim's express state or None)."""
+    sim, ctx, lmr, rmr, qps = _mix_rig(express)
     w = Worker(ctx, 0)
     rng = random.Random(seed)
     log: list[tuple] = []
@@ -117,17 +129,9 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
             comp = yield from w.wait(ev)
             log.append(_row(comp))
 
-    p = sim.process(client())
-    sim.run(until=p)
-    outcome = {
-        "log": log,
-        "rmem": rmr.read(0, rmr.size),
-        "lmem": lmr.read(0, lmr.size),
-        "now": sim.now,
-        "transport": _transport(ctx),
-        "posts": len(posts),
-    }
-    return outcome, sim.events_processed, sim.express
+    sim.run(until=sim.process(client()))
+    return (_outcome(sim, ctx, lmr, rmr, log, posts), sim.events_processed,
+            sim.express)
 
 
 @contextlib.contextmanager
@@ -196,7 +200,7 @@ INLINE = {b for b in BRANCHES if b[1] == "inline"}
 @pytest.mark.parametrize("seed", range(6))
 def test_express_equals_stepped_random_mix(seed):
     stepped, ev_stepped, exp = _run_mix(seed, express=False)
-    assert exp is None  # REPRO_EXPRESS=0 never attaches the lane
+    assert exp is None  # the stepped run never attaches the lane
     with _counted_posts() as posts, _counted_branches() as branches:
         express, ev_express, exp = _run_mix(seed, express=True)
     assert exp is not None
@@ -247,9 +251,8 @@ def test_idle_rig_runs_tail_wakes_in_place():
     completion log and memories still equal the stepped lane's
     (``REPRO_EXPRESS=0``)."""
     def run(express: bool):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_EXPRESS", "1" if express else "0")
-            sim, cluster, ctx = build(machines=2)
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=2), express).value
         lmr = ctx.register(0, 8192)
         rmr = ctx.register(1, 8192)
         lmr.write(0, bytes(range(256)) * 32)
@@ -294,10 +297,10 @@ def _serve(tail: bool) -> tuple[dict, object]:
                             OpenLoopGenerator, preload_table)
     from repro.tenancy import ServicePlane
 
-    with pytest.MonkeyPatch.context() as mp, _counted_posts() as posts, (
+    with _counted_posts() as posts, (
             contextlib.nullcontext() if tail else always_push()):
-        mp.setenv("REPRO_EXPRESS", "1")
-        sim, cluster, ctx = build(machines=3)
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=3), express=True).value
         timeline = []
         sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
         plane = ServicePlane(ctx, ServiceConfig(tenants=(
@@ -389,7 +392,7 @@ def _counted_posts():
         yield posts
 
 
-def _check_flip(trigger, steps_after=True) -> tuple[int, int]:
+def _check_flip(trigger) -> tuple[int, int]:
     """Fire ``trigger`` at op 60 on both lanes over FLIP_RUNS.
 
     Every run must match the all-stepped reference run with the same
@@ -397,9 +400,7 @@ def _check_flip(trigger, steps_after=True) -> tuple[int, int]:
     transport counters.  Returns (runs whose lane kept taking posts
     after the flip, retransmissions summed over the lane runs).
     """
-    diverged = []
-    resumed = 0
-    retransmissions = 0
+    resumed = retransmissions = 0
     with _counted_posts() as posts:
         for seed, batch in FLIP_RUNS:
             at = {}
@@ -414,20 +415,13 @@ def _check_flip(trigger, steps_after=True) -> tuple[int, int]:
             outcome, _, _ = _run_mix(seed, express=True, batch=batch,
                                      trigger=fire)
             assert 0 < at["n"], "the lane never ran before the flip"
-            if steps_after:
-                assert len(posts) == at["n"], "express post after the flip"
-            else:
-                resumed += len(posts) > at["n"]
+            resumed += len(posts) > at["n"]
             retransmissions += outcome["transport"]["retransmissions"]
             log = outcome["log"]
             assert sorted(r[0] for r in log) == list(range(len(log)))
             assert len(log) >= 120
             assert {r[5] for r in log} == {CompletionStatus.SUCCESS.value}
-            if outcome != reference:
-                diverged.append((seed, batch))
-    assert not diverged, (
-        f"{len(diverged)} of {len(FLIP_RUNS)} runs diverged from the "
-        f"all-stepped reference: {diverged}")
+            assert outcome == reference, (seed, batch)
     return resumed, retransmissions
 
 
@@ -476,7 +470,7 @@ def test_port_fault_armed_mid_run_stays_on_lane(fault):
     the stepped path samples it: express ops in flight pay it from the
     instant it is armed, and posts keep taking the lane after it."""
     trigger, lossy = MID_RUN_FAULTS[fault]
-    resumed, retransmissions = _check_flip(trigger, steps_after=False)
+    resumed, retransmissions = _check_flip(trigger)
     assert resumed == len(FLIP_RUNS)
     assert (retransmissions > 0) == lossy
 
@@ -491,7 +485,7 @@ def test_tracer_attached_mid_run_keeps_the_lane():
         tracers.append(OpTracer())
         ctx.attach_tracer(tracers[-1])
 
-    resumed, _ = _check_flip(attach, steps_after=False)
+    resumed, _ = _check_flip(attach)
     assert resumed == len(FLIP_RUNS)
     records = [_records(tracer) for tracer in tracers]
     assert all(records)
@@ -504,8 +498,7 @@ def test_sanitizer_attached_mid_run_keeps_the_lane():
     in every run."""
     sanitizers = []
     resumed, _ = _check_flip(
-        lambda sim, ctx: sanitizers.append(Sanitizer(sim)),
-        steps_after=False)
+        lambda sim, ctx: sanitizers.append(Sanitizer(sim)))
     assert resumed == len(FLIP_RUNS)
     # Installed mid-run, the checkers see completions of WRs posted
     # before them; both lanes must report exactly the same findings.
@@ -517,7 +510,7 @@ def test_sanitizer_attached_mid_run_keeps_the_lane():
 def test_send_mid_run_steps_alone():
     """A SEND steps but poisons nothing: once the stepped WRs behind it
     drain, one-sided posts ride the lane again, mixed with stepped ones."""
-    assert _check_flip(_send_one, steps_after=False)[0] > 0
+    assert _check_flip(_send_one)[0] > 0
     sim, cluster, ctx = build(machines=2)
     lmr = ctx.register(0, 4096)
     rmr = ctx.register(1, 4096)
@@ -542,9 +535,8 @@ def test_stepped_fence_orders_a_shared_responder_port():
     fence, the two same-instant WRITEs swap FIFO order at the shared rx
     unit and the logs split at the 1st completion."""
     def run(express: bool):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_EXPRESS", "1" if express else "0")
-            sim, cluster, ctx = build(machines=3)
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=3), express).value
         rmr = ctx.register(2, 1 << 14)
         sending = ctx.create_qp(0, 2)
         plain = ctx.create_qp(1, 2)
@@ -593,13 +585,7 @@ def _run_lossy(express: bool, seed: int, batch: int = 3,
     (ns), an OpTracer attaches to the context at that instant (0: before
     the first post) and the outcome carries its records; the second QP
     tags its records.  Returns (outcome, events)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_EXPRESS", "1" if express else "0")
-        sim, cluster, ctx = build(machines=2)
-    lmr = ctx.register(0, 1 << 15)
-    rmr = ctx.register(1, 1 << 15)
-    lmr.write(0, bytes(range(256)) * (lmr.size // 256))
-    qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    sim, ctx, lmr, rmr, qps = _mix_rig(express)
     qps[1].trace_tags = {"client": 1}
     tracer = OpTracer()
     if trace_from == 0:
@@ -639,16 +625,8 @@ def _run_lossy(express: bool, seed: int, batch: int = 3,
 
     sim.run(until=sim.all_of([sim.process(client(qp, 1_000 * k))
                               for k, qp in enumerate(qps)]))
-    outcome = {
-        "log": log,
-        "rmem": rmr.read(0, rmr.size),
-        "lmem": lmr.read(0, lmr.size),
-        "now": sim.now,
-        "transport": _transport(ctx),
-        "posts": len(posts),
-        "records": _records(tracer),
-    }
-    return outcome, sim.events_processed
+    return ({**_outcome(sim, ctx, lmr, rmr, log, posts),
+             "records": _records(tracer)}, sim.events_processed)
 
 
 def _records(tracer) -> list[tuple]:
@@ -767,9 +745,8 @@ def test_a_wr_is_traced_from_its_post():
     posts, in the same dispatch, misses the single WRITE and traces the
     batch, whose records start after the fetch with a zero wqe_fetch."""
     def run(express: bool) -> list[tuple]:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_EXPRESS", "1" if express else "0")
-            sim, cluster, ctx = build(machines=2)
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=2), express).value
         lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
         qp = ctx.create_qp(0, 1)
         tracer = OpTracer()
@@ -932,17 +909,17 @@ def test_closed_loop_retained_bytes_flat_in_run_length():
     assert after_4n - after_n <= bound, (after_n, after_4n)
 
 
-def _step_reason_rig(reason: str, monkeypatch):
+def _step_reason_rig(reason: str):
     """A rig whose next WRITE steps for ``reason``; returns (sim, ctx,
     qp, worker, lmr, rmr).  ``stepped_fence`` and ``unseen_prev`` set up
     their predecessor in the test body."""
     from repro.hw import HardwareParams
 
-    if reason == "lane_off":
-        monkeypatch.setenv("REPRO_EXPRESS", "0")
     params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
     topology = "leaf-spine" if reason == "queued_route" else "single"
-    sim, cluster, ctx = build(machines=2, params=params, topology=topology)
+    sim, cluster, ctx = differential.run(lambda: build(
+        machines=2, params=params, topology=topology),
+        express=reason != "lane_off").value
     lmr = ctx.register(0, 4096)
     rmr = ctx.register(1, 4096)
     return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
@@ -951,13 +928,12 @@ def _step_reason_rig(reason: str, monkeypatch):
 @pytest.mark.parametrize("reason", [
     "lane_off", "send", "stepped_fence", "queued_route", "dcqcn",
     "unseen_prev"])
-def test_each_stepped_post_counts_the_first_term_that_failed(
-        reason, monkeypatch):
+def test_each_stepped_post_counts_the_first_term_that_failed(reason):
     """One scenario per ``STEP_REASONS`` entry: the post that steps adds
     one to its reason and nothing else; the lane adds to none."""
     from repro.verbs.qp import STEP_REASONS, tally
 
-    sim, ctx, qp, w, lmr, rmr = _step_reason_rig(reason, monkeypatch)
+    sim, ctx, qp, w, lmr, rmr = _step_reason_rig(reason)
     write = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
                         remote_offset=0, move_data=False)
     assert set(tally.stepped) == set(STEP_REASONS)

@@ -20,7 +20,7 @@ import pytest
 from repro import build
 from repro.bench import ext9_fabric_scale as ext9
 from repro.bench.runner import write_wr
-from repro.check import Sanitizer
+from repro.check import Sanitizer, differential
 from repro.hw import FaultInjector, HardwareParams
 from repro.hw.fabric import (
     ClosFabric,
@@ -59,10 +59,10 @@ def _drain(gen):
 
 # ------------------------------------------------------ schedule identity
 
-def test_single_switch_schedule_identical_to_pre_fabric(monkeypatch):
+def test_single_switch_schedule_identical_to_pre_fabric():
     # The pins are the stepped pipeline's pre-fabric timeline.
-    monkeypatch.setenv("REPRO_EXPRESS", "0")
-    sim, cluster, ctx = build(machines=3)
+    sim, cluster, ctx = differential.run(
+        lambda: build(machines=3), express=False).value
     timeline = []
     sim.trace_dispatch = lambda t, p, s: timeline.append((t, p, s))
     lmr = ctx.register(0, 1 << 16)

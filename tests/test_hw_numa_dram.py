@@ -68,9 +68,10 @@ def test_cross_dma_bandwidth_throttled(topo):
 
 
 def test_mmio_time(topo):
+    """The doorbell cost table ``Worker`` charges a post from."""
     p = HardwareParams()
-    assert topo.mmio_time(1, 1) == p.mmio_ns
-    assert topo.mmio_time(0, 1) == p.mmio_ns + p.qpi_hop_ns
+    assert topo._mmio[1][1] == p.mmio_ns
+    assert topo._mmio[0][1] == p.mmio_ns + p.qpi_hop_ns
 
 
 def test_local_seq_write_faster_than_random(dram):

@@ -5,6 +5,7 @@ and reconnect/failover recovery."""
 import pytest
 
 from repro import build
+from repro.check import differential
 from repro.hw import FaultInjector, HardwareParams
 from repro.sim import make_rng
 from repro.verbs import (
@@ -110,15 +111,15 @@ def test_single_loss_retries_and_succeeds():
     assert qp.state is QPState.RTS
 
 
-def test_backoff_sequence_is_truncated_exponential(monkeypatch):
+def test_backoff_sequence_is_truncated_exponential():
     """The retrans trace stage accumulates exactly t, 2t, ... capped, as
     the express lane stamps it (a traced WR keeps the lane)."""
     from repro.verbs.qp import tally
 
-    monkeypatch.setenv("REPRO_EXPRESS", "1")
     params = HardwareParams(retrans_timeout_ns=1_000.0, retrans_backoff=2.0,
                             retrans_timeout_cap_ns=3_000.0, retry_cnt=2)
-    sim, ctx, qp, w, lmr, rmr = _rig(params)
+    sim, ctx, qp, w, lmr, rmr = differential.run(
+        lambda: _rig(params), express=True).value
     tracer = OpTracer()
     qp.tracer = tracer
     FaultInjector(sim).port_down(qp.local_port)

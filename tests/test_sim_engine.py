@@ -298,6 +298,42 @@ def test_stale_wakeup_after_interrupt_ignored():
     assert trace == [("interrupted", 10), ("resumed", 510)]
 
 
+@pytest.mark.parametrize("probe", ["peek", "step"])
+def test_interrupted_bare_sleeper_is_a_tombstone_to_peek_and_step(probe):
+    """An interrupted bare-delay sleeper leaves its marker on the heap,
+    detached.  Stepped by hand (no ``run()``), with that marker at t=100
+    on top and the process's next sleep at t=160 behind it, ``peek()``
+    drops it and reports 160, and ``step()`` skips it and resumes the
+    sleeper at 160 without stopping at 100."""
+    sim = Simulator()
+    trace = []
+
+    def sleeper():
+        try:
+            yield 100.0
+        except Interrupt:
+            trace.append(("interrupted", sim.now))
+        yield 150.0
+        trace.append(("resumed", sim.now))
+
+    def interrupter(target):
+        yield 10.0
+        target.interrupt()
+
+    p = sim.process(sleeper())
+    sim.process(interrupter(p))
+    while sim._heap[0][0] < 100.0:
+        sim.step()
+    assert trace == [("interrupted", 10.0)] and sim.events_cancelled == 1
+    assert sorted(when for when, _, _, _ in sim._heap) == [100.0, 160.0]
+    if probe == "peek":
+        assert sim.peek() == 160.0
+        assert len(sim._heap) == 1
+    sim.step()
+    assert trace == [("interrupted", 10.0), ("resumed", 160.0)]
+    assert sim.now == 160.0
+
+
 def test_process_requires_generator():
     sim = Simulator()
 
@@ -470,9 +506,6 @@ class _Recorder:
 
     def on_dispatch(self, when):  # the sanitizer hook's signature
         self.checked.append(when)
-
-    def on_cancel(self, event):  # the sanitizer hook's signature
-        pass
 
     def mark(self, name):
         """A wake callback appending ``(name, now)`` to the log."""
