@@ -130,6 +130,9 @@ class CompletionsChecker:
     Raises no violations."""
 
     name = "completions"
+    #: A :meth:`row`'s fields (``qp``: the QP's first-completion index).
+    FIELDS = ("qp", "wr_id", "opcode", "status", "timestamp_ns", "value",
+              "byte_len", "retries")
 
     def __init__(self, san):
         self.count = 0
@@ -145,9 +148,8 @@ class CompletionsChecker:
         self.count += 1
 
     def row(self, qp, comp) -> tuple:
-        """``comp`` as the digest folds it: QP index in first-completion
-        order, ``wr_id``, opcode, status, ``repr(timestamp_ns)``, value,
-        ``byte_len``, retries (the lane differential logs these)."""
+        """``comp`` as the digest folds it, one value per :attr:`FIELDS`
+        entry (the lane differential logs these)."""
         return (self._qps.setdefault(qp.qp_id, len(self._qps)), comp.wr_id,
                 comp.opcode.value, comp.status.value, comp.timestamp_ns,
                 comp.value, comp.byte_len, comp.retries)

@@ -19,17 +19,13 @@ import os
 from typing import Any, Callable, NamedTuple, Optional
 from unittest import mock
 
+from repro.check.checkers import CompletionsChecker
 from repro.check.sanitizer import Sanitizer
 from repro.sim.engine import Simulator
 from repro.verbs import mr as mr_module
 from repro.verbs import qp as qp_module
 
 __all__ = ["LaneRun", "compare", "run"]
-
-#: The fields of a ``CompletionsChecker.row``.
-ROW_FIELDS = ("qp", "wr_id", "opcode", "status", "timestamp_ns", "value",
-              "byte_len", "retries")
-
 
 class LaneRun(NamedTuple):
     """``fn``'s value, each simulator's completion digest (first-run
@@ -116,5 +112,6 @@ def compare(fn: Callable[[], Any], stepped: LaneRun,
     for name, rows in zip(("stepped", "express"), logs):
         row = rows[at] if at < len(rows) else ()
         lines.append(f"  {name}: " + (" ".join(map(
-            "{}={}".format, ROW_FIELDS, row)) or "(no completion)"))
+            "{}={}".format, CompletionsChecker.FIELDS, row))
+            or "(no completion)"))
     return "\n".join(lines)
