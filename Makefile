@@ -52,14 +52,16 @@ express-ab:
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean
-# git-archive copies; fails if a pair's digest or event count differs
+# git-archive copies; fails if a pair's digest differs or a side's event
+# count changes from rep to rep, and prints each side's events_per_op
 # (tools/rss_ab.py --help for other revisions, workloads and scales).
 rss-ab:
 	$(PY) tools/rss_ab.py
 
 # Host-throughput A/B (~10 min): the same tool on serve_bursty at scale
 # 0.25, ten pairs; prints each metric's wins and a verdict line (a gain
-# needs >= 9/10 wins and a median gap beyond the base's IQR).
+# needs >= 9/10 wins and a median gap beyond the base's IQR), then each
+# side's events_per_op, which may differ when the change removes events.
 host-ab:
 	$(PY) tools/rss_ab.py --workload serve_bursty --pairs 10
 

@@ -21,6 +21,10 @@ campaign run serially and through a 4-worker pool; see
 * ``table_digest`` — a SHA-256 of the rendered table text, which may
   never change; the cheap paper tables (``TABLE_ROWS``, full run only)
   are gated on it, their event counts and schedule digests,
+* ``completions_digest`` — (``make perf`` only, on scenarios that
+  complete verbs ops) a SHA-256 over every simulator's completion
+  digest from :mod:`repro.check.differential`, taken in the census's
+  untimed event-counting run; it may never change either,
 * ``metrics`` — numbers excluded from the digest.  Every scenario that
   completes verbs ops (``repro.verbs.qp.tally``) records
   ``events_per_op`` and ``cycles_per_op``

@@ -47,7 +47,8 @@ the tracemalloc peak of a third, untimed run
 (:func:`~repro.bench.perf.harness.traced_peak_kb`).  The printed census
 is informational, but each ``make perf`` row records the per-op events
 and calls by layer (:func:`layer_rows`) and gates them against a rise,
-next to its own ``express_frac`` and ``traced_peak_kb``.
+next to its own ``express_frac`` and ``traced_peak_kb``, and the
+completion digests of the event-counting run as ``completions_digest``.
 """
 
 from __future__ import annotations
@@ -194,30 +195,41 @@ def _ops_of(run: Callable[[], object]) -> int:
     return tally.completions - ops_before
 
 
-def events_by_layer(name: str) -> tuple[Counter, int]:
+def events_by_layer(name: str) -> tuple[Counter, int, list[str]]:
     """Dispatched events by layer in one run of perf scenario ``name``
-    under the counting wrappers, and the ops the run completed."""
+    under the counting wrappers, the ops the run completed, and each
+    simulator's completion digest.  The run goes through the lane
+    differential (:func:`repro.check.differential.run`: ids numbered
+    from 1, a completions-only sanitizer on each simulator), which
+    schedules no event, on the lane the timed run takes: the express
+    lane unless ``REPRO_EXPRESS=0``.  Simulators in forked campaign
+    workers are not digested."""
     from repro.bench.perf.harness import SCENARIOS
+    from repro.check import differential
 
+    express = os.environ.get("REPRO_EXPRESS", "1") != "0"
     with _counting() as (counts, _in_place):
-        ops = _ops_of(SCENARIOS[name])
-    return counts, ops
+        lane = differential.run(functools.partial(_ops_of, SCENARIOS[name]),
+                                express)
+    return counts, lane.value, lane.digests
 
 
-def layer_rows(name: str) -> dict:
+def layer_rows(name: str) -> tuple[dict, list[str]]:
     """The gated per-layer rows of a ``make perf`` scenario:
     ``events_by_layer`` and ``calls_by_layer``, per completed op, from
     one untimed run under :func:`events_by_layer` and one under
-    :func:`calls_by_layer`.  Layers with no count are left out."""
-    events, ops = events_by_layer(name)
+    :func:`calls_by_layer`; layers with no count are left out.  Also
+    the first run's completion digests."""
+    events, ops, digests = events_by_layer(name)
     calls, calls_ops = calls_by_layer(name)
     if not ops or calls_ops != ops:
         raise RuntimeError(f"{name}: the census runs completed {ops} and "
                            f"{calls_ops} ops")
-    return {"events_by_layer": {layer: round(events[layer] / ops, 2)
-                                for layer in LAYERS if events[layer]},
-            "calls_by_layer": {layer: round(calls[layer] / ops, 1)
-                               for layer in LAYERS if calls[layer]}}
+    return ({"events_by_layer": {layer: round(events[layer] / ops, 2)
+                                 for layer in LAYERS if events[layer]},
+             "calls_by_layer": {layer: round(calls[layer] / ops, 1)
+                                for layer in LAYERS if calls[layer]}},
+            digests)
 
 
 def calls_by_layer(name: str) -> tuple[Counter, int]:

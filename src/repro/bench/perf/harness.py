@@ -293,14 +293,20 @@ def run_scenarios(names: Optional[list[str]] = None,
             metrics["express_frac"] = round(1.0 - stepped / ops, 4)
         if traced:
             metrics["traced_peak_kb"] = traced_peak_kb(fn)
+        completions = None
         if layers and ops:
-            metrics.update(census.layer_rows(name))
+            rows, completions = census.layer_rows(name)
+            metrics.update(rows)
         row = {
             "wall_s": round(wall, 4),
             "events": events,
             "events_per_sec": round(events / wall) if wall > 0 else 0,
             "digest": _digest(outcome),
         }
+        if completions is not None:
+            # Every completion of every simulator: moves on a per-WR
+            # change that no table shows.
+            row["completions_digest"] = _digest(completions)
         if table is not None:
             row["table_digest"] = hashlib.sha256(
                 table.encode()).hexdigest()
@@ -331,6 +337,11 @@ def check(baseline: dict, current: dict,
       This is never legitimate: every optimization (including ones that
       change the event schedule) must leave the assembled tables
       bit-identical;
+    * a *completions* digest mismatch — some WR completed differently
+      (:mod:`repro.check.differential`'s digest of every completion, from
+      the census's event-counting run; only when both sides recorded
+      it).  Never legitimate for an optimization, even when every table
+      holds;
     * a *schedule* digest mismatch — the dispatched-event timeline
       changed.  Legitimate only when the event count moved deliberately
       (e.g. an event-elision optimization like the express lane); then
@@ -383,6 +394,14 @@ def check(baseline: dict, current: dict,
                 f"({b['table_digest'][:12]} -> {c['table_digest'][:12]}) "
                 "— the rendered bench output moved; this is an output "
                 "regression and never a legitimate baseline refresh")
+        if ("completions_digest" in b and "completions_digest" in c
+                and c["completions_digest"] != b["completions_digest"]):
+            failures.append(
+                f"{name}: COMPLETIONS digest changed "
+                f"({b['completions_digest'][:12]} -> "
+                f"{c['completions_digest'][:12]}) — some WR completed "
+                "differently (status, time, value or order), even if no "
+                "table shows it")
         if c["digest"] != b["digest"]:
             if c["events"] != b["events"]:
                 failures.append(

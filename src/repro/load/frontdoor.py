@@ -170,6 +170,9 @@ class KvFrontDoor:
             if gate.in_use < gate.capacity:
                 gate.claim(None)  # free: granted now, no wake to wait for
             else:
+                # A grant stays scheduled (succeed, not fire): the new
+                # holder runs after what is already queued at this
+                # instant.  Inline grants moved the multi-tenant example.
                 granted = self.plane.sim.event()
                 gate.claim(granted.succeed)
                 yield granted

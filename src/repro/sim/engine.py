@@ -62,6 +62,10 @@ The enqueue order — one global ``_seq`` incremented per scheduled event,
 keys ``(now + delay, priority, seq)`` — is untouched by all of the above,
 which is what the schedule-identity tests in ``tests/test_perf_harness.py``
 pin down.
+
+:meth:`Event.fire` is the one trigger that schedules nothing: a caller
+that uses it chooses to run the event's waiters ahead of the entries
+already queued at this instant.
 """
 
 from __future__ import annotations
@@ -220,6 +224,25 @@ class Event:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         sim._park((sim.now + delay, NORMAL, seq, self))
+        return self
+
+    def fire(self, value: Any = None) -> "Event":
+        """Mark the event successful and run its callbacks now, inside
+        the current dispatch.
+
+        For an outcome the running dispatch has decided and that only
+        has to reach its waiters, never for a grant: no heap entry, no
+        sequence number, and no count in ``events_processed`` or
+        ``events_in_place``.  A waiting process resumes before any entry
+        already scheduled at this instant; ``succeed`` keeps the
+        scheduled order.
+        """
+        if self._triggered or self._cancelled:
+            raise SimulationError(f"{self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self._run_callbacks()
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":

@@ -12,7 +12,11 @@ tenant-tagged QP is mediated:
    gated) until granted a service slot; ops whose deadline lapses while
    queued are shed with the same explicit status;
 4. the op runs the ordinary hardware pipeline; on completion the slot is
-   returned and per-tenant SLO metrics are recorded.
+   returned, per-tenant SLO metrics are recorded, and the completion
+   reaches the waiter inside that same dispatch (``Event.fire``: a
+   decided outcome takes no second dispatch).  A REJECTED completion,
+   from admission or a deadline shed, is delivered the same way.  Grants
+   stay scheduled.
 
 Ops on untenanted QPs bypass the plane entirely — attaching a plane
 changes nothing for existing single-tenant code.
@@ -89,9 +93,8 @@ class ServicePlane:
                           timestamp_ns=self.sim.now, byte_len=0)
 
     def _rejected_event(self, wr: WorkRequest) -> Event:
-        ev = Event(self.sim)
-        ev.succeed(self._rejected_completion(wr))
-        return ev
+        # Already processed: the waiter's yield continues at once.
+        return Event(self.sim).fire(self._rejected_completion(wr))
 
     def _flushed_completion(self, wr: WorkRequest) -> Completion:
         # An op granted a slot while its pooled QP is mid-reconnect
@@ -175,7 +178,7 @@ class ServicePlane:
         self.admission.release(tenant, len(wrs))
         for w, d in zip(wrs, dones):
             self.metrics.record_reject(tenant, REJECT_DEADLINE)
-            d.succeed(self._rejected_completion(w))
+            d.fire(self._rejected_completion(w))
 
     def _finish_op(self, tenant: str, wr: WorkRequest, t0: float,
                    comp: Completion, done: Event) -> None:
@@ -183,7 +186,7 @@ class ServicePlane:
         self.metrics.record_op(tenant, self.sim.now - t0, wr.total_length,
                                wr.opcode.value, status=comp.status.value,
                                retries=comp.retries)
-        done.succeed(comp)
+        done.fire(comp)
 
 
 class TenantSession:

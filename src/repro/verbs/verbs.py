@@ -249,7 +249,7 @@ class Worker:
         and no ``poll``/``wait()`` took it first) it leaves that queue
         and counts in its ``consumed``, so each CQE is reported once.
         This holds on both lanes, for flushed WRs, and for a tenanted op
-        whose completion arrives through the service plane's relay event
+        whose completion arrives through the service plane's own event
         (the same object).
         """
         reap(self._cqes, completion)

@@ -192,6 +192,28 @@ def test_give_up_after_max_attempts_under_persistent_conflict():
     assert not is_locked(store.peek_word(1))
 
 
+def test_read_of_an_entry_locked_past_its_budget_aborts(monkeypatch):
+    sim, ctx, store, (c, _) = _rig(read_lock_budget=2, max_attempts=1)
+    # A committer that never releases: key 3's LOCK bit stays set.
+    mr, off = store.version_location(3)
+    mr.write_u64(off, locked_word(INITIAL_VERSION, owner=9))
+    reasons = []
+    abort = c._abort
+    monkeypatch.setattr(c, "_abort", lambda txn, reason: (
+        reasons.append(reason), abort(txn, reason)))
+
+    def txn():
+        def body(t):
+            yield from c.read(t, 3)
+        return (yield from c.execute(body))
+
+    res = sim.run(until=sim.process(txn()))
+    assert not res.committed and res.attempts == 1
+    assert reasons == ["read-locked"]
+    assert (c.aborts, c.gave_up, c.commits) == (1, 1, 0)
+    assert c.lock_waits == 3  # one poll past the budget of 2
+
+
 # ------------------------------------------------------------ rpc baseline
 def test_rpc_baseline_serializes_and_never_aborts():
     sim, cluster, ctx = build(machines=3)

@@ -115,3 +115,36 @@ def test_cli_plot_flag_renders_figure(capsys):
     out = capsys.readouterr().out
     assert "legend:" in out          # the terminal plot rendered
     assert "Latency (ns)" in out
+
+
+# ------------------------------------------------ summary and breakdown
+def test_summary_quick_reproduces_its_anchor_checks():
+    from repro.bench import summary
+
+    fig = summary.run(quick=True)
+    assert fig.checks == [
+        ("hashtable speedup", "3.5x", "2.7x"),
+        ("shuffle speedup", "5.9x", "5.8x"),
+        ("join speedup", "5.6x", "5.3x"),
+        # the distributed log's gap to the paper is a known model limit
+        ("distributed log speedup", "5.9x", "9.1x"),
+    ]
+    base, opt, speedup = (fig.get(s).values
+                          for s in ("baseline", "optimized", "speedup"))
+    assert all(x > 1.0 for x in speedup)
+    assert opt[2] < base[2]  # the join row is seconds: lower is better
+
+
+def test_breakdown_reproduces_its_anchor_checks():
+    from repro.bench import breakdown
+
+    fig = breakdown.run()
+    assert fig.checks == [
+        ("alternate-placement write penalty", "+208 ns",
+         "QPI on MMIO + WQE fetch + responder DMA (Table III)"),
+        ("network share invariant", "220 ns", "220 ns"),
+    ]
+    # every stage sums to the total it is a breakdown of
+    for series in fig.series:
+        *stages, total = series.values
+        assert sum(stages) == pytest.approx(total)

@@ -87,6 +87,19 @@ def test_gate_table_digest_change_always_fails():
     assert any("never a legitimate" in f for f in failures)
 
 
+def test_gate_completions_digest_change_always_fails():
+    baseline = {"format": 1, "scenarios": {"fig5": _row(
+        completions_digest="d" * 64)}}
+    moved = {"format": 1, "scenarios": {"fig5": _row(
+        completions_digest="e" * 64)}}
+    failures = harness.check(baseline, moved)
+    assert len(failures) == 1 and "COMPLETIONS digest" in failures[0]
+    assert harness.check(baseline, baseline) == []
+    # A row without the census (plain run_scenarios) is not gated on it.
+    assert harness.check(baseline, {"format": 1,
+                                    "scenarios": {"fig5": _row()}}) == []
+
+
 def test_gate_schedule_digest_change_with_event_count_is_refreshable():
     """An event-elision change (count moved, tables identical) fails the
     stale baseline but points at perf-update, unlike a same-count
@@ -197,19 +210,43 @@ def test_gate_trips_on_a_layer_rise(key):
 
 def test_layer_rows_sum_to_the_scenario_counts():
     """``layers=True`` adds the census's per-layer rows, whose events
-    sum to the row's ``events_per_op`` (to rounding), and changes no
-    other field of the row."""
+    sum to the row's ``events_per_op`` (to rounding), and the row's
+    ``completions_digest``, and changes no other field of the row."""
     from repro.bench.perf import census
+
+    from repro.check import differential
 
     plain = harness.run_scenarios(["fig5"])["scenarios"]["fig5"]
     row = harness.run_scenarios(["fig5"], layers=True)["scenarios"]["fig5"]
     events = row["metrics"].pop("events_by_layer")
     calls = row["metrics"].pop("calls_by_layer")
     assert row["metrics"] == plain["metrics"]
+    # ... and the census run's completion digests, one per simulator
+    lane = differential.run(harness.SCENARIOS["fig5"], express=True)
+    assert len(lane.digests) == 12
+    assert row.pop("completions_digest") == harness._digest(lane.digests)
+    assert "completions_digest" not in plain
     assert set(events) | set(calls) <= set(census.LAYERS)
     assert abs(sum(events.values())
                - plain["metrics"]["events_per_op"]) < 0.05
     assert calls["verbs.express"] > 0 and calls["sim"] > 0
+
+
+@pytest.mark.parametrize("express", [True, False])
+def test_census_counts_the_lane_the_timed_run_takes(monkeypatch, express):
+    """The event-counting run takes the lane ``REPRO_EXPRESS`` selects for
+    the timed run, so its layer rows and completion digests describe
+    that run."""
+    from repro.bench.perf import census
+    from repro.check import differential
+
+    if not express:
+        monkeypatch.setenv("REPRO_EXPRESS", "0")
+    counts, ops, digests = census.events_by_layer("breakdown")
+    assert ops > 0
+    assert (counts["verbs.express"] > 0) == express
+    lane = differential.run(harness.SCENARIOS["breakdown"], express)
+    assert digests == lane.digests
 
 
 def test_traced_run_records_the_peak_and_keeps_the_rest():

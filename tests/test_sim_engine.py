@@ -858,3 +858,77 @@ def test_succeed_and_fail_validate_their_delay():
         ev.succeed(delay=float("nan"))
     assert not ev.triggered  # refused before any state change
     assert sim.peek() == float("inf")
+
+
+# ------------------------------------------------------------------ fire
+def _relay(trigger):
+    """A waiter on ``gate``, and a dispatch at t=5 that schedules another
+    entry at its own instant, then triggers ``gate`` through
+    ``trigger(gate)``.  Returns the log and the simulator."""
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def waiter():
+        v = yield gate
+        log.append((v, sim.now))
+
+    def decide(_ev):
+        sim.call_at(sim.now, lambda _e: log.append(("queued", sim.now)))
+        trigger(gate)
+
+    sim.process(waiter())
+    sim.call_at(5.0, decide)
+    sim.run()
+    return log, sim
+
+
+def test_fire_resumes_the_waiter_inside_the_firing_dispatch():
+    fired, f_sim = _relay(lambda gate: gate.fire("done"))
+    assert fired == [("done", 5.0), ("queued", 5.0)]
+    # succeed schedules the relay behind the entry already queued
+    succeeded, s_sim = _relay(lambda gate: gate.succeed("done"))
+    assert succeeded == [("queued", 5.0), ("done", 5.0)]
+    assert (f_sim.events_processed + f_sim.events_in_place + 1
+            == s_sim.events_processed + s_sim.events_in_place)
+
+
+def test_fire_refuses_a_triggered_or_cancelled_event():
+    sim = Simulator()
+    for first in (lambda ev: ev.succeed(1), lambda ev: ev.fire(1),
+                  lambda ev: ev.fail(KeyError("k")), lambda ev: ev.cancel()):
+        ev = sim.event()
+        first(ev)
+        with pytest.raises(SimulationError):
+            ev.fire(2)
+    with pytest.raises(SimulationError):
+        sim.timeout(1.0).fire()
+
+
+def test_a_fired_event_counts_in_neither_engine_counter():
+    sim = Simulator()
+    ev = sim.event()
+    seen = []
+    ev.add_callback(lambda e: seen.append((e.value, sim.now)))
+    sim.call_at(3.0, lambda _e: ev.fire("v"))
+    sim.run()
+    assert seen == [("v", 3.0)]
+    assert ev.processed and ev.ok
+    # the call_at alone: the fire left no entry to dispatch
+    assert sim.events_processed + sim.events_in_place == 1
+    assert sim.peek() == float("inf")
+
+
+def test_add_callback_on_a_fired_event_runs_at_once():
+    sim = Simulator()
+    ev = sim.event().fire("v")
+    seen = []
+    ev.add_callback(lambda e: seen.append(e.value))
+    assert seen == ["v"]
+
+    def waiter():  # a yield on it continues without a dispatch
+        seen.append((yield ev))
+    sim.process(waiter())
+    sim.run()
+    assert seen == ["v", "v"]
+    assert sim.events_processed + sim.events_in_place == 2  # boot, end

@@ -380,8 +380,9 @@ def test_token_bucket_timer_rearms_for_a_sooner_tenant():
 
 
 def run_writes(tenanted, n=3):
-    """(events dispatched, Simulator.process calls) for ``n`` sequential
-    64 B WRITEs from one Worker, through the plane or around it."""
+    """(entries dispatched, from the heap or in place, and
+    Simulator.process calls) for ``n`` sequential 64 B WRITEs from one
+    Worker, through the plane or around it."""
     sim, cluster, ctx, plane = make_plane(machines=2)
     lmr = ctx.register(1, 4096)
     rmr = ctx.register(0, 4096)
@@ -407,15 +408,16 @@ def run_writes(tenanted, n=3):
         sim.run(until=sim.process(client()))
     finally:
         Simulator.process = real
-    return sim.events_processed, calls[0]
+    return sim.events_processed + sim.events_in_place, calls[0]
 
 
 def test_plane_event_cost_per_op():
-    # A granted op costs one dispatch round plus its plane completion
-    # event over the bare verbs op; the plane spawns no process.
+    # A granted op costs one dispatch round over the bare verbs op: its
+    # completion reaches the waiter inside the dispatch that decides it
+    # (Event.fire), and the plane spawns no process.
     base_events, base_procs = run_writes(tenanted=False)
     events, procs = run_writes(tenanted=True)
-    assert (events - base_events) / 3 <= 3
+    assert events - base_events == 3
     assert procs == base_procs == 1          # the client process only
 
 
@@ -445,6 +447,22 @@ def test_inflight_window_rejects_explicitly():
     assert slo.ops == 2
     assert slo.rejects[REJECT_INFLIGHT] == 3
     assert slo.reject_rate == pytest.approx(0.6)
+
+
+def test_admission_reject_reaches_the_waiter_without_a_dispatch():
+    sim, plane, qp, lmr, rmr = admission_rig(TenantSpec("t", max_inflight=1))
+    assert plane.admission.try_admit("t", 0) == (True, "")  # window full
+    worker = Worker(plane.ctx, 1, 0)
+
+    def client():
+        return (yield from worker.execute(qp, write_wr(lmr, rmr)))
+
+    comp = sim.run(until=sim.process(client()))
+    assert comp.status is CompletionStatus.REJECTED
+    # the boot, the post and poll sleeps and the process's end: the
+    # REJECTED completion itself costs no dispatch
+    assert sim.events_processed + sim.events_in_place == 4
+    assert plane.metrics["t"].rejects[REJECT_INFLIGHT] == 1
 
 
 def test_queue_depth_backpressure():

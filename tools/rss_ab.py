@@ -11,11 +11,13 @@ and interquartile range, the pairs the change won in that metric's
 better direction (ties count for neither side), and a verdict line: a
 gain only when the change won at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the base's
-interquartile range.  Exits non-zero if any pair's output digest or
-event count differs between the two sides, if a rep reports an
-invariant violation or fails, or if a seed-0 digest misses the base's
-``benchmarks/e2e/pins.json`` entry; a verdict of no gain is not a
-failure.
+interquartile range.  Then prints each side's ``events_per_op``: a
+change may remove events, so the two sides' counts may differ.  Exits
+non-zero if any pair's output digest differs between the two sides, if
+a side's event count differs from one of its reps to the next, if a
+rep reports an invariant violation or fails, or if a seed-0 digest
+misses the base's ``benchmarks/e2e/pins.json`` entry; a verdict of no
+gain is not a failure.
 
 Usage::
 
@@ -144,10 +146,14 @@ def main(argv: list[str] | None = None) -> int:
             for side, rec in recs.items():
                 recs_by_side[side].append(rec)
             b, c = recs["base"], recs["change"]
-            for key in ("digest", "events"):
-                if b[key] != c[key]:
-                    mismatches.append(f"pair {i}: {key} {b[key]} != {c[key]}")
+            if b["digest"] != c["digest"]:
+                mismatches.append(
+                    f"pair {i}: digest {b['digest']} != {c['digest']}")
             for side, rec in recs.items():
+                first = recs_by_side[side][0]["events"]
+                if rec["events"] != first:
+                    mismatches.append(f"pair {i}: {side} events "
+                                      f"{rec['events']} != {first} in pair 1")
                 if rec["violations"]:
                     mismatches.append(f"pair {i}: {side} violations "
                                       f"{rec['violations']}")
@@ -174,11 +180,14 @@ def main(argv: list[str] | None = None) -> int:
               + f" (wins {wins}/{args.pairs}, need >= 9/10; median gap "
               f"{format(gap, '+' + fmt)} vs base IQR "
               f"{format(_iqr(base), fmt)})")
+    print("events_per_op: " + ", ".join(
+        f"{side} {recs[0]['events_per_op']:.3f} ({recs[0]['events']} events)"
+        for side, recs in recs_by_side.items()))
     for line in mismatches:
         print(f"FAIL {line}")
     if mismatches:
         return 1
-    print("digests and event counts equal in every pair"
+    print("digests equal in every pair, event counts equal within each side"
           + (", seed-0 pin matched" if pin is not None else ""))
     return 0
 
