@@ -40,8 +40,8 @@ exactly, and it sees work done inside one event, which the event tables
 cannot.
 
 Two more lines close the report.  ``lane coverage`` gives the share of
-completed ops the express lane booked and the stepped WRs by the first
-lane term that failed (:data:`~repro.verbs.qp.STEP_REASONS`, counted by
+completed ops the express lane booked and the stepped WRs by why their
+simulator had no lane (:data:`~repro.verbs.qp.STEP_REASONS`, counted by
 the stepped path only), from the counting run.  ``traced peak KB`` is
 the tracemalloc peak of a third, untimed run
 (:func:`~repro.bench.perf.harness.traced_peak_kb`).  The printed census
@@ -346,7 +346,7 @@ def main(names: list[str]) -> int:
     line("calls", [calls[n] for n in names])
     print()
     print("lane coverage: share of completed ops the express lane booked, "
-          "and stepped WRs by the first lane term that failed")
+          "and stepped WRs by why their simulator had no lane")
 
     def express(name: str) -> str:
         ops = rows[name]["ops"]

@@ -47,13 +47,6 @@ class RnicPort:
                              name=f"{name}.pcie")
         self.tx_ops = 0
         self.rx_ops = 0
-        #: Stepped-pipeline WRs currently in flight through this port.
-        #: The express lane (repro.verbs.express) refuses to book a
-        #: closed-form timeline while a stepped op holds (or may yet
-        #: acquire) any of this port's units.  Both lanes queue on the
-        #: same Resources, so this no longer prevents double-booking; it
-        #: is kept as a conservative fence around stepped pipelines.
-        self._stepped = 0
         # Hot-path alias: params are frozen.
         self._params = rnic.params
         # Fault-injection hooks (see repro.hw.faults): multiplicative

@@ -1,4 +1,4 @@
-"""Express lane: closed-form WR timelines for the sunny one-sided path.
+"""Express lane: closed-form WR timelines on single-switch fabrics.
 
 The stepped pipeline (:meth:`repro.verbs.qp.QueuePair._execute`) pays
 ~13-19 engine events per WR: a process boot, an acquire grant + hold
@@ -84,19 +84,22 @@ express and stepped ops alike:
   failed WR skips the responder but pays the CQE DMA and in-order
   parking like any other.
 
-Fallback rules (the lane is chosen per post, never mid-flight, by
-``QueuePair._step_reason``):
+Every opcode rides the lane.  A SEND (two-sided) reuses the READ
+responder phases: its arrival books an rx hold sized like the stepped
+``exec_rx`` with ``payload_bytes``, the hold end books the DMA that
+lands the payload in the responder port's socket, and the response
+wire ends in a real ``Store.put`` on the QP's ``recv_queue`` (its
+put-ack allocated where the stepped path allocates it) before the CQE
+DMA.
 
-* ineligible post (SEND opcode, unseen in-order predecessor) -> stepped
-  generator, unchanged schedules;
-* stepped WRs in flight on either port -> stepped, a fence: without it
-  a stepped and an express WRITE reaching a shared responder port in
-  the same instant can swap FIFO order there.  Stepped WRs posted while
-  express ops are in flight queue behind the express bookings on the
-  same Resources.
+The lane is attached per simulator (:meth:`ExpressState.attach`), so
+on a lane-attached simulator every post of every QP takes it and no
+post ever steps (``QueuePair._step_reason``).  The stepped pipeline
+remains the reference: ``REPRO_EXPRESS=0``, queued fabrics and DCQCN
+run it for every post.
 
-An installed sanitizer, a dispatch trace and an ``OpTracer`` are not
-fallback rules: the lane fires ``on_posted`` (in ``post_send*``, before
+An installed sanitizer, a dispatch trace and an ``OpTracer`` ride the
+lane too: it fires ``on_posted`` (in ``post_send*``, before
 the lane decision), ``on_completed`` (in :meth:`ExpressState._complete`)
 and ``on_qp_state`` (through ``QueuePair._enter_error``) where the
 stepped path fires them, and the engine traces and checks its wakes like
@@ -111,8 +114,8 @@ and ``delivery`` at the completion instant, where the record commits.
 A doorbell batch begins its records after the chained fetch, as the
 stepped batch boots its WRs there.
 
-See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
-and the digest-gate implications.
+See docs/PERFORMANCE.md ("The express lane") for its eligibility and
+the digest-gate implications.
 """
 
 from __future__ import annotations
@@ -143,13 +146,13 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_Y,        # forward wire: request arrives at the responder
  P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end)
  P_SVC_R,    # WRITE service join resume
- P_RX,       # READ responder hold end
+ P_RX,       # READ / SEND responder hold end
  P_TURN,     # READ host-memory turnaround elapsed
- P_RDMA,     # READ response-fetch DMA end
+ P_RDMA,     # READ response-fetch / SEND payload-landing DMA end
  P_RTX,      # READ response serialization end
  P_BWD,      # READ response wire: data arrives back at the requester
  P_DLV,      # READ local delivery DMA end
- P_TAIL,     # WRITE/atomic response wire elapsed
+ P_TAIL,     # WRITE/atomic/SEND response wire elapsed
  P_T,        # CQE DMA end: completion instant
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
@@ -199,7 +202,8 @@ class ExpressOp:
         self.total_len = total_len
         self.signaled = wr.signaled
         self.move_data = wr.move_data
-        outbound = total_len if opcode is Opcode.WRITE else 0
+        outbound = (total_len
+                    if opcode is Opcode.WRITE or opcode is Opcode.SEND else 0)
         self.outbound = outbound
         self.inline = outbound <= qp._params.max_inline_bytes
         self.wire_payload = outbound if outbound else 16
@@ -251,7 +255,7 @@ class ExpressState:
 
     # ------------------------------------------------------------- posting
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
-             prev: Optional["Event"]) -> ExpressOp:
+             prev: Optional["Event"]) -> None:
         """Book one WR's WQE fetch; the timeline unrolls wake by wake."""
         op = ExpressOp(self, qp, wr, done)
         op.prev = prev
@@ -261,10 +265,9 @@ class ExpressState:
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
         pcie = qp.local_port.pcie
         pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
-        return op
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
-                   prev: Optional["Event"]) -> ExpressOp:
+                   prev: Optional["Event"]) -> None:
         """Doorbell batch: one chained WQE fetch, WR-ordered evaluation.
 
         The leader carries the shared fetch (and its DMA counters, with
@@ -281,7 +284,6 @@ class ExpressState:
         lead.wqe_bytes = total
         pcie = qp.local_port.pcie
         pcie._bus.book(pcie.dma_ns(total, qp.sq_socket), lead.wcb)
-        return ops[-1]
 
     def _begin(self, op: ExpressOp, tracer) -> "OpRecord":
         """Start ``op``'s trace record now, as the stepped ``_execute``
@@ -312,11 +314,11 @@ class ExpressState:
         elif phase == P_SVC_R:
             self._svc_resume(op)
         elif phase == P_RX:
-            self._read_rx_end(op)
+            self._rx_end(op)
         elif phase == P_TURN:
             self._turnaround_end(op)
         elif phase == P_RDMA:
-            self._read_dma_end(op)
+            self._responder_dma_end(op)
         elif phase == P_RTX:
             self._read_tx_end(op)
         elif phase == P_BWD:
@@ -500,11 +502,17 @@ class ExpressState:
         opcode = op.opcode
         total_len = op.total_len
         rmr = wr.remote_mr
-        if opcode is Opcode.READ:
-            r_extra += rrnic.translate(
-                rmr.page_keys(wr.remote_offset, total_len))
+        if opcode is Opcode.READ or opcode is Opcode.SEND:
+            if opcode is Opcode.READ:
+                r_extra += rrnic.translate(
+                    rmr.page_keys(wr.remote_offset, total_len))
+            hold = p.responder_ns + r_extra
+            if opcode is Opcode.SEND and total_len:
+                # The SEND payload serializes into the rx unit at link
+                # rate (the stepped exec_rx's ``payload_bytes`` hold).
+                hold = max(hold, p.wire_time(total_len))
             op.phase = P_RX
-            rp.rx_unit.book(rp._perturb(p.responder_ns + r_extra), op.wcb)
+            rp.rx_unit.book(rp._perturb(hold), op.wcb)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -583,10 +591,7 @@ class ExpressState:
             wl.release()
         if op.move_data:
             op.qp._apply_write(op.wr)
-        record = op.record
-        if record is not None:
-            record.stamp("responder", self.sim.now)
-        self._tail_start(op)
+        self._respond(op)
 
     def _atomic_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -597,23 +602,31 @@ class ExpressState:
         wl = op.wl
         op.wl = None
         wl.release()
+        self._respond(op)
+
+    def _respond(self, op: ExpressOp) -> None:
+        """WRITE/atomic/SEND service done: the ACK takes the reverse
+        wire."""
+        sim = self.sim
         record = op.record
         if record is not None:
-            record.stamp("responder", self.sim.now)
-        self._tail_start(op)
-
-    def _tail_start(self, op: ExpressOp) -> None:
-        """WRITE/atomic response: the ACK takes the reverse wire."""
+            record.stamp("responder", sim.now)
         op.phase = P_TAIL
-        sim = self.sim
         sim.call_tail(sim.now + op.qp._bwd_ns, op.wcb)
 
-    # -- READ response path -------------------------------------------------
-    def _read_rx_end(self, op: ExpressOp) -> None:
+    # -- READ / SEND responder path -----------------------------------------
+    def _rx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
         rp.rx_unit.release()
         rp.rx_ops += 1
+        if op.opcode is Opcode.SEND:
+            # The payload lands in the responder port's socket memory.
+            op.phase = P_RDMA
+            pcie = rp.pcie
+            pcie._bus.book(pcie.dma_ns(max(op.total_len, 1), rp.socket),
+                           op.wcb)
+            return
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
         op.phase = P_TURN
@@ -626,13 +639,17 @@ class ExpressState:
         pcie._bus.book(pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
                        op.wcb)
 
-    def _read_dma_end(self, op: ExpressOp) -> None:
+    def _responder_dma_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
         pcie = rp.pcie
         pcie._bus.release()
-        pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
+        if op.opcode is Opcode.SEND:
+            pcie.dma_bytes += max(op.total_len, 1)
+            self._respond(op)
+            return
+        pcie.dma_bytes += op.total_len
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
         op.phase = P_RTX
@@ -678,6 +695,14 @@ class ExpressState:
         record = op.record
         if record is not None:
             record.stamp("response_net", self.sim.now)
+        if op.opcode is Opcode.SEND:
+            # Deliver to the peer's receive queue before the CQE DMA,
+            # through ``Store.put`` so its put-ack keeps the stepped seq.
+            wr = op.wr
+            op.qp.recv_queue.put(Completion(
+                wr_id=wr.wr_id, opcode=Opcode.SEND,
+                status=CompletionStatus.SUCCESS, timestamp_ns=self.sim.now,
+                value=wr.payload, byte_len=wr.payload_bytes))
         self._cqe(op)
 
     def _cqe(self, op: ExpressOp) -> None:
@@ -725,8 +750,6 @@ class ExpressState:
             op.tracer.commit(record, sim.now)
         qp = op.qp
         wr = op.wr
-        if qp._last_express_op is op:
-            qp._last_express_op = None
         qp.completed += 1
         tally.completions += 1
         opcode = op.opcode

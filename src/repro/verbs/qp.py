@@ -67,13 +67,11 @@ WQE_BYTES = 64
 SGE_SEG_BYTES = 16
 
 
-#: Why a post stepped instead of taking the express lane: the first
-#: term of the lane predicate (:meth:`QueuePair._step_reason`) that
-#: failed.  ``lane_off``: the simulator has no lane (``REPRO_EXPRESS=0``,
-#: or a fabric that is neither queued nor paced but still not
-#: single-switch).
-STEP_REASONS = ("lane_off", "send", "stepped_fence", "queued_route",
-                "dcqcn", "unseen_prev")
+#: Why a post stepped instead of taking the express lane
+#: (:meth:`QueuePair._step_reason`).  ``lane_off``: the simulator has no
+#: lane (``REPRO_EXPRESS=0``, or a fabric that is neither queued nor
+#: paced but still not single-switch).
+STEP_REASONS = ("lane_off", "queued_route", "dcqcn")
 
 
 class _Tally:
@@ -132,11 +130,6 @@ class QueuePair:
         # RC delivers completions strictly in posting order; ops that ride
         # different internal resources (atomics vs reads) must not overtake.
         self._last_completion: Optional[Event] = None
-        #: Most recent express-lane op still in flight on this QP (see
-        #: repro.verbs.express); lets a pipelined express post chain its
-        #: in-order constraint arithmetically.  None whenever the last
-        #: post took the stepped lane.
-        self._last_express_op = None
         #: Optional OpTracer (see repro.verbs.trace); set by
         #: RdmaContext.attach_tracer or directly.  A WR is traced when
         #: this is set at its post (for a doorbell batch, at the end of
@@ -258,7 +251,6 @@ class QueuePair:
                 "reap their completions before reset()")
         self.state = QPState.RESET
         self._last_completion = None
-        self._last_express_op = None
         check = self.sim.check
         if check is not None:
             check.on_qp_state(self, QPState.ERR, QPState.RESET)
@@ -276,29 +268,17 @@ class QueuePair:
             check.on_qp_state(self, QPState.RESET, QPState.RTS)
 
     # ------------------------------------------------------------------ API
-    def _step_reason(self, wrs, prev: Optional[Event]) -> Optional[str]:
-        """The lane predicate: ``None`` when the express lane books this
-        post, else the first :data:`STEP_REASONS` term that failed.  The
-        lane cannot reproduce SEND (the recv Store), stepped WRs on this
-        post's ports, or an in-order predecessor it cannot see.
-        ``ExpressState.attach`` refuses queued routes and DCQCN, so they
-        only name why the lane is off.  Port faults, checkers, dispatch
-        traces and tracers ride the lane, which fires the same hooks and
-        stamps the same stages."""
-        if self.sim.express is None:
-            if self._queued:
-                return "queued_route"
-            return "dcqcn" if self.local_port.dcqcn is not None else "lane_off"
-        for wr in wrs:
-            if wr.opcode is Opcode.SEND:
-                return "send"
-        if self.local_port._stepped or self.remote_port._stepped:
-            return "stepped_fence"
-        if prev is not None and not prev._triggered:
-            last = self._last_express_op
-            if last is None or last.done is not prev:
-                return "unseen_prev"
-        return None
+    def _step_reason(self) -> Optional[str]:
+        """``None`` when this QP's posts ride the express lane, else the
+        :data:`STEP_REASONS` entry that names why its simulator has no
+        lane.  A lane is attached per simulator, so every post of every
+        QP there takes the same lane; ``ExpressState.attach`` refuses
+        queued routes and DCQCN, so they only name why it is off."""
+        if self.sim.express is not None:
+            return None
+        if self._queued:
+            return "queued_route"
+        return "dcqcn" if self.local_port.dcqcn is not None else "lane_off"
 
     def post_send(self, wr: WorkRequest) -> Event:
         """Hand one WR to the hardware; returns its completion event."""
@@ -313,14 +293,11 @@ class QueuePair:
         check = self.sim.check
         if check is not None:
             check.on_posted(self, wr)
-        reason = self._step_reason((wr,), prev)
+        reason = self._step_reason()
         if reason is None:
-            self._last_express_op = self.sim.express.post(self, wr, done, prev)
+            self.sim.express.post(self, wr, done, prev)
             return done
-        self._last_express_op = None
         tally.stepped[reason] += 1
-        self.local_port._stepped += 1
-        self.remote_port._stepped += 1
         self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev,
                                        tracer=self.tracer),
                          name=self._proc_names[wr.opcode])
@@ -345,16 +322,11 @@ class QueuePair:
                 check.on_posted(self, wr)
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
-        reason = self._step_reason(wrs, prev)
+        reason = self._step_reason()
         if reason is None:
-            self._last_express_op = sim.express.post_batch(self, wrs, events,
-                                                           prev)
+            sim.express.post_batch(self, wrs, events, prev)
             return events
-        self._last_express_op = None
-        n = len(wrs)
-        tally.stepped[reason] += n
-        self.local_port._stepped += n
-        self.remote_port._stepped += n
+        tally.stepped[reason] += len(wrs)
         self.sim.process(self._execute_batch(wrs, events, prev),
                          name=f"qp{self.qp_id}.doorbell[{len(wrs)}]")
         return events
@@ -529,10 +501,6 @@ class QueuePair:
             tracer.commit(record, sim.now)
         self.completed += 1
         tally.completions += 1
-        # Stepped-inflight accounting (incremented at post): once zero on
-        # both ports, new posts may take the express lane again.
-        lport._stepped -= 1
-        rport._stepped -= 1
         if status is CompletionStatus.WR_FLUSH_ERR:
             self.flushed_wrs += 1
         if status is CompletionStatus.SUCCESS:

@@ -25,11 +25,10 @@ class Opcode(enum.Enum):
     SEND = "send"
 
 
-# ``one_sided`` / ``is_atomic`` are consulted per work request on the
-# pipeline hot path; precompute them as plain member attributes (enum
-# members are singletons) instead of paying a property call per access.
+# ``is_atomic`` is consulted per work request on the pipeline hot path;
+# precompute it as a plain member attribute (enum members are
+# singletons) instead of paying a property call per access.
 for _op in Opcode:
-    _op.one_sided = _op is not Opcode.SEND
     _op.is_atomic = _op in (Opcode.CAS, Opcode.FAA)
 del _op
 

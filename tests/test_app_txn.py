@@ -192,7 +192,10 @@ def test_give_up_after_max_attempts_under_persistent_conflict():
     assert not is_locked(store.peek_word(1))
 
 
-def test_read_of_an_entry_locked_past_its_budget_aborts(monkeypatch):
+@pytest.mark.parametrize("reason", ["read-locked", "write-locked"])
+def test_read_of_an_entry_locked_past_its_budget_aborts(monkeypatch, reason):
+    """A read of a locked key, or a blind write's version read at commit,
+    polls the word past its budget and aborts."""
     sim, ctx, store, (c, _) = _rig(read_lock_budget=2, max_attempts=1)
     # A committer that never releases: key 3's LOCK bit stays set.
     mr, off = store.version_location(3)
@@ -204,12 +207,16 @@ def test_read_of_an_entry_locked_past_its_budget_aborts(monkeypatch):
 
     def txn():
         def body(t):
-            yield from c.read(t, 3)
+            if reason == "read-locked":
+                yield from c.read(t, 3)
+            else:
+                c.write(t, 3, VALUE)
+                yield from ()
         return (yield from c.execute(body))
 
     res = sim.run(until=sim.process(txn()))
     assert not res.committed and res.attempts == 1
-    assert reasons == ["read-locked"]
+    assert reasons == [reason]
     assert (c.aborts, c.gave_up, c.commits) == (1, 1, 0)
     assert c.lock_waits == 3  # one poll past the budget of 2
 

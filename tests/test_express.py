@@ -7,8 +7,9 @@ clock — while dispatching strictly fewer events.  Port faults (loss,
 retransmission, RETRY_EXC, flushes, slow and jittery ports) are modelled
 on the lane, so arming one mid-run keeps posts on it, as does attaching
 a sanitizer or a tracer (the lane stamps the same per-stage trace
-records); flipping lanes mid-run (a SEND) must stay bit-identical to the
-all-stepped reference: both lanes queue on the same hardware Resources.
+records).  SENDs ride the lane as well, so on a lane-attached simulator
+no post ever steps; the stepped pipeline (``REPRO_EXPRESS=0``) is the
+reference every lane run is compared against.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import pytest
 from repro import build
 from repro.check import Sanitizer, differential
 from repro.hw.faults import FaultInjector
-from repro.sim import make_rng
+from repro.sim import Store, make_rng
 from repro.verbs import Worker
 from repro.verbs.trace import OpTracer
 from repro.verbs.qp import QPState
@@ -34,8 +35,14 @@ SIZES = (8, 32, 64, 220, 221, 256, 1024, 4096)
 
 
 def _random_wr(rng: random.Random, lmr, rmr, i: int) -> WorkRequest:
-    kind = rng.choice(("write", "write", "read", "read", "cas", "faa"))
+    kind = rng.choice(("write", "write", "read", "read", "cas", "faa",
+                       "send"))
     signaled = rng.random() < 0.8
+    if kind == "send":
+        # Two-sided: the payload lands in the peer's recv Store.
+        return WorkRequest(opcode=Opcode.SEND, wr_id=i, payload=i,
+                           payload_bytes=rng.choice(SIZES),
+                           signaled=signaled)
     if kind in ("write", "read"):
         size = rng.choice(SIZES)
         loff = rng.randrange(0, lmr.size - size)
@@ -72,11 +79,13 @@ def _mix_rig(express: bool) -> tuple:
 
 
 def _outcome(sim, ctx, lmr, rmr, log, posts) -> dict:
-    """A mix's completion log, both memories, the clock, RC transport
-    counters over every QP and port, and its post calls."""
+    """A mix's completion log, every QP's received SENDs, both memories,
+    the clock, RC transport counters over every QP and port, and its post
+    calls."""
     ports = [p for m in ctx.cluster for p in m.ports]
     return {
         "log": log,
+        "recv": [q.recv_queue.items for q in ctx.qps],
         "rmem": rmr.read(0, rmr.size),
         "lmem": lmr.read(0, lmr.size),
         "now": sim.now,
@@ -370,8 +379,8 @@ FLIP_RUNS = [(seed, batch) for seed in range(10) for batch in (0, 3)]
 
 
 def _send_one(sim, ctx):
-    """Post one SEND on the mix's first QP (it steps; the peer's recv
-    Store absorbs it)."""
+    """Post one SEND on the mix's first QP (the peer's recv Store absorbs
+    it)."""
     ctx.qps[0].post_send(WorkRequest(
         opcode=Opcode.SEND, wr_id=10_000, payload="mid-run",
         payload_bytes=64, signaled=False))
@@ -476,9 +485,9 @@ def test_port_fault_armed_mid_run_stays_on_lane(fault):
 
 
 def test_tracer_attached_mid_run_keeps_the_lane():
-    """A tracer is not a lane term: attached mid-run, it traces every
-    later post, the lane keeps booking them in every run, and both lanes
-    commit the same records."""
+    """A tracer does not turn the lane off: attached mid-run, it traces
+    every later post, the lane keeps booking them in every run, and both
+    lanes commit the same records."""
     tracers = []
 
     def attach(sim, ctx):
@@ -493,8 +502,8 @@ def test_tracer_attached_mid_run_keeps_the_lane():
 
 
 def test_sanitizer_attached_mid_run_keeps_the_lane():
-    """An installed sanitizer is not a lane term: attached mid-run, it
-    sees lane and stepped posts alike, and the lane keeps booking posts
+    """An installed sanitizer does not turn the lane off: attached
+    mid-run, it sees every later post, and the lane keeps booking posts
     in every run."""
     sanitizers = []
     resumed, _ = _check_flip(
@@ -507,10 +516,11 @@ def test_sanitizer_attached_mid_run_keeps_the_lane():
     assert reports[0::2] == reports[1::2]
 
 
-def test_send_mid_run_steps_alone():
-    """A SEND steps but poisons nothing: once the stepped WRs behind it
-    drain, one-sided posts ride the lane again, mixed with stepped ones."""
-    assert _check_flip(_send_one)[0] > 0
+def test_send_mid_run_keeps_the_lane():
+    """A SEND rides the lane like any other post: posted mid-run, it and
+    every post after it take the lane, and the run equals the stepped
+    reference; a small client's SEND and WRITE both ride it."""
+    assert _check_flip(_send_one)[0] == len(FLIP_RUNS)
     sim, cluster, ctx = build(machines=2)
     lmr = ctx.register(0, 4096)
     rmr = ctx.register(1, 4096)
@@ -523,17 +533,63 @@ def test_send_mid_run_steps_alone():
 
     with _counted_posts() as posts:
         sim.run(until=sim.process(client()))
-    assert len(posts) == 1 and qp.completed == 2
+    assert len(posts) == 2 and qp.completed == 2
+    assert [c.value for c in qp.recv_queue.items] == ["hello"]
+
+
+def test_sends_to_one_port_equal_the_stepped_lane():
+    """Two clients SEND to one responder port: empty (a 1 B landing
+    DMA), inline and cut-through payloads, signaled or not, through one
+    shared recv Store that a server drains.  The lane's completions,
+    received SENDs (order, timestamps and the instants the server got
+    them), port and PCIe counters and clock equal the stepped lane's,
+    with fewer events."""
+    def run(express: bool):
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=3), express).value
+        inbox = Store(sim)
+        qps = [ctx.create_qp(m, 2, recv_queue=inbox) for m in (0, 1)]
+        log, served = [], []
+
+        def server():
+            while True:
+                got = yield inbox.get()
+                served.append((sim.now, _row(got)))
+
+        def client(k):
+            w = Worker(ctx, k)
+            for i, size in enumerate((0, 8, 220, 221, 4096) * 3):
+                wr_id = 100 * k + i
+                ev = yield from w.post(qps[k], WorkRequest(
+                    Opcode.SEND, wr_id=wr_id, payload=wr_id,
+                    payload_bytes=size, signaled=i % 4 != 3))
+                log.append(_row((yield from w.wait(ev))))
+
+        sim.process(server())
+        sim.run(until=sim.all_of([sim.process(client(k)) for k in (0, 1)]))
+        ports = [p for m in cluster for p in m.ports]
+        counters = [(p.tx_ops, p.rx_ops, p.pcie.dma_bytes, p.pcie.dma_count)
+                    for p in ports]
+        return ({"log": log, "served": served, "counters": counters,
+                 "now": sim.now}, sim.events_processed)
+
+    stepped, ev_stepped = run(express=False)
+    with _counted_posts() as posts:
+        express, ev_express = run(express=True)
+    assert len(posts) == 30
+    assert express == stepped
+    assert sorted(r[0] for _, r in express["served"]) == sorted(
+        r[0] for r in express["log"])
+    assert ev_express < ev_stepped
 
 
 def test_stepped_fence_orders_a_shared_responder_port():
-    """The per-port ``_stepped`` fence keeps a post off the lane while
-    stepped WRs are in flight on either of its ports.  Two client
-    machines post two-WR doorbells to one responder port: a WRITE and a
-    SEND (the batch steps), and a WRITE and an 8 B WRITE (it may ride the
-    lane), so both WRITEs keep equal requester timelines.  Without the
-    fence, the two same-instant WRITEs swap FIFO order at the shared rx
-    unit and the logs split at the 1st completion."""
+    """Two client machines post two-WR doorbells to one responder port: a
+    WRITE and a SEND, and a WRITE and an 8 B WRITE, so both WRITEs keep
+    equal requester timelines and reach the shared rx unit in the same
+    instant, where a lane that mixed with stepped WRs could swap their
+    FIFO order.  All 80 posts ride the lane, and the outcome equals the
+    stepped reference."""
     def run(express: bool):
         sim, cluster, ctx = differential.run(
             lambda: build(machines=3), express).value
@@ -570,7 +626,7 @@ def test_stepped_fence_orders_a_shared_responder_port():
     reference = run(express=False)
     with _counted_posts() as posts:
         outcome = run(express=True)
-    assert 0 < len(posts) < 40  # the plain QP rode the lane, not always
+    assert len(posts) == 80
     assert outcome == reference
 
 
@@ -727,7 +783,7 @@ def test_traced_lane_commits_the_stepped_records():
     assert {("WRITE", "P_LOCK"), ("WRITE", "P_RETX")} <= wakes
     assert any(phase == "P_PARK" for _, phase in wakes)
     assert {r[0] for r in records} == {
-        "write", "read", "compare_and_swap", "fetch_and_add"}
+        "write", "read", "compare_and_swap", "fetch_and_add", "send"}
     assert {CompletionStatus.RETRY_EXC_ERR.value,
             CompletionStatus.WR_FLUSH_ERR.value} <= statuses
     assert any(r[5] for r in records) and any(
@@ -826,6 +882,9 @@ _SHAPES = {
     "parked_in_order": (lambda lm, rm: [
         (0, _read(lm, rm, 4096)), (0, _write(lm, rm, 8, roff=64))],
         "WRITE", "P_PARK", False),
+    # An empty SEND: its 1 B landing DMA, then the response wire.
+    "send": (lambda lm, rm: [(0, WorkRequest(Opcode.SEND, payload="x"))],
+             "SEND", "P_TAIL", False),
     # 30% loss on the requester port: WRITEs wait out transport timers.
     "write_on_lossy_port": (lambda lm, rm: [
         (0, _write(lm, rm, 64)) for _ in range(8)], "WRITE", "P_RETX", True),
@@ -911,8 +970,7 @@ def test_closed_loop_retained_bytes_flat_in_run_length():
 
 def _step_reason_rig(reason: str):
     """A rig whose next WRITE steps for ``reason``; returns (sim, ctx,
-    qp, worker, lmr, rmr).  ``stepped_fence`` and ``unseen_prev`` set up
-    their predecessor in the test body."""
+    qp, worker, lmr, rmr)."""
     from repro.hw import HardwareParams
 
     params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
@@ -925,9 +983,7 @@ def _step_reason_rig(reason: str):
     return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
 
 
-@pytest.mark.parametrize("reason", [
-    "lane_off", "send", "stepped_fence", "queued_route", "dcqcn",
-    "unseen_prev"])
+@pytest.mark.parametrize("reason", ["lane_off", "queued_route", "dcqcn"])
 def test_each_stepped_post_counts_the_first_term_that_failed(reason):
     """One scenario per ``STEP_REASONS`` entry: the post that steps adds
     one to its reason and nothing else; the lane adds to none."""
@@ -939,19 +995,8 @@ def test_each_stepped_post_counts_the_first_term_that_failed(reason):
     assert set(tally.stepped) == set(STEP_REASONS)
 
     def client():
-        if reason == "stepped_fence":
-            # A SEND in flight holds both ports on the stepped path.
-            yield from w.send(qp, "msg", 8, wait=False)
-        elif reason == "unseen_prev":
-            # The lane lost sight of its in-flight predecessor (no public
-            # path does this today; the predicate term guards it).
-            yield from w.post(qp, write)
-            qp._last_express_op = None
         before = dict(tally.stepped)
-        if reason == "send":
-            yield from w.send(qp, "msg", 8)
-        else:
-            yield from w.execute(qp, write)
+        yield from w.execute(qp, write)
         counted.update({k: tally.stepped[k] - before[k] for k in before})
 
     counted = {}
