@@ -40,16 +40,18 @@ docs-check:
 smoke: perf-quick check e2e express-ab docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
 
-# Express-lane A/B (~12 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
+# Express-lane A/B (~16 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
 # reconnects), fig5, fig1 (the catalog target where the most tail wakes
-# find their instant taken and keep their wake), breakdown (traced QPs)
-# and fig10 (RPC lock and sequencer: the catalog's most SENDs) must
-# render byte-identical tables, and equal completion digests for every
-# simulator, with the lane on and off (tools/express_ab.py through
-# repro.check.differential, which names the first differing completion
-# on a digest mismatch; no arguments runs the full catalog).
+# find their instant taken and keep their wake), breakdown (traced QPs),
+# fig10 (RPC lock and sequencer: the catalog's most SENDs) and ext2
+# (symmetric ports: ~10.7k signaled WRITEs whose ACK wire and CQE DMA
+# share one wake on each lane) must render byte-identical tables, and
+# equal completion digests for every simulator, with the lane on and
+# off (tools/express_ab.py through repro.check.differential, which names
+# the first differing completion on a digest mismatch; no arguments runs
+# the full catalog).
 express-ab:
-	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10
+	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean

@@ -22,7 +22,7 @@ class CompletionQueue:
     by whichever comes first of:
 
     * :meth:`poll` (the oldest CQE);
-    * a :meth:`wait` getter (the oldest CQE, or the next one pushed);
+    * a :meth:`wait` getter (the oldest CQE, or the next one deposited);
     * the :meth:`Worker.wait <repro.verbs.Worker.wait>` that pays
       ``cpu_poll_ns`` for it (that very CQE, wherever it sits; see
       :func:`reap`).
@@ -57,36 +57,24 @@ class CompletionQueue:
         for key in self._items:
             del index[key]
 
-    def _enqueue(self, completion: Completion) -> None:
+    def _take(self) -> Completion:
+        key, cqe = self._items.popitem(last=False)
+        del self._index[key]
+        return cqe
+
+    def deposit(self, completion: Completion) -> None:
+        """Hardware-side: deposit a CQE, on either lane.
+
+        It goes straight to the oldest pending ``wait()``, or else joins
+        the queue.  Unlike ``Store.put`` it schedules nothing: a put-ack
+        here would be an event nothing can wait on."""
+        self.produced += 1
         if self._getters:
             self._getters.popleft().succeed(completion)
         else:
             key = id(completion)
             self._items[key] = completion
             self._index[key] = self._ref
-
-    def _take(self) -> Completion:
-        key, cqe = self._items.popitem(last=False)
-        del self._index[key]
-        return cqe
-
-    def push(self, completion: Completion) -> None:
-        """Hardware-side: deposit a CQE.  The stepped pipeline's deposit
-        also succeeds a no-op put-ack event, as a store put does, so its
-        schedules (and the traced pins recorded from them) do not move."""
-        self.produced += 1
-        ack = self.sim.event()
-        self._enqueue(completion)
-        ack.succeed(None)
-
-    def deposit(self, completion: Completion) -> None:
-        """Express-lane deposit: ``push`` without the put-ack.
-
-        The ack is a no-op event nothing can wait on; the lane skips it
-        and hands the CQE straight to the oldest pending ``wait()`` or
-        queues it."""
-        self.produced += 1
-        self._enqueue(completion)
 
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll, as ``ibv_poll_cq`` (returns None if empty)."""

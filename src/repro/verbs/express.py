@@ -41,8 +41,13 @@ tables.  So the lane mirrors the grant structure literally:
   holds continue inline in their end-wake, like a ``yield from``
   subgenerator resuming its caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
-  DMA) each get their own wake allocated at the same instant the
-  stepped path allocates the corresponding sleep.
+  DMA) get a wake allocated at the same instant the stepped path
+  allocates the corresponding sleep.  A signaled WRITE, CAS or FAA does
+  nothing when its ACK lands, so its ACK wire and CQE DMA share one
+  wake at ``(now + bwd) + cqe_dma``, booked at service end; the stepped
+  path waits for that instant with one ``call_at`` booked there too.
+  READ (delivery DMA), SEND (``recv_queue.put``) and unsignaled WRs
+  (the ACK is their completion) keep a wake per hop.
 * Atomic word locks are ``Resource.claim`` holds on the device's
   ``atomic_word_lock`` Resource: a queued claim's handover runs the next
   owner's service bookings at the releaser's dispatch — the stepped
@@ -60,11 +65,12 @@ every scheduled wake is final.
 Every wake here — hold ends booked through ``Resource.book``, constant
 wires, join resumes and the CQE-DMA end (``P_T``) — is a
 :meth:`Simulator.call_tail`, and the completion is a plain
-``done.succeed``; the CQE is deposited without ``Store.put``'s no-op
-put-ack (:meth:`CompletionQueue.deposit`).  Whether any of them runs
-without a heap round trip is the engine's decision alone (its in-place
-rule, :meth:`Simulator._park`), and it pops them in ``call_at``'s order
-either way: the completion instant and its waiter order never move.
+``done.succeed``; the CQE is deposited, on both lanes, without a
+``Store.put``-style no-op put-ack (:meth:`CompletionQueue.deposit`).
+Whether any of them runs without a heap round trip is the engine's
+decision alone (its in-place rule, :meth:`Simulator._park`), and it
+pops them in ``call_at``'s order either way: the completion instant and
+its waiter order never move.
 
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
@@ -109,7 +115,8 @@ dispatch where the stepped ``_execute`` stamps it: ``wqe_fetch`` at the
 WQE DMA end, ``exec`` once a delivered attempt clears the tx unit,
 ``retrans`` at each transport timer, ``network`` at arrival,
 ``responder`` when the service (WRITE drain, atomic, READ response
-serialization) ends, ``response_net`` when the ACK or response lands,
+serialization) ends, ``response_net`` when the ACK or response lands
+(a folded ACK: its landing instant, at service end on both lanes),
 and ``delivery`` at the completion instant, where the record commits.
 A doorbell batch begins its records after the chained fetch, as the
 stepped batch boots its WRs there.
@@ -152,8 +159,9 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_RTX,      # READ response serialization end
  P_BWD,      # READ response wire: data arrives back at the requester
  P_DLV,      # READ local delivery DMA end
- P_TAIL,     # WRITE/atomic/SEND response wire elapsed
- P_T,        # CQE DMA end: completion instant
+ P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed
+ P_T,        # CQE DMA end: completion instant (a signaled WRITE or
+             # atomic books it at service end, past its ACK wire)
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
  P_DONE) = range(18)
@@ -606,13 +614,26 @@ class ExpressState:
 
     def _respond(self, op: ExpressOp) -> None:
         """WRITE/atomic/SEND service done: the ACK takes the reverse
-        wire."""
+        wire.  A signaled WRITE or atomic has nothing to do when its ACK
+        lands, so it books its CQE-DMA end (``P_T``) here, at the instant
+        the two hops would reach, where the stepped ``_responder_phase``
+        books its one wait; a SEND or an unsignaled WR wakes at the ACK
+        (``P_TAIL``)."""
         sim = self.sim
         record = op.record
+        now = sim.now
         if record is not None:
-            record.stamp("responder", sim.now)
+            record.stamp("responder", now)
+        qp = op.qp
+        ack = now + qp._bwd_ns
+        if op.signaled and op.opcode is not Opcode.SEND:
+            if record is not None:
+                record.stamp("response_net", ack)
+            op.phase = P_T
+            sim.call_tail(ack + qp._params.cqe_dma_ns, op.wcb)
+            return
         op.phase = P_TAIL
-        sim.call_tail(sim.now + op.qp._bwd_ns, op.wcb)
+        sim.call_tail(ack, op.wcb)
 
     # -- READ / SEND responder path -----------------------------------------
     def _rx_end(self, op: ExpressOp) -> None:

@@ -74,6 +74,11 @@ SGE_SEG_BYTES = 16
 STEP_REASONS = ("lane_off", "queued_route", "dcqcn")
 
 
+def _landed(_ev: Event) -> None:
+    """Target of the stepped pipeline's folded ACK+CQE wake, whose
+    process resumes on the same event."""
+
+
 class _Tally:
     """Process-wide counters, held on an instance rather than a class: a
     write to a class attribute invalidates the class's type version and
@@ -234,7 +239,7 @@ class QueuePair:
         if check is not None:
             check.on_completed(self, wr, comp)
         if wr.signaled:
-            self.cq.push(comp)
+            self.cq.deposit(comp)
         done = self.sim.event()
         done.succeed(comp)
         return done
@@ -481,12 +486,19 @@ class QueuePair:
                 route = lrnic.fabric.path(lport, rport,
                                           flow=self.qp_id + 131 * losses)
 
+        cqe = wr.signaled
         if status is CompletionStatus.SUCCESS:
-            value = yield from self._responder_phase(wr, record, total_len)
+            # A signaled WRITE or atomic on a plain route waits out its
+            # ACK wire and CQE DMA in one wake (_responder_phase step 6).
+            folds = (cqe and not queued and opcode is not Opcode.READ
+                     and opcode is not Opcode.SEND)
+            value = yield from self._responder_phase(wr, record, total_len,
+                                                     folds)
+            cqe = cqe and not folds
         if record is not None:
             record.retries = retries_done
 
-        if wr.signaled:
+        if cqe:
             yield p.cqe_dma_ns
         # RC in-order completion: never overtake an earlier WR on this QP.
         if prev is not None and not prev._processed:
@@ -516,7 +528,7 @@ class QueuePair:
         if check is not None:
             check.on_completed(self, wr, completion)
         if wr.signaled:
-            self.cq.push(completion)
+            self.cq.deposit(completion)
         done.succeed(completion)
 
     def _retrans_wait_ns(self, losses: int) -> float:
@@ -526,14 +538,15 @@ class QueuePair:
         return min(p.retrans_timeout_ns * p.retrans_backoff ** (losses - 1),
                    p.retrans_timeout_cap_ns)
 
-    def _responder_phase(self, wr: WorkRequest, record,
-                         total_len: int) -> Generator:
+    def _responder_phase(self, wr: WorkRequest, record, total_len: int,
+                         folds: bool) -> Generator:
         """Stages 4-7 of a delivered request: fabric, responder execution,
         ACK/response, and local delivery.  Runs once, after the (possibly
         retransmitted) request finally got through; returns the atomic
         result value (None for non-atomics).  ``record`` is the WR's
         OpRecord (None: untraced); ``total_len`` is the caller's
-        already-computed ``wr.total_length``."""
+        already-computed ``wr.total_length``; ``folds`` makes the ACK
+        wait run on to the end of the CQE DMA."""
         p = self._params
         sim = self.sim
         lport, rport = self.local_port, self.remote_port
@@ -627,13 +640,24 @@ class QueuePair:
         # a delivered-and-executed request is always acknowledged.  Losing
         # ACKs instead would make the requester re-execute a completed op;
         # port-level loss faults (which sample both ends) remain the model
-        # for that ambiguity.  See docs/FABRIC.md.
+        # for that ambiguity.  See docs/FABRIC.md.  Plain routes pay the
+        # fixed reverse crossbar constant, and a signaled WRITE or atomic
+        # (``folds``) runs that wait on through its CQE DMA.
         if self._queued:
             _, marked = yield from self._route_back.traverse(
                 response_payload if response_payload else 16,
                 droppable=False)
             if marked and lport.dcqcn is not None:
                 lport.dcqcn.on_ecn(sim.now)
+        elif folds:
+            # A signaled WRITE or atomic does nothing when its ACK lands:
+            # one wake at the CQE-DMA end, allocated here as the express
+            # lane allocates its own, covers both hops.
+            ack = sim.now + self._bwd_ns
+            if record is not None:
+                record.stamp("response_net", ack)
+            yield sim.call_at(ack + p.cqe_dma_ns, _landed)
+            return value
         else:
             yield self._bwd_ns
         if record is not None:

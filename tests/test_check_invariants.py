@@ -581,6 +581,51 @@ def test_a_lane_defect_no_checker_sees_fails_the_differential(monkeypatch):
     assert lane["retries"] == "0" != stepped["retries"]
 
 
+def test_a_same_instant_completion_swap_only_the_digest_sees(monkeypatch):
+    """Seeded mutation: on the lane, an op parked behind its predecessor
+    (RC in-order completion) completes just before it instead of just
+    after, at the same instant on the same CQ.  The hashtable point
+    (ext1's "reorder" front-ends, all writes: many WRs in flight per QP)
+    renders the same throughput under the swap; only the completion
+    digest differs from the stepped lane's, and the first divergence is
+    two rows of one QP at one timestamp."""
+    from repro.bench import ext1_read_mix
+    from repro.verbs import express
+    from repro.verbs.express import ExpressState
+
+    def point():
+        return ext1_read_mix.run_point({"config": "reorder", "ratio": 1.0})
+
+    stepped = differential.run(point, express=False)
+    parked, swaps = {}, []
+    try_finish, complete = ExpressState._try_finish, ExpressState._complete
+
+    def parking(self, op):
+        try_finish(self, op)
+        if op.phase == express.P_PARK:
+            parked[id(op.prev)] = op
+
+    def swapped(self, op):
+        successor = parked.pop(id(op.done), None)
+        if successor is not None and successor.phase == express.P_PARK:
+            swaps.append(successor)
+            complete(self, successor)
+        complete(self, op)
+
+    monkeypatch.setattr(ExpressState, "_try_finish", parking)
+    monkeypatch.setattr(ExpressState, "_complete", swapped)
+    lane = differential.run(point, express=True)
+    assert swaps
+    assert lane.value == stepped.value
+    assert lane.digests != stepped.digests
+    divergence = differential.compare(point, stepped, lane)
+    rows = [dict(f.split("=", 1) for f in row.split()) for row in
+            re.findall(r"(?:stepped|express): (qp=.*)", divergence)]
+    assert rows[0] != rows[1]
+    assert rows[0]["qp"] == rows[1]["qp"]
+    assert rows[0]["timestamp_ns"] == rows[1]["timestamp_ns"]
+
+
 def test_express_ab_passes_breakdown_through_the_differential(
         capsys, monkeypatch):
     """``tools/express_ab.py breakdown`` runs the target once per lane

@@ -252,9 +252,10 @@ def test_idle_rig_runs_tail_wakes_in_place():
     """On an idle rig almost every dispatch is provably the next one when
     it is scheduled, so the engine runs it in place.  One cut-through
     4 KB WRITE (payload∥tx and rx∥drain joins) and one 64 B READ
-    dispatch 28 entries in all (30 before the lane's CQE deposit dropped
-    its put-ack); 3 take the heap, the lane wakes that wait behind the
-    other half of a cut-through pair, and 25 run in place — the client
+    dispatch 27 entries in all (28 before the WRITE's ACK wire and CQE
+    DMA shared one wake, 30 before the lane's CQE deposit dropped its
+    put-ack); 3 take the heap, the lane wakes that wait behind the
+    other half of a cut-through pair, and 24 run in place — the client
     process's boot, CPU-cost sleeps and end among them (before every
     trigger shared the tail slot, only lane wakes could: 9 and 19).  The
     completion log and memories still equal the stepped lane's
@@ -288,8 +289,111 @@ def test_idle_rig_runs_tail_wakes_in_place():
     assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
     assert branches == {("join", "inline"): 2, ("cqe", "inline"): 2,
                         ("completion", "inline"): 2}
-    assert (events, in_place) == (3, 25)
-    assert events + in_place == 28
+    assert (events, in_place) == (3, 24)
+    assert events + in_place == 27
+
+
+# ------------------------------------ one wake for the ACK and the CQE
+#: wr_id -> the last two phases the lane wakes ``_fold_wrs``'s WR at.
+FOLD_TAILS = {
+    1: ("P_SVC_R", "P_T"),   # signaled inline WRITE
+    2: ("P_SVC_R", "P_T"),   # signaled cut-through WRITE
+    3: ("P_SVC", "P_T"),     # CAS
+    4: ("P_SVC", "P_T"),     # FAA
+    5: ("P_SVC_R", "P_TAIL"),  # unsignaled WRITE: its ACK completes it
+    6: ("P_TAIL", "P_T"),    # SEND: the ACK lands it in the recv queue
+}
+
+
+def _fold_wrs(lmr, rmr) -> list[WorkRequest]:
+    def write(wr_id, size, roff, signaled=True):
+        return WorkRequest(Opcode.WRITE, wr_id=wr_id, sgl=[Sge(lmr, 0, size)],
+                           remote_mr=rmr, remote_offset=roff,
+                           signaled=signaled)
+
+    return [write(1, 64, 0), write(2, 4096, 4096),
+            WorkRequest(Opcode.CAS, wr_id=3, remote_mr=rmr, remote_offset=64,
+                        compare=0, swap=7),
+            WorkRequest(Opcode.FAA, wr_id=4, remote_mr=rmr, remote_offset=72,
+                        add=5),
+            write(5, 64, 128, signaled=False),
+            WorkRequest(Opcode.SEND, wr_id=6, payload="x", payload_bytes=64)]
+
+
+def _fold_run(express: bool) -> tuple[list, list]:
+    """Each of ``_fold_wrs`` on its own QP, all posted at 0 and traced:
+    (completion rows in post order, trace records in commit order)."""
+    sim, cluster, ctx = differential.run(
+        lambda: build(machines=2), express).value
+    lmr, rmr = ctx.register(0, 8192), ctx.register(1, 8192)
+    tracer = OpTracer()
+    ctx.attach_tracer(tracer)
+    events = [ctx.create_qp(0, 1).post_send(wr) for wr in _fold_wrs(lmr, rmr)]
+    sim.run()
+    return [_row(ev.value) for ev in events], _records(tracer)
+
+
+def test_signaled_writes_and_atomics_wake_once_for_ack_and_cqe():
+    """On the lane, a signaled WRITE (inline and cut-through), CAS and
+    FAA wake at service end and next at their CQE-DMA end (``P_T``): the
+    ACK lands between the two with no wake of its own.  An unsignaled
+    WRITE and a SEND still wake when their ACK lands (``P_TAIL``).  Both
+    lanes log the same completions and commit the same trace records,
+    the ``response_net`` stage (stamped at the ACK instant) included."""
+    from repro.verbs import express
+    from repro.verbs.express import ExpressState
+
+    names = {v: k for k, v in vars(express).items() if k.startswith("P_")}
+    phases: dict[int, list] = {}
+    orig_wake = ExpressState._on_wake
+
+    def recording_wake(self, op, ev):
+        phases.setdefault(op.wr.wr_id, []).append(names[op.phase])
+        orig_wake(self, op, ev)
+
+    stepped = _fold_run(express=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExpressState, "_on_wake", recording_wake)
+        lane = _fold_run(express=True)
+    assert lane == stepped
+    assert {k: tuple(v[-2:]) for k, v in phases.items()} == FOLD_TAILS
+    records = lane[1]
+    assert len(records) == len(FOLD_TAILS)
+    assert all(r[4]["response_net"] > 0.0 for r in records)
+
+
+def test_an_entry_at_the_folded_cqe_instant_runs_after_it_on_both_lanes():
+    """The fold moves one thing: a signaled WRITE's CQE wake is allocated
+    at service end, so it runs ahead of an entry for the same instant
+    scheduled between service end and ACK arrival (with a wake per hop
+    it ran behind).  A probe scheduled there, at exactly the CQE-DMA
+    end, polls the CQE on both lanes."""
+    def run(express: bool, probe=None):
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=2), express).value
+        lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
+        tracer = OpTracer()
+        ctx.attach_tracer(tracer)
+        qp = ctx.create_qp(0, 1)
+        done = qp.post_send(WorkRequest(
+            Opcode.WRITE, wr_id=1, sgl=[Sge(lmr, 0, 64)], remote_mr=rmr,
+            remote_offset=0))
+        polled = []
+        if probe is not None:
+            at, cqe_end = probe
+            sim.call_at(at, lambda _ev: sim.call_at(
+                cqe_end, lambda _ev: polled.append(qp.cq.poll())))
+        sim.run()
+        return (done.value, tracer.records[0].stages["response_net"],
+                cluster.params.cqe_dma_ns, polled)
+
+    comp, wire, cqe_dma, _ = run(express=False)
+    # Halfway down the ACK wire: after service end, before ACK arrival.
+    probe = (comp.timestamp_ns - cqe_dma - wire / 2, comp.timestamp_ns)
+    for express in (False, True):
+        got, _, _, polled = run(express, probe)
+        assert got == comp
+        assert polled == [comp], express
 
 
 # ------------------------------------------- tail wakes across layers

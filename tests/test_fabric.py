@@ -35,15 +35,21 @@ from repro.hw.fabric import (
 from repro.sim import Simulator
 from repro.verbs import Opcode, Sge, Worker, WorkRequest
 
-# Dispatch-timeline pin recorded with the PRE-fabric code (commit
-# b33e484): a 3-machine mixed WRITE/READ/FAA workload on the default
-# topology.  Any change to these constants means the single-switch
-# schedule moved — which the fabric refactor is contractually not
-# allowed to do (api_redesign acceptance criterion).
+# Pins of a 3-machine mixed WRITE/READ/FAA workload on the default
+# topology, stepped pipeline.  The contract: single-switch outcomes never
+# move.  ``BASELINE_NOW`` is the pre-fabric code's (commit b33e484) and
+# ``BASELINE_COMPLETIONS`` (every completion of the run) was taken at
+# commit 0afc8bf; neither may change.  The event count and timeline
+# digest may be re-cut only by a deliberate event elision that keeps
+# both: folding each signaled WRITE and FAA's ACK wire and CQE DMA into
+# one wake (40 events) and deleting the CQE deposit's no-op put-ack (60)
+# took the count from 1293 to 1193.
 BASELINE_NOW = 113623.14822335038
-BASELINE_EVENTS = 1293
+BASELINE_EVENTS = 1193
 BASELINE_DIGEST = \
-    "e6266bd50ab07e2324dcd7e180f0caf129a510bf9a7cbb3a1346684f00396b54"
+    "af04ed89d7e90a8e74c587d0de1720bd3653b7d94c490184b9140b9cbddb6d75"
+BASELINE_COMPLETIONS = \
+    "14e38badc7108de5a8c187f776800c262f83f21f167b80fc952f92772743066c"
 
 
 def _drain(gen):
@@ -60,38 +66,44 @@ def _drain(gen):
 # ------------------------------------------------------ schedule identity
 
 def test_single_switch_schedule_identical_to_pre_fabric():
-    # The pins are the stepped pipeline's pre-fabric timeline.
-    sim, cluster, ctx = differential.run(
-        lambda: build(machines=3), express=False).value
-    timeline = []
-    sim.trace_dispatch = lambda t, p, s: timeline.append((t, p, s))
-    lmr = ctx.register(0, 1 << 16)
-    rmr = ctx.register(1, 1 << 16)
-    rmr2 = ctx.register(2, 1 << 16)
-    qp = ctx.create_qp(0, 1)
-    qp2 = ctx.create_qp(0, 2)
-    w = Worker(ctx, 0, socket=0)
+    # The pins are the stepped pipeline's timeline and completions.
+    def scenario():
+        sim, cluster, ctx = build(machines=3)
+        timeline = []
+        sim.trace_dispatch = lambda t, p, s: timeline.append((t, p, s))
+        lmr = ctx.register(0, 1 << 16)
+        rmr = ctx.register(1, 1 << 16)
+        rmr2 = ctx.register(2, 1 << 16)
+        qp = ctx.create_qp(0, 1)
+        qp2 = ctx.create_qp(0, 2)
+        w = Worker(ctx, 0, socket=0)
 
-    def drive():
-        for i in range(20):
-            size = [32, 256, 4096][i % 3]
-            wr = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, size)],
-                             remote_mr=rmr, remote_offset=0, move_data=False)
-            ev = yield from w.post(qp, wr)
-            yield from w.wait(ev)
-            rr = WorkRequest(Opcode.READ, sgl=[Sge(lmr, 0, size)],
-                             remote_mr=rmr2, remote_offset=0, move_data=False)
-            ev = yield from w.post(qp2, rr)
-            yield from w.wait(ev)
-            aw = WorkRequest(Opcode.FAA, remote_mr=rmr, remote_offset=64,
-                             add=1)
-            ev = yield from w.post(qp, aw)
-            yield from w.wait(ev)
+        def drive():
+            for i in range(20):
+                size = [32, 256, 4096][i % 3]
+                wr = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, size)],
+                                 remote_mr=rmr, remote_offset=0,
+                                 move_data=False)
+                ev = yield from w.post(qp, wr)
+                yield from w.wait(ev)
+                rr = WorkRequest(Opcode.READ, sgl=[Sge(lmr, 0, size)],
+                                 remote_mr=rmr2, remote_offset=0,
+                                 move_data=False)
+                ev = yield from w.post(qp2, rr)
+                yield from w.wait(ev)
+                aw = WorkRequest(Opcode.FAA, remote_mr=rmr, remote_offset=64,
+                                 add=1)
+                ev = yield from w.post(qp, aw)
+                yield from w.wait(ev)
 
-    p = sim.process(drive())
-    sim.run(until=p)
+        sim.run(until=sim.process(drive()))
+        return sim.now, timeline
+
+    run = differential.run(scenario, express=False)
+    now, timeline = run.value
     digest = hashlib.sha256(repr(timeline).encode()).hexdigest()
-    assert sim.now == BASELINE_NOW
+    assert now == BASELINE_NOW
+    assert run.digests == [BASELINE_COMPLETIONS]
     assert len(timeline) == BASELINE_EVENTS
     assert digest == BASELINE_DIGEST
 
