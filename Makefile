@@ -40,18 +40,20 @@ docs-check:
 smoke: perf-quick check e2e express-ab docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
 
-# Express-lane A/B (~16 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
+# Express-lane A/B (~25 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
 # reconnects), fig5, fig1 (the catalog target where the most tail wakes
 # find their instant taken and keep their wake), breakdown (traced QPs),
-# fig10 (RPC lock and sequencer: the catalog's most SENDs) and ext2
+# fig10 (RPC lock and sequencer: the catalog's most SENDs), ext2
 # (symmetric ports: ~10.7k signaled WRITEs whose ACK wire and CQE DMA
-# share one wake on each lane) must render byte-identical tables, and
+# share one wake on each lane), ext8_txn (same-instant ties on hot
+# atomic word locks) and ext1 (the READ mix: READ rx and response-tx
+# leases under contention) must render byte-identical tables, and
 # equal completion digests for every simulator, with the lane on and
 # off (tools/express_ab.py through repro.check.differential, which names
 # the first differing completion on a digest mismatch; no arguments runs
 # the full catalog).
 express-ab:
-	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2
+	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean

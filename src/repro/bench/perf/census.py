@@ -23,7 +23,11 @@ Who scheduled an event:
 * any other entry: the innermost frame on the stack outside
   :mod:`repro.sim`, looking no further out than the dispatch loop — an
   entry the engine schedules on its own (a process finishing, an
-  ``all_of`` firing) is charged to ``sim``.
+  ``all_of`` firing) is charged to ``sim``;
+* a lease's end wake (:meth:`~repro.sim.Resource.lease`, woken only when
+  a waiter queues behind it) and what its handover schedules: the layer
+  of the lease's callback, which is where a ``book`` end-wake and its
+  ``release()`` would have been charged.
 
 Layers are source packages of ``repro``; ``verbs-stepped`` is all of
 ``repro.verbs`` except the express lane (the stepped pipeline plus the
@@ -60,10 +64,10 @@ import gc
 import os
 import sys
 from collections import Counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import repro
-from repro.sim import engine
+from repro.sim import Resource, engine
 from repro.sim.engine import Simulator, _Sleep, _dead
 from repro.verbs.qp import STEP_REASONS
 
@@ -80,6 +84,7 @@ _PACKAGES = {"sim": "sim", "hw": "hw", "memory": "memory",
              "tenancy": "tenancy", "load": "load", "apps": "apps",
              "bench": "bench"}
 _DISPATCH = frozenset({Simulator.run.__code__, Simulator.step.__code__})
+_LEASE_END = Resource._lease_end.__code__
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,13 +99,16 @@ def layer_of(path: str) -> str:
     return _PACKAGES.get(rel.split("/", 1)[0], "other")
 
 
-def _frame_layer(frame) -> str:
+def _frame_layer(frame) -> Optional[str]:
     """The layer of the innermost frame from ``frame`` outward that lies
-    outside :mod:`repro.sim`, stopping at the dispatch loop (``sim``)."""
+    outside :mod:`repro.sim`, stopping at the dispatch loop (``sim``);
+    ``None`` inside a lease's end wake (the wake's own charge applies)."""
     while frame is not None:
         code = frame.f_code
         if code in _DISPATCH:
             break
+        if code is _LEASE_END:
+            return None
         layer = layer_of(code.co_filename)
         if layer != "sim":
             return layer
@@ -126,13 +134,24 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
     charged: dict[int, str] = {}  # id(entry) -> layer, while scheduled
     # The last dispatch counted: (heap, seq, layer, tally it went to).
     last: list = [None, 0, "", counts]
-    park = Simulator._park
+    leased: dict[int, str] = {}  # id(resource) -> its lease's layer
+    park, grant = Simulator._park, Resource._grant_lease
     push, pop, pushpop = engine.heappush, engine.heappop, engine.heappushpop
 
     def counting_park(sim: Simulator, entry: tuple) -> None:
-        if type(entry[3]) is not _Sleep:
-            charged[id(entry)] = _frame_layer(sys._getframe(1))
+        target = entry[3]
+        if type(target) is not _Sleep:
+            if getattr(target, "__func__", None) is Resource._lease_end:
+                layer = leased[id(target.__self__)]
+            else:
+                layer = _frame_layer(sys._getframe(1))
+            charged[id(entry)] = last[2] if layer is None else layer
         park(sim, entry)
+
+    def counting_grant(res: Resource, dur: float, cb: Callable) -> None:
+        fn = getattr(cb, "func", cb)  # a wake partial's function
+        leased[id(res)] = layer_of(fn.__code__.co_filename)
+        grant(res, dur, cb)
 
     def count(heap: list, entry: tuple, tally: Counter) -> None:
         target = entry[3]
@@ -171,12 +190,14 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
     engine.heappush, engine.heappop = counting_push, counting_pop
     engine.heappushpop = counting_pushpop
     setattr(Simulator, "_park", counting_park)
+    setattr(Resource, "_grant_lease", counting_grant)
     try:
         yield counts, in_place
     finally:
         engine.heappush, engine.heappop = push, pop
         engine.heappushpop = pushpop
         setattr(Simulator, "_park", park)
+        setattr(Resource, "_grant_lease", grant)
 
 
 def _ops_of(run: Callable[[], object]) -> int:

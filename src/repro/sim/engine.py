@@ -231,11 +231,18 @@ class Event:
         the current dispatch.
 
         For an outcome the running dispatch has decided and that only
-        has to reach its waiters, never for a grant: no heap entry, no
-        sequence number, and no count in ``events_processed`` or
-        ``events_in_place``.  A waiting process resumes before any entry
-        already scheduled at this instant; ``succeed`` keeps the
-        scheduled order.
+        has to reach its waiters: no heap entry, no sequence number, and
+        no count in ``events_processed`` or ``events_in_place``.  A
+        waiting process resumes before any entry already scheduled at
+        this instant; ``succeed`` keeps the scheduled order.
+
+        Not for a grant, with one exception: the stepped verbs path's
+        atomic word lock (``Resource.claim(grant.fire)`` in
+        ``QueuePair._responder_phase``).  It mirrors the express lane,
+        whose queued claim runs the next owner's bookings inside the
+        releaser's dispatch, so both lanes take the lock at the same
+        point of the same dispatch.  Every other grant (the tenancy
+        plane's among them) stays scheduled.
         """
         if self._triggered or self._cancelled:
             raise SimulationError(f"{self!r} already triggered")
@@ -572,16 +579,21 @@ class Simulator:
     every instance of the class).
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_crashed", "events_processed",
-                 "events_cancelled", "events_in_place", "_tail",
-                 "trace_dispatch", "check",
-                 "express", "cqes")
+    __slots__ = ("now", "seq_now", "_heap", "_seq", "_crashed",
+                 "events_processed", "events_cancelled", "events_in_place",
+                 "_tail", "trace_dispatch", "check", "express", "cqes")
 
     #: Class-wide dispatched-event counter (monotonic across instances).
     total_events: int = 0
 
     def __init__(self):
         self.now: float = 0.0
+        #: The seq of the running dispatch's key, 0 during an URGENT one
+        #: (a reserved NORMAL key ``(now, NORMAL, seq)`` is behind the
+        #: dispatch iff ``seq_now > seq``; :meth:`Resource.lease`).  After
+        #: ``run(until=T)`` every key at ``T`` has run: it is then above
+        #: every seq allocated so far.
+        self.seq_now = 0
         #: Pending entries ``(when, priority, seq, target)``; ``target``
         #: is an :class:`Event`, a :class:`_Sleep` marker or a bare
         #: :meth:`call_tail` function.
@@ -743,6 +755,7 @@ class Simulator:
         if when < self.now:
             raise SimulationError("event scheduled in the past")
         self.now = when
+        self.seq_now = _seq if _prio else 0
         if self.check is not None:
             self.check.on_dispatch(when)
         if type(target) is _Sleep:
@@ -844,6 +857,7 @@ class Simulator:
                         if p is None or p._waiting_on is not target:
                             continue  # interrupted sleeper: tombstone
                         self.now = when
+                        self.seq_now = _seq if _prio else 0
                         if trace is not None:
                             trace(when, _prio, _seq)
                         if chk is not None:
@@ -896,6 +910,7 @@ class Simulator:
                         if target._cancelled:
                             continue
                         self.now = when
+                        self.seq_now = _seq if _prio else 0
                         if trace is not None:
                             trace(when, _prio, _seq)
                         if chk is not None:
@@ -912,6 +927,7 @@ class Simulator:
                                 cb(target)
                     else:  # a bare call_tail function
                         self.now = when
+                        self.seq_now = _seq
                         if trace is not None:
                             trace(when, _prio, _seq)
                         if chk is not None:
@@ -943,6 +959,7 @@ class Simulator:
             return stop._value
         if until is not None:
             self.now = horizon
+            self.seq_now = self._seq + 1
         return None
 
     def peek(self) -> float:

@@ -3,7 +3,7 @@
 :class:`Resource` models a fixed number of service slots (RNIC execution
 units, PCIe DMA engines, memory-controller banks): processes ``yield
 res.acquire()`` and must ``res.release()`` when done; callback-driven
-code holds the same FIFO without a process (``book``/``claim``).
+code holds the same FIFO without a process (``book``/``claim``/``lease``).
 :class:`Store` is an unbounded-or-bounded FIFO of items (message queues,
 work queues).
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import NORMAL, Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store"]
 
@@ -34,7 +34,7 @@ class Resource:
         finally:
             resource.release()
 
-    Two process-free holds share the same FIFO, so callback-driven code
+    Three process-free holds share the same FIFO, so callback-driven code
     (the express verbs lane) and processes contend on one queue:
 
     * ``book(dur, cb)`` — a timed hold: once granted, ``cb`` wakes at
@@ -44,14 +44,20 @@ class Resource:
     * ``claim(cb)`` — an untimed hold: returns True when granted on the
       spot, else ``cb(resource)`` runs at the grant; the holder releases
       whenever its own work ends.
+    * ``lease(dur, cb)`` — a timed hold that frees itself (capacity-1
+      units only): ``cb(end)`` runs at the grant, with the end instant,
+      and the holder never releases.  The end takes a wake only when a
+      waiter queues behind it; see :meth:`lease`.
 
     ``release()`` hands the slot straight to the head waiter — an acquire
-    event, a booking or a claim — at the releaser's dispatch; the busy
-    span stays open across a handover.
+    event, a booking, a claim or a lease — at the releaser's dispatch;
+    the busy span stays open across a handover.
 
     The waiter FIFO is created at the first contention, so an idle
     resource (e.g. one of the RNIC's per-word atomic locks, kept for the
-    whole run) holds no queue.
+    whole run) holds no queue.  A lease that nobody waits behind keeps
+    its reserved end key in the FIFO's slot, so it needs no slot of its
+    own.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
@@ -64,20 +70,26 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        #: FIFO of waiters: an acquire Event, a ``(dur, cb)`` booking, or
-        #: a ``(None, cb)`` claim; ``None`` until the first one queues.
-        self._waiters: Optional[deque] = None
+        #: FIFO of waiters: an acquire Event, a ``(dur, cb, False)``
+        #: booking, a ``(dur, cb, True)`` lease or a ``(None, cb, False)``
+        #: claim; ``None`` until the first one queues.  While a lease
+        #: holds the unit with no wake scheduled for its end, the slot
+        #: holds the lease's reserved end key ``(end, seq)`` instead.
+        self._waiters: Optional[deque | tuple] = None
         # busy-time accounting for utilization reports
         self._busy_ns = 0.0
         self._busy_since: Optional[float] = None
 
     @property
     def in_use(self) -> int:
+        if self._waiters.__class__ is tuple:
+            self._lapsed()
         return self._in_use
 
     @property
     def queue_len(self) -> int:
-        return len(self._waiters) if self._waiters else 0
+        waiters = self._waiters
+        return len(waiters) if waiters.__class__ is deque else 0
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -85,45 +97,114 @@ class Resource:
         # uncontended grant is inlined; FIFO order and schedules are
         # unchanged.
         ev = self.sim.event()
-        if self._in_use < self.capacity:
+        if self._in_use < self.capacity or (
+                self._waiters.__class__ is tuple and self._lapsed()):
             if self._in_use == 0:
                 self._busy_since = self.sim.now
             self._in_use += 1
             ev.succeed(self)
         else:
-            self._queue().append(ev)
+            self._wait(ev)
         return ev
 
-    def _queue(self) -> deque:
-        """The waiter FIFO, created at the first contention."""
+    def _wait(self, waiter) -> None:
+        """Queue ``waiter`` behind the holders.  A lease holding the unit
+        gets its end wake now, at the key it reserved, so the handover
+        runs where a ``book`` end-wake would run it."""
         waiters = self._waiters
-        if waiters is None:
+        if waiters.__class__ is not deque:
+            if waiters is not None:
+                end, seq = waiters
+                self.sim._park((end, NORMAL, seq, self._lease_end))
             waiters = self._waiters = deque()
-        return waiters
+        waiters.append(waiter)
+
+    def _lease_end(self, _ev) -> None:
+        """The end wake of a lease that a waiter queued behind."""
+        self.release()
+
+    def _lapsed(self) -> bool:
+        """Free the unit if its lease, which has no end wake, ended before
+        the running dispatch (its reserved key is behind ``sim``'s); the
+        busy span closes at the lease's end, as ``release()`` there would
+        close it."""
+        end, seq = self._waiters
+        sim = self.sim
+        now = sim.now
+        if now > end or (now == end and sim.seq_now > seq):
+            self._waiters = None
+            self._in_use = 0
+            self._busy_ns += end - self._busy_since
+            self._busy_since = None
+            return True
+        return False
 
     def book(self, dur: float, cb: Callable) -> None:
         """Timed hold without a process: ``cb`` wakes ``dur`` after the
         grant — scheduled now when a slot is free, else by the release
         that grants it."""
-        if self._in_use < self.capacity:
+        if self._in_use < self.capacity or (
+                self._waiters.__class__ is tuple and self._lapsed()):
             sim = self.sim
             if self._in_use == 0:
                 self._busy_since = sim.now
             self._in_use += 1
             sim.call_tail(sim.now + dur, cb)
         else:
-            self._queue().append((dur, cb))
+            self._wait((dur, cb, False))
 
     def claim(self, cb: Callable) -> bool:
         """Untimed hold: True when granted now; otherwise queue, and the
         granting release runs ``cb(self)`` inline."""
-        if self._in_use < self.capacity:
+        if self._in_use < self.capacity or (
+                self._waiters.__class__ is tuple and self._lapsed()):
             if self._in_use == 0:
                 self._busy_since = self.sim.now
             self._in_use += 1
             return True
-        self._queue().append((None, cb))
+        self._wait((None, cb, False))
         return False
+
+    def lease(self, dur: float, cb: Callable) -> None:
+        """Timed hold that frees itself: ``cb(end)`` runs at the grant —
+        now when the unit is free, else inside the release that grants
+        it — with ``end`` = grant time + ``dur``; the holder books its
+        own continuation from there and never calls ``release()``.
+
+        The grant takes the seq a ``book`` end-wake would take, reserving
+        the key ``(end, NORMAL, seq)``.  That key becomes a heap entry
+        only if a waiter queues behind the lease, so the handover runs
+        exactly where the ``book`` end-wake would run it.  Otherwise no
+        wake is spent: the first caller whose dispatch is past the key
+        frees the unit (:meth:`_lapsed`), and the busy span closes at
+        ``end``.  Grant instants, FIFO order, handover keys and busy time
+        are ``book``'s; only the holder's continuation is scheduled
+        earlier.  ``sim.now`` after a drained ``run()`` reaches ``end``
+        only if the holder scheduled something at or after it.
+        """
+        if self.capacity != 1:
+            raise ValueError(f"lease() needs a capacity-1 unit, "
+                             f"{self.name!r} has {self.capacity}")
+        if self._in_use == 0 or (
+                self._waiters.__class__ is tuple and self._lapsed()):
+            self._in_use = 1
+            self._busy_since = self.sim.now
+            self._grant_lease(dur, cb)
+        else:
+            self._wait((dur, cb, True))
+
+    def _grant_lease(self, dur: float, cb: Callable) -> None:
+        """Reserve the lease's end key and run its holder's callback."""
+        sim = self.sim
+        end = sim.now + dur
+        if not end >= sim.now:
+            end = sim._clamp(end)
+        sim._seq = seq = sim._seq + 1
+        if self._waiters:
+            sim._park((end, NORMAL, seq, self._lease_end))
+        else:
+            self._waiters = (end, seq)
+        cb(end)
 
     def release(self) -> None:
         if self._in_use <= 0:
@@ -134,9 +215,11 @@ class Resource:
             # over without closing the busy span.
             w = waiters.popleft()
             if w.__class__ is tuple:
-                dur, cb = w
+                dur, cb, leased = w
                 if dur is None:
                     cb(self)
+                elif leased:
+                    self._grant_lease(dur, cb)
                 else:
                     sim = self.sim
                     sim.call_tail(sim.now + dur, cb)
@@ -151,7 +234,7 @@ class Resource:
     def cancel(self, grant: Event) -> None:
         """Withdraw a not-yet-granted acquire request."""
         waiters = self._waiters
-        if waiters is None:
+        if waiters.__class__ is not deque:
             return
         try:
             waiters.remove(grant)
@@ -163,6 +246,8 @@ class Resource:
 
     def busy_time(self) -> float:
         """Total ns during which at least one slot was held."""
+        if self._waiters.__class__ is tuple:
+            self._lapsed()
         extra = self.sim.now - self._busy_since if self._busy_since is not None else 0.0
         return self._busy_ns + extra
 

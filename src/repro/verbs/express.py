@@ -12,7 +12,8 @@ port faults included, because the stepped path sizes its holds at the
 same instant.
 
 This module replays that timeline with one fused wake-up
-(:meth:`Simulator.call_tail`) per *hold* and per *constant sleep*,
+(:meth:`Simulator.call_tail`) per *hold* and per *constant sleep* —
+none for a READ's two leased holds that nobody queues behind —
 roughly halving the events per WR while keeping schedules
 bit-identical.  The
 load-bearing invariant is tie order: the engine breaks ties at an
@@ -35,6 +36,19 @@ tables.  So the lane mirrors the grant structure literally:
   the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
+* Two holds end in nothing but a freed unit and a constant delay: a
+  READ's responder rx hold (then the turnaround) and its response
+  serialization (then the response wire).  They take
+  ``Resource.lease(dur, cb)`` instead: the grant — at the same dispatch
+  as a booking's — calls ``wcb`` with the end instant, which counts
+  ``rx_ops``/``tx_ops``, stamps ``responder`` at the end and books the
+  continuation at ``end + constant`` (the float the end-wake would
+  compute).  The unit frees itself.  Its end takes a wake only when a
+  waiter queues behind the lease, and then at the key the booking's
+  end-wake holds, so every handover stays where it was; only the
+  continuation's seq moves, to the grant.  Every other hold's end
+  touches shared state (a DMA booking, a join, a lock release, a
+  ``recv_queue`` put) and keeps its wake.
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
   DMA) join where their second half ends, with a same-instant resume
   wake where the stepped ``all_of`` resumes one dispatch later.  Single
@@ -49,9 +63,11 @@ tables.  So the lane mirrors the grant structure literally:
   READ (delivery DMA), SEND (``recv_queue.put``) and unsignaled WRs
   (the ACK is their completion) keep a wake per hop.
 * Atomic word locks are ``Resource.claim`` holds on the device's
-  ``atomic_word_lock`` Resource: a queued claim's handover runs the next
-  owner's service bookings at the releaser's dispatch — the stepped
-  grant instant.
+  ``atomic_word_lock`` Resource: a free lock is taken in the arrival
+  dispatch, and a queued claim's handover runs the next owner's service
+  bookings at the releaser's dispatch.  The stepped path claims the
+  same way (``claim(grant.fire)``), so both lanes take the lock at the
+  same point of the same dispatch.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
   its wake callback to that event — the very mechanism the stepped
@@ -75,7 +91,7 @@ its waiter order never move.
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
 as the stepped path; unit counters are incremented at hold ends, not
-batched, so mid-run observers see identical state.
+batched (a READ's leased rx and tx holds count at their grants).
 
 Port faults (:mod:`repro.hw.faults`) are sampled at the dispatches where
 the stepped path samples them, so a fault armed at any instant reaches
@@ -153,10 +169,10 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_Y,        # forward wire: request arrives at the responder
  P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end)
  P_SVC_R,    # WRITE service join resume
- P_RX,       # READ / SEND responder hold end
+ P_RX,       # SEND responder hold end; a READ's rx lease grant
  P_TURN,     # READ host-memory turnaround elapsed
  P_RDMA,     # READ response-fetch / SEND payload-landing DMA end
- P_RTX,      # READ response serialization end
+ P_RTX,      # READ response-serialization lease grant
  P_BWD,      # READ response wire: data arrives back at the requester
  P_DLV,      # READ local delivery DMA end
  P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed
@@ -303,8 +319,10 @@ class ExpressState:
         return record
 
     # ------------------------------------------------------------- wake-ups
-    def _on_wake(self, op: ExpressOp, _ev) -> None:
-        """Primary wake: advance ``op`` across the boundary ``op.phase``."""
+    def _on_wake(self, op: ExpressOp, arg) -> None:
+        """Primary wake: advance ``op`` across the boundary ``op.phase``.
+        ``arg`` is the end instant when a ``Resource.lease`` grant calls
+        it (``P_RX`` of a READ, ``P_RTX``), else unused."""
         phase = op.phase
         if phase == P_WQE:
             self._wqe_end(op)
@@ -322,13 +340,13 @@ class ExpressState:
         elif phase == P_SVC_R:
             self._svc_resume(op)
         elif phase == P_RX:
-            self._rx_end(op)
+            self._rx_end(op, arg)
         elif phase == P_TURN:
             self._turnaround_end(op)
         elif phase == P_RDMA:
             self._responder_dma_end(op)
         elif phase == P_RTX:
-            self._read_tx_end(op)
+            self._read_tx_end(op, arg)
         elif phase == P_BWD:
             self._read_back(op)
         elif phase == P_DLV:
@@ -520,7 +538,10 @@ class ExpressState:
                 # rate (the stepped exec_rx's ``payload_bytes`` hold).
                 hold = max(hold, p.wire_time(total_len))
             op.phase = P_RX
-            rp.rx_unit.book(rp._perturb(hold), op.wcb)
+            if opcode is Opcode.READ:
+                rp.rx_unit.lease(rp._perturb(hold), op.wcb)
+            else:
+                rp.rx_unit.book(rp._perturb(hold), op.wcb)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -636,23 +657,24 @@ class ExpressState:
         sim.call_tail(ack, op.wcb)
 
     # -- READ / SEND responder path -----------------------------------------
-    def _rx_end(self, op: ExpressOp) -> None:
+    def _rx_end(self, op: ExpressOp, end) -> None:
+        """A SEND's rx hold end, or a READ's rx lease grant (``end``)."""
         qp = op.qp
         rp = qp.remote_port
-        rp.rx_unit.release()
-        rp.rx_ops += 1
         if op.opcode is Opcode.SEND:
+            rp.rx_unit.release()
+            rp.rx_ops += 1
             # The payload lands in the responder port's socket memory.
             op.phase = P_RDMA
             pcie = rp.pcie
             pcie._bus.book(pcie.dma_ns(max(op.total_len, 1), rp.socket),
                            op.wcb)
             return
+        rp.rx_ops += 1
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
         op.phase = P_TURN
-        sim = self.sim
-        sim.call_tail(sim.now + qp._params.read_turnaround_ns, op.wcb)
+        self.sim.call_tail(end + qp._params.read_turnaround_ns, op.wcb)
 
     def _turnaround_end(self, op: ExpressOp) -> None:
         pcie = op.qp.remote_port.pcie
@@ -674,20 +696,19 @@ class ExpressState:
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
         op.phase = P_RTX
-        rp.tx_unit.book(rp._perturb(
+        rp.tx_unit.lease(rp._perturb(
             rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)), op.wcb)
 
-    def _read_tx_end(self, op: ExpressOp) -> None:
+    def _read_tx_end(self, op: ExpressOp, end: float) -> None:
+        """The response-serialization lease's grant: the response takes
+        the wire at ``end``."""
         qp = op.qp
-        rp = qp.remote_port
-        rp.tx_unit.release()
-        rp.tx_ops += 1
+        qp.remote_port.tx_ops += 1
         op.phase = P_BWD
-        sim = self.sim
         record = op.record
         if record is not None:
-            record.stamp("responder", sim.now)
-        sim.call_tail(sim.now + qp._bwd_ns, op.wcb)
+            record.stamp("responder", end)
+        self.sim.call_tail(end + qp._bwd_ns, op.wcb)
 
     def _read_back(self, op: ExpressOp) -> None:
         """Response landed: DMA the data into the local buffers."""

@@ -574,7 +574,11 @@ class QueuePair:
             # port's atomic unit for the RMW itself.
             word_lock = rrnic.atomic_word_lock(
                 rmr.key_base | wr.remote_offset)
-            yield word_lock.acquire()
+            # A free lock is taken in this dispatch and a queued one in
+            # the releaser's, as the express lane's claim takes it.
+            grant = sim.event()
+            if not word_lock.claim(grant.fire):
+                yield grant
             try:
                 yield from rport.exec_atomic(extra_ns=r_extra)
                 value = self._apply_atomic(wr)
@@ -598,7 +602,9 @@ class QueuePair:
                 word_lock = rrnic._atomic_locks.get(
                     rmr.key_base | wr.remote_offset)
             if word_lock is not None:
-                yield word_lock.acquire()
+                grant = sim.event()
+                if not word_lock.claim(grant.fire):
+                    yield grant
             try:
                 # Cut-through drain: the responder DMA-writes packets to
                 # host memory while later packets are still arriving.

@@ -252,14 +252,15 @@ def test_idle_rig_runs_tail_wakes_in_place():
     """On an idle rig almost every dispatch is provably the next one when
     it is scheduled, so the engine runs it in place.  One cut-through
     4 KB WRITE (payload∥tx and rx∥drain joins) and one 64 B READ
-    dispatch 27 entries in all (28 before the WRITE's ACK wire and CQE
-    DMA shared one wake, 30 before the lane's CQE deposit dropped its
-    put-ack); 3 take the heap, the lane wakes that wait behind the
-    other half of a cut-through pair, and 24 run in place — the client
-    process's boot, CPU-cost sleeps and end among them (before every
-    trigger shared the tail slot, only lane wakes could: 9 and 19).  The
-    completion log and memories still equal the stepped lane's
-    (``REPRO_EXPRESS=0``)."""
+    dispatch 25 entries in all (27 before the READ's responder rx and
+    response tx became leases, which take no wake on a free unit; 28
+    before the WRITE's ACK wire and CQE DMA shared one wake, 30 before
+    the lane's CQE deposit dropped its put-ack); 3 take the heap, the
+    lane wakes that wait behind the other half of a cut-through pair,
+    and 22 run in place — the client process's boot, CPU-cost sleeps
+    and end among them (before every trigger shared the tail slot, only
+    lane wakes could: 9 and 19).  The completion log and memories still
+    equal the stepped lane's (``REPRO_EXPRESS=0``)."""
     def run(express: bool):
         sim, cluster, ctx = differential.run(
             lambda: build(machines=2), express).value
@@ -289,8 +290,8 @@ def test_idle_rig_runs_tail_wakes_in_place():
     assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
     assert branches == {("join", "inline"): 2, ("cqe", "inline"): 2,
                         ("completion", "inline"): 2}
-    assert (events, in_place) == (3, 24)
-    assert events + in_place == 27
+    assert (events, in_place) == (3, 22)
+    assert events + in_place == 25
 
 
 # ------------------------------------ one wake for the ACK and the CQE
@@ -685,6 +686,89 @@ def test_sends_to_one_port_equal_the_stepped_lane():
     assert sorted(r[0] for _, r in express["served"]) == sorted(
         r[0] for r in express["log"])
     assert ev_express < ev_stepped
+
+
+def test_reads_racing_for_one_responder_port_equal_the_stepped_lane(
+        monkeypatch):
+    """Two clients READ from one responder port in lockstep, so a READ's
+    rx and response-tx leases keep finding the other client's holding the
+    unit and wake its end at the reserved key.  Completions, port
+    counters, busy times and clock equal the stepped lane's."""
+    from repro.sim import Resource
+
+    woken = []
+    lease_end = Resource._lease_end
+    monkeypatch.setattr(Resource, "_lease_end", lambda res, ev: (
+        woken.append(res.name), lease_end(res, ev)))
+
+    def run(express: bool):
+        sim, cluster, ctx = differential.run(
+            lambda: build(machines=3), express).value
+        rmr = ctx.register(2, 1 << 14)
+        rmr.write(0, bytes(range(256)) * 64)
+        log = []
+
+        def client(m):
+            w = Worker(ctx, m)
+            qp = ctx.create_qp(m, 2)
+            lmr = ctx.register(m, 4096)
+            for i, size in enumerate((8, 64, 220, 4096, 512) * 4):
+                off = 4096 * (i % 4)
+                log.append(_row((yield from w.read(
+                    qp, src=rmr[off:off + size], dst=lmr[0:size],
+                    wr_id=100 * m + i))))
+
+        sim.run(until=sim.all_of([sim.process(client(m)) for m in (0, 1)]))
+        port = cluster[2].ports[0]
+        return {"log": log, "now": sim.now,
+                "counters": (port.tx_ops, port.rx_ops, port.pcie.dma_count),
+                "busy": (port.tx_unit.busy_time(), port.rx_unit.busy_time())}
+
+    stepped = run(express=False)
+    assert not woken
+    express = run(express=True)
+    assert express == stepped
+    assert set(woken) == {"m2.rnic.p0.tx", "m2.rnic.p0.rx"}
+
+
+def _word_lock_tie() -> list:
+    """Two clients WRITE 8 B to one responder port at the same instant:
+    the first-dispatched one to a word an FAA has used (so it takes that
+    word's device lock), the other to a word nobody locks.  Returns
+    (client, completion instant) in completion order."""
+    sim, cluster, ctx = build(machines=3)
+    dst = ctx.register(2, 4096)
+    done = []
+
+    def client(m, offset):
+        w = Worker(ctx, m)
+        qp = ctx.create_qp(m, 2)
+        src = ctx.register(m, 64)
+        if offset:
+            yield 5_000.0  # wake at 20 us after the other client
+        # Warm the QP context and the translations; word 0 gets a lock.
+        yield from w.write(qp, src=src[0:8], dst=dst[256 + offset:264 + offset])
+        if not offset:
+            yield from w.faa(qp, dst, 0, 1)
+        yield 20_000.0 - sim.now
+        comp = yield from w.write(qp, src=src[0:8], dst=dst[offset:offset + 8])
+        done.append((m, comp.timestamp_ns))
+
+    sim.process(client(0, 0))
+    sim.process(client(1, 64))
+    sim.run()
+    return done
+
+
+def test_word_lock_grant_ties_like_the_lane():
+    """The stepped path takes a free word lock in the arrival dispatch
+    and a queued one in the releaser's, as the lane's claim does, so the
+    locked WRITE books the rx unit first on both lanes."""
+    stepped = differential.run(_word_lock_tie, express=False)
+    lane = differential.run(_word_lock_tie, express=True)
+    assert differential.compare(_word_lock_tie, stepped, lane) is None
+    assert lane.value == stepped.value
+    assert [m for m, _ in lane.value] == [0, 1]
 
 
 def test_stepped_fence_orders_a_shared_responder_port():

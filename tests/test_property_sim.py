@@ -156,7 +156,7 @@ _STEP = st.one_of(
     st.tuples(st.just("wait"), _EV),
     st.tuples(st.just("call_at"), _DELAY, st.booleans()),
     st.tuples(st.just("call_tail"), _DELAY),
-    st.tuples(st.sampled_from(["acquire", "book", "claim"]), _DELAY),
+    st.tuples(st.sampled_from(["acquire", "book", "claim", "lease"]), _DELAY),
     st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
     st.tuples(st.just("get")),
     st.tuples(st.sampled_from(["all_of", "any_of"]), _EV, _EV),
@@ -228,6 +228,9 @@ def _execute(program, run):
                 elif kind == "book":
                     res.book(step[1], lambda _ev, i=i, k=k: (
                         note(i, k, "booked"), res.release()))
+                elif kind == "lease":
+                    res.lease(step[1], lambda end, i=i, k=k: note(
+                        i, k, "leased", end))
                 elif kind == "claim":
                     def granted(_res, i=i, k=k, hold=step[1]):
                         note(i, k, "claimed")
@@ -277,7 +280,7 @@ def test_in_place_dispatch_matches_an_engine_that_always_pushes(program,
                                                                 run):
     """Every trigger kind — sleeps (0.0 included), timeouts, delayed
     succeed/fail, ``call_at`` with cancels, ``call_tail``, Resource
-    acquire/book/claim, Store put/get, ``AllOf``/``AnyOf``, interrupts,
+    acquire/book/claim/lease, Store put/get, ``AllOf``/``AnyOf``, interrupts,
     spawns inside a dispatch — under each way to call ``run()``: the
     engine dispatches the timeline, outcomes and clock of a reference
     in which every entry takes a heap round trip, and its dispatched
@@ -289,3 +292,87 @@ def test_in_place_dispatch_matches_an_engine_that_always_pushes(program,
     assert ref_sim.events_in_place == 0
     assert (sim.events_processed + sim.events_in_place
             == ref_sim.events_processed == len(ref["timeline"]))
+
+
+# ------------------------------------------------ a lease is a book
+_AT = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+_HOLD = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+_REQUEST = st.tuples(
+    st.sampled_from(["book", "lease", "lease", "claim", "acquire", "probe"]),
+    _AT, _HOLD, st.booleans(),               # urgent: from a process boot
+    st.one_of(st.none(), _HOLD))             # an acquire's patience
+
+
+def _hold_program(requests, leased):
+    """Issue ``requests`` on one unit; a ``lease`` request books it
+    unless ``leased``.  Returns what each request saw — a hold's end key,
+    a claim's or acquire's grant key, a probe's busy time and occupancy —
+    then the dispatched keys and each lease's reserved end key."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    keys, log, reserved = [], {}, set()
+    sim.trace_dispatch = lambda t, p, s: keys.append((t, p, s))
+
+    def ended(i):
+        def cb(_ev):
+            log[i] = ("end", keys[-1])
+            res.release()
+        return cb
+
+    def request(i, kind, hold, patience):
+        if kind == "book" or (kind == "lease" and not leased):
+            res.book(hold, ended(i))
+        elif kind == "lease":
+            def granted(end):
+                log[i] = ("end", (end, 1, sim._seq))
+                reserved.add(log[i][1])
+            res.lease(hold, granted)
+        elif kind == "claim":
+            def claimed(_res=None):
+                log[i] = ("claim", keys[-1])
+                sim.call_tail(sim.now + hold, lambda _ev: res.release())
+            if res.claim(claimed):
+                claimed()
+        elif kind == "acquire":
+            grant = res.acquire()
+
+            def holder():
+                yield grant
+                log[i] = ("acquire", keys[-1])
+                yield hold
+                res.release()
+            sim.process(holder())
+            if patience is not None:
+                sim.call_at(sim.now + patience,
+                            lambda _ev: res.cancel(grant))
+        else:
+            log[i] = ("probe", res.busy_time(), res.in_use, res.queue_len)
+
+    def boot(*args):
+        request(*args)
+        yield 0.0
+
+    for i, (kind, at, hold, urgent, patience) in enumerate(requests):
+        args = (i, kind, hold, patience)
+        sim.call_at(at, (lambda _ev, a=args: sim.process(boot(*a)))
+                    if urgent else (lambda _ev, a=args: request(*a)))
+    sim.run(until=100.0)
+    log["final"] = (res.busy_time(), res.in_use, res.queue_len)
+    return log, keys, reserved
+
+
+@given(st.lists(_REQUEST, min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_lease_grants_and_hands_over_as_a_book_does(requests):
+    """Random book/lease/claim/acquire requests (some cancelled, some from
+    URGENT process boots) at random instants on one unit, against a twin
+    in which every lease is a book: equal grant instants and keys,
+    equal handover keys, bit-equal busy time at every probe and at the
+    end.  The twin dispatches exactly the lease run's keys plus the end
+    wakes of the leases nobody queued behind."""
+    log, keys, reserved = _hold_program(requests, leased=True)
+    log_b, keys_b, _ = _hold_program(requests, leased=False)
+    assert log == log_b
+    assert set(keys) <= set(keys_b)
+    assert set(keys_b) - set(keys) <= reserved
+    assert len(keys_b) - len(keys) == len(reserved - set(keys))

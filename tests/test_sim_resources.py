@@ -215,3 +215,141 @@ def test_claim_runs_its_callback_at_the_handover():
     assert granted == [(True, 7.0)] and res.in_use == 1
     res.release()
     assert res.in_use == 0 and res.busy_time() == 7.0
+
+
+
+# ----------------------------------------------------------------- lease
+def _twin(scenario):
+    """Run ``scenario(sim, res, hold, log, keys)`` twice: once where
+    ``hold(dur, tag)`` leases the unit and once where it books it.  Each
+    hold logs its end key — the reserved one at a lease's grant, the
+    end-wake's dispatch key for a booking — under ``tag``.  Asserts the
+    two runs log the same keys and busy time; returns the leased run's
+    dispatched keys and the booked run's."""
+    runs = []
+    for leased in (True, False):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        keys, log = [], {}
+        sim.trace_dispatch = lambda t, p, s: keys.append((t, p, s))
+
+        def hold(dur, tag, sim=sim, res=res, log=log, keys=keys,
+                 leased=leased):
+            if leased:
+                res.lease(dur, lambda end: log.__setitem__(
+                    tag, (end, 1, sim._seq)))
+            else:
+                _booker(sim, res, log, keys, tag, dur)(None)
+
+        scenario(sim, res, hold, log, keys)
+        sim.run(until=100.0)
+        runs.append((log, res.busy_time(), res.in_use, keys))
+    (log, busy, in_use, keys), (log_b, busy_b, in_use_b, keys_b) = runs
+    assert log == log_b and busy == busy_b and in_use == in_use_b == 0
+    return log, keys, keys_b
+
+
+def _booker(sim, res, log, keys, tag, dur=1.0):
+    """A call_at callback that books ``res`` and logs its end key."""
+    def ended(_ev):
+        log[tag] = keys[-1]
+        res.release()
+    return lambda _ev: res.book(dur, ended)
+
+
+def test_idle_lease_schedules_nothing():
+    """A lease on a free unit is granted inline, with its end, and takes
+    no wake: the unit frees itself once the clock is past its key."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = []
+    res.lease(5.0, lambda end: granted.append((sim.now, end, sim._seq)))
+    assert granted == [(0.0, 5.0, 1)]      # the seq a book end-wake takes
+    assert sim._heap == [] and res.in_use == 1
+    sim.run(until=5.0)                     # every key at 5.0 has run
+    assert sim.events_processed == 0
+    assert res.in_use == 0 and res.busy_time() == 5.0
+    res.lease(0.0, granted.append)         # ends now, at a key not yet run
+    assert res.in_use == 1
+    sim.run(until=6.0)
+    assert res.in_use == 0 and res.busy_time() == 5.0
+
+
+def test_bookers_at_the_lease_end_before_and_after_its_key():
+    """A booker whose dispatch at the end instant precedes the reserved
+    key queues, and the lease's end wake runs the handover at that key;
+    one whose dispatch follows it waits behind the first, as it would
+    behind a booking."""
+    def scenario(sim, res, hold, log, keys):
+        sim.call_at(4.0, _booker(sim, res, log, keys, "before"))  # (4,1,1)
+        hold(4.0, "lease")                                         # (4,1,2)
+        sim.call_at(4.0, _booker(sim, res, log, keys, "after"))   # (4,1,3)
+
+    log, keys, keys_b = _twin(scenario)
+    assert log == {"lease": (4.0, 1, 2), "before": (5.0, 1, 4),
+                   "after": (6.0, 1, 5)}
+    assert (4.0, 1, 2) in keys and keys == keys_b   # the parked wake ran
+
+
+def test_booker_past_the_key_finds_the_unit_free():
+    def scenario(sim, res, hold, log, keys):
+        hold(4.0, "lease")                                         # (4,1,1)
+        sim.call_at(4.0, _booker(sim, res, log, keys, "after"))   # (4,1,2)
+
+    log, keys, keys_b = _twin(scenario)
+    assert log == {"lease": (4.0, 1, 1), "after": (5.0, 1, 3)}
+    assert keys == [(4.0, 1, 2), (5.0, 1, 3)]       # no wake for the lease
+    assert keys_b == [(4.0, 1, 1)] + keys
+
+
+def test_urgent_boot_at_the_lease_end_queues_behind_it():
+    """A process booted at the end instant runs at an URGENT key, ahead
+    of every NORMAL key there (its own seq is larger than the lease's):
+    the lease still holds the unit."""
+    def scenario(sim, res, hold, log, keys):
+        def proc():
+            _booker(sim, res, log, keys, "urgent")(None)
+            yield 0.0
+
+        sim.call_at(4.0, lambda _ev: sim.process(proc()))  # (4,1,1)
+        hold(4.0, "lease")                                 # (4,1,2)
+
+    log, keys, _ = _twin(scenario)
+    assert keys[1] == (4.0, 0, 3)                    # the boot
+    assert log == {"lease": (4.0, 1, 2), "urgent": (5.0, 1, 5)}
+
+
+def test_cancelled_acquire_behind_a_lease():
+    """An acquire queued behind a lease wakes its end; cancelled, it
+    leaves a release with no one to hand over to, and the unit is free
+    from the lease's end on."""
+    def scenario(sim, res, hold, log, keys):
+        hold(4.0, "lease")                                     # (4,1,1)
+        grant = res.acquire()
+        sim.call_at(2.0, lambda _ev: res.cancel(grant))
+        sim.call_at(4.0, _booker(sim, res, log, keys, "next"))
+        assert res.queue_len == 1
+
+    log, keys, keys_b = _twin(scenario)
+    assert log == {"lease": (4.0, 1, 1), "next": (5.0, 1, 4)}
+    assert keys == keys_b
+
+
+def test_lease_granted_by_a_release_reserves_the_handover_key():
+    """A queued lease is granted inside the release that hands the unit
+    over, with the seq that release would give a booking's end wake."""
+    def scenario(sim, res, hold, log, keys):
+        sim.call_at(0.0, _booker(sim, res, log, keys, "first", 2.0))
+        sim.call_at(1.0, lambda _ev: hold(3.0, "lease"))
+        sim.call_at(1.0, lambda _ev: hold(1.0, "lease2"))
+
+    log, keys, keys_b = _twin(scenario)
+    assert log == {"first": (2.0, 1, 4), "lease": (5.0, 1, 5),
+                   "lease2": (6.0, 1, 6)}
+    assert (5.0, 1, 5) in keys and (6.0, 1, 6) not in keys
+
+
+def test_lease_needs_a_single_unit():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="capacity-1"):
+        Resource(sim, capacity=2).lease(1.0, lambda end: None)
