@@ -12,7 +12,8 @@ campaign run serially and through a 4-worker pool; see
   delta across the scenario, summed over every short-lived simulator the
   sweep builds; entries the engine runs in place from its tail slot are
   not dispatched and not counted),
-* ``events_per_sec`` — the headline fast-path throughput number,
+* ``events_per_sec`` — the headline fast-path throughput number: every
+  dispatch, heap and in place, per wall second,
 * ``digest`` — a SHA-256 over the scenario's simulated *outputs* (figure
   series, final clock).  The simulator is deterministic, so the digest is
   machine-independent: any digest change means an engine or model change

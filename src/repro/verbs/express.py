@@ -13,9 +13,8 @@ same instant.
 
 This module replays that timeline with one fused wake-up
 (:meth:`Simulator.call_tail`) per *hold* and per *constant sleep* —
-none for a READ's two leased holds that nobody queues behind —
-roughly halving the events per WR while keeping schedules
-bit-identical.  The
+none for a leased hold that nobody queues behind — roughly halving
+the events per WR while keeping schedules bit-identical.  The
 load-bearing invariant is tie order: the engine breaks ties at an
 instant by event *allocation order* (the global ``seq``), and the
 stepped path allocates each hold's end event at its **grant** dispatch —
@@ -36,24 +35,35 @@ tables.  So the lane mirrors the grant structure literally:
   the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
-* Two holds end in nothing but a freed unit and a constant delay: a
-  READ's responder rx hold (then the turnaround) and its response
-  serialization (then the response wire).  They take
-  ``Resource.lease(dur, cb)`` instead: the grant — at the same dispatch
-  as a booking's — calls ``wcb`` with the end instant, which counts
-  ``rx_ops``/``tx_ops``, stamps ``responder`` at the end and books the
-  continuation at ``end + constant`` (the float the end-wake would
-  compute).  The unit frees itself.  Its end takes a wake only when a
-  waiter queues behind the lease, and then at the key the booking's
-  end-wake holds, so every handover stays where it was; only the
-  continuation's seq moves, to the grant.  Every other hold's end
-  touches shared state (a DMA booking, a join, a lock release, a
-  ``recv_queue`` put) and keeps its wake.
+* Four holds end in nothing but a freed unit and either a constant
+  delay or a join countdown: a READ's responder rx hold (then the
+  turnaround), its response serialization (then the response wire), a
+  signaled data-less READ's delivery DMA (then the CQE DMA), and the
+  half of a cut-through pair that provably ends first (see below).
+  They take ``Resource.lease(dur, cb)`` instead: the grant — at the
+  same dispatch as a booking's — calls its wake callback with the end
+  instant, which counts the unit (``rx_ops``/``tx_ops``, or
+  ``dma_bytes``/``dma_count``) and either books the continuation at
+  ``end + constant`` (the float the end-wake would compute; a READ
+  also stamps ``responder`` at the end) or counts the join down.  The
+  unit frees itself.  Its end takes a wake only when a waiter queues
+  behind the lease, and then at the key the booking's end-wake holds,
+  so every handover stays where it was; only a continuation's seq
+  moves, to the grant.  Every other hold's end touches shared state (a
+  DMA booking, a join's resume, a lock release, a ``recv_queue`` put,
+  a READ's data landing, an unsignaled READ's completion) and keeps
+  its wake.
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
-  DMA) join where their second half ends, with a same-instant resume
-  wake where the stepped ``all_of`` resumes one dispatch later.  Single
-  holds continue inline in their end-wake, like a ``yield from``
-  subgenerator resuming its caller.
+  DMA) are sized first and booked in the stepped spawn order
+  (:meth:`ExpressState._cut_through`).  A half whose unit is free and
+  whose end (``now + dur``) is strictly before the other's earliest end
+  leases: its grant counts the join from 2 to 1, which is all its end
+  wake did, and it reserves that wake's seq in the same dispatch.  The
+  other half's end joins, with a same-instant resume wake where the
+  stepped ``all_of`` resumes one dispatch later, so the resume's seq
+  does not move either.  A tie, or an earlier half that would queue,
+  books both.  Single holds continue inline in their end-wake, like a
+  ``yield from`` subgenerator resuming its caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) get a wake allocated at the same instant the stepped path
   allocates the corresponding sleep.  A signaled WRITE, CAS or FAA does
@@ -91,7 +101,7 @@ its waiter order never move.
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
 as the stepped path; unit counters are incremented at hold ends, not
-batched (a READ's leased rx and tx holds count at their grants).
+batched (a leased hold counts at its grant).
 
 Port faults (:mod:`repro.hw.faults`) are sampled at the dispatches where
 the stepped path samples them, so a fault armed at any instant reaches
@@ -163,18 +173,21 @@ __all__ = ["ExpressState", "ExpressOp"]
 # The secondary callback (``wcb2``) serves the concurrent half of a
 # cut-through pair and is disambiguated by the same phase field.
 (P_WQE,      # WQE DMA end: requester evals, exec bookings
- P_EXEC,     # tx-unit hold end (wcb2: payload-fetch DMA end)
+ P_EXEC,     # tx-unit hold end (wcb2: payload-fetch DMA end); either
+             # half's lease grant when it ends first
  P_EXEC_R,   # cut-through join resume (mirrors the all_of wake)
  P_RETX,     # transport timer of a lost attempt: retransmit or fail
  P_Y,        # forward wire: request arrives at the responder
- P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end)
+ P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end);
+             # a WRITE half's lease grant when it ends first
  P_SVC_R,    # WRITE service join resume
  P_RX,       # SEND responder hold end; a READ's rx lease grant
  P_TURN,     # READ host-memory turnaround elapsed
  P_RDMA,     # READ response-fetch / SEND payload-landing DMA end
  P_RTX,      # READ response-serialization lease grant
  P_BWD,      # READ response wire: data arrives back at the requester
- P_DLV,      # READ local delivery DMA end
+ P_DLV,      # READ local delivery DMA end; a signaled data-less
+             # READ's lease grant, which books P_T
  P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed
  P_T,        # CQE DMA end: completion instant (a signaled WRITE or
              # atomic books it at service end, past its ACK wire)
@@ -322,19 +335,21 @@ class ExpressState:
     def _on_wake(self, op: ExpressOp, arg) -> None:
         """Primary wake: advance ``op`` across the boundary ``op.phase``.
         ``arg`` is the end instant when a ``Resource.lease`` grant calls
-        it (``P_RX`` of a READ, ``P_RTX``), else unused."""
+        it (``P_RX`` of a READ, ``P_RTX``, a leased cut-through half at
+        ``P_EXEC``/``P_SVC``, a leased delivery at ``P_DLV``) and ``None``
+        at a ``call_tail`` end."""
         phase = op.phase
         if phase == P_WQE:
             self._wqe_end(op)
         elif phase == P_EXEC:
-            self._tx_end(op)
+            self._tx_end(op, arg)
         elif phase == P_EXEC_R:
             self._exec_done(op)
         elif phase == P_Y:
             self._arrive(op)
         elif phase == P_SVC:
             if op.opcode is Opcode.WRITE:
-                self._write_rx_end(op)
+                self._write_rx_end(op, arg)
             else:
                 self._atomic_end(op)
         elif phase == P_SVC_R:
@@ -350,7 +365,7 @@ class ExpressState:
         elif phase == P_BWD:
             self._read_back(op)
         elif phase == P_DLV:
-            self._deliver_end(op)
+            self._deliver_end(op, arg)
         elif phase == P_TAIL:
             self._tail_end(op)
         elif phase == P_T:
@@ -367,22 +382,51 @@ class ExpressState:
         elif phase == P_RETX:
             self._retrans_end(op)
 
-    def _on_wake2(self, op: ExpressOp, _ev) -> None:
-        """Secondary wake: the concurrent half of a cut-through pair."""
+    def _on_wake2(self, op: ExpressOp, end) -> None:
+        """Secondary wake: the DMA half of a cut-through pair ends, or
+        its lease is granted (``end``, the end instant; see
+        :meth:`_cut_through`)."""
         qp = op.qp
         if op.phase == P_EXEC:
-            # Payload-fetch DMA end (streams beside the tx hold).
+            # Payload fetch (streams beside the tx hold).
             pcie = qp.local_port.pcie
-            pcie._bus.release()
+            if end is None:
+                pcie._bus.release()
             pcie.dma_bytes += op.outbound
             pcie.dma_count += 1
             self._exec_join(op)
-        else:  # P_SVC: WRITE drain DMA end
+        else:  # P_SVC: WRITE drain
             pcie = qp.remote_port.pcie
-            pcie._bus.release()
+            if end is None:
+                pcie._bus.release()
             pcie.dma_bytes += op.total_len
             pcie.dma_count += 1
             self._svc_join(op)
+
+    def _cut_through(self, op: ExpressOp, unit1, dur1: float, cb1,
+                     unit2, dur2: float, cb2) -> None:
+        """Book a cut-through pair, ``unit1`` first as the stepped lane
+        spawns it.  A half whose unit is free now and whose end is
+        strictly before the other's earliest end (``now + dur``, the
+        float ``book`` computes; a queued half only ends later) takes a
+        lease: its grant counts the unit and joins (``pending`` 2 → 1),
+        and its end, which would only free the unit, takes no wake unless
+        a waiter queues behind it.  The other half's end wake finishes the
+        join as before.  A tie, or an earlier half that would queue, books
+        both."""
+        op.pending = 2
+        now = self.sim.now
+        end1 = now + dur1
+        end2 = now + dur2
+        if end1 < end2 and unit1.in_use == 0:
+            unit1.lease(dur1, cb1)
+            unit2.book(dur2, cb2)
+        elif end2 < end1 and unit2.in_use == 0:
+            unit1.book(dur1, cb1)
+            unit2.lease(dur2, cb2)
+        else:
+            unit1.book(dur1, cb1)
+            unit2.book(dur2, cb2)
 
     # -- requester side ----------------------------------------------------
     def _wqe_end(self, op: ExpressOp) -> None:
@@ -441,21 +485,27 @@ class ExpressState:
             return
         lp = qp.local_port
         op.phase = P_EXEC
+        tx = lp._perturb(op.h1)
         if op.outbound and not op.inline:
             # Cut-through payload fetch rides the PCIe bus concurrently
             # with the tx hold; stepped spawns the fetch first.
-            op.pending = 2
             if op.wcb2 is None:
                 op.wcb2 = partial(self._on_wake2, op)
             wr = op.wr
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
-            lp.pcie._bus.book(
-                lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge), op.wcb2)
-        lp.tx_unit.book(lp._perturb(op.h1), op.wcb)
+            pcie = lp.pcie
+            self._cut_through(
+                op, pcie._bus, pcie.dma_ns(op.outbound, buf_socket, wr.n_sge),
+                op.wcb2, lp.tx_unit, tx, op.wcb)
+        else:
+            lp.tx_unit.book(tx, op.wcb)
 
-    def _tx_end(self, op: ExpressOp) -> None:
+    def _tx_end(self, op: ExpressOp, end) -> None:
+        """The tx hold ends, or (``end``) its lease, the first-ending half
+        of a cut-through pair, is granted."""
         lp = op.qp.local_port
-        lp.tx_unit.release()
+        if end is None:
+            lp.tx_unit.release()
         lp.tx_ops += 1
         if op.pending:
             self._exec_join(op)
@@ -584,14 +634,12 @@ class ExpressState:
 
     def _write_granted(self, op: ExpressOp) -> None:
         """WRITE holds the word lock (if any): cut-through rx ∥ drain."""
-        qp = op.qp
-        rp = qp.remote_port
+        rp = op.qp.remote_port
         op.phase = P_SVC
-        op.pending = 2
         if op.wcb2 is None:
             op.wcb2 = partial(self._on_wake2, op)
-        rp.rx_unit.book(rp._perturb(op.h1), op.wcb)
-        rp.pcie._bus.book(op.h2, op.wcb2)
+        self._cut_through(op, rp.rx_unit, rp._perturb(op.h1), op.wcb,
+                          rp.pcie._bus, op.h2, op.wcb2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
@@ -599,9 +647,12 @@ class ExpressState:
         rp = op.qp.remote_port
         rp.atomic_unit.book(rp._perturb(op.h1), op.wcb)
 
-    def _write_rx_end(self, op: ExpressOp) -> None:
+    def _write_rx_end(self, op: ExpressOp, end) -> None:
+        """The rx hold ends, or (``end``) its lease, the first-ending half
+        of a cut-through pair, is granted."""
         rp = op.qp.remote_port
-        rp.rx_unit.release()
+        if end is None:
+            rp.rx_unit.release()
         rp.rx_ops += 1
         self._svc_join(op)
 
@@ -719,15 +770,26 @@ class ExpressState:
             record.stamp("response_net", self.sim.now)
         pcie = qp.local_port.pcie
         op.phase = P_DLV
-        pcie._bus.book(pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
-                                   wr.n_sge), op.wcb)
+        dur = pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket, wr.n_sge)
+        if op.signaled and not op.move_data:
+            # Nothing happens at this DMA's end but the CQE DMA's start.
+            pcie._bus.lease(dur, op.wcb)
+        else:
+            pcie._bus.book(dur, op.wcb)
 
-    def _deliver_end(self, op: ExpressOp) -> None:
+    def _deliver_end(self, op: ExpressOp, end) -> None:
+        """The delivery DMA ends, or (``end``) a signaled data-less READ's
+        delivery lease is granted: its CQE DMA starts at ``end``."""
         qp = op.qp
         pcie = qp.local_port.pcie
-        pcie._bus.release()
+        if end is None:
+            pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
+        if end is not None:
+            op.phase = P_T
+            self.sim.call_tail(end + qp._params.cqe_dma_ns, op.wcb)
+            return
         if op.move_data:
             qp._apply_read(op.wr)
         self._cqe(op)

@@ -47,10 +47,12 @@ def _random_wr(rng: random.Random, lmr, rmr, i: int) -> WorkRequest:
         size = rng.choice(SIZES)
         loff = rng.randrange(0, lmr.size - size)
         roff = rng.randrange(0, rmr.size - size)
+        # One READ in three moves no data (its delivery DMA can lease).
         return WorkRequest(
             opcode=Opcode.WRITE if kind == "write" else Opcode.READ,
             wr_id=i, sgl=[Sge(lmr, loff, size)], remote_mr=rmr,
-            remote_offset=roff, signaled=signaled)
+            remote_offset=roff, signaled=signaled,
+            move_data=kind == "write" or i % 3 != 0)
     # A handful of hot words so atomics contend on the word locks.
     roff = 8 * rng.randrange(8)
     if kind == "cas":
@@ -67,15 +69,23 @@ def _row(comp) -> tuple:
             comp.byte_len, comp.status.value, comp.retries)
 
 
-def _mix_rig(express: bool) -> tuple:
+def _mix_rig(express: bool, cross: bool = False) -> tuple:
     """(sim, ctx, lmr, rmr, qps): two machines on one lane, a filled 32 KB
-    local region, a 32 KB remote one and two QPs from machine 0 to 1."""
+    local region, a 32 KB remote one (both on socket 0) and two QPs from
+    machine 0 to 1 on port 0.  With ``cross`` both QPs land on the
+    responder's port 1, on socket 1, and the second one leaves from port
+    1 too: the drains, and the second QP's payload fetches, cross
+    sockets and can end after the rx and tx holds beside them."""
     sim, cluster, ctx = differential.run(
         lambda: build(machines=2), express).value
     lmr = ctx.register(0, 1 << 15)
     rmr = ctx.register(1, 1 << 15)
     lmr.write(0, bytes(range(256)) * (lmr.size // 256))
-    return sim, ctx, lmr, rmr, [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    if not cross:
+        return sim, ctx, lmr, rmr, [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    return sim, ctx, lmr, rmr, [
+        ctx.create_qp(0, 1, remote_port=1),
+        ctx.create_qp(0, 1, local_port=1, remote_port=1)]
 
 
 def _outcome(sim, ctx, lmr, rmr, log, posts) -> dict:
@@ -101,10 +111,12 @@ def _outcome(sim, ctx, lmr, rmr, log, posts) -> dict:
 
 
 def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
-             batch: int = 0, trigger=None) -> tuple[dict, int, object]:
-    """Drive a seeded random op mix; returns (comparable outcome,
-    events dispatched, the sim's express state or None)."""
-    sim, ctx, lmr, rmr, qps = _mix_rig(express)
+             batch: int = 0, trigger=None, cross: bool = False
+             ) -> tuple[dict, int, object]:
+    """Drive a seeded random op mix (``cross``: see :func:`_mix_rig`);
+    returns (comparable outcome, events dispatched, the sim's express
+    state or None)."""
+    sim, ctx, lmr, rmr, qps = _mix_rig(express, cross)
     w = Worker(ctx, 0)
     rng = random.Random(seed)
     log: list[tuple] = []
@@ -205,18 +217,78 @@ BRANCHES = {(site, branch) for site in ("join", "cqe", "completion")
 INLINE = {b for b in BRANCHES if b[1] == "inline"}
 
 
+@contextlib.contextmanager
+def _counted_leases():
+    """Yield a Counter of how the lane booked each cut-through pair and
+    each READ's delivery DMA: ``(pair, branch)`` with pair ``fetch∥tx``
+    or ``rx∥drain`` and branch the half it leased (``fetch``, ``tx``,
+    ``rx``, ``drain``) or, when it booked both halves, ``tie`` (equal
+    ends) or ``busy`` (the earlier half's unit was held); and
+    ``("delivery", "lease")`` or ``("delivery", "book")``."""
+    from repro.sim import Resource
+    from repro.verbs import express
+    from repro.verbs.express import ExpressState
+
+    seen = Counter()
+    leased = []  # the units leased since the wrapped call began
+    cut, read_back = ExpressState._cut_through, ExpressState._read_back
+    lease = Resource.lease
+
+    def counting_lease(res, dur, cb):
+        leased.append(res)
+        lease(res, dur, cb)
+
+    def counting_cut(self, op, unit1, dur1, cb1, unit2, dur2, cb2):
+        del leased[:]
+        now = self.sim.now
+        tie = now + dur1 == now + dur2
+        cut(self, op, unit1, dur1, cb1, unit2, dur2, cb2)
+        halves = (("fetch", "tx") if op.phase == express.P_EXEC
+                  else ("rx", "drain"))
+        if leased:
+            branch = halves[leased == [unit2]]
+        else:
+            branch = "tie" if tie else "busy"
+        seen["∥".join(halves), branch] += 1
+
+    def counting_read_back(self, op):
+        del leased[:]
+        read_back(self, op)
+        seen["delivery", "lease" if leased else "book"] += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Resource, "lease", counting_lease)
+        mp.setattr(ExpressState, "_cut_through", counting_cut)
+        mp.setattr(ExpressState, "_read_back", counting_read_back)
+        yield seen
+
+
+#: The ``_counted_leases`` branches every cross-socket random mix takes:
+#: each lease (either half of both pairs, a data-less READ's delivery)
+#: and each booking that could not lease (only a directed test forces a
+#: ``tie``, which needs two equal floats).
+LEASES = {("fetch∥tx", "fetch"), ("fetch∥tx", "tx"), ("fetch∥tx", "busy"),
+          ("rx∥drain", "rx"), ("rx∥drain", "drain"), ("rx∥drain", "busy"),
+          ("delivery", "lease"), ("delivery", "book")}
+
+
 # ------------------------------------------------------ the property test
 @pytest.mark.parametrize("seed", range(6))
 def test_express_equals_stepped_random_mix(seed):
-    stepped, ev_stepped, exp = _run_mix(seed, express=False)
+    """A random mix over a same-socket QP and a cross-socket one equals
+    the stepped lane, with fewer events, and takes every tail branch in
+    place and every lease."""
+    stepped, ev_stepped, exp = _run_mix(seed, express=False, cross=True)
     assert exp is None  # the stepped run never attaches the lane
-    with _counted_posts() as posts, _counted_branches() as branches:
-        express, ev_express, exp = _run_mix(seed, express=True)
+    with _counted_posts() as posts, _counted_branches() as branches, \
+            _counted_leases() as leases:
+        express, ev_express, exp = _run_mix(seed, express=True, cross=True)
     assert exp is not None
     assert len(posts) == express["posts"]  # every post rode the lane
     assert express == stepped
     assert ev_express < ev_stepped  # fewer events is the lane's point
     assert INLINE <= branches.keys(), branches
+    assert LEASES <= leases.keys(), leases
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -252,15 +324,17 @@ def test_idle_rig_runs_tail_wakes_in_place():
     """On an idle rig almost every dispatch is provably the next one when
     it is scheduled, so the engine runs it in place.  One cut-through
     4 KB WRITE (payload∥tx and rx∥drain joins) and one 64 B READ
-    dispatch 25 entries in all (27 before the READ's responder rx and
-    response tx became leases, which take no wake on a free unit; 28
-    before the WRITE's ACK wire and CQE DMA shared one wake, 30 before
-    the lane's CQE deposit dropped its put-ack); 3 take the heap, the
-    lane wakes that wait behind the other half of a cut-through pair,
-    and 22 run in place — the client process's boot, CPU-cost sleeps
-    and end among them (before every trigger shared the tail slot, only
-    lane wakes could: 9 and 19).  The completion log and memories still
-    equal the stepped lane's (``REPRO_EXPRESS=0``)."""
+    dispatch 23 entries in all (25 before the half of each cut-through
+    pair that ends first became a lease, 27 before the READ's responder
+    rx and response tx did, 28 before the WRITE's ACK wire and CQE DMA
+    shared one wake, 30 before the lane's CQE deposit dropped its
+    put-ack).  Only the client process's boot, pushed before ``run()``,
+    takes the heap.  The other 22 run in place: among them the tx and rx
+    ends that close each pair (they took the heap while the half that
+    ends first had a wake of its own: 3 and 22), and the client's
+    CPU-cost sleeps and end (before every trigger shared the tail slot,
+    only lane wakes could run in place: 9 and 19).  The completion log
+    and memories still equal the stepped lane's (``REPRO_EXPRESS=0``)."""
     def run(express: bool):
         sim, cluster, ctx = differential.run(
             lambda: build(machines=2), express).value
@@ -290,8 +364,8 @@ def test_idle_rig_runs_tail_wakes_in_place():
     assert {r[5] for r in express["log"]} == {CompletionStatus.SUCCESS.value}
     assert branches == {("join", "inline"): 2, ("cqe", "inline"): 2,
                         ("completion", "inline"): 2}
-    assert (events, in_place) == (3, 22)
-    assert events + in_place == 25
+    assert (events, in_place) == (1, 22)
+    assert events + in_place == 23
 
 
 # ------------------------------------ one wake for the ACK and the CQE
@@ -729,6 +803,176 @@ def test_reads_racing_for_one_responder_port_equal_the_stepped_lane(
     express = run(express=True)
     assert express == stepped
     assert set(woken) == {"m2.rnic.p0.tx", "m2.rnic.p0.rx"}
+
+
+# ------------------------- the half of a cut-through pair that ends first
+def _lane_client(ctx, log, m, qp, wrs, depth):
+    """Post ``wrs`` on ``qp`` from machine ``m``, at most ``depth`` in
+    flight, and log each completion when its ``done`` fires (an
+    unsignaled WR has no CQE to poll)."""
+    w = Worker(ctx, m)
+    inflight = []
+    for wr in wrs:
+        inflight.append((yield from w.post(qp, wr)))
+        if len(inflight) == depth:
+            log.append(_row((yield inflight.pop(0))))
+    for ev in inflight:
+        log.append(_row((yield ev)))
+
+
+def _pair_outcome(express: bool, scenario) -> dict:
+    """Run ``scenario(ctx)``, a list of ``(machine, qp, wrs, depth)``
+    clients, on a three-machine rig on one lane.  Returns the completion log, every
+    region's bytes, every port's unit counters and tx, rx and PCIe busy
+    times, and the clock."""
+    sim, cluster, ctx = differential.run(
+        lambda: build(machines=3), express).value
+    log = []
+    for client in scenario(ctx):
+        sim.process(_lane_client(ctx, log, *client))
+    sim.run()
+    ports = [p for m in cluster for p in m.ports]
+    return {"log": log, "now": sim.now,
+            "mem": [mr.read(0, mr.size) for mr in ctx.regions],
+            "counters": [(p.tx_ops, p.rx_ops, p.pcie.dma_bytes,
+                          p.pcie.dma_count) for p in ports],
+            "busy": [(p.tx_unit.busy_time(), p.rx_unit.busy_time(),
+                      p.pcie._bus.busy_time()) for p in ports]}
+
+
+def _lane_equals_stepped(scenario) -> Counter:
+    """``scenario``'s outcome on the lane equals the stepped lane's;
+    returns the lane run's ``_counted_leases``."""
+    stepped = _pair_outcome(False, scenario)
+    with _counted_leases() as leases:
+        express = _pair_outcome(True, scenario)
+    assert express == stepped
+    assert express["log"] and len(express["log"]) == len(stepped["log"])
+    return leases
+
+
+def _writes(sizes, lsocket=0, rsocket=0, clients=(0,), depth=None,
+            setup=None):
+    """A scenario: each client machine WRITEs ``sizes``, ``depth`` in
+    flight (default: all), from a region on ``lsocket`` to one on
+    ``rsocket`` of machine 2, port 0 to port 0, after ``setup(ctx)``."""
+    def scenario(ctx):
+        if setup is not None:
+            setup(ctx)
+        rmr = ctx.register(2, 1 << 16, socket=rsocket)
+        out = []
+        for m in clients:
+            lmr = ctx.register(m, 1 << 14, socket=lsocket)
+            lmr.write(0, bytes([m + 1]) * lmr.size)
+            out.append((m, ctx.create_qp(m, 2), [
+                WorkRequest(Opcode.WRITE, wr_id=100 * m + i,
+                            sgl=[Sge(lmr, 0, size)], remote_mr=rmr,
+                            remote_offset=(1 << 14) * m + 16 * i)
+                for i, size in enumerate(sizes)], depth or len(sizes)))
+        return out
+    return scenario
+
+
+def _tie(ctx):
+    """Make both 4 KB DMAs last exactly the link's 4 KB wire time, which
+    is the 4 KB tx and rx holds once the metadata SRAM is warm, through
+    the memo both lanes read DMA times from."""
+    wire = ctx.params.wire_time(4096)
+    for m in (0, 2):
+        ctx.cluster[m].ports[0].pcie._time_cache[0, 4096, 1] = wire
+
+
+def _jitter(ctx):
+    """Jitter every hold of the responder port (its rx holds above all)."""
+    FaultInjector(ctx.sim, rng=make_rng(7)).jitter_port(
+        ctx.cluster[2].ports[0], 300.0)
+
+
+#: name -> (scenario, the ``_counted_leases`` branches it must take).  A
+#: 64 B WRITE's drain ends before its rx hold, and a 4 KB one's fetch
+#: before its tx hold; the DMA that crosses to socket 1 ends after.
+PAIR_BRANCHES = {
+    "drain_first": (_writes([64]), {("rx∥drain", "drain")}),
+    "rx_first": (_writes([4096], rsocket=1), {("rx∥drain", "rx")}),
+    "fetch_first": (_writes([4096]), {("fetch∥tx", "fetch")}),
+    "tx_first": (_writes([4096], lsocket=1), {("fetch∥tx", "tx")}),
+    # The first WRITE warms the SRAM, so the second's holds are wire time.
+    "tie": (_writes([4096, 4096], depth=1, setup=_tie),
+            {("fetch∥tx", "tie"), ("rx∥drain", "tie")}),
+    # The second WR's fetch finds the first's WQE fetch or payload fetch
+    # still on the requester's bus.
+    "earlier_half_busy": (_writes([4096, 4096, 4096]),
+                          {("fetch∥tx", "fetch"), ("fetch∥tx", "busy")}),
+    # A 1 KB drain to socket 1 ends 150 ns after an unjittered rx hold.
+    "jittered_rx": (_writes([64, 1024] * 6, rsocket=1, depth=1,
+                            setup=_jitter),
+                    {("rx∥drain", "drain"), ("rx∥drain", "rx")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_BRANCHES))
+def test_cut_through_pair_branch_equals_the_stepped_lane(name):
+    """Each way the lane books a cut-through pair (lease the half that
+    provably ends first, or book both) keeps the completion log, region
+    bytes, unit counters, every unit's busy time and the clock of the
+    stepped lane."""
+    scenario, branches = PAIR_BRANCHES[name]
+    leases = _lane_equals_stepped(scenario)
+    assert branches <= leases.keys(), leases
+
+
+def test_a_waiter_behind_a_leased_drain_is_handed_over_at_its_key(
+        monkeypatch):
+    """Two clients WRITE 64 B to one responder port in lockstep: the
+    first one's drain leases the bus, the second one's drain queues
+    behind it, so the lease's end wakes at its reserved key and hands
+    the bus over there.  Everything equals the stepped lane."""
+    from repro.sim import Resource
+
+    woken = []
+    lease_end = Resource._lease_end
+    monkeypatch.setattr(Resource, "_lease_end", lambda res, ev: (
+        woken.append(res), lease_end(res, ev)))
+    buses = []
+
+    def scenario(ctx):
+        buses.append(ctx.cluster[2].ports[0].pcie._bus)
+        return _writes([64] * 4, clients=(0, 1))(ctx)
+
+    leases = _lane_equals_stepped(scenario)
+    assert {("rx∥drain", "drain"), ("rx∥drain", "busy")} <= leases.keys()
+    assert buses[-1] in woken
+
+
+#: name -> (READ signaled, moves data, how its delivery DMA books).
+DELIVERIES = {
+    "signaled_dataless": (True, False, "lease"),
+    "moves_data": (True, True, "book"),
+    "unsignaled": (False, False, "book"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELIVERIES))
+def test_read_delivery_leases_only_when_nothing_waits_on_its_end(name):
+    """A signaled READ that moves no data does nothing at its delivery
+    DMA's end but start the CQE DMA, so it leases the bus and books the
+    CQE wake at the grant.  A READ that moves data samples the responder
+    at that end, and an unsignaled READ completes there: both keep the
+    wake.  Back-to-back READs from two regions match the stepped lane."""
+    signaled, move_data, branch = DELIVERIES[name]
+
+    def scenario(ctx):
+        rmr = ctx.register(2, 1 << 14)
+        rmr.write(0, bytes(range(256)) * 64)
+        lmr = ctx.register(0, 1 << 14)
+        return [(0, ctx.create_qp(0, 2), [
+            WorkRequest(Opcode.READ, wr_id=i, sgl=[Sge(lmr, 4096 * i, size)],
+                        remote_mr=rmr, remote_offset=512 * i,
+                        signaled=signaled, move_data=move_data)
+            for i, size in enumerate((64, 4096, 220, 1024))], 4)]
+
+    leases = _lane_equals_stepped(scenario)
+    assert leases == {("delivery", branch): 4}
 
 
 def _word_lock_tie() -> list:

@@ -62,6 +62,34 @@ def test_gate_trips_on_injected_slowdown():
     assert harness.check(baseline, current, tolerance=0.60) == []
 
 
+def test_events_per_sec_counts_in_place_dispatches(monkeypatch):
+    """The throughput row divides every dispatch, heap and in place, by
+    the wall time, so a scenario whose wakes run in place is timed by
+    its work, not by its few heap entries."""
+    import types
+
+    from repro.sim import Simulator
+
+    def chain():
+        sim = Simulator()
+
+        def wake(_):
+            if sim.now < 99.0:
+                sim.call_tail(sim.now + 1.0, wake)
+
+        sim.call_tail(0.0, wake)  # pushed before run(): the heap entry
+        sim.run()
+        return {"now": sim.now}
+
+    clock = iter([10.0, 12.0])
+    monkeypatch.setitem(harness.SCENARIOS, "chain", chain)
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(clock)))
+    row = harness.run_scenarios(["chain"])["scenarios"]["chain"]
+    assert row["events"] == 1
+    assert row["events_per_sec"] == 50  # 100 dispatches in 2 s
+
+
 def test_gate_trips_on_schedule_digest_change():
     current = harness.run_scenarios(["engine_dispatch"])
     baseline = json.loads(json.dumps(current))
@@ -236,15 +264,23 @@ def test_layer_rows_sum_to_the_scenario_counts():
 def test_census_counts_the_lane_the_timed_run_takes(monkeypatch, express):
     """The event-counting run takes the lane ``REPRO_EXPRESS`` selects for
     the timed run, so its layer rows and completion digests describe
-    that run."""
+    that run.  The lane is read from its coverage: every WR steps with
+    ``lane_off`` when the lane is off, and none steps when it is on
+    (breakdown dispatches no ``verbs.express`` event on the lane: its
+    lane wakes all run in place)."""
     from repro.bench.perf import census
     from repro.check import differential
+    from repro.verbs.qp import tally
 
     if not express:
         monkeypatch.setenv("REPRO_EXPRESS", "0")
-    counts, ops, digests = census.events_by_layer("breakdown")
+    before = dict(tally.stepped)
+    _, ops, digests = census.events_by_layer("breakdown")
+    stepped = {reason: n - before[reason]
+               for reason, n in tally.stepped.items()}
     assert ops > 0
-    assert (counts["verbs.express"] > 0) == express
+    assert stepped == {reason: 0 if express or reason != "lane_off" else ops
+                       for reason in stepped}
     lane = differential.run(harness.SCENARIOS["breakdown"], express)
     assert digests == lane.digests
 
