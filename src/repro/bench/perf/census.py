@@ -29,7 +29,7 @@ Who scheduled an event:
   of the lease's callback, which is where a ``book`` end-wake and its
   ``release()`` would have been charged.
 
-Layers are source packages of ``repro``; ``verbs-stepped`` is all of
+Layers are source packages of ``repro``; ``verbs`` is all of
 ``repro.verbs`` except the express lane (the stepped pipeline plus the
 QP and Worker code both lanes share), and ``other`` is everything else
 (``repro.core``, code outside ``repro``).
@@ -75,12 +75,11 @@ __all__ = ["LAYERS", "calls_by_layer", "census", "events_by_layer",
            "layer_of", "layer_rows", "main"]
 
 #: Report order.
-LAYERS = ("sim", "hw", "memory", "verbs-stepped", "verbs.express", "tenancy",
+LAYERS = ("sim", "hw", "memory", "verbs", "verbs.express", "tenancy",
           "load", "apps", "bench", "other")
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-_PACKAGES = {"sim": "sim", "hw": "hw", "memory": "memory",
-             "verbs": "verbs-stepped",
+_PACKAGES = {"sim": "sim", "hw": "hw", "memory": "memory", "verbs": "verbs",
              "tenancy": "tenancy", "load": "load", "apps": "apps",
              "bench": "bench"}
 _DISPATCH = frozenset({Simulator.run.__code__, Simulator.step.__code__})

@@ -63,6 +63,9 @@ class PcieLink:
         """Process step: perform one DMA to/from ``mem_socket`` memory.
 
         Occupies the bus for the transfer duration; yields until done.
+        Returns the key ``(now, seq_now)`` of the dispatch the hold ended
+        in, which a caller may key a later wake after
+        (:meth:`~repro.sim.Simulator.call_keyed`).
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
@@ -70,7 +73,9 @@ class PcieLink:
         yield self._bus.acquire()
         try:
             yield duration
+            end = self.sim.now, self.sim.seq_now
         finally:
             self._bus.release()
         self.dma_bytes += nbytes
         self.dma_count += 1
+        return end

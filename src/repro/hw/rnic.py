@@ -142,6 +142,8 @@ class RnicPort:
         Holds for ``max(processing, inbound serialization)``: a port can
         only absorb data at link rate, so many-to-one traffic queues here
         (the receiver-side bottleneck of the distributed log, Fig 19).
+        Returns the hold's end key, as
+        :meth:`~repro.hw.pcie.PcieLink.dma` does.
         """
         if payload_bytes:
             hold = self._perturb(max(base_ns + extra_ns,
@@ -151,9 +153,11 @@ class RnicPort:
         yield self.rx_unit.acquire()
         try:
             yield hold
+            end = self.sim.now, self.sim.seq_now
         finally:
             self.rx_unit.release()
         self.rx_ops += 1
+        return end
 
     def exec_atomic(self, extra_ns: float = 0.0) -> Generator:
         """Process step: responder-side atomic execution (serialized)."""

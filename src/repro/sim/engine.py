@@ -66,6 +66,12 @@ pin down.
 :meth:`Event.fire` is the one trigger that schedules nothing: a caller
 that uses it chooses to run the event's waiters ahead of the entries
 already queued at this instant.
+
+:meth:`Simulator.call_keyed` is the one trigger that allocates no seq.
+Its key ``(when, NORMAL, seq + 0.5)`` names the seq it follows, so a
+seq may be a half-integer: ``seq_now`` is ``seq + 0.5`` while a keyed
+wake dispatches, and a reserved key ``(now, NORMAL, s)`` is behind it
+exactly when ``s <= seq``.
 """
 
 from __future__ import annotations
@@ -589,8 +595,9 @@ class Simulator:
     def __init__(self):
         self.now: float = 0.0
         #: The seq of the running dispatch's key, 0 during an URGENT one
-        #: (a reserved NORMAL key ``(now, NORMAL, seq)`` is behind the
-        #: dispatch iff ``seq_now > seq``; :meth:`Resource.lease`).  After
+        #: and a half-integer during a keyed wake (:meth:`call_keyed`); a
+        #: reserved NORMAL key ``(now, NORMAL, seq)`` is behind the
+        #: dispatch iff ``seq_now > seq`` (:meth:`Resource.lease`).  After
         #: ``run(until=T)`` every key at ``T`` has run: it is then above
         #: every seq allocated so far.
         self.seq_now = 0
@@ -688,6 +695,22 @@ class Simulator:
             when = self._clamp(when)
         self._seq = seq = self._seq + 1
         self._park((when, NORMAL, seq, fn))
+
+    def call_keyed(self, when: float, seq: int,
+                   fn: Callable[[None], None]) -> None:
+        """A keyed wake: ``call_tail(when, fn)`` under the key ``(when,
+        NORMAL, seq + 0.5)`` instead of a fresh seq.
+
+        It sorts at ``when`` after every entry allocated up to ``seq``
+        and before every entry allocated later, however early the
+        caller books it, so two callers that key the same wait after
+        the same hold end order it alike.  Allocates no seq, so every
+        other key stays an integer and none collides; one keyed wake
+        per ``seq`` and instant.
+        """
+        if not when >= self.now:
+            when = self._clamp(when)
+        self._park((when, NORMAL, seq + 0.5, fn))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)

@@ -181,6 +181,10 @@ class Resource:
         are ``book``'s; only the holder's continuation is scheduled
         earlier.  ``sim.now`` after a drained ``run()`` reaches ``end``
         only if the holder scheduled something at or after it.
+
+        ``cb`` runs right after the reservation, so ``sim._seq`` is the
+        reserved seq when it starts: a holder may book a keyed wake
+        after its end key (:meth:`Simulator.call_keyed`).
         """
         if self.capacity != 1:
             raise ValueError(f"lease() needs a capacity-1 unit, "

@@ -35,24 +35,38 @@ tables.  So the lane mirrors the grant structure literally:
   the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
   then continues its own op, matching the stepped ``finally:
   release()`` / counter / continue order statement for statement.
-* Four holds end in nothing but a freed unit and either a constant
+* Five holds end in nothing but a freed unit and either a constant
   delay or a join countdown: a READ's responder rx hold (then the
   turnaround), its response serialization (then the response wire), a
-  signaled data-less READ's delivery DMA (then the CQE DMA), and the
-  half of a cut-through pair that provably ends first (see below).
-  They take ``Resource.lease(dur, cb)`` instead: the grant — at the
-  same dispatch as a booking's — calls its wake callback with the end
+  signaled data-less READ's delivery DMA (then the CQE DMA), the half
+  of a cut-through pair that provably ends first (see below), and both
+  service halves (rx hold, drain DMA) of a WRITE that lands no bytes
+  and takes no word lock (then its ACK wire).  They take
+  ``Resource.lease(dur, cb)`` instead: the grant — at the same
+  dispatch as a booking's — calls its wake callback with the end
   instant, which counts the unit (``rx_ops``/``tx_ops``, or
   ``dma_bytes``/``dma_count``) and either books the continuation at
   ``end + constant`` (the float the end-wake would compute; a READ
   also stamps ``responder`` at the end) or counts the join down.  The
   unit frees itself.  Its end takes a wake only when a waiter queues
   behind the lease, and then at the key the booking's end-wake holds,
-  so every handover stays where it was; only a continuation's seq
-  moves, to the grant.  Every other hold's end touches shared state (a
-  DMA booking, a join's resume, a lock release, a ``recv_queue`` put,
-  a READ's data landing, an unsignaled READ's completion) and keeps
-  its wake.
+  so every handover stays where it was.  Every other hold's end
+  touches shared state (a DMA booking, a join's resume, a lock
+  release, a ``recv_queue`` put, a READ's data landing, an unsignaled
+  READ's completion) and keeps its wake.
+* A continuation booked at a lease grant is either booked with a fresh
+  seq (a READ's turnaround and response wire: its seq moves to the
+  grant) or keyed after the lease's reserved end key ``(end, seq)``
+  (:meth:`Simulator.call_keyed`: ``seq + 0.5``, after every entry
+  allocated up to the key and before every later one).  Keyed are a
+  signaled data-less READ's CQE wake, and a data-less unlocked WRITE's
+  ACK (``P_TAIL``) or CQE (``P_T``) wake, which its last grant keys
+  after the later half's end key (:meth:`ExpressState._svc_join`).  The
+  stepped ``_responder_phase`` keys the same waits after the end keys
+  its hold processes return, so both lanes order a same-instant
+  completion the same way by construction: a fresh seq at the grant
+  reorders such ties, and so does the stepped path's own fresh seq at
+  the hold end.
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
   DMA) are sized first and booked in the stepped spawn order
   (:meth:`ExpressState._cut_through`).  A half whose unit is free and
@@ -62,14 +76,18 @@ tables.  So the lane mirrors the grant structure literally:
   other half's end joins, with a same-instant resume wake where the
   stepped ``all_of`` resumes one dispatch later, so the resume's seq
   does not move either.  A tie, or an earlier half that would queue,
-  books both.  Single holds continue inline in their end-wake, like a
-  ``yield from`` subgenerator resuming its caller.
+  books both.  This is the pair of a WRITE that lands data or holds a
+  word lock, and of the requester's payload fetch and tx hold; a
+  data-less unlocked WRITE leases both its halves instead.  Single
+  holds continue inline in their end-wake, like a ``yield from``
+  subgenerator resuming its caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) get a wake allocated at the same instant the stepped path
   allocates the corresponding sleep.  A signaled WRITE, CAS or FAA does
   nothing when its ACK lands, so its ACK wire and CQE DMA share one
-  wake at ``(now + bwd) + cqe_dma``, booked at service end; the stepped
-  path waits for that instant with one ``call_at`` booked there too.
+  wake at ``(now + bwd) + cqe_dma``, booked at service end (keyed, for
+  a data-less unlocked WRITE); the stepped path waits for that instant
+  with one wake booked there too.
   READ (delivery DMA), SEND (``recv_queue.put``) and unsignaled WRs
   (the ACK is their completion) keep a wake per hop.
 * Atomic word locks are ``Resource.claim`` holds on the device's
@@ -90,7 +108,8 @@ every scheduled wake is final.
 
 Every wake here — hold ends booked through ``Resource.book``, constant
 wires, join resumes and the CQE-DMA end (``P_T``) — is a
-:meth:`Simulator.call_tail`, and the completion is a plain
+:meth:`Simulator.call_tail` or a keyed :meth:`Simulator.call_keyed`,
+and the completion is a plain
 ``done.succeed``; the CQE is deposited, on both lanes, without a
 ``Store.put``-style no-op put-ack (:meth:`CompletionQueue.deposit`).
 Whether any of them runs without a heap round trip is the engine's
@@ -179,7 +198,8 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_RETX,     # transport timer of a lost attempt: retransmit or fail
  P_Y,        # forward wire: request arrives at the responder
  P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end);
-             # a WRITE half's lease grant when it ends first
+             # a WRITE half's lease grant when it ends first, or
+             # either half's of a data-less unlocked WRITE
  P_SVC_R,    # WRITE service join resume
  P_RX,       # SEND responder hold end; a READ's rx lease grant
  P_TURN,     # READ host-memory turnaround elapsed
@@ -188,9 +208,12 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_BWD,      # READ response wire: data arrives back at the requester
  P_DLV,      # READ local delivery DMA end; a signaled data-less
              # READ's lease grant, which books P_T
- P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed
+ P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed (a
+             # data-less unlocked WRITE's is keyed after its service)
  P_T,        # CQE DMA end: completion instant (a signaled WRITE or
-             # atomic books it at service end, past its ACK wire)
+             # atomic books it at service end, past its ACK wire; keyed
+             # after a data-less unlocked WRITE's later service end or
+             # a leased READ delivery's end)
  P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
  P_LOCK,     # queued on a word lock; the releaser's handover wakes it
  P_DONE) = range(18)
@@ -211,7 +234,8 @@ class ExpressOp:
         # cut-through join countdown (payload∥tx, rx∥drain)
         "pending",
         # stashed hold durations (unperturbed tx hold while transmitting,
-        # then service hold and drain DMA)
+        # then service hold and drain DMA); a data-less unlocked WRITE's
+        # first service grant then stashes its end key (end, seq)
         "h1", "h2",
         # RC transport: consecutive lost attempts, retransmissions done,
         # and the CompletionStatus the op will report
@@ -336,8 +360,9 @@ class ExpressState:
         """Primary wake: advance ``op`` across the boundary ``op.phase``.
         ``arg`` is the end instant when a ``Resource.lease`` grant calls
         it (``P_RX`` of a READ, ``P_RTX``, a leased cut-through half at
-        ``P_EXEC``/``P_SVC``, a leased delivery at ``P_DLV``) and ``None``
-        at a ``call_tail`` end."""
+        ``P_EXEC``/``P_SVC``, a data-less WRITE's rx lease at ``P_SVC``,
+        a leased delivery at ``P_DLV``) and ``None`` at a scheduled
+        wake."""
         phase = op.phase
         if phase == P_WQE:
             self._wqe_end(op)
@@ -385,7 +410,7 @@ class ExpressState:
     def _on_wake2(self, op: ExpressOp, end) -> None:
         """Secondary wake: the DMA half of a cut-through pair ends, or
         its lease is granted (``end``, the end instant; see
-        :meth:`_cut_through`)."""
+        :meth:`_cut_through`), as a data-less WRITE's drain lease is."""
         qp = op.qp
         if op.phase == P_EXEC:
             # Payload fetch (streams beside the tx hold).
@@ -401,7 +426,7 @@ class ExpressState:
                 pcie._bus.release()
             pcie.dma_bytes += op.total_len
             pcie.dma_count += 1
-            self._svc_join(op)
+            self._svc_join(op, end)
 
     def _cut_through(self, op: ExpressOp, unit1, dur1: float, cb1,
                      unit2, dur2: float, cb2) -> None:
@@ -633,13 +658,22 @@ class ExpressState:
             self._atomic_granted(op)
 
     def _write_granted(self, op: ExpressOp) -> None:
-        """WRITE holds the word lock (if any): cut-through rx ∥ drain."""
+        """WRITE holds the word lock (if any): cut-through rx ∥ drain.
+        A WRITE that lands no bytes and holds no lock does nothing at
+        either end but free the unit, so it leases both halves, rx
+        first as the stepped lane spawns it; see :meth:`_svc_join`."""
         rp = op.qp.remote_port
         op.phase = P_SVC
         if op.wcb2 is None:
             op.wcb2 = partial(self._on_wake2, op)
-        self._cut_through(op, rp.rx_unit, rp._perturb(op.h1), op.wcb,
-                          rp.pcie._bus, op.h2, op.wcb2)
+        rx, drain = rp._perturb(op.h1), op.h2
+        if op.wl is None and not op.move_data:
+            op.pending = 2
+            rp.rx_unit.lease(rx, op.wcb)
+            rp.pcie._bus.lease(drain, op.wcb2)
+            return
+        self._cut_through(op, rp.rx_unit, rx, op.wcb, rp.pcie._bus, drain,
+                          op.wcb2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
@@ -648,17 +682,28 @@ class ExpressState:
         rp.atomic_unit.book(rp._perturb(op.h1), op.wcb)
 
     def _write_rx_end(self, op: ExpressOp, end) -> None:
-        """The rx hold ends, or (``end``) its lease, the first-ending half
-        of a cut-through pair, is granted."""
+        """The rx hold ends, or (``end``) its lease is granted: the
+        first-ending half of a cut-through pair, or a data-less WRITE's."""
         rp = op.qp.remote_port
         if end is None:
             rp.rx_unit.release()
         rp.rx_ops += 1
-        self._svc_join(op)
+        self._svc_join(op, end)
 
-    def _svc_join(self, op: ExpressOp) -> None:
+    def _svc_join(self, op: ExpressOp, end) -> None:
+        """One WRITE service half is done: its end wake, or its lease
+        grant (``end``).  When both halves leased (a data-less unlocked
+        WRITE) the first grant stashes its reserved end key and the last
+        one responds keyed after the later key, where the stepped lane
+        keys its ACK wait; a cut-through pair resumes at its last end."""
         op.pending -= 1
-        if op.pending == 0:
+        if op.wl is None and not op.move_data:
+            key = (end, self.sim._seq)  # the lease's reserved end key
+            if op.pending:
+                op.h1, op.h2 = key
+            else:
+                self._respond(op, max(key, (op.h1, op.h2)))
+        elif op.pending == 0:
             op.phase = P_SVC_R
             sim = self.sim
             sim.call_tail(sim.now, op.wcb)
@@ -684,16 +729,18 @@ class ExpressState:
         wl.release()
         self._respond(op)
 
-    def _respond(self, op: ExpressOp) -> None:
+    def _respond(self, op: ExpressOp, key=None) -> None:
         """WRITE/atomic/SEND service done: the ACK takes the reverse
         wire.  A signaled WRITE or atomic has nothing to do when its ACK
         lands, so it books its CQE-DMA end (``P_T``) here, at the instant
         the two hops would reach, where the stepped ``_responder_phase``
         books its one wait; a SEND or an unsignaled WR wakes at the ACK
-        (``P_TAIL``)."""
+        (``P_TAIL``).  With ``key``, the later end key ``(end, seq)`` of
+        a data-less WRITE's leased halves, the service ends at ``end``
+        and the wake is keyed after it (:meth:`Simulator.call_keyed`)."""
         sim = self.sim
         record = op.record
-        now = sim.now
+        now = sim.now if key is None else key[0]
         if record is not None:
             record.stamp("responder", now)
         qp = op.qp
@@ -702,10 +749,14 @@ class ExpressState:
             if record is not None:
                 record.stamp("response_net", ack)
             op.phase = P_T
-            sim.call_tail(ack + qp._params.cqe_dma_ns, op.wcb)
-            return
-        op.phase = P_TAIL
-        sim.call_tail(ack, op.wcb)
+            when = ack + qp._params.cqe_dma_ns
+        else:
+            op.phase = P_TAIL
+            when = ack
+        if key is None:
+            sim.call_tail(when, op.wcb)
+        else:
+            sim.call_keyed(when, key[1], op.wcb)
 
     # -- READ / SEND responder path -----------------------------------------
     def _rx_end(self, op: ExpressOp, end) -> None:
@@ -787,8 +838,11 @@ class ExpressState:
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         if end is not None:
+            # Keyed after the lease's reserved end key, where the stepped
+            # lane keys its CQE wait.
             op.phase = P_T
-            self.sim.call_tail(end + qp._params.cqe_dma_ns, op.wcb)
+            sim = self.sim
+            sim.call_keyed(end + qp._params.cqe_dma_ns, sim._seq, op.wcb)
             return
         if op.move_data:
             qp._apply_read(op.wr)

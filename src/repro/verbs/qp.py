@@ -489,9 +489,11 @@ class QueuePair:
         cqe = wr.signaled
         if status is CompletionStatus.SUCCESS:
             # A signaled WRITE or atomic on a plain route waits out its
-            # ACK wire and CQE DMA in one wake (_responder_phase step 6).
-            folds = (cqe and not queued and opcode is not Opcode.READ
-                     and opcode is not Opcode.SEND)
+            # ACK wire and CQE DMA in one wake, and a signaled data-less
+            # READ its CQE DMA keyed after its delivery DMA
+            # (_responder_phase steps 6 and 7).
+            folds = (cqe and not queued and opcode is not Opcode.SEND
+                     and (opcode is not Opcode.READ or not wr.move_data))
             value = yield from self._responder_phase(wr, record, total_len,
                                                      folds)
             cqe = cqe and not folds
@@ -531,6 +533,13 @@ class QueuePair:
             self.cq.deposit(completion)
         done.succeed(completion)
 
+    def _keyed(self, when: float, end_key: tuple) -> Event:
+        """An event that fires at ``when``, keyed after the hold end key
+        ``end_key`` (:meth:`Simulator.call_keyed`)."""
+        landed = self.sim.event()
+        self.sim.call_keyed(when, end_key[1], landed.fire)
+        return landed
+
     def _retrans_wait_ns(self, losses: int) -> float:
         """Transport timer for the ``losses``-th consecutive silence:
         truncated exponential backoff off ``retrans_timeout_ns``."""
@@ -546,7 +555,7 @@ class QueuePair:
         result value (None for non-atomics).  ``record`` is the WR's
         OpRecord (None: untraced); ``total_len`` is the caller's
         already-computed ``wr.total_length``; ``folds`` makes the ACK
-        wait run on to the end of the CQE DMA."""
+        wait (a READ's delivery) run on to the end of the CQE DMA."""
         p = self._params
         sim = self.sim
         lport, rport = self.local_port, self.remote_port
@@ -564,6 +573,7 @@ class QueuePair:
         value = None
         status = CompletionStatus.SUCCESS
         response_payload = 0
+        end_key = None  # a data-less unlocked WRITE's later hold end key
         r_extra = rrnic.qp_context(self.qp_id)
         if wr.opcode.is_atomic:
             rmr = wr.remote_mr
@@ -619,6 +629,11 @@ class QueuePair:
                     word_lock.release()
             if wr.move_data:
                 self._apply_write(wr)
+            elif word_lock is None and not self._queued:
+                # Nothing happens at either hold's end but a freed unit:
+                # the ACK wait is keyed after the later end, as the
+                # express lane keys it from its two lease grants.
+                end_key = max(rx._value, drain._value)
         elif wr.opcode is Opcode.READ:
             rmr = wr.remote_mr
             r_extra += rrnic.translate(
@@ -648,34 +663,47 @@ class QueuePair:
         # port-level loss faults (which sample both ends) remain the model
         # for that ambiguity.  See docs/FABRIC.md.  Plain routes pay the
         # fixed reverse crossbar constant, and a signaled WRITE or atomic
-        # (``folds``) runs that wait on through its CQE DMA.
+        # (``folds``) runs that wait on through its CQE DMA.  A folded
+        # READ waits here as any READ does: its CQE wait is step 7's.
         if self._queued:
             _, marked = yield from self._route_back.traverse(
                 response_payload if response_payload else 16,
                 droppable=False)
             if marked and lport.dcqcn is not None:
                 lport.dcqcn.on_ecn(sim.now)
-        elif folds:
+        elif end_key is None and (not folds or wr.opcode is Opcode.READ):
+            yield self._bwd_ns
+        else:
             # A signaled WRITE or atomic does nothing when its ACK lands:
             # one wake at the CQE-DMA end, allocated here as the express
-            # lane allocates its own, covers both hops.
+            # lane allocates its own, covers both hops.  A data-less
+            # unlocked WRITE's wait (to its ACK when unsignaled) is keyed
+            # after its later hold end, where the lane books it.
             ack = sim.now + self._bwd_ns
-            if record is not None:
-                record.stamp("response_net", ack)
-            yield sim.call_at(ack + p.cqe_dma_ns, _landed)
-            return value
-        else:
-            yield self._bwd_ns
+            when = ack + p.cqe_dma_ns if folds else ack
+            if end_key is None:
+                yield sim.call_at(when, _landed)
+            else:
+                yield self._keyed(when, end_key)
+            if folds:
+                if record is not None:
+                    record.stamp("response_net", ack)
+                return value
         if record is not None:
             record.stamp("response_net", sim.now)
 
         # 7. Local delivery: READ data scattered into local buffers.
         if wr.opcode is Opcode.READ:
             buf_socket = wr.sgl[0].mr.socket
-            yield from lport.pcie.dma(
+            end_key = yield from lport.pcie.dma(
                 total_len, buf_socket, segments=wr.n_sge)
             if wr.move_data:
                 self._apply_read(wr)
+            elif folds:
+                # Nothing happens at the DMA's end but the CQE DMA's start:
+                # that wait is keyed after the end, as the lane keys it
+                # from its delivery lease.
+                yield self._keyed(sim.now + p.cqe_dma_ns, end_key)
         if wr.opcode is Opcode.SEND:
             # Deliver to the peer's receive queue (remote CPU will poll it).
             self.recv_queue.put(Completion(

@@ -13,6 +13,7 @@ reference every lane run is compared against.
 """
 
 import contextlib
+import functools
 import random
 from collections import Counter
 
@@ -217,6 +218,17 @@ BRANCHES = {(site, branch) for site in ("join", "cqe", "completion")
 INLINE = {b for b in BRANCHES if b[1] == "inline"}
 
 
+def _holder(unit) -> str:
+    """How ``unit`` is held: ``free``, ``lease`` (a lease nobody waits
+    behind), ``queue`` (waiters queued) or ``book`` (any other hold)."""
+    if not unit.in_use:
+        return "free"
+    waiters = unit._waiters
+    if waiters is None:
+        return "book"
+    return "lease" if waiters.__class__ is tuple else "queue"
+
+
 @contextlib.contextmanager
 def _counted_leases():
     """Yield a Counter of how the lane booked each cut-through pair and
@@ -224,19 +236,39 @@ def _counted_leases():
     or ``rx∥drain`` and branch the half it leased (``fetch``, ``tx``,
     ``rx``, ``drain``) or, when it booked both halves, ``tie`` (equal
     ends) or ``busy`` (the earlier half's unit was held); and
-    ``("delivery", "lease")`` or ``("delivery", "book")``."""
+    ``("delivery", "lease")`` or ``("delivery", "book")``.  A data-less
+    WRITE that leased both service halves counts ``("rx+drain", "rx
+    <holder>, drain <holder>")`` (:func:`_holder`, before the leases),
+    and ``("rx+drain", "tie")`` too when both halves were granted at
+    once with equal ends."""
     from repro.sim import Resource
     from repro.verbs import express
     from repro.verbs.express import ExpressState
 
     seen = Counter()
     leased = []  # the units leased since the wrapped call began
+    ends = []    # and the ends of those granted inline
     cut, read_back = ExpressState._cut_through, ExpressState._read_back
+    granted = ExpressState._write_granted
     lease = Resource.lease
 
     def counting_lease(res, dur, cb):
         leased.append(res)
+        free = res.in_use == 0
         lease(res, dur, cb)
+        if free:
+            ends.append(res.sim.now + dur)
+
+    def counting_granted(self, op):
+        rp = op.qp.remote_port
+        units = [rp.rx_unit, rp.pcie._bus]
+        held = [_holder(u) for u in units]
+        del leased[:], ends[:]
+        granted(self, op)
+        if leased == units:
+            seen["rx+drain", "rx {}, drain {}".format(*held)] += 1
+            if len(ends) == 2 and ends[0] == ends[1]:
+                seen["rx+drain", "tie"] += 1
 
     def counting_cut(self, op, unit1, dur1, cb1, unit2, dur2, cb2):
         del leased[:]
@@ -260,6 +292,7 @@ def _counted_leases():
         mp.setattr(Resource, "lease", counting_lease)
         mp.setattr(ExpressState, "_cut_through", counting_cut)
         mp.setattr(ExpressState, "_read_back", counting_read_back)
+        mp.setattr(ExpressState, "_write_granted", counting_granted)
         yield seen
 
 
@@ -852,10 +885,12 @@ def _lane_equals_stepped(scenario) -> Counter:
 
 
 def _writes(sizes, lsocket=0, rsocket=0, clients=(0,), depth=None,
-            setup=None):
+            setup=None, moves=None, signaled=True):
     """A scenario: each client machine WRITEs ``sizes``, ``depth`` in
     flight (default: all), from a region on ``lsocket`` to one on
-    ``rsocket`` of machine 2, port 0 to port 0, after ``setup(ctx)``."""
+    ``rsocket`` of machine 2, port 0 to port 0, after ``setup(ctx)``.
+    WR ``i`` of client ``m`` moves data unless ``moves(m, i)`` is
+    false."""
     def scenario(ctx):
         if setup is not None:
             setup(ctx)
@@ -867,7 +902,9 @@ def _writes(sizes, lsocket=0, rsocket=0, clients=(0,), depth=None,
             out.append((m, ctx.create_qp(m, 2), [
                 WorkRequest(Opcode.WRITE, wr_id=100 * m + i,
                             sgl=[Sge(lmr, 0, size)], remote_mr=rmr,
-                            remote_offset=(1 << 14) * m + 16 * i)
+                            remote_offset=(1 << 14) * m + 16 * i,
+                            signaled=signaled,
+                            move_data=moves is None or moves(m, i))
                 for i, size in enumerate(sizes)], depth or len(sizes)))
         return out
     return scenario
@@ -973,6 +1010,174 @@ def test_read_delivery_leases_only_when_nothing_waits_on_its_end(name):
 
     leases = _lane_equals_stepped(scenario)
     assert leases == {("delivery", branch): 4}
+
+
+# ------------------------------------- a data-less WRITE's leased service
+def _dataless(m, i):
+    return False
+
+
+def _read_then_writes(ctx):
+    """Client 0 READs 16 KB from machine 2's port 0 while client 1 WRITEs
+    64 B there without data, one at a time: a WRITE arriving while the
+    READ's response fetch holds the responder's bus finds its rx unit
+    free."""
+    rmr = ctx.register(2, 1 << 15)
+    out = []
+    for m, wrs in ((0, [WorkRequest(Opcode.READ, wr_id=0,
+                                    sgl=[Sge(ctx.register(0, 1 << 14), 0,
+                                             1 << 14)],
+                                    remote_mr=rmr, remote_offset=0,
+                                    move_data=False)]),
+                   (1, [WorkRequest(Opcode.WRITE, wr_id=100 + i,
+                                    sgl=[Sge(ctx.register(1, 64), 0, 64)],
+                                    remote_mr=rmr, remote_offset=64 * i,
+                                    move_data=False)
+                        for i in range(12)])):
+        out.append((m, ctx.create_qp(m, 2), wrs, 1))
+    return out
+
+
+#: name -> (scenario, the ``_counted_leases`` branches it must take).  A
+#: WRITE that moves no data and takes no word lock leases its rx hold
+#: and its drain DMA whatever holds their units.
+DATALESS = {
+    "both_free": (_writes([64, 256], depth=1, moves=_dataless),
+                  {("rx+drain", "rx free, drain free")}),
+    # Client 0's 64 B WRITE moves data: its drain leases and its rx
+    # books, and client 1's arrives at the same instant behind both.
+    "rx_busy_under_a_book": (
+        _writes([64], clients=(0, 1), moves=lambda m, i: m == 0),
+        {("rx+drain", "rx book, drain lease")}),
+    "rx_busy_under_a_lease": (
+        _writes([64, 64], clients=(0, 1), moves=_dataless),
+        {("rx+drain", "rx lease, drain lease")}),
+    "drain_busy": (_read_then_writes,
+                   {("rx+drain", "rx free, drain book")}),
+    # The first WRITE warms the SRAM, so the second's rx hold is the 4 KB
+    # wire time, which the memo makes its drain last too.
+    "tie": (_writes([4096, 4096], depth=1, setup=_tie, moves=_dataless),
+            {("rx+drain", "tie")}),
+    "jittered_rx": (_writes([64, 1024] * 6, rsocket=1, depth=1,
+                            setup=_jitter, moves=_dataless),
+                    {("rx+drain", "rx free, drain free")}),
+    "unsignaled": (_writes([64, 256, 4096, 64], depth=2, signaled=False,
+                           moves=_dataless),
+                   {("rx+drain", "rx free, drain free")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATALESS))
+def test_dataless_write_service_equals_the_stepped_lane(name):
+    """A WRITE that lands no bytes and takes no word lock leases both
+    service halves; its last grant books the ACK (unsignaled) or CQE
+    (signaled) wake keyed after the later half's end, where the stepped
+    lane keys its wait.  Each branch keeps the completion log, region
+    bytes, unit counters, busy times and clock of the stepped lane."""
+    scenario, branches = DATALESS[name]
+    leases = _lane_equals_stepped(scenario)
+    assert branches <= leases.keys(), leases
+
+
+def _locked_and_moving(ctx):
+    """An FAA on word 0, then an 8 B data-less WRITE to it (the word's
+    device lock is hot) and a 64 B WRITE that moves data."""
+    rmr = ctx.register(2, 4096)
+    lmr = ctx.register(0, 4096)
+    lmr.write(0, bytes(range(64)))
+    return [(0, ctx.create_qp(0, 2), [
+        WorkRequest(Opcode.FAA, wr_id=0, remote_mr=rmr, remote_offset=0,
+                    add=5),
+        WorkRequest(Opcode.WRITE, wr_id=1, sgl=[Sge(lmr, 0, 8)],
+                    remote_mr=rmr, remote_offset=0, move_data=False),
+        WorkRequest(Opcode.WRITE, wr_id=2, sgl=[Sge(lmr, 0, 64)],
+                    remote_mr=rmr, remote_offset=64)], 3)]
+
+
+def test_a_locked_or_data_moving_write_keeps_its_resume_wake(monkeypatch):
+    """A WRITE that lands data, or takes a hot word's lock, does work at
+    its service end, so it books its cut-through pair and resumes from
+    the join as before; both lanes agree."""
+    from repro.verbs.express import ExpressState
+
+    resumed = []
+    resume = ExpressState._svc_resume
+    monkeypatch.setattr(ExpressState, "_svc_resume", lambda self, op: (
+        resumed.append(op.wr.wr_id), resume(self, op)))
+    leases = _lane_equals_stepped(_locked_and_moving)
+    assert sorted(resumed) == [1, 2]
+    assert not {b for b in leases if b[0] == "rx+drain"}, leases
+
+
+def _tie_rig(seed: int) -> dict:
+    """Eight QPs, from two requester machines' two sockets to both ports
+    of a third, post the same timed mix in rounds at identical instants:
+    32, 64 and 256 B WRITEs, READs and FAAs, 15% unsignaled.  Whether a
+    WRITE or READ moves data is a per-QP coin, so mirrored QPs end their
+    holds at the same instants through different branches.  Returns
+    the completion log (QP index, row), the clock and every region."""
+    sim, cluster, ctx = build(machines=3)
+    rmrs = [ctx.register(2, 1 << 12, socket=s) for s in (0, 1)]
+    log = []
+
+    def client(k, qp, wrs):
+        for r in range(0, len(wrs), 4):
+            yield max(0.0, r // 4 * 6000.0 - sim.now)
+            for ev in [qp.post_send(wr) for wr in wrs[r:r + 4]]:
+                log.append((k, _row((yield ev))))
+
+    k = 0
+    for m in (0, 1):
+        for socket in (0, 1):
+            lmr = ctx.register(m, 1 << 12, socket=socket)
+            lmr.write(0, bytes([16 * m + socket]) * lmr.size)
+            for port in (0, 1):
+                qp = ctx.create_qp(m, 2, local_port=socket, remote_port=port)
+                rng = random.Random(seed)
+                coin = random.Random(1000 * seed + k)
+                wrs = []
+                for i in range(24):
+                    kind = rng.random()
+                    signaled = rng.random() >= 0.15
+                    if kind < 0.8:
+                        size = rng.choice((32, 64, 256))
+                        read = kind >= 0.6
+                        wrs.append(WorkRequest(
+                            Opcode.READ if read else Opcode.WRITE,
+                            wr_id=i, sgl=[Sge(lmr, 512 * read, size)],
+                            remote_mr=rmrs[port],
+                            remote_offset=rng.randrange(0, 1024, 8),
+                            signaled=signaled,
+                            move_data=coin.random() < 0.5))
+                    else:
+                        wrs.append(WorkRequest(
+                            Opcode.FAA, wr_id=i, remote_mr=rmrs[port],
+                            remote_offset=2048 + 8 * rng.randrange(2),
+                            add=1, signaled=signaled))
+                sim.process(client(k, qp, wrs))
+                k += 1
+    sim.run()
+    return {"log": log, "now": sim.now,
+            "mem": [mr.read(0, mr.size) for mr in ctx.regions]}
+
+
+def test_symmetric_ties_complete_in_the_same_order_on_both_lanes():
+    """Mirrored QPs finish data-less WRITEs and READs (leased service
+    halves, a leased delivery) at the same instants as data-moving ones
+    (booked ends).  Both lanes key the former's completion wake after
+    the later hold's end key, so every same-instant completion keeps its
+    order.  Six of these 40 seeds reorder a tie when only the lane keys
+    it."""
+    ties = 0
+    for seed in range(40):
+        fn = functools.partial(_tie_rig, seed)
+        stepped = differential.run(fn, express=False)
+        lane = differential.run(fn, express=True)
+        assert differential.compare(fn, stepped, lane) is None, seed
+        assert lane.value == stepped.value, seed
+        stamps = Counter(row[2] for _, row in lane.value["log"])
+        ties += sum(n > 1 for n in stamps.values())
+    assert ties > 1000
 
 
 def _word_lock_tie() -> list:

@@ -44,11 +44,16 @@ from repro.verbs import Opcode, Sge, Worker, WorkRequest
 # both: folding each signaled WRITE and FAA's ACK wire and CQE DMA into
 # one wake (40 events), deleting the CQE deposit's no-op put-ack (60) and
 # taking a free atomic word lock in the arrival dispatch instead of
-# through a grant event (20) took the count from 1293 to 1173.
+# through a grant event (20) took the count from 1293 to 1173.  Keying
+# each data-less WRITE's folded ACK+CQE wait after its later hold end,
+# and each signaled data-less READ's CQE wait after its delivery DMA's
+# end (``Simulator.call_keyed``, which allocates no seq), moved only the
+# seqs of the keys: every dispatch's time and priority, in order, and
+# the count stayed.
 BASELINE_NOW = 113623.14822335038
 BASELINE_EVENTS = 1173
 BASELINE_DIGEST = \
-    "e0ff71dcd28de4bfc439b52c5c6cedf3b2f8abd67e02ac448ee3b6e263ffa6e1"
+    "e7465e6b588bde5c2e60388ac83292b12af8bea50cde4c56e74e2f3a91315f3d"
 BASELINE_COMPLETIONS = \
     "14e38badc7108de5a8c187f776800c262f83f21f167b80fc952f92772743066c"
 

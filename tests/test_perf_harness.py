@@ -3,6 +3,7 @@ contract: well-formed baselines, a gate that actually trips, and
 schedule-identity pins for the fast-path optimizations."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -345,7 +346,7 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     stepped = sum(row["stepped"].values())
     if name == "ext9":
         assert row["by_layer"]["verbs.express"] == 0
-        assert {"sim", "hw", "verbs-stepped"} <= in_place
+        assert {"sim", "hw", "verbs"} <= in_place
         # Queued fabric: the lane never attaches, and every WR says why.
         assert stepped == row["stepped"]["queued_route"] == row["ops"]
     else:
@@ -359,6 +360,44 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     assert (engine.heappush, engine.heappop, engine.heappushpop) == (
         heapq.heappush, heapq.heappop, heapq.heappushpop)
     assert Simulator._park is park
+
+
+def test_census_charges_a_keyed_wake_to_the_layer_that_booked_it(
+        monkeypatch):
+    """The lane keys a data-less WRITE's CQE wake after its later service
+    end (``Simulator.call_keyed``); the census charges that wake, like
+    every other lane wake, to ``verbs.express``."""
+    from repro import build
+    from repro.bench.perf import census
+    from repro.verbs import Worker
+    from repro.verbs.express import ExpressState
+    from repro.verbs.types import Opcode, Sge, WorkRequest
+
+    woken = Counter()  # the lane's wakes that a dispatch ran, by seq kind
+    wake = ExpressState._on_wake
+
+    def counting_wake(self, op, arg):
+        if arg is None:  # a scheduled wake, not a lease grant
+            woken["keyed" if op.qp.sim.seq_now % 1 else "plain"] += 1
+        wake(self, op, arg)
+
+    monkeypatch.setattr(ExpressState, "_on_wake", counting_wake)
+    with census._counting() as (counts, in_place):
+        sim, cluster, ctx = build(machines=2)
+        lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
+        w = Worker(ctx, 0)
+        qp = ctx.create_qp(0, 1)
+
+        def client():
+            for size in (64, 256):
+                yield from w.execute(qp, WorkRequest(
+                    Opcode.WRITE, sgl=[Sge(lmr, 0, size)], remote_mr=rmr,
+                    remote_offset=0, move_data=False))
+        sim.run(until=sim.process(client()))
+    assert woken["keyed"] == 2
+    # The lane schedules its wakes and each WRITE's ``done``.
+    charged = counts["verbs.express"] + in_place["verbs.express"]
+    assert charged == woken["keyed"] + woken["plain"] + 2
 
 
 def test_census_calls_by_layer_repeat_exactly():

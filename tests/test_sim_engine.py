@@ -932,3 +932,81 @@ def test_add_callback_on_a_fired_event_runs_at_once():
     sim.run()
     assert seen == ["v", "v"]
     assert sim.events_processed + sim.events_in_place == 2  # boot, end
+
+
+# ------------------------------------------------------------ keyed wakes
+def test_a_keyed_wake_sorts_right_after_its_seq_at_its_instant():
+    """A wake keyed after seq ``s`` runs at its instant after every entry
+    allocated up to ``s`` and before every entry allocated later, wherever
+    it was booked: before the entries, or inside a later dispatch.  It
+    allocates no seq.  The push-only reference dispatches the same
+    timeline."""
+    def scenario(rec):
+        sim = rec.sim
+        for name in "abc":
+            sim.call_at(5.0, rec.mark(name))                # seqs 1-3
+        sim.call_keyed(5.0, 2, rec.mark("after b"))
+
+        def later(_e):                                      # seq 4
+            sim.call_keyed(5.0, 3, rec.mark("after c"))
+            sim.call_at(5.0, rec.mark("later"))             # seq 5
+        sim.call_at(1.0, later)
+        sim.call_keyed(5.0, 0, rec.mark("first"))
+
+    _both(scenario)
+    rec = _Recorder()
+    scenario(rec)
+    rec.sim.run()
+    assert [name for name, _ in rec.log] == [
+        "first", "a", "b", "after b", "c", "after c", "later"]
+    assert [s for _, _, s in rec.timeline] == [4, 0.5, 1, 2, 2.5, 3, 3.5, 5]
+    assert rec.sim._seq == 5
+
+
+def test_a_keyed_wake_runs_in_place_when_it_is_next():
+    """Booked from a dispatch, a keyed wake runs in place when its key
+    beats the heap: a same-instant entry allocated after its seq does
+    not block it, one allocated before does."""
+    def alone(rec):
+        rec.sim.call_at(1.0, lambda _e: rec.sim.call_keyed(
+            5.0, 1, rec.mark("k")))
+
+    def before_a_later_entry(rec):
+        def first(_e):
+            rec.sim.call_keyed(5.0, 0, rec.mark("k"))
+            rec.sim.call_at(5.0, rec.mark("later"))
+        rec.sim.call_at(1.0, first)
+
+    def behind_an_earlier_entry(rec):
+        rec.sim.call_at(5.0, rec.mark("earlier"))           # seq 1
+        rec.sim.call_at(1.0, lambda _e: rec.sim.call_keyed(
+            5.0, 1, rec.mark("k")))
+
+    assert _both(alone) == (1, 1)
+    assert _both(before_a_later_entry) == (1, 2)
+    assert _both(behind_an_earlier_entry) == (0, 3)
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_seq_now_is_the_half_integer_key_during_a_keyed_wake(drive):
+    sim = Simulator()
+    seen = []
+    sim.call_at(2.0, lambda _e: seen.append(sim.seq_now))   # seq 1
+    sim.call_keyed(2.0, 1, lambda _e: seen.append(sim.seq_now))
+    if drive == "run":
+        sim.run()
+    else:
+        sim.step()
+        sim.step()
+    assert seen == [1, 1.5]
+
+
+def test_call_keyed_refuses_nan_but_clamps_float_dust():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.call_keyed(float("nan"), 0, lambda _e: None)
+    seen = []
+    sim.call_at(5.0, lambda _e: sim.call_keyed(
+        sim.now - 1e-9, 1, lambda _e: seen.append(sim.now)))
+    sim.run()
+    assert seen == [5.0]

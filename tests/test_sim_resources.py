@@ -275,6 +275,22 @@ def test_idle_lease_schedules_nothing():
     assert res.in_use == 0 and res.busy_time() == 5.0
 
 
+def test_a_lease_lapses_at_a_keyed_wake_after_its_key():
+    """A keyed wake's half-integer ``seq_now`` sits between the integer
+    reserved keys: a lease ending at ``(5.0, 1)`` still holds at a wake
+    keyed after seq 0 and has lapsed at one keyed after seq 1."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    res.lease(5.0, lambda end: None)       # reserves (5.0, NORMAL, 1)
+    seen = []
+    for seq in (0, 1):
+        sim.call_keyed(5.0, seq, lambda _e: seen.append(
+            (sim.seq_now, res.in_use)))
+    sim.run()
+    assert seen == [(0.5, 1), (1.5, 0)]
+    assert res.busy_time() == 5.0
+
+
 def test_bookers_at_the_lease_end_before_and_after_its_key():
     """A booker whose dispatch at the end instant precedes the reserved
     key queues, and the lease's end wake runs the handover at that key;
