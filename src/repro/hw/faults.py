@@ -48,6 +48,13 @@ from repro.sim import Simulator
 __all__ = ["FaultInjector"]
 
 
+def _check_duration(duration_ns: Optional[float]) -> None:
+    """Refuse a heal delay that is not a positive number (NaN included)
+    before any fault is armed."""
+    if duration_ns is not None and not duration_ns > 0:
+        raise ValueError(f"duration must be positive: {duration_ns}")
+
+
 class FaultInjector:
     """Degrades ports and fabric links; restores them on demand or on a
     schedule."""
@@ -70,8 +77,6 @@ class FaultInjector:
             self._afflicted[id(port)] = entry
         entry[1].add(kind)
         if duration_ns is not None:
-            if duration_ns <= 0:
-                raise ValueError("duration must be positive")
             self.sim.timeout(duration_ns).add_callback(
                 lambda _e, p=port, k=kind: self._heal(p, {k}))
 
@@ -82,8 +87,9 @@ class FaultInjector:
         With ``duration_ns`` the slowdown heals automatically — only the
         slowdown: jitter injected independently on the same port stays.
         """
-        if factor < 1.0:
+        if not factor >= 1.0:
             raise ValueError(f"slowdown factor must be >= 1: {factor}")
+        _check_duration(duration_ns)
         port.slowdown = factor
         self._afflict(port, "slow", duration_ns)
 
@@ -94,10 +100,11 @@ class FaultInjector:
         With ``duration_ns`` the jitter heals automatically, leaving any
         independently injected slowdown in place.
         """
-        if max_extra_ns < 0:
-            raise ValueError(f"negative jitter: {max_extra_ns}")
+        if not max_extra_ns >= 0:
+            raise ValueError(f"jitter must be >= 0: {max_extra_ns}")
         if self.rng is None:
             raise ValueError("jitter requires an rng")
+        _check_duration(duration_ns)
         port.jitter_rng = self.rng
         port.jitter_max_ns = max_extra_ns
         self._afflict(port, "jitter", duration_ns)
@@ -116,6 +123,7 @@ class FaultInjector:
             raise ValueError(f"drop probability must be in (0, 1]: {prob}")
         if self.rng is None:
             raise ValueError("drop_port requires an rng")
+        _check_duration(duration_ns)
         port.loss_rng = self.rng
         port.loss_prob = prob
         self._afflict(port, "drop", duration_ns)
@@ -128,6 +136,7 @@ class FaultInjector:
         ``duration_ns`` and the window heals itself, leaving any
         independently injected probabilistic drop in place.
         """
+        _check_duration(duration_ns)
         port.link_up = False
         self._afflict(port, "blackhole", duration_ns)
 
@@ -153,6 +162,7 @@ class FaultInjector:
             raise ValueError(f"drop probability must be in (0, 1]: {prob}")
         if self.rng is None:
             raise ValueError("drop_link requires an rng")
+        _check_duration(duration_ns)
         link.loss_rng = self.rng
         link.loss_prob = prob
         self._afflict(link, "link_drop", duration_ns)
@@ -168,6 +178,7 @@ class FaultInjector:
         if not 0.0 < factor < 1.0:
             raise ValueError(
                 f"degrade factor must be in (0, 1): {factor}")
+        _check_duration(duration_ns)
         link.degrade_factor = factor
         self._afflict(link, "link_degrade", duration_ns)
 
@@ -175,6 +186,7 @@ class FaultInjector:
                   duration_ns: Optional[float] = None) -> None:
         """Kill a fabric link: everything routed over it is dropped until
         :meth:`link_up` (or the scheduled heal)."""
+        _check_duration(duration_ns)
         link.up = False
         self._afflict(link, "link_down", duration_ns)
 

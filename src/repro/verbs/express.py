@@ -60,8 +60,9 @@ tables.  So the lane mirrors the grant structure literally:
   (:meth:`Simulator.call_keyed`: ``seq + 0.5``, after every entry
   allocated up to the key and before every later one).  Keyed are a
   signaled data-less READ's CQE wake, and a data-less unlocked WRITE's
-  ACK (``P_TAIL``) or CQE (``P_T``) wake, which its last grant keys
-  after the later half's end key (:meth:`ExpressState._svc_join`).  The
+  ACK (``_tail_end``) or CQE (``_try_finish``) wake, which its last
+  grant keys after the later half's end key
+  (:meth:`ExpressState._svc_join`).  The
   stepped ``_responder_phase`` keys the same waits after the end keys
   its hold processes return, so both lanes order a same-instant
   completion the same way by construction: a fresh seq at the grant
@@ -98,21 +99,23 @@ tables.  So the lane mirrors the grant structure literally:
   same point of the same dispatch.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
-  its wake callback to that event — the very mechanism the stepped
-  ``yield prev`` uses — so it resumes at the same dispatch, after any
+  its ``_complete`` to that event — the very mechanism the stepped
+  ``yield prev`` uses — so it completes at the same dispatch, after any
   application waiters that subscribed earlier.
 
 Because no booking ever lands at a *future* arrival, the timeline never
 shifts once scheduled: there is no displacement, no repair pass, and
 every scheduled wake is final.
 
-Every wake here — hold ends booked through ``Resource.book``, constant
-wires, join resumes and the CQE-DMA end (``P_T``) — is a
-:meth:`Simulator.call_tail` or a keyed :meth:`Simulator.call_keyed`,
-and the completion is a plain
-``done.succeed``; the CQE is deposited, on both lanes, without a
-``Store.put``-style no-op put-ack (:meth:`CompletionQueue.deposit`).
-Whether any of them runs without a heap round trip is the engine's
+Every booking names the handler its end runs: ``partial(self._handler,
+op)``, handed to ``Resource.book``, ``lease`` or ``claim``,
+:meth:`Simulator.call_tail`, a keyed :meth:`Simulator.call_keyed` or
+the predecessor's ``add_callback``.  A wake is one call, with no phase
+to dispatch on; the op holds no callback of its own, so it is acyclic
+and refcount frees it once its last partial has run.  The completion is
+a plain ``done.succeed``; the CQE is deposited, on both lanes, without
+a ``Store.put``-style no-op put-ack (:meth:`CompletionQueue.deposit`).
+Whether any wake runs without a heap round trip is the engine's
 decision alone (its in-place rule, :meth:`Simulator._park`), and it
 pops them in ``call_at``'s order either way: the completion instant and
 its waiter order never move.
@@ -130,7 +133,7 @@ express and stepped ops alike:
   READ response holds when they are booked (``RnicPort._perturb``);
 * after the tx hold (and the cut-through join) each attempt samples
   loss on both ports; a lost attempt books its transport timer
-  (``P_RETX``), which retransmits, fails the WR with ``RETRY_EXC_ERR``
+  (``_retrans_end``), which retransmits, fails the WR with ``RETRY_EXC_ERR``
   (moving the QP to ERR) or flushes it when the QP died meanwhile.  A
   failed WR skips the responder but pays the CQE DMA and in-order
   parking like any other.
@@ -188,36 +191,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExpressState", "ExpressOp"]
 
-# Op phases — the target of the op's *primary* wake callback (``wcb``).
-# The secondary callback (``wcb2``) serves the concurrent half of a
-# cut-through pair and is disambiguated by the same phase field.
-(P_WQE,      # WQE DMA end: requester evals, exec bookings
- P_EXEC,     # tx-unit hold end (wcb2: payload-fetch DMA end); either
-             # half's lease grant when it ends first
- P_EXEC_R,   # cut-through join resume (mirrors the all_of wake)
- P_RETX,     # transport timer of a lost attempt: retransmit or fail
- P_Y,        # forward wire: request arrives at the responder
- P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end);
-             # a WRITE half's lease grant when it ends first, or
-             # either half's of a data-less unlocked WRITE
- P_SVC_R,    # WRITE service join resume
- P_RX,       # SEND responder hold end; a READ's rx lease grant
- P_TURN,     # READ host-memory turnaround elapsed
- P_RDMA,     # READ response-fetch / SEND payload-landing DMA end
- P_RTX,      # READ response-serialization lease grant
- P_BWD,      # READ response wire: data arrives back at the requester
- P_DLV,      # READ local delivery DMA end; a signaled data-less
-             # READ's lease grant, which books P_T
- P_TAIL,     # SEND / unsignaled WRITE or atomic: ACK wire elapsed (a
-             # data-less unlocked WRITE's is keyed after its service)
- P_T,        # CQE DMA end: completion instant (a signaled WRITE or
-             # atomic books it at service end, past its ACK wire; keyed
-             # after a data-less unlocked WRITE's later service end or
-             # a leased READ delivery's end)
- P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
- P_LOCK,     # queued on a word lock; the releaser's handover wakes it
- P_DONE) = range(18)
-
 
 class ExpressOp:
     """One WR's closed-form timeline (flight state + cached facts)."""
@@ -227,10 +200,8 @@ class ExpressOp:
         # the predecessor's done event (RC in-order completion); the op
         # parks on it when its own tail beats the predecessor's dispatch
         "prev",
-        "phase", "opcode", "total_len", "signaled", "move_data",
-        "outbound", "inline", "wire_payload", "wqe_bytes",
-        # doorbell batch: every op of the batch, on the leader only
-        "mates",
+        "opcode", "total_len", "signaled", "move_data",
+        "outbound", "inline", "wire_payload",
         # cut-through join countdown (payload∥tx, rx∥drain)
         "pending",
         # stashed hold durations (unperturbed tx hold while transmitting,
@@ -243,20 +214,17 @@ class ExpressOp:
         # held word lock (WRITE-to-hot-word / atomics), else None
         "wl",
         "value",
-        # wake callbacks: primary (phase-dispatched) and cut-through
-        "wcb", "wcb2",
         # the op's OpRecord (None: untraced) and, once set, the OpTracer
         # it commits to
         "record", "tracer",
     )
 
-    def __init__(self, state: "ExpressState", qp: "QueuePair",
-                 wr: "WorkRequest", done: "Event") -> None:
+    def __init__(self, qp: "QueuePair", wr: "WorkRequest",
+                 done: "Event") -> None:
         self.qp = qp
         self.wr = wr
         self.done = done
         self.prev = None
-        self.phase = P_WQE
         opcode = wr.opcode
         self.opcode = opcode
         total_len = wr.total_length
@@ -268,8 +236,6 @@ class ExpressOp:
         self.outbound = outbound
         self.inline = outbound <= qp._params.max_inline_bytes
         self.wire_payload = outbound if outbound else 16
-        self.wqe_bytes = 0
-        self.mates = None
         self.pending = 0
         self.h1 = 0.0
         self.h2 = 0.0
@@ -278,14 +244,20 @@ class ExpressOp:
         self.status = CompletionStatus.SUCCESS
         self.wl = None
         self.value = None
-        self.wcb = partial(state._on_wake, self)
-        self.wcb2 = None
         self.record = None
 
 
 class ExpressState:
     """Per-simulator express-lane state: the wake handlers that advance
-    each op's timeline."""
+    each op's timeline.
+
+    Each handler takes ``(op, arg)`` and is booked as ``partial(handler,
+    op)``.  ``arg`` is the end instant when a ``Resource.lease`` grant
+    calls it (the unit frees itself, so the handler must not release
+    it); otherwise it is ``None`` (a scheduled wake, a ``book`` end, or
+    a call from another handler), the granting Resource (a queued word
+    lock's ``claim`` handover) or the predecessor's ``done`` event (a
+    parked completion)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -318,33 +290,33 @@ class ExpressState:
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
              prev: Optional["Event"]) -> None:
         """Book one WR's WQE fetch; the timeline unrolls wake by wake."""
-        op = ExpressOp(self, qp, wr, done)
+        op = ExpressOp(qp, wr, done)
         op.prev = prev
         tracer = qp.tracer
         if tracer is not None:
             self._begin(op, tracer)
-        op.wqe_bytes = wqe = qp._wqe_bytes(wr)
+        wqe = qp._wqe_bytes(wr)
         pcie = qp.local_port.pcie
-        pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
+        pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket),
+                       partial(self._wqe_end, op, wqe, None))
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
                    prev: Optional["Event"]) -> None:
         """Doorbell batch: one chained WQE fetch, WR-ordered evaluation.
 
-        The leader carries the shared fetch (and its DMA counters, with
-        the chained total); each op chains in-order on its predecessor's
-        ``done`` exactly like the stepped per-WR ``prev`` threading."""
-        ops = [ExpressOp(self, qp, wr, ev) for wr, ev in zip(wrs, events)]
-        lead = ops[0]
-        lead.mates = ops
+        The leader's fetch carries the batch and the chained total (its
+        DMA counters count it); each op chains in-order on its
+        predecessor's ``done`` exactly like the stepped per-WR ``prev``
+        threading."""
+        ops = [ExpressOp(qp, wr, ev) for wr, ev in zip(wrs, events)]
         total = 0
         for op, wr in zip(ops, wrs):
             total += qp._wqe_bytes(wr)
             op.prev = prev
             prev = op.done
-        lead.wqe_bytes = total
         pcie = qp.local_port.pcie
-        pcie._bus.book(pcie.dma_ns(total, qp.sq_socket), lead.wcb)
+        pcie._bus.book(pcie.dma_ns(total, qp.sq_socket),
+                       partial(self._wqe_end, ops[0], total, ops))
 
     def _begin(self, op: ExpressOp, tracer) -> "OpRecord":
         """Start ``op``'s trace record now, as the stepped ``_execute``
@@ -356,78 +328,6 @@ class ExpressState:
         return record
 
     # ------------------------------------------------------------- wake-ups
-    def _on_wake(self, op: ExpressOp, arg) -> None:
-        """Primary wake: advance ``op`` across the boundary ``op.phase``.
-        ``arg`` is the end instant when a ``Resource.lease`` grant calls
-        it (``P_RX`` of a READ, ``P_RTX``, a leased cut-through half at
-        ``P_EXEC``/``P_SVC``, a data-less WRITE's rx lease at ``P_SVC``,
-        a leased delivery at ``P_DLV``) and ``None`` at a scheduled
-        wake."""
-        phase = op.phase
-        if phase == P_WQE:
-            self._wqe_end(op)
-        elif phase == P_EXEC:
-            self._tx_end(op, arg)
-        elif phase == P_EXEC_R:
-            self._exec_done(op)
-        elif phase == P_Y:
-            self._arrive(op)
-        elif phase == P_SVC:
-            if op.opcode is Opcode.WRITE:
-                self._write_rx_end(op, arg)
-            else:
-                self._atomic_end(op)
-        elif phase == P_SVC_R:
-            self._svc_resume(op)
-        elif phase == P_RX:
-            self._rx_end(op, arg)
-        elif phase == P_TURN:
-            self._turnaround_end(op)
-        elif phase == P_RDMA:
-            self._responder_dma_end(op)
-        elif phase == P_RTX:
-            self._read_tx_end(op, arg)
-        elif phase == P_BWD:
-            self._read_back(op)
-        elif phase == P_DLV:
-            self._deliver_end(op, arg)
-        elif phase == P_TAIL:
-            self._tail_end(op)
-        elif phase == P_T:
-            self._try_finish(op)
-        elif phase == P_PARK:
-            self._complete(op)
-        elif phase == P_LOCK:
-            # Queued word-lock claim, granted at the releaser's dispatch
-            # (the stepped grant instant): book the service stage now.
-            if op.opcode is Opcode.WRITE:
-                self._write_granted(op)
-            else:
-                self._atomic_granted(op)
-        elif phase == P_RETX:
-            self._retrans_end(op)
-
-    def _on_wake2(self, op: ExpressOp, end) -> None:
-        """Secondary wake: the DMA half of a cut-through pair ends, or
-        its lease is granted (``end``, the end instant; see
-        :meth:`_cut_through`), as a data-less WRITE's drain lease is."""
-        qp = op.qp
-        if op.phase == P_EXEC:
-            # Payload fetch (streams beside the tx hold).
-            pcie = qp.local_port.pcie
-            if end is None:
-                pcie._bus.release()
-            pcie.dma_bytes += op.outbound
-            pcie.dma_count += 1
-            self._exec_join(op)
-        else:  # P_SVC: WRITE drain
-            pcie = qp.remote_port.pcie
-            if end is None:
-                pcie._bus.release()
-            pcie.dma_bytes += op.total_len
-            pcie.dma_count += 1
-            self._svc_join(op, end)
-
     def _cut_through(self, op: ExpressOp, unit1, dur1: float, cb1,
                      unit2, dur2: float, cb2) -> None:
         """Book a cut-through pair, ``unit1`` first as the stepped lane
@@ -454,20 +354,20 @@ class ExpressState:
             unit2.book(dur2, cb2)
 
     # -- requester side ----------------------------------------------------
-    def _wqe_end(self, op: ExpressOp) -> None:
+    def _wqe_end(self, op: ExpressOp, wqe_bytes: int, mates, _arg) -> None:
+        """The WQE fetch ends: of ``op`` alone, or (``mates``) of the
+        doorbell batch ``op`` leads."""
         qp = op.qp
         pcie = qp.local_port.pcie
         pcie._bus.release()
-        pcie.dma_bytes += op.wqe_bytes
+        pcie.dma_bytes += wqe_bytes
         pcie.dma_count += 1
-        mates = op.mates
         if mates is None:
             record = op.record
             if record is not None:
                 record.stamp("wqe_fetch", self.sim.now)
             self._eval_req(op)
         else:
-            op.mates = None
             # The stepped batch boots its WRs after the chained fetch:
             # their records begin here, with a zero wqe_fetch stage.
             tracer = qp.tracer
@@ -509,21 +409,29 @@ class ExpressState:
             self._cqe(op)
             return
         lp = qp.local_port
-        op.phase = P_EXEC
         tx = lp._perturb(op.h1)
         if op.outbound and not op.inline:
             # Cut-through payload fetch rides the PCIe bus concurrently
             # with the tx hold; stepped spawns the fetch first.
-            if op.wcb2 is None:
-                op.wcb2 = partial(self._on_wake2, op)
             wr = op.wr
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
             pcie = lp.pcie
             self._cut_through(
                 op, pcie._bus, pcie.dma_ns(op.outbound, buf_socket, wr.n_sge),
-                op.wcb2, lp.tx_unit, tx, op.wcb)
+                partial(self._fetch_end, op), lp.tx_unit, tx,
+                partial(self._tx_end, op))
         else:
-            lp.tx_unit.book(tx, op.wcb)
+            lp.tx_unit.book(tx, partial(self._tx_end, op))
+
+    def _fetch_end(self, op: ExpressOp, end) -> None:
+        """The payload fetch, streaming beside the tx hold, ends, or
+        (``end``) its lease is granted."""
+        pcie = op.qp.local_port.pcie
+        if end is None:
+            pcie._bus.release()
+        pcie.dma_bytes += op.outbound
+        pcie.dma_count += 1
+        self._exec_join(op)
 
     def _tx_end(self, op: ExpressOp, end) -> None:
         """The tx hold ends, or (``end``) its lease, the first-ending half
@@ -535,17 +443,16 @@ class ExpressState:
         if op.pending:
             self._exec_join(op)
         else:
-            self._exec_done(op)
+            self._exec_done(op, None)
 
     def _exec_join(self, op: ExpressOp) -> None:
         op.pending -= 1
         if op.pending == 0:
             # Same-instant resume wake, mirroring the stepped all_of.
-            op.phase = P_EXEC_R
             sim = self.sim
-            sim.call_tail(sim.now, op.wcb)
+            sim.call_tail(sim.now, partial(self._exec_done, op))
 
-    def _exec_done(self, op: ExpressOp) -> None:
+    def _exec_done(self, op: ExpressOp, _arg) -> None:
         """Exec stage complete: sample loss where stepped does; a
         delivered request takes the forward wire, a lost one waits out
         the transport timer."""
@@ -559,16 +466,15 @@ class ExpressState:
                 and lp.loss_prob == 0.0 and rp.loss_prob == 0.0) and (
                     lp.packet_lost() or rp.packet_lost()):
             op.losses += 1
-            op.phase = P_RETX
-            sim.call_tail(sim.now + qp._retrans_wait_ns(op.losses), op.wcb)
+            sim.call_tail(sim.now + qp._retrans_wait_ns(op.losses),
+                          partial(self._retrans_end, op))
             return
         record = op.record
         if record is not None:
             record.stamp("exec", sim.now)
-        op.phase = P_Y
-        sim.call_tail(sim.now + qp._fwd_ns, op.wcb)
+        sim.call_tail(sim.now + qp._fwd_ns, partial(self._arrive, op))
 
-    def _retrans_end(self, op: ExpressOp) -> None:
+    def _retrans_end(self, op: ExpressOp, _arg) -> None:
         """Transport timer fired: flush if the QP died meanwhile, fail at
         the retry budget, else retransmit."""
         qp = op.qp
@@ -589,7 +495,7 @@ class ExpressState:
         self._cqe(op)
 
     # -- responder side ----------------------------------------------------
-    def _arrive(self, op: ExpressOp) -> None:
+    def _arrive(self, op: ExpressOp, _arg) -> None:
         """Request arrival: responder evals + service-stage bookings."""
         qp = op.qp
         wr = op.wr
@@ -612,11 +518,10 @@ class ExpressState:
                 # The SEND payload serializes into the rx unit at link
                 # rate (the stepped exec_rx's ``payload_bytes`` hold).
                 hold = max(hold, p.wire_time(total_len))
-            op.phase = P_RX
             if opcode is Opcode.READ:
-                rp.rx_unit.lease(rp._perturb(hold), op.wcb)
+                rp.rx_unit.lease(rp._perturb(hold), partial(self._rx_end, op))
             else:
-                rp.rx_unit.book(rp._perturb(hold), op.wcb)
+                rp.rx_unit.book(rp._perturb(hold), partial(self._rx_end, op))
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -641,10 +546,9 @@ class ExpressState:
                     rmr.key_base | wr.remote_offset)
             if lock is not None:
                 op.wl = lock
-                op.phase = P_LOCK
-                if not lock.claim(op.wcb):
-                    return  # the handover wakes op at P_LOCK
-            self._write_granted(op)
+                if not lock.claim(partial(self._write_granted, op)):
+                    return  # the releaser's handover grants it
+            self._write_granted(op, None)
             return
         # CAS / FAA
         r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, 8))
@@ -653,33 +557,32 @@ class ExpressState:
         op.h1 = p.exec_atomic_ns + r_extra
         lock = rrnic.atomic_word_lock(rmr.key_base | wr.remote_offset)
         op.wl = lock
-        op.phase = P_LOCK
-        if lock.claim(op.wcb):
-            self._atomic_granted(op)
+        if lock.claim(partial(self._atomic_granted, op)):
+            self._atomic_granted(op, None)
 
-    def _write_granted(self, op: ExpressOp) -> None:
-        """WRITE holds the word lock (if any): cut-through rx ∥ drain.
-        A WRITE that lands no bytes and holds no lock does nothing at
-        either end but free the unit, so it leases both halves, rx
-        first as the stepped lane spawns it; see :meth:`_svc_join`."""
+    def _write_granted(self, op: ExpressOp, _arg) -> None:
+        """WRITE holds the word lock (if any; a queued claim is granted
+        at the releaser's dispatch, the stepped grant instant):
+        cut-through rx ∥ drain.  A WRITE that lands no bytes and holds no
+        lock does nothing at either end but free the unit, so it leases
+        both halves, rx first as the stepped lane spawns it; see
+        :meth:`_svc_join`."""
         rp = op.qp.remote_port
-        op.phase = P_SVC
-        if op.wcb2 is None:
-            op.wcb2 = partial(self._on_wake2, op)
         rx, drain = rp._perturb(op.h1), op.h2
+        rx_end = partial(self._write_rx_end, op)
+        drain_end = partial(self._drain_end, op)
         if op.wl is None and not op.move_data:
             op.pending = 2
-            rp.rx_unit.lease(rx, op.wcb)
-            rp.pcie._bus.lease(drain, op.wcb2)
+            rp.rx_unit.lease(rx, rx_end)
+            rp.pcie._bus.lease(drain, drain_end)
             return
-        self._cut_through(op, rp.rx_unit, rx, op.wcb, rp.pcie._bus, drain,
-                          op.wcb2)
+        self._cut_through(op, rp.rx_unit, rx, rx_end, rp.pcie._bus, drain,
+                          drain_end)
 
-    def _atomic_granted(self, op: ExpressOp) -> None:
+    def _atomic_granted(self, op: ExpressOp, _arg) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
-        op.phase = P_SVC
         rp = op.qp.remote_port
-        rp.atomic_unit.book(rp._perturb(op.h1), op.wcb)
+        rp.atomic_unit.book(rp._perturb(op.h1), partial(self._atomic_end, op))
 
     def _write_rx_end(self, op: ExpressOp, end) -> None:
         """The rx hold ends, or (``end``) its lease is granted: the
@@ -688,6 +591,15 @@ class ExpressState:
         if end is None:
             rp.rx_unit.release()
         rp.rx_ops += 1
+        self._svc_join(op, end)
+
+    def _drain_end(self, op: ExpressOp, end) -> None:
+        """The drain DMA ends, or (``end``) its lease is granted."""
+        pcie = op.qp.remote_port.pcie
+        if end is None:
+            pcie._bus.release()
+        pcie.dma_bytes += op.total_len
+        pcie.dma_count += 1
         self._svc_join(op, end)
 
     def _svc_join(self, op: ExpressOp, end) -> None:
@@ -704,11 +616,10 @@ class ExpressState:
             else:
                 self._respond(op, max(key, (op.h1, op.h2)))
         elif op.pending == 0:
-            op.phase = P_SVC_R
             sim = self.sim
-            sim.call_tail(sim.now, op.wcb)
+            sim.call_tail(sim.now, partial(self._svc_resume, op))
 
-    def _svc_resume(self, op: ExpressOp) -> None:
+    def _svc_resume(self, op: ExpressOp, _arg) -> None:
         """WRITE service done: release the lock, land the data, respond."""
         wl = op.wl
         if wl is not None:
@@ -718,7 +629,7 @@ class ExpressState:
             op.qp._apply_write(op.wr)
         self._respond(op)
 
-    def _atomic_end(self, op: ExpressOp) -> None:
+    def _atomic_end(self, op: ExpressOp, _arg) -> None:
         qp = op.qp
         rp = qp.remote_port
         rp.atomic_unit.release()
@@ -732,12 +643,13 @@ class ExpressState:
     def _respond(self, op: ExpressOp, key=None) -> None:
         """WRITE/atomic/SEND service done: the ACK takes the reverse
         wire.  A signaled WRITE or atomic has nothing to do when its ACK
-        lands, so it books its CQE-DMA end (``P_T``) here, at the instant
-        the two hops would reach, where the stepped ``_responder_phase``
-        books its one wait; a SEND or an unsignaled WR wakes at the ACK
-        (``P_TAIL``).  With ``key``, the later end key ``(end, seq)`` of
-        a data-less WRITE's leased halves, the service ends at ``end``
-        and the wake is keyed after it (:meth:`Simulator.call_keyed`)."""
+        lands, so it books its CQE-DMA end (``_try_finish``) here, at the
+        instant the two hops would reach, where the stepped
+        ``_responder_phase`` books its one wait; a SEND or an unsignaled
+        WR wakes at the ACK (``_tail_end``).  With ``key``, the later end
+        key ``(end, seq)`` of a data-less WRITE's leased halves, the
+        service ends at ``end`` and the wake is keyed after it
+        (:meth:`Simulator.call_keyed`)."""
         sim = self.sim
         record = op.record
         now = sim.now if key is None else key[0]
@@ -748,15 +660,15 @@ class ExpressState:
         if op.signaled and op.opcode is not Opcode.SEND:
             if record is not None:
                 record.stamp("response_net", ack)
-            op.phase = P_T
             when = ack + qp._params.cqe_dma_ns
+            wake = partial(self._try_finish, op)
         else:
-            op.phase = P_TAIL
             when = ack
+            wake = partial(self._tail_end, op)
         if key is None:
-            sim.call_tail(when, op.wcb)
+            sim.call_tail(when, wake)
         else:
-            sim.call_keyed(when, key[1], op.wcb)
+            sim.call_keyed(when, key[1], wake)
 
     # -- READ / SEND responder path -----------------------------------------
     def _rx_end(self, op: ExpressOp, end) -> None:
@@ -767,24 +679,22 @@ class ExpressState:
             rp.rx_unit.release()
             rp.rx_ops += 1
             # The payload lands in the responder port's socket memory.
-            op.phase = P_RDMA
             pcie = rp.pcie
             pcie._bus.book(pcie.dma_ns(max(op.total_len, 1), rp.socket),
-                           op.wcb)
+                           partial(self._responder_dma_end, op))
             return
         rp.rx_ops += 1
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
-        op.phase = P_TURN
-        self.sim.call_tail(end + qp._params.read_turnaround_ns, op.wcb)
+        self.sim.call_tail(end + qp._params.read_turnaround_ns,
+                           partial(self._turnaround_end, op))
 
-    def _turnaround_end(self, op: ExpressOp) -> None:
+    def _turnaround_end(self, op: ExpressOp, _arg) -> None:
         pcie = op.qp.remote_port.pcie
-        op.phase = P_RDMA
         pcie._bus.book(pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
-                       op.wcb)
+                       partial(self._responder_dma_end, op))
 
-    def _responder_dma_end(self, op: ExpressOp) -> None:
+    def _responder_dma_end(self, op: ExpressOp, _arg) -> None:
         qp = op.qp
         rp = qp.remote_port
         pcie = rp.pcie
@@ -797,22 +707,21 @@ class ExpressState:
         pcie.dma_bytes += op.total_len
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
-        op.phase = P_RTX
         rp.tx_unit.lease(rp._perturb(
-            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)), op.wcb)
+            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)),
+            partial(self._read_tx_end, op))
 
     def _read_tx_end(self, op: ExpressOp, end: float) -> None:
         """The response-serialization lease's grant: the response takes
         the wire at ``end``."""
         qp = op.qp
         qp.remote_port.tx_ops += 1
-        op.phase = P_BWD
         record = op.record
         if record is not None:
             record.stamp("responder", end)
-        self.sim.call_tail(end + qp._bwd_ns, op.wcb)
+        self.sim.call_tail(end + qp._bwd_ns, partial(self._read_back, op))
 
-    def _read_back(self, op: ExpressOp) -> None:
+    def _read_back(self, op: ExpressOp, _arg) -> None:
         """Response landed: DMA the data into the local buffers."""
         qp = op.qp
         wr = op.wr
@@ -820,13 +729,12 @@ class ExpressState:
         if record is not None:
             record.stamp("response_net", self.sim.now)
         pcie = qp.local_port.pcie
-        op.phase = P_DLV
         dur = pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket, wr.n_sge)
         if op.signaled and not op.move_data:
             # Nothing happens at this DMA's end but the CQE DMA's start.
-            pcie._bus.lease(dur, op.wcb)
+            pcie._bus.lease(dur, partial(self._deliver_end, op))
         else:
-            pcie._bus.book(dur, op.wcb)
+            pcie._bus.book(dur, partial(self._deliver_end, op))
 
     def _deliver_end(self, op: ExpressOp, end) -> None:
         """The delivery DMA ends, or (``end``) a signaled data-less READ's
@@ -840,16 +748,16 @@ class ExpressState:
         if end is not None:
             # Keyed after the lease's reserved end key, where the stepped
             # lane keys its CQE wait.
-            op.phase = P_T
             sim = self.sim
-            sim.call_keyed(end + qp._params.cqe_dma_ns, sim._seq, op.wcb)
+            sim.call_keyed(end + qp._params.cqe_dma_ns, sim._seq,
+                           partial(self._try_finish, op))
             return
         if op.move_data:
             qp._apply_read(op.wr)
         self._cqe(op)
 
     # -- completion ---------------------------------------------------------
-    def _tail_end(self, op: ExpressOp) -> None:
+    def _tail_end(self, op: ExpressOp, _arg) -> None:
         record = op.record
         if record is not None:
             record.stamp("response_net", self.sim.now)
@@ -866,40 +774,32 @@ class ExpressState:
     def _cqe(self, op: ExpressOp) -> None:
         """Service + response done: CQE DMA (when signaled), then finish."""
         if op.signaled:
-            op.phase = P_T
             sim = self.sim
-            sim.call_tail(sim.now + op.qp._params.cqe_dma_ns, op.wcb)
+            sim.call_tail(sim.now + op.qp._params.cqe_dma_ns,
+                          partial(self._try_finish, op))
         else:
-            self._try_finish(op)
+            self._try_finish(op, None)
 
-    def _try_finish(self, op: ExpressOp) -> None:
+    def _try_finish(self, op: ExpressOp, _arg) -> None:
         """RC in-order completion: never overtake an earlier WR.
 
         The stepped path parks with ``yield prev`` — a callback on the
         predecessor's done event, resuming at that event's dispatch
         after application waiters that subscribed earlier.  Attaching
-        ``wcb`` to the same event reproduces that dispatch, order, and
-        completion timestamp exactly.
+        ``_complete`` to the same event reproduces that dispatch, order,
+        and completion timestamp exactly.
         """
         prev = op.prev
         if prev is not None and not prev._processed:
-            op.phase = P_PARK
-            prev.add_callback(op.wcb)
+            prev.add_callback(partial(self._complete, op))
             return
-        self._complete(op)
+        self._complete(op, None)
 
-    def _complete(self, op: ExpressOp) -> None:
-        """Completion instant: deliver the Completion, unlink the chain.
+    def _complete(self, op: ExpressOp, _arg) -> None:
+        """Completion instant: deliver the Completion.
 
         The CQE is deposited without a put-ack (``CompletionQueue.
         deposit``), then ``done`` succeeds like any event."""
-        op.phase = P_DONE
-        op.prev = None
-        # The wake partials point back at ``op``; no wake is pending at
-        # P_DONE (a parked op is woken from a callback list the dispatch
-        # loop has already detached), so dropping them leaves the op
-        # acyclic and refcount frees it while run() pauses the collector.
-        op.wcb = op.wcb2 = None
         sim = self.sim
         record = op.record
         if record is not None:

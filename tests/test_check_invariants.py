@@ -38,6 +38,7 @@ from repro.verbs import (
     Worker,
     WorkRequest,
 )
+from tests.lane_wakes import lane_wakes
 
 
 # ------------------------------------------------------------- clean chaos
@@ -590,7 +591,6 @@ def test_a_same_instant_completion_swap_only_the_digest_sees(monkeypatch):
     digest differs from the stepped lane's, and the first divergence is
     two rows of one QP at one timestamp."""
     from repro.bench import ext1_read_mix
-    from repro.verbs import express
     from repro.verbs.express import ExpressState
 
     def point():
@@ -598,27 +598,31 @@ def test_a_same_instant_completion_swap_only_the_digest_sees(monkeypatch):
 
     stepped = differential.run(point, express=False)
     parked, swaps = {}, []
-    try_finish, complete = ExpressState._try_finish, ExpressState._complete
+    complete = ExpressState._complete
 
-    def parking(self, op):
-        try_finish(self, op)
-        if op.phase == express.P_PARK:
+    def parking(op, handler, arg):
+        # A woken ``_try_finish`` that does not complete the op parks it.
+        if handler == "_try_finish" and op.prev is not None and (
+                not op.prev._processed):
             parked[id(op.prev)] = op
 
-    def swapped(self, op):
+    def swapped(self, op, arg):
         successor = parked.pop(id(op.done), None)
-        if successor is not None and successor.phase == express.P_PARK:
+        if successor is not None:
             swaps.append(successor)
-            complete(self, successor)
-        complete(self, op)
+            complete(self, successor, None)
+            wake, = [cb for cb in op.done.callbacks
+                     if getattr(cb, "args", None) == (successor,)]
+            op.done.discard_callback(wake)
+        complete(self, op, arg)
 
-    monkeypatch.setattr(ExpressState, "_try_finish", parking)
     monkeypatch.setattr(ExpressState, "_complete", swapped)
-    lane = differential.run(point, express=True)
-    assert swaps
-    assert lane.value == stepped.value
-    assert lane.digests != stepped.digests
-    divergence = differential.compare(point, stepped, lane)
+    with lane_wakes(parking):
+        lane = differential.run(point, express=True)
+        assert swaps
+        assert lane.value == stepped.value
+        assert lane.digests != stepped.digests
+        divergence = differential.compare(point, stepped, lane)
     rows = [dict(f.split("=", 1) for f in row.split()) for row in
             re.findall(r"(?:stepped|express): (qp=.*)", divergence)]
     assert rows[0] != rows[1]

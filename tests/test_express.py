@@ -29,6 +29,7 @@ from repro.verbs.qp import QPState
 from repro.verbs.types import CompletionStatus, Opcode, Sge, WorkRequest
 from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
+from tests.lane_wakes import BOOKED, lane_wakes
 
 #: Transfer sizes straddling max_inline_bytes=220 so the mix exercises
 #: both the inline WQE path and the separate payload-DMA path.
@@ -156,24 +157,25 @@ def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
             sim.express)
 
 
+#: Handler -> the ``_counted_branches`` site its wake counts at.
+_SITES = {"_exec_done": "join", "_svc_resume": "join", "_try_finish": "cqe"}
+
+
 @contextlib.contextmanager
 def _counted_branches():
     """Yield a Counter of how the lane's tail dispatches ran: ``(site,
     branch)`` with site ``join`` (a cut-through join's resume wake,
-    ``P_EXEC_R`` or ``P_SVC_R``), ``cqe`` (the CQE-DMA-end wake, ``P_T``)
-    or ``completion`` (the ``done`` that wake succeeds), and branch
-    ``inline`` when the engine dispatched it in place from its tail slot
-    (``heappushpop`` handed the tail back) or ``wake`` when it popped it
-    from the heap."""
+    ``_exec_done`` or ``_svc_resume``), ``cqe`` (the CQE-DMA-end wake,
+    ``_try_finish``) or ``completion`` (the ``done`` that wake succeeds),
+    and branch ``inline`` when the engine dispatched it in place from its
+    tail slot (``heappushpop`` handed the tail back) or ``wake`` when it
+    popped it from the heap."""
     from repro.sim import engine
-    from repro.verbs import express
     from repro.verbs.express import ExpressState
 
     seen = Counter()
-    sites = {express.P_EXEC_R: "join", express.P_SVC_R: "join",
-             express.P_T: "cqe"}
-    orig_wake = ExpressState._on_wake
     orig_complete = ExpressState._complete
+    cqe = [None]  # the op whose CQE-DMA-end wake is running
     orig_pop, orig_pushpop = engine.heappop, engine.heappushpop
     slot = [False]  # did the running dispatch come from the tail slot?
 
@@ -189,26 +191,24 @@ def _counted_branches():
     def branch():
         return "inline" if slot[0] else "wake"
 
-    def wake(self, op, ev):
-        site = sites.get(op.phase)
+    def wake(op, handler, arg):
+        site = _SITES.get(handler)
         if site is not None:
             seen[site, branch()] += 1
-        orig_wake(self, op, ev)
+        cqe[0] = op if handler == "_try_finish" else None
 
-    def complete(self, op):
-        done = op.done
-        tail = op.phase == express.P_T
-        orig_complete(self, op)
-        if tail:  # witnessed where ``done`` dispatches
-            done.add_callback(lambda _ev: seen.update(
+    def complete(self, op, arg):
+        orig_complete(self, op, arg)
+        if cqe[0] is op:  # witnessed where ``done`` dispatches
+            op.done.add_callback(lambda _ev: seen.update(
                 [("completion", branch())]))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "_on_wake", wake)
         mp.setattr(ExpressState, "_complete", complete)
         mp.setattr(engine, "heappop", pop)
         mp.setattr(engine, "heappushpop", pushpop)
-        yield seen
+        with lane_wakes(wake):
+            yield seen
 
 
 #: Every (site, branch) pair of ``_counted_branches``, and the in-place
@@ -242,7 +242,6 @@ def _counted_leases():
     and ``("rx+drain", "tie")`` too when both halves were granted at
     once with equal ends."""
     from repro.sim import Resource
-    from repro.verbs import express
     from repro.verbs.express import ExpressState
 
     seen = Counter()
@@ -259,12 +258,12 @@ def _counted_leases():
         if free:
             ends.append(res.sim.now + dur)
 
-    def counting_granted(self, op):
+    def counting_granted(self, op, arg):
         rp = op.qp.remote_port
         units = [rp.rx_unit, rp.pcie._bus]
         held = [_holder(u) for u in units]
         del leased[:], ends[:]
-        granted(self, op)
+        granted(self, op, arg)
         if leased == units:
             seen["rx+drain", "rx {}, drain {}".format(*held)] += 1
             if len(ends) == 2 and ends[0] == ends[1]:
@@ -275,7 +274,7 @@ def _counted_leases():
         now = self.sim.now
         tie = now + dur1 == now + dur2
         cut(self, op, unit1, dur1, cb1, unit2, dur2, cb2)
-        halves = (("fetch", "tx") if op.phase == express.P_EXEC
+        halves = (("fetch", "tx") if cb1.func.__name__ == "_fetch_end"
                   else ("rx", "drain"))
         if leased:
             branch = halves[leased == [unit2]]
@@ -283,9 +282,9 @@ def _counted_leases():
             branch = "tie" if tie else "busy"
         seen["∥".join(halves), branch] += 1
 
-    def counting_read_back(self, op):
+    def counting_read_back(self, op, arg):
         del leased[:]
-        read_back(self, op)
+        read_back(self, op, arg)
         seen["delivery", "lease" if leased else "book"] += 1
 
     with pytest.MonkeyPatch.context() as mp:
@@ -402,14 +401,14 @@ def test_idle_rig_runs_tail_wakes_in_place():
 
 
 # ------------------------------------ one wake for the ACK and the CQE
-#: wr_id -> the last two phases the lane wakes ``_fold_wrs``'s WR at.
+#: wr_id -> the last two handlers the lane wakes ``_fold_wrs``'s WR at.
 FOLD_TAILS = {
-    1: ("P_SVC_R", "P_T"),   # signaled inline WRITE
-    2: ("P_SVC_R", "P_T"),   # signaled cut-through WRITE
-    3: ("P_SVC", "P_T"),     # CAS
-    4: ("P_SVC", "P_T"),     # FAA
-    5: ("P_SVC_R", "P_TAIL"),  # unsignaled WRITE: its ACK completes it
-    6: ("P_TAIL", "P_T"),    # SEND: the ACK lands it in the recv queue
+    1: ("_svc_resume", "_try_finish"),  # signaled inline WRITE
+    2: ("_svc_resume", "_try_finish"),  # signaled cut-through WRITE
+    3: ("_atomic_end", "_try_finish"),  # CAS
+    4: ("_atomic_end", "_try_finish"),  # FAA
+    5: ("_svc_resume", "_tail_end"),  # unsignaled WRITE: its ACK completes it
+    6: ("_tail_end", "_try_finish"),  # SEND: the ACK lands it in the recv queue
 }
 
 
@@ -443,27 +442,19 @@ def _fold_run(express: bool) -> tuple[list, list]:
 
 def test_signaled_writes_and_atomics_wake_once_for_ack_and_cqe():
     """On the lane, a signaled WRITE (inline and cut-through), CAS and
-    FAA wake at service end and next at their CQE-DMA end (``P_T``): the
-    ACK lands between the two with no wake of its own.  An unsignaled
-    WRITE and a SEND still wake when their ACK lands (``P_TAIL``).  Both
-    lanes log the same completions and commit the same trace records,
-    the ``response_net`` stage (stamped at the ACK instant) included."""
-    from repro.verbs import express
-    from repro.verbs.express import ExpressState
-
-    names = {v: k for k, v in vars(express).items() if k.startswith("P_")}
-    phases: dict[int, list] = {}
-    orig_wake = ExpressState._on_wake
-
-    def recording_wake(self, op, ev):
-        phases.setdefault(op.wr.wr_id, []).append(names[op.phase])
-        orig_wake(self, op, ev)
-
+    FAA wake at service end and next at their CQE-DMA end
+    (``_try_finish``): the ACK lands between the two with no wake of its
+    own.  An unsignaled WRITE and a SEND still wake when their ACK lands
+    (``_tail_end``).  Both lanes log the same completions and commit the
+    same trace records, the ``response_net`` stage (stamped at the ACK
+    instant) included."""
     stepped = _fold_run(express=False)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "_on_wake", recording_wake)
+    with lane_wakes(lambda op, handler, arg: (op.wr.wr_id, handler)) as wakes:
         lane = _fold_run(express=True)
     assert lane == stepped
+    phases: dict[int, list] = {}
+    for wr_id, handler in wakes:
+        phases.setdefault(wr_id, []).append(handler)
     assert {k: tuple(v[-2:]) for k, v in phases.items()} == FOLD_TAILS
     records = lane[1]
     assert len(records) == len(FOLD_TAILS)
@@ -1102,8 +1093,8 @@ def test_a_locked_or_data_moving_write_keeps_its_resume_wake(monkeypatch):
 
     resumed = []
     resume = ExpressState._svc_resume
-    monkeypatch.setattr(ExpressState, "_svc_resume", lambda self, op: (
-        resumed.append(op.wr.wr_id), resume(self, op)))
+    monkeypatch.setattr(ExpressState, "_svc_resume", lambda self, op, arg: (
+        resumed.append(op.wr.wr_id), resume(self, op, arg)))
     leases = _lane_equals_stepped(_locked_and_moving)
     assert sorted(resumed) == [1, 2]
     assert not {b for b in leases if b[0] == "rx+drain"}, leases
@@ -1343,14 +1334,14 @@ def test_lossy_lane_equals_stepped(seed):
     steps = []
     orig_retx, orig_exec = ExpressState._retrans_end, QueuePair._execute
     with _counted_posts() as posts, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "_retrans_end",
-                   lambda self, op: (timers.append(op), orig_retx(self, op)))
+        mp.setattr(ExpressState, "_retrans_end", lambda self, op, arg: (
+            timers.append(op), orig_retx(self, op, arg)))
         mp.setattr(QueuePair, "_execute", lambda self, *a, **k: (
             steps.append(1), orig_exec(self, *a, **k))[1])
         express, ev_express = _run_lossy(True, seed)
     assert express == stepped
     assert len(posts) == express["posts"] and not steps  # all on the lane
-    assert timers  # the lane booked P_RETX transport timers
+    assert timers  # the lane booked _retrans_end transport timers
     statuses = {r[5] for r in express["log"]}
     assert {CompletionStatus.RETRY_EXC_ERR.value,
             CompletionStatus.WR_FLUSH_ERR.value} <= statuses
@@ -1388,25 +1379,15 @@ def test_traced_lane_commits_the_stepped_records():
     batches (their WRs begin after the chained fetch), CAS and FAA, 8 B
     WRITEs queued on a hammered word's lock, in-order parking,
     retransmissions, RETRY_EXC and flushes."""
-    from repro.verbs import express
-    from repro.verbs.express import ExpressState
-
-    names = {v: k for k, v in vars(express).items() if k.startswith("P_")}
     wakes = set()
-    orig_wake = ExpressState._on_wake
-
-    def recording_wake(self, op, ev):
-        wakes.add((op.opcode.name, names[op.phase]))
-        orig_wake(self, op, ev)
-
     records, statuses = [], set()
     for seed, at in TRACED_RUNS:
         stepped, _ = _run_lossy(False, seed, batch=4, make_wr=_traced_wr,
                                 trace_from=at)
-        with _counted_posts() as posts, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ExpressState, "_on_wake", recording_wake)
+        with _counted_posts() as posts, lane_wakes() as woken:
             lane, _ = _run_lossy(True, seed, batch=4, make_wr=_traced_wr,
                                  trace_from=at)
+        wakes.update(woken)
         assert len(posts) == lane["posts"], (seed, at)
         assert lane == stepped, (seed, at)
         got = lane["records"]
@@ -1417,8 +1398,8 @@ def test_traced_lane_commits_the_stepped_records():
             assert len(got) == len(lane["log"]), (seed, at)
         records.extend(got)
         statuses.update(r[5] for r in lane["log"])
-    assert {("WRITE", "P_LOCK"), ("WRITE", "P_RETX")} <= wakes
-    assert any(phase == "P_PARK" for _, phase in wakes)
+    assert {("WRITE", "_write_granted"), ("WRITE", "_retrans_end")} <= wakes
+    assert any(handler == "_complete" for _, handler in wakes)
     assert {r[0] for r in records} == {
         "write", "read", "compare_and_swap", "fetch_and_add", "send"}
     assert {CompletionStatus.RETRY_EXC_ERR.value,
@@ -1497,35 +1478,53 @@ def _faa(rmr):
                        add=1)
 
 
-#: Op shape -> (posts, the (opcode, wake phase) it must reach,
+#: Op shape -> (posts, the (opcode, woken handler) it must reach,
 #: lossy).  The witness proves the shape took its intended branch of the
-#: lane.  A wake the engine runs in place still goes through the wake
-#: handler, so every phase shows.
+#: lane.  A wake the engine runs in place still calls its handler, so
+#: every wake shows.
 _SHAPES = {
-    "read": (lambda lm, rm: [(0, _read(lm, rm, 64))], "READ", "P_DLV", False),
+    "read": (lambda lm, rm: [(0, _read(lm, rm, 64))],
+             "READ", "_deliver_end", False),
     "inline_write": (lambda lm, rm: [(0, _write(lm, rm, 64))],
-                     "WRITE", "P_SVC_R", False),
+                     "WRITE", "_svc_resume", False),
     "cut_through_write": (lambda lm, rm: [(0, _write(lm, rm, 4096))],
-                          "WRITE", "P_EXEC_R", False),
+                          "WRITE", "_exec_done", False),
     "doorbell_batch": (lambda lm, rm: [(0, [
         _write(lm, rm, 64), _read(lm, rm, 64), _write(lm, rm, 1024),
-        _faa(rm)])], "FAA", "P_SVC", False),
-    "faa": (lambda lm, rm: [(0, _faa(rm))], "FAA", "P_SVC", False),
+        _faa(rm)])], "FAA", "_atomic_end", False),
+    "faa": (lambda lm, rm: [(0, _faa(rm))], "FAA", "_atomic_end", False),
     # FAAs claim the word's lock; the 8 B WRITE to it queues behind.
     "write_on_claimed_word_lock": (lambda lm, rm: [
         (0, _faa(rm)), (1, _faa(rm)), (1, _faa(rm)), (0, _write(lm, rm, 8))],
-        "WRITE", "P_LOCK", False),
+        "WRITE", "_write_granted", False),
     # The small WRITE's tail beats the big READ ahead of it: it parks.
     "parked_in_order": (lambda lm, rm: [
         (0, _read(lm, rm, 4096)), (0, _write(lm, rm, 8, roff=64))],
-        "WRITE", "P_PARK", False),
+        "WRITE", "_complete", False),
     # An empty SEND: its 1 B landing DMA, then the response wire.
     "send": (lambda lm, rm: [(0, WorkRequest(Opcode.SEND, payload="x"))],
-             "SEND", "P_TAIL", False),
+             "SEND", "_tail_end", False),
     # 30% loss on the requester port: WRITEs wait out transport timers.
     "write_on_lossy_port": (lambda lm, rm: [
-        (0, _write(lm, rm, 64)) for _ in range(8)], "WRITE", "P_RETX", True),
+        (0, _write(lm, rm, 64)) for _ in range(8)],
+        "WRITE", "_retrans_end", True),
 }
+
+
+def _shape_run(shape: str) -> tuple:
+    """Post ``shape``'s WRs on a fresh two-machine rig and run them to
+    completion; returns (sim, cluster)."""
+    make_posts, _, _, lossy = _SHAPES[shape]
+    sim, cluster, ctx = build(machines=2)
+    if lossy:
+        FaultInjector(sim, rng=make_rng(1)).drop_port(
+            cluster[0].port(0), prob=0.3)
+    lmr = ctx.register(0, 8192)
+    rmr = ctx.register(1, 8192)
+    qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    w = Worker(ctx, 0)
+    sim.run(until=sim.process(_post_all(w, qps, make_posts(lmr, rmr))))
+    return sim, cluster
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
@@ -1533,39 +1532,23 @@ def test_completed_op_is_freed_by_refcount(shape):
     """Every per-op object (``ExpressOp`` and its wake partials, stepped
     ``Process`` generators) is acyclic once its op completes, so it is
     freed by refcount while ``run()`` pauses the cyclic collector."""
-    from repro.verbs import express
-    from repro.verbs.express import ExpressState
-
-    make_posts, opcode, phase, lossy = _SHAPES[shape]
-    names = {v: k for k, v in vars(express).items() if k.startswith("P_")}
-    wakes = set()
-    dropped = []
-    orig_wake = ExpressState._on_wake
-
-    def recording_wake(self, op, ev):
-        wakes.add((op.opcode.name, names[op.phase]))
-        orig_wake(self, op, ev)
-
-    def scenario():
-        sim, cluster, ctx = build(machines=2)
-        if lossy:
-            FaultInjector(sim, rng=make_rng(1)).drop_port(
-                cluster[0].port(0), prob=0.3)
-        lmr = ctx.register(0, 8192)
-        rmr = ctx.register(1, 8192)
-        qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
-        w = Worker(ctx, 0)
-        sim.run(until=sim.process(
-            _post_all(w, qps, make_posts(lmr, rmr))))
-        dropped.append(cluster[0].port(0).packets_dropped)
-        return sim, cluster
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "_on_wake", recording_wake)
-        garbage = cyclic_garbage(scenario)
-    assert (opcode, phase) in wakes, sorted(wakes)
-    assert (dropped[0] > 0) == lossy
+    _, opcode, handler, lossy = _SHAPES[shape]
+    rigs = []
+    with lane_wakes() as wakes:
+        garbage = cyclic_garbage(lambda: rigs.append(_shape_run(shape)))
+    assert (opcode, handler) in wakes, sorted(set(wakes))
+    sim, cluster = rigs[0]
+    assert (cluster[0].port(0).packets_dropped > 0) == lossy
     assert garbage["ExpressOp"] == 0 and garbage["Process"] == 0, garbage
+
+
+def test_the_shapes_wake_every_booked_handler():
+    """Together the ``_SHAPES`` runs wake every handler a lane booking
+    names, so a handler that no shape reaches fails here."""
+    with lane_wakes() as wakes:
+        for shape in _SHAPES:
+            _shape_run(shape)
+    assert {handler for _, handler in wakes} == BOOKED
 
 
 def test_closed_loop_retained_bytes_flat_in_run_length():

@@ -105,6 +105,52 @@ def test_jitter_requires_rng_and_bounds():
         FaultInjector(sim, rng=make_rng(0)).slow_port(port, factor=0.5)
     with pytest.raises(ValueError):
         FaultInjector(sim, rng=make_rng(0)).jitter_port(port, -1)
+    for inject in (FaultInjector(sim, rng=make_rng(0)).slow_port,
+                   FaultInjector(sim, rng=make_rng(0)).jitter_port):
+        with pytest.raises(ValueError):
+            inject(port, float("nan"))
+    assert (port.slowdown, port.jitter_max_ns) == (1.0, 0.0)
+
+
+#: Each injection that takes ``duration_ns``: (target kind, the
+#: arguments before it).
+TIMED_FAULTS = {
+    "slow_port": ("port", (2.0,)),
+    "jitter_port": ("port", (50.0,)),
+    "drop_port": ("port", (0.5,)),
+    "blackhole_port": ("port", ()),
+    "drop_link": ("link", (0.5,)),
+    "degrade_link": ("link", (0.5,)),
+    "link_down": ("link", ()),
+}
+
+#: The fields an injection sets, by target kind.
+FAULT_FIELDS = {
+    "port": ("slowdown", "jitter_rng", "jitter_max_ns", "loss_prob",
+             "loss_rng", "link_up"),
+    "link": ("loss_prob", "loss_rng", "degrade_factor", "up"),
+}
+
+
+@pytest.mark.parametrize("duration_ns", [float("nan"), -1.0, 0.0])
+@pytest.mark.parametrize("method", sorted(TIMED_FAULTS))
+def test_a_rejected_duration_arms_no_fault(method, duration_ns):
+    """A duration that is not positive (NaN included) raises before the
+    injection touches its target: the port or link keeps every field,
+    the injector counts no afflicted target and schedules no heal."""
+    sim, cluster, ctx = build(machines=2, topology="leaf-spine")
+    kind, args = TIMED_FAULTS[method]
+    target = cluster[0].port(0) if kind == "port" else (
+        cluster.fabric.leaf_up[0][0])
+    fields = FAULT_FIELDS[kind]
+    before = [getattr(target, f) for f in fields]
+    injector = FaultInjector(sim, rng=make_rng(0))
+    with pytest.raises(ValueError):
+        getattr(injector, method)(target, *args, duration_ns=duration_ns)
+    assert [getattr(target, f) for f in fields] == before
+    assert injector.afflicted_count == 0
+    sim.run()
+    assert sim.now == 0.0
 
 
 def test_jitter_varies_latency():

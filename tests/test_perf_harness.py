@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.perf import harness
 from repro.sim import Interrupt, Simulator
+from tests.lane_wakes import lane_wakes
 
 
 def _trace_all(monkeypatch, timelines):
@@ -370,19 +371,15 @@ def test_census_charges_a_keyed_wake_to_the_layer_that_booked_it(
     from repro import build
     from repro.bench.perf import census
     from repro.verbs import Worker
-    from repro.verbs.express import ExpressState
     from repro.verbs.types import Opcode, Sge, WorkRequest
 
-    woken = Counter()  # the lane's wakes that a dispatch ran, by seq kind
-    wake = ExpressState._on_wake
-
-    def counting_wake(self, op, arg):
+    def seq_kind(op, handler, arg):
         if arg is None:  # a scheduled wake, not a lease grant
-            woken["keyed" if op.qp.sim.seq_now % 1 else "plain"] += 1
-        wake(self, op, arg)
+            return "keyed" if op.qp.sim.seq_now % 1 else "plain"
+        return None
 
-    monkeypatch.setattr(ExpressState, "_on_wake", counting_wake)
-    with census._counting() as (counts, in_place):
+    with lane_wakes(seq_kind) as kinds, census._counting() as (
+            counts, in_place):
         sim, cluster, ctx = build(machines=2)
         lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
         w = Worker(ctx, 0)
@@ -394,6 +391,7 @@ def test_census_charges_a_keyed_wake_to_the_layer_that_booked_it(
                     Opcode.WRITE, sgl=[Sge(lmr, 0, size)], remote_mr=rmr,
                     remote_offset=0, move_data=False))
         sim.run(until=sim.process(client()))
+    woken = Counter(kinds)  # the lane's wakes that a dispatch ran
     assert woken["keyed"] == 2
     # The lane schedules its wakes and each WRITE's ``done``.
     charged = counts["verbs.express"] + in_place["verbs.express"]
