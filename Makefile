@@ -40,24 +40,26 @@ docs-check:
 smoke: perf-quick check e2e express-ab docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
 
-# Express-lane A/B (~45 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
+# Express-lane A/B (~50 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
 # reconnects), fig5, fig1 (the catalog target where the most tail wakes
 # find their instant taken and keep their wake), breakdown (traced QPs),
 # fig10 (RPC lock and sequencer: the catalog's most SENDs), ext2
 # (symmetric ports: ~10.7k signaled WRITEs whose ACK wire and CQE DMA
 # share one wake on each lane), ext8_txn (same-instant ties on hot
-# atomic word locks), ext1 (the READ mix: READ rx and response-tx
-# leases under contention), fig15 and fig16 (cut-through WRITE pairs
-# whose first-ending half leases; leasing both halves without keying the
-# ACK wake diverged there), ext6_multitenant, fig4, fig18 and table3
-# (data-less WRITEs that lease both service halves and key their ACK or
-# CQE wake after the later end) must render byte-identical tables, and
-# equal completion digests for every simulator, with the lane on and off
-# (tools/express_ab.py through repro.check.differential, which names the
-# first differing completion on a digest mismatch; no arguments runs the
-# full catalog).
+# atomic word locks), ext1 (the READ mix: READ rx and response-tx holds
+# under contention), fig15 and fig16 (cut-through WRITE pairs whose
+# first-ending half continues at its grant; doing so for both halves
+# without keying the ACK wake diverged there), ext6_multitenant, fig4,
+# fig18 and table3 (data-less WRITEs whose service halves both continue
+# at their grants and key their ACK or CQE wake after the later end),
+# and ext10_open_loop (the only target that contends for the front
+# door's write gate, the one untimed Resource.hold outside the lane)
+# must render byte-identical tables, and equal completion digests for
+# every simulator, with the lane on and off (tools/express_ab.py through
+# repro.check.differential, which names the first differing completion
+# on a digest mismatch; no arguments runs the full catalog).
 express-ab:
-	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1 fig15 fig16 ext6_multitenant fig4 fig18 table3
+	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1 fig15 fig16 ext6_multitenant fig4 fig18 table3 ext10_open_loop
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean

@@ -23,11 +23,12 @@ Who scheduled an event:
 * any other entry: the innermost frame on the stack outside
   :mod:`repro.sim`, looking no further out than the dispatch loop — an
   entry the engine schedules on its own (a process finishing, an
-  ``all_of`` firing) is charged to ``sim``;
-* a lease's end wake (:meth:`~repro.sim.Resource.lease`, woken only when
-  a waiter queues behind it) and what its handover schedules: the layer
-  of the lease's callback, which is where a ``book`` end-wake and its
-  ``release()`` would have been charged.
+  ``all_of`` firing) is charged to ``sim``.  A timed
+  :meth:`~repro.sim.Resource.hold`'s end wake is such an entry, charged
+  where its hold was granted (or, if it has no ``end``, where the first
+  waiter queued behind it);
+* what a hold's end wake schedules before it runs the hold's ``end``
+  (the handover to the next holder): the end wake's own charge.
 
 Layers are source packages of ``repro``; ``verbs`` is all of
 ``repro.verbs`` except the express lane (the stepped pipeline plus the
@@ -83,7 +84,7 @@ _PACKAGES = {"sim": "sim", "hw": "hw", "memory": "memory", "verbs": "verbs",
              "tenancy": "tenancy", "load": "load", "apps": "apps",
              "bench": "bench"}
 _DISPATCH = frozenset({Simulator.run.__code__, Simulator.step.__code__})
-_LEASE_END = Resource._lease_end.__code__
+_END_WAKE = Resource._ended.__code__
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,12 +102,12 @@ def layer_of(path: str) -> str:
 def _frame_layer(frame) -> Optional[str]:
     """The layer of the innermost frame from ``frame`` outward that lies
     outside :mod:`repro.sim`, stopping at the dispatch loop (``sim``);
-    ``None`` inside a lease's end wake (the wake's own charge applies)."""
+    ``None`` inside a hold's end wake (the wake's own charge applies)."""
     while frame is not None:
         code = frame.f_code
         if code in _DISPATCH:
             break
-        if code is _LEASE_END:
+        if code is _END_WAKE:
             return None
         layer = layer_of(code.co_filename)
         if layer != "sim":
@@ -133,24 +134,15 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
     charged: dict[int, str] = {}  # id(entry) -> layer, while scheduled
     # The last dispatch counted: (heap, seq, layer, tally it went to).
     last: list = [None, 0, "", counts]
-    leased: dict[int, str] = {}  # id(resource) -> its lease's layer
-    park, grant = Simulator._park, Resource._grant_lease
+    park = Simulator._park
     push, pop, pushpop = engine.heappush, engine.heappop, engine.heappushpop
 
     def counting_park(sim: Simulator, entry: tuple) -> None:
         target = entry[3]
         if type(target) is not _Sleep:
-            if getattr(target, "__func__", None) is Resource._lease_end:
-                layer = leased[id(target.__self__)]
-            else:
-                layer = _frame_layer(sys._getframe(1))
+            layer = _frame_layer(sys._getframe(1))
             charged[id(entry)] = last[2] if layer is None else layer
         park(sim, entry)
-
-    def counting_grant(res: Resource, dur: float, cb: Callable) -> None:
-        fn = getattr(cb, "func", cb)  # a wake partial's function
-        leased[id(res)] = layer_of(fn.__code__.co_filename)
-        grant(res, dur, cb)
 
     def count(heap: list, entry: tuple, tally: Counter) -> None:
         target = entry[3]
@@ -189,14 +181,12 @@ def _counting() -> Iterator[tuple[Counter, Counter]]:
     engine.heappush, engine.heappop = counting_push, counting_pop
     engine.heappushpop = counting_pushpop
     setattr(Simulator, "_park", counting_park)
-    setattr(Resource, "_grant_lease", counting_grant)
     try:
         yield counts, in_place
     finally:
         engine.heappush, engine.heappop = push, pop
         engine.heappushpop = pushpop
         setattr(Simulator, "_park", park)
-        setattr(Resource, "_grant_lease", grant)
 
 
 def _ops_of(run: Callable[[], object]) -> int:

@@ -32,7 +32,7 @@ class PcieLink:
         self.topology = topology
         self.socket = socket          # socket whose PCIe root complex owns us
         self.name = name or f"pcie@s{socket}"
-        self._bus = Resource(sim, capacity=1, name=self.name)
+        self._bus = Resource(sim, name=self.name)
         self.dma_bytes = 0
         self.dma_count = 0
         # The one memo of DMA transfer times, keyed (mem_socket, nbytes,

@@ -40,9 +40,9 @@ class RnicPort:
         self.index = index
         self.socket = socket
         name = f"{rnic.name}.p{index}"
-        self.tx_unit = Resource(sim, capacity=1, name=f"{name}.tx")
-        self.rx_unit = Resource(sim, capacity=1, name=f"{name}.rx")
-        self.atomic_unit = Resource(sim, capacity=1, name=f"{name}.atomic")
+        self.tx_unit = Resource(sim, name=f"{name}.tx")
+        self.rx_unit = Resource(sim, name=f"{name}.rx")
+        self.atomic_unit = Resource(sim, name=f"{name}.atomic")
         self.pcie = PcieLink(sim, rnic.params, rnic.topology, socket,
                              name=f"{name}.pcie")
         self.tx_ops = 0
@@ -250,7 +250,7 @@ class Rnic:
         lock = self._atomic_locks.get(key)
         if lock is None:
             lock = self._atomic_locks[key] = Resource(
-                self.sim, capacity=1, name=self._atomic_lock_name)
+                self.sim, name=self._atomic_lock_name)
         return lock
 
     def port_for_socket(self, socket: int) -> RnicPort:

@@ -93,7 +93,7 @@ class KvFrontDoor:
         if cache is not None and directory is not None:
             directory.register(cache)
         #: Owner-serializes writes (see module docstring).
-        self._gate = Resource(plane.sim, 1, name=f"{self.name}.write_gate")
+        self._gate = Resource(plane.sim, name=f"{self.name}.write_gate")
         #: Free staging slots as (mr, offset); grown in chunks so a burst
         #: of concurrent requests never fails for want of a buffer.
         self._free: list[tuple[MemoryRegion, int]] = []
@@ -167,15 +167,15 @@ class KvFrontDoor:
         worker = self.worker
         try:
             gate = self._gate
-            if gate.in_use < gate.capacity:
-                gate.claim(None)  # free: granted now, no wake to wait for
-            else:
+            if gate.in_use:
                 # A grant stays scheduled (succeed, not fire): the new
                 # holder runs after what is already queued at this
                 # instant.  Inline grants moved the multi-tenant example.
                 granted = self.plane.sim.event()
-                gate.claim(granted.succeed)
+                gate.hold(None, granted.succeed)
                 yield granted
+            else:
+                gate.hold(None)  # free: granted now, no wake to wait for
             try:
                 if self.directory is not None:
                     version = self.directory.next_version(key)

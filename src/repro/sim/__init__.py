@@ -11,7 +11,6 @@ Time is measured in **nanoseconds** (floats) throughout the project.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -32,7 +31,6 @@ from repro.sim.stats import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
     "Event",
     "Interrupt",

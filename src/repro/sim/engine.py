@@ -89,7 +89,6 @@ except ImportError:  # pragma: no cover - non-refcounted runtimes
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",
@@ -243,9 +242,9 @@ class Event:
         this instant; ``succeed`` keeps the scheduled order.
 
         Not for a grant, with one exception: the stepped verbs path's
-        atomic word lock (``Resource.claim(grant.fire)`` in
+        atomic word lock (``Resource.hold(None, grant.fire)`` in
         ``QueuePair._responder_phase``).  It mirrors the express lane,
-        whose queued claim runs the next owner's bookings inside the
+        whose queued hold runs the next owner's bookings inside the
         releaser's dispatch, so both lanes take the lock at the same
         point of the same dispatch.  Every other grant (the tenancy
         plane's among them) stays scheduled.
@@ -361,7 +360,7 @@ class Process(Event):
     """Drives a generator; completes (as an event) with its return value.
 
     Yield targets inside the generator must be :class:`Event` instances
-    (timeouts, resource grants, other processes, ``AllOf``/``AnyOf``...)
+    (timeouts, resource grants, other processes, ``AllOf``...)
     or a bare non-negative float (a negative or NaN one fails the run like
     any bad yield) — a pure delay equivalent to
     ``sim.timeout(delay)`` but dispatched through the cheap
@@ -514,33 +513,6 @@ class Process(Event):
         self.sim._crash(_bad_yield(self, target), self)
 
 
-class AnyOf(Event):
-    """Fires when the first of ``events`` fires.
-
-    Value is a dict ``{event: value}`` of the events fired so far.  A failed
-    child fails the condition.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev.add_callback(self._check)
-
-    def _check(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self.succeed({e: e._value for e in self.events if e._processed or e is ev})
-
-
 class AllOf(Event):
     """Fires when every one of ``events`` has fired.
 
@@ -597,7 +569,7 @@ class Simulator:
         #: The seq of the running dispatch's key, 0 during an URGENT one
         #: and a half-integer during a keyed wake (:meth:`call_keyed`); a
         #: reserved NORMAL key ``(now, NORMAL, seq)`` is behind the
-        #: dispatch iff ``seq_now > seq`` (:meth:`Resource.lease`).  After
+        #: dispatch iff ``seq_now > seq`` (:meth:`Resource.hold`).  After
         #: ``run(until=T)`` every key at ``T`` has run: it is then above
         #: every seq allocated so far.
         self.seq_now = 0

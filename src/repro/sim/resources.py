@@ -1,9 +1,9 @@
 """Contended resources for the DES kernel.
 
-:class:`Resource` models a fixed number of service slots (RNIC execution
-units, PCIe DMA engines, memory-controller banks): processes ``yield
-res.acquire()`` and must ``res.release()`` when done; callback-driven
-code holds the same FIFO without a process (``book``/``claim``/``lease``).
+:class:`Resource` models one FIFO server (an RNIC execution unit, a PCIe
+DMA engine, an atomic word lock): processes ``yield res.acquire()`` and
+must ``res.release()`` when done; callback-driven code holds the same
+FIFO without a process (:meth:`Resource.hold`).
 :class:`Store` is an unbounded-or-bounded FIFO of items (message queues,
 work queues).
 
@@ -23,7 +23,7 @@ __all__ = ["Resource", "Store"]
 
 
 class Resource:
-    """A counted resource with FIFO granting.
+    """One unit, held by one holder at a time, granted in FIFO order.
 
     Usage inside a process::
 
@@ -34,48 +34,41 @@ class Resource:
         finally:
             resource.release()
 
-    Three process-free holds share the same FIFO, so callback-driven code
-    (the express verbs lane) and processes contend on one queue:
+    Callback-driven code (the express verbs lane) takes the same FIFO
+    without a process, so it and processes contend on one queue:
+    ``hold(dur, grant, end)``.  ``grant(end_instant)`` runs at the grant
+    — now when the unit is free, else inside the ``release()`` that hands
+    it over — with grant time + ``dur``, or with ``None`` for an untimed
+    hold (``dur=None``), which its holder releases.  A timed hold frees
+    itself at its end: it hands the unit to the head waiter and only then
+    runs ``end(None)``.  Its end takes a wake only when ``end`` is given
+    or a waiter queues behind it; see :meth:`hold`.
 
-    * ``book(dur, cb)`` — a timed hold: once granted, ``cb`` wakes at
-      grant time + ``dur`` (one :meth:`Simulator.call_tail`, which runs
-      it in place when it is provably the next dispatch); the callback
-      must ``release()``.
-    * ``claim(cb)`` — an untimed hold: returns True when granted on the
-      spot, else ``cb(resource)`` runs at the grant; the holder releases
-      whenever its own work ends.
-    * ``lease(dur, cb)`` — a timed hold that frees itself (capacity-1
-      units only): ``cb(end)`` runs at the grant, with the end instant,
-      and the holder never releases.  The end takes a wake only when a
-      waiter queues behind it; see :meth:`lease`.
-
-    ``release()`` hands the slot straight to the head waiter — an acquire
-    event, a booking, a claim or a lease — at the releaser's dispatch;
-    the busy span stays open across a handover.
+    ``release()`` hands the unit straight to the head waiter — an acquire
+    event or a hold — at the releaser's dispatch; the busy span stays
+    open across a handover.
 
     The waiter FIFO is created at the first contention, so an idle
     resource (e.g. one of the RNIC's per-word atomic locks, kept for the
-    whole run) holds no queue.  A lease that nobody waits behind keeps
+    whole run) holds no queue.  A timed hold whose end has no wake keeps
     its reserved end key in the FIFO's slot, so it needs no slot of its
     own.
     """
 
-    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
+    __slots__ = ("sim", "name", "_in_use", "_waiters", "_end",
                  "_busy_ns", "_busy_since")
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._in_use = 0
-        #: FIFO of waiters: an acquire Event, a ``(dur, cb, False)``
-        #: booking, a ``(dur, cb, True)`` lease or a ``(None, cb, False)``
-        #: claim; ``None`` until the first one queues.  While a lease
-        #: holds the unit with no wake scheduled for its end, the slot
-        #: holds the lease's reserved end key ``(end, seq)`` instead.
+        #: FIFO of waiters: an acquire Event or a ``(dur, grant, end)``
+        #: hold; ``None`` until the first one queues.  While a timed hold
+        #: with no wake for its end holds the unit, the slot holds its
+        #: reserved end key ``(end, seq)`` instead.
         self._waiters: Optional[deque | tuple] = None
+        #: The running timed hold's ``end`` callback, run by its end wake.
+        self._end: Optional[Callable] = None
         # busy-time accounting for utilization reports
         self._busy_ns = 0.0
         self._busy_since: Optional[float] = None
@@ -92,42 +85,51 @@ class Resource:
         return len(waiters) if waiters.__class__ is deque else 0
 
     def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted."""
+        """Return an event that fires when the unit is granted."""
         # Hot path (one acquire per pipeline stage per op): the
         # uncontended grant is inlined; FIFO order and schedules are
         # unchanged.
         ev = self.sim.event()
-        if self._in_use < self.capacity or (
+        if not self._in_use or (
                 self._waiters.__class__ is tuple and self._lapsed()):
-            if self._in_use == 0:
-                self._busy_since = self.sim.now
-            self._in_use += 1
+            self._in_use = 1
+            self._busy_since = self.sim.now
             ev.succeed(self)
         else:
             self._wait(ev)
         return ev
 
     def _wait(self, waiter) -> None:
-        """Queue ``waiter`` behind the holders.  A lease holding the unit
-        gets its end wake now, at the key it reserved, so the handover
-        runs where a ``book`` end-wake would run it."""
+        """Queue ``waiter`` behind the holder.  A timed hold whose end has
+        no wake gets one now, at the key it reserved, so the handover
+        runs there."""
         waiters = self._waiters
         if waiters.__class__ is not deque:
             if waiters is not None:
                 end, seq = waiters
-                self.sim._park((end, NORMAL, seq, self._lease_end))
+                self.sim._park((end, NORMAL, seq, self._ended))
             waiters = self._waiters = deque()
         waiters.append(waiter)
 
-    def _lease_end(self, _ev) -> None:
-        """The end wake of a lease that a waiter queued behind."""
-        self.release()
+    def _ended(self, _arg) -> None:
+        """A timed hold's end wake: hand the unit to the head waiter, or
+        free it, then run the hold's ``end``."""
+        end = self._end
+        self._end = None
+        if self._waiters:
+            self.release()
+        else:
+            self._in_use = 0
+            self._busy_ns += self.sim.now - self._busy_since
+            self._busy_since = None
+        if end is not None:
+            end(None)
 
     def _lapsed(self) -> bool:
-        """Free the unit if its lease, which has no end wake, ended before
-        the running dispatch (its reserved key is behind ``sim``'s); the
-        busy span closes at the lease's end, as ``release()`` there would
-        close it."""
+        """Free the unit if its timed hold, which has no end wake, ended
+        before the running dispatch (its reserved key is behind
+        ``sim``'s); the busy span closes at the hold's end, as its end
+        wake would close it."""
         end, seq = self._waiters
         sim = self.sim
         now = sim.now
@@ -139,101 +141,93 @@ class Resource:
             return True
         return False
 
-    def book(self, dur: float, cb: Callable) -> None:
-        """Timed hold without a process: ``cb`` wakes ``dur`` after the
-        grant — scheduled now when a slot is free, else by the release
-        that grants it."""
-        if self._in_use < self.capacity or (
-                self._waiters.__class__ is tuple and self._lapsed()):
-            sim = self.sim
-            if self._in_use == 0:
-                self._busy_since = sim.now
-            self._in_use += 1
-            sim.call_tail(sim.now + dur, cb)
-        else:
-            self._wait((dur, cb, False))
+    def hold(self, dur: Optional[float], grant: Optional[Callable] = None,
+             end: Optional[Callable] = None) -> None:
+        """Hold the unit without a process, for ``dur`` ns from the grant
+        (``None``: until the holder calls ``release()``).
 
-    def claim(self, cb: Callable) -> bool:
-        """Untimed hold: True when granted now; otherwise queue, and the
-        granting release runs ``cb(self)`` inline."""
-        if self._in_use < self.capacity or (
-                self._waiters.__class__ is tuple and self._lapsed()):
-            if self._in_use == 0:
-                self._busy_since = self.sim.now
-            self._in_use += 1
-            return True
-        self._wait((None, cb, False))
-        return False
+        The grant runs now when the unit is free, else inside the
+        ``release()`` that hands it over.  A timed grant takes the seq of
+        the hold's end wake, reserving the key ``(end, NORMAL, seq)`` with
+        end = grant time + ``dur``, then calls ``grant(end)``; an untimed
+        one calls ``grant(None)`` and reserves nothing.
 
-    def lease(self, dur: float, cb: Callable) -> None:
-        """Timed hold that frees itself: ``cb(end)`` runs at the grant —
-        now when the unit is free, else inside the release that grants
-        it — with ``end`` = grant time + ``dur``; the holder books its
-        own continuation from there and never calls ``release()``.
+        The reserved key becomes a heap entry only if ``end`` is given
+        or a waiter queues behind the hold.  That wake hands the unit
+        over (or frees it) and then runs ``end(None)``.  Otherwise no wake
+        is spent: the first caller whose dispatch is past the key frees
+        the unit (:meth:`_lapsed`), and the busy span closes at the end.
+        Grant instants, FIFO order, handover keys and busy time are the
+        same either way; only the holder's continuation moves, from the
+        end to the grant.  ``sim.now`` after a drained ``run()`` reaches
+        the end only if something is scheduled at or after it.
 
-        The grant takes the seq a ``book`` end-wake would take, reserving
-        the key ``(end, NORMAL, seq)``.  That key becomes a heap entry
-        only if a waiter queues behind the lease, so the handover runs
-        exactly where the ``book`` end-wake would run it.  Otherwise no
-        wake is spent: the first caller whose dispatch is past the key
-        frees the unit (:meth:`_lapsed`), and the busy span closes at
-        ``end``.  Grant instants, FIFO order, handover keys and busy time
-        are ``book``'s; only the holder's continuation is scheduled
-        earlier.  ``sim.now`` after a drained ``run()`` reaches ``end``
-        only if the holder scheduled something at or after it.
-
-        ``cb`` runs right after the reservation, so ``sim._seq`` is the
-        reserved seq when it starts: a holder may book a keyed wake
-        after its end key (:meth:`Simulator.call_keyed`).
+        ``grant`` runs right after the reservation, so ``sim._seq`` is the
+        reserved seq when it starts: a holder may book a keyed wake after
+        its end key (:meth:`Simulator.call_keyed`).
         """
-        if self.capacity != 1:
-            raise ValueError(f"lease() needs a capacity-1 unit, "
-                             f"{self.name!r} has {self.capacity}")
-        if self._in_use == 0 or (
+        if self._in_use and not (
                 self._waiters.__class__ is tuple and self._lapsed()):
-            self._in_use = 1
-            self._busy_since = self.sim.now
-            self._grant_lease(dur, cb)
-        else:
-            self._wait((dur, cb, True))
-
-    def _grant_lease(self, dur: float, cb: Callable) -> None:
-        """Reserve the lease's end key and run its holder's callback."""
+            self._wait((dur, grant, end))
+            return
         sim = self.sim
-        end = sim.now + dur
-        if not end >= sim.now:
-            end = sim._clamp(end)
+        self._in_use = 1
+        self._busy_since = sim.now
+        if dur is None:
+            if grant is not None:
+                grant(None)
+            return
+        # :meth:`_grant`, inlined on this hot path (a lane hold per
+        # stage), with no waiter queued.
+        when = sim.now + dur
+        if not when >= sim.now:
+            when = sim._clamp(when)
         sim._seq = seq = sim._seq + 1
-        if self._waiters:
-            sim._park((end, NORMAL, seq, self._lease_end))
+        if end is None:
+            self._waiters = (when, seq)
         else:
-            self._waiters = (end, seq)
-        cb(end)
+            self._end = end
+            sim._park((when, NORMAL, seq, self._ended))
+        if grant is not None:
+            grant(when)
+
+    def _grant(self, dur: float, grant: Optional[Callable],
+               end: Optional[Callable]) -> None:
+        """Grant a queued timed hold at a handover, as :meth:`hold` grants
+        a free unit."""
+        sim = self.sim
+        when = sim.now + dur
+        if not when >= sim.now:
+            when = sim._clamp(when)
+        sim._seq = seq = sim._seq + 1
+        if end is not None or self._waiters:
+            self._end = end
+            sim._park((when, NORMAL, seq, self._ended))
+        else:
+            self._waiters = (when, seq)
+        if grant is not None:
+            grant(when)
 
     def release(self) -> None:
-        if self._in_use <= 0:
+        if not self._in_use:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         waiters = self._waiters
         if waiters:
-            # Waiters exist only while every slot is held: hand this one
-            # over without closing the busy span.
+            # Waiters exist only while the unit is held: hand it to the
+            # head one without closing the busy span.
             w = waiters.popleft()
             if w.__class__ is tuple:
-                dur, cb, leased = w
-                if dur is None:
-                    cb(self)
-                elif leased:
-                    self._grant_lease(dur, cb)
-                else:
-                    sim = self.sim
-                    sim.call_tail(sim.now + dur, cb)
+                dur, grant, end = w
+                if dur is not None:
+                    self._grant(dur, grant, end)
+                elif grant is not None:
+                    grant(None)
             else:
                 w.succeed(self)
             return
-        self._in_use -= 1
-        if self._in_use == 0:
-            self._busy_ns += self.sim.now - self._busy_since
-            self._busy_since = None
+        self._in_use = 0
+        self._busy_ns += self.sim.now - self._busy_since
+        self._busy_since = None
 
     def cancel(self, grant: Event) -> None:
         """Withdraw a not-yet-granted acquire request."""
@@ -249,7 +243,7 @@ class Resource:
         grant.cancel()
 
     def busy_time(self) -> float:
-        """Total ns during which at least one slot was held."""
+        """Total ns during which the unit was held."""
         if self._waiters.__class__ is tuple:
             self._lapsed()
         extra = self.sim.now - self._busy_since if self._busy_since is not None else 0.0

@@ -11,10 +11,10 @@ hold duration is pure arithmetic, known the moment the unit is booked —
 port faults included, because the stepped path sizes its holds at the
 same instant.
 
-This module replays that timeline with one fused wake-up
-(:meth:`Simulator.call_tail`) per *hold* and per *constant sleep* —
-none for a leased hold that nobody queues behind — roughly halving
-the events per WR while keeping schedules bit-identical.  The
+This module replays that timeline with one fused wake-up per *hold*
+and per *constant sleep* — none for a hold that continues at its grant
+and that nobody queues behind — roughly halving the events per WR
+while keeping schedules bit-identical.  The
 load-bearing invariant is tie order: the engine breaks ties at an
 instant by event *allocation order* (the global ``seq``), and the
 stepped path allocates each hold's end event at its **grant** dispatch —
@@ -24,39 +24,39 @@ same-instant completion ties under contention, and the inversion
 propagates through shared LRU state (metadata SRAM) into different
 tables.  So the lane mirrors the grant structure literally:
 
-* Every hold books the unit's own :class:`~repro.sim.Resource` — the
-  one FIFO the stepped lane acquires too — with ``Resource.book(dur,
-  cb)``: a free unit schedules the end-wake immediately (``now +
-  dur``); a busy one queues the booking behind whatever waits there,
-  stepped acquires included.
-* Every end-wake handler *first* calls ``release()``, which grants the
-  head waiter at this very dispatch (a queued booking's end-wake is
-  allocated here, exactly where a stepped grant is pushed), then bumps
-  the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
-  then continues its own op, matching the stepped ``finally:
-  release()`` / counter / continue order statement for statement.
+* Every hold takes the unit's own :class:`~repro.sim.Resource` — the
+  one FIFO the stepped lane acquires too — with ``Resource.hold(dur,
+  grant, end)``: a free unit is granted now, reserving the end key
+  (``now + dur``); a busy one queues the hold behind whatever waits
+  there, stepped acquires included.
+* A hold with ``end`` wakes at that key.  The wake first frees the
+  unit, which grants the head waiter at this very dispatch (a queued
+  hold's end key is allocated here, exactly where a stepped grant is
+  pushed), and then runs the handler, which bumps the unit's counters
+  (``tx_ops``/``rx_ops``/``dma_count``…) and only then continues its
+  own op, matching the stepped ``finally: release()`` / counter /
+  continue order statement for statement.
 * Five holds end in nothing but a freed unit and either a constant
   delay or a join countdown: a READ's responder rx hold (then the
   turnaround), its response serialization (then the response wire), a
   signaled data-less READ's delivery DMA (then the CQE DMA), the half
   of a cut-through pair that provably ends first (see below), and both
   service halves (rx hold, drain DMA) of a WRITE that lands no bytes
-  and takes no word lock (then its ACK wire).  They take
-  ``Resource.lease(dur, cb)`` instead: the grant — at the same
-  dispatch as a booking's — calls its wake callback with the end
-  instant, which counts the unit (``rx_ops``/``tx_ops``, or
-  ``dma_bytes``/``dma_count``) and either books the continuation at
-  ``end + constant`` (the float the end-wake would compute; a READ
-  also stamps ``responder`` at the end) or counts the join down.  The
-  unit frees itself.  Its end takes a wake only when a waiter queues
-  behind the lease, and then at the key the booking's end-wake holds,
-  so every handover stays where it was.  Every other hold's end
-  touches shared state (a DMA booking, a join's resume, a lock
-  release, a ``recv_queue`` put, a READ's data landing, an unsignaled
-  READ's completion) and keeps its wake.
-* A continuation booked at a lease grant is either booked with a fresh
+  and takes no word lock (then its ACK wire).  They pass their handler
+  as ``grant`` instead: the grant — at the same dispatch either way —
+  calls it with the end instant, and it counts the unit
+  (``rx_ops``/``tx_ops``, or ``dma_bytes``/``dma_count``) and either
+  books the continuation at ``end + constant`` (the float the end wake
+  would compute; a READ also stamps ``responder`` at the end) or counts
+  the join down.  Such a hold's end takes a wake only when a waiter
+  queues behind it, and then at the reserved key, so every handover
+  stays where it was.  Every other hold's end touches shared state (a
+  DMA booking, a join's resume, a lock release, a ``recv_queue`` put, a
+  READ's data landing, an unsignaled READ's completion) and keeps its
+  wake.
+* A continuation booked at a grant is either booked with a fresh
   seq (a READ's turnaround and response wire: its seq moves to the
-  grant) or keyed after the lease's reserved end key ``(end, seq)``
+  grant) or keyed after the hold's reserved end key ``(end, seq)``
   (:meth:`Simulator.call_keyed`: ``seq + 0.5``, after every entry
   allocated up to the key and before every later one).  Keyed are a
   signaled data-less READ's CQE wake, and a data-less unlocked WRITE's
@@ -72,16 +72,16 @@ tables.  So the lane mirrors the grant structure literally:
   DMA) are sized first and booked in the stepped spawn order
   (:meth:`ExpressState._cut_through`).  A half whose unit is free and
   whose end (``now + dur``) is strictly before the other's earliest end
-  leases: its grant counts the join from 2 to 1, which is all its end
-  wake did, and it reserves that wake's seq in the same dispatch.  The
-  other half's end joins, with a same-instant resume wake where the
-  stepped ``all_of`` resumes one dispatch later, so the resume's seq
-  does not move either.  A tie, or an earlier half that would queue,
-  books both.  This is the pair of a WRITE that lands data or holds a
-  word lock, and of the requester's payload fetch and tx hold; a
-  data-less unlocked WRITE leases both its halves instead.  Single
-  holds continue inline in their end-wake, like a ``yield from``
-  subgenerator resuming its caller.
+  continues at its grant: the grant counts the join from 2 to 1, which
+  is all its end wake did, and it reserves that wake's seq in the same
+  dispatch.  The other half's end joins, with a same-instant resume
+  wake where the stepped ``all_of`` resumes one dispatch later, so the
+  resume's seq does not move either.  A tie, or an earlier half that
+  would queue, continues at both ends.  This is the pair of a WRITE
+  that lands data or holds a word lock, and of the requester's payload
+  fetch and tx hold; a data-less unlocked WRITE continues at both its
+  halves' grants instead.  Single holds continue inline in their end
+  wake, like a ``yield from`` subgenerator resuming its caller.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) get a wake allocated at the same instant the stepped path
   allocates the corresponding sleep.  A signaled WRITE, CAS or FAA does
@@ -91,12 +91,12 @@ tables.  So the lane mirrors the grant structure literally:
   with one wake booked there too.
   READ (delivery DMA), SEND (``recv_queue.put``) and unsignaled WRs
   (the ACK is their completion) keep a wake per hop.
-* Atomic word locks are ``Resource.claim`` holds on the device's
-  ``atomic_word_lock`` Resource: a free lock is taken in the arrival
-  dispatch, and a queued claim's handover runs the next owner's service
-  bookings at the releaser's dispatch.  The stepped path claims the
-  same way (``claim(grant.fire)``), so both lanes take the lock at the
-  same point of the same dispatch.
+* Atomic word locks are untimed holds (``hold(None, grant)``) on the
+  device's ``atomic_word_lock`` Resource: a free lock is taken in the
+  arrival dispatch, and a queued hold's handover runs the next owner's
+  service bookings at the releaser's dispatch.  The stepped path takes
+  the lock the same way (``hold(None, grant.fire)``), so both lanes
+  take it at the same point of the same dispatch.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
   its ``_complete`` to that event — the very mechanism the stepped
@@ -107,8 +107,8 @@ Because no booking ever lands at a *future* arrival, the timeline never
 shifts once scheduled: there is no displacement, no repair pass, and
 every scheduled wake is final.
 
-Every booking names the handler its end runs: ``partial(self._handler,
-op)``, handed to ``Resource.book``, ``lease`` or ``claim``,
+Every booking names the handler it runs: ``partial(self._handler,
+op)``, handed to ``Resource.hold`` (as its ``grant`` or its ``end``),
 :meth:`Simulator.call_tail`, a keyed :meth:`Simulator.call_keyed` or
 the predecessor's ``add_callback``.  A wake is one call, with no phase
 to dispatch on; the op holds no callback of its own, so it is acyclic
@@ -123,7 +123,7 @@ its waiter order never move.
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
 as the stepped path; unit counters are incremented at hold ends, not
-batched (a leased hold counts at its grant).
+batched (a hold that continues at its grant counts there).
 
 Port faults (:mod:`repro.hw.faults`) are sampled at the dispatches where
 the stepped path samples them, so a fault armed at any instant reaches
@@ -252,12 +252,12 @@ class ExpressState:
     each op's timeline.
 
     Each handler takes ``(op, arg)`` and is booked as ``partial(handler,
-    op)``.  ``arg`` is the end instant when a ``Resource.lease`` grant
-    calls it (the unit frees itself, so the handler must not release
-    it); otherwise it is ``None`` (a scheduled wake, a ``book`` end, or
-    a call from another handler), the granting Resource (a queued word
-    lock's ``claim`` handover) or the predecessor's ``done`` event (a
-    parked completion)."""
+    op)``.  ``arg`` is the end instant when a timed ``Resource.hold``
+    grant calls it; ``None`` for a scheduled wake, a hold's end, an
+    untimed hold's grant (a word lock) or a call from another handler;
+    or the predecessor's ``done`` event (a parked completion).  Every
+    timed hold frees its unit itself; the lane releases only word
+    locks."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -297,8 +297,8 @@ class ExpressState:
             self._begin(op, tracer)
         wqe = qp._wqe_bytes(wr)
         pcie = qp.local_port.pcie
-        pcie._bus.book(pcie.dma_ns(wqe, qp.sq_socket),
-                       partial(self._wqe_end, op, wqe, None))
+        pcie._bus.hold(pcie.dma_ns(wqe, qp.sq_socket),
+                       end=partial(self._wqe_end, op, wqe, None))
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
                    prev: Optional["Event"]) -> None:
@@ -315,8 +315,8 @@ class ExpressState:
             op.prev = prev
             prev = op.done
         pcie = qp.local_port.pcie
-        pcie._bus.book(pcie.dma_ns(total, qp.sq_socket),
-                       partial(self._wqe_end, ops[0], total, ops))
+        pcie._bus.hold(pcie.dma_ns(total, qp.sq_socket),
+                       end=partial(self._wqe_end, ops[0], total, ops))
 
     def _begin(self, op: ExpressOp, tracer) -> "OpRecord":
         """Start ``op``'s trace record now, as the stepped ``_execute``
@@ -330,28 +330,28 @@ class ExpressState:
     # ------------------------------------------------------------- wake-ups
     def _cut_through(self, op: ExpressOp, unit1, dur1: float, cb1,
                      unit2, dur2: float, cb2) -> None:
-        """Book a cut-through pair, ``unit1`` first as the stepped lane
+        """Hold a cut-through pair, ``unit1`` first as the stepped lane
         spawns it.  A half whose unit is free now and whose end is
         strictly before the other's earliest end (``now + dur``, the
-        float ``book`` computes; a queued half only ends later) takes a
-        lease: its grant counts the unit and joins (``pending`` 2 → 1),
-        and its end, which would only free the unit, takes no wake unless
-        a waiter queues behind it.  The other half's end wake finishes the
-        join as before.  A tie, or an earlier half that would queue, books
-        both."""
+        float ``hold`` computes; a queued half only ends later) passes
+        its handler as ``grant``: the grant counts the unit and joins
+        (``pending`` 2 → 1), and its end, which would only free the unit,
+        takes no wake unless a waiter queues behind it.  The other half's
+        end wake finishes the join as before.  A tie, or an earlier half
+        that would queue, continues at both ends."""
         op.pending = 2
         now = self.sim.now
         end1 = now + dur1
         end2 = now + dur2
         if end1 < end2 and unit1.in_use == 0:
-            unit1.lease(dur1, cb1)
-            unit2.book(dur2, cb2)
+            unit1.hold(dur1, cb1)
+            unit2.hold(dur2, end=cb2)
         elif end2 < end1 and unit2.in_use == 0:
-            unit1.book(dur1, cb1)
-            unit2.lease(dur2, cb2)
+            unit1.hold(dur1, end=cb1)
+            unit2.hold(dur2, cb2)
         else:
-            unit1.book(dur1, cb1)
-            unit2.book(dur2, cb2)
+            unit1.hold(dur1, end=cb1)
+            unit2.hold(dur2, end=cb2)
 
     # -- requester side ----------------------------------------------------
     def _wqe_end(self, op: ExpressOp, wqe_bytes: int, mates, _arg) -> None:
@@ -359,7 +359,6 @@ class ExpressState:
         doorbell batch ``op`` leads."""
         qp = op.qp
         pcie = qp.local_port.pcie
-        pcie._bus.release()
         pcie.dma_bytes += wqe_bytes
         pcie.dma_count += 1
         if mates is None:
@@ -421,25 +420,20 @@ class ExpressState:
                 partial(self._fetch_end, op), lp.tx_unit, tx,
                 partial(self._tx_end, op))
         else:
-            lp.tx_unit.book(tx, partial(self._tx_end, op))
+            lp.tx_unit.hold(tx, end=partial(self._tx_end, op))
 
-    def _fetch_end(self, op: ExpressOp, end) -> None:
-        """The payload fetch, streaming beside the tx hold, ends, or
-        (``end``) its lease is granted."""
+    def _fetch_end(self, op: ExpressOp, _arg) -> None:
+        """The payload fetch, streaming beside the tx hold, ends, or it
+        is granted as the first-ending half of the pair."""
         pcie = op.qp.local_port.pcie
-        if end is None:
-            pcie._bus.release()
         pcie.dma_bytes += op.outbound
         pcie.dma_count += 1
         self._exec_join(op)
 
-    def _tx_end(self, op: ExpressOp, end) -> None:
-        """The tx hold ends, or (``end``) its lease, the first-ending half
-        of a cut-through pair, is granted."""
-        lp = op.qp.local_port
-        if end is None:
-            lp.tx_unit.release()
-        lp.tx_ops += 1
+    def _tx_end(self, op: ExpressOp, _arg) -> None:
+        """The tx hold ends, or it is granted as the first-ending half of
+        a cut-through pair."""
+        op.qp.local_port.tx_ops += 1
         if op.pending:
             self._exec_join(op)
         else:
@@ -519,9 +513,10 @@ class ExpressState:
                 # rate (the stepped exec_rx's ``payload_bytes`` hold).
                 hold = max(hold, p.wire_time(total_len))
             if opcode is Opcode.READ:
-                rp.rx_unit.lease(rp._perturb(hold), partial(self._rx_end, op))
+                rp.rx_unit.hold(rp._perturb(hold), partial(self._rx_end, op))
             else:
-                rp.rx_unit.book(rp._perturb(hold), partial(self._rx_end, op))
+                rp.rx_unit.hold(rp._perturb(hold),
+                                end=partial(self._rx_end, op))
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -544,11 +539,11 @@ class ExpressState:
                 # lock release) serializes on the device RMW lock.
                 lock = rrnic._atomic_locks.get(
                     rmr.key_base | wr.remote_offset)
-            if lock is not None:
+            if lock is None:
+                self._write_granted(op, None)
+            else:
                 op.wl = lock
-                if not lock.claim(partial(self._write_granted, op)):
-                    return  # the releaser's handover grants it
-            self._write_granted(op, None)
+                lock.hold(None, partial(self._write_granted, op))
             return
         # CAS / FAA
         r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, 8))
@@ -557,24 +552,23 @@ class ExpressState:
         op.h1 = p.exec_atomic_ns + r_extra
         lock = rrnic.atomic_word_lock(rmr.key_base | wr.remote_offset)
         op.wl = lock
-        if lock.claim(partial(self._atomic_granted, op)):
-            self._atomic_granted(op, None)
+        lock.hold(None, partial(self._atomic_granted, op))
 
     def _write_granted(self, op: ExpressOp, _arg) -> None:
-        """WRITE holds the word lock (if any; a queued claim is granted
+        """WRITE holds the word lock (if any; a queued hold is granted
         at the releaser's dispatch, the stepped grant instant):
         cut-through rx ∥ drain.  A WRITE that lands no bytes and holds no
-        lock does nothing at either end but free the unit, so it leases
-        both halves, rx first as the stepped lane spawns it; see
-        :meth:`_svc_join`."""
+        lock does nothing at either end but free the unit, so both halves
+        continue at their grants, rx first as the stepped lane spawns it;
+        see :meth:`_svc_join`."""
         rp = op.qp.remote_port
         rx, drain = rp._perturb(op.h1), op.h2
         rx_end = partial(self._write_rx_end, op)
         drain_end = partial(self._drain_end, op)
         if op.wl is None and not op.move_data:
             op.pending = 2
-            rp.rx_unit.lease(rx, rx_end)
-            rp.pcie._bus.lease(drain, drain_end)
+            rp.rx_unit.hold(rx, rx_end)
+            rp.pcie._bus.hold(drain, drain_end)
             return
         self._cut_through(op, rp.rx_unit, rx, rx_end, rp.pcie._bus, drain,
                           drain_end)
@@ -582,35 +576,32 @@ class ExpressState:
     def _atomic_granted(self, op: ExpressOp, _arg) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         rp = op.qp.remote_port
-        rp.atomic_unit.book(rp._perturb(op.h1), partial(self._atomic_end, op))
+        rp.atomic_unit.hold(rp._perturb(op.h1),
+                            end=partial(self._atomic_end, op))
 
     def _write_rx_end(self, op: ExpressOp, end) -> None:
-        """The rx hold ends, or (``end``) its lease is granted: the
-        first-ending half of a cut-through pair, or a data-less WRITE's."""
-        rp = op.qp.remote_port
-        if end is None:
-            rp.rx_unit.release()
-        rp.rx_ops += 1
+        """The rx hold ends, or (``end``) it is granted: the first-ending
+        half of a cut-through pair, or a data-less WRITE's."""
+        op.qp.remote_port.rx_ops += 1
         self._svc_join(op, end)
 
     def _drain_end(self, op: ExpressOp, end) -> None:
-        """The drain DMA ends, or (``end``) its lease is granted."""
+        """The drain DMA ends, or (``end``) it is granted."""
         pcie = op.qp.remote_port.pcie
-        if end is None:
-            pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         self._svc_join(op, end)
 
     def _svc_join(self, op: ExpressOp, end) -> None:
-        """One WRITE service half is done: its end wake, or its lease
-        grant (``end``).  When both halves leased (a data-less unlocked
-        WRITE) the first grant stashes its reserved end key and the last
-        one responds keyed after the later key, where the stepped lane
-        keys its ACK wait; a cut-through pair resumes at its last end."""
+        """One WRITE service half is done: its end wake, or its grant
+        (``end``).  When both halves continue at their grants (a
+        data-less unlocked WRITE) the first grant stashes its reserved
+        end key and the last one responds keyed after the later key,
+        where the stepped lane keys its ACK wait; a cut-through pair
+        resumes at its last end."""
         op.pending -= 1
         if op.wl is None and not op.move_data:
-            key = (end, self.sim._seq)  # the lease's reserved end key
+            key = (end, self.sim._seq)  # the hold's reserved end key
             if op.pending:
                 op.h1, op.h2 = key
             else:
@@ -631,9 +622,7 @@ class ExpressState:
 
     def _atomic_end(self, op: ExpressOp, _arg) -> None:
         qp = op.qp
-        rp = qp.remote_port
-        rp.atomic_unit.release()
-        rp.rx_ops += 1
+        qp.remote_port.rx_ops += 1
         op.value = qp._apply_atomic(op.wr)
         wl = op.wl
         op.wl = None
@@ -647,7 +636,7 @@ class ExpressState:
         instant the two hops would reach, where the stepped
         ``_responder_phase`` books its one wait; a SEND or an unsignaled
         WR wakes at the ACK (``_tail_end``).  With ``key``, the later end
-        key ``(end, seq)`` of a data-less WRITE's leased halves, the
+        key ``(end, seq)`` of a data-less WRITE's two halves, the
         service ends at ``end`` and the wake is keyed after it
         (:meth:`Simulator.call_keyed`)."""
         sim = self.sim
@@ -672,18 +661,16 @@ class ExpressState:
 
     # -- READ / SEND responder path -----------------------------------------
     def _rx_end(self, op: ExpressOp, end) -> None:
-        """A SEND's rx hold end, or a READ's rx lease grant (``end``)."""
+        """A SEND's rx hold end, or a READ's rx hold grant (``end``)."""
         qp = op.qp
         rp = qp.remote_port
+        rp.rx_ops += 1
         if op.opcode is Opcode.SEND:
-            rp.rx_unit.release()
-            rp.rx_ops += 1
             # The payload lands in the responder port's socket memory.
             pcie = rp.pcie
-            pcie._bus.book(pcie.dma_ns(max(op.total_len, 1), rp.socket),
-                           partial(self._responder_dma_end, op))
+            pcie._bus.hold(pcie.dma_ns(max(op.total_len, 1), rp.socket),
+                           end=partial(self._responder_dma_end, op))
             return
-        rp.rx_ops += 1
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
         self.sim.call_tail(end + qp._params.read_turnaround_ns,
@@ -691,14 +678,13 @@ class ExpressState:
 
     def _turnaround_end(self, op: ExpressOp, _arg) -> None:
         pcie = op.qp.remote_port.pcie
-        pcie._bus.book(pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
-                       partial(self._responder_dma_end, op))
+        pcie._bus.hold(pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
+                       end=partial(self._responder_dma_end, op))
 
     def _responder_dma_end(self, op: ExpressOp, _arg) -> None:
         qp = op.qp
         rp = qp.remote_port
         pcie = rp.pcie
-        pcie._bus.release()
         pcie.dma_count += 1
         if op.opcode is Opcode.SEND:
             pcie.dma_bytes += max(op.total_len, 1)
@@ -707,13 +693,13 @@ class ExpressState:
         pcie.dma_bytes += op.total_len
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
-        rp.tx_unit.lease(rp._perturb(
+        rp.tx_unit.hold(rp._perturb(
             rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)),
             partial(self._read_tx_end, op))
 
     def _read_tx_end(self, op: ExpressOp, end: float) -> None:
-        """The response-serialization lease's grant: the response takes
-        the wire at ``end``."""
+        """The response serialization's grant: the response takes the
+        wire at ``end``."""
         qp = op.qp
         qp.remote_port.tx_ops += 1
         record = op.record
@@ -731,22 +717,21 @@ class ExpressState:
         pcie = qp.local_port.pcie
         dur = pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket, wr.n_sge)
         if op.signaled and not op.move_data:
-            # Nothing happens at this DMA's end but the CQE DMA's start.
-            pcie._bus.lease(dur, partial(self._deliver_end, op))
+            # Nothing happens at this DMA's end but the CQE DMA's start:
+            # continue at the grant.
+            pcie._bus.hold(dur, partial(self._deliver_end, op))
         else:
-            pcie._bus.book(dur, partial(self._deliver_end, op))
+            pcie._bus.hold(dur, end=partial(self._deliver_end, op))
 
     def _deliver_end(self, op: ExpressOp, end) -> None:
         """The delivery DMA ends, or (``end``) a signaled data-less READ's
-        delivery lease is granted: its CQE DMA starts at ``end``."""
+        delivery DMA is granted: its CQE DMA starts at ``end``."""
         qp = op.qp
         pcie = qp.local_port.pcie
-        if end is None:
-            pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         if end is not None:
-            # Keyed after the lease's reserved end key, where the stepped
+            # Keyed after the hold's reserved end key, where the stepped
             # lane keys its CQE wait.
             sim = self.sim
             sim.call_keyed(end + qp._params.cqe_dma_ns, sim._seq,

@@ -585,10 +585,13 @@ class QueuePair:
             word_lock = rrnic.atomic_word_lock(
                 rmr.key_base | wr.remote_offset)
             # A free lock is taken in this dispatch and a queued one in
-            # the releaser's, as the express lane's claim takes it.
-            grant = sim.event()
-            if not word_lock.claim(grant.fire):
+            # the releaser's, as the express lane's hold takes it.
+            if word_lock.in_use:
+                grant = sim.event()
+                word_lock.hold(None, grant.fire)
                 yield grant
+            else:
+                word_lock.hold(None)
             try:
                 yield from rport.exec_atomic(extra_ns=r_extra)
                 value = self._apply_atomic(wr)
@@ -612,9 +615,12 @@ class QueuePair:
                 word_lock = rrnic._atomic_locks.get(
                     rmr.key_base | wr.remote_offset)
             if word_lock is not None:
-                grant = sim.event()
-                if not word_lock.claim(grant.fire):
+                if word_lock.in_use:
+                    grant = sim.event()
+                    word_lock.hold(None, grant.fire)
                     yield grant
+                else:
+                    word_lock.hold(None)
             try:
                 # Cut-through drain: the responder DMA-writes packets to
                 # host memory while later packets are still arriving.
@@ -632,7 +638,7 @@ class QueuePair:
             elif word_lock is None and not self._queued:
                 # Nothing happens at either hold's end but a freed unit:
                 # the ACK wait is keyed after the later end, as the
-                # express lane keys it from its two lease grants.
+                # express lane keys it from its two halves' grants.
                 end_key = max(rx._value, drain._value)
         elif wr.opcode is Opcode.READ:
             rmr = wr.remote_mr
@@ -702,7 +708,7 @@ class QueuePair:
             elif folds:
                 # Nothing happens at the DMA's end but the CQE DMA's start:
                 # that wait is keyed after the end, as the lane keys it
-                # from its delivery lease.
+                # from its delivery DMA's grant.
                 yield self._keyed(sim.now + p.cqe_dma_ns, end_key)
         if wr.opcode is Opcode.SEND:
             # Deliver to the peer's receive queue (remote CPU will poll it).

@@ -4,9 +4,11 @@ Every lane booking names its handler (``partial(self._handler, op, ...)``
 in :mod:`repro.verbs.express`).  :func:`lane_wakes` wraps each booked
 handler and records a wake whenever a caller outside the lane runs one:
 the engine's dispatch loop (a scheduled or in-place wake, a parked op's
-callback on its predecessor's ``done``) or a ``Resource`` grant (a
-lease's grant, a queued word lock's handover).  A call from one handler
-to another is not a wake and is not recorded.
+callback on its predecessor's ``done``) or a ``Resource`` (a timed
+hold's end wake or its grant, and an untimed hold's grant, whether it
+runs inside ``hold`` on a free word lock or at a queued one's
+handover).  A call from one handler to another is not a wake and is
+not recorded.
 """
 
 from __future__ import annotations

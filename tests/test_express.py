@@ -219,8 +219,9 @@ INLINE = {b for b in BRANCHES if b[1] == "inline"}
 
 
 def _holder(unit) -> str:
-    """How ``unit`` is held: ``free``, ``lease`` (a lease nobody waits
-    behind), ``queue`` (waiters queued) or ``book`` (any other hold)."""
+    """How ``unit`` is held: ``free``, ``lease`` (a timed hold without
+    ``end`` that nobody waits behind), ``queue`` (waiters queued) or
+    ``book`` (any other hold)."""
     if not unit.in_use:
         return "free"
     waiters = unit._waiters
@@ -231,16 +232,18 @@ def _holder(unit) -> str:
 
 @contextlib.contextmanager
 def _counted_leases():
-    """Yield a Counter of how the lane booked each cut-through pair and
-    each READ's delivery DMA: ``(pair, branch)`` with pair ``fetch∥tx``
-    or ``rx∥drain`` and branch the half it leased (``fetch``, ``tx``,
-    ``rx``, ``drain``) or, when it booked both halves, ``tie`` (equal
-    ends) or ``busy`` (the earlier half's unit was held); and
-    ``("delivery", "lease")`` or ``("delivery", "book")``.  A data-less
-    WRITE that leased both service halves counts ``("rx+drain", "rx
-    <holder>, drain <holder>")`` (:func:`_holder`, before the leases),
-    and ``("rx+drain", "tie")`` too when both halves were granted at
-    once with equal ends."""
+    """Yield a Counter of how the lane held each cut-through pair and
+    each READ's delivery DMA.  A "lease" is a timed ``Resource.hold``
+    with a ``grant`` and no ``end`` (it continues at its grant), a
+    "book" one with an ``end``.  ``(pair, branch)`` has pair
+    ``fetch∥tx`` or ``rx∥drain`` and branch the half it leased
+    (``fetch``, ``tx``, ``rx``, ``drain``) or, when it booked both
+    halves, ``tie`` (equal ends) or ``busy`` (the earlier half's unit
+    was held); and ``("delivery", "lease")`` or ``("delivery",
+    "book")``.  A data-less WRITE that leased both service halves counts
+    ``("rx+drain", "rx <holder>, drain <holder>")`` (:func:`_holder`,
+    before the leases), and ``("rx+drain", "tie")`` too when both halves
+    were granted at once with equal ends."""
     from repro.sim import Resource
     from repro.verbs.express import ExpressState
 
@@ -249,12 +252,15 @@ def _counted_leases():
     ends = []    # and the ends of those granted inline
     cut, read_back = ExpressState._cut_through, ExpressState._read_back
     granted = ExpressState._write_granted
-    lease = Resource.lease
+    hold = Resource.hold
 
-    def counting_lease(res, dur, cb):
+    def counting_hold(res, dur, grant=None, end=None):
+        if dur is None or end is not None:  # not a lease
+            hold(res, dur, grant, end)
+            return
         leased.append(res)
         free = res.in_use == 0
-        lease(res, dur, cb)
+        hold(res, dur, grant, end)
         if free:
             ends.append(res.sim.now + dur)
 
@@ -288,7 +294,7 @@ def _counted_leases():
         seen["delivery", "lease" if leased else "book"] += 1
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Resource, "lease", counting_lease)
+        mp.setattr(Resource, "hold", counting_hold)
         mp.setattr(ExpressState, "_cut_through", counting_cut)
         mp.setattr(ExpressState, "_read_back", counting_read_back)
         mp.setattr(ExpressState, "_write_granted", counting_granted)
@@ -789,15 +795,16 @@ def test_sends_to_one_port_equal_the_stepped_lane():
 def test_reads_racing_for_one_responder_port_equal_the_stepped_lane(
         monkeypatch):
     """Two clients READ from one responder port in lockstep, so a READ's
-    rx and response-tx leases keep finding the other client's holding the
-    unit and wake its end at the reserved key.  Completions, port
-    counters, busy times and clock equal the stepped lane's."""
+    rx and response-tx holds, which continue at their grants, keep
+    finding the other client's holding the unit and wake its end at the
+    reserved key.  Completions, port counters, busy times and clock
+    equal the stepped lane's."""
     from repro.sim import Resource
 
     woken = []
-    lease_end = Resource._lease_end
-    monkeypatch.setattr(Resource, "_lease_end", lambda res, ev: (
-        woken.append(res.name), lease_end(res, ev)))
+    end_wake = Resource._ended
+    monkeypatch.setattr(Resource, "_ended", lambda res, ev: (
+        res._end is None and woken.append(res.name), end_wake(res, ev)))
 
     def run(express: bool):
         sim, cluster, ctx = differential.run(
@@ -952,15 +959,16 @@ def test_cut_through_pair_branch_equals_the_stepped_lane(name):
 def test_a_waiter_behind_a_leased_drain_is_handed_over_at_its_key(
         monkeypatch):
     """Two clients WRITE 64 B to one responder port in lockstep: the
-    first one's drain leases the bus, the second one's drain queues
-    behind it, so the lease's end wakes at its reserved key and hands
-    the bus over there.  Everything equals the stepped lane."""
+    first one's drain leases the bus (a hold without ``end``), the second
+    one's drain queues behind it, so the lease's end wakes at its
+    reserved key and hands the bus over there.  Everything equals the
+    stepped lane."""
     from repro.sim import Resource
 
     woken = []
-    lease_end = Resource._lease_end
-    monkeypatch.setattr(Resource, "_lease_end", lambda res, ev: (
-        woken.append(res), lease_end(res, ev)))
+    end_wake = Resource._ended
+    monkeypatch.setattr(Resource, "_ended", lambda res, ev: (
+        res._end is None and woken.append(res), end_wake(res, ev)))
     buses = []
 
     def scenario(ctx):

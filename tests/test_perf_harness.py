@@ -374,7 +374,7 @@ def test_census_charges_a_keyed_wake_to_the_layer_that_booked_it(
     from repro.verbs.types import Opcode, Sge, WorkRequest
 
     def seq_kind(op, handler, arg):
-        if arg is None:  # a scheduled wake, not a lease grant
+        if arg is None:  # a scheduled wake, not a timed hold's grant
             return "keyed" if op.qp.sim.seq_now % 1 else "plain"
         return None
 

@@ -5,8 +5,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (AllOf, AnyOf, Interrupt, Resource, Simulator,
-                       Store)
+from repro.sim import AllOf, Interrupt, Resource, Simulator, Store
 from repro.sim.stats import StatAccumulator
 from tests.engine_ref import always_push
 
@@ -34,20 +33,18 @@ def test_timeouts_fire_in_nondecreasing_time_order(delays):
                                     allow_nan=False),
                           st.floats(min_value=0, max_value=1000,
                                     allow_nan=False)),
-                min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=4))
-def test_resource_never_exceeds_capacity_and_serves_everyone(jobs, capacity):
-    """Random arrival/service times: occupancy <= capacity, all jobs done."""
+                min_size=1, max_size=30))
+def test_resource_never_exceeds_capacity_and_serves_everyone(jobs):
+    """Random arrival/service times: one holder at a time, all jobs
+    done."""
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
-    max_seen = [0]
+    res = Resource(sim)
     done = [0]
 
     def job(arrival, service):
         yield sim.timeout(arrival)
         yield res.acquire()
-        max_seen[0] = max(max_seen[0], res.in_use)
-        assert res.in_use <= capacity
+        assert res.in_use == 1
         try:
             yield sim.timeout(service)
         finally:
@@ -59,7 +56,6 @@ def test_resource_never_exceeds_capacity_and_serves_everyone(jobs, capacity):
     sim.run()
     assert done[0] == len(jobs)
     assert res.in_use == 0
-    assert 1 <= max_seen[0] <= capacity
 
 
 @given(st.lists(st.integers(), min_size=1, max_size=50))
@@ -89,7 +85,7 @@ def test_store_is_fifo_for_any_item_sequence(items):
 def test_resource_fifo_grant_order(requests):
     """Grants happen in request order regardless of hold times."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     grant_order = []
 
     def job(idx, hold):
@@ -130,7 +126,7 @@ def test_stat_accumulator_merge_equals_pooled(xs, split):
 @settings(max_examples=50)
 def test_busy_time_never_exceeds_elapsed(holds):
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    res = Resource(sim)
 
     def job(hold):
         yield res.acquire()
@@ -156,10 +152,11 @@ _STEP = st.one_of(
     st.tuples(st.just("wait"), _EV),
     st.tuples(st.just("call_at"), _DELAY, st.booleans()),
     st.tuples(st.just("call_tail"), _DELAY),
-    st.tuples(st.sampled_from(["acquire", "book", "claim", "lease"]), _DELAY),
+    st.tuples(st.sampled_from(["acquire", "hold_end", "hold_untimed",
+                               "hold_grant", "hold_both"]), _DELAY),
     st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
     st.tuples(st.just("get")),
-    st.tuples(st.sampled_from(["all_of", "any_of"]), _EV, _EV),
+    st.tuples(st.just("all_of"), _EV, _EV),
     st.tuples(st.sampled_from(["interrupt", "spawn"]),
               st.integers(min_value=0, max_value=5)),
 )
@@ -182,7 +179,7 @@ def _execute(program, run):
     timeline, log, results = [], [], []
     sim.trace_dispatch = lambda w, p, s: timeline.append((w, p, s))
     shared = [sim.event() for _ in range(4)]
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     store = Store(sim)
     procs = []
 
@@ -225,28 +222,29 @@ def _execute(program, run):
                         yield step[1]
                     finally:
                         res.release()
-                elif kind == "book":
-                    res.book(step[1], lambda _ev, i=i, k=k: (
-                        note(i, k, "booked"), res.release()))
-                elif kind == "lease":
-                    res.lease(step[1], lambda end, i=i, k=k: note(
-                        i, k, "leased", end))
-                elif kind == "claim":
-                    def granted(_res, i=i, k=k, hold=step[1]):
+                elif kind == "hold_end":
+                    res.hold(step[1], end=lambda _ev, i=i, k=k: note(
+                        i, k, "ended"))
+                elif kind == "hold_grant":
+                    res.hold(step[1], lambda end, i=i, k=k: note(
+                        i, k, "granted", end))
+                elif kind == "hold_both":
+                    res.hold(step[1],
+                             lambda end, i=i, k=k: note(i, k, "both", end),
+                             lambda _ev, i=i, k=k: note(i, k, "both ended"))
+                elif kind == "hold_untimed":
+                    def granted(_end, i=i, k=k, hold=step[1]):
                         note(i, k, "claimed")
                         sim.call_tail(sim.now + hold,
                                       lambda _ev: res.release())
-                    if res.claim(granted):
-                        granted(res)
+                    res.hold(None, granted)
                 elif kind == "put":
                     yield store.put(step[1])
                 elif kind == "get":
                     note(i, k, (yield store.get()))
-                elif kind in ("all_of", "any_of"):
+                elif kind == "all_of":
                     both = [shared[step[1]], shared[step[2]]]
-                    cond = AllOf(sim, both) if kind == "all_of" else AnyOf(
-                        sim, both)
-                    note(i, k, sorted((yield cond).values()))
+                    note(i, k, sorted((yield AllOf(sim, both)).values()))
                 elif kind == "interrupt":
                     if step[1] < len(procs):
                         procs[step[1]].interrupt(k)
@@ -280,7 +278,8 @@ def test_in_place_dispatch_matches_an_engine_that_always_pushes(program,
                                                                 run):
     """Every trigger kind — sleeps (0.0 included), timeouts, delayed
     succeed/fail, ``call_at`` with cancels, ``call_tail``, Resource
-    acquire/book/claim/lease, Store put/get, ``AllOf``/``AnyOf``, interrupts,
+    acquire and timed (``end``, ``grant`` or both) and untimed holds,
+    Store put/get, ``AllOf``, interrupts,
     spawns inside a dispatch — under each way to call ``run()``: the
     engine dispatches the timeline, outcomes and clock of a reference
     in which every entry takes a heap round trip, and its dispatched
@@ -294,7 +293,7 @@ def test_in_place_dispatch_matches_an_engine_that_always_pushes(program,
             == ref_sim.events_processed == len(ref["timeline"]))
 
 
-# ------------------------------------------------ a lease is a book
+# ---------------------- a hold without ``end`` is a hold with one
 _AT = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
 _HOLD = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
 _REQUEST = st.tuples(
@@ -304,35 +303,35 @@ _REQUEST = st.tuples(
 
 
 def _hold_program(requests, leased):
-    """Issue ``requests`` on one unit; a ``lease`` request books it
-    unless ``leased``.  Returns what each request saw — a hold's end key,
-    a claim's or acquire's grant key, a probe's busy time and occupancy —
-    then the dispatched keys and each lease's reserved end key."""
+    """Issue ``requests`` on one unit: a ``book`` is a timed hold with
+    ``end``, a ``lease`` one with only a ``grant`` unless ``leased`` is
+    false (then it is a ``book``), a ``claim`` an untimed hold.  Returns
+    what each request saw — a timed hold's end key, a claim's or
+    acquire's grant key, a probe's busy time and occupancy — then the
+    dispatched keys and each lease's reserved end key."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     keys, log, reserved = [], {}, set()
     sim.trace_dispatch = lambda t, p, s: keys.append((t, p, s))
 
     def ended(i):
         def cb(_ev):
             log[i] = ("end", keys[-1])
-            res.release()
         return cb
 
     def request(i, kind, hold, patience):
         if kind == "book" or (kind == "lease" and not leased):
-            res.book(hold, ended(i))
+            res.hold(hold, end=ended(i))
         elif kind == "lease":
             def granted(end):
                 log[i] = ("end", (end, 1, sim._seq))
                 reserved.add(log[i][1])
-            res.lease(hold, granted)
+            res.hold(hold, granted)
         elif kind == "claim":
-            def claimed(_res=None):
+            def claimed(_end):
                 log[i] = ("claim", keys[-1])
                 sim.call_tail(sim.now + hold, lambda _ev: res.release())
-            if res.claim(claimed):
-                claimed()
+            res.hold(None, claimed)
         elif kind == "acquire":
             grant = res.acquire()
 
@@ -364,12 +363,13 @@ def _hold_program(requests, leased):
 @given(st.lists(_REQUEST, min_size=1, max_size=14))
 @settings(max_examples=300, deadline=None)
 def test_lease_grants_and_hands_over_as_a_book_does(requests):
-    """Random book/lease/claim/acquire requests (some cancelled, some from
-    URGENT process boots) at random instants on one unit, against a twin
-    in which every lease is a book: equal grant instants and keys,
-    equal handover keys, bit-equal busy time at every probe and at the
-    end.  The twin dispatches exactly the lease run's keys plus the end
-    wakes of the leases nobody queued behind."""
+    """Random timed holds with ``end`` ("book") or only a ``grant``
+    ("lease"), untimed holds ("claim") and acquires (some cancelled),
+    some from URGENT process boots, at random instants on one unit,
+    against a twin in which every lease has an ``end`` instead: equal
+    grant instants and keys, equal handover keys, bit-equal busy time at
+    every probe and at the end.  The twin dispatches exactly the lease
+    run's keys plus the end wakes of the leases nobody queued behind."""
     log, keys, reserved = _hold_program(requests, leased=True)
     log_b, keys_b, _ = _hold_program(requests, leased=False)
     assert log == log_b

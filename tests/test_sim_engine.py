@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Interrupt, Resource, SimulationError,
+from repro.sim import (AllOf, Interrupt, Resource, SimulationError,
                        Simulator, Timeout)
 from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
@@ -204,19 +204,6 @@ def test_run_until_event_deadlock_detected():
     never = sim.event()
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run(until=never)
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(10, value="fast")
-        t2 = sim.timeout(20, value="slow")
-        result = yield AnyOf(sim, [t1, t2])
-        return (sim.now, list(result.values()))
-
-    p = sim.process(proc())
-    assert sim.run(until=p) == (10, ["fast"])
 
 
 def test_all_of_waits_for_all():
@@ -457,7 +444,7 @@ def test_census_ignores_garbage_left_by_earlier_code():
     property tests)."""
     def dropped_rig():
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
 
         def holder():
             yield res.acquire()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Interrupt,
     Resource,
     SimulationError,
@@ -18,7 +17,7 @@ def test_interrupt_while_waiting_on_resource_releases_nothing():
     """An interrupted waiter never held the resource; the holder's
     release must not grant to the ghost."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     got = []
 
     def holder():
@@ -72,19 +71,6 @@ def test_allof_fails_fast_on_child_failure():
     bad.fail(RuntimeError("child died"))
     sim.run()
     assert caught == [("child died", 0)]
-
-
-def test_anyof_failure_propagates():
-    sim = Simulator()
-    bad = sim.event()
-
-    def waiter():
-        yield AnyOf(sim, [bad, sim.timeout(100)])
-
-    p = sim.process(waiter())
-    bad.fail(ValueError("nope"))
-    with pytest.raises(ValueError):
-        sim.run(until=p)
 
 
 def test_nested_process_three_levels():
@@ -180,7 +166,7 @@ def test_fail_requires_exception_instance():
 
 def test_resource_cancel_then_release_does_not_double_grant():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     g1 = res.acquire()
     g2 = res.acquire()
     g3 = res.acquire()

@@ -5,21 +5,9 @@ import pytest
 from repro.sim import Resource, SimulationError, Simulator, Store
 
 
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    g1, g2 = res.acquire(), res.acquire()
-    g3 = res.acquire()
-    sim.run()
-    assert g1.triggered and g2.triggered
-    assert not g3.triggered
-    assert res.in_use == 2
-    assert res.queue_len == 1
-
-
 def test_resource_fifo_ordering():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     order = []
 
     def worker(tag, hold):
@@ -42,15 +30,9 @@ def test_resource_release_idle_raises():
         res.release()
 
 
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
 def test_resource_cancel_pending_request():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     g1 = res.acquire()
     g2 = res.acquire()
     res.cancel(g2)
@@ -63,7 +45,7 @@ def test_resource_cancel_pending_request():
 
 def test_resource_busy_time_accounting():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
 
     def worker():
         yield res.acquire()
@@ -176,16 +158,16 @@ def test_store_handoff_to_waiting_getter():
 
 
 def test_bookings_and_acquires_share_one_fifo():
-    """A timed booking and a process acquire queue on the same FIFO: each
-    waits for the holder ahead of it, and the busy span stays open."""
+    """A timed hold and a process acquire queue on the same FIFO: each
+    waits for the holder ahead of it, and the busy span stays open.  A
+    hold's end wake hands the unit over before its ``end`` runs."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     order = []
 
     def ended(tag):
-        def cb(_ev):
-            order.append((tag, sim.now))
-            res.release()
+        def cb(arg):
+            order.append((tag, sim.now, arg, res.in_use))
         return cb
 
     def stepped():
@@ -194,49 +176,86 @@ def test_bookings_and_acquires_share_one_fifo():
         yield 5.0
         res.release()
 
-    res.book(10.0, ended("a"))             # granted now, ends at 10
+    res.hold(10.0, end=ended("a"))         # granted now, ends at 10
     sim.process(stepped())                 # queues behind "a"
-    sim.call_at(1.0, lambda _e: res.book(3.0, ended("b")))  # behind proc
+    sim.call_at(1.0, lambda _e: res.hold(3.0, end=ended("b")))  # behind proc
     sim.run()
-    assert order == [("a", 10.0), ("proc", 10.0), ("b", 18.0)]
+    assert order == [("a", 10.0, None, 1), ("proc", 10.0),
+                     ("b", 18.0, None, 0)]
     assert res.in_use == 0 and res.queue_len == 0
     assert res.busy_time() == 18.0
 
 
 def test_claim_runs_its_callback_at_the_handover():
+    """An untimed hold runs ``grant(None)`` when it is granted: at once
+    on a free unit, at the handover when it queued; it holds the unit
+    until its holder releases it."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     granted = []
-    assert res.claim(lambda r: granted.append("first"))
-    assert not res.claim(lambda r: granted.append((r is res, sim.now)))
-    assert granted == []                   # an immediate grant runs no cb
+    res.hold(None, lambda end: granted.append(("first", end)))
+    res.hold(None, lambda end: granted.append((end, sim.now)))
+    assert granted == [("first", None)] and res.queue_len == 1
     sim.call_at(7.0, lambda _e: res.release())
     sim.run()
-    assert granted == [(True, 7.0)] and res.in_use == 1
+    assert granted == [("first", None), (None, 7.0)] and res.in_use == 1
     res.release()
     assert res.in_use == 0 and res.busy_time() == 7.0
 
 
+def test_untimed_hold_grants_inline_and_reserves_no_key():
+    """Granted at once, an untimed hold's ``grant(None)`` runs inside
+    ``hold``; granted at a handover, inside the releaser's
+    ``release()``.  Neither grant allocates a seq or schedules an
+    entry."""
+    sim = Simulator()
+    res = Resource(sim)
+    trail = []
 
-# ----------------------------------------------------------------- lease
+    def grant(tag):
+        return lambda end: trail.append((tag, end, sim._seq))
+
+    res.hold(None, grant("now"))
+    trail.append("hold returned")
+    res.hold(None, grant("queued"))
+    assert trail == [("now", None, 0), "hold returned"]
+
+    def releaser(_ev):
+        trail.append("release")
+        res.release()
+        trail.append("released")
+
+    sim.call_at(3.0, releaser)             # seq 1, the only entry
+    sim.run()
+    assert trail[2:] == ["release", ("queued", None, 1), "released"]
+    assert sim._seq == 1 and sim.events_processed + sim.events_in_place == 1
+    assert res.in_use == 1 and res.queue_len == 0
+    res.release()
+    assert res.busy_time() == 3.0
+
+
+
+# -------------------------------------- a timed hold without an end wake
 def _twin(scenario):
     """Run ``scenario(sim, res, hold, log, keys)`` twice: once where
-    ``hold(dur, tag)`` leases the unit and once where it books it.  Each
-    hold logs its end key — the reserved one at a lease's grant, the
-    end-wake's dispatch key for a booking — under ``tag``.  Asserts the
-    two runs log the same keys and busy time; returns the leased run's
-    dispatched keys and the booked run's."""
+    ``hold(dur, tag)`` is a timed hold with only a ``grant`` (a "lease",
+    whose end wakes only for a waiter) and once where it is one with an
+    ``end`` (a "booking").  Each hold logs its end key — the reserved
+    one at a lease's grant, the end wake's dispatch key for a booking —
+    under ``tag``.  Asserts the two runs log the same keys and busy
+    time; returns the leased run's dispatched keys and the booked
+    run's."""
     runs = []
     for leased in (True, False):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         keys, log = [], {}
         sim.trace_dispatch = lambda t, p, s: keys.append((t, p, s))
 
         def hold(dur, tag, sim=sim, res=res, log=log, keys=keys,
                  leased=leased):
             if leased:
-                res.lease(dur, lambda end: log.__setitem__(
+                res.hold(dur, lambda end: log.__setitem__(
                     tag, (end, 1, sim._seq)))
             else:
                 _booker(sim, res, log, keys, tag, dur)(None)
@@ -250,26 +269,27 @@ def _twin(scenario):
 
 
 def _booker(sim, res, log, keys, tag, dur=1.0):
-    """A call_at callback that books ``res`` and logs its end key."""
+    """A call_at callback that holds ``res`` with an ``end`` that logs
+    its end key."""
     def ended(_ev):
         log[tag] = keys[-1]
-        res.release()
-    return lambda _ev: res.book(dur, ended)
+    return lambda _ev: res.hold(dur, end=ended)
 
 
 def test_idle_lease_schedules_nothing():
-    """A lease on a free unit is granted inline, with its end, and takes
-    no wake: the unit frees itself once the clock is past its key."""
+    """A timed hold without ``end`` on a free unit is granted inline,
+    with its end, and takes no wake: the unit frees itself once the
+    clock is past its key."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     granted = []
-    res.lease(5.0, lambda end: granted.append((sim.now, end, sim._seq)))
-    assert granted == [(0.0, 5.0, 1)]      # the seq a book end-wake takes
+    res.hold(5.0, lambda end: granted.append((sim.now, end, sim._seq)))
+    assert granted == [(0.0, 5.0, 1)]      # the seq an end wake takes
     assert sim._heap == [] and res.in_use == 1
     sim.run(until=5.0)                     # every key at 5.0 has run
     assert sim.events_processed == 0
     assert res.in_use == 0 and res.busy_time() == 5.0
-    res.lease(0.0, granted.append)         # ends now, at a key not yet run
+    res.hold(0.0, granted.append)          # ends now, at a key not yet run
     assert res.in_use == 1
     sim.run(until=6.0)
     assert res.in_use == 0 and res.busy_time() == 5.0
@@ -277,11 +297,11 @@ def test_idle_lease_schedules_nothing():
 
 def test_a_lease_lapses_at_a_keyed_wake_after_its_key():
     """A keyed wake's half-integer ``seq_now`` sits between the integer
-    reserved keys: a lease ending at ``(5.0, 1)`` still holds at a wake
+    reserved keys: a hold ending at ``(5.0, 1)`` still holds at a wake
     keyed after seq 0 and has lapsed at one keyed after seq 1."""
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.lease(5.0, lambda end: None)       # reserves (5.0, NORMAL, 1)
+    res = Resource(sim)
+    res.hold(5.0)                          # reserves (5.0, NORMAL, 1)
     seen = []
     for seq in (0, 1):
         sim.call_keyed(5.0, seq, lambda _e: seen.append(
@@ -295,7 +315,7 @@ def test_bookers_at_the_lease_end_before_and_after_its_key():
     """A booker whose dispatch at the end instant precedes the reserved
     key queues, and the lease's end wake runs the handover at that key;
     one whose dispatch follows it waits behind the first, as it would
-    behind a booking."""
+    behind a hold with an ``end``."""
     def scenario(sim, res, hold, log, keys):
         sim.call_at(4.0, _booker(sim, res, log, keys, "before"))  # (4,1,1)
         hold(4.0, "lease")                                         # (4,1,2)
@@ -352,8 +372,8 @@ def test_cancelled_acquire_behind_a_lease():
 
 
 def test_lease_granted_by_a_release_reserves_the_handover_key():
-    """A queued lease is granted inside the release that hands the unit
-    over, with the seq that release would give a booking's end wake."""
+    """A queued lease is granted inside the end wake that hands the unit
+    over, with the seq that wake would give a booking's end wake."""
     def scenario(sim, res, hold, log, keys):
         sim.call_at(0.0, _booker(sim, res, log, keys, "first", 2.0))
         sim.call_at(1.0, lambda _ev: hold(3.0, "lease"))
@@ -364,8 +384,3 @@ def test_lease_granted_by_a_release_reserves_the_handover_key():
                    "lease2": (6.0, 1, 6)}
     assert (5.0, 1, 5) in keys and (6.0, 1, 6) not in keys
 
-
-def test_lease_needs_a_single_unit():
-    sim = Simulator()
-    with pytest.raises(ValueError, match="capacity-1"):
-        Resource(sim, capacity=2).lease(1.0, lambda end: None)
