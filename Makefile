@@ -52,14 +52,16 @@ smoke: perf-quick check e2e express-ab docs-check
 # without keying the ACK wake diverged there), ext6_multitenant, fig4,
 # fig18 and table3 (data-less WRITEs whose service halves both continue
 # at their grants and key their ACK or CQE wake after the later end),
-# and ext10_open_loop (the only target that contends for the front
-# door's write gate, the one untimed Resource.hold outside the lane)
-# must render byte-identical tables, and equal completion digests for
-# every simulator, with the lane on and off (tools/express_ab.py through
+# ext10_open_loop (the only target that contends for the front door's
+# write gate, the one untimed Resource.hold outside the lane) and
+# ext9_fabric_scale (the only target with queued fabric hops, tail
+# drops, ECN marks and DCQCN rate cuts) must render byte-identical
+# tables, and equal completion digests for every simulator, on the lane
+# and on the stepped reference (tools/express_ab.py through
 # repro.check.differential, which names the first differing completion
 # on a digest mismatch; no arguments runs the full catalog).
 express-ab:
-	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1 fig15 fig16 ext6_multitenant fig4 fig18 table3 ext10_open_loop
+	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1 fig15 fig16 ext6_multitenant fig4 fig18 table3 ext10_open_loop ext9_fabric_scale
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean
@@ -86,7 +88,7 @@ e2e:
 # Invariant sanitizer suite (docs/CHECKING.md): the four applications, an
 # ext7-style fault-injection scenario, and a contended OCC transaction
 # soak under loss chaos, with every repro.check checker enabled, each run
-# on the stepped pipeline and on the express lane; fails on any reported
+# on the stepped reference and on the express lane; fails on any reported
 # violation or when the lanes differ in violations or completion digest.
 check:
 	PYTHONPATH=src $(PY) -m repro.check

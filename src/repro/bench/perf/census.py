@@ -31,9 +31,9 @@ Who scheduled an event:
   (the handover to the next holder): the end wake's own charge.
 
 Layers are source packages of ``repro``; ``verbs`` is all of
-``repro.verbs`` except the express lane (the stepped pipeline plus the
-QP and Worker code both lanes share), and ``other`` is everything else
-(``repro.core``, code outside ``repro``).
+``repro.verbs`` except the express lane (the QP and Worker code), and
+``other`` is everything else (``repro.core``, ``repro.check`` with the
+stepped reference, code outside ``repro``).
 
 A third table, ``calls``, counts Python calls per completed op by the
 same layers, from a second run of each scenario under ``cProfile`` (the
@@ -45,9 +45,9 @@ exactly, and it sees work done inside one event, which the event tables
 cannot.
 
 Two more lines close the report.  ``lane coverage`` gives the share of
-completed ops the express lane booked and the stepped WRs by why their
-simulator had no lane (:data:`~repro.verbs.qp.STEP_REASONS`, counted by
-the stepped path only), from the counting run.  ``traced peak KB`` is
+completed ops the express lane booked and the WRs the stepped reference
+ran (``repro.verbs.qp.tally.stepped``; a perf scenario runs none), from
+the counting run.  ``traced peak KB`` is
 the tracemalloc peak of a third, untimed run
 (:func:`~repro.bench.perf.harness.traced_peak_kb`).  The printed census
 is informational, but each ``make perf`` row records the per-op events
@@ -70,7 +70,6 @@ from typing import Callable, Iterator, Optional
 import repro
 from repro.sim import Resource, engine
 from repro.sim.engine import Simulator, _Sleep, _dead
-from repro.verbs.qp import STEP_REASONS
 
 __all__ = ["LAYERS", "calls_by_layer", "census", "events_by_layer",
            "layer_of", "layer_rows", "main"]
@@ -205,19 +204,19 @@ def _ops_of(run: Callable[[], object]) -> int:
     return tally.completions - ops_before
 
 
-def events_by_layer(name: str) -> tuple[Counter, int, list[str]]:
+def events_by_layer(name: str, express: bool = True
+                    ) -> tuple[Counter, int, list[str]]:
     """Dispatched events by layer in one run of perf scenario ``name``
     under the counting wrappers, the ops the run completed, and each
     simulator's completion digest.  The run goes through the lane
     differential (:func:`repro.check.differential.run`: ids numbered
     from 1, a completions-only sanitizer on each simulator), which
-    schedules no event, on the lane the timed run takes: the express
-    lane unless ``REPRO_EXPRESS=0``.  Simulators in forked campaign
-    workers are not digested."""
+    schedules no event, on the express lane (the lane the timed run
+    takes) or, with ``express=False``, the stepped reference.
+    Simulators in forked campaign workers are not digested."""
     from repro.bench.perf.harness import SCENARIOS
     from repro.check import differential
 
-    express = os.environ.get("REPRO_EXPRESS", "1") != "0"
     with _counting() as (counts, _in_place):
         lane = differential.run(functools.partial(_ops_of, SCENARIOS[name]),
                                 express)
@@ -280,9 +279,9 @@ def census(names: list[str]) -> dict:
     where ``events`` and ``digest`` are the scenario's own numbers from
     :func:`~repro.bench.perf.harness.run_scenarios`,
     ``in_place_events`` is the engine's own in-place count, ``stepped``
-    counts the WRs that stepped by :data:`~repro.verbs.qp.STEP_REASONS`
-    entry, ``calls``/``calls_ops`` come from a second run under
-    :func:`calls_by_layer`, and ``traced_peak_kb`` from a third under
+    counts the WRs the stepped reference ran, ``calls``/``calls_ops``
+    come from a second run under :func:`calls_by_layer`, and
+    ``traced_peak_kb`` from a third under
     :func:`~repro.bench.perf.harness.traced_peak_kb`.
     """
     from repro.bench.perf.harness import (SCENARIOS, run_scenarios,
@@ -292,7 +291,7 @@ def census(names: list[str]) -> dict:
     out = {}
     for name in names:
         ops_before = tally.completions
-        stepped_before = dict(tally.stepped)
+        stepped_before = tally.stepped
         in_place_before = engine.tally.in_place
         with _counting() as (counts, in_place):
             row = run_scenarios([name])["scenarios"][name]
@@ -302,8 +301,7 @@ def census(names: list[str]) -> dict:
             "events": row["events"],
             "in_place_events": engine.tally.in_place - in_place_before,
             "ops": tally.completions - ops_before,
-            "stepped": {reason: n - stepped_before[reason]
-                        for reason, n in tally.stepped.items()},
+            "stepped": tally.stepped - stepped_before,
             "digest": row["digest"],
         }
         calls, calls_ops = calls_by_layer(name)
@@ -356,18 +354,15 @@ def main(names: list[str]) -> int:
     line("calls", [calls[n] for n in names])
     print()
     print("lane coverage: share of completed ops the express lane booked, "
-          "and stepped WRs by why their simulator had no lane")
+          "and WRs the stepped reference ran")
 
     def express(name: str) -> str:
         ops = rows[name]["ops"]
-        stepped = sum(rows[name]["stepped"].values())
-        return f"{100.0 * (1.0 - stepped / ops):.1f}%" if ops else "-"
+        return (f"{100.0 * (1.0 - rows[name]['stepped'] / ops):.1f}%"
+                if ops else "-")
 
     line("express", [express(n) for n in names])
-    line("stepped", [sum(rows[n]["stepped"].values()) for n in names])
-    for reason in STEP_REASONS:
-        if any(rows[n]["stepped"][reason] for n in names):
-            line(f"  {reason}", [rows[n]["stepped"][reason] for n in names])
+    line("stepped", [rows[n]["stepped"] for n in names])
     print()
     line("traced peak KB", [rows[n]["traced_peak_kb"] for n in names])
     bad = 0

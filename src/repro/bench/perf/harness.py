@@ -247,7 +247,7 @@ def run_scenarios(names: Optional[list[str]] = None,
         events_before = Simulator.total_events
         in_place_before = engine_tally.in_place
         ops_before = tally.completions
-        stepped_before = sum(tally.stepped.values())
+        stepped_before = tally.stepped
         # The collector stays off for the whole scenario, so one final
         # collection finds every object the scenario left in a cycle.
         # With it on, a pass over a live tuple of atomic values untracks
@@ -267,7 +267,7 @@ def run_scenarios(names: Optional[list[str]] = None,
         events = Simulator.total_events - events_before
         in_place = engine_tally.in_place - in_place_before
         ops = tally.completions - ops_before
-        stepped = sum(tally.stepped.values()) - stepped_before
+        stepped = tally.stepped - stepped_before
         # ``_metrics`` carries wall-clock-derived numbers (e.g. parallel
         # speedup) that vary across machines; keep them out of the digest.
         # ``_table`` is the rendered bench table, digested on its own so

@@ -465,7 +465,7 @@ class CacheChecker:
 class FabricChecker:
     """Per-link packet conservation on queued fabrics.
 
-    Every hop of every ``Route.traverse`` reports through
+    Every hop a message enters (``Link.admit``) reports through
     ``on_fabric_hop``; the checker shadows each link's counters from its
     own observations and cross-checks at finalize:
 
@@ -529,7 +529,7 @@ class FabricChecker:
                 if counter != expect:
                     self.san.record(
                         self.name, f"link={link.name}", "divergence",
-                        f"{label} moved outside Route.traverse: "
+                        f"{label} moved outside a reported hop: "
                         f"counter {counter} != observed {expect}")
             if link.ecn_marks > link.packets_out:
                 self.san.record(

@@ -1,35 +1,37 @@
 """The lane differential: run a workload on each verbs lane and compare.
 
-:func:`run` calls a workload function on the stepped pipeline or the
-express lane; :func:`compare` checks two such runs and names the first
-completion they disagree on.  This module is the only code that sets
-``REPRO_EXPRESS`` (read when an ``RdmaContext`` attaches the lane) or
-numbers QPs and MRs from 1 (QP ids seed ECMP and name violations), and
-it digests every simulator's completions through the ``completions``
-checker of the sanitizer the simulator has at its first ``run()``: the
-workload's own, installed before running, or else a completions-only
-one installed there.
+:func:`run` calls a workload function on the express lane or on the
+stepped reference (:mod:`repro.check.stepped`); :func:`compare` checks
+two such runs and names the first completion they disagree on.  This
+module is the only code that installs the reference (where an
+``RdmaContext`` attaches the lane) or numbers QPs and MRs from 1 (QP ids
+seed ECMP and name violations), and it digests every simulator's
+completions through the ``completions`` checker of the sanitizer the
+simulator has at its first ``run()``: the workload's own, installed
+before running, or else a completions-only one installed there.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 from typing import Any, Callable, NamedTuple, Optional
 from unittest import mock
 
 from repro.check.checkers import CompletionsChecker
 from repro.check.sanitizer import Sanitizer
+from repro.check.stepped import SteppedLane
 from repro.sim.engine import Simulator
 from repro.verbs import mr as mr_module
 from repro.verbs import qp as qp_module
+from repro.verbs.express import ExpressState
 
 __all__ = ["LaneRun", "compare", "run"]
 
 class LaneRun(NamedTuple):
     """``fn``'s value, each simulator's completion digest (first-run
-    order), WRs the lane booked (flushes included) and WRs that stepped."""
+    order), WRs the lane booked (flushes included) and WRs the stepped
+    reference ran."""
 
     value: Any
     digests: list
@@ -68,19 +70,20 @@ def _lane(express: bool, log_sim: Optional[int] = None):
 
     qp_module._qp_ids = itertools.count(1)
     mr_module._mr_ids = itertools.count(1)
-    with mock.patch.dict(os.environ, REPRO_EXPRESS="1" if express else "0"), \
-            mock.patch.object(Simulator, "run", run), \
+    lane = contextlib.nullcontext() if express else mock.patch.object(
+        ExpressState, "attach", SteppedLane.attach)
+    with lane, mock.patch.object(Simulator, "run", run), \
             contextlib.suppress(_Stop):
         yield checkers, rows
 
 
 def run(fn: Callable[[], Any], express: bool) -> LaneRun:
-    """Call ``fn()`` on the express lane or the stepped pipeline."""
+    """Call ``fn()`` on the express lane or the stepped reference."""
     tally = qp_module.tally
-    wrs, stepped = tally.completions, sum(tally.stepped.values())
+    wrs, stepped = tally.completions, tally.stepped
     with _lane(express) as (checkers, _):
         value = fn()
-    stepped = sum(tally.stepped.values()) - stepped
+    stepped = tally.stepped - stepped
     return LaneRun(value, [c.digest for c in checkers],
                    tally.completions - wrs - stepped, stepped)
 

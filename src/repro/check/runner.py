@@ -255,7 +255,9 @@ def _scenario_fabric() -> Sanitizer:
         while ops < n_ops:
             if qp.state is QPState.ERR:
                 # Retry budget died against the dead spine: reconnect
-                # (which re-pins the ECMP route) and carry on.
+                # (same ECMP route: the hash ignores ports; only the
+                # retransmissions' re-salt picks the other spine) and
+                # carry on.
                 yield ctx.reconnect_qp(qp)
                 continue
             wr = (write_wr if ops % 2 == 0 else read_wr)(lmr, rmr, op_bytes)

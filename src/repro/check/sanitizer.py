@@ -231,7 +231,7 @@ class Sanitizer:
         """One message crossed (or died at) one fabric link.
 
         ``outcome``: "ok" | "ecn" (delivered with a mark) | "drop".
-        Called from ``Route.traverse`` on queued fabrics only — plain
+        Called at each hop's admit on queued fabrics only — plain
         single-switch routes have no links to conserve.
         """
         if self.fabric is not None:

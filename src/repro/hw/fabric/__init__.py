@@ -3,7 +3,7 @@
 See docs/FABRIC.md.  Public surface:
 
 - :class:`Fabric` protocol (``path(src_port, dst_port, flow=) -> Route``)
-- :class:`Route` (``traverse(nbytes)`` sim-process generator)
+- :class:`Route` (a pinned tuple of links; plain when empty)
 - :class:`Link` (bounded egress queue: occupancy delay, ECN, tail drop)
 - topology builders :class:`SingleSwitchFabric`, :class:`LeafSpineFabric`,
   :class:`ClosFabric` and the ``build_fabric(name, ...)`` resolver

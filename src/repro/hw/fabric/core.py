@@ -16,19 +16,19 @@ for that world:
     marked.
 
 ``Route``
-    An ordered tuple of links from one host to another.
-    ``Route.traverse(nbytes)`` is a generator to be driven from a sim
-    process: it pays per-hop latency + queue wait + serialization and
-    returns ``(delivered, ecn_marked)``.  A route with **no** links is a
-    *plain* route — the single-switch fast path — whose traverse yields
-    exactly one bare delay equal to the classic crossbar constant, so
-    default-topology schedules are bit-identical to the pre-fabric
-    model.
+    An ordered tuple of links from one host to another.  The verbs lane
+    crosses it one hop per wake: each hop's ``Link.admit`` gives its
+    latency + queue wait + serialization, its ECN mark and its drop.  A
+    route with **no** links is a *plain* route — the single-switch fast
+    path — crossed in one fixed delay equal to the classic crossbar
+    constant, so default-topology schedules are bit-identical to the
+    pre-fabric model.
 
 ``Fabric``
     The topology protocol: ``path(src_port, dst_port, flow=) -> Route``
-    with deterministic ECMP (seeded hash over the flow id, i.e. the QP
-    id), plus rack-aware addressing (``rack_of`` / ``machine_at``).
+    with deterministic ECMP (seeded hash over the source and destination
+    machines and the flow id, i.e. the QP id), plus rack-aware
+    addressing (``rack_of`` / ``machine_at``).
 
 Determinism contract: nothing here draws randomness (ECMP is an FNV-1a
 mix over integers; fault-injected loss uses an explicitly seeded rng
@@ -38,7 +38,7 @@ sequence of the single-switch model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..params import HardwareParams
@@ -133,11 +133,12 @@ class Link:
               droppable: bool = True) -> tuple[float, bool, bool, int]:
         """Admit one message at time ``now``; pure bookkeeping, no events.
 
-        Returns ``(delay_ns, ecn_marked, dropped, packets)``.  The caller
-        (``Route.traverse``) is responsible for yielding ``delay_ns`` in
-        a sim process.  ``droppable=False`` models the highest-priority
-        VOQ used for ACKs: such messages pay the queue wait but are never
-        tail-dropped (see docs/FABRIC.md for the rationale).
+        Returns ``(delay_ns, ecn_marked, dropped, packets)``; the caller
+        (the verbs lane) reaches the hop's far end ``delay_ns`` later.
+        ``droppable=False`` models the highest-priority VOQ used for
+        ACKs: such messages pay the queue wait but are never tail-dropped
+        (see docs/FABRIC.md for the rationale).  A down or lossy link
+        still drops them.
         """
         packets = self.packets_of(nbytes)
         wire = nbytes + packets * self.overhead_bytes
@@ -172,8 +173,8 @@ class Route:
     """A pinned path between two hosts.
 
     ``links == ()`` marks a *plain* route (single-switch crossbar):
-    ``traverse`` then yields exactly one bare delay of ``plain_ns`` and
-    never drops or marks — schedule-identical to the pre-fabric model.
+    crossed in one fixed delay of ``plain_ns``, it never drops or marks —
+    schedule-identical to the pre-fabric model.
     """
 
     __slots__ = ("fabric", "links", "plain_ns", "src", "dst", "via")
@@ -198,37 +199,6 @@ class Route:
         if not self.links:
             return self.plain_ns
         return sum(link.latency_ns for link in self.links)
-
-    def traverse(self, nbytes: int, droppable: bool = True
-                 ) -> Generator[float, None, tuple[bool, bool]]:
-        """Pay the path: per-hop latency + queue wait + serialization.
-
-        Drive from a sim process with ``yield from``.  Returns
-        ``(delivered, ecn_marked)``; a tail-dropped message stops at the
-        dropping hop and returns ``delivered=False`` so the RC layer can
-        retransmit (re-salting its ECMP hash).
-        """
-        links = self.links
-        if not links:
-            yield self.plain_ns
-            return (True, False)
-        sim = self.fabric.sim
-        marked = False
-        for link in links:
-            delay, ecn, dropped, packets = link.admit(
-                sim.now, nbytes, droppable)
-            chk = sim.check
-            if chk is not None:
-                chk.on_fabric_hop(
-                    link, packets,
-                    "drop" if dropped else ("ecn" if ecn else "ok"))
-            yield delay
-            if dropped:
-                self.fabric.drops += 1
-                return (False, marked)
-            if ecn:
-                marked = True
-        return (True, marked)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.links:

@@ -8,8 +8,8 @@ the tail behaviour of the applications (shuffle stragglers, lock
 fairness under asymmetry) can be studied and tested.
 
 Beyond performance faults, the injector models *loss* faults, which the
-RC transport (both lanes: :mod:`repro.verbs.qp` and
-:mod:`repro.verbs.express`) turns into retransmissions,
+RC transport (:mod:`repro.verbs.express`, and its stepped reference)
+turns into retransmissions,
 ``RETRY_EXC_ERR`` completions, and QP error flushes:
 
 * :meth:`FaultInjector.drop_port` — i.i.d. packet loss at a probability;
@@ -109,7 +109,7 @@ class FaultInjector:
         port.jitter_max_ns = max_extra_ns
         self._afflict(port, "jitter", duration_ns)
 
-    # -- loss faults (consumed by the RC transport in repro.verbs.qp) -------
+    # -- loss faults (consumed by the RC transport in repro.verbs.express) --
     def drop_port(self, port: RnicPort, prob: float,
                   duration_ns: Optional[float] = None) -> None:
         """Drop each packet through ``port`` i.i.d. with ``prob``.

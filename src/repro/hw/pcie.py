@@ -13,8 +13,6 @@ cost is charged to the issuing CPU thread instead).
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.hw.numa import NumaTopology
 from repro.hw.params import HardwareParams
 from repro.sim import Resource, Simulator
@@ -43,11 +41,11 @@ class PcieLink:
         self._time_cache: dict = {}
 
     def dma_ns(self, nbytes: int, mem_socket: int, segments: int = 1) -> float:
-        """Memoized transfer duration — the closed-form twin of :meth:`dma`.
+        """Memoized transfer duration of one DMA to/from ``mem_socket``.
 
-        Shares ``_time_cache`` with the stepped path so both lanes read
-        the very same float for a given transfer; bus occupancy is the
-        caller's problem (the express lane books it arithmetically).
+        Both the express lane and the stepped reference read it, so they
+        see the very same float for a given transfer; bus occupancy is
+        the caller's problem (the lane holds ``_bus`` for it).
         """
         key = (mem_socket, nbytes, segments)
         duration = self._time_cache.get(key)
@@ -57,25 +55,3 @@ class PcieLink:
             if len(self._time_cache) < 8192:
                 self._time_cache[key] = duration
         return duration
-
-    def dma(self, nbytes: int, mem_socket: int, segments: int = 1
-            ) -> Generator:
-        """Process step: perform one DMA to/from ``mem_socket`` memory.
-
-        Occupies the bus for the transfer duration; yields until done.
-        Returns the key ``(now, seq_now)`` of the dispatch the hold ended
-        in, which a caller may key a later wake after
-        (:meth:`~repro.sim.Simulator.call_keyed`).
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative DMA size: {nbytes}")
-        duration = self.dma_ns(nbytes, mem_socket, segments)
-        yield self._bus.acquire()
-        try:
-            yield duration
-            end = self.sim.now, self.sim.seq_now
-        finally:
-            self._bus.release()
-        self.dma_bytes += nbytes
-        self.dma_count += 1
-        return end

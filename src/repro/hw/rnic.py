@@ -14,7 +14,7 @@ the bottleneck (flat latency/throughput); beyond, the link is.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.fabric import DcqcnLimiter, Fabric
 from repro.hw.numa import NumaTopology
@@ -55,7 +55,7 @@ class RnicPort:
         self.jitter_rng = None
         self.jitter_max_ns = 0.0
         # Loss-fault hooks: probabilistic packet drop and link state.  The
-        # RC transport (repro.verbs.qp) consults packet_lost() once per
+        # RC transport (repro.verbs.express) consults packet_lost() once per
         # transmission attempt; all-default state never draws from an rng,
         # so the sunny path stays bit-identical with faults compiled in.
         self.loss_prob = 0.0
@@ -121,53 +121,6 @@ class RnicPort:
                     f"n_sge {n_sge} exceeds hardware max {p.max_sge}")
             processing = exec_ns + (n_sge - 1) * p.sge_overhead_ns + extra_ns
         return max(processing, p.wire_time(payload_bytes))
-
-    def exec_tx(self, exec_ns: float, payload_bytes: int, n_sge: int = 1,
-                extra_ns: float = 0.0) -> Generator:
-        """Process step: occupy the requester pipeline for one WQE."""
-        hold = self._perturb(
-            self.tx_occupancy_ns(exec_ns, payload_bytes, n_sge, extra_ns))
-        yield self.tx_unit.acquire()
-        try:
-            yield hold
-        finally:
-            self.tx_unit.release()
-        self.tx_ops += 1
-
-    # -- responder side -----------------------------------------------------
-    def exec_rx(self, base_ns: float, extra_ns: float = 0.0,
-                payload_bytes: int = 0) -> Generator:
-        """Process step: responder pipeline occupancy for one inbound op.
-
-        Holds for ``max(processing, inbound serialization)``: a port can
-        only absorb data at link rate, so many-to-one traffic queues here
-        (the receiver-side bottleneck of the distributed log, Fig 19).
-        Returns the hold's end key, as
-        :meth:`~repro.hw.pcie.PcieLink.dma` does.
-        """
-        if payload_bytes:
-            hold = self._perturb(max(base_ns + extra_ns,
-                                     self._params.wire_time(payload_bytes)))
-        else:
-            hold = self._perturb(base_ns + extra_ns)
-        yield self.rx_unit.acquire()
-        try:
-            yield hold
-            end = self.sim.now, self.sim.seq_now
-        finally:
-            self.rx_unit.release()
-        self.rx_ops += 1
-        return end
-
-    def exec_atomic(self, extra_ns: float = 0.0) -> Generator:
-        """Process step: responder-side atomic execution (serialized)."""
-        hold = self._perturb(self._params.exec_atomic_ns + extra_ns)
-        yield self.atomic_unit.acquire()
-        try:
-            yield hold
-        finally:
-            self.atomic_unit.release()
-        self.rx_ops += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RnicPort {self.rnic.name}.p{self.index} socket={self.socket}>"

@@ -241,12 +241,12 @@ class Event:
         waiting process resumes before any entry already scheduled at
         this instant; ``succeed`` keeps the scheduled order.
 
-        Not for a grant, with one exception: the stepped verbs path's
-        atomic word lock (``Resource.hold(None, grant.fire)`` in
-        ``QueuePair._responder_phase``).  It mirrors the express lane,
-        whose queued hold runs the next owner's bookings inside the
-        releaser's dispatch, so both lanes take the lock at the same
-        point of the same dispatch.  Every other grant (the tenancy
+        Not for a grant, with one exception: the stepped verbs
+        reference's atomic word lock (``Resource.hold(None, grant.fire)``
+        in ``repro.check.stepped``).  It mirrors the express lane, whose
+        queued hold runs the next owner's bookings inside the releaser's
+        dispatch, so both lanes take the lock at the same point of the
+        same dispatch.  Every other grant (the tenancy
         plane's among them) stays scheduled.
         """
         if self._triggered or self._cancelled:
@@ -595,9 +595,9 @@ class Simulator:
         #: disabled cost is a single branch per hook site.  Bound to a
         #: local at ``run()`` entry — install before running.
         self.check = None
-        #: Closed-form verbs fast lane (repro.verbs.express.ExpressState),
-        #: attached by Cluster on eligible topologies.  ``None`` = every op
-        #: steps through the generator pipeline.
+        #: The verbs lane every post takes (repro.verbs.express.
+        #: ExpressState, attached by ``RdmaContext``; the lane
+        #: differential installs the stepped reference instead).
         self.express = None
         #: Identity index of the CQEs queued in this simulator's
         #: completion queues, ``id(cqe) ->`` a weak reference to the

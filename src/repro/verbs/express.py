@@ -1,15 +1,16 @@
-"""Express lane: closed-form WR timelines on single-switch fabrics.
+"""Express lane: closed-form WR timelines, the one verbs path.
 
-The stepped pipeline (:meth:`repro.verbs.qp.QueuePair._execute`) pays
-~13-19 engine events per WR: a process boot, an acquire grant + hold
-sleep per contended unit (WQE DMA, payload fetch, tx unit, responder
-rx/atomic, response and delivery DMAs), constant sleeps (forward wire,
-read turnaround, response wire, CQE DMA), two process-completion events
-and an ``all_of`` barrier for the cut-through pairs, and the final
-``done`` event.  On plain single-switch routes without DCQCN, every
-hold duration is pure arithmetic, known the moment the unit is booked —
-port faults included, because the stepped path sizes its holds at the
-same instant.
+Every post of every QP, on every fabric, rides this lane.  The stepped
+pipeline it replays (:mod:`repro.check.stepped`, the lane differential's
+reference) pays ~13-19 engine events per WR: a process boot, an acquire
+grant + hold sleep per contended unit (WQE DMA, payload fetch, tx unit,
+responder rx/atomic, response and delivery DMAs), constant sleeps
+(forward wire, read turnaround, response wire, CQE DMA), two
+process-completion events and an ``all_of`` barrier for the cut-through
+pairs, and the final ``done`` event.  Every hold duration is pure
+arithmetic, known the moment the unit is booked — port faults included,
+because the stepped path sizes its holds at the same instant — and so
+is every fabric hop's delay (``Link.admit`` is bookkeeping).
 
 This module replays that timeline with one fused wake-up per *hold*
 and per *constant sleep* — none for a hold that continues at its grant
@@ -97,6 +98,23 @@ tables.  So the lane mirrors the grant structure literally:
   service bookings at the releaser's dispatch.  The stepped path takes
   the lock the same way (``hold(None, grant.fire)``), so both lanes
   take it at the same point of the same dispatch.
+* Queued fabric routes (``QueuePair._queued``) cross one hop per wake:
+  each hop is admitted (``Link.admit``: queueing, ECN mark, tail drop)
+  at the dispatch where the stepped ``traverse`` admits it, and wakes
+  at its far end with a fresh seq, where the stepped path sleeps.  The
+  request crosses inside the retry loop, after the port-loss sample: a
+  dropped hop loses the attempt at its end (``_fwd_drop``), and a
+  retransmission re-salts the ECMP flow (``qp_id + 131 * losses``).
+  The last hop's wake runs the arrival.  The ACK or response starts its
+  reverse hops at the service end (a READ: at its response hold's end,
+  which therefore keeps its wake); replies are never tail-dropped, and
+  nothing folds on a queued route: no ACK+CQE wake, no data-less WRITE
+  continuing at both grants, no delivery DMA continuing at its grant.
+* DCQCN: a port with a limiter paces each attempt at its top
+  (``pace_ns``; one wake when it is due later, sizing the tx hold
+  there), and the limiter learns ECN marks and clean deliveries at the
+  last forward hop and marked replies at the reply's landing, where the
+  stepped path feeds it.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
   its ``_complete`` to that event — the very mechanism the stepped
@@ -132,7 +150,8 @@ express and stepped ops alike:
 * slowdown and jitter scale the requester tx, responder rx, atomic and
   READ response holds when they are booked (``RnicPort._perturb``);
 * after the tx hold (and the cut-through join) each attempt samples
-  loss on both ports; a lost attempt books its transport timer
+  loss on both ports; a lost attempt (or one a fabric hop drops) books
+  its transport timer
   (``_retrans_end``), which retransmits, fails the WR with ``RETRY_EXC_ERR``
   (moving the QP to ERR) or flushes it when the QP died meanwhile.  A
   failed WR skips the responder but pays the CQE DMA and in-order
@@ -146,11 +165,10 @@ wire ends in a real ``Store.put`` on the QP's ``recv_queue`` (its
 put-ack allocated where the stepped path allocates it) before the CQE
 DMA.
 
-The lane is attached per simulator (:meth:`ExpressState.attach`), so
-on a lane-attached simulator every post of every QP takes it and no
-post ever steps (``QueuePair._step_reason``).  The stepped pipeline
-remains the reference: ``REPRO_EXPRESS=0``, queued fabrics and DCQCN
-run it for every post.
+The lane is attached per simulator (:meth:`ExpressState.attach`), for
+every fabric, so every post of every QP takes it.  Only the lane
+differential (:func:`repro.check.differential.run` with
+``express=False``) installs the stepped reference in its place.
 
 An installed sanitizer, a dispatch trace and an ``OpTracer`` ride the
 lane too: it fires ``on_posted`` (in ``post_send*``, before
@@ -161,7 +179,8 @@ any other dispatch.  A traced op carries its
 :class:`~repro.verbs.trace.OpRecord` and stamps each stage at the
 dispatch where the stepped ``_execute`` stamps it: ``wqe_fetch`` at the
 WQE DMA end, ``exec`` once a delivered attempt clears the tx unit,
-``retrans`` at each transport timer, ``network`` at arrival,
+``retrans`` at each transport timer, ``network`` at arrival (a queued
+route: at its last forward hop's wake),
 ``responder`` when the service (WRITE drain, atomic, READ response
 serialization) ends, ``response_net`` when the ACK or response lands
 (a folded ACK: its landing instant, at service end on both lanes),
@@ -169,13 +188,12 @@ and ``delivery`` at the completion instant, where the record commits.
 A doorbell batch begins its records after the chained fetch, as the
 stepped batch boots its WRs there.
 
-See docs/PERFORMANCE.md ("The express lane") for its eligibility and
-the digest-gate implications.
+See docs/PERFORMANCE.md ("The express lane") for the digest-gate
+implications.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
@@ -252,7 +270,10 @@ class ExpressState:
     each op's timeline.
 
     Each handler takes ``(op, arg)`` and is booked as ``partial(handler,
-    op)``.  ``arg`` is the end instant when a timed ``Resource.hold``
+    op)``; a fabric hop's handler and a paced attempt also take the
+    booking's own state between the two (the route's links, the hop
+    index, whether a hop marked the message; ``paced``).  ``arg`` is the
+    end instant when a timed ``Resource.hold``
     grant calls it; ``None`` for a scheduled wake, a hold's end, an
     untimed hold's grant (a word lock) or a call from another handler;
     or the predecessor's ``done`` event (a parked completion).  Every
@@ -264,27 +285,15 @@ class ExpressState:
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
-    def attach(cls, cluster: "Cluster") -> Optional["ExpressState"]:
-        """Attach (or fetch) the express lane for ``cluster``'s simulator.
-
-        Topology-level eligibility is decided once, here: only the plain
-        single-switch fabric has closed-form routes, and DCQCN pacing is
-        inherently stateful.  ``REPRO_EXPRESS=0`` disables the lane (the
-        lane differential, :mod:`repro.check.differential`, sets it).
-        """
+    def attach(cls, cluster: "Cluster") -> "ExpressState":
+        """Attach (or fetch) the express lane for ``cluster``'s simulator:
+        the verbs path of every fabric, queued routes and DCQCN included.
+        The lane differential (:mod:`repro.check.differential`) installs
+        the stepped reference here instead."""
         sim = cluster.sim
-        state = sim.express
-        if state is not None:
-            return state
-        if cluster.fabric.kind != "single":
-            return None
-        if cluster.params.dcqcn_enabled:
-            return None
-        if os.environ.get("REPRO_EXPRESS", "1") == "0":
-            return None
-        state = cls(sim)
-        sim.express = state
-        return state
+        if sim.express is None:
+            sim.express = cls(sim)
+        return sim.express
 
     # ------------------------------------------------------------- posting
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
@@ -396,18 +405,29 @@ class ExpressState:
                                    wr.n_sge, extra)
         self._attempt(op)
 
-    def _attempt(self, op: ExpressOp) -> None:
+    def _attempt(self, op: ExpressOp, paced: bool = False,
+                 _arg=None) -> None:
         """One transmission attempt, mirroring the stepped retry-loop top:
-        a WR whose QP left RTS flushes before it touches hardware;
-        otherwise book the payload (re-)fetch and the tx hold, sized now
-        as stepped sizes it (a port fault armed later misses it on both
-        lanes)."""
+        a WR whose QP left RTS flushes before it touches hardware; a port
+        with a DCQCN limiter paces the attempt (one wake ``pace`` from
+        now, ``paced``, where the stepped path sleeps); then book the
+        payload (re-)fetch and the tx hold, sized now as stepped sizes it
+        (a port fault armed later misses it on both lanes)."""
         qp = op.qp
-        if qp.state is not QPState.RTS:
-            op.status = CompletionStatus.WR_FLUSH_ERR
-            self._cqe(op)
-            return
         lp = qp.local_port
+        if not paced:
+            if qp.state is not QPState.RTS:
+                op.status = CompletionStatus.WR_FLUSH_ERR
+                self._cqe(op)
+                return
+            dcqcn = lp.dcqcn
+            if dcqcn is not None:
+                sim = self.sim
+                pace = dcqcn.pace_ns(sim.now, op.wire_payload)
+                if pace > 0.0:
+                    sim.call_tail(sim.now + pace,
+                                  partial(self._attempt, op, True))
+                    return
         tx = lp._perturb(op.h1)
         if op.outbound and not op.inline:
             # Cut-through payload fetch rides the PCIe bus concurrently
@@ -466,7 +486,102 @@ class ExpressState:
         record = op.record
         if record is not None:
             record.stamp("exec", sim.now)
+        if qp._queued:
+            # Any hop may tail-drop the request, so it crosses the fabric
+            # inside the retry loop.  A retransmission re-salts the ECMP
+            # hash to route around the queue or dead link that ate it.
+            route = qp._route
+            if op.losses:
+                route = route.fabric.path(lp, rp,
+                                          flow=qp.qp_id + 131 * op.losses)
+            self._fwd_hop(op, route.links, 0, False, None)
+            return
         sim.call_tail(sim.now + qp._fwd_ns, partial(self._arrive, op))
+
+    # -- queued fabric -------------------------------------------------------
+    def _admit(self, link, nbytes: int, droppable: bool) -> tuple:
+        """Enter ``link`` now (pure bookkeeping, :meth:`Link.admit`), as
+        the stepped ``traverse`` enters each hop; returns ``(delay,
+        ecn_marked, dropped)``."""
+        sim = self.sim
+        delay, ecn, dropped, packets = link.admit(sim.now, nbytes, droppable)
+        check = sim.check
+        if check is not None:
+            check.on_fabric_hop(
+                link, packets, "drop" if dropped else ("ecn" if ecn else "ok"))
+        return delay, ecn, dropped
+
+    def _fwd_hop(self, op: ExpressOp, links: tuple, i: int, marked: bool,
+                 _arg) -> None:
+        """The request reaches hop ``i`` of its route: enter it, with one
+        wake at its far end; past the last hop it arrives, and a DCQCN
+        limiter learns whether any hop marked it."""
+        sim = self.sim
+        if i == len(links):
+            dcqcn = op.qp.local_port.dcqcn
+            if dcqcn is not None:
+                if marked:
+                    dcqcn.on_ecn(sim.now)
+                else:
+                    dcqcn.on_delivered(sim.now)
+            self._arrive(op, None)
+            return
+        delay, ecn, dropped = self._admit(links[i], op.wire_payload, True)
+        if dropped:
+            sim.call_tail(sim.now + delay, partial(self._fwd_drop, op))
+        else:
+            sim.call_tail(sim.now + delay, partial(
+                self._fwd_hop, op, links, i + 1, marked or ecn))
+
+    def _fwd_drop(self, op: ExpressOp, _arg) -> None:
+        """A hop dropped the request: the attempt is lost at the hop's
+        end, and the transport timer starts."""
+        qp = op.qp
+        qp.local_machine.rnic.fabric.drops += 1
+        op.losses += 1
+        sim = self.sim
+        sim.call_tail(sim.now + qp._retrans_wait_ns(op.losses),
+                      partial(self._retrans_end, op))
+
+    def _back_hop(self, op: ExpressOp, links: tuple, i: int, marked: bool,
+                  _arg) -> None:
+        """The ACK or response reaches hop ``i`` of the reverse route.
+        Replies ride the priority queue, never tail-dropped; a dead or
+        lossy link still drops one, and the reply then ends at that hop
+        as if delivered, as the stepped ``traverse`` returns there."""
+        if i == len(links):
+            self._back_end(op, marked)
+            return
+        opcode = op.opcode
+        if opcode is Opcode.READ:
+            nbytes = op.total_len or 16  # the response carries the data
+        else:
+            nbytes = 8 if opcode.is_atomic else 16
+        delay, ecn, dropped = self._admit(links[i], nbytes, False)
+        sim = self.sim
+        if dropped:
+            sim.call_tail(sim.now + delay,
+                          partial(self._back_drop, op, marked))
+        else:
+            sim.call_tail(sim.now + delay, partial(
+                self._back_hop, op, links, i + 1, marked or ecn))
+
+    def _back_drop(self, op: ExpressOp, marked: bool, _arg) -> None:
+        op.qp.local_machine.rnic.fabric.drops += 1
+        self._back_end(op, marked)
+
+    def _back_end(self, op: ExpressOp, marked: bool) -> None:
+        """The reply landed (or stopped at a dropping hop): a mark cuts
+        the requester's DCQCN rate, then delivery as after a plain
+        reverse wire."""
+        if marked:
+            dcqcn = op.qp.local_port.dcqcn
+            if dcqcn is not None:
+                dcqcn.on_ecn(self.sim.now)
+        if op.opcode is Opcode.READ:
+            self._read_back(op, None)
+        else:
+            self._tail_end(op, None)
 
     def _retrans_end(self, op: ExpressOp, _arg) -> None:
         """Transport timer fired: flush if the QP died meanwhile, fail at
@@ -557,15 +672,16 @@ class ExpressState:
     def _write_granted(self, op: ExpressOp, _arg) -> None:
         """WRITE holds the word lock (if any; a queued hold is granted
         at the releaser's dispatch, the stepped grant instant):
-        cut-through rx ∥ drain.  A WRITE that lands no bytes and holds no
-        lock does nothing at either end but free the unit, so both halves
-        continue at their grants, rx first as the stepped lane spawns it;
-        see :meth:`_svc_join`."""
+        cut-through rx ∥ drain.  A WRITE that lands no bytes, holds no
+        lock and takes a plain reverse wire does nothing at either end but
+        free the unit, so both halves continue at their grants, rx first
+        as the stepped lane spawns it; see :meth:`_svc_join`.  (A queued
+        route's reply starts its hops at the service end.)"""
         rp = op.qp.remote_port
         rx, drain = rp._perturb(op.h1), op.h2
         rx_end = partial(self._write_rx_end, op)
         drain_end = partial(self._drain_end, op)
-        if op.wl is None and not op.move_data:
+        if op.wl is None and not op.move_data and not op.qp._queued:
             op.pending = 2
             rp.rx_unit.hold(rx, rx_end)
             rp.pcie._bus.hold(drain, drain_end)
@@ -595,12 +711,12 @@ class ExpressState:
     def _svc_join(self, op: ExpressOp, end) -> None:
         """One WRITE service half is done: its end wake, or its grant
         (``end``).  When both halves continue at their grants (a
-        data-less unlocked WRITE) the first grant stashes its reserved
-        end key and the last one responds keyed after the later key,
-        where the stepped lane keys its ACK wait; a cut-through pair
-        resumes at its last end."""
+        data-less unlocked WRITE on a plain route) the first grant
+        stashes its reserved end key and the last one responds keyed
+        after the later key, where the stepped lane keys its ACK wait; a
+        cut-through pair resumes at its last end."""
         op.pending -= 1
-        if op.wl is None and not op.move_data:
+        if op.wl is None and not op.move_data and not op.qp._queued:
             key = (end, self.sim._seq)  # the hold's reserved end key
             if op.pending:
                 op.h1, op.h2 = key
@@ -631,20 +747,24 @@ class ExpressState:
 
     def _respond(self, op: ExpressOp, key=None) -> None:
         """WRITE/atomic/SEND service done: the ACK takes the reverse
-        wire.  A signaled WRITE or atomic has nothing to do when its ACK
-        lands, so it books its CQE-DMA end (``_try_finish``) here, at the
-        instant the two hops would reach, where the stepped
-        ``_responder_phase`` books its one wait; a SEND or an unsignaled
-        WR wakes at the ACK (``_tail_end``).  With ``key``, the later end
-        key ``(end, seq)`` of a data-less WRITE's two halves, the
-        service ends at ``end`` and the wake is keyed after it
-        (:meth:`Simulator.call_keyed`)."""
+        wire, or a READ response leaves (on a queued route).  A queued
+        route's reply starts its hops now.  On a plain route a signaled
+        WRITE or atomic has nothing to do when its ACK lands, so it books
+        its CQE-DMA end (``_try_finish``) here, at the instant the two
+        hops would reach, where the stepped ``_responder_phase`` books its
+        one wait; a SEND or an unsignaled WR wakes at the ACK
+        (``_tail_end``).  With ``key``, the later end key ``(end, seq)``
+        of a data-less WRITE's two halves, the service ends at ``end``
+        and the wake is keyed after it (:meth:`Simulator.call_keyed`)."""
         sim = self.sim
         record = op.record
         now = sim.now if key is None else key[0]
         if record is not None:
             record.stamp("responder", now)
         qp = op.qp
+        if qp._queued:
+            self._back_hop(op, qp._route_back.links, 0, False, None)
+            return
         ack = now + qp._bwd_ns
         if op.signaled and op.opcode is not Opcode.SEND:
             if record is not None:
@@ -693,15 +813,22 @@ class ExpressState:
         pcie.dma_bytes += op.total_len
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
-        rp.tx_unit.hold(rp._perturb(
-            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)),
-            partial(self._read_tx_end, op))
+        tx = rp._perturb(rp.tx_occupancy_ns(qp._params.responder_ns,
+                                            op.total_len))
+        if qp._queued:
+            rp.tx_unit.hold(tx, end=partial(self._read_tx_end, op))
+        else:
+            rp.tx_unit.hold(tx, partial(self._read_tx_end, op))
 
-    def _read_tx_end(self, op: ExpressOp, end: float) -> None:
+    def _read_tx_end(self, op: ExpressOp, end) -> None:
         """The response serialization's grant: the response takes the
-        wire at ``end``."""
+        plain wire at ``end``.  On a queued route its hops start at the
+        hold's end wake (``end`` None) instead."""
         qp = op.qp
         qp.remote_port.tx_ops += 1
+        if end is None:
+            self._respond(op)
+            return
         record = op.record
         if record is not None:
             record.stamp("responder", end)
@@ -716,9 +843,10 @@ class ExpressState:
             record.stamp("response_net", self.sim.now)
         pcie = qp.local_port.pcie
         dur = pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket, wr.n_sge)
-        if op.signaled and not op.move_data:
+        if op.signaled and not op.move_data and not qp._queued:
             # Nothing happens at this DMA's end but the CQE DMA's start:
-            # continue at the grant.
+            # continue at the grant (as the stepped lane folds it on a
+            # plain route only).
             pcie._bus.hold(dur, partial(self._deliver_end, op))
         else:
             pcie._bus.hold(dur, end=partial(self._deliver_end, op))

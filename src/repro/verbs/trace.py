@@ -9,8 +9,8 @@ be read off instead of inferred.
 Attach with ``ctx.attach_tracer(OpTracer())`` — subsequent QPs inherit
 it; existing QPs are updated too.  Tracing is off by default and costs
 nothing when off.  A traced WR runs on the lane it would run on
-untraced: the stepped pipeline (``QueuePair._execute``) and the express
-lane (:mod:`repro.verbs.express`) stamp the same stages at the same
+untraced: the express lane (:mod:`repro.verbs.express`) and the stepped
+reference (:mod:`repro.check.stepped`) stamp the same stages at the same
 instants through :meth:`OpRecord.stamp`.
 """
 

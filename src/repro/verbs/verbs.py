@@ -58,9 +58,8 @@ class RdmaContext:
         #: attached, Workers route ops on tenant-tagged QPs through its
         #: admission control and QoS scheduler.
         self.service_plane = None
-        # Closed-form verbs fast lane: attached here (not in hw.Cluster)
-        # so the hw layer stays import-free of verbs.  No-op when the
-        # topology is queued, DCQCN paces, or REPRO_EXPRESS=0.
+        # The verbs lane, for every topology: attached here (not in
+        # hw.Cluster) so the hw layer stays import-free of verbs.
         ExpressState.attach(cluster)
 
     def attach_tracer(self, tracer) -> None:
@@ -150,8 +149,9 @@ class RdmaContext:
             qp.local_port = qp.local_machine.port(local_port)
         if remote_port is not None:
             qp.remote_port = qp.remote_machine.port(remote_port)
-        # Re-pin fabric routes: a port rebind (or a healed link) may change
-        # the ECMP choice this connection should ride.
+        # Re-resolve the fabric routes.  ECMP hashes only (src machine,
+        # dst machine, flow), so a port rebind keeps the same routes; only
+        # a retransmission's re-salt moves a WR onto another path.
         qp._resolve_routes()
         for rnic in (qp.local_machine.rnic, qp.remote_machine.rnic):
             rnic.qp_cache.invalidate(qp.qp_id)

@@ -13,6 +13,7 @@ from repro.check import differential
 from repro.hw.params import ServiceConfig, TenantSpec
 from repro.tenancy import ServicePlane
 from repro.verbs import CompletionQueue, Opcode, Sge, Worker, WorkRequest
+from repro.verbs.express import ExpressState
 from repro.verbs.types import CompletionStatus
 
 
@@ -198,7 +199,7 @@ def test_tenanted_op_is_reaped_and_a_rejected_one_never_queues():
 def _lane_mix(express: bool) -> tuple:
     sim, cluster, ctx = differential.run(
         lambda: build(machines=2), express).value
-    assert (sim.express is not None) == express
+    assert isinstance(sim.express, ExpressState) == express
     lmr = ctx.register(0, 1 << 16)
     rmr = ctx.register(1, 1 << 16)
     qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1, local_port=1)]

@@ -7,9 +7,11 @@ clock — while dispatching strictly fewer events.  Port faults (loss,
 retransmission, RETRY_EXC, flushes, slow and jittery ports) are modelled
 on the lane, so arming one mid-run keeps posts on it, as does attaching
 a sanitizer or a tracer (the lane stamps the same per-stage trace
-records).  SENDs ride the lane as well, so on a lane-attached simulator
-no post ever steps; the stepped pipeline (``REPRO_EXPRESS=0``) is the
-reference every lane run is compared against.
+records).  SENDs, queued fabric routes and DCQCN pacing ride the lane as
+well: it is the only verbs path in production, and the stepped
+reference (:mod:`repro.check.stepped`, installed by
+``differential.run(fn, express=False)``) is what every lane run is
+compared against.
 """
 
 import contextlib
@@ -21,11 +23,13 @@ import pytest
 
 from repro import build
 from repro.check import Sanitizer, differential
+from repro.check.stepped import SteppedLane
 from repro.hw.faults import FaultInjector
 from repro.sim import Store, make_rng
 from repro.verbs import Worker
+from repro.verbs.express import ExpressState
 from repro.verbs.trace import OpTracer
-from repro.verbs.qp import QPState
+from repro.verbs.qp import QPState, tally
 from repro.verbs.types import CompletionStatus, Opcode, Sge, WorkRequest
 from tests.engine_ref import always_push
 from tests.gc_census import cyclic_garbage
@@ -171,7 +175,6 @@ def _counted_branches():
     tail slot (``heappushpop`` handed the tail back) or ``wake`` when it
     popped it from the heap."""
     from repro.sim import engine
-    from repro.verbs.express import ExpressState
 
     seen = Counter()
     orig_complete = ExpressState._complete
@@ -245,7 +248,6 @@ def _counted_leases():
     before the leases), and ``("rx+drain", "tie")`` too when both halves
     were granted at once with equal ends."""
     from repro.sim import Resource
-    from repro.verbs.express import ExpressState
 
     seen = Counter()
     leased = []  # the units leased since the wrapped call began
@@ -317,11 +319,11 @@ def test_express_equals_stepped_random_mix(seed):
     the stepped lane, with fewer events, and takes every tail branch in
     place and every lease."""
     stepped, ev_stepped, exp = _run_mix(seed, express=False, cross=True)
-    assert exp is None  # the stepped run never attaches the lane
+    assert isinstance(exp, SteppedLane)  # the reference, not the lane
     with _counted_posts() as posts, _counted_branches() as branches, \
             _counted_leases() as leases:
         express, ev_express, exp = _run_mix(seed, express=True, cross=True)
-    assert exp is not None
+    assert isinstance(exp, ExpressState)
     assert len(posts) == express["posts"]  # every post rode the lane
     assert express == stepped
     assert ev_express < ev_stepped  # fewer events is the lane's point
@@ -372,7 +374,7 @@ def test_idle_rig_runs_tail_wakes_in_place():
     ends first had a wake of its own: 3 and 22), and the client's
     CPU-cost sleeps and end (before every trigger shared the tail slot,
     only lane wakes could run in place: 9 and 19).  The completion log
-    and memories still equal the stepped lane's (``REPRO_EXPRESS=0``)."""
+    and memories still equal the stepped reference's."""
     def run(express: bool):
         sim, cluster, ctx = differential.run(
             lambda: build(machines=2), express).value
@@ -598,8 +600,6 @@ def _send_one(sim, ctx):
 @contextlib.contextmanager
 def _counted_posts():
     """Yield a list that gains one entry per express-lane post."""
-    from repro.verbs.express import ExpressState
-
     posts = []
     orig_post, orig_batch = ExpressState.post, ExpressState.post_batch
     with pytest.MonkeyPatch.context() as mp:
@@ -1097,8 +1097,6 @@ def test_a_locked_or_data_moving_write_keeps_its_resume_wake(monkeypatch):
     """A WRITE that lands data, or takes a hot word's lock, does work at
     its service end, so it books its cut-through pair and resumes from
     the join as before; both lanes agree."""
-    from repro.verbs.express import ExpressState
-
     resumed = []
     resume = ExpressState._svc_resume
     monkeypatch.setattr(ExpressState, "_svc_resume", lambda self, op, arg: (
@@ -1334,21 +1332,17 @@ def test_lossy_lane_equals_stepped(seed):
     """Loss, retransmission, RETRY_EXC, flushes and reconnects on the lane
     match the stepped lane: completion logs (status and retries
     included), both memories, the clock and every transport counter."""
-    from repro.verbs.express import ExpressState
-    from repro.verbs.qp import QueuePair
-
     stepped, ev_stepped = _run_lossy(False, seed)
     timers = []
-    steps = []
-    orig_retx, orig_exec = ExpressState._retrans_end, QueuePair._execute
+    steps = tally.stepped
+    orig_retx = ExpressState._retrans_end
     with _counted_posts() as posts, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpressState, "_retrans_end", lambda self, op, arg: (
             timers.append(op), orig_retx(self, op, arg)))
-        mp.setattr(QueuePair, "_execute", lambda self, *a, **k: (
-            steps.append(1), orig_exec(self, *a, **k))[1])
         express, ev_express = _run_lossy(True, seed)
     assert express == stepped
-    assert len(posts) == express["posts"] and not steps  # all on the lane
+    # all on the lane
+    assert len(posts) == express["posts"] and tally.stepped == steps
     assert timers  # the lane booked _retrans_end transport timers
     statuses = {r[5] for r in express["log"]}
     assert {CompletionStatus.RETRY_EXC_ERR.value,
@@ -1486,50 +1480,80 @@ def _faa(rmr):
                        add=1)
 
 
-#: Op shape -> (posts, the (opcode, woken handler) it must reach,
-#: lossy).  The witness proves the shape took its intended branch of the
-#: lane.  A wake the engine runs in place still calls its handler, so
-#: every wake shows.
+#: Op shape -> (posts, the (opcode, woken handler) it must reach, rig).
+#: The witness proves the shape took its intended branch of the lane.  A
+#: wake the engine runs in place still calls its handler, so every wake
+#: shows.  The rig is ``None`` (two machines on one switch), ``lossy``
+#: (30% loss on the requester port) or a leaf-spine rig of 8 machines
+#: whose QPs run from machine 0 to machine 4 across a spine (see
+#: ``_shape_run``).
 _SHAPES = {
     "read": (lambda lm, rm: [(0, _read(lm, rm, 64))],
-             "READ", "_deliver_end", False),
+             "READ", "_deliver_end", None),
     "inline_write": (lambda lm, rm: [(0, _write(lm, rm, 64))],
-                     "WRITE", "_svc_resume", False),
+                     "WRITE", "_svc_resume", None),
     "cut_through_write": (lambda lm, rm: [(0, _write(lm, rm, 4096))],
-                          "WRITE", "_exec_done", False),
+                          "WRITE", "_exec_done", None),
     "doorbell_batch": (lambda lm, rm: [(0, [
         _write(lm, rm, 64), _read(lm, rm, 64), _write(lm, rm, 1024),
-        _faa(rm)])], "FAA", "_atomic_end", False),
-    "faa": (lambda lm, rm: [(0, _faa(rm))], "FAA", "_atomic_end", False),
+        _faa(rm)])], "FAA", "_atomic_end", None),
+    "faa": (lambda lm, rm: [(0, _faa(rm))], "FAA", "_atomic_end", None),
     # FAAs claim the word's lock; the 8 B WRITE to it queues behind.
     "write_on_claimed_word_lock": (lambda lm, rm: [
         (0, _faa(rm)), (1, _faa(rm)), (1, _faa(rm)), (0, _write(lm, rm, 8))],
-        "WRITE", "_write_granted", False),
+        "WRITE", "_write_granted", None),
     # The small WRITE's tail beats the big READ ahead of it: it parks.
     "parked_in_order": (lambda lm, rm: [
         (0, _read(lm, rm, 4096)), (0, _write(lm, rm, 8, roff=64))],
-        "WRITE", "_complete", False),
+        "WRITE", "_complete", None),
     # An empty SEND: its 1 B landing DMA, then the response wire.
     "send": (lambda lm, rm: [(0, WorkRequest(Opcode.SEND, payload="x"))],
-             "SEND", "_tail_end", False),
+             "SEND", "_tail_end", None),
     # 30% loss on the requester port: WRITEs wait out transport timers.
     "write_on_lossy_port": (lambda lm, rm: [
         (0, _write(lm, rm, 64)) for _ in range(8)],
-        "WRITE", "_retrans_end", True),
+        "WRITE", "_retrans_end", "lossy"),
+    # Queued hops both ways; the READ's response leaves at its hold end.
+    "queued_read": (lambda lm, rm: [(0, _read(lm, rm, 64))],
+                    "READ", "_back_hop", "leaf_spine"),
+    # The QP's spine uplink is down: the request dies there, and the
+    # retransmission's re-salted flow takes the other spine.
+    "queued_dead_uplink": (lambda lm, rm: [(0, _write(lm, rm, 64))],
+                           "WRITE", "_fwd_drop", "dead_uplink"),
+    # The reply's spine uplink is down: the ACK stops at that hop.
+    "queued_dead_reply": (lambda lm, rm: [(0, _faa(rm))],
+                          "FAA", "_back_drop", "dead_reply"),
+    # A cut DCQCN rate paces the attempt: its tx hold waits a wake.
+    "paced": (lambda lm, rm: [(0, _write(lm, rm, 4096)) for _ in range(4)],
+              "WRITE", "_attempt", "paced"),
 }
 
 
 def _shape_run(shape: str) -> tuple:
-    """Post ``shape``'s WRs on a fresh two-machine rig and run them to
-    completion; returns (sim, cluster)."""
-    make_posts, _, _, lossy = _SHAPES[shape]
-    sim, cluster, ctx = build(machines=2)
-    if lossy:
-        FaultInjector(sim, rng=make_rng(1)).drop_port(
-            cluster[0].port(0), prob=0.3)
+    """Post ``shape``'s WRs on a fresh rig and run them to completion;
+    returns (sim, cluster)."""
+    from repro.hw import HardwareParams
+
+    make_posts, _, _, rig = _SHAPES[shape]
+    if rig is None or rig == "lossy":
+        sim, cluster, ctx = build(machines=2)
+        dst = 1
+    else:
+        sim, cluster, ctx = build(params=HardwareParams(
+            machines=8, dcqcn_enabled=rig == "paced"), topology="leaf-spine")
+        dst = 4
     lmr = ctx.register(0, 8192)
-    rmr = ctx.register(1, 8192)
-    qps = [ctx.create_qp(0, 1), ctx.create_qp(0, 1)]
+    rmr = ctx.register(dst, 8192)
+    qps = [ctx.create_qp(0, dst), ctx.create_qp(0, dst)]
+    fabric, injector = cluster.fabric, FaultInjector(sim, rng=make_rng(1))
+    if rig == "lossy":
+        injector.drop_port(cluster[0].port(0), prob=0.3)
+    elif rig == "dead_uplink":
+        injector.link_down(fabric.leaf_up[0][qps[0]._route.via[0]])
+    elif rig == "dead_reply":
+        injector.link_down(fabric.leaf_up[1][qps[0]._route_back.via[0]])
+    elif rig == "paced":
+        cluster[0].port(0).dcqcn.on_ecn(0.0)
     w = Worker(ctx, 0)
     sim.run(until=sim.process(_post_all(w, qps, make_posts(lmr, rmr))))
     return sim, cluster
@@ -1540,13 +1564,13 @@ def test_completed_op_is_freed_by_refcount(shape):
     """Every per-op object (``ExpressOp`` and its wake partials, stepped
     ``Process`` generators) is acyclic once its op completes, so it is
     freed by refcount while ``run()`` pauses the cyclic collector."""
-    _, opcode, handler, lossy = _SHAPES[shape]
+    _, opcode, handler, rig = _SHAPES[shape]
     rigs = []
     with lane_wakes() as wakes:
         garbage = cyclic_garbage(lambda: rigs.append(_shape_run(shape)))
     assert (opcode, handler) in wakes, sorted(set(wakes))
     sim, cluster = rigs[0]
-    assert (cluster[0].port(0).packets_dropped > 0) == lossy
+    assert (cluster[0].port(0).packets_dropped > 0) == (rig == "lossy")
     assert garbage["ExpressOp"] == 0 and garbage["Process"] == 0, garbage
 
 
@@ -1596,49 +1620,13 @@ def test_closed_loop_retained_bytes_flat_in_run_length():
     assert after_4n - after_n <= bound, (after_n, after_4n)
 
 
-def _step_reason_rig(reason: str):
-    """A rig whose next WRITE steps for ``reason``; returns (sim, ctx,
-    qp, worker, lmr, rmr)."""
-    from repro.hw import HardwareParams
-
-    params = HardwareParams(dcqcn_enabled=True) if reason == "dcqcn" else None
-    topology = "leaf-spine" if reason == "queued_route" else "single"
-    sim, cluster, ctx = differential.run(lambda: build(
-        machines=2, params=params, topology=topology),
-        express=reason != "lane_off").value
-    lmr = ctx.register(0, 4096)
-    rmr = ctx.register(1, 4096)
-    return sim, ctx, ctx.create_qp(0, 1), Worker(ctx, 0), lmr, rmr
-
-
-@pytest.mark.parametrize("reason", ["lane_off", "queued_route", "dcqcn"])
-def test_each_stepped_post_counts_the_first_term_that_failed(reason):
-    """One scenario per ``STEP_REASONS`` entry: the post that steps adds
-    one to its reason and nothing else; the lane adds to none."""
-    from repro.verbs.qp import STEP_REASONS, tally
-
-    sim, ctx, qp, w, lmr, rmr = _step_reason_rig(reason)
-    write = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
-                        remote_offset=0, move_data=False)
-    assert set(tally.stepped) == set(STEP_REASONS)
-
-    def client():
-        before = dict(tally.stepped)
-        yield from w.execute(qp, write)
-        counted.update({k: tally.stepped[k] - before[k] for k in before})
-
-    counted = {}
-    sim.run(until=sim.process(client()))
-    assert counted == {k: int(k == reason) for k in STEP_REASONS}
-
-
 def test_lane_posts_count_no_step_reason():
-    from repro.verbs.qp import tally
-
+    """A lane post is not counted as a stepped WR (only the reference
+    counts them)."""
     sim, cluster, ctx = build(machines=2)
     lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
     qp, w = ctx.create_qp(0, 1), Worker(ctx, 0)
-    before = dict(tally.stepped)
+    before = tally.stepped
 
     def client():
         for i in range(8):

@@ -21,6 +21,7 @@ from repro import build
 from repro.bench import ext9_fabric_scale as ext9
 from repro.bench.runner import write_wr
 from repro.check import Sanitizer, differential
+from repro.check.stepped import traverse
 from repro.hw import FaultInjector, HardwareParams
 from repro.hw.fabric import (
     ClosFabric,
@@ -59,8 +60,8 @@ BASELINE_COMPLETIONS = \
 
 
 def _drain(gen):
-    """Drive a Route.traverse generator to completion outside the sim
-    loop; returns (yielded delays, return value)."""
+    """Drive a stepped ``traverse`` generator to completion outside the
+    sim loop; returns (yielded delays, return value)."""
     delays = []
     try:
         while True:
@@ -125,7 +126,7 @@ def test_plain_route_is_one_bare_delay():
     assert route.hops == 1
     expect = 2 * params.wire_latency_ns + params.switch_latency_ns
     assert route.base_ns() == expect
-    delays, result = _drain(route.traverse(1 << 20))
+    delays, result = _drain(traverse(route, 1 << 20))
     assert delays == [expect]
     assert result == (True, False)
     # Routes are shared: every path() call returns the same object.
@@ -146,7 +147,7 @@ def test_leaf_spine_latency_arithmetic():
     assert len(cross.links) == 4
     assert cross.base_ns() == 4 * w + 3 * s
     # Uncongested traverse pays base latency + per-hop serialization.
-    delays, result = _drain(cross.traverse(4096))
+    delays, result = _drain(traverse(cross, 4096))
     assert result == (True, False)
     assert sum(delays) == pytest.approx(
         cross.base_ns() + sum(link.ser_ns(4096) for link in cross.links))

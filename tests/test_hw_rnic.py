@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.stepped import dma, exec_atomic, exec_tx
 from repro.hw import (Cluster, HardwareParams, NumaTopology, PcieLink,
                       SingleSwitchFabric)
 from repro.sim import Simulator
@@ -72,7 +73,7 @@ def test_exec_tx_serializes_wqes(setup):
     done = []
 
     def op(tag):
-        yield from port.exec_tx(params.exec_write_ns, 32)
+        yield from exec_tx(port, params.exec_write_ns, 32)
         done.append((tag, sim.now))
 
     sim.process(op("a"))
@@ -89,7 +90,7 @@ def test_exec_atomic_serializes(setup):
     times = []
 
     def op():
-        yield from port.exec_atomic()
+        yield from exec_atomic(port)
         times.append(sim.now)
 
     for _ in range(3):
@@ -125,7 +126,7 @@ def test_pcie_dma_charges_transfer_time():
     link = PcieLink(sim, params, topo, socket=0)
 
     def op():
-        yield from link.dma(1024, mem_socket=0)
+        yield from dma(link, 1024, mem_socket=0)
 
     p = sim.process(op())
     sim.run(until=p)
@@ -140,7 +141,7 @@ def test_pcie_dma_cross_socket_penalty():
     link = PcieLink(sim, params, topo, socket=0)
 
     def op():
-        yield from link.dma(64, mem_socket=1)
+        yield from dma(link, 64, mem_socket=1)
 
     p = sim.process(op())
     sim.run(until=p)
@@ -156,7 +157,7 @@ def test_pcie_dma_negative_size():
     link = PcieLink(sim, params, NumaTopology(params), socket=0)
 
     def op():
-        yield from link.dma(-1, mem_socket=0)
+        yield from dma(link, -1, mem_socket=0)
 
     p = sim.process(op())
     with pytest.raises(ValueError):

@@ -263,26 +263,21 @@ def test_layer_rows_sum_to_the_scenario_counts():
 
 
 @pytest.mark.parametrize("express", [True, False])
-def test_census_counts_the_lane_the_timed_run_takes(monkeypatch, express):
-    """The event-counting run takes the lane ``REPRO_EXPRESS`` selects for
-    the timed run, so its layer rows and completion digests describe
-    that run.  The lane is read from its coverage: every WR steps with
-    ``lane_off`` when the lane is off, and none steps when it is on
-    (breakdown dispatches no ``verbs.express`` event on the lane: its
-    lane wakes all run in place)."""
+def test_census_counts_the_lane_the_timed_run_takes(express):
+    """The event-counting run takes the lane it is given (the express
+    lane, which the timed run takes, unless ``express=False``), so its
+    layer rows and completion digests describe that run.  The lane is
+    read from its coverage: every WR steps on the stepped reference, and
+    none steps on the lane (breakdown dispatches no ``verbs.express``
+    event on the lane: its lane wakes all run in place)."""
     from repro.bench.perf import census
     from repro.check import differential
     from repro.verbs.qp import tally
 
-    if not express:
-        monkeypatch.setenv("REPRO_EXPRESS", "0")
-    before = dict(tally.stepped)
-    _, ops, digests = census.events_by_layer("breakdown")
-    stepped = {reason: n - before[reason]
-               for reason, n in tally.stepped.items()}
+    before = tally.stepped
+    _, ops, digests = census.events_by_layer("breakdown", express)
     assert ops > 0
-    assert stepped == {reason: 0 if express or reason != "lane_off" else ops
-                       for reason in stepped}
+    assert tally.stepped - before == (0 if express else ops)
     lane = differential.run(harness.SCENARIOS["breakdown"], express)
     assert digests == lane.digests
 
@@ -325,9 +320,8 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     it: its layers sum to the scenario's ``events``, and its run
     reproduces the plain run's schedule digest with the express lane on.
     Entries the engine ran in place are counted by layer too, and sum to
-    the engine's own in-place count; ext9 (stepped: queued fabric) has
-    them in the engine, hw and stepped verbs, ext10 in tenancy, load and
-    the lane."""
+    the engine's own in-place count; ext9 (queued fabric hops) and
+    ext10 have them on the lane, ext10 in tenancy and load too."""
     import heapq
 
     from repro.bench.perf import census
@@ -344,17 +338,10 @@ def test_census_counts_every_dispatch_and_keeps_the_schedule(name):
     assert row["calls_ops"] == row["ops"]
     assert row["calls"]["sim"] > 0 and row["calls"]["verbs.express"] > 0
     in_place = {layer for layer, n in row["in_place"].items() if n}
-    stepped = sum(row["stepped"].values())
-    if name == "ext9":
-        assert row["by_layer"]["verbs.express"] == 0
-        assert {"sim", "hw", "verbs"} <= in_place
-        # Queued fabric: the lane never attaches, and every WR says why.
-        assert stepped == row["stepped"]["queued_route"] == row["ops"]
-    else:
-        assert row["by_layer"]["verbs.express"] > 0
-        assert "verbs.express" in in_place
-        assert stepped == 0
-        assert plain["metrics"]["express_frac"] == 1.0
+    assert row["by_layer"]["verbs.express"] > 0
+    assert "verbs.express" in in_place
+    assert row["stepped"] == 0
+    assert plain["metrics"]["express_frac"] == 1.0
     assert row["traced_peak_kb"] > 0
     if name == "ext10":
         assert {"tenancy", "load"} <= in_place

@@ -123,7 +123,7 @@ def test_backoff_sequence_is_truncated_exponential():
     tracer = OpTracer()
     qp.tracer = tracer
     FaultInjector(sim).port_down(qp.local_port)
-    stepped = dict(tally.stepped)
+    stepped = tally.stepped
 
     # The timer sequence itself: t, 2t, then capped at 3t forever.
     assert [qp._retrans_wait_ns(n) for n in range(1, 6)] == \

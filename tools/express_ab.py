@@ -1,13 +1,14 @@
-"""A/B harness: bench tables with the express lane on vs off.
+"""A/B harness: bench tables on the express lane vs the stepped reference.
 
 Runs every figure/table/ext target twice in one process — once on the
-stepped pipeline and once on the express lane, through the lane
-differential (:mod:`repro.check.differential`) — and diffs the rendered
-tables byte-for-byte.  The runs must also agree on every simulator's
-completion digest: a per-WR lane difference fails the target even when
-its table hides it, and the report names the first differing simulator,
-its first differing completion and each lane's row for it.  Also
-reports dispatched events per run, which is the lane's whole point.
+stepped reference (:mod:`repro.check.stepped`) and once on the express
+lane, through the lane differential (:mod:`repro.check.differential`) —
+and diffs the rendered tables byte-for-byte.  The runs must also agree
+on every simulator's completion digest: a per-WR lane difference fails
+the target even when its table hides it, and the report names the first
+differing simulator, its first differing completion and each lane's row
+for it.  Also reports dispatched events per run, which is the lane's
+whole point.
 
 Usage::
 
