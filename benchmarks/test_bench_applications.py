@@ -3,18 +3,9 @@ headline summary."""
 
 import pytest
 
-from repro.bench import fig12_hashtable as fig12
-from repro.bench import fig13_reorder as fig13
-from repro.bench import fig15_shuffle as fig15
-from repro.bench import fig16_join as fig16
-from repro.bench import fig17_join_scale as fig17
-from repro.bench import fig18_cpu as fig18
-from repro.bench import fig19_dlog as fig19
-from repro.bench import summary
 
-
-def test_fig12_hashtable_breakdown(once):
-    fig = once(fig12.run, True)
+def test_fig12_hashtable_breakdown(campaign):
+    fig, = campaign("fig12")
     basic = fig.get("Basic HashTable").values
     numa = fig.get("+Numa-OPT").values
     r16 = fig.get("+Reorder-OPT (theta=16)").values
@@ -24,19 +15,18 @@ def test_fig12_hashtable_breakdown(once):
     assert max(r16) > 20                            # ~24.4 MOPS scale
 
 
-def test_fig13_consolidation_sensitivity(once):
-    hot = once(fig13.run_hot, True)
+def test_fig13_consolidation_sensitivity(campaign):
+    hot, batch = campaign("fig13")
     vals = hot.get("Consolidation-OPT").values
     assert vals == sorted(vals, reverse=True)       # declines as hot shrinks
     assert vals[-1] > 0.4 * vals[0]                 # but gently
-    batch = fig13.run_batch(True)
     bvals = batch.get("Consolidation-OPT").values
     assert bvals == sorted(bvals)                   # rises with theta
     assert bvals[-1] / bvals[0] < 16                # sub-linearly
 
 
-def test_fig15_shuffle(once):
-    fig = once(fig15.run, True)
+def test_fig15_shuffle(campaign):
+    fig, = campaign("fig15")
     basic = fig.get("Basic Shuffle").values[-1]
     sgl16 = fig.get("+SGL(Batch=16)").values[-1]
     sp16 = fig.get("+SP(Batch=16)").values[-1]
@@ -45,21 +35,20 @@ def test_fig15_shuffle(once):
     assert sp16 >= sgl16
 
 
-def test_fig16_join(once):
-    fig_a = once(fig16.run_batch, True)
+def test_fig16_join(campaign):
+    fig_a, fig_b = campaign("fig16")
     t4 = fig_a.get("theta=4").values
     no_numa = fig_a.get("(no NUMA) theta=4").values
     assert t4[-1] < 0.5 * t4[0]                     # batching helps a lot
     assert all(a <= b for a, b in zip(t4, no_numa))  # NUMA never hurts
-    fig_b = fig16.run_threads(True)
     l16 = fig_b.get("lambda=16").values
     assert all(b >= a for a, b in zip(l16, l16[1:]))  # more executors help
     ideal = fig_b.get("ideal").values
     assert l16[-1] < ideal[-1]                      # sub-linear
 
 
-def test_fig17_join_scale(once):
-    fig = once(fig17.run, True)
+def test_fig17_join_scale(campaign):
+    fig, = campaign("fig17")
     single = fig.get("Single Machine").values[-1]
     naive = fig.get("theta=4, lambda=1 w/o NUMA").values[-1]
     best = fig.get("theta=16, lambda=16").values[-1]
@@ -67,8 +56,8 @@ def test_fig17_join_scale(once):
     assert 7.0 < naive / best < 14.0                # ~10.3x
 
 
-def test_fig18_cpu_cost(once):
-    fig = once(fig18.run, True)
+def test_fig18_cpu_cost(campaign):
+    fig, = campaign("fig18")
     sp = fig.get("SP").values
     sgl = fig.get("SGL").values
     assert sgl[-1] < 0.35 * sp[-1]                  # >=67% CPU saving
@@ -76,8 +65,8 @@ def test_fig18_cpu_cost(once):
     assert sp[-1] > 5 * sp[0]                       # SP grows with size
 
 
-def test_fig19_distributed_log(once):
-    fig = once(fig19.run, True)
+def test_fig19_distributed_log(campaign):
+    fig, = campaign("fig19")
     aware14 = fig.get("14 TX engines").values
     naive14 = fig.get("14 TX engines (*)").values
     b7 = fig.get("7 TX engines").values
@@ -86,8 +75,8 @@ def test_fig19_distributed_log(once):
     assert b7[-1] / b7[0] > 4.5                     # strong batching gain
 
 
-def test_headline_summary(once):
-    fig = once(summary.run, True)
+def test_headline_summary(campaign):
+    fig, = campaign("summary")
     speedups = dict(zip(fig.x_values, fig.get("speedup").values))
     assert 2.0 < speedups["hashtable"] < 4.5        # paper 2.7x
     assert 4.0 < speedups["shuffle"] < 8.0          # paper 5.8x

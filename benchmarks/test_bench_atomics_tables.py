@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.bench import fig10_atomics as fig10
-from repro.bench import table1_vector_io as table1
-from repro.bench import table2_mlc as table2
-from repro.bench import table3_numa as table3
 
-
-def test_fig10a_spinlocks(once):
-    fig = once(fig10.run_lock, True)
+def test_fig10a_spinlocks(campaign):
+    fig, _ = campaign("fig10")
     local = fig.get("Local").values
     remote = fig.get("Remote").values
     rpc = fig.get("RPC-based").values
@@ -26,8 +21,8 @@ def test_fig10a_spinlocks(once):
     assert local[i8] == pytest.approx(remote[i8], rel=0.5)
 
 
-def test_fig10b_sequencers(once):
-    fig = once(fig10.run_sequencer, True)
+def test_fig10b_sequencers(campaign):
+    _, fig = campaign("fig10")
     local = fig.get("Local Sequencer").values
     remote = fig.get("Remote Sequencer").values
     rpc = fig.get("RPC Sequencer").values
@@ -39,23 +34,23 @@ def test_fig10b_sequencers(once):
     assert local[-1] > 20 * remote[-1]
 
 
-def test_table1_vector_io_grades(once):
-    fig = once(table1.run, True)
+def test_table1_vector_io_grades(campaign):
+    fig, = campaign("table1")
     graded = {c[0]: (c[1], c[2]) for c in fig.checks}
     for key, (measured, expected) in graded.items():
         assert measured == expected, f"Table I mismatch on {key}"
 
 
-def test_table2_mlc(once):
-    fig = once(table2.run, True)
+def test_table2_mlc(campaign):
+    fig, = campaign("table2")
     lat = fig.get("Latency (ns)").values
     bw = fig.get("Bandwidth (GB/s)").values
     assert lat == [92.0, 162.0]
     assert bw == pytest.approx([3.70, 2.27])
 
 
-def test_table3_numa_matrix(once):
-    fig = once(table3.run, True)
+def test_table3_numa_matrix(campaign):
+    fig, = campaign("table3")
     best_lat = fig.get("remote own-core/own-mem read (us)").values[0]
     worst_lat = fig.get("remote alt-core/alt-mem read (us)").values[-1]
     best_thr = fig.get("remote own-core/own-mem read (MOPS)").values[0]

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.bench import ext1_read_mix as ext1
-from repro.bench import ext2_port_scaling as ext2
 
-
-def test_ext1_read_mix(once):
-    fig = once(ext1.run, True)
+def test_ext1_read_mix(campaign):
+    fig, = campaign("ext1")
     numa = fig.get("+Numa-OPT").values
     reorder = fig.get("+Reorder-OPT (theta=16)").values
     gains = [b / a for a, b in zip(numa, reorder)]
@@ -20,9 +17,8 @@ def test_ext1_read_mix(once):
     assert numa == sorted(numa, reverse=True)
 
 
-def test_ext3_stragglers(once):
-    from repro.bench import ext3_stragglers as ext3
-    fig = once(ext3.run, True)
+def test_ext3_stragglers(campaign):
+    fig, = campaign("ext3")
     base = fig.get("baseline (stuck behind straggler)").values
     mitigated = fig.get("rerouted to healthy port").values
     # The baseline stretches with the slow port; rerouting stays flatter.
@@ -31,9 +27,8 @@ def test_ext3_stragglers(once):
     assert base == sorted(base)
 
 
-def test_ext4_one_vs_two_sided(once):
-    from repro.bench import ext4_one_vs_two_sided as ext4
-    fig = once(ext4.run, True)
+def test_ext4_one_vs_two_sided(campaign):
+    fig, = campaign("ext4")
     one = fig.get("one-sided (NUMA-matched)").values
     rpc1 = fig.get("RPC, 1 server thread").values
     rpc4 = fig.get("RPC, 4 server threads").values
@@ -43,9 +38,8 @@ def test_ext4_one_vs_two_sided(once):
     assert max(rpc1) < 1.5
 
 
-def test_ext5_replication(once):
-    from repro.bench import ext5_replication as ext5
-    fig = once(ext5.run, True)
+def test_ext5_replication(campaign):
+    fig, = campaign("ext5")
     sync = fig.get("incremental sync (ms)").values
     # Sync cost grows with the dirty fraction, roughly proportionally.
     assert sync == sorted(sync)
@@ -55,9 +49,8 @@ def test_ext5_replication(once):
     assert recovery[-1] > 3.5
 
 
-def test_ext6_multitenant(once):
-    from repro.bench import ext6_multitenant as ext6
-    fig = once(ext6.run, True)
+def test_ext6_multitenant(campaign):
+    fig, = campaign("ext6_multitenant")
     inflation = fig.get("victim p99 inflation (x)").values
     fifo_x, wfq_x = inflation
     # WFQ bounds the victim's tail under a 10x noisy neighbour; FIFO lets
@@ -69,8 +62,8 @@ def test_ext6_multitenant(once):
     assert "rejected" in adm[1] and " 0 rejected" not in adm[1]
 
 
-def test_ext2_port_scaling(once):
-    fig = once(ext2.run, True)
+def test_ext2_port_scaling(campaign):
+    fig, = campaign("ext2")
     writes = fig.get("inbound 64 B writes").values
     atomics = fig.get("same-word FAA").values
     # Near-linear write scaling with port count...
@@ -79,11 +72,10 @@ def test_ext2_port_scaling(once):
     assert atomics[-1] / atomics[0] < 1.2
 
 
-def test_ext7_fault_recovery(once):
+def test_ext7_fault_recovery(campaign):
     import re
 
-    from repro.bench import ext7_fault_recovery as ext7
-    fig = once(ext7.run, True)
+    fig, = campaign("ext7_fault_recovery")
     p99 = fig.get("p99 write latency (us)").values
     retrans = fig.get("transport retransmissions").values
     # p99 inflates monotonically with the drop rate; the zero-loss run

@@ -3,17 +3,9 @@ and asserting their paper-anchored shapes."""
 
 import pytest
 
-from repro.bench import fig01_throttling as fig1
-from repro.bench import fig03_batch_payload as fig3
-from repro.bench import fig04_batch_size as fig4
-from repro.bench import fig05_threads as fig5
-from repro.bench import fig06_rand_seq as fig6
-from repro.bench import fig08_consolidation as fig8
-from repro.verbs import Opcode
 
-
-def test_fig1_packet_throttling(once):
-    fig = once(fig1.run, True)
+def test_fig1_packet_throttling(campaign):
+    fig, = campaign("fig1")
     wl = fig.get("write-latency-us").values
     rl = fig.get("read-latency-us").values
     wt = fig.get("write-mops").values
@@ -27,8 +19,8 @@ def test_fig1_packet_throttling(once):
     assert wl[-1] > 3 * wl[small]
 
 
-def test_fig3_batch_strategies_vs_payload(once):
-    fig = once(fig3.run, True)
+def test_fig3_batch_strategies_vs_payload(campaign):
+    fig, = campaign("fig3")
     small = fig.x_values.index(32)
     sp = fig.get("Sp-size-16").values
     sgl = fig.get("Sgl-size-16").values
@@ -39,8 +31,8 @@ def test_fig3_batch_strategies_vs_payload(once):
     assert db[-1] > 0.4 * db[small]
 
 
-def test_fig4_batch_size_scaling(once):
-    fig = once(fig4.run, True)
+def test_fig4_batch_size_scaling(campaign):
+    fig, = campaign("fig4")
     sp = fig.get("Sp").values
     db = fig.get("Doorbell").values
     lw = fig.get("Local-W").values
@@ -51,8 +43,8 @@ def test_fig4_batch_size_scaling(once):
     assert 0.9 < sp[-1] / lr[-1] < 1.4     # ~117% of local read
 
 
-def test_fig5_thread_scaling(once):
-    fig = once(fig5.run, True)
+def test_fig5_thread_scaling(campaign):
+    fig, = campaign("fig5")
     sp = fig.get("Sp").values
     sgl = fig.get("Sgl").values
     db = fig.get("Doorbell").values
@@ -61,8 +53,8 @@ def test_fig5_thread_scaling(once):
     assert sp[-1] / sp[0] > 0.6        # SP keeps most of its rate
 
 
-def test_fig6_rand_seq_remote(once):
-    fig = once(fig6.run, True, Opcode.WRITE)
+def test_fig6_rand_seq_remote(campaign):
+    _, fig, _, _ = campaign("fig6")
     seq = fig.get("write-seq-seq").values
     rand = fig.get("write-rand-rand").values
     assert seq[0] > 1.8 * rand[0]
@@ -70,8 +62,8 @@ def test_fig6_rand_seq_remote(once):
     assert seq[0] / rand[0] < 3.5
 
 
-def test_fig6_registered_size_knee(once):
-    fig = once(fig6.run_sizes, True)
+def test_fig6_registered_size_knee(campaign):
+    *_, fig = campaign("fig6")
     seq = fig.get("seq-seq").values
     rand = fig.get("rand-rand").values
     i4k = fig.x_values.index("4K")
@@ -79,8 +71,8 @@ def test_fig6_registered_size_knee(once):
     assert seq[-1] > 1.8 * rand[-1]
 
 
-def test_fig8_io_consolidation(once):
-    fig = once(fig8.run, True)
+def test_fig8_io_consolidation(campaign):
+    fig, = campaign("fig8")
     vals = fig.series[0].values
     native, best = vals[0], vals[-1]
     # Paper: ~7.49x at theta=16; accept the 5-12x band.

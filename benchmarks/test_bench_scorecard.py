@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.bench import breakdown, scorecard
 
-
-def test_scorecard_all_anchors_pass(once):
-    fig = once(scorecard.run, True)
+def test_scorecard_all_anchors_pass(campaign):
+    fig, = campaign("scorecard")
     passes = fig.get("pass").values
     names = fig.x_values
     failing = [n for n, p in zip(names, passes) if p < 1.0]
     assert not failing, f"anchors out of tolerance: {failing}"
 
 
-def test_breakdown_decomposition(once):
-    fig = once(breakdown.run, True)
+def test_breakdown_decomposition(campaign):
+    fig, = campaign("breakdown")
     # The paper's decomposition: network terms identical across ops and
     # placements; the alternate placement pays only on host-side stages.
     w_aff = fig.get("write (affine)").values

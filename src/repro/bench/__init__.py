@@ -1,8 +1,10 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-Each ``figXX_*`` / ``tableX_*`` module exposes ``run(quick=True)`` returning
-a :class:`~repro.bench.report.FigureResult` (series + rows + paper-expected
-anchors) and prints it via ``python -m repro.bench <target>``.
+Every :data:`TARGETS` module implements the point contract —
+``points(quick)``, ``run_point(point, quick)``, ``assemble(values,
+quick)`` — and :func:`repro.bench.parallel.run_campaign` runs it into
+:class:`~repro.bench.report.FigureResult` panels (series + rows +
+paper-expected anchors); ``python -m repro.bench <target>`` prints them.
 
 ``quick=True`` (default, used by pytest-benchmark) trims op counts and
 sweep points to keep wall-clock small; ``--full`` sweeps the paper's exact
@@ -13,7 +15,7 @@ from repro.bench.report import FigureResult, Series
 
 __all__ = ["FigureResult", "Series", "TARGETS"]
 
-#: Registry of bench targets: name -> module path (module has run/main).
+#: Registry of bench targets: name -> module path (a point-contract module).
 TARGETS = {
     "fig1": "repro.bench.fig01_throttling",
     "fig3": "repro.bench.fig03_batch_payload",

@@ -5,7 +5,7 @@ of them, ``summary`` reports the headline application speedups.  The
 full catalog — what each target measures, its point counts, and the
 right incantation — is docs/BENCHMARKS.md.
 
-Sweep targets run as *point campaigns* (see :mod:`repro.bench.parallel`):
+Every target runs as a *point campaign* (see :mod:`repro.bench.parallel`):
 ``--jobs N`` runs the sweep points on a **worker pool** forked once per
 invocation (one pool serves every target of an ``all`` run) and fed one
 point per message over pipes; ``--jobs auto`` uses every core.  The
@@ -22,7 +22,6 @@ committed digests pin).
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 import time
 
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from repro.bench import parallel
-    from repro.bench.runner import set_campaign_seed
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -79,7 +77,6 @@ def main(argv=None) -> int:
         parser.error("--full and --quick are mutually exclusive")
     cache_dir = None if args.no_cache else args.cache
     quick = not args.full
-    set_campaign_seed(args.seed)
 
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     # One pool serves every campaign of this invocation: workers fork
@@ -87,37 +84,21 @@ def main(argv=None) -> int:
     pool = parallel.WorkerPool(args.jobs) if args.jobs > 1 else None
     try:
         for name in targets:
-            module = importlib.import_module(TARGETS[name])
             t0 = time.time()
-            if parallel.point_capable(module):
-                with parallel.profiled(name, enable=args.profile):
-                    result = parallel.run_campaign(
-                        name, quick=quick, jobs=args.jobs,
-                        cache_dir=cache_dir, seed=args.seed, pool=pool)
-                for i, fig in enumerate(result.figures):
-                    if i:
-                        print()
-                    print(fig.to_text())
-                    if args.plot:
-                        from repro.bench.plot import render
-                        print()
-                        print(render(fig))
-                stats = f" [{result.stats_line}]" if cache_dir else ""
-                print(f"[{name} done in {time.time() - t0:.1f}s{stats}]\n")
-                continue
-            # Meta-targets (summary/breakdown/scorecard) aggregate other
-            # modules' runs and stay on the serial path.
-            if args.plot and hasattr(module, "run"):
-                from repro.bench.plot import render
-                with parallel.profiled(name, enable=args.profile):
-                    fig = module.run(quick=quick)
+            with parallel.profiled(name, enable=args.profile):
+                result = parallel.run_campaign(
+                    name, quick=quick, jobs=args.jobs, cache_dir=cache_dir,
+                    seed=args.seed, pool=pool)
+            for i, fig in enumerate(result.figures):
+                if i:
+                    print()
                 print(fig.to_text())
-                print()
-                print(render(fig))
-            else:
-                with parallel.profiled(name, enable=args.profile):
-                    module.main(quick=quick)
-            print(f"[{name} done in {time.time() - t0:.1f}s]\n")
+                if args.plot:
+                    from repro.bench.plot import render
+                    print()
+                    print(render(fig))
+            stats = f" [{result.stats_line}]" if cache_dir else ""
+            print(f"[{name} done in {time.time() - t0:.1f}s{stats}]\n")
     finally:
         if pool is not None:
             pool.close()

@@ -13,7 +13,11 @@ from repro.bench.report import FigureResult
 from repro.verbs import Opcode, OpTracer, Sge, Worker, WorkRequest
 from repro.verbs.trace import STAGES
 
-__all__ = ["run", "main"]
+__all__ = ["points", "run_point", "assemble"]
+
+#: The ops each placement reports, in series order.
+OPS = {"affine": ("write", "read", "compare_and_swap", "fetch_and_add"),
+       "alternate": ("write", "read")}
 
 
 def _trace(placement: str, size: int = 32, n: int = 12) -> OpTracer:
@@ -42,36 +46,35 @@ def _trace(placement: str, size: int = 32, n: int = 12) -> OpTracer:
     return tracer
 
 
-def run(quick: bool = True) -> FigureResult:
-    affine = _trace("affine")
-    alt = _trace("alternate")
-    ops = ["write", "read", "compare_and_swap", "fetch_and_add"]
+def points(quick: bool = True) -> list:
+    return [{"placement": placement} for placement in OPS]
+
+
+def run_point(point: dict, quick: bool = True) -> dict:
+    """Each op's mean stage durations, then its mean latency (ns)."""
+    placement = point["placement"]
+    tracer = _trace(placement)
+    return {op: [tracer.mean_stage_ns(op, s) for s in STAGES]
+            + [tracer.mean_latency_ns(op)] for op in OPS[placement]}
+
+
+def assemble(values: list, quick: bool = True) -> FigureResult:
+    affine, alt = values
     fig = FigureResult(
         name="Breakdown", title="Per-stage latency decomposition "
                                 "(32 B ops; affine vs alternate placement)",
         x_label="stage", x_values=STAGES + ["TOTAL"],
         y_label="mean ns")
-    for op in ops:
-        fig.add(f"{op} (affine)",
-                [affine.mean_stage_ns(op, s) for s in STAGES]
-                + [affine.mean_latency_ns(op)])
-    for op in ("write", "read"):
-        fig.add(f"{op} (alternate)",
-                [alt.mean_stage_ns(op, s) for s in STAGES]
-                + [alt.mean_latency_ns(op)])
-    delta = (alt.mean_latency_ns("write") - affine.mean_latency_ns("write"))
+    for op in OPS["affine"]:
+        fig.add(f"{op} (affine)", affine[op])
+    for op in OPS["alternate"]:
+        fig.add(f"{op} (alternate)", alt[op])
+    delta = alt["write"][-1] - affine["write"][-1]
     fig.check("alternate-placement write penalty", f"+{delta:.0f} ns",
               "QPI on MMIO + WQE fetch + responder DMA (Table III)")
     # Network share is placement-invariant.
+    network = STAGES.index("network")
     fig.check("network share invariant",
-              f"{alt.mean_stage_ns('write', 'network'):.0f} ns",
-              f"{affine.mean_stage_ns('write', 'network'):.0f} ns")
+              f"{alt['write'][network]:.0f} ns",
+              f"{affine['write'][network]:.0f} ns")
     return fig
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

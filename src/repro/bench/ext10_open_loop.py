@@ -53,7 +53,7 @@ from repro.sim.rng import spawn_rngs
 from repro.sim.stats import percentiles
 from repro.workloads import ZipfGenerator, make_arrivals
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 #: Offered-load sweep in MOPS.  The plane below saturates near ~4.3
 #: MOPS (8 service slots x ~2 us per 64 B READ), so the sweep brackets
@@ -247,16 +247,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         f"misses / {worst['cache_invalidations']} invalidations; "
         "coherence oracle: the 'cache' checker in make check.")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    import sys
-    main(quick="--full" not in sys.argv[1:])

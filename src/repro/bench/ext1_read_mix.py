@@ -21,7 +21,7 @@ from repro.bench.report import FigureResult
 from repro.bench.runner import bench_seed
 from repro.core.locks import BackoffPolicy
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 WRITE_RATIOS = [1.0, 0.75, 0.5, 0.25, 0.05]
 N_FE = 10
@@ -74,15 +74,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("reorder never loses", str(all(g >= 0.95 for g in gains)),
               "True")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,7 @@ from repro.hw import HardwareParams
 from repro.sim.stats import mops
 from repro.verbs import Opcode, Sge, Worker, WorkRequest
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 PORTS = [1, 2, 4]
 CLIENTS = 12
@@ -111,15 +111,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{atomics[-1] / atomics[0]:.1f}x",
               "~1x (device-wide word serialization)")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,7 @@ from repro.bench.report import FigureResult
 from repro.bench.runner import bench_seed
 from repro.hw import FaultInjector
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 FACTORS = [1, 2, 4, 8, 16]
 
@@ -77,15 +77,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               "much flatter (residual: inbound lanes still cross the "
               "slow port)")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -18,7 +18,7 @@ from repro.bench.report import FigureResult
 from repro.sim.stats import mops
 from repro.workloads.ycsb import OpKind, YcsbWorkload
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 FRONTENDS = [2, 6, 10, 14]
 
@@ -97,15 +97,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("RPC-1 server-bound plateau (MOPS)", f"{max(r1):.2f}",
               "~1.1 (1/rpc_service_ns)")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

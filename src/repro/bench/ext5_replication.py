@@ -18,7 +18,7 @@ from repro.core import RemoteMirror, Replica
 from repro.sim import make_rng
 from repro.verbs import Worker
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 REGION_MB = 8
 DIRTY_FRACTIONS = [0.01, 0.05, 0.25, 1.0]
@@ -98,15 +98,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{(REGION_MB << 20) / recov[-1] / 1e6:.1f} ms",
               "milliseconds, not seconds — the scenario III promise")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -27,7 +27,7 @@ from repro.hw.params import ServiceConfig, TenantSpec
 from repro.tenancy import ServicePlane
 from repro.verbs import CompletionStatus
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 #: Noisy neighbour overdrive: streams per noisy tenant vs per victim.
 VICTIM_STREAMS = 2
@@ -214,15 +214,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         "victim: 2 closed-loop streams; noisy: 20 streams on another "
         "machine, same scheduler slots. Latency includes plane queuing.")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -34,7 +34,7 @@ from repro.sim.stats import percentiles
 from repro.verbs import (CompletionStatus, Opcode, QPState, Sge, Worker,
                          WorkRequest)
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 WRITE_BYTES = 64
 LOSS_RATES = [0.0, 0.01, 0.05, 0.2]
@@ -243,16 +243,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         "retry budget retry_cnt=7 with 20 us base timeout, 2x backoff "
         "capped at 500 us.")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    import sys
-    main(quick="--full" not in sys.argv[1:])

@@ -33,7 +33,7 @@ from repro.bench.runner import bench_seed
 from repro.sim import AllOf, spawn_rngs
 from repro.workloads.zipf import ZipfGenerator
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 N_KEYS = 128
 N_CLIENTS = 6          # two per client machine (machines 1..3)
@@ -189,16 +189,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         "size sweep abort rates (occ): "
         + str([round(v["abort_rate"], 3) for v in occ_size]))
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    import sys
-    main(quick="--full" not in sys.argv[1:])

@@ -44,7 +44,7 @@ from repro.hw import HardwareParams
 from repro.sim.stats import percentiles
 from repro.verbs import QPState, Worker
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 FANOUTS = [1, 2, 4, 8, 16]
 FANOUT_NODES = 17            # 5 leaves x 4 hosts (one slot spare)
@@ -235,16 +235,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         "dcqcn-off retry-budget exhaustions (reconnects): "
         + str([v["reconnects"] for v in off]))
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    import sys
-    main(quick="--full" not in sys.argv[1:])

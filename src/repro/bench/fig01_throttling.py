@@ -16,7 +16,7 @@ from repro.bench.runner import (
     write_wr,
 )
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 SIZES_FULL = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
 SIZES_QUICK = [2, 16, 64, 256, 1024, 4096, 8192]
@@ -84,15 +84,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("latency ratio 8KB/16B (write)",
               f"{wl[-1] / wl[small]:.1f}x", "steep rise past 2KB (~4-5x)")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

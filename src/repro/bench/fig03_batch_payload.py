@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput, local_vector_mops
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 SIZES_FULL = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 SIZES_QUICK = [4, 32, 128, 512, 2048]
@@ -66,15 +66,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("SGL loses its edge past ~512B (vs Doorbell)",
               f"{sgl16[big_i] / db16[big_i]:.2f}x", "advantage shrinks")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput, local_vector_mops
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 BATCHES_FULL = [1, 2, 4, 8, 16, 32]
 BATCHES_QUICK = [1, 4, 16, 32]
@@ -62,15 +62,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("SP(32) as share of Local-W", f"{sp[-1] / lw:.0%}", "~44%")
     fig.check("SP(32) as share of Local-R", f"{sp[-1] / lr:.0%}", "~117%")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 THREADS_FULL = [1, 2, 3, 4, 5, 6, 7, 8]
 THREADS_QUICK = [1, 2, 4, 8]
@@ -57,15 +57,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("Doorbell drop 1 -> 8 threads",
               f"{1 - db[-1] / db[0]:.0%}", "~60%")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -22,8 +22,7 @@ from repro.hw.numa import NumaTopology
 from repro.sim import make_rng
 from repro.verbs import Opcode
 
-__all__ = ["run", "run_local", "run_sizes", "main",
-           "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 SIZES_FULL = [1, 4, 16, 64, 256, 1024, 4096, 8192]
 SIZES_QUICK = [16, 256, 4096]
@@ -173,38 +172,3 @@ def assemble(values: list, quick: bool = True) -> list:
             _assemble_remote(b, quick, "write"),
             _assemble_local(c, quick),
             _assemble_sizes(d, quick)]
-
-
-# ------------------------------------------------------ serial panel API
-def run(quick: bool = True, opcode: Opcode = Opcode.WRITE) -> FigureResult:
-    """Panels (a)/(b): remote access patterns over payload sizes."""
-    op = "write" if opcode is Opcode.WRITE else "read"
-    pts = [p for p in points(quick) if p["panel"] == op]
-    return _assemble_remote([run_point(p, quick) for p in pts], quick, op)
-
-
-def run_local(quick: bool = True) -> FigureResult:
-    """Panel (c): local DRAM baselines from the cost model."""
-    pts = [p for p in points(quick)
-           if p["panel"] in ("local", "local-asym")]
-    return _assemble_local([run_point(p, quick) for p in pts], quick)
-
-
-def run_sizes(quick: bool = True) -> FigureResult:
-    """Panel (d): 32 B writes over the registered-size sweep."""
-    pts = [p for p in points(quick) if p["panel"] == "sizes"]
-    return _assemble_sizes([run_point(p, quick) for p in pts], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick, Opcode.READ).to_text())
-    print()
-    print(run(quick, Opcode.WRITE).to_text())
-    print()
-    print(run_local(quick).to_text())
-    print()
-    print(run_sizes(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

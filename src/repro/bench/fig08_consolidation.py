@@ -13,7 +13,7 @@ from repro.sim import make_rng
 from repro.sim.stats import mops
 from repro.verbs import Worker
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 THETAS_FULL = [1, 2, 4, 8, 16]
 THETAS_QUICK = [1, 4, 16]
@@ -85,15 +85,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("theta=16 speedup over native", f"{best / native:.2f}x",
               "~7.49x")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -25,8 +25,7 @@ from repro.sim import make_rng
 from repro.sim.stats import mops
 from repro.verbs import Worker
 
-__all__ = ["run_lock", "run_sequencer", "main",
-           "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 THREADS_FULL = [1, 2, 4, 6, 8, 10, 12, 14]
 THREADS_QUICK = [1, 4, 8, 14]
@@ -183,11 +182,6 @@ def _assemble_lock(values: list, quick: bool = True) -> FigureResult:
     return fig
 
 
-def run_lock(quick: bool = True) -> FigureResult:
-    pts = [p for p in points(quick) if p["panel"] == "lock"]
-    return _assemble_lock([run_point(p, quick) for p in pts], quick)
-
-
 def _local_seq_mops(n_threads, window_ns) -> float:
     sim, cluster, ctx = build(machines=1)
     seq = LocalSequencer(sim)
@@ -256,18 +250,3 @@ def _assemble_sequencer(values: list, quick: bool = True) -> FigureResult:
     fig.check("remote / RPC at saturation",
               f"{remote[hi] / rpc[hi]:.2f}x", "1.87-2.25x")
     return fig
-
-
-def run_sequencer(quick: bool = True) -> FigureResult:
-    pts = [p for p in points(quick) if p["panel"] == "seq"]
-    return _assemble_sequencer([run_point(p, quick) for p in pts], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run_lock(quick).to_text())
-    print()
-    print(run_sequencer(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

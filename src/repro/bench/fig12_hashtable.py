@@ -19,7 +19,7 @@ from repro.bench.report import FigureResult
 from repro.bench.runner import bench_seed
 from repro.core.locks import BackoffPolicy
 
-__all__ = ["run", "main", "CONFIGS", "points", "run_point", "assemble"]
+__all__ = ["CONFIGS", "points", "run_point", "assemble"]
 
 FRONTENDS_FULL = [1, 2, 4, 6, 8, 10, 12, 14]
 FRONTENDS_QUICK = [2, 6, 10, 14]
@@ -79,15 +79,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{max(max(r16) / max(basic), max(r16) / max(numa)):.2f}x",
               "1.85-2.70x")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -15,8 +15,7 @@ from repro.bench.runner import bench_seed
 from repro.core.locks import BackoffPolicy
 from repro.workloads.zipf import ZipfGenerator
 
-__all__ = ["run_hot", "run_batch", "main",
-           "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 PROPORTIONS = ["1/4", "1/8", "1/16", "1/32"]
 THETAS_FULL = [1, 2, 4, 8, 16]
@@ -93,27 +92,3 @@ def assemble(values: list, quick: bool = True) -> list:
     n = len(PROPORTIONS)
     return [_assemble_hot(values[:n], values[n:2 * n]),
             _assemble_batch(values[2 * n:], quick)]
-
-
-def run_hot(quick: bool = True) -> FigureResult:
-    hot = [run_point(p, quick) for p in points(quick)
-           if p["panel"] == "hot"]
-    shares = [run_point(p, quick) for p in points(quick)
-              if p["panel"] == "hot-share"]
-    return _assemble_hot(hot, shares)
-
-
-def run_batch(quick: bool = True) -> FigureResult:
-    vals = [run_point(p, quick) for p in points(quick)
-            if p["panel"] == "batch"]
-    return _assemble_batch(vals, quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run_hot(quick).to_text())
-    print()
-    print(run_batch(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

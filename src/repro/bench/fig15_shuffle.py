@@ -12,7 +12,7 @@ from repro.apps.shuffle import DistributedShuffle, ShuffleConfig
 from repro.bench.report import FigureResult
 from repro.bench.runner import bench_seed
 
-__all__ = ["run", "main", "CONFIGS", "points", "run_point", "assemble"]
+__all__ = ["CONFIGS", "points", "run_point", "assemble"]
 
 EXECUTORS_FULL = [2, 4, 6, 8, 10, 12, 14, 16]
 EXECUTORS_QUICK = [4, 8, 16]
@@ -64,15 +64,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{sp16 / basic:.1f}x", "~5.8x")
     fig.check("SP(16) >= SGL(16)", str(sp16 >= sgl16), "True")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -17,8 +17,7 @@ from repro.apps.join import DistributedJoin, JoinConfig, single_machine_join_ns
 from repro.bench.report import FigureResult
 from repro.bench.runner import bench_seed
 
-__all__ = ["run_batch", "run_threads", "main", "join_time_ns",
-           "points", "run_point", "assemble"]
+__all__ = ["join_time_ns", "points", "run_point", "assemble"]
 
 TARGET_TUPLES = 1 << 24
 BATCHES_FULL = [1, 2, 4, 8, 16, 32]
@@ -90,11 +89,6 @@ def _assemble_batch(values: list, quick: bool = True) -> FigureResult:
     return fig
 
 
-def run_batch(quick: bool = True) -> FigureResult:
-    pts = [p for p in points(quick) if p["panel"] == "batch"]
-    return _assemble_batch([run_point(p, quick) for p in pts], quick)
-
-
 def _assemble_threads(values: list, quick: bool = True) -> FigureResult:
     executors = EXECUTORS_QUICK if quick else EXECUTORS_FULL
     fig = FigureResult(
@@ -112,18 +106,3 @@ def _assemble_threads(values: list, quick: bool = True) -> FigureResult:
     fig.check("lambda=16 vs ideal at max executors",
               f"-{1 - l16[-1] / ideal[-1]:.0%}", "~-22%")
     return fig
-
-
-def run_threads(quick: bool = True) -> FigureResult:
-    pts = [p for p in points(quick) if p["panel"] == "threads"]
-    return _assemble_threads([run_point(p, quick) for p in pts], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run_batch(quick).to_text())
-    print()
-    print(run_threads(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from repro.apps.join import single_machine_join_ns
 from repro.bench.fig16_join import join_time_ns
 from repro.bench.report import FigureResult
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 SCALES = ["2^24", "2^25", "2^26"]
 _SCALE_TUPLES = {"2^24": 1 << 24, "2^25": 1 << 25, "2^26": 1 << 26}
@@ -64,15 +64,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{min(ratios):.2f}-{max(ratios):.2f}",
               "constant performance reduction")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 SIZES_FULL = [64, 256, 1024, 4096]
 BATCH = 16
@@ -45,15 +45,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{sgl[0]:.0f} -> {sgl[-1]:.0f} ns/entry",
               "no CPU involvement in the fetch phase")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

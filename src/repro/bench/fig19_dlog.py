@@ -12,7 +12,7 @@ from repro.apps.dlog import DistributedLog, LogConfig, TransactionEngine
 from repro.bench.report import FigureResult
 from repro.sim.stats import mops
 
-__all__ = ["run", "measure", "main", "points", "run_point", "assemble"]
+__all__ = ["measure", "points", "run_point", "assemble"]
 
 BATCHES_FULL = [1, 2, 4, 8, 16, 32]
 BATCHES_QUICK = [1, 4, 16, 32]
@@ -82,15 +82,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
               f"{b7[-1] / b7[0]:.1f}x", "~9.1x")
     fig.notes.append("(*) = without NUMA awareness")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,8 +10,9 @@ the assembled :class:`~repro.bench.report.FigureResult` tables — and the
 perf harness's SHA-256 schedule digests — are bit-identical to a serial
 run.
 
-Target-module contract (duck-typed; every ``fig*``/``ext*``/``table*``
-module implements it):
+Target-module contract (every :data:`~repro.bench.TARGETS` module,
+the meta targets ``summary``, ``breakdown`` and ``scorecard`` included,
+implements it):
 
 ``points(quick) -> list[dict]``
     The sweep decomposed into JSON-serializable point descriptors in
@@ -27,10 +28,11 @@ module implements it):
     Zips the per-point values (aligned with ``points(quick)``) back into
     the target's figure panel(s), including the paper-anchor checks.
 
-The serial path (``module.run(...)``) iterates the same
-``points``/``run_point`` pair inline; the parallel path only changes
-*where* each point executes, never what it computes — that is the whole
-determinism contract (docs/PERFORMANCE.md, "Parallel campaigns").
+:func:`run_campaign` is the one way to get a target's figures.  With
+``jobs=1`` and no cache it runs every point inline, in ``points()``
+order; the pool only changes *where* each point executes, never what it
+computes — that is the whole determinism contract (docs/PERFORMANCE.md,
+"Parallel campaigns").
 
 **One campaign path.**  :func:`compute_points` probes the point cache in
 the parent and runs only the misses, inline or on a :class:`WorkerPool`
@@ -87,10 +89,10 @@ __all__ = [
     "build_parser",
     "compute_points",
     "default_jobs",
+    "figure_outcome",
     "figures_digest",
     "jobs_arg",
     "normalize",
-    "point_capable",
     "point_key",
     "profiled",
     "run_campaign",
@@ -165,11 +167,14 @@ class CampaignResult:
 
 # ------------------------------------------------------------------ keys
 def normalize(value: Any) -> Any:
-    """Round-trip a point value through JSON.
+    """Round-trip a point value through JSON, as the point cache stores it.
 
-    Forces computed and cached values onto identical types (tuples become
+    A campaign with a cache normalizes every value it computes, so its
+    cold and warm runs hand ``assemble`` identical types (tuples become
     lists, dict keys become strings); floats survive exactly — ``repr``
-    round-trips every finite double bit-for-bit.
+    round-trips every finite double bit-for-bit.  Without a cache,
+    ``assemble`` gets what ``run_point`` returned, which the contract
+    requires to be JSON-native already.
     """
     return json.loads(json.dumps(value))
 
@@ -257,12 +262,6 @@ class PointCache:
 
 
 # ------------------------------------------------------------- execution
-def point_capable(module) -> bool:
-    """Does this target module implement the points contract?"""
-    return all(hasattr(module, a) for a in ("points", "run_point",
-                                            "assemble"))
-
-
 def default_jobs() -> int:
     """``--jobs auto``: one worker per usable core."""
     try:
@@ -284,16 +283,18 @@ def jobs_arg(text: str) -> int:
 def _run_point_task(task: tuple) -> tuple:
     """Run one point; never let an exception escape unpaired.
 
-    ``task`` is ``(module_name, point, quick, seed)``.  Returns
+    ``task`` is ``(module, point, quick, seed)``: the target module, or in
+    a pool worker its name, which the worker imports.  Returns
     ("ok", value) or ("err", description) so the caller can name the
     exact failing point instead of surfacing a bare traceback.  Both
     lanes — inline and pool worker — run every point through here.
     """
-    module_name, point, quick, seed = task
+    module, point, quick, seed = task
     set_campaign_seed(seed)
     try:
-        module = importlib.import_module(module_name)
-        return "ok", normalize(module.run_point(point, quick))
+        if isinstance(module, str):
+            module = importlib.import_module(module)
+        return "ok", module.run_point(point, quick)
     except Exception as exc:  # noqa: BLE001 - reported as campaign failure
         return "err", f"{type(exc).__name__}: {exc}"
 
@@ -427,21 +428,22 @@ def _crash_error(proc, task: tuple) -> CampaignError:
         f"— no tables emitted; in-flight point {json.dumps(task[1])}")
 
 
-def compute_points(module_name: str, points: list[dict], quick: bool = True,
+def compute_points(module, points: list[dict], quick: bool = True,
                    jobs: int = 1, seed: int = 0,
                    cache: Optional[PointCache] = None,
                    pool: Optional[WorkerPool] = None,
                    ) -> tuple[list[Any], int, int]:
-    """Compute every point's value, in canonical order.
+    """Compute every point of target ``module``, in canonical order.
 
     Returns ``(values, n_computed, n_cached)``.  The cache is probed
     here, in the calling process; only the misses run — on ``pool`` when
     given, on an ephemeral pool when ``jobs > 1`` and more than one
-    point missed, else inline.  Results merge back by point *index*, so
-    the output order never depends on scheduling, and any failed point
-    raises :class:`CampaignError` naming every failure — no partial
-    tables.
+    point missed, else inline on ``module`` (pool workers import it by
+    name).  Results merge back by point *index*, so the output order
+    never depends on scheduling, and any failed point raises
+    :class:`CampaignError` naming every failure — no partial tables.
     """
+    module_name = module.__name__
     n = len(points)
     values: list[Any] = [None] * n
     keys: list[Optional[str]] = [None] * n
@@ -461,7 +463,7 @@ def compute_points(module_name: str, points: list[dict], quick: bool = True,
         with WorkerPool(min(jobs, len(tasks))) as ephemeral:
             outcomes = ephemeral.map(tasks)
     else:
-        outcomes = [_run_point_task(t) for t in tasks]
+        outcomes = [_run_point_task((module, *task[1:])) for task in tasks]
 
     failures = [(points[i], detail)
                 for i, (status, detail) in zip(misses, outcomes)
@@ -473,38 +475,36 @@ def compute_points(module_name: str, points: list[dict], quick: bool = True,
             f"{module_name}: {len(failures)}/{len(misses)} points "
             f"failed — no tables emitted:\n{lines}")
     for i, (_status, value) in zip(misses, outcomes):
-        values[i] = value
         if cache is not None:
+            value = normalize(value)
             cache.put(keys[i], value,
                       meta={"module": module_name, "point": points[i],
                             "quick": quick, "seed": seed,
                             "version": __version__})
+        values[i] = value
     return values, len(misses), n - len(misses)
 
 
 def run_campaign(target: str, quick: bool = True, jobs: int = 1,
-                 cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
-                 seed: int = 0, pool: Optional[WorkerPool] = None,
-                 ) -> CampaignResult:
+                 cache_dir: Optional[str] = None, seed: int = 0,
+                 pool: Optional[WorkerPool] = None) -> CampaignResult:
     """Run one bench target as a point campaign and assemble its figures.
 
-    ``cache_dir=None`` disables the point cache.  ``jobs`` and ``pool``
-    are as in :func:`compute_points`; pass a shared :class:`WorkerPool`
-    to keep workers warm across campaigns (``repro-bench all`` does).
+    The default computes every point inline under campaign seed 0.
+    ``cache_dir`` names a point-cache directory to read and fill (the
+    CLIs pass :data:`DEFAULT_CACHE_DIR`).  ``jobs`` and ``pool`` are as
+    in :func:`compute_points`; pass a shared :class:`WorkerPool` to keep
+    workers warm across campaigns (``repro-bench all`` does).
     """
     module_name = TARGETS[target]
     module = importlib.import_module(module_name)
-    if not point_capable(module):
-        raise CampaignError(
-            f"{target} ({module_name}) does not expose the "
-            "points/run_point/assemble contract")
     set_campaign_seed(seed)
     t0 = time.perf_counter()
     points = module.points(quick)
     cache = PointCache(cache_dir) if cache_dir else None
     values, n_computed, n_cached = compute_points(
-        module_name, points, quick=quick, jobs=jobs, seed=seed,
-        cache=cache, pool=pool)
+        module, points, quick=quick, jobs=jobs, seed=seed, cache=cache,
+        pool=pool)
     figures = module.assemble(values, quick)
     if isinstance(figures, FigureResult):
         figures = [figures]
@@ -521,14 +521,21 @@ def run_campaign(target: str, quick: bool = True, jobs: int = 1,
 
 
 # ---------------------------------------------------------------- digest
-def figures_digest(figures: list[FigureResult]) -> str:
-    """Machine-independent SHA-256 over the figures' x-axes and series —
-    the same content the perf harness digests per scenario."""
-    blob = json.dumps([{
+def figure_outcome(fig: FigureResult) -> dict:
+    """A figure's name, x-axis and series: what both this module's
+    :func:`figures_digest` and the perf harness's scenario digests
+    cover."""
+    return {
         "name": fig.name,
         "x": [str(x) for x in fig.x_values],
         "series": {s.label: s.values for s in fig.series},
-    } for fig in figures], sort_keys=True, default=repr)
+    }
+
+
+def figures_digest(figures: list[FigureResult]) -> str:
+    """Machine-independent SHA-256 over the figures' x-axes and series."""
+    blob = json.dumps([figure_outcome(fig) for fig in figures],
+                      sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -542,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the merged tables (the campaign determinism "
                     "contract, docs/PERFORMANCE.md)")
     parser.add_argument("target", choices=sorted(TARGETS),
-                        help="point-capable bench target to cross-check")
+                        help="bench target to cross-check")
     parser.add_argument("--jobs", type=jobs_arg, default=2, metavar="N",
                         help="worker processes for the pooled run: an "
                              "integer >= 1 or 'auto' (default 2)")
@@ -569,12 +576,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     quick = not args.full
     with profiled(f"{args.target} (serial)", enable=args.profile):
-        serial = run_campaign(args.target, quick=quick, jobs=1,
-                              cache_dir=None, seed=args.seed)
+        serial = run_campaign(args.target, quick=quick, seed=args.seed)
     d_serial = figures_digest(serial.figures)
     with WorkerPool(args.jobs) as pool:
         pooled = run_campaign(args.target, quick=quick, jobs=args.jobs,
-                              cache_dir=None, seed=args.seed, pool=pool)
+                              seed=args.seed, pool=pool)
     d_pooled = figures_digest(pooled.figures)
     print(f"{args.target}: {serial.n_points} points; serial {d_serial[:12]} "
           f"({serial.wall_s:.1f}s) vs --jobs {args.jobs} {d_pooled[:12]} "

@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import importlib
 import json
 import sys
 import time
 import tracemalloc
 from typing import Callable, Optional
 
-from repro.bench import TARGETS
+from repro.bench import parallel
 from repro.sim import Simulator
 from repro.sim.engine import tally as engine_tally
 
@@ -116,13 +115,9 @@ def _sweep_parallel() -> dict:
     block also records the usable core count — ``check`` enforces the
     ``SPEEDUP_FLOOR`` only when ``cores >= SPEEDUP_CORES``.
     """
-    from repro.bench import parallel
-
-    serial = parallel.run_campaign("fig1", quick=True, jobs=1,
-                                   cache_dir=None)
+    serial = parallel.run_campaign("fig1")
     with parallel.WorkerPool(4) as pool:
-        pooled = parallel.run_campaign("fig1", quick=True, jobs=4,
-                                       cache_dir=None, pool=pool)
+        pooled = parallel.run_campaign("fig1", jobs=4, pool=pool)
     d_serial = parallel.figures_digest(serial.figures)
     d_pooled = parallel.figures_digest(pooled.figures)
     if d_serial != d_pooled:
@@ -145,30 +140,17 @@ def _sweep_parallel() -> dict:
     }
 
 
-def _series(fig) -> dict:
-    return {
-        "name": fig.name,
-        "x": [str(x) for x in fig.x_values],
-        "series": {s.label: s.values for s in fig.series},
-    }
-
-
-def _figure(module_name: str) -> Callable[[], dict]:
+def _figure(target: str) -> Callable[[], dict]:
     def runner() -> dict:
-        module = importlib.import_module(module_name)
-        if hasattr(module, "run"):
-            fig = module.run(quick=True)
-            # The rendered table is digested separately from the
-            # schedule: a table change is an output regression and is
-            # never a legitimate reason to refresh the baseline.
-            return {**_series(fig), "_table": fig.to_text()}
-        # Multi-figure targets (fig10) expose points/run_point/assemble
-        # instead of a single run().
-        figs = module.assemble([module.run_point(pt, quick=True)
-                                for pt in module.points(quick=True)],
-                               quick=True)
-        return {"figures": [_series(f) for f in figs],
-                "_table": "\n".join(f.to_text() for f in figs)}
+        figs = parallel.run_campaign(target).figures
+        # The rendered table is digested separately from the schedule: a
+        # table change is an output regression and is never a legitimate
+        # reason to refresh the baseline.
+        table = "\n".join(f.to_text() for f in figs)
+        if len(figs) == 1:
+            return {**parallel.figure_outcome(figs[0]), "_table": table}
+        return {"figures": [parallel.figure_outcome(f) for f in figs],
+                "_table": table}
     return runner
 
 
@@ -183,15 +165,15 @@ TABLE_ROWS = ("fig4", "fig8", "fig10", "fig18", "table2", "table3",
 #: execution order; "quick" mode keeps the starred subset.
 SCENARIOS: dict[str, Callable[[], dict]] = {
     "engine_dispatch": _engine_dispatch,
-    "fig1": _figure("repro.bench.fig01_throttling"),
-    "fig5": _figure("repro.bench.fig05_threads"),
-    "ext6": _figure("repro.bench.ext6_multitenant"),
-    "ext7": _figure("repro.bench.ext7_fault_recovery"),
-    "ext8": _figure("repro.bench.ext8_txn"),
-    "ext9": _figure("repro.bench.ext9_fabric_scale"),
-    "ext10": _figure("repro.bench.ext10_open_loop"),
+    "fig1": _figure("fig1"),
+    "fig5": _figure("fig5"),
+    "ext6": _figure("ext6_multitenant"),
+    "ext7": _figure("ext7_fault_recovery"),
+    "ext8": _figure("ext8_txn"),
+    "ext9": _figure("ext9_fabric_scale"),
+    "ext10": _figure("ext10_open_loop"),
     "sweep_parallel": _sweep_parallel,
-    **{name: _figure(TARGETS[name]) for name in TABLE_ROWS},
+    **{name: _figure(name) for name in TABLE_ROWS},
 }
 
 #: The smoke-friendly subset (`make perf-quick`).  sweep_parallel is in

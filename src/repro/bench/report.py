@@ -73,9 +73,8 @@ def format_table(header: list[str], rows: list[list[str]]) -> str:
     for r in rows:
         if len(r) != cols:
             raise ValueError("ragged table row")
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows
-              else len(header[c]) for c in range(cols)]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def fmt(row):
-        return "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row))
-    sep = "  ".join("-" * w for w in widths)
+        return "  ".join([cell.rjust(w) for cell, w in zip(row, widths)])
+    sep = "  ".join(["-" * w for w in widths])
     return "\n".join([fmt(header), sep] + [fmt(r) for r in rows])

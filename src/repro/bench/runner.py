@@ -21,12 +21,12 @@ Measurement conventions, so every figure is comparable:
   materialized, keeping micro-benchmarks allocation-free.  Tests that
   verify data integrity build their own WRs with ``move_data=True``.
 * **Points are the unit of parallelism.**  Because every point is a
-  fresh rig, each target also exposes the
-  ``points(quick)`` / ``run_point(point, quick)`` / ``assemble(values,
-  quick)`` contract, which lets :mod:`repro.bench.parallel` fan a sweep
-  over its warm worker pool and cache per-point results — with tables
-  bit-identical to the serial ``run()``.  docs/BENCHMARKS.md catalogs
-  every target; docs/PERFORMANCE.md specifies the contract.
+  fresh rig, each target is the ``points(quick)`` / ``run_point(point,
+  quick)`` / ``assemble(values, quick)`` contract, which
+  :func:`repro.bench.parallel.run_campaign` runs inline or fans over its
+  warm worker pool, caching per-point results — with tables
+  bit-identical either way.  docs/BENCHMARKS.md catalogs every target;
+  docs/PERFORMANCE.md specifies the contract.
 
 Everything here is deterministic given the rig's seed: run order is
 fixed by the event heap's (time, priority, sequence) key, never by host

@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.bench.report import FigureResult
 
-__all__ = ["ANCHORS", "run", "main"]
+__all__ = ["ANCHORS", "points", "run_point", "assemble"]
 
 
 @dataclass
@@ -30,11 +30,10 @@ class Anchor:
     rel_tol: float              # acceptance band around paper_value
     unit: str = ""
 
-    def grade(self) -> tuple[float, bool]:
-        got = self.measure()
+    def passes(self, got: float) -> bool:
         lo = self.paper_value * (1 - self.rel_tol)
         hi = self.paper_value * (1 + self.rel_tol)
-        return got, lo <= got <= hi
+        return lo <= got <= hi
 
 
 # ---- measurement helpers (cheap, self-contained) ---------------------------
@@ -130,13 +129,21 @@ ANCHORS = [
 ]
 
 
-def run(quick: bool = True) -> FigureResult:
+def points(quick: bool = True) -> list:
+    return [{"anchor": a.name} for a in ANCHORS]
+
+
+def run_point(point: dict, quick: bool = True) -> float:
+    return {a.name: a for a in ANCHORS}[point["anchor"]].measure()
+
+
+def assemble(values: list, quick: bool = True) -> FigureResult:
     fig = FigureResult(
         name="Scorecard", title="Reproduction health check "
                                 "(paper anchors, toleranced)",
         x_label="anchor", x_values=[a.name for a in ANCHORS],
         y_label="paper / measured / pass")
-    results = [(a, *a.grade()) for a in ANCHORS]
+    results = [(a, got, a.passes(got)) for a, got in zip(ANCHORS, values)]
     fig.add("paper", [a.paper_value for a, _, _ in results])
     fig.add("measured", [got for _, got, _ in results])
     fig.add("pass", [1.0 if ok else 0.0 for _, _, ok in results])
@@ -148,11 +155,3 @@ def run(quick: bool = True) -> FigureResult:
                   f"{got:.3g} {a.unit} {'PASS' if ok else 'FAIL'}",
                   f"{a.paper_value:g} {a.unit} (±{a.rel_tol:.0%})")
     return fig
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

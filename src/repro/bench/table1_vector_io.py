@@ -12,7 +12,7 @@ from repro.bench.report import FigureResult
 from repro.bench.vector_io_common import batched_throughput
 from repro.core.advisor import VECTOR_IO_TABLE
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 STRATEGIES = ["Doorbell", "SP", "SGL"]
 _KEY = {"Doorbell": "doorbell", "SP": "sp", "SGL": "sgl"}
@@ -93,15 +93,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         fig.check(f"{s} programmability (paper judgement)",
                   expected["programmability"], expected["programmability"])
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from repro.hw import HardwareParams
 from repro.hw.dram import DramModel
 from repro.hw.numa import NumaTopology
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 
 def points(quick: bool = True) -> list:
@@ -39,15 +39,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
     fig.check("remote socket", f"{remote_lat:.0f} ns / {remote_bw:.2f} GB/s",
               "162 ns / 2.27 GB/s")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -19,7 +19,7 @@ from repro.bench.report import FigureResult
 from repro.bench.runner import PipelinedClient, drive_all, read_wr, write_wr
 from repro.verbs import Worker
 
-__all__ = ["run", "main", "points", "run_point", "assemble"]
+__all__ = ["points", "run_point", "assemble"]
 
 _PLACEMENTS = ["own", "alt"]
 
@@ -106,15 +106,3 @@ def assemble(values: list, quick: bool = True) -> FigureResult:
         "~31%/49% cell spread (their quoted 55% mixes in next-gen RNIC "
         "projections) — see EXPERIMENTS.md")
     return fig
-
-
-def run(quick: bool = True) -> FigureResult:
-    return assemble([run_point(p, quick) for p in points(quick)], quick)
-
-
-def main(quick: bool = True) -> None:
-    print(run(quick).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -165,7 +165,12 @@ class Resource:
         ``grant`` runs right after the reservation, so ``sim._seq`` is the
         reserved seq when it starts: a holder may book a keyed wake after
         its end key (:meth:`Simulator.call_keyed`).
+
+        A negative or NaN ``dur`` raises ``ValueError`` before the unit
+        is touched, as :meth:`Simulator.timeout` refuses such a delay.
         """
+        if dur is not None and not dur >= 0:  # NaN fails too
+            raise ValueError(f"negative or NaN hold duration: {dur}")
         if self._in_use and not (
                 self._waiters.__class__ is tuple and self._lapsed()):
             self._wait((dur, grant, end))
@@ -180,8 +185,6 @@ class Resource:
         # :meth:`_grant`, inlined on this hot path (a lane hold per
         # stage), with no waiter queued.
         when = sim.now + dur
-        if not when >= sim.now:
-            when = sim._clamp(when)
         sim._seq = seq = sim._seq + 1
         if end is None:
             self._waiters = (when, seq)
@@ -197,8 +200,6 @@ class Resource:
         a free unit."""
         sim = self.sim
         when = sim.now + dur
-        if not when >= sim.now:
-            when = sim._clamp(when)
         sim._seq = seq = sim._seq + 1
         if end is not None or self._waiters:
             self._end = end

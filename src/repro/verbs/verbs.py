@@ -190,8 +190,8 @@ class Worker:
     # -- CPU accounting -------------------------------------------------------
     def compute(self, ns: float) -> Generator:
         """Spend ``ns`` of CPU time."""
-        if ns < 0:
-            raise ValueError(f"negative compute time: {ns}")
+        if not ns >= 0:  # NaN fails too
+            raise ValueError(f"compute: negative or NaN CPU time: {ns}")
         self.cpu_busy_ns += ns
         yield ns + 0.0  # coerce int ns: only floats ride the bare-delay lane
 

@@ -92,7 +92,8 @@ def test_targets_registry_resolves():
     import importlib
     for name, path in TARGETS.items():
         module = importlib.import_module(path)
-        assert hasattr(module, "main"), f"{name} lacks main()"
+        for attr in ("points", "run_point", "assemble"):
+            assert hasattr(module, attr), f"{name} lacks {attr}()"
 
 
 def test_cli_runs_a_cheap_target(capsys):
@@ -119,9 +120,9 @@ def test_cli_plot_flag_renders_figure(capsys):
 
 # ------------------------------------------------ summary and breakdown
 def test_summary_quick_reproduces_its_anchor_checks():
-    from repro.bench import summary
+    from repro.bench.parallel import run_campaign
 
-    fig = summary.run(quick=True)
+    fig, = run_campaign("summary").figures
     assert fig.checks == [
         ("hashtable speedup", "3.5x", "2.7x"),
         ("shuffle speedup", "5.9x", "5.8x"),
@@ -136,9 +137,9 @@ def test_summary_quick_reproduces_its_anchor_checks():
 
 
 def test_breakdown_reproduces_its_anchor_checks():
-    from repro.bench import breakdown
+    from repro.bench.parallel import run_campaign
 
-    fig = breakdown.run()
+    fig, = run_campaign("breakdown").figures
     assert fig.checks == [
         ("alternate-placement write penalty", "+208 ns",
          "QPI on MMIO + WQE fetch + responder DMA (Table III)"),

@@ -68,6 +68,6 @@ def test_render_validation():
 
 def test_render_every_real_figure_smoke():
     """The plotter must handle any FigureResult the benches produce."""
-    from repro.bench.table2_mlc import run
-    out = render(run(True))
+    from repro.bench.parallel import run_campaign
+    out = render(run_campaign("table2").figures[0])
     assert "Table II" in out

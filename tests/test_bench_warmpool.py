@@ -60,7 +60,7 @@ def test_worker_crash_mid_chunk_names_the_point_and_does_not_hang():
     mod = _install_module(name, 4, run_point)
     try:
         with pytest.raises(CampaignError) as err:
-            compute_points(name, mod.points(), quick=True, jobs=2)
+            compute_points(mod, mod.points(), quick=True, jobs=2)
         msg = str(err.value)
         assert "died" in msg
         assert '"i": 1' in msg          # the in-flight point is named
@@ -219,7 +219,7 @@ def test_two_core_speedup_smoke():
     mod = _install_module(name, 8, busy_point)
     try:
         t0 = time.perf_counter()
-        serial, _, _ = compute_points(name, mod.points(), quick=True, jobs=1)
+        serial, _, _ = compute_points(mod, mod.points(), quick=True, jobs=1)
         t_serial = time.perf_counter() - t0
         with WorkerPool(2) as pool:
             t0 = time.perf_counter()

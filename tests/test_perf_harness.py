@@ -443,15 +443,16 @@ def test_seeded_figure_replays_byte_identical_timelines(
     """Two runs of a seeded sweep dispatch the exact same (time, priority,
     seq) sequence — the strongest statement of engine determinism, and
     what every fast-path optimization must preserve."""
-    import importlib
-    module = importlib.import_module(target)
+    from repro.bench import TARGETS
+    from repro.bench.parallel import run_campaign
+    name, = (n for n, path in TARGETS.items() if path == target)
 
     runs = []
     for _ in range(2):
         timelines = []
         with pytest.MonkeyPatch.context() as mp:
             _trace_all(mp, timelines)
-            module.run(quick=True)
+            run_campaign(name)
         runs.append(timelines)
     assert runs[0] == runs[1]
     assert sum(len(t) for t in runs[0]) > 10_000  # actually traced

@@ -276,6 +276,34 @@ def _booker(sim, res, log, keys, tag, dur=1.0):
     return lambda _ev: res.hold(dur, end=ended)
 
 
+@pytest.mark.parametrize("dur", [-5.0, float("nan")])
+def test_a_negative_or_nan_hold_raises_before_it_takes_the_unit(dur):
+    """A bad ``dur`` is refused before the unit is touched: the free unit
+    stays free, nothing is granted or scheduled, and a later hold gets
+    it."""
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+    with pytest.raises(ValueError, match="hold duration"):
+        res.hold(dur, granted.append)
+    assert granted == [] and res.in_use == 0 and sim._seq == 0
+    assert res.busy_time() == 0.0
+    res.hold(5.0, granted.append)
+    assert granted == [5.0] and res.in_use == 1
+
+
+def test_a_bad_hold_behind_a_holder_is_refused_before_it_queues():
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+    res.hold(5.0, granted.append)
+    with pytest.raises(ValueError):
+        res.hold(-1.0, granted.append)
+    sim.run(until=5.0)
+    res.hold(1.0, granted.append)          # nothing queued ahead of it
+    assert granted == [5.0, 6.0]
+
+
 def test_idle_lease_schedules_nothing():
     """A timed hold without ``end`` on a free unit is granted inline,
     with its end, and takes no wake: the unit frees itself once the

@@ -41,6 +41,19 @@ def test_compute_rejects_negative(rig):
         run(sim, client())
 
 
+def test_compute_rejects_nan_and_leaves_cpu_time_untouched(rig):
+    sim, cluster, ctx = rig
+    w = Worker(ctx, 0)
+
+    def client():
+        yield from w.compute(10.0)
+        yield from w.compute(float("nan"))
+
+    with pytest.raises(ValueError, match="compute"):
+        run(sim, client())
+    assert w.cpu_busy_ns == 10.0
+
+
 def test_memcpy_numa_aware_costs(rig):
     sim, cluster, ctx = rig
     w = Worker(ctx, 0, socket=0)

@@ -20,7 +20,6 @@ With no arguments, runs the full catalog (minutes).
 from __future__ import annotations
 
 import functools
-import importlib
 import sys
 import time
 
@@ -28,16 +27,10 @@ import time
 META = {"summary", "scorecard"}
 
 
-def render(module) -> str:
-    """Render ``module``'s tables in quick mode."""
-    if hasattr(module, "run"):
-        return module.run(quick=True).to_text()
-    # Multi-figure targets (fig10/fig13/fig16) expose points/assemble
-    # instead of a single run(); diff every figure's rendering.
-    values = [module.run_point(pt, quick=True)
-              for pt in module.points(quick=True)]
-    figs = module.assemble(values, quick=True)
-    return "\n".join(f.to_text() for f in figs)
+def render(name: str) -> str:
+    """Render target ``name``'s tables in quick mode."""
+    from repro.bench.parallel import run_campaign
+    return "\n".join(f.to_text() for f in run_campaign(name).figures)
 
 
 def main(argv: list[str]) -> int:
@@ -48,7 +41,7 @@ def main(argv: list[str]) -> int:
     names = argv or [n for n in sorted(TARGETS) if n not in META]
     failures = []
     for name in names:
-        fn = functools.partial(render, importlib.import_module(TARGETS[name]))
+        fn = functools.partial(render, name)
         runs = []
         for express in (False, True):
             events, t0 = Simulator.total_events, time.time()
