@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update e2e express-ab rss-ab host-ab
+	perf perf-gate perf-quick perf-update e2e express-ab rss-ab host-ab funcov
 
 install:
 	pip install -e .
@@ -129,6 +129,13 @@ perf-update:
 # performance-fault injector.
 chaos:
 	PYTHONPATH=src $(PY) -m pytest tests/test_reliability.py tests/test_hw_faults.py -q
+
+# Function census (~7 min on a 2-core box, not part of smoke): runs
+# tier-1 under cProfile and lists every function under src/repro it
+# never calls, with the totals (tools/funcov.py).  Forked pool workers
+# are not seen, so check each hit by hand before deleting it.
+funcov:
+	PYTHONPATH=src $(PY) tools/funcov.py
 
 # Full figure campaign, fanned out over every core with the point cache
 # on (.bench-cache/) — merged tables are bit-identical to --jobs 1.

@@ -33,7 +33,6 @@ from repro.verbs import (
     CompletionError,
     MemoryRegion,
     Opcode,
-    QPState,
     QueuePair,
     RdmaContext,
     Sge,
@@ -189,9 +188,9 @@ class FrontEnd:
 
         The loss model drops requests before they execute at the
         responder, and block READ/WRITEs overwrite whole ranges anyway, so
-        replaying a failed op is always safe.  After each failure the
-        errored QP is drained of its flushes and reconnected; the retry
-        budget keeps a hard-down back-end from spinning forever.
+        replaying a failed op is always safe.  After each failure the QP
+        goes through ``RdmaContext.recover_qp``; the retry budget keeps a
+        hard-down back-end from spinning forever.
         """
         comp = None
         for _attempt in range(self.MAX_OP_RETRIES + 1):
@@ -199,11 +198,7 @@ class FrontEnd:
             if comp.ok:
                 return comp
             self.transport_retries += 1
-            while qp.state is QPState.ERR and qp.outstanding:
-                yield self.worker.sim.timeout(
-                    self.worker.params.retrans_timeout_ns)
-            if qp.state is QPState.ERR:
-                yield self.ctx.reconnect_qp(qp)
+            yield from self.ctx.recover_qp(qp)
         raise CompletionError(comp)
 
     # ------------------------------------------------------------ operations

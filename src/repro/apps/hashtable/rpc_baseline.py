@@ -73,10 +73,6 @@ class RpcHashTable:
         for server in self.servers:
             server.stop()
 
-    @property
-    def requests_served(self) -> int:
-        return sum(s.requests_served for s in self.servers)
-
 
 class RpcHashTableClient:
     """Front-end handle: one outstanding request at a time."""

@@ -22,10 +22,10 @@ A transaction runs in three phases, all one-sided:
 Aborts release acquired locks by restoring the original word and retry
 the whole body under truncated exponential backoff
 (:class:`~repro.core.locks.BackoffPolicy`, the reliability layer's
-idiom).  Transport faults follow the :class:`RemoteSpinLock` recovery
-playbook — drain the errored QP, reconnect, replay idempotent ops; an
-interrupted lock CAS is disambiguated by re-reading the word (the owner
-field says whether our lock landed).
+idiom).  A transport fault goes through ``RdmaContext.recover_qp`` (the
+one recovery path), then idempotent ops replay; an interrupted lock CAS
+is disambiguated by re-reading the word (the owner field says whether
+our lock landed).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.apps.hashtable.layout import (ENTRY_BYTES, VALUE_BYTES, VALUE_OFF,
                                          unpack_entry)
 from repro.apps.txn.store import TxnStore, is_locked, locked_word
 from repro.core.locks import BackoffPolicy
-from repro.verbs import (Opcode, QPState, QueuePair, RdmaContext, Sge, Worker,
+from repro.verbs import (Opcode, QueuePair, RdmaContext, Sge, Worker,
                          WorkRequest)
 
 __all__ = ["Transaction", "TxnAborted", "TxnClient", "TxnConfig",
@@ -167,41 +167,21 @@ class TxnClient:
         if check is not None:
             getattr(check, hook)(self, *args)
 
-    def _recover(self, qp: QueuePair) -> Generator:
-        """RemoteSpinLock recovery: drain the errored QP, reconnect."""
-        if qp.state is not QPState.ERR:
-            return
-        while qp.outstanding:
-            yield self.sim.timeout(self.worker.params.retrans_timeout_ns)
-        yield self.ctx.reconnect_qp(qp)
-
-    def _reliable_read(self, qp: QueuePair, mr, off: int, nbytes: int,
-                       dst_off: int) -> Generator:
-        """READ into scratch, replaying across transport faults (reads
-        are idempotent; loss windows are finite)."""
+    def _reliable(self, opcode: Opcode, qp: QueuePair, mr, off: int,
+                  nbytes: int, scratch_off: int) -> Generator:
+        """READ into / WRITE from scratch, replaying across transport
+        faults after ``RdmaContext.recover_qp``: reads are idempotent, a
+        write's payload is constant for the op, and loss windows are
+        finite."""
         while True:
-            wr = WorkRequest(Opcode.READ,
-                             sgl=[Sge(self.scratch, dst_off, nbytes)],
+            wr = WorkRequest(opcode,
+                             sgl=[Sge(self.scratch, scratch_off, nbytes)],
                              remote_mr=mr, remote_offset=off)
             comp = yield from self.worker.execute(qp, wr)
             if comp.ok:
                 return
             self.transport_errors += 1
-            yield from self._recover(qp)
-
-    def _reliable_write(self, qp: QueuePair, mr, off: int, nbytes: int,
-                        src_off: int) -> Generator:
-        """WRITE from scratch, replaying across transport faults (the
-        payload is constant for the op, so replay is idempotent)."""
-        while True:
-            wr = WorkRequest(Opcode.WRITE,
-                             sgl=[Sge(self.scratch, src_off, nbytes)],
-                             remote_mr=mr, remote_offset=off)
-            comp = yield from self.worker.execute(qp, wr)
-            if comp.ok:
-                return
-            self.transport_errors += 1
-            yield from self._recover(qp)
+            yield from self.ctx.recover_qp(qp)
 
     # ----------------------------------------------------------- read phase
     def read(self, txn: Transaction, key: int) -> Generator:
@@ -215,8 +195,8 @@ class TxnClient:
         qp = self._qp_for(key)
         waits = 0
         while True:
-            yield from self._reliable_read(qp, mr, off, ENTRY_BYTES,
-                                           _ENTRY_BUF)
+            yield from self._reliable(Opcode.READ, qp, mr, off, ENTRY_BYTES,
+                                      _ENTRY_BUF)
             _key, word, value = unpack_entry(
                 self.scratch.read(_ENTRY_BUF, ENTRY_BYTES))
             if not is_locked(word):
@@ -250,7 +230,7 @@ class TxnClient:
         qp = self._qp_for(key)
         waits = 0
         while True:
-            yield from self._reliable_read(qp, mr, off, 8, _WORD_BUF)
+            yield from self._reliable(Opcode.READ, qp, mr, off, 8, _WORD_BUF)
             word = self.scratch.read_u64(_WORD_BUF)
             if not is_locked(word):
                 txn.reads[key] = word
@@ -280,8 +260,8 @@ class TxnClient:
             if comp.ok:
                 return comp.value == v
             self.transport_errors += 1
-            yield from self._recover(qp)
-            yield from self._reliable_read(qp, mr, off, 8, _WORD_BUF)
+            yield from self.ctx.recover_qp(qp)
+            yield from self._reliable(Opcode.READ, qp, mr, off, 8, _WORD_BUF)
             word = self.scratch.read_u64(_WORD_BUF)
             if word == mine:
                 return True
@@ -293,7 +273,7 @@ class TxnClient:
         we read (a set LOCK bit also fails the equality)."""
         mr, off = self.store.version_location(key)
         qp = self._qp_for(key)
-        yield from self._reliable_read(qp, mr, off, 8, _WORD_BUF)
+        yield from self._reliable(Opcode.READ, qp, mr, off, 8, _WORD_BUF)
         word = self.scratch.read_u64(_WORD_BUF)
         ok = word == txn.reads[key]
         self._hook("on_txn_validate", txn.txn_id, key, word, ok)
@@ -305,8 +285,8 @@ class TxnClient:
         for key in keys:
             mr, off = self.store.version_location(key)
             self.scratch.write_u64(_PUB_BUF, txn.reads[key])
-            yield from self._reliable_write(self._qp_for(key), mr, off, 8,
-                                            _PUB_BUF)
+            yield from self._reliable(Opcode.WRITE, self._qp_for(key), mr,
+                                      off, 8, _PUB_BUF)
 
     def _abort(self, txn: Transaction, reason: str) -> None:
         txn.state = Transaction.ABORTED
@@ -347,15 +327,15 @@ class TxnClient:
             mr, off = self.store.entry_location(key)
             self.scratch.write(_VALUE_BUF,
                                txn.writes[key].ljust(VALUE_BYTES, b"\x00"))
-            yield from self._reliable_write(self._qp_for(key), mr,
-                                            off + VALUE_OFF, VALUE_BYTES,
-                                            _VALUE_BUF)
+            yield from self._reliable(Opcode.WRITE, self._qp_for(key), mr,
+                                      off + VALUE_OFF, VALUE_BYTES,
+                                      _VALUE_BUF)
             # Publish: bump the version, clear lock+owner — ordered after
             # the value write (waited out above), so no torn reads.
             self.scratch.write_u64(_PUB_BUF, txn.reads[key] + 1)
             vmr, voff = self.store.version_location(key)
-            yield from self._reliable_write(self._qp_for(key), vmr, voff, 8,
-                                            _PUB_BUF)
+            yield from self._reliable(Opcode.WRITE, self._qp_for(key), vmr,
+                                      voff, 8, _PUB_BUF)
         return True
 
     # -------------------------------------------------------------- driver

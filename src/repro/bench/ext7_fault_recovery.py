@@ -31,8 +31,7 @@ from repro.bench.runner import bench_seed
 from repro.hw import FaultInjector
 from repro.sim import make_rng
 from repro.sim.stats import percentiles
-from repro.verbs import (CompletionStatus, Opcode, QPState, Sge, Worker,
-                         WorkRequest)
+from repro.verbs import CompletionStatus, Opcode, Sge, Worker, WorkRequest
 
 __all__ = ["points", "run_point", "assemble"]
 
@@ -45,14 +44,6 @@ BUCKET_NS = 1_000_000.0
 HOLE_START_NS = 5_000_000.0
 HOLE_NS = 5_000_000.0
 END_NS = 15_000_000.0
-
-
-def _drain_and_reconnect(sim, ctx, qp):
-    """App-side recovery: wait out the error flush, then cycle the QP."""
-    while qp.state is QPState.ERR and qp.outstanding:
-        yield sim.timeout(ctx.params.retrans_timeout_ns)
-    if qp.state is QPState.ERR:
-        yield ctx.reconnect_qp(qp)
 
 
 def _run_blackhole() -> dict:
@@ -85,14 +76,14 @@ def _run_blackhole() -> dict:
                 if bucket < n_buckets:
                     goodput[bucket] += 1
                 continue
-            # Loud failure: account it, drain the errored QP, reconnect.
+            # Loud failure: account it, then recover the errored QP.
             if comp.status is CompletionStatus.RETRY_EXC_ERR:
                 outcomes["retry_exc"] += 1
             elif comp.status is CompletionStatus.WR_FLUSH_ERR:
                 outcomes["flushed"] += 1
             else:  # pragma: no cover - no other failure is modeled here
                 raise AssertionError(f"unexpected status {comp.status}")
-            yield from _drain_and_reconnect(sim, ctx, qp)
+            yield from ctx.recover_qp(qp)
 
     sim.run(until=sim.process(stream()))
 
@@ -137,7 +128,7 @@ def _run_loss_point(prob: float, ops: int) -> list:
             if comp.ok:
                 lat.append(sim.now - t0)
             else:
-                yield from _drain_and_reconnect(sim, ctx, qp)
+                yield from ctx.recover_qp(qp)
 
     sim.run(until=sim.process(stream()))
     return [percentiles(sorted(lat), [99])[0] / 1000.0, qp.retransmissions]

@@ -42,7 +42,7 @@ from repro.bench.report import FigureResult
 from repro.bench.runner import write_wr
 from repro.hw import HardwareParams
 from repro.sim.stats import percentiles
-from repro.verbs import QPState, Worker
+from repro.verbs import Worker
 
 __all__ = ["points", "run_point", "assemble"]
 
@@ -112,13 +112,12 @@ def _sender(sim, ctx, qp, worker, lmr, rmr, rounds: int, barrier: _Barrier,
                 else:
                     pending += 1
             if pending:
-                # Retry budget exhausted mid-round: drain the ERR state,
-                # reconnect, and re-issue the lost WRs so the barrier
-                # semantics (every chunk lands) survive deep collapse.
+                # Retry budget exhausted mid-round: recover the QP and
+                # re-issue the lost WRs so the barrier semantics (every
+                # chunk lands) survive deep collapse.
                 stats["lost"] += pending
-                if qp.state is QPState.ERR:
+                if (yield from ctx.recover_qp(qp)):
                     stats["reconnects"] += 1
-                    yield ctx.reconnect_qp(qp)
         stats["lat"].append(sim.now - t0)
         release = barrier.arrive()
         if release is not None:

@@ -43,8 +43,8 @@ from repro.sim import Event, Simulator
 from repro.sim.stats import mops
 from repro.verbs import Opcode, QueuePair, Sge, Worker, WorkRequest
 
-__all__ = ["PipelinedClient", "bench_seed", "campaign_seed", "drive_all",
-           "fresh_rig", "set_campaign_seed"]
+__all__ = ["PipelinedClient", "bench_seed", "drive_all", "fresh_rig",
+           "set_campaign_seed"]
 
 
 #: Campaign-wide seed offset (see ``bench_seed``).  0 is the published
@@ -62,11 +62,6 @@ def set_campaign_seed(seed: int) -> None:
     """
     global _CAMPAIGN_SEED
     _CAMPAIGN_SEED = int(seed)
-
-
-def campaign_seed() -> int:
-    """The currently selected campaign seed (0 = paper default)."""
-    return _CAMPAIGN_SEED
 
 
 def bench_seed(base: int) -> int:

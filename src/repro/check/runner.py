@@ -233,7 +233,7 @@ def _scenario_fabric() -> Sanitizer:
     """
     from repro.bench.runner import read_wr, write_wr
     from repro.hw import FaultInjector
-    from repro.verbs import QPState, Worker
+    from repro.verbs import Worker
 
     n_ops, op_bytes = 32, 2048
     sim, cluster, ctx = build(machines=9, topology="leaf-spine")
@@ -253,18 +253,17 @@ def _scenario_fabric() -> Sanitizer:
         rmr = ctx.register(dst, op_bytes * 2)
         ops = 0
         while ops < n_ops:
-            if qp.state is QPState.ERR:
-                # Retry budget died against the dead spine: reconnect
-                # (same ECMP route: the hash ignores ports; only the
-                # retransmissions' re-salt picks the other spine) and
-                # carry on.
-                yield ctx.reconnect_qp(qp)
-                continue
             wr = (write_wr if ops % 2 == 0 else read_wr)(lmr, rmr, op_bytes)
             ev = yield from w.post(qp, wr)
             comp = yield from w.wait(ev)
             if comp.ok:
                 ops += 1
+            else:
+                # Retry budget died against the dead spine: recover (same
+                # ECMP route: the hash ignores ports; only the
+                # retransmissions' re-salt picks the other spine) and
+                # carry on.
+                yield from ctx.recover_qp(qp)
         done.append(src)
 
     # Fault schedule: one spine uplink dies outright mid-run; a spine

@@ -123,8 +123,7 @@ class RemoteSpinLock:
     def __init__(self, worker: Worker, qp: QueuePair, scratch_mr: MemoryRegion,
                  lock_mr: MemoryRegion, lock_offset: int = 0,
                  backoff: Optional[BackoffPolicy] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 release_signaled: bool = False):
+                 rng: Optional[np.random.Generator] = None):
         if lock_offset % 8:
             raise ValueError("lock word must be 8-byte aligned")
         self.worker = worker
@@ -134,40 +133,27 @@ class RemoteSpinLock:
         self.lock_offset = lock_offset
         self.backoff = backoff
         self.rng = rng
-        self.release_signaled = release_signaled
         scratch_mr.write_u64(0, self.UNLOCKED)  # the zero word we write back
         self.acquisitions = 0
         self.failed_attempts = 0
         self.transport_errors = 0
 
-    def _recover(self) -> Generator:
-        """Bring the QP back after a transport failure.
-
-        A ``RETRY_EXC_ERR``/flush means the op never executed at the
-        responder (the loss model drops requests before they reach it), so
-        lock operations are safe to retry — but first the errored QP must
-        drain its flushes and be reconnected.
-        """
-        qp = self.qp
-        if qp.state is not QPState.ERR:
-            return
-        while qp.outstanding:  # flushes complete on their own; just wait
-            yield self.worker.sim.timeout(self.worker.params.retrans_timeout_ns)
-        yield self.worker.ctx.reconnect_qp(qp)
-
     def try_acquire(self) -> Generator:
         """One CAS attempt; returns True on success.
 
         Transport failures (lossy or blackholed path) count as failed
-        attempts: the QP is reconnected and the caller's acquire loop
-        simply spins again — degraded, not dead.
+        attempts: the QP is recovered (``RdmaContext.recover_qp``) and the
+        caller's acquire loop simply spins again — degraded, not dead.  A
+        ``RETRY_EXC_ERR``/flush means the CAS never executed at the
+        responder (the loss model drops requests before they reach it), so
+        spinning again is safe.
         """
         comp = yield from self.worker.cas(
             self.qp, self.lock_mr, self.lock_offset,
             compare=self.UNLOCKED, swap=self.LOCKED)
         if not comp.ok:
             self.transport_errors += 1
-            yield from self._recover()
+            yield from self.worker.ctx.recover_qp(self.qp)
             self.failed_attempts += 1
             return False
         if comp.value == self.UNLOCKED:
@@ -200,21 +186,21 @@ class RemoteSpinLock:
     def release(self) -> Generator:
         """RDMA-write 0 into the lock word (one-sided release).
 
-        Fire-and-forget by default: the releasing write is posted but not
-        waited on (RC ordering on the QP keeps it ahead of this client's
-        next CAS), which is how real remote locks keep the release off the
-        critical path.  Set ``release_signaled=True`` to wait it out.
+        Fire-and-forget: the releasing write is posted but not waited on
+        (RC ordering on the QP keeps it ahead of this client's next CAS),
+        which is how real remote locks keep the release off the critical
+        path.
 
-        When the path is unreliable (QP errored, or either port lossy) the
-        write is forced signaled regardless: an unsignaled unlock that dies
-        in transit is never retried, leaving the word locked forever and
-        every other client deadlocked.
+        When the path is unreliable (QP not in RTS, or either port lossy)
+        the write is signaled and waited out instead: an unsignaled unlock
+        that dies in transit is never retried, leaving the word locked
+        forever and every other client deadlocked.
         """
         check = self.worker.sim.check
         if check is not None:
             check.on_lock_release_start(self)
         while True:
-            signaled = self.release_signaled or self._path_unreliable()
+            signaled = self._path_unreliable()
             wr = WorkRequest(Opcode.WRITE,
                              sgl=[Sge(self.scratch_mr, 0, 8)],
                              remote_mr=self.lock_mr,
@@ -227,9 +213,9 @@ class RemoteSpinLock:
             if comp.ok:
                 return
             # The unlock write is idempotent (stores the constant 0), so a
-            # transport failure is survivable: reconnect and rewrite.
+            # transport failure is survivable: recover and rewrite.
             self.transport_errors += 1
-            yield from self._recover()
+            yield from self.worker.ctx.recover_qp(self.qp)
 
 
 class RpcSpinLock:

@@ -17,7 +17,7 @@ from typing import Generator
 
 from repro.core.rpc import RpcChannel, RpcServer
 from repro.sim import Simulator
-from repro.verbs import MemoryRegion, QPState, QueuePair, RdmaContext, Worker
+from repro.verbs import MemoryRegion, QueuePair, RdmaContext, Worker
 
 __all__ = ["LocalSequencer", "RemoteSequencer", "RpcSequencer"]
 
@@ -73,28 +73,16 @@ class RemoteSequencer:
         self.issued = 0
         self.transport_errors = 0
 
-    def _recover(self) -> Generator:
-        """Bring the QP back after a transport failure.
-
-        The loss model drops requests before the responder executes them,
-        so an errored FAA never consumed counter values — it is safe to
-        reissue once the QP has drained its flushes and reconnected.
-        """
-        qp = self.qp
-        if qp.state is not QPState.ERR:
-            return
-        while qp.outstanding:  # flushes complete on their own; just wait
-            yield self.worker.sim.timeout(self.worker.params.retrans_timeout_ns)
-        yield self.worker.ctx.reconnect_qp(qp)
-
     def next(self, n: int = 1) -> Generator:
         """Reserve ``n`` consecutive values with one FAA; returns the first.
 
         Multi-value reservation is the distributed log's consecutive-space
         reserve (Section IV-E): one round trip regardless of batch size.
-        A transport failure is retried after reconnecting — an errored
-        completion carries no value, and returning it would hand the
-        caller garbage instead of a reserved range.
+        A transport failure is retried after ``RdmaContext.recover_qp`` —
+        an errored completion carries no value, and returning it would
+        hand the caller garbage instead of a reserved range.  The loss
+        model drops requests before the responder executes them, so an
+        errored FAA never consumed counter values and reissuing is safe.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -104,7 +92,7 @@ class RemoteSequencer:
             if comp.ok:
                 break
             self.transport_errors += 1
-            yield from self._recover()
+            yield from self.worker.ctx.recover_qp(self.qp)
         self.issued += 1
         check = self.worker.sim.check
         if check is not None:

@@ -97,10 +97,6 @@ class RnicPort:
                 return True
         return False
 
-    @property
-    def params(self) -> HardwareParams:
-        return self.rnic.params
-
     # -- requester side ----------------------------------------------------
     def tx_occupancy_ns(self, exec_ns: float, payload_bytes: int,
                         n_sge: int = 1, extra_ns: float = 0.0) -> float:

@@ -35,7 +35,6 @@ from repro.verbs import (
     CompletionStatus,
     MemoryRegion,
     Opcode,
-    QPState,
     Sge,
     Worker,
     WorkRequest,
@@ -214,15 +213,12 @@ class KvFrontDoor:
             self._free.append((mr, off))
 
     def _repair(self, qp) -> Generator:
-        """Drain and reconnect an errored pooled QP so one loss burst does
-        not doom every later request that leases it.  The failed request
-        itself is not retried (open-loop: the failure is the datum)."""
-        while qp.state is QPState.ERR and qp.outstanding:
-            yield self.plane.sim.timeout(
-                self.worker.params.retrans_timeout_ns)
-        if qp.state is QPState.ERR:
+        """Recover an errored pooled QP (``RdmaContext.recover_qp``) so
+        one loss burst does not doom every later request that leases it.
+        The failed request itself is not retried (open-loop: the failure
+        is the datum); one already reconnecting returns at once."""
+        if (yield from self.plane.ctx.recover_qp(qp)):
             self.reconnects += 1
-            yield self.plane.ctx.reconnect_qp(qp)
 
 
 def sticky_owner_key(key: int, owner: int, n_owners: int,

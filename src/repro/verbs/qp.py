@@ -28,7 +28,9 @@ backed-off transport timeout, then retransmits; ``retry_cnt`` losses in a
 row complete the WR with ``RETRY_EXC_ERR`` and move the QP to
 :attr:`QPState.ERR`, flushing everything else on the send queue with
 ``WR_FLUSH_ERR`` (in posting order).  Service resumes only through
-``RdmaContext.reconnect_qp`` (RESET -> RTS, optionally on other ports).
+``RdmaContext.reconnect_qp`` (RESET -> RTS, optionally on other ports),
+which ``RdmaContext.recover_qp``, the one recovery path, runs once the
+flushes have drained.
 With no loss faults injected the retry layer adds no events, rng draws,
 or timeouts — sunny-path schedules are bit-identical to a loss-free build.
 
@@ -58,7 +60,7 @@ class QPState(enum.Enum):
 
     Fresh QPs are born RTS (the INIT/RTR handshake is collapsed into
     ``RdmaContext.create_qp``).  A fatal transport error moves RTS -> ERR;
-    recovery is ERR -> RESET -> RTS via ``RdmaContext.reconnect_qp``.
+    recovery is ERR -> RESET -> RTS via ``RdmaContext.recover_qp``.
     """
 
     RESET = "reset"
@@ -100,6 +102,13 @@ class QueuePair:
     #: Default send-queue depth (outstanding WRs before posting fails with
     #: the verbs-equivalent of ENOMEM), a typical RC QP configuration.
     DEFAULT_MAX_SEND_WR = 256
+
+    #: The pending ``RdmaContext.reconnect_qp`` event while the QP is in
+    #: RESET; None otherwise.  A class default, not set in ``__init__``:
+    #: ``__init__`` already fills the attributes CPython 3.11 keeps
+    #: inline (29), and one more gives every QP a separate ``__dict__``
+    #: object, which ``cycles_per_op`` counts in the rig's cycles.
+    reconnecting: Optional[Event] = None
 
     def __init__(self, sim: Simulator, local_machine: Machine,
                  remote_machine: Machine, local_port: RnicPort,
@@ -254,12 +263,14 @@ class QueuePair:
             check.on_qp_state(self, QPState.ERR, QPState.RESET)
 
     def to_rts(self) -> None:
-        """RESET -> RTS (service restored)."""
+        """RESET -> RTS (service restored); drops the reconnect event,
+        so no QP <-> event cycle outlives it."""
         if self.state is not QPState.RESET:
             raise RuntimeError(
                 f"QP {self.qp_id}: to_rts() requires RESET "
                 f"(state={self.state.value})")
         self.state = QPState.RTS
+        self.reconnecting = None
         self.reconnects += 1
         check = self.sim.check
         if check is not None:

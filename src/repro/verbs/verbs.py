@@ -19,7 +19,7 @@ from repro.sim import Event, Simulator
 from repro.verbs.cq import CompletionQueue, reap
 from repro.verbs.express import ExpressState
 from repro.verbs.mr import MemoryRegion, MrSlice
-from repro.verbs.qp import QueuePair
+from repro.verbs.qp import QPState, QueuePair
 from repro.verbs.types import (CompletionError, Completion, Opcode, Sge,
                                WorkRequest)
 
@@ -143,6 +143,11 @@ class RdmaContext:
 
             yield ctx.reconnect_qp(qp, local_port=1)
             # qp.state is QPState.RTS here
+
+        The event stays on ``qp.reconnecting`` until it fires, so a
+        :class:`Worker` posting to the QP meanwhile waits for it.
+        Recovery after a failed completion goes through
+        :meth:`recover_qp`; call this directly only to move ports.
         """
         qp.reset()
         if local_port is not None:
@@ -157,7 +162,32 @@ class RdmaContext:
             rnic.qp_cache.invalidate(qp.qp_id)
         ev = self.sim.timeout(self.params.qp_reconnect_ns)
         ev.add_callback(lambda _e: qp.to_rts())
+        qp.reconnecting = ev
         return ev
+
+    def recover_qp(self, qp: QueuePair) -> Generator:
+        """Bring ``qp`` back after a failed completion; the one recovery
+        path for every caller.
+
+        A failed completion means the QP is in ERR (or another handle
+        sharing it is already reconnecting it).  While it is in ERR
+        with WRs outstanding, their flushes are waited out, polled every
+        ``retrans_timeout_ns``; then, if it is still in ERR, it is
+        reconnected (:meth:`reconnect_qp`) and the generator returns
+        True once it is in RTS.  Otherwise it returns False at once:
+        the QP is in RTS, or in RESET under another handle's reconnect,
+        which a :class:`Worker` post waits for.  The failed op's replay
+        is the caller's (only the caller knows if it is idempotent)::
+
+            if not comp.ok:
+                yield from ctx.recover_qp(qp)
+        """
+        while qp.state is QPState.ERR and qp.outstanding:
+            yield self.sim.timeout(self.params.retrans_timeout_ns)
+        if qp.state is not QPState.ERR:
+            return False
+        yield self.reconnect_qp(qp)
+        return True
 
 
 class Worker:
@@ -272,11 +302,15 @@ class Worker:
         handed to the plane instead of going straight to the hardware: it
         may queue behind the tenant's QoS share, or complete immediately
         with ``CompletionStatus.REJECTED`` if admission control sheds it.
+        Otherwise, if another handle sharing the QP is reconnecting it
+        (``qp.reconnecting``), the post waits for the QP to reach RTS.
         """
         yield self.charge_post(qp, wr)
         plane = self._plane_for(qp)
         if plane is not None:
             return plane.submit(qp, wr)
+        if qp.reconnecting is not None:
+            yield qp.reconnecting
         return qp.post_send(wr)
 
     def post_batch(self, qp: QueuePair, wrs: list[WorkRequest]) -> Generator:
@@ -285,6 +319,8 @@ class Worker:
         plane = self._plane_for(qp)
         if plane is not None:
             return plane.submit_batch(qp, wrs)
+        if qp.reconnecting is not None:
+            yield qp.reconnecting
         return qp.post_send_batch(wrs)
 
     def wait(self, completion_event: Event,
@@ -313,6 +349,8 @@ class Worker:
         if plane is not None:
             completion: Completion = yield plane.submit(qp, wr)
         else:
+            if qp.reconnecting is not None:
+                yield qp.reconnecting
             completion = yield qp.post_send(wr)
         yield self.charge_poll(completion)
         self.ops += 1

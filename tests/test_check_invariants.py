@@ -367,6 +367,24 @@ def test_conservation_flags_duplicate_completion():
     assert "without a matching post" in report.violations[0].message
 
 
+def test_conservation_audits_destroyed_qps():
+    sim, cluster, ctx = build(machines=2)
+    san = Sanitizer(sim, checkers=("conservation",))
+    lmr = ctx.register(0, 4096)
+    rmr = ctx.register(1, 4096)
+    drained, busy = ctx.create_qp(0, 1), ctx.create_qp(0, 1)
+    wr = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
+                     remote_offset=0, move_data=False)
+    sim.run(until=drained.post_send(wr))
+    ctx.destroy_qp(drained)              # drained: a clean teardown
+    assert san.finalize().counts.get("conservation", 0) == 0
+    busy.post_send(wr)                   # destroy_qp refuses this one,
+    san.on_qp_destroyed(busy)            # so feed the hook directly
+    report = san.finalize()
+    assert report.counts["conservation"] == 1
+    assert "destroyed with 1 WRs outstanding" in report.violations[0].message
+
+
 def test_qp_state_flags_illegal_transition():
     sim, cluster, ctx = build(machines=2)
     san = Sanitizer(sim, checkers=("qp_state",))

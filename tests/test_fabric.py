@@ -449,6 +449,15 @@ def test_rack_aware_placement():
     assert single.machine(rack=0, index=3) is single.machines[3]
     with pytest.raises(IndexError):
         single.machine(rack=1, index=0)
+    # A Clos fabric's racks are its edge switches.
+    _, clos, _ = build(machines=10, topology="clos")
+    per_edge = clos.fabric.hosts_per_edge
+    assert clos.machine(rack=1, index=1) is clos.machines[per_edge + 1]
+    assert clos.rack_of(per_edge + 1) == 1
+    with pytest.raises(IndexError):
+        clos.machine(rack=clos.racks, index=0)
+    with pytest.raises(IndexError):
+        clos.machine(rack=0, index=per_edge)
 
 
 @pytest.mark.parametrize("bad", [

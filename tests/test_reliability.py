@@ -314,6 +314,159 @@ def test_dual_port_failover_routes_around_dead_link():
     assert not qp.local_machine.port(0).link_up   # with port 0 still dead
 
 
+def _recover_now(ctx, qp):
+    """Run ``ctx.recover_qp(qp)`` outside any process; returns its value
+    if it finished without yielding (so it scheduled nothing: every
+    scheduled entry takes a sequence number)."""
+    seq = ctx.sim._seq
+    gen = ctx.recover_qp(qp)
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    assert ctx.sim._seq == seq
+    return stop.value.value
+
+
+def test_recover_qp_on_a_healthy_qp_is_a_no_op():
+    sim, ctx, qp, w, lmr, rmr = _rig()
+    assert _recover_now(ctx, qp) is False
+    assert qp.state is QPState.RTS and qp.reconnects == 0
+
+
+@pytest.mark.parametrize("behind", [0, 3])
+def test_recover_qp_polls_out_the_flushes_then_reconnects_once(behind):
+    params = HardwareParams(retry_cnt=2)
+    sim, ctx, qp, w, lmr, rmr = _rig(params)
+    FaultInjector(sim).port_down(qp.local_port)
+    out = {}
+
+    def client():
+        events = []
+        for k in range(1 + behind):
+            wr = WorkRequest(Opcode.WRITE, wr_id=k, sgl=[Sge(lmr, 0, 64)],
+                             remote_mr=rmr, remote_offset=64 * k,
+                             move_data=False)
+            events.append((yield from w.post(qp, wr)))
+        comp = yield events[0]
+        assert comp.status is CompletionStatus.RETRY_EXC_ERR
+        out["outstanding"] = qp.outstanding
+        out["t0"] = sim.now
+        out["recovered"] = yield from ctx.recover_qp(qp)
+        out["t1"] = sim.now
+        out["flushed_at"] = [ev.value.timestamp_ns for ev in events[1:]]
+
+    sim.run(until=sim.process(client()))
+    assert out["outstanding"] == behind
+    assert out["recovered"] is True
+    assert qp.state is QPState.RTS and qp.reconnects == 1
+    # One poll per retrans_timeout_ns until the last flush has landed.
+    step = params.retrans_timeout_ns
+    polls = 0
+    while any(t > out["t0"] + polls * step for t in out["flushed_at"]):
+        polls += 1
+    assert polls == (1 if behind else 0)
+    assert out["t1"] - out["t0"] == pytest.approx(
+        polls * step + params.qp_reconnect_ns)
+
+
+def test_recover_qp_leaves_a_reconnect_in_flight_alone():
+    params = HardwareParams(retry_cnt=1)
+    sim, ctx, qp, w, lmr, rmr = _rig(params)
+    FaultInjector(sim).port_down(qp.local_port)
+    _one_write(sim, w, qp, lmr, rmr)
+    ev = ctx.reconnect_qp(qp)
+    assert qp.state is QPState.RESET and qp.reconnecting is ev
+    assert _recover_now(ctx, qp) is False
+    sim.run()
+    assert qp.state is QPState.RTS and qp.reconnecting is None
+    assert qp.reconnects == 1
+
+
+@pytest.mark.parametrize("form", ["post", "post_batch", "execute"])
+def test_worker_posts_wait_for_a_reconnect_in_flight(form):
+    params = HardwareParams(retry_cnt=1)
+    sim, ctx, qp, w, lmr, rmr = _rig(params)
+    injector = FaultInjector(sim)
+    injector.port_down(qp.local_port)
+    _one_write(sim, w, qp, lmr, rmr)
+    injector.port_up(qp.local_port)
+    ctx.reconnect_qp(qp)
+    ready_at = sim.now + params.qp_reconnect_ns
+    wr = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 64)], remote_mr=rmr,
+                     remote_offset=0, move_data=False)
+    out = {}
+
+    def client():
+        if form == "execute":
+            comp = yield from w.execute(qp, wr)
+        else:
+            ev = yield from (w.post(qp, wr) if form == "post"
+                             else w.post_batch(qp, [wr]))
+            comp = yield (ev if form == "post" else ev[0])
+        out["comp"] = comp
+
+    sim.run(until=sim.process(client()))
+    assert out["comp"].ok
+    assert out["comp"].timestamp_ns > ready_at
+
+
+def _shared_qp_rig():
+    """One QP from machine 0 to a word on machine 1, behind a 20 ms
+    blackhole on the responder port: long enough to exhaust the retry
+    budget of both handles' WRs, again and again."""
+    sim, cluster, ctx = build(machines=2)
+    word = ctx.register(1, 64)
+    qp = ctx.create_qp(0, 1)
+    FaultInjector(sim).blackhole_port(qp.remote_port, duration_ns=20e6)
+    return sim, ctx, qp, word
+
+
+def test_shared_qp_sequencers_recover_without_crashing():
+    """Two handles on one QP: one waits out its flushes while the other
+    reconnects; neither may reconnect twice or post into RESET."""
+    from repro.core.sequencer import RemoteSequencer
+
+    sim, ctx, qp, word = _shared_qp_rig()
+    values = []
+
+    def client(i):
+        seq = RemoteSequencer(Worker(ctx, 0, name=f"seq{i}"), qp, word)
+        yield sim.timeout(50.0 * i)
+        values.append((yield from seq.next()))
+
+    for i in range(2):
+        sim.process(client(i))
+    sim.run()
+    assert sorted(values) == [0, 1]
+    assert sim.now > 20e6                # served after the hole healed
+    assert qp.state is QPState.RTS and qp.reconnects >= 1
+
+
+def test_shared_qp_spinlocks_recover_without_crashing():
+    from repro.core.locks import RemoteSpinLock
+
+    sim, ctx, qp, word = _shared_qp_rig()
+    shared = {"n": 0}
+    values = []
+
+    def client(i):
+        w = Worker(ctx, 0, name=f"lock{i}")
+        lock = RemoteSpinLock(w, qp, ctx.register(0, 64), word)
+        yield sim.timeout(50.0 * i)
+        yield from lock.acquire()
+        n = shared["n"]                  # read-modify-write under the lock
+        yield sim.timeout(1_000.0)
+        shared["n"] = n + 1
+        values.append(n)
+        yield from lock.release()
+
+    for i in range(2):
+        sim.process(client(i))
+    sim.run()
+    assert sorted(values) == [0, 1]
+    assert sim.now > 20e6
+    assert qp.state is QPState.RTS and qp.reconnects >= 1
+
+
 # ------------------------------------------------------------------ sunny path
 def test_sunny_path_unchanged_by_armed_injector():
     """An instantiated (but never fired) injector must not move a single
