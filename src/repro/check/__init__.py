@@ -8,6 +8,11 @@ through pluggable checkers.  Disabled (the default), the hooks cost one
 ``is None`` branch per site and nothing else — the perf gate runs with
 them off and its schedule digests are bit-identical.
 
+A checker is one class in the sanitizer's ``_CHECKERS`` tuple: it
+subscribes to a hook (one of :data:`HOOKS`) by defining a method with
+the hook's name and may define ``finalize()``; ``Sanitizer`` itself
+needs no edit.
+
 Quick use::
 
     from repro.check import Sanitizer
@@ -24,7 +29,7 @@ See docs/CHECKING.md for the checker catalog and the overhead contract.
 """
 
 from repro.check.report import CheckReport, CheckViolationError, Violation
-from repro.check.sanitizer import CHECKER_NAMES, Sanitizer
+from repro.check.sanitizer import CHECKER_NAMES, HOOKS, Sanitizer
 from repro.check.testing import CheckerHarness, with_checkers
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
     "CheckReport",
     "CheckViolationError",
     "CheckerHarness",
+    "HOOKS",
     "Sanitizer",
     "Violation",
     "with_checkers",

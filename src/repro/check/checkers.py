@@ -1,7 +1,8 @@
 """Structural invariant checkers: conservation, QP states, overlap, growth.
 
 Each checker is a plain object owned by one :class:`~repro.check.Sanitizer`
-and fed through its ``on_*`` hook methods.  Checkers never create
+and subscribes to a hook by defining a method with the hook's name
+(``on_posted``, ``on_completed``, ...).  Checkers never create
 simulation events, draw randomness, or mutate model state — enabling them
 is schedule-neutral by construction (the determinism contract in
 docs/CHECKING.md).  A checker reports through ``san.record(...)`` and may
@@ -242,9 +243,9 @@ class OverlapChecker:
 
     name = "overlap"
 
-    def __init__(self, san, strict: bool = False):
+    def __init__(self, san):
         self.san = san
-        self.strict = strict
+        self.strict = san.strict_overlap
         #: mr_id -> list of (start, end, owner_qp_id, label)
         self._claims: dict[int, list] = {}
         #: mr_id -> {id(wr): (start, end, qp_id, wr)}  (strict mode only)
@@ -314,17 +315,20 @@ class ConsolidationChecker:
 
     #: Clean entries tolerated mid-run (in-flight flushes leave a few).
     GROWTH_THRESHOLD = 64
+    #: Dispatched events between mid-run growth sweeps.
+    SWEEP_EVERY = 4096
 
     def __init__(self, san):
         self.san = san
         self._cons: dict[int, object] = {}
         self._flagged: set[int] = set()
+        self._tick = 0
 
     @staticmethod
     def _clean_entries(cons) -> int:
         return sum(1 for b in cons._blocks.values() if b.pending == 0)
 
-    def register(self, cons) -> None:
+    def on_consolidator_created(self, cons) -> None:
         if id(cons) in self._cons:
             return
         self._cons[id(cons)] = cons
@@ -346,13 +350,16 @@ class ConsolidationChecker:
                 f"{clean} clean _Block entries retained (unbounded growth: "
                 "flushed blocks are not pruned)")
 
-    def on_flush(self, cons) -> None:
-        self.register(cons)
+    def on_consolidator_flush(self, cons) -> None:
+        self.on_consolidator_created(cons)
         self._check_growth(cons, "flush")
 
-    def sweep(self) -> None:
-        for cons in self._cons.values():
-            self._check_growth(cons, "sweep")
+    def on_dispatch(self, when: float) -> None:
+        self._tick += 1
+        if self._tick >= self.SWEEP_EVERY:
+            self._tick = 0
+            for cons in self._cons.values():
+                self._check_growth(cons, "sweep")
 
     def finalize(self) -> None:
         for cons in self._cons.values():
@@ -433,7 +440,8 @@ class CacheChecker:
         self.hits_seen = 0
         self.invalidations_seen = 0
 
-    def on_invalidate(self, key: int, version: int) -> None:
+    def on_cache_invalidate(self, key: int, version: int) -> None:
+        """A write was acknowledged; the invalidation directory fanned out."""
         self.invalidations_seen += 1
         prev = self._acked.get(key, 0)
         if version < prev:
@@ -444,11 +452,13 @@ class CacheChecker:
             return
         self._acked[key] = version
 
-    def on_fill(self, cache, key: int, version: int) -> None:
+    def on_cache_fill(self, cache, key: int, version: int) -> None:
+        """A remote read populated a front-cache entry."""
         self.fills_seen += 1
         self._check(cache, key, version, "fill")
 
-    def on_hit(self, cache, key: int, version: int) -> None:
+    def on_cache_hit(self, cache, key: int, version: int) -> None:
+        """A read was served from a front cache without touching the wire."""
         self.hits_seen += 1
         self._check(cache, key, version, "hit")
 
@@ -492,7 +502,13 @@ class FabricChecker:
         self._links: dict[int, list] = {}
         self.hops_seen = 0
 
-    def on_hop(self, link, packets: int, outcome: str) -> None:
+    def on_fabric_hop(self, link, packets: int, outcome: str) -> None:
+        """One message crossed (or died at) one fabric link.
+
+        ``outcome``: "ok" | "ecn" (delivered with a mark) | "drop".
+        Called at each hop's admit on queued fabrics only — plain
+        single-switch routes have no links to conserve.
+        """
         self.hops_seen += 1
         rec = self._links.get(id(link))
         if rec is None:

@@ -75,7 +75,7 @@ class LockOracle:
         return worker.name if worker is not None else str(owner)
 
     # ------------------------------------------------- one-sided spinlock
-    def on_acquired(self, lock) -> None:
+    def on_lock_acquired(self, lock) -> None:
         """A RemoteSpinLock CAS observed UNLOCKED and took the lock."""
         key = self._learn(lock)
         st = self._state(key)
@@ -101,7 +101,7 @@ class LockOracle:
         st.holder = lock
         st.releasing = False
 
-    def on_release_start(self, lock) -> None:
+    def on_lock_release_start(self, lock) -> None:
         key = self._learn(lock)
         st = self._state(key)
         if st.holder is lock:
@@ -160,7 +160,7 @@ class LockOracle:
             # to retry — judged at finalize if it never succeeds.
 
     # ---------------------------------------------------- RPC lock server
-    def on_rpc_granted(self, key, owner_qp_id: int) -> None:
+    def on_rpc_lock_granted(self, key, owner_qp_id: int) -> None:
         st = self._state(key)
         if st.holder is not None and st.holder != owner_qp_id:
             self.san.record(
@@ -170,8 +170,8 @@ class LockOracle:
         st.holder = owner_qp_id
         st.releasing = False
 
-    def on_rpc_released(self, key, requester_qp_id: int, holder,
-                        accepted: bool) -> None:
+    def on_rpc_lock_released(self, key, requester_qp_id: int, holder,
+                             accepted: bool) -> None:
         st = self._state(key)
         if accepted:
             if st.holder is None or st.holder != requester_qp_id:
@@ -310,21 +310,21 @@ class TxnOracle:
         return f"txn[{txn_id}]"
 
     # ------------------------------------------------------------ txn hooks
-    def on_store(self, store) -> None:
+    def on_txn_store(self, store) -> None:
         self._stores.append(store)
         from repro.apps.txn.store import INITIAL_VERSION
         for key in range(store.n_keys):
             self._known_keys.add(key)
             self._initial[key] = INITIAL_VERSION
 
-    def on_begin(self, client, txn_id: str) -> None:
+    def on_txn_begin(self, client, txn_id: str) -> None:
         if txn_id in self._state:
             self.san.record(
                 self.name, self._where(txn_id), "begin",
                 f"duplicate begin (txn is {self._state[txn_id]})")
         self._state[txn_id] = "open"
 
-    def on_read(self, client, txn_id: str, key: int, version: int) -> None:
+    def on_txn_read(self, client, txn_id: str, key: int, version: int) -> None:
         if self._state.get(txn_id) != "open":
             self.san.record(
                 self.name, self._where(txn_id), "read",
@@ -336,16 +336,16 @@ class TxnOracle:
                 f"torn versioned read: key {key} surfaced a LOCKed word "
                 f"{version:#x} as its version")
 
-    def on_validate(self, client, txn_id: str, key: int, word: int,
-                    ok: bool) -> None:
+    def on_txn_validate(self, client, txn_id: str, key: int, word: int,
+                        ok: bool) -> None:
         if self._state.get(txn_id) != "open":
             self.san.record(
                 self.name, self._where(txn_id), "validate",
                 f"validation of key {key} on a "
                 f"{self._state.get(txn_id, 'never-begun')} transaction")
 
-    def on_commit(self, client, txn_id: str, reads: dict,
-                  writes: dict) -> None:
+    def on_txn_commit(self, client, txn_id: str, reads: dict,
+                      writes: dict) -> None:
         state = self._state.get(txn_id)
         if state != "open":
             self.san.record(
@@ -372,7 +372,7 @@ class TxnOracle:
             self._installed.setdefault(key, {})[v_new] = txn_id
         self._commits.append((txn_id, dict(reads), dict(writes)))
 
-    def on_abort(self, client, txn_id: str, reason: str) -> None:
+    def on_txn_abort(self, client, txn_id: str, reason: str) -> None:
         state = self._state.get(txn_id)
         if state == "committed":
             self.san.record(

@@ -32,11 +32,9 @@ class CheckerHarness:
     """Creates sanitizers for a test and merges/asserts their reports."""
 
     def __init__(self, checkers: Optional[Iterable[str]] = None,
-                 strict_overlap: bool = False, sweep_every: int = 4096):
-        self._opts = dict(checkers=checkers, strict_overlap=strict_overlap,
-                          sweep_every=sweep_every)
+                 strict_overlap: bool = False):
+        self._opts = dict(checkers=checkers, strict_overlap=strict_overlap)
         self.sanitizers: list[Sanitizer] = []
-        self._finalized: list[Sanitizer] = []
 
     def install(self, sim, **overrides) -> Sanitizer:
         """Install a sanitizer on ``sim`` (harness defaults + overrides)."""
@@ -50,7 +48,6 @@ class CheckerHarness:
         merged = CheckReport()
         for san in self.sanitizers:
             merged.merge(san.finalize())
-            self._finalized.append(san)
         self.sanitizers = []
         merged.finalized = True
         return merged
@@ -60,7 +57,7 @@ class CheckerHarness:
 
 
 def with_checkers(fn=None, *, checkers: Optional[Iterable[str]] = None,
-                  strict_overlap: bool = False, sweep_every: int = 4096):
+                  strict_overlap: bool = False):
     """Decorator: inject a :class:`CheckerHarness` as ``checkers`` and
     fail the test on any violation left when it returns.
 
@@ -74,8 +71,7 @@ def with_checkers(fn=None, *, checkers: Optional[Iterable[str]] = None,
     def decorate(test_fn):
         def wrapper(*args, **kwargs):
             harness = CheckerHarness(checkers=checkers,
-                                     strict_overlap=strict_overlap,
-                                     sweep_every=sweep_every)
+                                     strict_overlap=strict_overlap)
             result = test_fn(*args, checkers=harness, **kwargs)
             harness.assert_clean()
             return result

@@ -87,7 +87,7 @@ class IoConsolidator:
         self._daemon = None
         check = worker.sim.check
         if check is not None:
-            check.register_consolidator(self)
+            check.on_consolidator_created(self)
 
     # ------------------------------------------------------------------ write
     def write(self, window_offset: int, data: bytes | None,

@@ -241,15 +241,19 @@ def sticky_owner_key(key: int, owner: int, n_owners: int,
     return owned
 
 
+#: The version every preloaded entry carries.
+PRELOAD_VERSION = 1
+
+
 def preload_table(backend: HashTableBackend,
-                  directory: Optional[InvalidationDirectory] = None,
-                  version: int = 1) -> None:
-    """Populate every cold-table entry (version ``version``, value
-    derived from the key) directly in backend memory — the bulk load
+                  directory: Optional[InvalidationDirectory] = None) -> None:
+    """Populate every cold-table entry (version :data:`PRELOAD_VERSION`,
+    value derived from the key) directly in backend memory — the bulk load
     happens before the measurement window, so it costs no simulated
     time.  Seeds the directory so minted versions continue past it."""
     for key in range(backend.layout.n_keys):
         mr, off = backend.cold_location(key)
-        mr.write(off, pack_entry(key, version, b"v%07d" % (key % 10**7)))
+        mr.write(off, pack_entry(key, PRELOAD_VERSION,
+                                 b"v%07d" % (key % 10**7)))
         if directory is not None:
-            directory.seed(key, version)
+            directory.seed(key, PRELOAD_VERSION)

@@ -203,14 +203,18 @@ def drain_open_loop(gens: Sequence[OpenLoopGenerator]) -> None:
         g.drain()
 
 
-def find_knee(offered: Sequence[float], delivered: Sequence[float],
-              tolerance: float = 0.95) -> Optional[int]:
+#: Delivered/offered ratio below which a point is past the knee.
+KNEE_TOLERANCE = 0.95
+
+
+def find_knee(offered: Sequence[float],
+              delivered: Sequence[float]) -> Optional[int]:
     """Index of the saturation knee: the first offered rate whose
-    delivered throughput falls below ``tolerance`` × offered.  None if
-    the service kept up everywhere."""
+    delivered throughput falls below :data:`KNEE_TOLERANCE` × offered.
+    None if the service kept up everywhere."""
     if len(offered) != len(delivered):
         raise ValueError("offered and delivered must have the same length")
     for i, (x, y) in enumerate(zip(offered, delivered)):
-        if y < tolerance * x:
+        if y < KNEE_TOLERANCE * x:
             return i
     return None

@@ -22,9 +22,7 @@ from repro.sim.resources import Resource, Store
 from repro.sim.channels import Channel
 from repro.sim.rng import make_rng, spawn_rngs
 from repro.sim.stats import (
-    RateMeter,
     StatAccumulator,
-    WindowedRate,
     percentile,
     percentiles,
 )
@@ -35,14 +33,12 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "RateMeter",
     "Resource",
     "SimulationError",
     "Simulator",
     "StatAccumulator",
     "Store",
     "Timeout",
-    "WindowedRate",
     "make_rng",
     "percentile",
     "percentiles",

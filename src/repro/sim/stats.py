@@ -1,4 +1,4 @@
-"""Measurement helpers: latency accumulators and throughput meters.
+"""Measurement helpers: latency accumulators and unit conversions.
 
 The paper reports latency in microseconds and throughput in MOPS (million
 operations per second).  With simulator time in nanoseconds:
@@ -17,12 +17,9 @@ Aggregation semantics:
 * :func:`percentile` / :func:`percentiles` use linear interpolation
   between closest ranks (numpy's default convention), so quoted p50/p99
   match ``np.percentile`` on the same data.
-* :class:`RateMeter` counts only between its ``start()``/``stop()``
-  marks — call ``start()`` after warmup so cold-cache ops don't dilute
-  steady-state throughput.  :class:`WindowedRate` is the moving-window
-  variant used by SLO tracking; a window straddling the warmup boundary
-  blends the two regimes, which is intended (tenancy metrics watch
-  convergence, not steady state).
+* Throughput is :func:`mops` over whatever op count and span the
+  caller measured; SLO tracking (``tenancy/metrics.py``) keeps its raw
+  samples instead of a moving window.
 * All helpers are wall-clock-free and allocation-light; they appear on
   fast paths (per-completion accounting), so keep them cheap — see
   docs/PERFORMANCE.md.
@@ -31,10 +28,10 @@ Aggregation semantics:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-__all__ = ["StatAccumulator", "RateMeter", "WindowedRate", "ns_to_us", "mops",
-           "percentile", "percentiles"]
+__all__ = ["StatAccumulator", "ns_to_us", "mops", "percentile",
+           "percentiles"]
 
 
 def ns_to_us(ns: float) -> float:
@@ -132,80 +129,3 @@ class StatAccumulator:
             f"mean={self.mean:.1f}, min={self.min:.1f}, max={self.max:.1f})"
         )
 
-
-class RateMeter:
-    """Counts completions between ``start()`` and ``stop()`` marks.
-
-    ``start`` is typically called after a warm-up phase so the measured rate
-    is steady-state, matching how the paper's benchmarks are averaged.
-    """
-
-    def __init__(self, sim, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.ops = 0
-        self.bytes = 0
-        self._t0: Optional[float] = None
-        self._t1: Optional[float] = None
-
-    def start(self) -> None:
-        self._t0 = self.sim.now
-        self.ops = 0
-        self.bytes = 0
-
-    def stop(self) -> None:
-        self._t1 = self.sim.now
-
-    @property
-    def running(self) -> bool:
-        return self._t0 is not None and self._t1 is None
-
-    def record(self, n: int = 1, nbytes: int = 0) -> None:
-        if self.running:
-            self.ops += n
-            self.bytes += nbytes
-
-    @property
-    def elapsed_ns(self) -> float:
-        if self._t0 is None:
-            return 0.0
-        end = self._t1 if self._t1 is not None else self.sim.now
-        return end - self._t0
-
-    @property
-    def mops(self) -> float:
-        return mops(self.ops, self.elapsed_ns)
-
-    @property
-    def gbps(self) -> float:
-        """Goodput in gigabytes per second."""
-        e = self.elapsed_ns
-        return self.bytes / e if e > 0 else 0.0  # bytes/ns == GB/s
-
-
-class WindowedRate:
-    """Throughput sampled over fixed windows, for convergence checks."""
-
-    def __init__(self, sim, window_ns: float):
-        if window_ns <= 0:
-            raise ValueError("window must be positive")
-        self.sim = sim
-        self.window_ns = window_ns
-        self._window_start = sim.now
-        self._window_ops = 0
-        self.samples: list[float] = []
-
-    def record(self, n: int = 1) -> None:
-        now = self.sim.now
-        while now - self._window_start >= self.window_ns:
-            self.samples.append(mops(self._window_ops, self.window_ns))
-            self._window_start += self.window_ns
-            self._window_ops = 0
-        self._window_ops += n
-
-    def steady_mops(self, skip: int = 1) -> float:
-        """Mean of samples after dropping the first ``skip`` warm-up windows."""
-        usable = self.samples[skip:]
-        if not usable:
-            return 0.0
-        return sum(usable) / len(usable)

@@ -45,8 +45,7 @@ __all__ = ["ServicePlane", "TenantSession"]
 class ServicePlane:
     """Multi-tenant mediation layer over one RDMA context."""
 
-    def __init__(self, ctx: RdmaContext, config: ServiceConfig,
-                 attach: bool = True):
+    def __init__(self, ctx: RdmaContext, config: ServiceConfig):
         config.validate()
         self.ctx = ctx
         self.sim = ctx.sim
@@ -56,8 +55,7 @@ class ServicePlane:
         self.admission = AdmissionController(ctx.sim, config)
         self.metrics = SLOMetrics(ctx.sim, names)
         self.connections = ConnectionManager(ctx, config)
-        if attach:
-            self.attach()
+        self.attach()
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> None:

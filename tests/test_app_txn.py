@@ -354,15 +354,15 @@ def test_oracle_catches_lost_update_via_direct_hooks():
 
     rec = Recorder()
     oracle = TxnOracle(rec)
-    oracle.on_begin(None, "A")
-    oracle.on_commit(None, "A", {}, {0: (INITIAL_VERSION,
-                                         INITIAL_VERSION + 1)})
-    oracle.on_begin(None, "B")
-    oracle.on_commit(None, "B", {}, {0: (INITIAL_VERSION,
-                                         INITIAL_VERSION + 1)})
-    oracle.on_begin(None, "C")
-    oracle.on_commit(None, "C", {}, {1: (INITIAL_VERSION,
-                                         INITIAL_VERSION + 5)})
+    oracle.on_txn_begin(None, "A")
+    oracle.on_txn_commit(None, "A", {}, {0: (INITIAL_VERSION,
+                                             INITIAL_VERSION + 1)})
+    oracle.on_txn_begin(None, "B")
+    oracle.on_txn_commit(None, "B", {}, {0: (INITIAL_VERSION,
+                                             INITIAL_VERSION + 1)})
+    oracle.on_txn_begin(None, "C")
+    oracle.on_txn_commit(None, "C", {}, {1: (INITIAL_VERSION,
+                                             INITIAL_VERSION + 5)})
     oracle.finalize()
     messages = [m for _, _, _, m in rec.violations]
     assert any("lost update" in m for m in messages)
@@ -379,13 +379,13 @@ def test_oracle_lifecycle_violations():
 
     rec = Recorder()
     oracle = TxnOracle(rec)
-    oracle.on_begin(None, "A")
-    oracle.on_begin(None, "A")                       # duplicate begin
-    oracle.on_commit(None, "A", {}, {})
-    oracle.on_abort(None, "A", "late")               # abort after commit
-    oracle.on_read(None, "Z", 0, 1)                  # never begun
-    oracle.on_read(None, "A", 0, LOCK_BIT | 3)       # torn (locked) read,
-    assert len(rec.violations) == 5                  # + read-after-abort
+    oracle.on_txn_begin(None, "A")
+    oracle.on_txn_begin(None, "A")                       # duplicate begin
+    oracle.on_txn_commit(None, "A", {}, {})
+    oracle.on_txn_abort(None, "A", "late")               # abort after commit
+    oracle.on_txn_read(None, "Z", 0, 1)                  # never begun
+    oracle.on_txn_read(None, "A", 0, LOCK_BIT | 3)       # torn (locked) read,
+    assert len(rec.violations) == 5                      # + read-after-abort
 
 
 def test_check_runner_txn_scenario_is_clean():

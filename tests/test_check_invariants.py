@@ -12,14 +12,17 @@ Three layers:
 """
 
 import io
+import pathlib
 import re
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro import build
 from repro.check import (
     CHECKER_NAMES,
+    HOOKS,
     CheckViolationError,
     Sanitizer,
     differential,
@@ -473,6 +476,50 @@ def test_checker_subset_only_instantiates_requested():
         if name != "locks":
             assert getattr(san, name) is None
     san.finalize()
+
+
+_HOOK_CALL = re.compile(r"""\b(?:check|chk)\.(\w+)\(|_hook\("(\w+)\"""")
+
+
+def test_every_hook_has_a_call_site_and_every_call_names_a_hook():
+    root = pathlib.Path(repro.__file__).parent
+    called = set()
+    for path in root.rglob("*.py"):
+        if path == root / "check" / "sanitizer.py":
+            continue
+        for m in _HOOK_CALL.finditer(path.read_text()):
+            called.add(m.group(1) or m.group(2))
+    assert called - HOOKS == set(), "calls that name no hook"
+    assert HOOKS - called == set(), "hooks that no site calls"
+
+
+def test_completions_only_sanitizer_answers_every_hook():
+    sim, cluster, ctx = build(machines=1)
+    san = Sanitizer(sim, checkers=("completions",))
+    for hook in sorted(HOOKS - {"on_completed"}):
+        getattr(san, hook)(None, None, None, None, None)
+    assert san.completions.count == 0
+    assert san.finalize().total == 0
+
+
+def test_on_completed_fans_out_in_checker_order(monkeypatch):
+    from repro.check import checkers, oracles
+    order = []
+    for cls in (checkers.ConservationChecker, checkers.OverlapChecker,
+                oracles.LockOracle, checkers.CompletionsChecker):
+        def spy(self, qp, wr, comp, _orig=cls.on_completed):
+            order.append(self.name)
+            _orig(self, qp, wr, comp)
+        monkeypatch.setattr(cls, "on_completed", spy)
+    sim, cluster, ctx = build(machines=2)
+    san = Sanitizer(sim)
+    lmr, rmr = ctx.register(0, 4096), ctx.register(1, 4096)
+    qp = ctx.create_qp(0, 1)
+    wr = WorkRequest(Opcode.WRITE, sgl=[Sge(lmr, 0, 8)], remote_mr=rmr,
+                     remote_offset=0, move_data=False)
+    sim.run(until=qp.post_send(wr))
+    assert order == ["conservation", "overlap", "locks", "completions"]
+    assert san.finalize().ok
 
 
 def test_with_checkers_raises_on_violation():

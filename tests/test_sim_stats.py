@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import RateMeter, Simulator, StatAccumulator, WindowedRate
+from repro.sim import StatAccumulator
 from repro.sim.stats import mops, ns_to_us
 
 
@@ -54,55 +54,3 @@ def test_stat_accumulator_merge_empty():
     assert b.count == 1
     assert b.mean == 2.0
 
-
-def test_rate_meter_steady_state_window():
-    sim = Simulator()
-    meter = RateMeter(sim)
-
-    def load():
-        # Warm-up: 10 ops ignored before start().
-        for _ in range(10):
-            yield sim.timeout(100)
-            meter.record()
-        meter.start()
-        for _ in range(50):
-            yield sim.timeout(100)
-            meter.record(nbytes=64)
-        meter.stop()
-
-    sim.process(load())
-    sim.run()
-    assert meter.ops == 50
-    assert meter.bytes == 50 * 64
-    assert meter.elapsed_ns == pytest.approx(5000)
-    assert meter.mops == pytest.approx(10.0)  # 1 op / 100 ns
-    assert meter.gbps == pytest.approx(64 / 100)
-
-
-def test_rate_meter_without_start_records_nothing():
-    sim = Simulator()
-    meter = RateMeter(sim)
-    meter.record()
-    assert meter.ops == 0
-    assert meter.mops == 0.0
-
-
-def test_windowed_rate_convergence():
-    sim = Simulator()
-    wr = WindowedRate(sim, window_ns=1000)
-
-    def load():
-        for _ in range(40):
-            yield sim.timeout(100)
-            wr.record()
-
-    sim.process(load())
-    sim.run()
-    # 10 ops per 1000 ns window -> 10 MOPS steady.
-    assert wr.steady_mops(skip=1) == pytest.approx(10.0)
-
-
-def test_windowed_rate_rejects_bad_window():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        WindowedRate(sim, window_ns=0)

@@ -1,4 +1,5 @@
-"""Function census: the functions under ``src/repro`` that tier-1 never calls.
+"""Function census: the functions under ``src/repro`` that tier-1 never
+calls, and those that no workload of the product reaches.
 
 Runs pytest in this process under one outer ``cProfile`` profiler, then
 walks every ``def`` under ``src/repro`` with ``ast`` and lists those whose
@@ -9,21 +10,32 @@ them is enabled the outer profiler is suspended, and what it saw is
 harvested when it is disabled.  Forked pool workers are not seen, so
 check each hit by hand before deleting it.
 
+A second, traffic pass then profiles what the product runs, with no
+test in the way: every ``repro.bench.TARGETS`` campaign (quick, inline,
+uncached), the ``make check`` suite, the four end-to-end workloads of
+``benchmarks/e2e/workloads.py`` at scale 0.02, and every script in
+``examples/``.  It lists the functions none of them reach: a function
+only a test calls is either dead weight or a mechanism no target wires
+up.
+
 Usage::
 
     PYTHONPATH=src python tools/funcov.py [pytest args ...]
 
 With no arguments, runs tier-1 (``-x -q`` over the configured test
-paths).  Prints one line per never-called function (a function nested in
-one that is itself never called is folded into it), then the totals.
+paths).  Prints each list, one line per function (a function nested in
+one that is itself not reached is folded into it), then its totals.
 Exits with pytest's status, since a failed run leaves the census short.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import cProfile
+import io
 import os
+import runpy
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,7 +43,7 @@ SRC = os.path.join(ROOT, "src", "repro")
 
 
 class Census:
-    """A pytest plugin holding the outer profiler and the code it saw."""
+    """An outer profiler and the code it saw (also a pytest plugin)."""
 
     def __init__(self):
         self.outer = cProfile.Profile()
@@ -47,6 +59,12 @@ class Census:
                                code.co_firstlineno))
 
     def pytest_sessionstart(self, session) -> None:
+        self.start()
+
+    def pytest_sessionfinish(self, session, exitstatus) -> None:
+        self.stop()
+
+    def start(self) -> None:
         census = self
 
         def enable(prof, *args, **kw):
@@ -64,11 +82,35 @@ class Census:
         cProfile.Profile.disable = disable
         self._enable(self.outer)
 
-    def pytest_sessionfinish(self, session, exitstatus) -> None:
+    def stop(self) -> None:
         self._disable(self.outer)
         cProfile.Profile.enable = self._enable
         cProfile.Profile.disable = self._disable
         self._harvest(self.outer)
+
+
+def traffic() -> None:
+    """Run every bench target, the check suite, the e2e workloads and the
+    examples; their output is discarded."""
+    from repro.bench import TARGETS
+    from repro.bench.parallel import run_campaign
+    from repro.check import runner
+
+    sys.dont_write_bytecode = True     # leave benchmarks/e2e untouched
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+    import workloads
+
+    examples = os.path.join(ROOT, "examples")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for target in TARGETS:
+            run_campaign(target)
+        runner.main([])
+        for name in workloads.WORKLOADS:
+            workloads.build_workload(name, 0, 0.02).run()
+        for fname in sorted(os.listdir(examples)):
+            if fname.endswith(".py"):
+                runpy.run_path(os.path.join(examples, fname),
+                               run_name="__main__")
 
 
 def never_called(seen: set[tuple[str, int]]) -> list[tuple[str, int, str, int]]:
@@ -105,16 +147,27 @@ def _walk(node, path, prefix, seen, out) -> None:
             _walk(child, path, prefix, seen, out)
 
 
+def _print(title: str, seen: set[tuple[str, int]]) -> None:
+    hits = never_called(seen)
+    print(f"\n{title}:")
+    for path, line, name, lines in hits:
+        print(f"  {os.path.relpath(path, ROOT)}:{line} {name} ({lines} lines)")
+    print(f"{len(hits)} functions, {sum(h[3] for h in hits)} lines")
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
     census = Census()
     status = pytest.main(argv or ["-x", "-q"], plugins=[census])
-    hits = never_called(census.seen)
-    print("\nnever called under tier-1:")
-    for path, line, name, lines in hits:
-        print(f"  {os.path.relpath(path, ROOT)}:{line} {name} ({lines} lines)")
-    print(f"{len(hits)} functions, {sum(h[3] for h in hits)} lines")
+    _print("never called under tier-1", census.seen)
+    reached = Census()
+    reached.start()
+    try:
+        traffic()
+    finally:
+        reached.stop()
+    _print("reached by no workload", reached.seen)
     return int(status)
 
 
