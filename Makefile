@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update e2e express-ab rss-ab host-ab funcov
+	check-all perf perf-gate perf-quick perf-update e2e rss-ab host-ab funcov
 
 install:
 	pip install -e .
@@ -33,35 +33,13 @@ docs-check:
 # Fast end-to-end sanity: build the model, run the quickstart example,
 # gate the simulator fast path (engine microbench + fig5 + ext8 txn +
 # ext9 fabric incast + ext10 open-loop serving + the worker-pool campaign
-# scenario) against the committed perf baseline, run the invariant-check
-# suite, hold the end-to-end workloads to their seed-0 output pins, check
-# the express lane against the stepped lane, and keep the docs honest
-# (dead links, benchmark catalog).
-smoke: perf-quick check e2e express-ab docs-check
+# scenario) against the committed perf baseline, run the check suite
+# (every checker over the fault soaks and the smoke targets, on the
+# express lane and on the stepped reference), hold the end-to-end
+# workloads to their seed-0 output pins, and keep the docs honest (dead
+# links, benchmark catalog).
+smoke: perf-quick check e2e docs-check
 	PYTHONPATH=src $(PY) examples/quickstart.py
-
-# Express-lane A/B (~50 s): ext7 (loss, blackhole, RETRY_EXC, flushes and
-# reconnects), fig5, fig1 (the catalog target where the most tail wakes
-# find their instant taken and keep their wake), breakdown (traced QPs),
-# fig10 (RPC lock and sequencer: the catalog's most SENDs), ext2
-# (symmetric ports: ~10.7k signaled WRITEs whose ACK wire and CQE DMA
-# share one wake on each lane), ext8_txn (same-instant ties on hot
-# atomic word locks), ext1 (the READ mix: READ rx and response-tx holds
-# under contention), fig15 and fig16 (cut-through WRITE pairs whose
-# first-ending half continues at its grant; doing so for both halves
-# without keying the ACK wake diverged there), ext6_multitenant, fig4,
-# fig18 and table3 (data-less WRITEs whose service halves both continue
-# at their grants and key their ACK or CQE wake after the later end),
-# ext10_open_loop (the only target that contends for the front door's
-# write gate, the one untimed Resource.hold outside the lane) and
-# ext9_fabric_scale (the only target with queued fabric hops, tail
-# drops, ECN marks and DCQCN rate cuts) must render byte-identical
-# tables, and equal completion digests for every simulator, on the lane
-# and on the stepped reference (tools/express_ab.py through
-# repro.check.differential, which names the first differing completion
-# on a digest mismatch; no arguments runs the full catalog).
-express-ab:
-	PYTHONPATH=src $(PY) tools/express_ab.py ext7_fault_recovery fig5 fig1 breakdown fig10 ext2 ext8_txn ext1 fig15 fig16 ext6_multitenant fig4 fig18 table3 ext10_open_loop ext9_fabric_scale
 
 # Peak-RSS A/B (~2 min): ten alternating benchmarks/e2e/rep.py pairs of
 # verbs_mix at scale 0.25, HEAD against the working tree, from two clean
@@ -85,13 +63,40 @@ host-ab:
 e2e:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/e2e -q
 
-# Invariant sanitizer suite (docs/CHECKING.md): the four applications, an
-# ext7-style fault-injection scenario, and a contended OCC transaction
-# soak under loss chaos, with every repro.check checker enabled, each run
-# on the stepped reference and on the express lane; fails on any reported
-# violation or when the lanes differ in violations or completion digest.
+# Invariant check suite (docs/CHECKING.md, ~50 s): every repro.check
+# checker, installed as each simulator is built, over the hand-built
+# scenarios (hashtable plus the chaos, txn, fabric and serving fault
+# soaks) and repro.check.runner.SMOKE_TARGETS, each run on the stepped
+# reference and on the express lane through repro.check.differential.
+# After a unit returns, every simulator runs 10 ms more; work still
+# pending is a liveness violation.  Fails on any violation, or when the
+# lanes differ in violations, completion digests (naming the first
+# differing completion) or rendered text; stops at the first failing
+# unit.  Why each smoke target is here: ext7 (loss, blackhole,
+# RETRY_EXC, flushes and reconnects), fig5, fig1 (the catalog target
+# where the most tail wakes find their instant taken and keep their
+# wake), breakdown (traced QPs), fig10 (RPC lock and sequencer: the
+# catalog's most SENDs), ext2 (symmetric ports: ~10.7k signaled WRITEs
+# whose ACK wire and CQE DMA share one wake on each lane), ext8_txn
+# (same-instant ties on hot atomic word locks), ext1 (the READ mix: READ
+# rx and response-tx holds under contention), fig15 and fig16 (cut-
+# through WRITE pairs whose first-ending half continues at its grant;
+# doing so for both halves without keying the ACK wake diverged there;
+# they also replace the shuffle and join scenarios), ext6_multitenant,
+# fig4, fig18 and table3 (data-less WRITEs whose service halves both
+# continue at their grants and key their ACK or CQE wake after the
+# later end), ext10_open_loop (the only target that contends for the
+# front door's write gate, the one untimed Resource.hold outside the
+# lane), ext9_fabric_scale (the only target with queued fabric hops,
+# tail drops, ECN marks and DCQCN rate cuts) and fig19 (the distributed
+# log's sequencer: it replaces the dlog scenario).
 check:
 	PYTHONPATH=src $(PY) -m repro.check
+
+# The whole check suite (~2.5 min on a 2-core box, not part of smoke):
+# every scenario and all 30 bench targets, as in `check`.
+check-all:
+	PYTHONPATH=src $(PY) -m repro.check all
 
 # Fast-path performance gate (see docs/PERFORMANCE.md): times the engine
 # dispatch microbenchmark and the figure/ext quick sweeps, then fails on

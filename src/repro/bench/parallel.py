@@ -43,11 +43,9 @@ point and exitcode; any error, KeyboardInterrupt included, terminates
 every worker so no orphan process survives.
 
 **Point cache.**  Results are content-addressed: the key digests the
-point descriptor, quick mode, campaign seed, the default
-:class:`~repro.hw.HardwareParams` fingerprint, the target module's own
-source bytes, and the package version.  Re-running ``repro-bench all``
-after editing one figure module or one hardware constant therefore only
-recomputes the invalidated points; everything else is a cache hit.
+target module's name, the point descriptor, quick mode, campaign seed
+and every ``repro`` source file.  A hit therefore comes only from an
+identical tree: any edit to the package recomputes every point.
 Corrupted or truncated entries fall back to recompute and are rewritten.
 
 CLI (used by ``make perf-quick`` as the merge-determinism smoke check)::
@@ -69,6 +67,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import pathlib
 import sys
 import time
 from collections import deque
@@ -76,7 +75,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Optional
 
-from repro import HardwareParams, __version__
+from repro import __version__
 from repro.bench import TARGETS
 from repro.bench.report import FigureResult
 from repro.bench.runner import set_campaign_seed
@@ -179,35 +178,27 @@ def normalize(value: Any) -> Any:
     return json.loads(json.dumps(value))
 
 
-def _hw_fingerprint() -> str:
-    """Digest of the default frozen HardwareParams (the calibration)."""
-    import dataclasses
-    p = HardwareParams()
-    blob = json.dumps(dataclasses.asdict(p), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @functools.cache
-def _module_src_digest(module_name: str) -> str:
-    """Digest of the target module's source file — editing one figure
-    module invalidates exactly that figure's cached points."""
-    spec = importlib.util.find_spec(module_name)
-    if spec is None or not spec.origin or not os.path.isfile(spec.origin):
-        return "no-source"
-    with open(spec.origin, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _tree_digest() -> str:
+    """Digest of every ``repro/**/*.py`` file, by relative path and
+    bytes in sorted order: a point is a hit only on an identical tree
+    (the ``HardwareParams`` defaults included)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sha = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        sha.update(str(path.relative_to(root)).encode() + b"\0")
+        sha.update(hashlib.sha256(path.read_bytes()).digest())
+    return sha.hexdigest()
 
 
 def point_key(module_name: str, point: dict, quick: bool, seed: int) -> str:
     """Content address of one sweep point's result."""
     blob = json.dumps({
         "module": module_name,
-        "module_src": _module_src_digest(module_name),
         "point": point,
         "quick": bool(quick),
         "seed": int(seed),
-        "hw": _hw_fingerprint(),
-        "version": __version__,
+        "tree": _tree_digest(),
     }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

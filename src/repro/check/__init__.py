@@ -23,8 +23,9 @@ Quick use::
     report = san.finalize()       # after the sim drains
     report.raise_if_violations()
 
-``python -m repro.check`` runs the ``make check`` suite: the apps and
-chaos scenarios, every checker enabled, on both verbs lanes.
+``python -m repro.check [name ...]`` runs the ``make check`` suite
+(:mod:`repro.check.runner`): the fault-soak scenarios and the bench
+targets, every checker enabled, on both verbs lanes.
 See docs/CHECKING.md for the checker catalog and the overhead contract.
 """
 

@@ -59,20 +59,22 @@ class ConservationChecker:
             book = self._qps[id(qp)] = _QpBook(qp, qp.outstanding - adjust)
         return book
 
-    def _counters_sane(self, qp, stage: str) -> None:
-        if qp.completed > qp.posted:
-            self.san.record(
-                self.name, f"qp{qp.qp_id}", stage,
-                f"outstanding went negative: posted={qp.posted} "
-                f"completed={qp.completed}")
+    def _negative(self, qp, stage: str) -> None:
+        self.san.record(
+            self.name, f"qp{qp.qp_id}", stage,
+            f"outstanding went negative: posted={qp.posted} "
+            f"completed={qp.completed}")
 
     def on_qp_created(self, qp) -> None:
         self._book(qp)
 
     def on_posted(self, qp, wr) -> None:
-        # Called after qp.posted was incremented for this WR.
-        self._book(qp, adjust=1)
-        self._counters_sane(qp, "post")
+        # Called after qp.posted was incremented for this WR.  The
+        # per-WR hooks inline ``_book``'s hit and the counter test.
+        if id(qp) not in self._qps:
+            self._book(qp, adjust=1)
+        if qp.completed > qp.posted:
+            self._negative(qp, "post")
         entry = self._wrs.get(id(wr))
         if entry is None:
             self._wrs[id(wr)] = [wr, 1]
@@ -80,8 +82,9 @@ class ConservationChecker:
             entry[1] += 1
 
     def on_completed(self, qp, wr, comp) -> None:
-        book = self._book(qp)
-        self._counters_sane(qp, "complete")
+        book = self._qps.get(id(qp)) or self._book(qp)
+        if qp.completed > qp.posted:
+            self._negative(qp, "complete")
         if comp.status is CompletionStatus.WR_FLUSH_ERR:
             book.flushes_seen += 1
         entry = self._wrs.get(id(wr))
@@ -219,7 +222,9 @@ class QpStateChecker:
                 self.name, f"qp{qp.qp_id}", "post",
                 f"WR (wr_id={wr.wr_id}) accepted while the QP is in RESET "
                 "(reconnect in progress)")
-        self._track(qp, "post")
+        entry = self._states.get(id(qp))
+        if entry is None or entry[1] is not qp.state:
+            self._track(qp, "post")
 
 
 class OverlapChecker:
@@ -265,9 +270,11 @@ class OverlapChecker:
         if wr.opcode is not Opcode.WRITE or wr.remote_mr is None:
             return
         mr = wr.remote_mr
+        claims = self._claims.get(mr.mr_id)
+        if not claims and not self.strict:
+            return
         start = wr.remote_offset
         end = start + wr.total_length
-        claims = self._claims.get(mr.mr_id)
         if claims:
             for c_start, c_end, owner, label in claims:
                 if start < c_end and c_start < end and qp.qp_id != owner:

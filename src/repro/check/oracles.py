@@ -114,12 +114,11 @@ class LockOracle:
 
     def on_completed(self, qp, wr, comp) -> None:
         """Route WRITE completions that target a known lock word."""
-        if wr.opcode is not Opcode.WRITE or wr.remote_mr is None \
-                or wr.total_length != 8:
+        if wr.opcode is not Opcode.WRITE or wr.remote_mr is None:
             return
         key = (wr.remote_mr.mr_id, wr.remote_offset)
         st = self._states.get(key)
-        if st is None:
+        if st is None or wr.total_length != 8:
             return
         owner = self._owner_by_qp.get((key, qp.qp_id))
         if owner is None:
@@ -187,14 +186,19 @@ class LockOracle:
     # -------------------------------------------------------------- final
     def finalize(self) -> None:
         for key, st in self._states.items():
-            if not st.releasing:
-                continue
             mr = self._words.get(key)
-            if mr is not None and mr.read_u64(key[1]) != self.UNLOCKED:
+            if mr is None or mr.read_u64(key[1]) == self.UNLOCKED:
+                continue
+            if st.releasing:
                 self.san.record(
                     self.name, f"lock{key}", "finalize",
                     f"release by {self._owner_name(st.holder)} started but "
                     "never completed: lock word still locked after drain")
+            elif st.holder is None:
+                self.san.record(
+                    self.name, f"lock{key}", "finalize",
+                    "lost unlock: the last release completed, yet the lock "
+                    "word is still locked after drain with no holder")
 
 
 class SequencerOracle:
@@ -227,6 +231,9 @@ class SequencerOracle:
             return
         lo, hi = first, first + n
         ranges = self._ranges.setdefault(key, [])
+        if ranges and ranges[-1][1] == lo:     # extends the top range
+            ranges[-1] = (ranges[-1][0], hi)
+            return
         i = bisect_left(ranges, (lo, hi))
         prev_hi = ranges[i - 1][1] if i > 0 else None
         next_lo = ranges[i][0] if i < len(ranges) else None

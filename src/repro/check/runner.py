@@ -1,35 +1,93 @@
-"""The ``make check`` suite: every checker over the four apps + chaos.
+"""The ``make check`` suite: every checker over the bench targets and
+the fault soaks, on both verbs lanes.
 
-Eight scenarios (catalogued in docs/CHECKING.md, "The make check
-suite"), each built fresh with a :class:`~repro.check.Sanitizer`
-installed *before* the workload is constructed (so constructors can
-register claims), run to completion, drained, and finalized, on each
-lane through :mod:`repro.check.differential`.  A difference in
-violations or completion digests between the two runs is a ``lanes``
-violation.  Exit status 0 iff every scenario reports zero violations on
-both lanes and the lanes agree (the CI contract: ``make check``).
+A unit is a hand-built scenario (:data:`SCENARIOS`, catalogued in
+docs/CHECKING.md, "The make check suite") or a bench target, run quick
+through :func:`~repro.bench.parallel.run_campaign`.  :func:`checked`
+runs one under :func:`installed`, which puts a full
+:class:`~repro.check.Sanitizer` on every simulator as it is built (so
+constructors can register claims).  When the unit returns, each
+simulator runs :data:`DRAIN_NS` more, work still pending then is a
+``liveness`` violation, and the simulator is finalized.  Overlap is
+strict except for the last-writer-wins units in :data:`CLAIMS_ONLY`.
+
+:func:`run_scenario` runs a unit on each lane through
+:mod:`repro.check.differential`; a difference in violations, completion
+digests or rendered text is a ``lanes`` violation.  Exit status 0 iff
+every unit reports zero violations on both lanes and the lanes agree
+(the CI contract: ``make check``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import sys
+from typing import Optional
+from unittest import mock
 
 from repro import build
+from repro.bench import TARGETS
+from repro.bench.parallel import run_campaign
 from repro.check import differential
 from repro.check.report import CheckReport, Violation
 from repro.check.sanitizer import Sanitizer
+from repro.sim.engine import Simulator
 
-__all__ = ["SCENARIOS", "main", "run_scenario"]
+__all__ = ["CLAIMS_ONLY", "DRAIN_NS", "HORIZON_NS", "SCENARIOS",
+           "SMOKE_TARGETS", "checked", "installed", "main", "run_scenario"]
+
+#: Simulated time every simulator runs after its unit returns; work
+#: still pending then is a ``liveness`` violation.
+DRAIN_NS = 10_000_000.0
+
+#: Where a scenario stops running its workload: about 5x the longest
+#: scenario's span (chaos, 1.79 ms), so a lost unlock cannot spin forever.
+HORIZON_NS = 10_000_000.0
+
+#: Units whose concurrent WRITEs to one range are last-writer-wins by
+#: design: the overlap checker enforces claims only.  Every other unit
+#: runs with strict WRITE-WRITE race detection.
+CLAIMS_ONLY = frozenset({
+    "hashtable",          # front-ends overwrite the same hot entries
+    "txn",                # OCC write-back: each version's last writer wins
+    "serving",            # KV puts to one entry: the last writer wins
+    "fig12",              # the hashtable's front-ends share hot entries
+    "fig13",              # the hashtable's front-ends share hot entries
+    "summary",            # runs fig12's hashtable
+    "scorecard",          # grades fig12's and fig13's hashtable points
+    "ext1",               # hashtable READ/WRITE mix over shared entries
+    "ext2",               # port scaling: every QP WRITEs one remote range
+    "ext4",               # one-sided hashtable puts to shared entries
+    "ext9_fabric_scale",  # incast: every sender WRITEs one sink range
+})
+
+#: The targets a bare ``python -m repro.check`` runs beside the
+#: scenarios (why each is here: the Makefile's ``check`` comment).
+SMOKE_TARGETS = (
+    "ext7_fault_recovery", "fig5", "fig1", "breakdown", "fig10", "ext2",
+    "ext8_txn", "ext1", "fig15", "fig16", "ext6_multitenant", "fig4",
+    "fig18", "table3", "ext10_open_loop", "ext9_fabric_scale", "fig19",
+)
+
+
+@contextlib.contextmanager
+def installed(strict_overlap: bool):
+    """Install a full :class:`Sanitizer` on every :class:`Simulator`
+    built in the block, as it is built.  Yields the list of them."""
+    sims: list = []
+    init = Simulator.__init__
+
+    def __init__(sim):
+        init(sim)
+        Sanitizer(sim, strict_overlap=strict_overlap)
+        sims.append(sim)
+
+    with mock.patch.object(Simulator, "__init__", __init__):
+        yield sims
 
 
 # ----------------------------------------------------------------- scenarios
-def _drain(sim, procs) -> None:
-    """Run each process to its end, then drain fire-and-forget work."""
-    for p in procs:
-        sim.run(until=p)
-    sim.run()
-
-
 def _loss_windows(sim, cluster, injector, n_clients: int, windows: int,
                   start: float, client_gap: float, window_gap: float):
     """The chaos idiom: 120 us windows of 90% loss on every client port
@@ -43,71 +101,17 @@ def _loss_windows(sim, cluster, injector, n_clients: int, windows: int,
                     p, prob=0.9, duration_ns=120_000.0))
 
 
-def _scenario_hashtable() -> Sanitizer:
+def _scenario_hashtable() -> None:
     from repro.apps.hashtable import DisaggregatedHashTable, FrontEndConfig
 
     sim, cluster, ctx = build(machines=4)
-    san = Sanitizer(sim)          # hashtable writes are last-writer-wins:
-    table = DisaggregatedHashTable(          # strict overlap stays off
+    table = DisaggregatedHashTable(
         ctx, 2, FrontEndConfig(), n_keys=1024, hot_fraction=0.125,
         block_entries=16, seed=7)
     table.run_throughput(measure_ns=800_000, warmup_ns=200_000)
-    sim.run()                     # drain fire-and-forget lock releases
-    return san
 
 
-def _scenario_shuffle() -> Sanitizer:
-    from repro.apps.shuffle import DistributedShuffle, ShuffleConfig
-
-    sim, cluster, ctx = build(machines=4)
-    san = Sanitizer(sim, strict_overlap=True)
-    shuffle = DistributedShuffle(
-        ctx, 4, ShuffleConfig(strategy="sgl", batch_size=8),
-        entries_per_executor=512, seed=1)
-    shuffle.run()
-    sim.run()
-    return san
-
-
-def _scenario_join() -> Sanitizer:
-    from repro.apps.join import DistributedJoin, JoinConfig
-
-    sim, cluster, ctx = build(machines=8)
-    san = Sanitizer(sim, strict_overlap=True)
-    join = DistributedJoin(ctx, JoinConfig(executors=4, batch=16),
-                           tuples_per_relation=2048, seed=3)
-    result = join.run()
-    if result.matches != join.reference_matches():
-        raise AssertionError("join produced wrong matches; sanitizer hooks "
-                             "must not perturb the workload")
-    sim.run()
-    return san
-
-
-def _scenario_dlog() -> Sanitizer:
-    from repro.apps.dlog import DistributedLog, LogConfig, TransactionEngine
-
-    machines = 4
-    sim, cluster, ctx = build(machines=machines)
-    san = Sanitizer(sim, strict_overlap=True)
-    log = DistributedLog(ctx, machine=0, config=LogConfig())
-    fe_machines = [m for m in range(machines) if m != 0]
-    engines = []
-    for i in range(4):
-        socket = i % ctx.params.sockets_per_machine
-        machine = fe_machines[(i // 2) % len(fe_machines)]
-        engines.append(TransactionEngine(log, i, machine, socket))
-
-    def drive(eng):
-        for _ in range(8):
-            yield from eng.append_batch()
-
-    _drain(sim, [sim.process(drive(e), name=f"check.dlog{e.engine_id}")
-                 for e in engines])
-    return san
-
-
-def _scenario_chaos() -> Sanitizer:
+def _scenario_chaos() -> None:
     """Ext7-style fault soak: locks + sequencers under loss windows."""
     from repro.core import RemoteSequencer, RemoteSpinLock
     from repro.hw import FaultInjector, HardwareParams
@@ -119,7 +123,6 @@ def _scenario_chaos() -> Sanitizer:
     # (QP -> ERR -> flush -> reconnect) instead of riding them out.
     sim, cluster, ctx = build(machines=n_clients + 1,
                               params=HardwareParams(retry_cnt=2))
-    san = Sanitizer(sim, strict_overlap=True)
     lock_mr = ctx.register(0, 4096)
     counter_mr = ctx.register(0, 4096)
     injector = FaultInjector(sim, rng=make_rng(1234))
@@ -152,8 +155,9 @@ def _scenario_chaos() -> Sanitizer:
     sim.timeout(1_000_000.0).add_callback(
         lambda _e: injector.blackhole_port(cluster[1].port(0),
                                           duration_ns=200_000.0))
-    _drain(sim, [sim.process(client(i), name=f"check.chaos{i}")
-                 for i in range(n_clients)])
+    for i in range(n_clients):
+        sim.process(client(i), name=f"check.chaos{i}")
+    sim.run(until=HORIZON_NS)
 
     if max_in_cs[0] != 1:
         raise AssertionError(f"workload-level mutual exclusion broken: "
@@ -162,10 +166,9 @@ def _scenario_chaos() -> Sanitizer:
             and not any(sq.transport_errors for sq in seqs):
         raise AssertionError("chaos scenario injected no transport errors; "
                              "the fault schedule has gone stale")
-    return san
 
 
-def _scenario_txn() -> Sanitizer:
+def _scenario_txn() -> None:
     """Contended OCC transactions + loss chaos under the txn oracle."""
     from repro.apps.txn import TxnClient, TxnConfig, TxnStore
     from repro.hw import FaultInjector, HardwareParams
@@ -177,8 +180,7 @@ def _scenario_txn() -> Sanitizer:
     # clients through QP error -> flush -> reconnect mid-transaction.
     sim, cluster, ctx = build(machines=n_clients + 1,
                               params=HardwareParams(retry_cnt=2))
-    san = Sanitizer(sim)          # write-back is last-writer-wins per
-    store = TxnStore(ctx, machine=0, n_keys=64)   # version: strict off
+    store = TxnStore(ctx, machine=0, n_keys=16)
     injector = FaultInjector(sim, rng=make_rng(1234))
     rngs = spawn_rngs(4321, n_clients)
     clients = [
@@ -207,8 +209,9 @@ def _scenario_txn() -> Sanitizer:
     _loss_windows(sim, cluster, injector, n_clients, 3,
                   30_000.0, 170_000.0, 500_000.0)
 
-    _drain(sim, [sim.process(drive(c, rng), name=f"check.txn{c.client_id}")
-                 for c, rng in zip(clients, rngs)])
+    for c, rng in zip(clients, rngs):
+        sim.process(drive(c, rng), name=f"check.txn{c.client_id}")
+    sim.run(until=HORIZON_NS)
 
     if not any(c.transport_errors for c in clients):
         raise AssertionError("txn chaos scenario injected no transport "
@@ -216,12 +219,14 @@ def _scenario_txn() -> Sanitizer:
     if not any(c.aborts for c in clients):
         raise AssertionError("txn scenario saw no conflict aborts; raise "
                              "the contention")
+    if not any(c.validate_conflicts for c in clients):
+        raise AssertionError("txn scenario failed no OCC validation; raise "
+                             "the read-write contention")
     if not all(c.commits for c in clients):
         raise AssertionError("a txn client never committed")
-    return san
 
 
-def _scenario_fabric() -> Sanitizer:
+def _scenario_fabric() -> None:
     """Multi-switch fabric under link faults: kill a spine, route around.
 
     Cross-rack WRITE/READ traffic on a 9-host leaf-spine fabric while a
@@ -237,7 +242,6 @@ def _scenario_fabric() -> Sanitizer:
 
     n_ops, op_bytes = 32, 2048
     sim, cluster, ctx = build(machines=9, topology="leaf-spine")
-    san = Sanitizer(sim, strict_overlap=True)
     fabric = cluster.fabric
     injector = FaultInjector(sim)
     # Clients on rack 0 target hosts on racks 1 and 2 — all cross-rack,
@@ -275,8 +279,9 @@ def _scenario_fabric() -> Sanitizer:
         lambda _e: injector.degrade_link(fabric.spine_down[1][1], 0.5,
                                          duration_ns=150_000.0))
 
-    _drain(sim, [sim.process(client(s, d), name=f"check.fabric{s}")
-                 for s, d in pairs])
+    for s, d in pairs:
+        sim.process(client(s, d), name=f"check.fabric{s}")
+    sim.run(until=HORIZON_NS)
 
     if len(done) != len(pairs):
         raise AssertionError("a fabric client never finished its ops")
@@ -294,10 +299,9 @@ def _scenario_fabric() -> Sanitizer:
                              "expected ECMP to use both")
     if injector.afflicted_count:
         raise AssertionError("link faults did not heal")
-    return san
 
 
-def _scenario_serving() -> Sanitizer:
+def _scenario_serving() -> None:
     """Open-loop serving tier + lease caches under loss chaos.
 
     Three front doors drive bursty open-loop load (zipf 0.99, 10%
@@ -317,7 +321,6 @@ def _scenario_serving() -> Sanitizer:
         KvFrontDoor,
         LeaseCache,
         OpenLoopGenerator,
-        drain_open_loop,
         preload_table,
         sticky_owner_key,
     )
@@ -330,8 +333,7 @@ def _scenario_serving() -> Sanitizer:
     # pooled QPs through error -> flush -> reconnect between requests.
     sim, cluster, ctx = build(machines=n_clients + 1,
                               params=HardwareParams(retry_cnt=2))
-    san = Sanitizer(sim)          # KV entries are last-writer-wins per
-    plane = ServicePlane(ctx, ServiceConfig(       # version: strict off
+    plane = ServicePlane(ctx, ServiceConfig(
         tenants=(TenantSpec("web", max_inflight=96, max_queue_depth=64,
                             deadline_ns=40_000.0),),
         scheduler_slots=8))
@@ -371,8 +373,7 @@ def _scenario_serving() -> Sanitizer:
 
     for g in gens:
         g.start()
-    drain_open_loop(gens)
-    sim.run()                     # drain trailing invalidation callbacks
+    sim.run(until=HORIZON_NS)
 
     if not any(d.reconnects for d in doors) \
             and not any(g.errors for g in gens):
@@ -380,21 +381,17 @@ def _scenario_serving() -> Sanitizer:
                              "the fault schedule has gone stale")
     if not any(g.delivered for g in gens):
         raise AssertionError("no request was ever served under chaos")
-    if san.cache is None or not san.cache.fills_seen \
-            or not san.cache.hits_seen:
+    oracle = sim.check.cache
+    if not oracle.fills_seen or not oracle.hits_seen:
         raise AssertionError("the cache oracle saw no fills/hits; the "
                              "lease caches were never exercised")
-    if not san.cache.invalidations_seen:
+    if not oracle.invalidations_seen:
         raise AssertionError("no write ack invalidated a cache; the "
                              "coherence path was never exercised")
-    return san
 
 
 SCENARIOS = {
     "hashtable": _scenario_hashtable,
-    "shuffle": _scenario_shuffle,
-    "join": _scenario_join,
-    "dlog": _scenario_dlog,
     "chaos": _scenario_chaos,
     "txn": _scenario_txn,
     "fabric": _scenario_fabric,
@@ -403,49 +400,90 @@ SCENARIOS = {
 
 
 # ----------------------------------------------------------------- driver
+def _render(target: str) -> str:
+    """Target ``target``'s quick tables, as the CLI prints them."""
+    return "\n".join(f.to_text() for f in run_campaign(target).figures)
+
+
+def checked(name: str) -> tuple[Optional[str], CheckReport]:
+    """Run unit ``name`` under :func:`installed`, then drain and finalize
+    every simulator it built.  Returns its rendered text (``None`` for a
+    scenario) and the simulators' merged report."""
+    unit = SCENARIOS.get(name) or functools.partial(_render, name)
+    with installed(strict_overlap=name not in CLAIMS_ONLY) as sims:
+        text = unit()
+    report = CheckReport()
+    for i, sim in enumerate(sims):
+        san = sim.check
+        sim.run(until=sim.now + DRAIN_NS)
+        if sim.peek() != float("inf"):
+            san.record("liveness", f"{name} simulator {i}", "drain",
+                       f"work still pending {DRAIN_NS / 1e6:g} ms after "
+                       f"the unit returned (next wake at {sim.peek():.1f} "
+                       "ns)")
+        report.merge(san.finalize())
+    return text, report
+
+
 def run_scenario(name: str, out=None) -> CheckReport:
-    """Run one scenario on both lanes.  Returns the stepped run's report,
-    plus a ``lanes`` violation for each way the express run differs (its
-    violations merged in when they do; a digest difference names the
-    first differing completion).  With ``out``, prints the verdict, the
-    lane run's express and stepped WRs, and its digest."""
-    scenario = SCENARIOS[name]
-    stepped = differential.run(scenario, express=False)
-    express = differential.run(scenario, express=True)
-    report, other = stepped.value.finalize(), express.value.finalize()
+    """Run one unit (a scenario or a bench target) on both lanes.
+    Returns the stepped run's report, plus a ``lanes`` violation for
+    each way the express run differs (its violations merged in when they
+    do; a digest difference names the first differing completion, a text
+    difference the first differing line).  With ``out``, prints the
+    verdict, the lane run's express and stepped WRs, and its digest."""
+    unit = functools.partial(checked, name)
+    stepped = differential.run(unit, express=False)
+    express = differential.run(unit, express=True)
+    (text, report), (other_text, other) = stepped.value, express.value
     if (other.counts, other.violations) != (report.counts, report.violations):
         report.merge(other)
         report.add(Violation("lanes", 0.0, name, "differential",
                              "the lanes report different violations"))
-    divergence = differential.compare(scenario, stepped, express)
+    divergence = differential.compare(unit, stepped, express)
     if divergence is not None:
         report.add(Violation("lanes", 0.0, name, "differential",
                              "the lanes' completion digests differ; "
                              + divergence))
+    if text != other_text:
+        lines = text.splitlines(), other_text.splitlines()
+        at = differential._first_difference(*lines)
+        row = [ls[at] if at < len(ls) else "(end)" for ls in lines]
+        report.add(Violation("lanes", 0.0, name, "differential",
+                             f"the lanes render different text; line "
+                             f"{at}:\n  - {row[0]}\n  + {row[1]}"))
     if out is not None:
         verdict = "ok" if report.ok else f"{report.total} violation(s)"
-        print(f"  check:{name:<10} {verdict:<14} lane on: "
-              f"{express.express:>5,} express {express.stepped:>5,} "
-              f"stepped WRs  digest {express.digests[0][:12]}", file=out)
+        print(f"  check:{name:<19} {verdict:<14} lane on: "
+              f"{express.express:>6,} express {express.stepped:>5,} "
+              f"stepped WRs  digest {(express.digests or ['-'])[0][:12]}",
+              file=out)
         if not report.ok:
             print(report.render(), file=out)
     return report
 
 
 def main(argv=None) -> int:
-    names = argv or list(SCENARIOS)
-    unknown = set(names) - set(SCENARIOS)
+    """``python -m repro.check [name ...]``: no name runs the scenarios
+    and :data:`SMOKE_TARGETS`; ``all`` runs the scenarios and every
+    target.  Units run in order and the suite stops at the first that
+    fails, so a defect the bounded scenarios catch never reaches a
+    target that would spin on it."""
+    names = list(argv or [*SCENARIOS, *SMOKE_TARGETS])
+    if "all" in names:
+        names = [*SCENARIOS, *TARGETS]
+    unknown = set(names) - set(SCENARIOS) - set(TARGETS)
     if unknown:
-        print(f"unknown scenario(s): {sorted(unknown)}; "
-              f"available: {list(SCENARIOS)}", file=sys.stderr)
+        print(f"unknown unit(s): {sorted(unknown)}; available: "
+              f"{[*SCENARIOS, *TARGETS, 'all']}", file=sys.stderr)
         return 2
-    report = CheckReport()
-    for name in names:
-        report.merge(run_scenario(name, sys.stdout))
-    if report.ok:
-        print(f"check suite clean: {len(names)} scenario(s) "
-              "on both lanes, 0 violations")
-        return 0
-    print(f"CHECK SUITE FAILED: {report.total} violation(s) "
-          f"({dict(report.counts)})")
-    return 1
+    for done, name in enumerate(names, 1):
+        report = run_scenario(name, sys.stdout)
+        if not report.ok:
+            print(f"CHECK SUITE FAILED at {name}: {report.total} "
+                  f"violation(s) ({dict(report.counts)}); "
+                  f"{len(names) - done} unit(s) not run")
+            return 1
+    print(f"check suite clean: {len(names)} unit(s) "
+          "on both lanes, 0 violations")
+    return 0

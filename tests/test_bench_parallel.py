@@ -174,6 +174,49 @@ def test_point_key_invalidation():
     assert len(set(others)) == len(others)
 
 
+def test_any_model_edit_misses_the_point_cache(tmp_path):
+    """The key covers the whole package: on a copy of ``repro``, a warm
+    ``table2`` re-run is all hits, and editing a ``HardwareParams``
+    default, or a constant in a model module the target only imports,
+    makes every point a miss."""
+    import shutil
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    pkg = tmp_path / "src" / "repro"
+    shutil.copytree(Path(repro.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    snippet = ("import sys; from repro.bench.parallel import run_campaign; "
+               "r = run_campaign('table2', cache_dir=sys.argv[1]); "
+               "print(r.n_computed, r.n_cached)")
+
+    def campaign() -> tuple[int, int]:
+        out = subprocess.run(
+            [sys.executable, "-c", snippet, str(tmp_path / "cache")],
+            env={"PYTHONPATH": str(pkg.parent), "PATH": ""}, check=True,
+            capture_output=True, text=True).stdout
+        return tuple(map(int, out.split()))
+
+    def edit(name: str, old: str, new: str) -> str:
+        path = pkg / name
+        text = path.read_text()
+        assert text.count(old) == 1, (name, old)
+        path.write_text(text.replace(old, new))
+        return text
+
+    cold = campaign()
+    assert cold[0] > 0 and cold[1] == 0
+    assert campaign() == (0, cold[0])
+    params = edit("hw/params.py", "qpi_hop_ns: float = 100.0",
+                  "qpi_hop_ns: float = 101.0")
+    assert campaign() == cold
+    (pkg / "hw" / "params.py").write_text(params)
+    edit("hw/dram.py", "params.qpi_hop_ns * 0.1", "params.qpi_hop_ns * 0.2")
+    assert campaign() == cold
+
+
 def test_corrupted_cache_entry_is_a_miss_not_an_error(tmp_path):
     cache = PointCache(str(tmp_path))
     key = point_key("repro.bench.table2_mlc", {"mem_socket": 0}, True, 0)

@@ -695,39 +695,102 @@ def test_a_same_instant_completion_swap_only_the_digest_sees(monkeypatch):
     assert rows[0]["timestamp_ns"] == rows[1]["timestamp_ns"]
 
 
-def test_express_ab_passes_breakdown_through_the_differential(
-        capsys, monkeypatch):
-    """``tools/express_ab.py breakdown`` runs the target once per lane
-    through the lane differential and finds equal tables and equal
-    completion digests for both of its simulators."""
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "express_ab", Path(__file__).parents[1] / "tools" / "express_ab.py")
-    express_ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(express_ab)
-    lanes = []
+def _recording_runs(monkeypatch) -> list:
+    """Patch :func:`differential.run` to keep every :class:`LaneRun`."""
+    runs = []
     run = differential.run
     monkeypatch.setattr(differential, "run", lambda fn, express: (
-        lanes.append(express), run(fn, express))[1])
-    assert express_ab.main(["breakdown"]) == 0
-    assert lanes == [False, True]
-    line = capsys.readouterr().out.splitlines()[0]
-    assert line.split()[:2] == ["breakdown", "OK"]
-    assert line.endswith("sims 2")
+        runs.append(run(fn, express)), runs[-1])[1])
+    return runs
 
 
-@pytest.mark.parametrize("name", ["hashtable", "shuffle", "join", "dlog",
-                                  "chaos", "txn", "serving"])
+def test_target_mode_is_clean_and_schedule_neutral(monkeypatch):
+    """``fig18`` in target mode: clean under every checker (strict
+    overlap) on both lanes, no WR stepped on the lane run, and the same
+    text on both lanes, hashing to its pin.  So the sanitizer installed
+    at construction and the post-run drain move no schedule."""
+    import hashlib
+
+    from repro.check.runner import run_scenario
+    from tests.test_bench_parallel import TABLE_DIGESTS
+
+    runs = _recording_runs(monkeypatch)
+    report = run_scenario("fig18")
+    assert report.ok, report.render()
+    stepped, lane = runs
+    assert (lane.express, lane.stepped) == (stepped.stepped, 0)
+    assert lane.express > 0
+    assert stepped.value[0] == lane.value[0]
+    assert hashlib.sha256(lane.value[0].encode()).hexdigest() \
+        == TABLE_DIGESTS["fig18"]
+
+
+def test_a_lane_defect_no_checker_sees_fails_target_mode(monkeypatch):
+    """The seeded ``retries=0`` lane defect fails target mode on ext9
+    (tail drops retransmit): one ``lanes`` violation naming the first
+    completion whose rows differ."""
+    from repro.check.runner import run_scenario
+    from repro.verbs import express
+
+    monkeypatch.setattr(express, "Completion",
+                        lambda **kw: Completion(**{**kw, "retries": 0}))
+    report = run_scenario("ext9_fabric_scale")
+    assert [v.checker for v in report.violations] == ["lanes"]
+    message = report.violations[0].message
+    assert "first divergence: simulator " in message
+    stepped, lane = (dict(f.split("=", 1) for f in row.split()) for row in
+                     re.findall(r"(?:stepped|express): (qp=.*)", message))
+    assert {k for k in stepped if stepped[k] != lane[k]} == {"retries"}
+
+
+def test_work_left_after_the_drain_is_a_liveness_violation(monkeypatch):
+    """A unit that leaves a never-ending process behind reports
+    ``liveness`` on both lanes (and nothing else)."""
+    from repro.check import runner
+    from repro.sim.engine import Simulator
+
+    def ticker():
+        sim = Simulator()
+
+        def forever():
+            while True:
+                yield sim.timeout(100_000.0)
+
+        sim.process(forever())
+        sim.run(until=1_000.0)
+
+    monkeypatch.setitem(runner.SCENARIOS, "ticker", ticker)
+    report = runner.run_scenario("ticker")
+    assert [v.checker for v in report.violations] == ["liveness"]
+
+
+def test_a_lost_unlock_ends_chaos_with_violations(monkeypatch):
+    """Seeded mutation: no WRITE lands.  chaos's release completes but
+    leaves its lock word locked, so the other clients spin; the scenario
+    horizon stops them, the drain reports the work still pending as
+    ``liveness`` and the lock oracle names the lost unlock.  (Without
+    the horizon the run never ends.)"""
+    from repro.check.runner import run_scenario
+    from repro.verbs.qp import QueuePair
+
+    monkeypatch.setattr(QueuePair, "_apply_write", lambda self, wr: None)
+    report = run_scenario("chaos")
+    assert report.counts["liveness"] == 1
+    assert any(v.checker == "locks" and "lost unlock" in v.message
+               for v in report.violations)
+
+
+@pytest.mark.parametrize("name", ["hashtable", "chaos", "txn", "serving"])
 def test_check_scenarios_run_on_the_lane(name):
     """Every single-switch ``make check`` scenario books its WRs on the
     express lane: a WR that steps means something turned the lane off
     under the checkers."""
-    from repro.check.runner import SCENARIOS
+    import functools
 
-    run = differential.run(SCENARIOS[name], express=True)
-    report = run.value.finalize()
+    from repro.check.runner import checked
+
+    run = differential.run(functools.partial(checked, name), express=True)
+    _, report = run.value
     assert report.ok, report.render()
     assert run.express > 0
     assert run.stepped == 0
@@ -742,10 +805,7 @@ def test_fabric_scenario_rides_the_lane_and_equals_the_reference(
     from repro.check.runner import run_scenario
     from repro.verbs.qp import tally
 
-    runs = []
-    run = differential.run
-    monkeypatch.setattr(differential, "run", lambda fn, express: (
-        runs.append(run(fn, express)), runs[-1])[1])
+    runs = _recording_runs(monkeypatch)
     before = tally.stepped
     report = run_scenario("fabric")
     assert report.ok and report.total == 0, report.render()
