@@ -230,10 +230,10 @@ def _execute(qp: "QueuePair", wr: "WorkRequest", done: "Event",
     outbound = (total_len
                 if opcode is Opcode.WRITE or opcode is Opcode.SEND else 0)
     inline = outbound <= p.max_inline_bytes
-    extra = lrnic.qp_context(qp.qp_id)
+    extra = lrnic.qp_cache.lookup(qp.qp_id)
     translate = lrnic.translate
     for sge in wr.sgl:
-        extra += translate(sge.mr.page_keys(sge.offset, sge.length))
+        extra += translate(sge.mr, sge.offset, sge.length)
     exec_ns = qp._exec_ns[opcode]
     wire_payload = outbound if outbound else 16  # request header only
     value = None
@@ -402,10 +402,10 @@ def _responder_phase(qp: "QueuePair", wr: "WorkRequest", record,
     status = CompletionStatus.SUCCESS
     response_payload = 0
     end_key = None  # a data-less unlocked WRITE's later hold end key
-    r_extra = rrnic.qp_context(qp.qp_id)
+    r_extra = rrnic.qp_cache.lookup(qp.qp_id)
     if wr.opcode.is_atomic:
         rmr = wr.remote_mr
-        r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, 8))
+        r_extra += rrnic.translate(rmr, wr.remote_offset, 8)
         r_extra += qp.remote_machine.topology.cross_penalty(
             rport.socket, rmr.socket)
         # Same-word atomics serialize device-wide, then occupy the
@@ -427,7 +427,7 @@ def _responder_phase(qp: "QueuePair", wr: "WorkRequest", record,
         response_payload = 8
     elif wr.opcode is Opcode.WRITE:
         rmr = wr.remote_mr
-        r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, total_len))
+        r_extra += rrnic.translate(rmr, wr.remote_offset, total_len)
         # Inbound DMA to the alternate socket partially stalls the
         # responder pipeline (Section II-B4).
         r_extra += (p.responder_cross_exposure
@@ -466,7 +466,7 @@ def _responder_phase(qp: "QueuePair", wr: "WorkRequest", record,
             end_key = max(rx._value, drain._value)
     elif wr.opcode is Opcode.READ:
         rmr = wr.remote_mr
-        r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, total_len))
+        r_extra += rrnic.translate(rmr, wr.remote_offset, total_len)
         yield from exec_rx(rport, p.responder_ns, extra_ns=r_extra)
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.

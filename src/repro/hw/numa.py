@@ -73,8 +73,10 @@ class NumaTopology:
     # -- penalties --------------------------------------------------------
     def cross_penalty(self, socket_a: int, socket_b: int) -> float:
         """Extra ns an MMIO/DMA transaction pays crossing from a to b."""
-        self._check(socket_a)
-        self._check(socket_b)
+        n = self.n_sockets
+        if not (0 <= socket_a < n and 0 <= socket_b < n):  # per-WR path
+            self._check(socket_a)
+            self._check(socket_b)
         return self._cross[socket_a][socket_b]
 
     def dram_latency(self, core_socket: int, mem_socket: int) -> float:

@@ -145,6 +145,13 @@ class Rnic:
             params.sram_miss_penalty_ns,
             name=f"{self.name}.xlt",
         )
+        #: ``translate(mr, offset, length)``: the translation lookups of
+        #: one access, returning the accumulated SRAM-miss penalty in ns
+        #: (Section II-B2).  The translation cache itself, whose call is
+        #: its page-span lookup (:meth:`MetadataCache.lookup_span`).
+        self.translate = self.translation_cache
+        #: QP-state lookups (``qp_cache.lookup(qp_id)``); they thrash
+        #: with many connections.
         self.qp_cache = MetadataCache(
             params.qp_cache_entries,
             params.qp_miss_penalty_ns,
@@ -212,14 +219,3 @@ class Rnic:
                 best, best_hops = port, h
         assert best is not None
         return best
-
-    def translate(self, keys: range) -> float:
-        """Translation-table lookups for an op touching ``keys`` pages.
-
-        Returns the accumulated SRAM-miss penalty in ns (Section II-B2).
-        """
-        return self.translation_cache.lookup_many(keys)
-
-    def qp_context(self, qp_id: int) -> float:
-        """QP-state lookup penalty; thrashes with many connections."""
-        return self.qp_cache.lookup(qp_id)

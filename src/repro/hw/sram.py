@@ -7,15 +7,15 @@ from host DRAM over PCIe, and QP thrash sets in with many connections.
 
 We model each cache as an LRU set of keys with a per-miss penalty.  The
 translation cache is keyed by the int ``mr.key_base + page_index``
-(:meth:`~repro.verbs.mr.MemoryRegion.page_keys`); the QP cache by
-``qp_id``.  The 1024-entry x 4 KB default covers 4 MB of registered memory,
+(:meth:`MetadataCache.lookup_span`); the QP cache by ``qp_id``.  The
+1024-entry x 4 KB default covers 4 MB of registered memory,
 which is exactly where Fig 6(d) shows the sequential/random gap opening.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Hashable
 
 __all__ = ["MetadataCache"]
 
@@ -60,31 +60,44 @@ class MetadataCache:
             self.evictions += 1
         return self.miss_penalty_ns
 
-    def lookup_many(self, keys: Iterable[Hashable]) -> float:
-        """Accumulated penalty of touching several keys (multi-page ops).
+    def lookup_span(self, mr, offset: int, length: int) -> float:
+        """Access the translation entries of ``length`` bytes at ``offset``
+        in ``mr``: the keys ``mr.key_base + page`` for each page of
+        :func:`~repro.memory.address.page_span` (a zero-length access
+        touches the page at ``offset``), in page order.  Returns the
+        accumulated penalty.
 
-        Semantically ``sum(lookup(k) for k in keys)``; runs as one tight
-        loop with locally accumulated counters (this is on the per-WR hot
-        path — every op translates at least one page).
+        Semantically ``sum(lookup(k) for k in keys)``, as one loop with no
+        range object (this is on the per-WR hot path — every op translates
+        at least one page, and most exactly one).
         """
+        if offset < 0 or length < 0:
+            raise ValueError(f"negative offset or length: {offset}, {length}")
+        page_size = mr.page_size
+        key = mr.key_base + offset // page_size
+        last = mr.key_base + (offset + (length or 1) - 1) // page_size
         entries = self._entries
-        move = entries.move_to_end
-        cap = self.capacity
-        hits = misses = evictions = 0
-        for k in keys:
-            if k in entries:
-                move(k)
-                hits += 1
+        misses = 0
+        while key <= last:
+            if key in entries:
+                entries.move_to_end(key)
+                self.hits += 1
             else:
                 misses += 1
-                entries[k] = None
-                if len(entries) > cap:
+                entries[key] = None
+                if len(entries) > self.capacity:
                     entries.popitem(last=False)
-                    evictions += 1
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-        return misses * self.miss_penalty_ns
+                    self.evictions += 1
+            key += 1
+        if misses:
+            self.misses += misses
+            return misses * self.miss_penalty_ns
+        return 0.0
+
+    #: Calling the cache looks up one access's span, so a holder can name
+    #: the cache itself as its lookup (``Rnic.translate``): one call per
+    #: access, and no bound method object kept alive with the rig.
+    __call__ = lookup_span
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the cache (SRAM repartitioning under QP pressure).

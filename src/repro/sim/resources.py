@@ -171,11 +171,19 @@ class Resource:
         """
         if dur is not None and not dur >= 0:  # NaN fails too
             raise ValueError(f"negative or NaN hold duration: {dur}")
-        if self._in_use and not (
-                self._waiters.__class__ is tuple and self._lapsed()):
-            self._wait((dur, grant, end))
-            return
         sim = self.sim
+        if self._in_use:
+            waiters = self._waiters
+            # :meth:`_lapsed`, inlined on this hot path: the unit is
+            # granted again below, so only the busy span closes here.
+            if waiters.__class__ is tuple and (
+                    sim.now > waiters[0] or (sim.now == waiters[0]
+                                             and sim.seq_now > waiters[1])):
+                self._waiters = None
+                self._busy_ns += waiters[0] - self._busy_since
+            else:
+                self._wait((dur, grant, end))
+                return
         self._in_use = 1
         self._busy_since = sim.now
         if dur is None:

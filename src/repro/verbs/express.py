@@ -365,16 +365,18 @@ class ExpressState:
     # -- requester side ----------------------------------------------------
     def _wqe_end(self, op: ExpressOp, wqe_bytes: int, mates, _arg) -> None:
         """The WQE fetch ends: of ``op`` alone, or (``mates``) of the
-        doorbell batch ``op`` leads."""
+        doorbell batch ``op`` leads.  Each WR then runs its requester
+        SRAM evaluations and books its exec stage."""
         qp = op.qp
-        pcie = qp.local_port.pcie
+        lp = qp.local_port
+        pcie = lp.pcie
         pcie.dma_bytes += wqe_bytes
         pcie.dma_count += 1
         if mates is None:
             record = op.record
             if record is not None:
                 record.stamp("wqe_fetch", self.sim.now)
-            self._eval_req(op)
+            mates = (op,)
         else:
             # The stepped batch boots its WRs after the chained fetch:
             # their records begin here, with a zero wqe_fetch stage.
@@ -383,27 +385,19 @@ class ExpressState:
                 now = self.sim.now
                 for m in mates:
                     self._begin(m, tracer).stamp("wqe_fetch", now)
-            for m in mates:  # WR order == stepped spawn order
-                self._eval_req(m)
-
-    def _eval_req(self, op: ExpressOp) -> None:
-        """Requester SRAM evaluations + exec-stage bookings.
-
-        Runs at the WQE-DMA-end instant, in stepped order (QP context
-        first, then each SGE's pages): these mutate LRU state, so the
-        instant and order are part of the equivalence contract.
-        """
-        qp = op.qp
-        wr = op.wr
-        lp = qp.local_port
+        # At the WQE-DMA-end instant, in stepped order (WR order, then QP
+        # context first and each SGE's pages): these mutate LRU state, so
+        # the instant and order are part of the equivalence contract.
         lrnic = qp.local_machine.rnic
-        extra = lrnic.qp_context(qp.qp_id)
         translate = lrnic.translate
-        for sge in wr.sgl:
-            extra += translate(sge.mr.page_keys(sge.offset, sge.length))
-        op.h1 = lp.tx_occupancy_ns(qp._exec_ns[op.opcode], op.wire_payload,
-                                   wr.n_sge, extra)
-        self._attempt(op)
+        for m in mates:
+            wr = m.wr
+            extra = lrnic.qp_cache.lookup(qp.qp_id)
+            for sge in wr.sgl:
+                extra += translate(sge.mr, sge.offset, sge.length)
+            m.h1 = lp.tx_occupancy_ns(qp._exec_ns[m.opcode], m.wire_payload,
+                                      wr.n_sge, extra)
+            self._attempt(m)
 
     def _attempt(self, op: ExpressOp, paced: bool = False,
                  _arg=None) -> None:
@@ -428,7 +422,9 @@ class ExpressState:
                     sim.call_tail(sim.now + pace,
                                   partial(self._attempt, op, True))
                     return
-        tx = lp._perturb(op.h1)
+        tx = op.h1
+        if lp.slowdown != 1.0 or lp.jitter_max_ns:  # a perturbed port
+            tx = lp._perturb(tx)
         if op.outbound and not op.inline:
             # Cut-through payload fetch rides the PCIe bus concurrently
             # with the tx hold; stepped spawns the fetch first.
@@ -614,28 +610,27 @@ class ExpressState:
         p = qp._params
         rp = qp.remote_port
         rrnic = qp.remote_machine.rnic
-        r_extra = rrnic.qp_context(qp.qp_id)
+        r_extra = rrnic.qp_cache.lookup(qp.qp_id)
         opcode = op.opcode
         total_len = op.total_len
         rmr = wr.remote_mr
         if opcode is Opcode.READ or opcode is Opcode.SEND:
             if opcode is Opcode.READ:
-                r_extra += rrnic.translate(
-                    rmr.page_keys(wr.remote_offset, total_len))
+                r_extra += rrnic.translate(rmr, wr.remote_offset, total_len)
             hold = p.responder_ns + r_extra
             if opcode is Opcode.SEND and total_len:
                 # The SEND payload serializes into the rx unit at link
                 # rate (the stepped exec_rx's ``payload_bytes`` hold).
                 hold = max(hold, p.wire_time(total_len))
+            if rp.slowdown != 1.0 or rp.jitter_max_ns:  # a perturbed port
+                hold = rp._perturb(hold)
             if opcode is Opcode.READ:
-                rp.rx_unit.hold(rp._perturb(hold), partial(self._rx_end, op))
+                rp.rx_unit.hold(hold, partial(self._rx_end, op))
             else:
-                rp.rx_unit.hold(rp._perturb(hold),
-                                end=partial(self._rx_end, op))
+                rp.rx_unit.hold(hold, end=partial(self._rx_end, op))
             return
         if opcode is Opcode.WRITE:
-            r_extra += rrnic.translate(
-                rmr.page_keys(wr.remote_offset, total_len))
+            r_extra += rrnic.translate(rmr, wr.remote_offset, total_len)
             # Inbound DMA to the alternate socket partially stalls the
             # responder pipeline (Section II-B4).
             r_extra += (p.responder_cross_exposure
@@ -661,7 +656,7 @@ class ExpressState:
                 lock.hold(None, partial(self._write_granted, op))
             return
         # CAS / FAA
-        r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, 8))
+        r_extra += rrnic.translate(rmr, wr.remote_offset, 8)
         r_extra += qp.remote_machine.topology.cross_penalty(
             rp.socket, rmr.socket)
         op.h1 = p.exec_atomic_ns + r_extra
@@ -678,7 +673,9 @@ class ExpressState:
         as the stepped lane spawns it; see :meth:`_svc_join`.  (A queued
         route's reply starts its hops at the service end.)"""
         rp = op.qp.remote_port
-        rx, drain = rp._perturb(op.h1), op.h2
+        rx, drain = op.h1, op.h2
+        if rp.slowdown != 1.0 or rp.jitter_max_ns:  # a perturbed port
+            rx = rp._perturb(rx)
         rx_end = partial(self._write_rx_end, op)
         drain_end = partial(self._drain_end, op)
         if op.wl is None and not op.move_data and not op.qp._queued:
@@ -692,8 +689,10 @@ class ExpressState:
     def _atomic_granted(self, op: ExpressOp, _arg) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         rp = op.qp.remote_port
-        rp.atomic_unit.hold(rp._perturb(op.h1),
-                            end=partial(self._atomic_end, op))
+        hold = op.h1
+        if rp.slowdown != 1.0 or rp.jitter_max_ns:  # a perturbed port
+            hold = rp._perturb(hold)
+        rp.atomic_unit.hold(hold, end=partial(self._atomic_end, op))
 
     def _write_rx_end(self, op: ExpressOp, end) -> None:
         """The rx hold ends, or (``end``) it is granted: the first-ending
@@ -813,8 +812,9 @@ class ExpressState:
         pcie.dma_bytes += op.total_len
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
-        tx = rp._perturb(rp.tx_occupancy_ns(qp._params.responder_ns,
-                                            op.total_len))
+        tx = rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len)
+        if rp.slowdown != 1.0 or rp.jitter_max_ns:  # a perturbed port
+            tx = rp._perturb(tx)
         if qp._queued:
             rp.tx_unit.hold(tx, end=partial(self._read_tx_end, op))
         else:

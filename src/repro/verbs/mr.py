@@ -67,17 +67,6 @@ class MemoryRegion:
                 f"negative indices are not supported: [{key.start}:{key.stop}]")
         return MrSlice(self, start, stop - start)
 
-    def page_keys(self, offset: int, length: int) -> range:
-        """Translation-cache keys for an access into this region: the
-        pages of :func:`~repro.memory.address.page_span`, offset by
-        ``key_base``."""
-        if offset < 0 or length < 0:
-            raise ValueError(f"negative offset or length: {offset}, {length}")
-        page_size = self.page_size
-        base = self.key_base
-        return range(base + offset // page_size,
-                     base + (offset + (length or 1) - 1) // page_size + 1)
-
     # -- data plane ---------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         return self.buffer.read(offset, length)

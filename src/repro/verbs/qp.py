@@ -280,11 +280,13 @@ class QueuePair:
     def post_send(self, wr: WorkRequest) -> Event:
         """Hand one WR to the hardware; returns its completion event."""
         wr.validate()
-        self._require_postable()
-        self._check_sq_room(1)
-        if self.state is QPState.ERR:
-            return self._flush_post(wr)
-        done = self.sim.event()
+        if (self.state is not QPState.RTS or self.destroyed
+                or self.posted - self.completed >= self.max_send_wr):
+            self._require_postable()
+            self._check_sq_room(1)
+            if self.state is QPState.ERR:
+                return self._flush_post(wr)
+        done = Event(self.sim)
         prev, self._last_completion = self._last_completion, done
         self.posted += 1
         check = self.sim.check
@@ -321,7 +323,7 @@ class QueuePair:
 
     # -------------------------------------------------------------- pipeline
     def _wqe_bytes(self, wr: WorkRequest) -> int:
-        return WQE_BYTES + max(0, wr.n_sge - 1) * SGE_SEG_BYTES
+        return WQE_BYTES + (wr.n_sge - 1) * SGE_SEG_BYTES
 
     def _retrans_wait_ns(self, losses: int) -> float:
         """Transport timer for the ``losses``-th consecutive silence:

@@ -24,6 +24,11 @@ class Opcode(enum.Enum):
     FAA = "fetch_and_add"
     SEND = "send"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==``; it is a C slot, where ``Enum.__hash__`` is a
+    # Python frame per ``dict[opcode]`` lookup on the per-WR path.
+    __hash__ = object.__hash__
+
 
 # ``is_atomic`` is consulted per work request on the pipeline hot path;
 # precompute it as a plain member attribute (enum members are
@@ -102,21 +107,26 @@ class WorkRequest:
     #: (selective signaling, a standard RDMA optimization).
     signaled: bool = True
 
-    @property
-    def total_length(self) -> int:
-        op = self.opcode
-        if op is Opcode.SEND:
-            return self.payload_bytes
-        if op.is_atomic:
-            return 8
-        sgl = self.sgl
-        if len(sgl) == 1:  # the overwhelmingly common single-SGE case
-            return sgl[0].length
-        return sum(sge.length for sge in sgl)
+    #: Derived at construction (and again by ``dataclasses.replace``):
+    #: bytes the WR moves (SEND: ``payload_bytes``; CAS/FAA: 8; else the
+    #: SGE lengths summed) and its SGE count (at least 1).  Nothing writes
+    #: ``opcode``, ``sgl`` or ``payload_bytes`` after construction.
+    total_length: int = field(init=False, repr=False, compare=False)
+    n_sge: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_sge(self) -> int:
-        return len(self.sgl) or 1
+    def __post_init__(self) -> None:
+        op = self.opcode
+        sgl = self.sgl
+        n = len(sgl)
+        self.n_sge = n or 1
+        if op is Opcode.SEND:
+            self.total_length = self.payload_bytes
+        elif op.is_atomic:
+            self.total_length = 8
+        elif n == 1:  # the overwhelmingly common single-SGE case
+            self.total_length = sgl[0].length
+        else:
+            self.total_length = sum(sge.length for sge in sgl)
 
     def validate(self) -> None:
         if self.opcode.is_atomic:

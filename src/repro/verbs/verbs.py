@@ -287,13 +287,6 @@ class Worker:
         self.cpu_busy_ns += poll
         return poll
 
-    def _plane_for(self, qp: QueuePair):
-        """The service plane mediating this QP, or None (untenanted path)."""
-        plane = self.ctx.service_plane
-        if plane is not None and qp.tenant is not None:
-            return plane
-        return None
-
     def post(self, qp: QueuePair, wr: WorkRequest) -> Generator:
         """Prep one WQE, ring the doorbell (:meth:`charge_post`); returns
         the completion event.
@@ -306,8 +299,8 @@ class Worker:
         (``qp.reconnecting``), the post waits for the QP to reach RTS.
         """
         yield self.charge_post(qp, wr)
-        plane = self._plane_for(qp)
-        if plane is not None:
+        plane = self.ctx.service_plane
+        if plane is not None and qp.tenant is not None:
             return plane.submit(qp, wr)
         if qp.reconnecting is not None:
             yield qp.reconnecting
@@ -316,8 +309,8 @@ class Worker:
     def post_batch(self, qp: QueuePair, wrs: list[WorkRequest]) -> Generator:
         """Doorbell batching: k WQE preps but a single MMIO (Section III-A)."""
         yield self.charge_post(qp, wrs)
-        plane = self._plane_for(qp)
-        if plane is not None:
+        plane = self.ctx.service_plane
+        if plane is not None and qp.tenant is not None:
             return plane.submit_batch(qp, wrs)
         if qp.reconnecting is not None:
             yield qp.reconnecting
@@ -345,8 +338,8 @@ class Worker:
         """Synchronous post + wait in one generator frame: the yields of
         :meth:`post` then :meth:`wait`, without nesting either."""
         yield self.charge_post(qp, wr)
-        plane = self._plane_for(qp)
-        if plane is not None:
+        plane = self.ctx.service_plane
+        if plane is not None and qp.tenant is not None:
             completion: Completion = yield plane.submit(qp, wr)
         else:
             if qp.reconnecting is not None:

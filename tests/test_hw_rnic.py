@@ -1,5 +1,7 @@
 """Unit tests for the RNIC, PCIe, switch, machine and cluster models."""
 
+import types
+
 import pytest
 
 from repro.check.stepped import dma, exec_atomic, exec_tx
@@ -105,8 +107,9 @@ def test_translation_shared_across_ports(setup):
     """Both ports share one SRAM: a page warmed via port 0 hits via port 1."""
     _, _, cluster = setup
     rnic = cluster[0].rnic
-    assert rnic.translate([("mr1", 0)]) > 0
-    assert rnic.translate([("mr1", 0)]) == 0.0
+    mr = types.SimpleNamespace(key_base=1 << 32, page_size=4096)
+    assert rnic.translate(mr, 0, 8) > 0
+    assert rnic.translate(mr, 8, 8) == 0.0
 
 
 def test_qp_context_thrash(setup):
@@ -114,9 +117,9 @@ def test_qp_context_thrash(setup):
     rnic = cluster[0].rnic
     n = params.qp_cache_entries
     for qp in range(n + 1):
-        rnic.qp_context(qp)
+        rnic.qp_cache.lookup(qp)
     # Cache overflowed: re-touching qp 0 (evicted) misses again.
-    assert rnic.qp_context(0) == params.qp_miss_penalty_ns
+    assert rnic.qp_cache.lookup(0) == params.qp_miss_penalty_ns
 
 
 def test_pcie_dma_charges_transfer_time():

@@ -1,5 +1,7 @@
 """Unit tests for the RNIC metadata SRAM cache."""
 
+import types
+
 import pytest
 
 from repro.hw import MetadataCache
@@ -29,10 +31,13 @@ def test_capacity_never_exceeded():
     assert len(c) == 8
 
 
-def test_lookup_many_accumulates_penalties():
+def test_lookup_span_accumulates_penalties():
+    """A span pays one miss penalty per page it has to fetch; with 1-byte
+    pages and key base 0 the keys are the byte offsets."""
     c = MetadataCache(capacity=16, miss_penalty_ns=50.0)
-    assert c.lookup_many([1, 2, 3]) == 150.0
-    assert c.lookup_many([1, 2, 4]) == 50.0
+    mr = types.SimpleNamespace(key_base=0, page_size=1)
+    assert c.lookup_span(mr, 1, 3) == 150.0   # keys 1, 2, 3
+    assert c.lookup_span(mr, 2, 3) == 50.0    # keys 2, 3, 4
 
 
 def test_sequential_pattern_mostly_hits():

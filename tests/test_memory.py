@@ -212,34 +212,45 @@ def test_allocator_socket_validation():
 
 
 def test_page_keys_are_page_span_offset_by_the_key_base():
-    """``page_keys`` yields exactly ``page_span``'s pages, offset by the
-    region's key base; two regions' keys never collide; bad ranges still
-    raise."""
+    """The translation keys an access touches (``Rnic.translate``, the
+    SRAM's page-span lookup) are exactly ``page_span``'s pages, offset by
+    the region's key base, in page order; two regions' keys never
+    collide; bad ranges still raise."""
     from repro import build
+    from repro.hw import MetadataCache
 
     _sim, _cluster, ctx = build(machines=1)
     a = ctx.register(0, 1 << 20)
     b = ctx.register(0, 1 << 20)
     assert a.key_base == a.mr_id << 32 and b.key_base == b.mr_id << 32
+
+    def page_keys(mr, offset, length):
+        cache = MetadataCache(capacity=1 << 10, miss_penalty_ns=1.0)
+        misses = cache.lookup_span(mr, offset, length)
+        keys = list(cache._entries)
+        assert misses == len(keys)
+        return keys
+
     rng = random.Random(0)
     seen = {a.mr_id: set(), b.mr_id: set()}
     for _ in range(2000):
         mr = rng.choice((a, b))
         offset = rng.randrange(1 << 20)
         length = rng.choice([0, 1, 8, 64, 4096, 9000])
-        keys = mr.page_keys(offset, length)
-        assert list(keys) == [mr.key_base + p for p in
-                              page_span(offset, length, mr.page_size)]
+        keys = page_keys(mr, offset, length)
+        assert keys == [mr.key_base + p for p in
+                        page_span(offset, length, mr.page_size)]
         seen[mr.mr_id].update(keys)
     assert seen[a.mr_id] and seen[b.mr_id]
     assert not seen[a.mr_id] & seen[b.mr_id]
     # The last page of one region and the first of the next stay apart.
-    last = a.page_keys((1 << 20) - 1, 1)
-    assert not set(last) & set(b.page_keys(0, 0))
+    last = page_keys(a, (1 << 20) - 1, 1)
+    assert not set(last) & set(page_keys(b, 0, 0))
+    rnic = _cluster[0].rnic
     for mr in (a, b):
         for bad in ((-1, 8), (0, -1)):
             with pytest.raises(ValueError):
-                mr.page_keys(*bad)
+                rnic.translate(mr, *bad)
     # A word offset must fit the key's low 32 bits.
     with pytest.raises(ValueError, match="4 GiB"):
         MemoryRegion(types.SimpleNamespace(size=(1 << 32) + 8), 4096)

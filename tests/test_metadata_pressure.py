@@ -87,9 +87,7 @@ def test_deregistration_invalidates_translation():
     sim, cluster, ctx = build(machines=2)
     rnic = cluster[1].rnic
     mr = ctx.register(1, 1 << 16)
-    keys = mr.page_keys(0, 32)
-    assert rnic.translate(keys) > 0     # compulsory miss
-    assert rnic.translate(keys) == 0    # hit
-    for k in keys:
-        rnic.translation_cache.invalidate(k)
-    assert rnic.translate(keys) > 0     # gone after invalidation
+    assert rnic.translate(mr, 0, 32) > 0     # compulsory miss
+    assert rnic.translate(mr, 0, 32) == 0    # hit
+    rnic.translation_cache.invalidate(mr.key_base)  # [0, 32)'s one page
+    assert rnic.translate(mr, 0, 32) > 0     # gone after invalidation

@@ -1,14 +1,16 @@
 """Property-based differential tests: the sparse ``RdmaBuffer`` against a
 flat ``bytearray`` that stores every byte, and the translation SRAM's int
-page keys against an LRU keyed by ``(mr_id, page)`` tuples."""
+page keys against an LRU keyed by ``(mr_id, page)`` tuples and its
+page-span lookup against one ``lookup`` per key."""
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import build
-from repro.hw import HardwareParams
+from repro.hw import HardwareParams, MetadataCache
 from repro.memory import RdmaBuffer, page_span
 from repro.memory.buffer import DENSE_LINES, LINE, PAGE
 
@@ -183,7 +185,7 @@ _xlt_access = st.tuples(
 @settings(max_examples=200, deadline=None)
 def test_int_page_keys_translate_like_tuple_keys(accesses, shrink_at,
                                                  shrunk):
-    """``Rnic.translate(mr.page_keys(...))`` pays the same penalty per
+    """``Rnic.translate(mr, offset, length)`` pays the same penalty per
     access, and counts the same hits, misses and evictions, as an LRU
     keyed by ``(mr_id, page)``, across regions and a mid-run shrink."""
     params = HardwareParams().derive(translation_cache_entries=XLT_ENTRIES,
@@ -200,8 +202,45 @@ def test_int_page_keys_translate_like_tuple_keys(accesses, shrink_at,
             ref.capacity = shrunk
             ref._trim()
         mr = mrs[which]
-        assert rnic.translate(mr.page_keys(offset, length)) \
+        assert rnic.translate(mr, offset, length) \
             == ref.translate(mr, offset, length), (i, which, offset, length)
         assert (xlt.hits, xlt.misses, xlt.evictions) \
             == (ref.hits, ref.misses, ref.evictions)
     assert len(xlt) == len(ref.entries)
+
+
+def _per_key(cache: MetadataCache, mr, offset: int, length: int) -> float:
+    """Reference: one ``lookup`` per key of the access, in page order."""
+    return sum(cache.lookup(mr.key_base + page)
+               for page in page_span(offset, length, mr.page_size))
+
+
+@given(st.lists(_xlt_access, min_size=1, max_size=60),
+       st.integers(1, XLT_ENTRIES))
+@example([(0, 0, 0), (0, PAGE - 1, 2), (1, 3 * PAGE - 8, 2 * PAGE + 16),
+          (2, 0, 0), (0, PAGE - 1, 2), (1, 5 * PAGE, 0)], 1)
+@settings(max_examples=300, deadline=None)
+def test_span_lookup_equals_the_per_key_loop(accesses, capacity):
+    """``MetadataCache.lookup_span`` (``Rnic.translate``) is ``lookup``
+    over each key of the span: the same penalty per access and the same
+    hits, misses, evictions and LRU key order after it, across regions,
+    for zero-length, page-straddling and multi-page accesses and down to
+    a capacity of 1."""
+    _sim, _cluster, ctx = build(machines=1)
+    mrs = [ctx.register(0, size) for size in MR_SIZES]
+    span = MetadataCache(capacity, miss_penalty_ns=250.0)
+    loop = MetadataCache(capacity, miss_penalty_ns=250.0)
+    for i, (which, offset, length) in enumerate(accesses):
+        mr = mrs[which]
+        assert span.lookup_span(mr, offset, length) \
+            == _per_key(loop, mr, offset, length), (i, which, offset, length)
+        assert (span.hits, span.misses, span.evictions) \
+            == (loop.hits, loop.misses, loop.evictions)
+        assert list(span._entries) == list(loop._entries)
+    # A negative offset or length raises and touches nothing.
+    before = (list(span._entries), span.hits, span.misses, span.evictions)
+    for bad in ((-1, 8), (0, -1), (-PAGE, 0)):
+        with pytest.raises(ValueError):
+            span.lookup_span(mrs[0], *bad)
+    assert (list(span._entries), span.hits, span.misses,
+            span.evictions) == before
