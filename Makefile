@@ -111,18 +111,14 @@ perf:
 perf-gate: perf
 
 # --quick gates the starred scenarios — including sweep_parallel, which
-# prints the worker-pool metrics block (serial and 4-job points/sec,
-# jobs4_speedup, cores) and fails if jobs4_speedup lands below the
-# 1.5x floor on a >=4-core machine.  The following lines
-# additionally prove the campaign runner merges deterministically
-# (serial vs --jobs N figure digests must match; exits non-zero
-# otherwise) — fig5 for the paper path, ext9 for the fabric path,
-# ext10 for the open-loop serving tier.
+# runs fig1 serially and on a 4-worker pool, fails unless the two merged
+# figure digests match, prints the worker-pool metrics block (serial and
+# 4-job points/sec, jobs4_speedup, cores) and fails if jobs4_speedup
+# lands below the 1.5x floor on a >=4-core machine.  Every target's
+# pooled-vs-serial merge is checked in tier-1
+# (tests/test_bench_parallel.py).
 perf-quick:
 	PYTHONPATH=src $(PY) -m repro.bench.perf check --quick
-	PYTHONPATH=src $(PY) -m repro.bench.parallel fig5 --jobs 2
-	PYTHONPATH=src $(PY) -m repro.bench.parallel ext9_fabric_scale --jobs 4
-	PYTHONPATH=src $(PY) -m repro.bench.parallel ext10_open_loop --jobs 4
 
 # Refresh the committed baseline (new machine, or a deliberate model
 # change that moved schedules).
@@ -145,8 +141,8 @@ chaos:
 funcov:
 	PYTHONPATH=src $(PY) tools/funcov.py
 
-# Full figure campaign, fanned out over every core with the point cache
-# on (.bench-cache/) — merged tables are bit-identical to --jobs 1.
+# Full figure campaign, fanned out over one worker pool on every core —
+# merged tables are bit-identical to --jobs 1.
 bench:
 	$(PY) -m repro.bench all --jobs auto
 

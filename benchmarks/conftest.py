@@ -1,7 +1,7 @@
 """Shared plumbing for the pytest-benchmark harness.
 
 Every ``test_bench_*`` benchmark runs one bench target's point campaign
-(``repro.bench.parallel.run_campaign``, quick mode, inline, no cache)
+(``repro.bench.parallel.run_campaign``, quick mode, inline)
 through the ``campaign`` fixture.  The simulator is deterministic, so a
 single round is exact; pedantic mode keeps pytest-benchmark from
 re-running multi-second sweeps.

@@ -27,6 +27,7 @@ __all__ = [
     "SPEEDUP_FLOOR",
     "TRACED_PEAK_FLOOR_KB",
     "TRACED_PEAK_TOLERANCE",
+    "build_parser",
     "check",
     "load_baseline",
     "main",
@@ -117,7 +118,7 @@ def _sweep_parallel() -> dict:
     """
     serial = parallel.run_campaign("fig1")
     with parallel.WorkerPool(4) as pool:
-        pooled = parallel.run_campaign("fig1", jobs=4, pool=pool)
+        pooled = parallel.run_campaign("fig1", pool=pool)
     d_serial = parallel.figures_digest(serial.figures)
     d_pooled = parallel.figures_digest(pooled.figures)
     if d_serial != d_pooled:
@@ -492,7 +493,8 @@ def _print_tracked(data: dict, baseline: Optional[dict] = None) -> None:
             print(line)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.bench.perf`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.perf",
         description="fast-path performance harness (see docs/PERFORMANCE.md)")
@@ -500,23 +502,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_check = sub.add_parser("check", help="run scenarios and gate against "
                                            "the committed baseline")
     p_check.add_argument("--baseline", default=DEFAULT_BASELINE)
-    p_check.add_argument("--tolerance", type=float,
-                         default=DEFAULT_TOLERANCE)
     p_check.add_argument("--quick", action="store_true",
                          help=f"only {', '.join(QUICK_SCENARIOS)}")
     p_update = sub.add_parser("update", help="run all scenarios and rewrite "
                                              "the baseline")
     p_update.add_argument("--baseline", default=DEFAULT_BASELINE)
-    p_run = sub.add_parser("run", help="run scenarios and print the table "
-                                       "without gating")
-    p_run.add_argument("--quick", action="store_true")
     p_census = sub.add_parser(
         "census", help="print events per completed op by the layer that "
                        "scheduled them, and Python calls per op by layer "
                        "(informational, not gated)")
     p_census.add_argument("scenarios", nargs="+", choices=list(SCENARIOS),
                           metavar="scenario")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.cmd == "census":
         from repro.bench.perf import census
@@ -534,11 +535,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     names = list(QUICK_SCENARIOS) if args.quick else None
     data = run_scenarios(names, traced=True, layers=True)
-    if args.cmd == "run":
-        _print_table(data)
-        _print_tracked(data)
-        return 0
-
     try:
         baseline = load_baseline(args.baseline)
     except FileNotFoundError:
@@ -548,14 +544,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     _print_table(data, baseline)
     _print_tracked(data, baseline)
-    failures = check(baseline, data, args.tolerance)
+    failures = check(baseline, data)
     if failures:
         print(f"\nPERF GATE FAILED ({len(failures)}):")
         for f in failures:
             print(f"  {f}")
         return 1
     print("\nperf gate passed: schedules identical, throughput within "
-          f"{args.tolerance:.0%} of baseline")
+          f"{DEFAULT_TOLERANCE:.0%} of baseline")
     return 0
 
 

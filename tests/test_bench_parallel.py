@@ -1,11 +1,10 @@
-"""Parallel sweep campaigns: serial/pooled equality, the point cache,
+"""Point campaigns: serial/pooled equality, the pinned table text,
 seed plumbing, and loud failure on a crashed point.
 
 The contract under test (docs/PERFORMANCE.md, "Parallel campaigns"):
 ``--jobs N`` must be a pure wall-clock optimization — the merged figure
-rows, checks, and rendered text are bit-identical to a serial run, the
-cache never changes results (only skips recomputation), and a single
-failed point fails the whole campaign with the point named.
+rows, checks, and rendered text are bit-identical to a serial run — and
+a single failed point fails the whole campaign with the point named.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import pytest
 
 from repro.bench import TARGETS
 from repro.bench import parallel
-from repro.bench.parallel import (CampaignError, PointCache, compute_points,
-                                  figures_digest, point_key, run_campaign)
+from repro.bench.parallel import (CampaignError, WorkerPool, compute_points,
+                                  figures_digest, run_campaign)
 from repro.bench.runner import bench_seed, set_campaign_seed
 
 #: SHA-256 of every target's quick-mode rendered text (its figures'
@@ -97,17 +96,21 @@ def _reset_campaign_seed():
     set_campaign_seed(0)
 
 
+@pytest.fixture(scope="module")
+def shared_pool():
+    """One 2-worker pool for every target, as ``repro.bench all`` runs."""
+    with WorkerPool(2) as pool:
+        yield pool
+
+
 # ------------------------------------------------- merge determinism
 @pytest.mark.parametrize("target", sorted(TARGETS))
-def test_parallel_campaign_matches_serial(target, tmp_path):
-    """Every quick-mode target: --jobs 4 rows == --jobs 1 rows, exactly,
-    and the rendered text is the pinned one.  The pooled run goes through
-    a cold point cache, so the JSON round trip of every value is held to
-    the inline values too."""
-    serial = run_campaign(target, quick=True, jobs=1)
-    pooled = run_campaign(target, quick=True, jobs=4,
-                          cache_dir=str(tmp_path))
-    assert serial.n_points == pooled.n_points == pooled.n_computed > 0
+def test_parallel_campaign_matches_serial(target, shared_pool):
+    """Every quick-mode target: pooled rows == inline rows, exactly, and
+    the rendered text is the pinned one."""
+    serial = run_campaign(target, quick=True)
+    pooled = run_campaign(target, quick=True, pool=shared_pool)
+    assert serial.n_points == pooled.n_points > 0
     assert len(serial.figures) == len(pooled.figures)
     for a, b in zip(serial.figures, pooled.figures):
         assert a.name == b.name
@@ -129,7 +132,7 @@ def test_campaign_matches_plain_module_run(target):
     set_campaign_seed(0)
     fig = module.assemble([module.run_point(p, True)
                            for p in module.points(True)], True)
-    campaign = run_campaign(target, quick=True, jobs=1)
+    campaign = run_campaign(target, quick=True)
     assert campaign.figures[0].to_text() == fig.to_text()
 
 
@@ -146,108 +149,6 @@ def test_all_point_targets_are_point_capable():
         assert not [f for f in own if f in ("run", "main")
                     or f.startswith("run_") and f != "run_point"], name
         assert "__main__" not in inspect.getsource(module), name
-
-
-# ----------------------------------------------------------- the cache
-def test_warm_cache_recomputes_nothing(tmp_path):
-    cold = run_campaign("table2", quick=True, jobs=1,
-                        cache_dir=str(tmp_path))
-    assert cold.n_computed == cold.n_points and cold.n_cached == 0
-    warm = run_campaign("table2", quick=True, jobs=1,
-                        cache_dir=str(tmp_path))
-    assert warm.n_computed == 0 and warm.n_cached == warm.n_points
-    assert figures_digest(warm.figures) == figures_digest(cold.figures)
-
-
-def test_point_key_invalidation():
-    """The key must move with the point, mode, seed, and module."""
-    base = point_key("repro.bench.table2_mlc", {"mem_socket": 0}, True, 0)
-    assert base == point_key("repro.bench.table2_mlc", {"mem_socket": 0},
-                             True, 0)
-    others = [
-        point_key("repro.bench.table2_mlc", {"mem_socket": 1}, True, 0),
-        point_key("repro.bench.table2_mlc", {"mem_socket": 0}, False, 0),
-        point_key("repro.bench.table2_mlc", {"mem_socket": 0}, True, 7),
-        point_key("repro.bench.table3_numa", {"mem_socket": 0}, True, 0),
-    ]
-    assert base not in others
-    assert len(set(others)) == len(others)
-
-
-def test_any_model_edit_misses_the_point_cache(tmp_path):
-    """The key covers the whole package: on a copy of ``repro``, a warm
-    ``table2`` re-run is all hits, and editing a ``HardwareParams``
-    default, or a constant in a model module the target only imports,
-    makes every point a miss."""
-    import shutil
-    import subprocess
-    from pathlib import Path
-
-    import repro
-
-    pkg = tmp_path / "src" / "repro"
-    shutil.copytree(Path(repro.__file__).parent, pkg,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    snippet = ("import sys; from repro.bench.parallel import run_campaign; "
-               "r = run_campaign('table2', cache_dir=sys.argv[1]); "
-               "print(r.n_computed, r.n_cached)")
-
-    def campaign() -> tuple[int, int]:
-        out = subprocess.run(
-            [sys.executable, "-c", snippet, str(tmp_path / "cache")],
-            env={"PYTHONPATH": str(pkg.parent), "PATH": ""}, check=True,
-            capture_output=True, text=True).stdout
-        return tuple(map(int, out.split()))
-
-    def edit(name: str, old: str, new: str) -> str:
-        path = pkg / name
-        text = path.read_text()
-        assert text.count(old) == 1, (name, old)
-        path.write_text(text.replace(old, new))
-        return text
-
-    cold = campaign()
-    assert cold[0] > 0 and cold[1] == 0
-    assert campaign() == (0, cold[0])
-    params = edit("hw/params.py", "qpi_hop_ns: float = 100.0",
-                  "qpi_hop_ns: float = 101.0")
-    assert campaign() == cold
-    (pkg / "hw" / "params.py").write_text(params)
-    edit("hw/dram.py", "params.qpi_hop_ns * 0.1", "params.qpi_hop_ns * 0.2")
-    assert campaign() == cold
-
-
-def test_corrupted_cache_entry_is_a_miss_not_an_error(tmp_path):
-    cache = PointCache(str(tmp_path))
-    key = point_key("repro.bench.table2_mlc", {"mem_socket": 0}, True, 0)
-    cache.put(key, [92.0, 3.7])
-    hit, value = cache.get(key)
-    assert hit and value == [92.0, 3.7]
-    with open(cache._path(key), "w") as fh:
-        fh.write("{ definitely not json")
-    hit, value = cache.get(key)
-    assert not hit and value is None
-    # A campaign over the damaged cache silently recomputes the point...
-    table2 = importlib.import_module("repro.bench.table2_mlc")
-    values, n_computed, n_cached = compute_points(
-        table2, [{"mem_socket": 0}], cache=PointCache(str(tmp_path)))
-    assert (n_computed, n_cached) == (1, 0)
-    # ...and repairs the entry for the next run.
-    _, n_computed, n_cached = compute_points(
-        table2, [{"mem_socket": 0}], cache=PointCache(str(tmp_path)))
-    assert (n_computed, n_cached) == (0, 1)
-
-
-def test_foreign_key_cache_entry_is_a_miss(tmp_path):
-    cache = PointCache(str(tmp_path))
-    key = point_key("repro.bench.table2_mlc", {"mem_socket": 0}, True, 0)
-    other = point_key("repro.bench.table2_mlc", {"mem_socket": 1}, True, 0)
-    cache.put(key, [92.0, 3.7])
-    import os
-    os.makedirs(os.path.dirname(cache._path(other)), exist_ok=True)
-    os.replace(cache._path(key), cache._path(other))
-    hit, _ = cache.get(other)
-    assert not hit
 
 
 # -------------------------------------------------------- failure mode
@@ -281,14 +182,17 @@ def _install_crashy_module():
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_one_failed_point_fails_the_campaign_loudly(jobs):
     mod = _install_crashy_module()
+    pool = WorkerPool(jobs) if jobs > 1 else None
     try:
         with pytest.raises(CampaignError) as err:
-            compute_points(mod, mod.points(), quick=True, jobs=jobs)
+            compute_points(mod, mod.points(), quick=True, pool=pool)
         msg = str(err.value)
         assert "injected point failure" in msg
         assert '"i": 2' in msg          # the failing point is named
         assert "no tables emitted" in msg
     finally:
+        if pool is not None:
+            pool.close()
         del sys.modules[_CRASHY]
 
 
@@ -303,30 +207,26 @@ def test_campaign_seed_zero_is_the_identity():
 
 def test_nonzero_seed_moves_rng_targets_deterministically():
     d0 = figures_digest(
-        run_campaign("ext5", quick=True, jobs=1, cache_dir=None,
-                     seed=0).figures)
+        run_campaign("ext5", quick=True, seed=0).figures)
     d7 = figures_digest(
-        run_campaign("ext5", quick=True, jobs=1, cache_dir=None,
-                     seed=7).figures)
+        run_campaign("ext5", quick=True, seed=7).figures)
     d7_again = figures_digest(
-        run_campaign("ext5", quick=True, jobs=1, cache_dir=None,
-                     seed=7).figures)
+        run_campaign("ext5", quick=True, seed=7).figures)
     assert d0 != d7          # the seed actually reaches the rig rngs
     assert d7 == d7_again    # and stays deterministic per seed
 
 
-def test_cli_flags_roundtrip(capsys, tmp_path):
+def test_cli_flags_roundtrip(capsys):
+    """``--jobs 2 --seed 5`` prints the inline seed-5 campaign's text."""
     from repro.bench.__main__ import main
-    assert main(["table2", "--jobs", "2", "--seed", "5",
-                 "--cache", str(tmp_path)]) == 0
+    assert main(["table2", "--jobs", "2", "--seed", "5"]) == 0
     out = capsys.readouterr().out
-    assert "2 computed, 0 cached" in out
-    assert main(["table2", "--seed", "5", "--cache", str(tmp_path)]) == 0
-    assert "0 computed, 2 cached" in capsys.readouterr().out
+    inline = run_campaign("table2", quick=True, seed=5)
+    assert "\n".join(f.to_text() for f in inline.figures) in out
+    assert "[table2 done in " in out
 
 
-@pytest.mark.parametrize("cli", ["repro.bench.__main__",
-                                 "repro.bench.parallel"])
+@pytest.mark.parametrize("cli", ["repro.bench.__main__"])
 @pytest.mark.parametrize("jobs", ["two", "0", "-3"])
 def test_bad_jobs_is_a_usage_error(cli, jobs, capsys):
     """--jobs takes 'auto' or an integer >= 1; anything else exits 2
@@ -338,30 +238,3 @@ def test_bad_jobs_is_a_usage_error(cli, jobs, capsys):
     assert "argument --jobs" in capsys.readouterr().err
     assert parallel.jobs_arg("auto") == parallel.default_jobs()
     assert parallel.jobs_arg("3") == 3
-
-
-def test_cache_stats_cli_warm_rerun_recomputes_nothing(capsys, tmp_path):
-    """--cache-stats: cold run reports misses/writes; a warm rerun must
-    report every point as a hit and 0 recomputed."""
-    argv = ["table2", "--jobs", "1", "--cache-stats",
-            "--cache-dir", str(tmp_path)]
-    assert parallel.main(argv) == 0
-    out = capsys.readouterr().out
-    assert "cache: 0 hits, 2 misses" in out
-    assert "(2 points recomputed)" in out
-    assert parallel.main(argv) == 0
-    out = capsys.readouterr().out
-    assert "cache: 2 hits, 0 misses" in out
-    assert "0 B written" in out
-    assert "(0 points recomputed)" in out
-
-
-def test_point_cache_byte_counters(tmp_path):
-    cache = PointCache(str(tmp_path))
-    hit, _ = cache.get("ab" * 32)
-    assert not hit and cache.bytes_read == 0
-    cache.put("ab" * 32, {"v": 1.5})
-    assert cache.bytes_written > 0
-    hit, value = cache.get("ab" * 32)
-    assert hit and value == {"v": 1.5}
-    assert cache.bytes_read == cache.bytes_written

@@ -435,6 +435,42 @@ def test_gate_flags_scenario_missing_from_baseline():
     assert any("not in baseline" in f for f in failures)
 
 
+def test_perf_cli_update_then_check(tmp_path, monkeypatch, capsys):
+    """``update`` writes what ``load_baseline`` reads back; ``check``
+    passes against it, fails on a moved digest and on a missing file."""
+    row = {"wall_s": 1.0, "events": 100, "events_per_sec": 100,
+           "digest": "a" * 64,
+           "metrics": {"events_per_op": 2.0,
+                       "events_by_layer": {"sim": 2.0}}}
+    monkeypatch.setattr(
+        harness, "run_scenarios",
+        lambda names=None, **kw: {"format": 1,
+                                  "scenarios": {"fig1": dict(row)}})
+    path = tmp_path / "base.json"
+    assert harness.main(["update", "--baseline", str(path)]) == 0
+    assert harness.load_baseline(str(path)) == harness.run_scenarios()
+    assert f"baseline written to {path}" in capsys.readouterr().out
+
+    assert harness.main(["check", "--baseline", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "perf gate passed" in out
+    assert "events_by_layer: sim=2.0" in out
+
+    moved = json.loads(path.read_text())
+    moved["scenarios"]["fig1"]["digest"] = "b" * 64
+    path.write_text(json.dumps(moved))
+    assert harness.main(["check", "--baseline", str(path)]) == 1
+    assert "PERF GATE FAILED" in capsys.readouterr().out
+
+    missing = tmp_path / "missing.json"
+    assert harness.main(["check", "--baseline", str(missing)]) == 1
+    assert "no baseline" in capsys.readouterr().out
+
+    path.write_text(json.dumps({"format": 2}))
+    with pytest.raises(ValueError):
+        harness.load_baseline(str(path))
+
+
 # ---------------------------------------------------- schedule identity
 @pytest.mark.parametrize("target", ["repro.bench.fig01_throttling",
                                     "repro.bench.ext7_fault_recovery"])

@@ -11,8 +11,8 @@ harvested when it is disabled.  Forked pool workers are not seen, so
 check each hit by hand before deleting it.
 
 A second, traffic pass then profiles what the product runs, with no
-test in the way: every ``repro.bench.TARGETS`` campaign (quick, inline,
-uncached), the ``make check`` suite, the four end-to-end workloads of
+test in the way: every ``repro.bench.TARGETS`` campaign (quick,
+inline), the ``make check`` suite, the four end-to-end workloads of
 ``benchmarks/e2e/workloads.py`` at scale 0.02, and every script in
 ``examples/``.  It lists the functions none of them reach: a function
 only a test calls is either dead weight or a mechanism no target wires

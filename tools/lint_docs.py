@@ -10,7 +10,7 @@ the repo root.
 ``--catalog`` additionally cross-checks docs/BENCHMARKS.md against
 ``repro.bench.TARGETS`` (exactly one table row per target, no ghosts)
 and parses every ``python -m repro.bench …`` /
-``python -m repro.bench.parallel …`` example in README.md and
+``python -m repro.bench.perf …`` example in README.md and
 ``docs/*.md`` with the live argument parser, so a removed flag or
 target cannot linger in the docs.
 
@@ -41,7 +41,7 @@ PATH_REF = re.compile(
     r"\b((?:docs|tests|examples|tools|src/repro(?:/[\w.]+)*)"
     r"/[\w.\-/]+\.(?:md|py))\b")
 # A bench CLI invocation, up to a closing backtick or the end of the line.
-CLI_EXAMPLE = re.compile(r"python -m (repro\.bench(?:\.parallel)?)(?![\w.])"
+CLI_EXAMPLE = re.compile(r"python -m (repro\.bench(?:\.perf)?)(?![\w.])"
                          r"([^`]*)")
 
 
@@ -101,9 +101,10 @@ def check_cli_examples(rel: str, lines: list[str],
     """Parse each bench CLI example in ``lines`` with the live parser."""
     if str(REPO / "src") not in sys.path:
         sys.path.insert(0, str(REPO / "src"))
-    from repro.bench import __main__ as bench_cli, parallel
+    from repro.bench import __main__ as bench_cli
+    from repro.bench.perf import harness
     parsers = {"repro.bench": bench_cli.build_parser(),
-               "repro.bench.parallel": parallel.build_parser()}
+               "repro.bench.perf": harness.build_parser()}
     for lineno, line in enumerate(lines, 1):
         for m in CLI_EXAMPLE.finditer(line):
             try:
