@@ -134,10 +134,11 @@ chaos:
 # Function census (~10 min on a 2-core box, not part of smoke): runs
 # tier-1 under cProfile and lists every function under src/repro it
 # never calls, then profiles the product's own traffic (every bench
-# target, the check suite, the e2e workloads and the examples) and lists
-# every function none of it reaches, each with its totals
-# (tools/funcov.py).  Forked pool workers are not seen, so check each
-# hit by hand before deleting it.
+# target, the check suite, the e2e workloads, the examples and the
+# ablation benches) and lists every function none of it reaches, each
+# with its totals, then the docs/PAPER_MAP.md-cited units it never
+# reaches (tools/funcov.py).  Forked pool workers are not seen, so
+# check each hit by hand before deleting it.
 funcov:
 	PYTHONPATH=src $(PY) tools/funcov.py
 

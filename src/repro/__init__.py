@@ -39,9 +39,9 @@ def build(machines: int | None = None,
           ) -> tuple[Simulator, Cluster, RdmaContext]:
     """Construct a fresh (simulator, cluster, RDMA context) triple.
 
-    ``topology`` selects the fabric (``"single"`` | ``"leaf-spine"`` |
-    ``"clos"`` or a :class:`repro.hw.fabric.Fabric` instance); the
-    default is the paper's single switch.
+    ``topology`` selects the fabric (``"single"`` | ``"leaf-spine"`` or a
+    :class:`repro.hw.fabric.Fabric` instance); the default is the paper's
+    single switch.
     """
     sim = Simulator()
     cluster = Cluster(sim, params, machines=machines, topology=topology)

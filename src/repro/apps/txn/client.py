@@ -119,8 +119,7 @@ class TxnClient:
     def __init__(self, ctx: RdmaContext, store: TxnStore, machine: int,
                  socket: int = 0, client_id: int = 0,
                  config: Optional[TxnConfig] = None,
-                 rng: Optional[np.random.Generator] = None, name: str = "",
-                 metrics=None, tenant: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None, name: str = ""):
         if machine == store.machine:
             raise ValueError("txn clients must not run on the memory node")
         self.ctx = ctx
@@ -132,8 +131,6 @@ class TxnClient:
         self.rng = rng
         self.client_id = client_id
         self.name = name or f"txn.m{machine}.s{socket}.c{client_id}"
-        self.metrics = metrics
-        self.tenant = tenant
         self.worker = Worker(ctx, machine, socket, name=self.name)
         # One socket-matched QP per back-end stripe (the frontend idiom):
         # local port affine to our socket, remote port to the key's.
@@ -361,14 +358,8 @@ class TxnClient:
                 committed = False
             if committed:
                 self.commits += 1
-                latency = self.sim.now - t0
-                if self.metrics is not None and self.tenant is not None:
-                    self.metrics.record_txn(self.tenant, True, latency)
-                return TxnResult(True, attempt, latency)
+                return TxnResult(True, attempt, self.sim.now - t0)
             self.aborts += 1
-            if self.metrics is not None and self.tenant is not None:
-                self.metrics.record_txn(self.tenant, False,
-                                        self.sim.now - t0)
             if attempt >= self.config.max_attempts:
                 self.gave_up += 1
                 return TxnResult(False, attempt, self.sim.now - t0)

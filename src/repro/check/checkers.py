@@ -384,8 +384,7 @@ class TenancyChecker:
     name = "tenancy"
 
     _SLO_FIELDS = ("ops", "bytes", "errored", "rejected", "retries",
-                   "txn_commits", "txn_aborts", "cache_hits",
-                   "cache_misses", "cache_invalidations")
+                   "cache_hits", "cache_misses", "cache_invalidations")
 
     def __init__(self, san):
         self.san = san

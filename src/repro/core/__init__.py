@@ -7,8 +7,8 @@ each usable directly against the verbs layer:
   (Algorithm 1 of the paper) behind one :class:`BatchStrategy` interface.
 * :mod:`repro.core.consolidation` — IO consolidation: a remote burst buffer
   that merges θ small writes to one aligned block into one RDMA op.
-* :mod:`repro.core.numa_aware` — socket-affine QP placement, the
-  proxy-socket router, and connection-mesh builders.
+* :mod:`repro.core.numa_aware` — the proxy-socket router and the
+  connection-mesh builders.
 * :mod:`repro.core.locks` / :mod:`repro.core.sequencer` — local, remote
   (one-sided atomic), and RPC-based coordination primitives, including the
   exponential-backoff remote spinlock.
@@ -31,7 +31,6 @@ from repro.core.batching import (
 from repro.core.consolidation import IoConsolidator
 from repro.core.numa_aware import (
     ConnectionMesh,
-    NumaPlacement,
     ProxySocketRouter,
 )
 from repro.core.locks import (
@@ -44,7 +43,6 @@ from repro.core.sequencer import LocalSequencer, RemoteSequencer, RpcSequencer
 from repro.core.access import PatternGenerator, RemoteAccessRunner
 from repro.core.replication import RemoteMirror, Replica
 from repro.core.rpc import RpcChannel, RpcServer
-from repro.core.signaling import SignalWindow
 from repro.core.advisor import Advisor, Recommendation, WorkloadProfile
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "IoConsolidator",
     "LocalSequencer",
     "LocalSpinLock",
-    "NumaPlacement",
     "PatternGenerator",
     "ProxySocketRouter",
     "Recommendation",
@@ -71,7 +68,6 @@ __all__ = [
     "RpcServer",
     "RpcSpinLock",
     "SglBatcher",
-    "SignalWindow",
     "SpBatcher",
     "WorkloadProfile",
     "make_batcher",

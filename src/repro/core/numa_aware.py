@@ -1,10 +1,7 @@
 """NUMA-aware connection placement and the proxy-socket design (III-D, IV-B).
 
-Three tools:
+Two tools:
 
-* :class:`NumaPlacement` — pick the socket-affine port for a buffer and
-  estimate the placement penalty of any (core, memory, port) combination
-  (the Table III matrix in closed form).
 * :class:`ConnectionMesh` — build the QP mesh between machines either
   ``matched`` (each socket pairs only with the same remote socket:
   ``s x 2m`` QPs) or ``all_to_all`` (``s x s x 2m`` QPs, the baseline that
@@ -29,37 +26,7 @@ from repro.verbs import (
     Worker,
 )
 
-__all__ = ["ConnectionMesh", "NumaPlacement", "ProxySocketRouter"]
-
-
-class NumaPlacement:
-    """Placement helpers and the closed-form Table III penalty model."""
-
-    def __init__(self, ctx: RdmaContext):
-        self.ctx = ctx
-        self.params = ctx.params
-
-    def best_port(self, machine: int, mem_socket: int) -> int:
-        """Index of the port affined with ``mem_socket`` on ``machine``."""
-        port = self.ctx.cluster[machine].port_for_socket(mem_socket)
-        return port.index
-
-    def placement_extra_ns(self, core_socket: int, local_mem_socket: int,
-                           port_socket: int, remote_port_socket: int,
-                           remote_mem_socket: int) -> float:
-        """Extra one-way latency of a placement vs. the all-affine case.
-
-        Sums the QPI penalties the hardware model will charge: the MMIO
-        crossing (core -> port), the payload DMA crossing (port -> local
-        buffer), and the remote DMA crossing (remote port -> remote
-        memory).  This is the analytic form of Table III.
-        """
-        topo = self.ctx.cluster[0].topology
-        return (
-            topo.cross_penalty(core_socket, port_socket)
-            + topo.cross_penalty(port_socket, local_mem_socket)
-            + topo.cross_penalty(remote_port_socket, remote_mem_socket)
-        )
+__all__ = ["ConnectionMesh", "ProxySocketRouter"]
 
 
 class ConnectionMesh:

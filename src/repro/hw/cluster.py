@@ -7,8 +7,8 @@ This is the root object a benchmark or application builds first::
     ctx = RdmaContext(cluster)          # from repro.verbs
 
 The default fabric is the paper's single switch, bit-identical to the
-pre-fabric model.  Pass ``topology="leaf-spine"`` / ``"clos"`` for the
-queued multi-switch topologies, or a pre-built
+pre-fabric model.  Pass ``topology="leaf-spine"`` for the queued
+multi-switch topology, or a pre-built
 :class:`~repro.hw.fabric.Fabric` instance for custom shapes::
 
     cluster = Cluster(sim, params, machines=32, topology="leaf-spine")

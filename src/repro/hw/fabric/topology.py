@@ -1,4 +1,4 @@
-"""Topology builders: single switch, two-tier leaf/spine, 3-stage Clos.
+"""Topology builders: single switch and two-tier leaf/spine.
 
 Latency convention: a link's ``latency_ns`` is its wire propagation plus
 the pipeline latency of the *switch it arrives at*; host-facing downlinks
@@ -22,8 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..params import HardwareParams
     from ...sim.engine import Simulator
 
-__all__ = ["SingleSwitchFabric", "LeafSpineFabric", "ClosFabric",
-           "build_fabric", "TOPOLOGIES"]
+__all__ = ["SingleSwitchFabric", "LeafSpineFabric", "build_fabric",
+           "TOPOLOGIES"]
 
 
 class SingleSwitchFabric(Fabric):
@@ -155,134 +155,7 @@ class LeafSpineFabric(Fabric):
                 f"{self.params.oversubscription:g}:1 oversubscription")
 
 
-class ClosFabric(Fabric):
-    """3-stage Clos / folded fat-tree: edge -> aggregation -> core.
-
-    Edges are grouped into pods of ``edges_per_pod``; every edge uplinks
-    to every aggregation switch in its pod; each aggregation switch owns
-    an equal share of the core switches (fat-tree style), so a core
-    choice determines the aggregation switch on both sides.  ECMP hashes
-    the flow over aggs (same-pod) or cores (cross-pod).
-    """
-
-    kind = "clos"
-
-    def __init__(self, sim: "Simulator", params: "HardwareParams",
-                 machines: int, hosts_per_edge: int = 4,
-                 edges_per_pod: int = 2, aggs_per_pod: int = 2,
-                 cores: int = 2, seed: int = 0) -> None:
-        if machines < 1:
-            raise ValueError("need at least one machine")
-        if min(hosts_per_edge, edges_per_pod, aggs_per_pod, cores) < 1:
-            raise ValueError("all Clos stage sizes must be >= 1")
-        if cores % aggs_per_pod != 0:
-            raise ValueError("cores must be a multiple of aggs_per_pod "
-                             "(each agg owns an equal share of cores)")
-        super().__init__(sim, params, seed)
-        self.machines = machines
-        self.hosts_per_edge = hosts_per_edge
-        self.edges_per_pod = edges_per_pod
-        self.aggs_per_pod = aggs_per_pod
-        self.cores = cores
-        self.edges = -(-machines // hosts_per_edge)
-        self.pods = -(-self.edges // edges_per_pod)
-        wire = params.wire_latency_ns
-        sw = params.switch_latency_ns
-        host_bw = params.link_bandwidth_Bns
-        up_bw = (host_bw * hosts_per_edge
-                 / (aggs_per_pod * params.oversubscription))
-        self.host_up = [
-            Link(f"m{m}->edge{m // hosts_per_edge}", params,
-                 host_bw, wire + sw)
-            for m in range(machines)]
-        self.host_down = [
-            Link(f"edge{m // hosts_per_edge}->m{m}", params, host_bw, wire)
-            for m in range(machines)]
-        # Keyed link tables: ("edge_up", edge, agg), ("agg_down", pod, agg,
-        # edge), ("agg_up", pod, agg, core), ("core_down", core, pod).
-        self._links: dict[tuple, Link] = {}
-        cores_per_agg = cores // aggs_per_pod
-        for e in range(self.edges):
-            pod = e // edges_per_pod
-            for a in range(aggs_per_pod):
-                self._links[("edge_up", e, a)] = Link(
-                    f"edge{e}->agg{pod}.{a}", params, up_bw, wire + sw)
-                self._links[("agg_down", pod, a, e)] = Link(
-                    f"agg{pod}.{a}->edge{e}", params, up_bw, wire + sw)
-        for pod in range(self.pods):
-            for c in range(cores):
-                a = c // cores_per_agg
-                self._links[("agg_up", pod, a, c)] = Link(
-                    f"agg{pod}.{a}->core{c}", params, up_bw, wire + sw)
-                self._links[("core_down", c, pod)] = Link(
-                    f"core{c}->agg{pod}.{c // cores_per_agg}", params,
-                    up_bw, wire + sw)
-
-    def _edge_of(self, machine: int) -> int:
-        return machine // self.hosts_per_edge
-
-    def _select(self, src: int, dst: int, flow: int) -> tuple:
-        se, de = self._edge_of(src), self._edge_of(dst)
-        if se == de:
-            return ()
-        h = ecmp_mix(src, dst, flow, seed=self.seed)
-        if se // self.edges_per_pod == de // self.edges_per_pod:
-            return ("agg", h % self.aggs_per_pod)
-        return ("core", h % self.cores)
-
-    def _build(self, src: int, dst: int, via: tuple) -> Route:
-        if not via:
-            links = (self.host_up[src], self.host_down[dst])
-            return Route(self, links, src=src, dst=dst, via=via)
-        se, de = self._edge_of(src), self._edge_of(dst)
-        sp, dp = se // self.edges_per_pod, de // self.edges_per_pod
-        tbl = self._links
-        if via[0] == "agg":
-            a = via[1]
-            links = (self.host_up[src],
-                     tbl[("edge_up", se, a)],
-                     tbl[("agg_down", sp, a, de)],
-                     self.host_down[dst])
-        else:
-            c = via[1]
-            a = c // (self.cores // self.aggs_per_pod)
-            links = (self.host_up[src],
-                     tbl[("edge_up", se, a)],
-                     tbl[("agg_up", sp, a, c)],
-                     tbl[("core_down", c, dp)],
-                     tbl[("agg_down", dp, a, de)],
-                     self.host_down[dst])
-        return Route(self, links, src=src, dst=dst, via=via)
-
-    @property
-    def racks(self) -> int:
-        return self.edges
-
-    def rack_of(self, machine_id: int) -> int:
-        return machine_id // self.hosts_per_edge
-
-    def machine_at(self, rack: int, index: int) -> int:
-        if not 0 <= rack < self.edges:
-            raise IndexError(f"rack {rack} out of range (0..{self.edges - 1})")
-        if not 0 <= index < self.hosts_per_edge:
-            raise IndexError(
-                f"index {index} out of rack (0..{self.hosts_per_edge - 1})")
-        machine = rack * self.hosts_per_edge + index
-        if machine >= self.machines:
-            raise IndexError(f"rack {rack} slot {index} is unpopulated")
-        return machine
-
-    def all_links(self) -> list[Link]:
-        return (list(self.host_up) + list(self.host_down)
-                + list(self._links.values()))
-
-    def describe(self) -> str:
-        return (f"clos: {self.machines} hosts, {self.edges} edges, "
-                f"{self.pods} pods, {self.cores} cores, "
-                f"{self.params.oversubscription:g}:1 oversubscription")
-
-
-TOPOLOGIES = ("single", "leaf-spine", "clos")
+TOPOLOGIES = ("single", "leaf-spine")
 
 
 def build_fabric(topology, sim: "Simulator", params: "HardwareParams",
@@ -299,8 +172,6 @@ def build_fabric(topology, sim: "Simulator", params: "HardwareParams",
         return SingleSwitchFabric(sim, params, ports=max(18, machines * 2))
     if topology == "leaf-spine":
         return LeafSpineFabric(sim, params, machines)
-    if topology == "clos":
-        return ClosFabric(sim, params, machines)
     raise ValueError(
         f"unknown topology {topology!r}: expected one of {TOPOLOGIES} "
         "or a Fabric instance")

@@ -16,8 +16,6 @@ cost is not modeled, only connection *state* pressure.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hw.params import ServiceConfig
 from repro.verbs.qp import QueuePair
 from repro.verbs.verbs import RdmaContext
@@ -123,20 +121,6 @@ class ConnectionManager:
         victim = min(candidates, key=lambda e: (e.last_used, e.qp.qp_id))
         self._drop(victim)
         self.evicted[tenant] += 1
-
-    def evict_idle(self, older_than_ns: Optional[float] = None) -> int:
-        """Tear down idle QPs (optionally only those idle for at least
-        ``older_than_ns``); returns the number evicted."""
-        self._prune_destroyed()
-        now = self.sim.now
-        victims = [e for e in self._pool.values()
-                   if e.leases == 0 and not e.qp.outstanding
-                   and (older_than_ns is None
-                        or now - e.last_used >= older_than_ns)]
-        for e in victims:
-            self._drop(e)
-            self.evicted[e.tenant] += 1
-        return len(victims)
 
     def _drop(self, entry: _PoolEntry) -> None:
         del self._pool[entry.key]

@@ -23,7 +23,6 @@ class TenantSLO:
 
     __slots__ = ("ops", "bytes", "latencies", "rejects", "by_opcode",
                  "first_ns", "last_ns", "retries", "errors",
-                 "txn_commits", "txn_aborts", "commit_latencies",
                  "cache_hits", "cache_misses", "cache_invalidations")
 
     def __init__(self):
@@ -34,12 +33,6 @@ class TenantSLO:
         self.by_opcode: Counter = Counter()
         self.first_ns = 0.0
         self.last_ns = 0.0
-        #: Transactional dataplane SLO: committed transactions, aborted
-        #: attempts (each failed optimistic attempt counts — that is the
-        #: work the tenant paid for), and per-commit end-to-end latency.
-        self.txn_commits = 0
-        self.txn_aborts = 0
-        self.commit_latencies: array = array("d")
         #: Transport retransmissions absorbed by this tenant's ops (ops
         #: that recovered still count as successes — this is the hidden
         #: cost of a lossy path).
@@ -84,19 +77,8 @@ class TenantSLO:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    @property
-    def txn_abort_rate(self) -> float:
-        """Aborted attempts over all attempts (commit = 1 attempt won)."""
-        total = self.txn_commits + self.txn_aborts
-        return self.txn_aborts / total if total else 0.0
-
     def latency_percentiles(self) -> dict[str, float]:
         xs = sorted(self.latencies)
-        p50, p99, p999 = percentiles(xs, [50, 99, 99.9])
-        return {"p50": p50, "p99": p99, "p999": p999}
-
-    def commit_latency_percentiles(self) -> dict[str, float]:
-        xs = sorted(self.commit_latencies)
         p50, p99, p999 = percentiles(xs, [50, 99, 99.9])
         return {"p50": p50, "p99": p99, "p999": p999}
 
@@ -136,25 +118,6 @@ class SLOMetrics:
         slo.latencies.append(latency_ns)
         slo.by_opcode[opcode] += 1
         slo.last_ns = self.sim.now
-        check = self.sim.check
-        if check is not None:
-            check.on_slo_record(tenant, slo)
-
-    def record_txn(self, tenant: str, committed: bool,
-                   latency_ns: float = 0.0) -> None:
-        """Fold one transaction attempt into the tenant's ledger.
-
-        A commit records its end-to-end latency (all attempts included,
-        like ``record_op`` the number is tenant-visible); every failed
-        optimistic attempt is one abort — the abort *rate* is therefore
-        attempts-weighted, matching what the dataplane actually retried.
-        """
-        slo = self.tenants[tenant]
-        if committed:
-            slo.txn_commits += 1
-            slo.commit_latencies.append(latency_ns)
-        else:
-            slo.txn_aborts += 1
         check = self.sim.check
         if check is not None:
             check.on_slo_record(tenant, slo)
@@ -206,11 +169,6 @@ class SLOMetrics:
                 "cache_misses": slo.cache_misses,
                 "cache_invalidations": slo.cache_invalidations,
                 "cache_hit_rate": slo.cache_hit_rate,
-                "txn_commits": slo.txn_commits,
-                "txn_aborts": slo.txn_aborts,
-                "txn_abort_rate": slo.txn_abort_rate,
-                "commit_p99_us":
-                    slo.commit_latency_percentiles()["p99"] / 1000.0,
             }
         return out
 

@@ -243,34 +243,6 @@ def test_rpc_baseline_serializes_and_never_aborts():
     assert table.txns_served == 18
 
 
-# ----------------------------------------------------------------- tenancy
-def test_tenant_txn_slo_metrics_and_checker_monotonicity():
-    from repro.tenancy.metrics import SLOMetrics
-
-    sim, cluster, ctx = build(machines=3)
-    san = Sanitizer(sim)
-    store = TxnStore(ctx, machine=0, n_keys=16)
-    metrics = SLOMetrics(sim, ["gold"])
-    c = TxnClient(ctx, store, machine=1, metrics=metrics, tenant="gold")
-
-    def txn():
-        def body(t):
-            yield from c.read(t, 0)
-            c.write(t, 0, VALUE)
-        yield from c.execute(body)
-
-    sim.run(until=sim.process(txn()))
-    snap = metrics.snapshot()["gold"]
-    assert snap["txn_commits"] == 1 and snap["txn_aborts"] == 0
-    assert snap["txn_abort_rate"] == 0.0
-    assert snap["commit_p99_us"] > 0.0
-    slo = metrics["gold"]
-    assert slo.txn_abort_rate == 0.0
-    metrics.record_txn("gold", False)
-    assert metrics["gold"].txn_abort_rate == 0.5
-    assert san.finalize().ok        # TenancyChecker saw monotone counters
-
-
 # ------------------------------------------------------- oracle: clean path
 @with_checkers
 def test_contended_soak_is_clean_under_all_checkers(checkers):

@@ -1,9 +1,9 @@
-"""Tests for NUMA placement, connection meshes, and the proxy router."""
+"""Tests for connection meshes and the proxy router."""
 
 import pytest
 
 from repro import build
-from repro.core import ConnectionMesh, NumaPlacement, ProxySocketRouter
+from repro.core import ConnectionMesh, ProxySocketRouter
 from repro.verbs import Worker
 
 
@@ -11,27 +11,6 @@ from repro.verbs import Worker
 def rig():
     sim, cluster, ctx = build(machines=3)
     return sim, cluster, ctx
-
-
-def test_placement_best_port(rig):
-    _, _, ctx = rig
-    place = NumaPlacement(ctx)
-    assert place.best_port(0, mem_socket=0) == 0
-    assert place.best_port(0, mem_socket=1) == 1
-
-
-def test_placement_extra_ns_all_affine_is_zero(rig):
-    _, _, ctx = rig
-    place = NumaPlacement(ctx)
-    assert place.placement_extra_ns(0, 0, 0, 1, 1) == 0.0
-
-
-def test_placement_extra_ns_worst_case(rig):
-    _, _, ctx = rig
-    place = NumaPlacement(ctx)
-    q = ctx.params.qpi_hop_ns
-    worst = place.placement_extra_ns(1, 1, 0, 0, 1)
-    assert worst == pytest.approx(3 * q)
 
 
 def test_matched_mesh_qp_count(rig):

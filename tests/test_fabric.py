@@ -24,7 +24,6 @@ from repro.check import Sanitizer, differential
 from repro.check.stepped import traverse
 from repro.hw import FaultInjector, HardwareParams
 from repro.hw.fabric import (
-    ClosFabric,
     DcqcnLimiter,
     LeafSpineFabric,
     Link,
@@ -151,20 +150,6 @@ def test_leaf_spine_latency_arithmetic():
     assert result == (True, False)
     assert sum(delays) == pytest.approx(
         cross.base_ns() + sum(link.ser_ns(4096) for link in cross.links))
-
-
-def test_clos_latency_arithmetic():
-    sim = Simulator()
-    params = HardwareParams()
-    w, s = params.wire_latency_ns, params.switch_latency_ns
-    fabric = ClosFabric(sim, params, machines=16)
-    assert fabric._build(0, 2, ()).base_ns() == 2 * w + s
-    same_pod = fabric._build(0, 4, ("agg", 1))
-    assert len(same_pod.links) == 4
-    assert same_pod.base_ns() == 4 * w + 3 * s
-    cross_pod = fabric._build(0, 8, ("core", 1))
-    assert len(cross_pod.links) == 6
-    assert cross_pod.base_ns() == 6 * w + 5 * s
 
 
 def test_oversubscription_thins_uplinks():
@@ -425,11 +410,11 @@ def test_build_fabric_resolution():
                       SingleSwitchFabric)
     assert isinstance(build_fabric("leaf-spine", sim, params, 8),
                       LeafSpineFabric)
-    assert isinstance(build_fabric("clos", sim, params, 8), ClosFabric)
     custom = LeafSpineFabric(sim, params, 8, hosts_per_leaf=2, spines=4)
     assert build_fabric(custom, sim, params, 8) is custom
-    with pytest.raises(ValueError, match="unknown topology"):
-        build_fabric("torus", sim, params, 8)
+    for name in ("torus", "clos"):
+        with pytest.raises(ValueError, match="unknown topology"):
+            build_fabric(name, sim, params, 8)
 
 
 def test_rack_aware_placement():
@@ -449,15 +434,6 @@ def test_rack_aware_placement():
     assert single.machine(rack=0, index=3) is single.machines[3]
     with pytest.raises(IndexError):
         single.machine(rack=1, index=0)
-    # A Clos fabric's racks are its edge switches.
-    _, clos, _ = build(machines=10, topology="clos")
-    per_edge = clos.fabric.hosts_per_edge
-    assert clos.machine(rack=1, index=1) is clos.machines[per_edge + 1]
-    assert clos.rack_of(per_edge + 1) == 1
-    with pytest.raises(IndexError):
-        clos.machine(rack=clos.racks, index=0)
-    with pytest.raises(IndexError):
-        clos.machine(rack=0, index=per_edge)
 
 
 @pytest.mark.parametrize("bad", [

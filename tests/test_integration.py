@@ -6,9 +6,9 @@ from repro import build
 from repro.apps.dlog import DistributedLog, LogConfig, TransactionEngine
 from repro.apps.join import DistributedJoin, JoinConfig
 from repro.apps.shuffle import DistributedShuffle, ShuffleConfig
-from repro.core import Advisor, IoConsolidator, SignalWindow, WorkloadProfile
+from repro.core import Advisor, IoConsolidator, WorkloadProfile
 from repro.core.rpc import RpcServer
-from repro.verbs import OpTracer, Worker
+from repro.verbs import Opcode, OpTracer, Sge, Worker, WorkRequest
 from repro.workloads.tables import generate_relation
 
 
@@ -63,27 +63,38 @@ def test_join_with_custom_relations_and_tracer():
 
 
 def test_consolidator_with_signal_window_semantics():
-    """Consolidation and selective signaling compose: absorbed writes,
-    block flushes through a signal window, all bytes land."""
+    """Consolidation and selective signaling compose on one QP: absorbed
+    writes flush as blocks, a window of unsignaled WRITEs posted behind
+    them ends in one signaled WR, and all bytes land."""
     sim, cluster, ctx = build(machines=2)
     staging = ctx.register(0, 8192)
     remote = ctx.register(1, 8192)
     qp = ctx.create_qp(0, 1)
     w = Worker(ctx, 0)
     cons = IoConsolidator(w, qp, staging, remote, block_bytes=1024, theta=4)
-    win = SignalWindow(w, qp, window=4)
+    for i in range(4):
+        staging.write(4096 + i * 32, bytes([0x80 + i]) * 32)
 
     def client():
         for i in range(16):
             yield from cons.write((i % 4) * 1024 + (i // 4) * 32,
                                   bytes([i + 1]) * 32)
         yield from cons.flush_all()
-        yield from win.drain()
+        for i in range(4):
+            done = yield from w.post(qp, WorkRequest(
+                Opcode.WRITE, wr_id=i, sgl=[Sge(staging, 4096 + i * 32, 32)],
+                remote_mr=remote, remote_offset=4096 + i * 32,
+                signaled=i == 3))
+        yield from w.wait(done)
 
     sim.run(until=sim.process(client()))
+    assert cons.flushes == 4
+    assert qp.cq.produced == cons.flushes + 1   # the window made one CQE
     for i in range(16):
         off = (i % 4) * 1024 + (i // 4) * 32
         assert remote.read(off, 32) == bytes([i + 1]) * 32
+    for i in range(4):
+        assert remote.read(4096 + i * 32, 32) == bytes([0x80 + i]) * 32
 
 
 def test_advisor_recommendations_hold_in_simulation():

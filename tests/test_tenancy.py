@@ -180,30 +180,6 @@ def test_destroyed_leased_qp_does_not_wedge_the_cap():
     cm.release(q3)
 
 
-def test_evict_idle_by_age():
-    sim, cluster, ctx, plane = make_plane(
-        machines=5, qp_cap_per_tenant=8, tenants=(TenantSpec("a"),))
-    cm = plane.connections
-    for remote in (1, 2, 3):
-        cm.release(cm.lease("a", 0, remote))
-    assert cm.evict_idle(older_than_ns=1.0) == 0   # nothing old enough yet
-    assert cm.evict_idle() == 3
-    assert cm.live_qps("a") == 0
-
-
-def test_evict_idle_exact_age_boundary():
-    # The age filter is inclusive: a QP idle for exactly older_than_ns
-    # is evictable (now - last_used >= bound, not >).
-    sim, cluster, ctx, plane = make_plane(
-        machines=3, qp_cap_per_tenant=8, tenants=(TenantSpec("a"),))
-    cm = plane.connections
-    cm.release(cm.lease("a", 0, 1))                # last_used = 0
-    sim.run(until=sim.timeout(100.0))
-    assert cm.evict_idle(older_than_ns=100.5) == 0  # just under the age
-    assert cm.evict_idle(older_than_ns=100.0) == 1  # exactly at the age
-    assert cm.live_qps("a") == 0
-
-
 # ------------------------------------------------- SRAM pressure (III-D)
 
 def test_qp_overflow_shrinks_translation_cache_and_destroy_restores():
